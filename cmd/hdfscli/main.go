@@ -684,7 +684,7 @@ func doFsck(store string) error {
 	if !rep.Healthy() {
 		status = "DEGRADED"
 	}
-	fmt.Printf("%s: %d blocks, %d missing, %d corrupt\n", status, rep.Blocks, rep.Missing, rep.Corrupt)
+	fmt.Printf("%s: %d blocks, %d missing, %d corrupt, %d orphans\n", status, rep.Blocks, rep.Missing, rep.Corrupt, rep.Orphans)
 	return flushObs(store, s)
 }
 

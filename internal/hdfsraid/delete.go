@@ -66,8 +66,7 @@ func (s *Store) Delete(name string) (blocksRemoved int, err error) {
 			return 0, fmt.Errorf("hdfsraid: %q extent %d has a journaled transcode; run Recover before deleting", name, ext)
 		}
 	}
-	ccs, err := s.extentCodecs(fi)
-	if err != nil {
+	if _, err := s.extentCodecs(fi); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
@@ -83,17 +82,14 @@ func (s *Store) Delete(name string) (blocksRemoved int, err error) {
 
 	// Durable: reclaim the blocks. Best-effort by design (see doc
 	// comment); count what actually went away.
-	for ext, e := range fi.Extents {
-		p := ccs[ext].code.Placement()
-		for i := 0; i < e.Stripes; i++ {
-			for sym := 0; sym < ccs[ext].code.Symbols(); sym++ {
-				for _, v := range p.SymbolNodes[sym] {
-					if s.bio.Remove(s.extentBlockPath(v, name, fi, ext, i, sym)) == nil {
-						blocksRemoved++
-					}
-				}
+	for ext := range fi.Extents {
+		// Cannot fail: the codecs resolved above and fn never errors.
+		_ = s.forEachReplica(name, fi, ext, func(r blockRef, v int) error {
+			if s.bio.Remove(s.extentBlockPath(v, name, fi, ext, r.stripe, r.sym)) == nil {
+				blocksRemoved++
 			}
-		}
+			return nil
+		})
 	}
 	return blocksRemoved, nil
 }

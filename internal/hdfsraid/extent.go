@@ -164,24 +164,67 @@ func extentOf(fi FileInfo, g int) int {
 	})
 }
 
+// locateStripe maps a file-global stripe index — extent stripe sets
+// are concatenated in extent order — to its extent and extent-local
+// stripe. ok is false for an index outside the file, including one the
+// summary Stripes field admits but the extents do not (a hand-edited
+// or corrupt manifest), so callers error instead of panicking.
+func locateStripe(fi FileInfo, stripe int) (ext, local int, ok bool) {
+	if stripe < 0 {
+		return 0, 0, false
+	}
+	for ext, e := range fi.Extents {
+		if stripe < e.Stripes {
+			return ext, stripe, true
+		}
+		stripe -= e.Stripes
+	}
+	return 0, 0, false
+}
+
+// blockRef is the scan-order coordinate of one physical block replica:
+// rep indexes the symbol's replica list in the code's placement, from
+// which the node (and so the path) follows.
+type blockRef struct {
+	name                  string
+	ext, stripe, sym, rep int
+}
+
+// forEachReplica calls fn for every block replica the layout of one
+// extent of a file expects — each stripe's every symbol's every
+// placement node v — in scan order (stripe, symbol, replica). It is
+// the one walk behind Fsck, Scrub, Delete and the transcode swap; an
+// error from fn stops it and is returned.
+func (s *Store) forEachReplica(name string, fi FileInfo, ext int, fn func(r blockRef, v int) error) error {
+	e := fi.Extents[ext]
+	cc, err := s.codecByName(e.Code)
+	if err != nil {
+		return err
+	}
+	symbolNodes := cc.code.Placement().SymbolNodes
+	for i := 0; i < e.Stripes; i++ {
+		for sym, nodes := range symbolNodes {
+			for rep, v := range nodes {
+				if err := fn(blockRef{name, ext, i, sym, rep}, v); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // Extents returns a copy of a file's extent map (a migrated legacy
 // file shows a single extent spanning the whole file).
 func (s *Store) Extents(name string) ([]Extent, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fi, ok := s.manifest.Files[name]
-	if !ok {
-		return nil, false
-	}
-	return append([]Extent(nil), fi.Extents...), true
+	fi, ok := s.Info(name)
+	return append([]Extent(nil), fi.Extents...), ok
 }
 
 // ExtentOf returns the index of the extent holding the file's data
 // block, or -1 when the file or block is unknown.
 func (s *Store) ExtentOf(name string, block int) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fi, ok := s.manifest.Files[name]
+	fi, ok := s.Info(name)
 	if !ok || block < 0 || block >= s.dataBlocks(fi.Length) {
 		return -1
 	}
@@ -190,9 +233,7 @@ func (s *Store) ExtentOf(name string, block int) int {
 
 // ExtentCode returns the effective code name of one extent of a file.
 func (s *Store) ExtentCode(name string, ext int) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fi, ok := s.manifest.Files[name]
+	fi, ok := s.Info(name)
 	if !ok || ext < 0 || ext >= len(fi.Extents) {
 		return "", false
 	}

@@ -58,8 +58,8 @@ func (s *Store) Quarantined() ([]string, error) {
 // quarantine, reconstruct the payload, and atomically write the
 // repaired frame back. content, when non-nil, is the already-known
 // correct payload (a Get that just decoded the stripe has it);
-// otherwise the block is reconstructed through the degraded read path
-// (data symbols) or re-encoded from its stripe's data (parity symbols).
+// otherwise the block is reconstructed through the read ladder (data
+// symbols) or re-encoded from its stripe's data (parity symbols).
 //
 // If reconstruction fails the captured frame is renamed back, so a
 // failed heal never destroys the only copy of whatever evidence or
@@ -130,47 +130,29 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 }
 
 // reconstructBlock recomputes one block payload of a stripe into dst
-// by full-stripe decode: read whatever replicas of the other symbols
-// are healthy, decode (which succeeds for ANY failure pattern within
-// the code's tolerance — a scrubbed stripe may hold several latent
-// errors at once, which the single-erasure partial-parity plan cannot
-// route around), then take the wanted data block directly or re-encode
-// for a parity symbol.
+// through readStripe with healing off (heal never recurses). The bad
+// replica itself is already quarantined away (or fails its CRC read),
+// so a data symbol comes down the ladder from a sibling replica — the
+// whole reconstruction source under a replication code — the read
+// plan, or a full-stripe decode; a parity symbol is re-encoded from
+// the stripe's data blocks, read the same way.
 func (s *Store) reconstructBlock(dst []byte, cc codec, name string, fi FileInfo, ext, stripe, sym int) error {
 	k := cc.code.DataSymbols()
-	p := cc.code.Placement()
-	nsym := cc.code.Symbols()
-	symbols := make([][]byte, nsym)
-	var frames [][]byte
-	defer func() {
-		for _, f := range frames {
-			s.framePool.Put(f)
-		}
-	}()
-	// The bad replica itself is already quarantined away (or fails its
-	// CRC read below), so every symbol — including the healed one, whose
-	// sibling replicas are the whole reconstruction source under a
-	// replication code — is scanned for a healthy copy.
-	for sb := 0; sb < nsym; sb++ {
-		for _, v := range p.SymbolNodes[sb] {
-			frame := s.framePool.Get()
-			data, err := s.readBlockInto(s.extentBlockPath(v, name, fi, ext, stripe, sb), frame)
-			if err != nil {
-				s.framePool.Put(frame)
-				continue // any unreadable replica is an erasure to decode
-			}
-			symbols[sb] = data
-			frames = append(frames, frame)
-			break
-		}
-	}
-	data, err := cc.code.Decode(symbols)
-	if err != nil {
+	if sym < k {
+		_, err := s.readStripe(cc, name, fi, ext, stripe, sym, [][]byte{dst}, false)
 		return err
 	}
-	if sym < k {
-		copy(dst, data[sym])
-		return nil
+	data := make([][]byte, k)
+	for i := range data {
+		data[i] = s.payloadPool.Get()
+	}
+	defer func() {
+		for _, b := range data {
+			s.payloadPool.Put(b)
+		}
+	}()
+	if _, err := s.readStripe(cc, name, fi, ext, stripe, 0, data, false); err != nil {
+		return err
 	}
 	enc, release, err := core.EncodeWith(cc.code, s.payloadPool, data)
 	if err != nil {

@@ -20,9 +20,15 @@ func corruptSym0(t *testing.T, s *Store) {
 // TestReadHealsCorruptBlock is the acceptance path: a Get over a
 // corrupt block serves the right bytes, captures the bad frame under
 // .quarantine/, writes a repaired block back, and bumps the read_heal
-// counter — so the second read is served fully intact.
+// counter — so the second read is served fully intact. The extent
+// store runs the same path over extent-qualified block names, which
+// CorruptBlock must resolve like ReadBlockInto does.
 func TestReadHealsCorruptBlock(t *testing.T) {
-	s := newStore(t, "rs-9-6")
+	t.Run("whole-file", func(t *testing.T) { testReadHealsCorruptBlock(t, newStore(t, "rs-9-6")) })
+	t.Run("extents", func(t *testing.T) { testReadHealsCorruptBlock(t, newExtStore(t, "rs-9-6", 6)) })
+}
+
+func testReadHealsCorruptBlock(t *testing.T, s *Store) {
 	data := randomFile(t, 2*blockSize*s.Code().DataSymbols(), 50)
 	if err := s.Put("f", data); err != nil {
 		t.Fatal(err)

@@ -288,31 +288,29 @@ func (s *Store) completeSwap(in *TranscodeIntent) (swapResult, error) {
 	for _, rel := range in.Staged {
 		newFinal[filepath.Join(s.root, rel)] = true
 	}
-	oldCC, err := s.codecByName(in.From)
+	// Until the move commits, the file table still describes the old
+	// layout (in.From, in.OldStripes) of the moved extent.
+	fi := s.manifest.Files[in.File]
+	if in.Extent < 0 || in.Extent >= len(fi.Extents) {
+		return res, fmt.Errorf("hdfsraid: journaled move of %q names extent %d the file table lacks", in.File, in.Extent)
+	}
+	err := s.forEachReplica(in.File, fi, in.Extent, func(r blockRef, v int) error {
+		path := s.extentBlockPath(v, in.File, fi, in.Extent, r.stripe, r.sym)
+		if newFinal[path] {
+			// The new layout reuses this name: the rename below will
+			// overwrite it, so never delete here (a resumed swap may
+			// already have promoted the staged block), but an old
+			// replica still present counts as removed.
+			if _, err := os.Stat(path); err == nil {
+				res.removed++
+			}
+		} else if s.bio.Remove(path) == nil {
+			res.removed++
+		}
+		return nil
+	})
 	if err != nil {
 		return res, err
-	}
-	fi := s.manifest.Files[in.File]
-	p := oldCC.code.Placement()
-	for i := 0; i < in.OldStripes; i++ {
-		for sym := 0; sym < oldCC.code.Symbols(); sym++ {
-			for _, v := range p.SymbolNodes[sym] {
-				path := s.extentBlockPath(v, in.File, fi, in.Extent, i, sym)
-				if newFinal[path] {
-					// The new layout reuses this name: the rename below
-					// will overwrite it, so never delete here (a resumed
-					// swap may already have promoted the staged block),
-					// but an old replica still present counts as removed.
-					if _, err := os.Stat(path); err == nil {
-						res.removed++
-					}
-					continue
-				}
-				if s.bio.Remove(path) == nil {
-					res.removed++
-				}
-			}
-		}
 	}
 	for n, rel := range in.Staged {
 		path := filepath.Join(s.root, rel)

@@ -39,6 +39,7 @@ const (
 	metricFsckNs               = "store_fsck_ns"
 	metricFsckMissing          = "store_fsck_missing_total"
 	metricFsckCorrupt          = "store_fsck_corrupt_total"
+	metricFsckOrphans          = "store_fsck_orphans_total"
 
 	// Transcode pipeline, per-stage: read (source blocks through the
 	// old code, per stripe), encode (new code, per stripe), write
@@ -89,10 +90,11 @@ const (
 type storeObs struct {
 	reg *obs.Registry
 
-	getIntact, getDegraded            *obs.Histogram
-	readBlockIntact, readBlockDegr    *obs.Histogram
-	putNs                             *obs.Histogram
-	readAtNs, deleteNs                *obs.Histogram
+	// readNs is indexed by readKind: the latency histograms of Get,
+	// ReadBlockInto and ReadAt (whose two sides are one histogram).
+	readNs [3]readHists
+
+	putNs, deleteNs                   *obs.Histogram
 	repairNs, fsckNs                  *obs.Histogram
 	tcRead, tcEncode, tcWrite, tcSwap *obs.Histogram
 	scrubNs                           *obs.Histogram
@@ -102,6 +104,7 @@ type storeObs struct {
 	readsDegraded                   *obs.Counter
 	repairBlocks, repairTransfers   *obs.Counter
 	fsckMissing, fsckCorrupt        *obs.Counter
+	fsckOrphans                     *obs.Counter
 	tcMoves, tcBytesMoved           *obs.Counter
 	tcBlocksRead, tcBlocksWritten   *obs.Counter
 	jReplayed, jRolledBack, jOrphan *obs.Counter
@@ -114,17 +117,20 @@ type storeObs struct {
 	heal    *obs.Trace
 }
 
+// readHists is one read entry point's latency split.
+type readHists struct{ intact, degraded *obs.Histogram }
+
 // newStoreObs builds the store's registry and resolves every handle.
 func newStoreObs() *storeObs {
 	reg := obs.NewRegistry()
 	return &storeObs{
-		reg:               reg,
-		getIntact:         reg.Histogram(metricGetIntactNs),
-		getDegraded:       reg.Histogram(metricGetDegradedNs),
-		readBlockIntact:   reg.Histogram(metricReadBlockIntactNs),
-		readBlockDegr:     reg.Histogram(metricReadBlockDegradedNs),
+		reg: reg,
+		readNs: [3]readHists{
+			readGet:   {reg.Histogram(metricGetIntactNs), reg.Histogram(metricGetDegradedNs)},
+			readBlock: {reg.Histogram(metricReadBlockIntactNs), reg.Histogram(metricReadBlockDegradedNs)},
+			readAt:    {reg.Histogram(metricReadAtNs), reg.Histogram(metricReadAtNs)},
+		},
 		putNs:             reg.Histogram(metricPutNs),
-		readAtNs:          reg.Histogram(metricReadAtNs),
 		deleteNs:          reg.Histogram(metricDeleteNs),
 		deletes:           reg.Counter(metricDeletes),
 		repairNs:          reg.Histogram(metricRepairNs),
@@ -140,6 +146,7 @@ func newStoreObs() *storeObs {
 		repairTransfers:   reg.Counter(metricRepairTransfers),
 		fsckMissing:       reg.Counter(metricFsckMissing),
 		fsckCorrupt:       reg.Counter(metricFsckCorrupt),
+		fsckOrphans:       reg.Counter(metricFsckOrphans),
 		tcMoves:           reg.Counter(metricTcMoves),
 		tcBytesMoved:      reg.Counter(metricTcBytesMoved),
 		tcBlocksRead:      reg.Counter(metricTcBlocksRead),

@@ -1,6 +1,7 @@
 package hdfsraid
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -16,18 +17,28 @@ import (
 // blocks. The key space is disjoint from transcode move keys.
 func ingestKey(name string) string { return "\x00ingest\x00" + name }
 
-// PutReader stores a file streamed from r without a caller-
-// materialized byte slice: a sequential producer reads one stripe's
-// data blocks at a time into pooled buffers (closing each stripe at
-// the extent boundary), and a calibrated worker pool (the default
-// code's tuned encode width, GOMAXPROCS when uncalibrated) encodes
-// and writes stripes concurrently behind it. Peak memory is O(workers
-// × stripe), independent of the file's length — the ingest-side
-// counterpart of the streaming transcode pipeline. The file's length
-// and extent map are recorded when the reader is exhausted.
+// Put stores a file held in memory: PutReader over the bytes, so both
+// ingests share one write path and produce identical layouts.
+func (s *Store) Put(name string, data []byte) error {
+	return s.PutReader(name, bytes.NewReader(data))
+}
+
+// PutReader stripes, encodes and stores a file streamed from r,
+// writing every symbol replica to its placement node, without a
+// caller-materialized byte slice. With extents enabled (CreateExt) the
+// file is split into extent-sized runs, each striped independently so
+// it can later change tier on its own. The data plane streams: a
+// sequential producer reads one stripe's data blocks at a time into
+// pooled buffers (closing each stripe at the extent boundary), and a
+// calibrated worker pool (the default code's tuned encode width,
+// GOMAXPROCS when uncalibrated) encodes and writes stripes
+// concurrently behind it. Peak memory is O(workers × stripe),
+// independent of the file's length — the ingest-side counterpart of
+// the streaming transcode pipeline. The file's length and extent map
+// are recorded when the reader is exhausted.
 //
-// Unlike Put, the store lock is NOT held while the reader drains — a
-// slow or stalling source must not block readers of other files.
+// The store lock is NOT held while the reader drains or stripes encode
+// — a slow or stalling source must not block readers of other files.
 // Instead the name is claimed through a per-name ingest lock held for
 // the whole stream: concurrent writers of one name serialize, the
 // loser errors at its pre-stream check, and no block is ever written

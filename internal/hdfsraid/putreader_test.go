@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -29,6 +32,26 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	copy(p, c.data[:n])
 	c.data = c.data[n:]
 	return n, nil
+}
+
+// blockFiles reads every file under the store's node directories,
+// keyed by root-relative path.
+func blockFiles(t *testing.T, s *Store) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(s.root, "node-*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(s.root, p)
+		files[rel] = string(raw)
+	}
+	return files
 }
 
 // TestPutReaderRoundTrip streams files of awkward sizes — empty,
@@ -58,10 +81,12 @@ func TestPutReaderRoundTrip(t *testing.T) {
 				if !bytes.Equal(got, data) {
 					t.Fatal("streamed put round trip mismatch")
 				}
-				if fsck, err := s.Fsck(); err != nil || !fsck.Healthy() {
+				fsck, err := s.Fsck()
+				if err != nil || !fsck.Healthy() {
 					t.Fatalf("unhealthy after streamed put: %+v, %v", fsck, err)
 				}
-				// The layout matches a buffered Put of the same bytes.
+				// A buffered Put of the same bytes records the same
+				// manifest entry over byte-identical block files.
 				s2, err := CreateExt(t.TempDir(), "rs-9-6", blockSize, ext)
 				if err != nil {
 					t.Fatal(err)
@@ -69,9 +94,13 @@ func TestPutReaderRoundTrip(t *testing.T) {
 				if err := s2.Put("f", data); err != nil {
 					t.Fatal(err)
 				}
-				fi2, _ := s2.Info("f")
-				if fi.Stripes != fi2.Stripes || len(fi.Extents) != len(fi2.Extents) || fi.ExtentPaths != fi2.ExtentPaths {
-					t.Fatalf("streamed layout %+v != buffered layout %+v", fi, fi2)
+				if fi2, _ := s2.Info("f"); !reflect.DeepEqual(fi, fi2) {
+					t.Fatalf("streamed entry %+v != buffered entry %+v", fi, fi2)
+				}
+				blocks, blocks2 := blockFiles(t, s), blockFiles(t, s2)
+				if len(blocks) != fsck.Blocks || !reflect.DeepEqual(blocks, blocks2) {
+					t.Fatalf("streamed and buffered block files differ (%d vs %d files, %d expected)",
+						len(blocks), len(blocks2), fsck.Blocks)
 				}
 			})
 		}

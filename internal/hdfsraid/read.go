@@ -2,26 +2,12 @@ package hdfsraid
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/gf256"
 )
-
-// ReadBlock serves one data block of a stored file the way a degraded
-// map task would: a live replica first, then — if both replicas are
-// unreadable — through the code's partial-parity read plan, computing
-// each payload from the blocks actually on disk at its source node.
-// It returns the block bytes and the number of block-unit transfers
-// the read cost (0 for a healthy replica read).
-func (s *Store) ReadBlock(name string, stripe, symbol int) ([]byte, int, error) {
-	dst := make([]byte, s.BlockSize())
-	cost, err := s.ReadBlockInto(dst, name, stripe, symbol)
-	if err != nil {
-		return nil, 0, err
-	}
-	return dst, cost, nil
-}
 
 // BlockSize returns the store's block size.
 func (s *Store) BlockSize() int { return s.blockSize }
@@ -35,149 +21,139 @@ func (s *Store) CodeName() string { return s.codeName }
 // with the same value ingests byte-identical layouts.
 func (s *Store) ExtentBlocks() int { return s.extentBlocks }
 
-// ReadBlockInto is ReadBlock into a caller-provided buffer of exactly
-// BlockSize bytes — the steady-state read path, which together with the
-// store's frame and payload pools moves block payloads with zero
-// allocations per read. The stripe index is file-global: extent stripe
-// sets are concatenated in extent order, so (stripe, symbol) addresses
-// the same data block it did before the file grew an extent map.
-func (s *Store) ReadBlockInto(dst []byte, name string, stripe, symbol int) (cost int, err error) {
-	if s.obs != nil {
-		start := time.Now()
-		defer func() {
-			if err != nil {
-				return
-			}
-			elapsed := time.Since(start).Nanoseconds()
-			if cost > 0 {
-				// The block came through a partial-parity plan, not a
-				// healthy replica: a degraded reconstruct.
-				s.obs.readBlockDegr.Observe(elapsed)
-				s.obs.readsDegraded.Inc()
-			} else {
-				s.obs.readBlockIntact.Observe(elapsed)
-			}
-			s.obs.bytesOut.Add(int64(len(dst)))
-		}()
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(dst) != s.blockSize {
-		return 0, fmt.Errorf("hdfsraid: ReadBlockInto needs a %d-byte buffer, got %d", s.blockSize, len(dst))
-	}
-	fi, ok := s.manifest.Files[name]
-	if !ok {
-		return 0, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
-	}
-	if stripe < 0 || stripe >= fi.Stripes {
-		return 0, fmt.Errorf("hdfsraid: stripe %d out of range", stripe)
-	}
-	// Locate the extent holding this file stripe. The bounds check
-	// turns a summary Stripes field exceeding the extents' total (a
-	// hand-edited or corrupt manifest) into an error, not a panic.
-	ext, local := 0, stripe
-	for ext < len(fi.Extents) && local >= fi.Extents[ext].Stripes {
-		local -= fi.Extents[ext].Stripes
-		ext++
-	}
-	if ext == len(fi.Extents) {
-		return 0, fmt.Errorf("hdfsraid: stripe %d beyond %q's extents", stripe, name)
-	}
-	if s.pendingSwapLocked(name, ext) {
-		return 0, fmt.Errorf("hdfsraid: %q extent %d is mid-swap in the journal; run Recover", name, ext)
-	}
-	cc, err := s.codecByName(fi.Extents[ext].Code)
-	if err != nil {
-		return 0, err
-	}
-	if symbol < 0 || symbol >= cc.code.DataSymbols() {
-		return 0, fmt.Errorf("hdfsraid: symbol %d is not a data symbol", symbol)
+// readKind names the foreground read entry points; it picks the
+// latency histograms a finished read lands in.
+type readKind int
+
+const (
+	readGet readKind = iota
+	readBlock
+	readAt
+)
+
+// admitRead is the one preamble of every foreground read (Get, ReadAt,
+// ReadBlockInto), run once the caller has looked the file up and
+// validated its request against the layout. The caller holds mu's read
+// side for the whole read, so a concurrent transcode's block swap can
+// never be observed half-done; admitRead refuses any touched extent
+// [lo, hi] that is mid-swap in the journal, then feeds the heat hooks
+// with exactly the extents touched, so a ranged read of a large file
+// never warms the rest of it.
+func (s *Store) admitRead(name string, lo, hi int) error {
+	for e := lo; e <= hi; e++ {
+		if s.pendingSwapLocked(name, e) {
+			return fmt.Errorf("hdfsraid: %q extent %d is mid-swap in the journal; run Recover", name, e)
+		}
 	}
 	if s.OnRead != nil {
 		s.OnRead(name)
 	}
 	if s.OnReadExtent != nil {
-		s.OnReadExtent(name, ext)
+		for e := lo; e <= hi; e++ {
+			s.OnReadExtent(name, e)
+		}
 	}
-	return s.readDataBlockInto(dst, cc, name, fi, ext, local, symbol, true)
+	return nil
 }
 
-// readDataBlockInto is the lock-free core of ReadBlockInto: deliver one
-// data block (extent-local stripe coordinates) into dst (exactly
-// BlockSize bytes) through a healthy replica or the code's partial-
-// parity read plan, without touching the manifest lock or the heat
-// hook. It is shared by the public block read and the streaming
-// transcode source, whose workers call it concurrently while a sibling
-// move may hold the manifest lock. When heal is set, replicas that
-// failed with a verdict (corrupt or missing) are repaired in place
-// from the delivered bytes once the read succeeds; transcode sources
-// and healing's own reconstruction reads pass false — the former must
-// not rewrite old-layout blocks mid-move, the latter must not recurse.
-func (s *Store) readDataBlockInto(dst []byte, cc codec, name string, fi FileInfo, ext, stripe, symbol int, heal bool) (int, error) {
-	p := cc.code.Placement()
-
-	// One pooled frame serves every block file this read touches.
-	frame := s.framePool.Get()
-	defer s.framePool.Put(frame)
-
-	// healVerdicts collects replicas of the wanted symbol whose read
-	// failed for their bytes (not transiently); once dst holds the true
-	// payload, each is healed from it.
-	var healVerdicts []int
-	healAll := func() {
-		for _, v := range healVerdicts {
-			if s.healBlock(cc, name, fi, ext, stripe, symbol, v, dst) == nil && s.obs != nil {
-				s.obs.readHeal.Inc()
-			}
-		}
+// observeRead records a successful foreground read of n bytes begun at
+// start: its latency — split by whether any wanted block had to be
+// reconstructed instead of copied from a replica — and the bytes served.
+func (s *Store) observeRead(kind readKind, start time.Time, degraded bool, n int) {
+	if s.obs == nil {
+		return
 	}
+	elapsed := time.Since(start).Nanoseconds()
+	if degraded {
+		s.obs.readNs[kind].degraded.Observe(elapsed)
+		s.obs.readsDegraded.Inc()
+	} else {
+		s.obs.readNs[kind].intact.Observe(elapsed)
+	}
+	s.obs.bytesOut.Add(int64(n))
+}
 
-	// Fast path: a healthy replica.
-	var downNodes []int
-	for _, v := range p.SymbolNodes[symbol] {
-		data, err := s.readBlockInto(s.extentBlockPath(v, name, fi, ext, stripe, symbol), frame)
+// stripeRead is one pass of the read ladder over one stripe (see
+// readStripe): the stripe's coordinates plus what the pass has learnt
+// about its replicas so far.
+type stripeRead struct {
+	s           *Store
+	cc          codec
+	name        string
+	fi          FileInfo
+	ext, stripe int
+
+	// frame is the one pooled block frame behind every read whose
+	// payload is copied out at once; held are the frames backing the
+	// symbols the decode step keeps until the pass ends.
+	frame []byte
+	held  [][]byte
+	// bad lists replicas whose read failed with a verdict about their
+	// bytes (corrupt or missing, not transient): the heal candidates.
+	bad []badReplica
+	// down lists the nodes of every failed read — what the read plan
+	// must route around.
+	down []int
+}
+
+type badReplica struct{ sym, v int }
+
+func (r *stripeRead) path(v, sym int) string {
+	return r.s.extentBlockPath(v, r.name, r.fi, r.ext, r.stripe, sym)
+}
+
+// replica reads the first healthy replica of sym into frame and
+// returns its payload (aliasing frame), or nil when none is readable.
+func (r *stripeRead) replica(sym int, frame []byte) []byte {
+	for _, v := range r.cc.code.Placement().SymbolNodes[sym] {
+		data, err := r.s.readBlockInto(r.path(v, sym), frame)
 		if err == nil {
-			copy(dst, data)
-			healAll()
-			return 0, nil
+			return data
 		}
-		if heal && !transientReadErr(err) {
-			healVerdicts = append(healVerdicts, v)
+		if !transientReadErr(err) {
+			r.bad = append(r.bad, badReplica{sym, v})
 		}
-		downNodes = append(downNodes, v)
+		r.down = append(r.down, v)
 	}
+	return nil
+}
 
-	// Degraded path: plan a partial-parity read around the dead
-	// replicas. The plan's decode coefficients come from the code's
-	// per-erasure-pattern cache, so repeated degraded reads of one
-	// failure pattern skip the matrix inversion. A plan's source block
-	// can itself turn out corrupt or missing (latent errors cluster
-	// under real fault conditions); that is a verdict about its node,
-	// so mark the node down and re-plan — the loop is bounded because
-	// every pass grows downNodes and planning fails past the code's
-	// tolerance.
-	rp, ok := cc.code.(core.ReadPlanner)
+// plan is the ladder's second step: deliver data symbol sym into dst
+// through the code's partial-parity read plan around the nodes known
+// down, computing each payload from the blocks on disk at its source
+// node. The plan's decode coefficients come from the code's per-
+// erasure-pattern cache, so repeated degraded reads of one failure
+// pattern skip the matrix inversion. A plan's source block can itself
+// turn out corrupt or missing (latent errors cluster under real fault
+// conditions); that is a verdict about its node, so mark the node down
+// and re-plan — the loop is bounded because every pass grows down and
+// planning fails past the code's tolerance. It reports the plan's
+// block transfers, or false when no plan delivers (the code cannot
+// plan reads, the node tolerance is exhausted, or a source failed
+// transiently) and the caller falls through to the full-stripe decode.
+func (r *stripeRead) plan(sym int, dst []byte) (int, bool) {
+	rp, ok := r.cc.code.(core.ReadPlanner)
 	if !ok {
-		return 0, fmt.Errorf("hdfsraid: code %s cannot plan reads", cc.code.Name())
+		return 0, false
 	}
-	payload := s.payloadPool.Get()
-	defer s.payloadPool.Put(payload)
+	payload := r.s.payloadPool.Get()
+	defer r.s.payloadPool.Put(payload)
 replan:
 	for {
-		plan, err := rp.PlanRead(symbol, downNodes, core.OffCluster)
+		plan, err := rp.PlanRead(sym, r.down, core.OffCluster)
 		if err != nil {
-			return 0, err
+			return 0, false
 		}
 		clear(dst)
 		for i, tr := range plan.Transfers {
 			clear(payload)
 			for _, term := range tr.Terms {
-				data, err := s.readBlockInto(s.extentBlockPath(tr.From, name, fi, ext, stripe, term.Symbol), frame)
+				data, err := r.s.readBlockInto(r.path(tr.From, term.Symbol), r.frame)
 				if err != nil {
 					if transientReadErr(err) {
-						return 0, err
+						return 0, false
 					}
-					downNodes = append(downNodes, tr.From)
+					r.down = append(r.down, tr.From)
 					continue replan
 				}
 				gf256.MulAddSlice(term.Coeff, data, payload)
@@ -188,7 +164,262 @@ replan:
 			}
 			gf256.MulAddSlice(coeff, payload, dst)
 		}
-		healAll()
-		return plan.Bandwidth(), nil
+		return plan.Bandwidth(), true
 	}
+}
+
+// decode is the ladder's last step: a full-stripe decode, which
+// succeeds for ANY failure pattern within the code's tolerance — a
+// stripe may hold several latent errors at once, which the single-
+// erasure read plan cannot route around. symbols holds the blocks the
+// pass already delivered; every other symbol outside the wanted range
+// [first, first+n) (a wanted symbol still nil has no readable replica
+// left) is read from its first healthy replica, any unreadable one
+// being one more erasure to decode. It returns the stripe's data
+// blocks and the number of blocks it read.
+func (r *stripeRead) decode(symbols [][]byte, first, n int) ([][]byte, int, error) {
+	for sym := range symbols {
+		if sym >= first && sym < first+n {
+			continue
+		}
+		frame := r.s.framePool.Get()
+		if symbols[sym] = r.replica(sym, frame); symbols[sym] == nil {
+			r.s.framePool.Put(frame)
+			continue
+		}
+		r.held = append(r.held, frame)
+	}
+	data, err := r.cc.code.Decode(symbols)
+	return data, len(r.held), err
+}
+
+// readStripe is the store's one block-read path: Get, ReadAt,
+// ReadBlockInto, the transcode source and healing's reconstruction all
+// deliver blocks through it. It reads data symbols [first,
+// first+len(dst)) of one stripe (extent-local coordinates) into dst —
+// caller-owned buffers of exactly BlockSize bytes — down a three-step
+// ladder, each step taken only for what the one before left
+// undelivered:
+//
+//  1. the first healthy replica of each wanted symbol (cost 0);
+//  2. when a single block of the stripe is wanted, the code's partial-
+//     parity read plan — the paper's cheap degraded read (see plan);
+//  3. a full-stripe decode reusing the blocks step 1 delivered.
+//
+// Which of 2 and 3 runs follows from what the call can observe — how
+// many blocks it wants and which reads failed — never from a setting.
+// cost is the number of block transfers the degraded steps paid (0
+// when every wanted block came from a replica).
+//
+// With heal set, every replica that failed with a verdict is repaired
+// in place from the delivered bytes once the read succeeds. Transcode
+// sources and healing's own reconstruction pass false: the former must
+// not rewrite old-layout blocks mid-move, the latter must not recurse.
+//
+// readStripe takes no lock and fires no hook; callers hold mu's read
+// side (foreground reads, scrub) or the extent's move lock (transcode).
+func (s *Store) readStripe(cc codec, name string, fi FileInfo, ext, stripe, first int, dst [][]byte, heal bool) (cost int, err error) {
+	r := stripeRead{s: s, cc: cc, name: name, fi: fi, ext: ext, stripe: stripe, frame: s.framePool.Get()}
+	defer func() {
+		s.framePool.Put(r.frame)
+		for _, f := range r.held {
+			s.framePool.Put(f)
+		}
+	}()
+
+	var lost []int // indices into dst no replica delivered
+	for j, d := range dst {
+		if data := r.replica(first+j, r.frame); data != nil {
+			copy(d, data)
+		} else {
+			lost = append(lost, j)
+		}
+	}
+	var decoded [][]byte
+	planned := false
+	if len(lost) == 1 && len(dst) == 1 {
+		cost, planned = r.plan(first, dst[0])
+	}
+	if len(lost) > 0 && !planned {
+		symbols := make([][]byte, cc.code.Symbols())
+		copy(symbols[first:], dst)
+		for _, j := range lost {
+			symbols[first+j] = nil
+		}
+		if decoded, cost, err = r.decode(symbols, first, len(dst)); err != nil {
+			return 0, fmt.Errorf("hdfsraid: decoding %q extent %d stripe %d: %w", name, ext, stripe, err)
+		}
+		for _, j := range lost {
+			copy(dst[j], decoded[first+j])
+		}
+	}
+	if !heal {
+		return cost, nil
+	}
+	for _, b := range r.bad {
+		// Wanted and decoded data blocks heal from the bytes in hand;
+		// any other replica reconstructs inside healBlock.
+		var content []byte
+		switch {
+		case b.sym >= first && b.sym < first+len(dst):
+			content = dst[b.sym-first]
+		case b.sym < len(decoded):
+			content = decoded[b.sym]
+		}
+		if s.healBlock(cc, name, fi, ext, stripe, b.sym, b.v, content) == nil && s.obs != nil {
+			s.obs.readHeal.Inc()
+		}
+	}
+	return cost, nil
+}
+
+// Get reads a file back, decoding around missing or corrupt blocks as
+// long as each stripe remains within the code's erasure tolerance. An
+// intact stripe costs its k data-block reads; parity replicas are read
+// only to decode around a lost data block, so latent parity damage is
+// the scrubber's to find, as it is for ReadAt.
+func (s *Store) Get(name string) ([]byte, error) {
+	start := time.Now()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	fi, ok := s.manifest.Files[name]
+	if !ok {
+		return nil, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
+	}
+	if err := s.admitRead(name, 0, len(fi.Extents)-1); err != nil {
+		return nil, err
+	}
+	out := make([]byte, fi.Length)
+	degraded, err := s.readRange(name, fi, out, 0)
+	if err != nil {
+		return nil, err
+	}
+	s.observeRead(readGet, start, degraded, len(out))
+	return out, nil
+}
+
+// readRange fills p with the file's bytes from offset off, reporting
+// whether any block was read degraded; the caller has admitted the
+// read and clipped p to the file's length. Stripes are independent, so
+// the ones the range touches are drained through readStripe by a
+// worker pool — the widest calibrated decode fan-out among the codes
+// they use, GOMAXPROCS uncalibrated; a range inside one stripe runs
+// inline. Blocks wholly inside the range land in p directly — a whole-
+// file read's only steady-state allocation is the caller's buffer —
+// while the range's edge blocks (and the file's short tail block) go
+// through a pooled buffer and are cut to fit. Extent tail padding is
+// never read.
+func (s *Store) readRange(name string, fi FileInfo, p []byte, off int64) (bool, error) {
+	if len(p) == 0 {
+		return false, nil
+	}
+	bs, end := int64(s.blockSize), off+int64(len(p))
+	// One job per stripe: the run of wanted file-global data blocks
+	// [g, g+run) it holds.
+	type stripeJob struct {
+		cc          codec
+		ext, g, run int
+	}
+	var jobs []stripeJob
+	workers := 0
+	for g, last := int(off/bs), int((end-1)/bs); g <= last; {
+		ext := extentOf(fi, g)
+		e := fi.Extents[ext]
+		cc, err := s.codecByName(e.Code)
+		if err != nil {
+			return false, err
+		}
+		k, l := cc.code.DataSymbols(), g-e.Start
+		run := min(k-l%k, e.Blocks-l, last-g+1)
+		jobs = append(jobs, stripeJob{cc, ext, g, run})
+		workers = max(workers, s.decodeWorkersFor(cc.code.Name()))
+		g += run
+	}
+	var degraded atomic.Bool
+	err := parallel(len(jobs), workers, func(i int) error {
+		j := jobs[i]
+		k, l := j.cc.code.DataSymbols(), j.g-fi.Extents[j.ext].Start
+		inside := func(b int) bool {
+			start := int64(j.g+b) * bs
+			return start >= off && start+bs <= end
+		}
+		dst := make([][]byte, j.run)
+		for b := range dst {
+			if start := int64(j.g+b)*bs - off; inside(b) {
+				dst[b] = p[start : start+bs]
+			} else {
+				dst[b] = s.payloadPool.Get()
+			}
+		}
+		cost, err := s.readStripe(j.cc, name, fi, j.ext, l/k, l%k, dst, true)
+		for b, buf := range dst {
+			if inside(b) {
+				continue
+			}
+			// Copy the slice of the block that intersects the range.
+			start := int64(j.g+b) * bs
+			copy(p[max(start-off, 0):], buf[max(off-start, 0):min(end-start, bs)])
+			s.payloadPool.Put(buf)
+		}
+		if cost > 0 {
+			degraded.Store(true)
+		}
+		return err
+	})
+	return degraded.Load(), err
+}
+
+// ReadBlock serves one data block of a stored file the way a degraded
+// map task would: a live replica first, then — if both replicas are
+// unreadable — through the code's partial-parity read plan, computing
+// each payload from the blocks actually on disk at its source node,
+// then whatever the stripe can still decode. It returns the block
+// bytes and the number of block-unit transfers the read cost (0 for a
+// healthy replica read).
+func (s *Store) ReadBlock(name string, stripe, symbol int) ([]byte, int, error) {
+	dst := make([]byte, s.BlockSize())
+	cost, err := s.ReadBlockInto(dst, name, stripe, symbol)
+	if err != nil {
+		return nil, 0, err
+	}
+	return dst, cost, nil
+}
+
+// ReadBlockInto is ReadBlock into a caller-provided buffer of exactly
+// BlockSize bytes — the steady-state read path, which together with the
+// store's frame and payload pools moves block payloads with zero
+// allocations per read. The stripe index is file-global: extent stripe
+// sets are concatenated in extent order, so (stripe, symbol) addresses
+// the same data block it did before the file grew an extent map.
+func (s *Store) ReadBlockInto(dst []byte, name string, stripe, symbol int) (int, error) {
+	start := time.Now()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(dst) != s.blockSize {
+		return 0, fmt.Errorf("hdfsraid: ReadBlockInto needs a %d-byte buffer, got %d", s.blockSize, len(dst))
+	}
+	fi, ok := s.manifest.Files[name]
+	if !ok {
+		return 0, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
+	}
+	ext, local, ok := locateStripe(fi, stripe)
+	if !ok {
+		return 0, fmt.Errorf("hdfsraid: stripe %d out of range", stripe)
+	}
+	cc, err := s.codecByName(fi.Extents[ext].Code)
+	if err != nil {
+		return 0, err
+	}
+	if symbol < 0 || symbol >= cc.code.DataSymbols() {
+		return 0, fmt.Errorf("hdfsraid: symbol %d is not a data symbol", symbol)
+	}
+	if err := s.admitRead(name, ext, ext); err != nil {
+		return 0, err
+	}
+	cost, err := s.readStripe(cc, name, fi, ext, local, symbol, [][]byte{dst}, true)
+	if err != nil {
+		return 0, err
+	}
+	s.observeRead(readBlock, start, cost > 0, len(dst))
+	return cost, nil
 }

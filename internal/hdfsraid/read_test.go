@@ -2,11 +2,16 @@ package hdfsraid
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"math/rand"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -245,5 +250,158 @@ func TestReadBlockSingleFailureAllCodes(t *testing.T) {
 				t.Fatal("wrong bytes")
 			}
 		})
+	}
+}
+
+// frozenIO is the equivalence test's BlockIO: it counts the block
+// files successfully opened and refuses every write and rename, so
+// self-healing cannot repair the damage under test between one entry
+// point's read and the next.
+type frozenIO struct {
+	reads atomic.Int64
+}
+
+func (f *frozenIO) Open(path string) (io.ReadCloser, error) {
+	r, err := os.Open(path)
+	if err == nil {
+		f.reads.Add(1)
+	}
+	return r, err
+}
+func (f *frozenIO) WriteFile(string, []byte, fs.FileMode) error {
+	return errors.New("frozenIO: frozen")
+}
+func (f *frozenIO) Rename(string, string) error { return errors.New("frozenIO: frozen") }
+func (f *frozenIO) Remove(string) error         { return errors.New("frozenIO: frozen") }
+
+// TestOneReaderEquivalence pins the contract of the single stripe
+// reader: for every registered code, on whole-file and extent stores,
+// intact and damaged, Get, ReadAt over random unaligned ranges and
+// ReadBlockInto over every block deliver the same bytes — one ladder,
+// so whatever damage one entry point survives, all survive — and the
+// ladder's steps cost what the paper says: k block reads per intact
+// stripe, one for a degraded block of a double-replication code, k for
+// RS.
+func TestOneReaderEquivalence(t *testing.T) {
+	// damage returns false when the code cannot lose data symbol 0
+	// within its tolerance (plain replication).
+	damages := []struct {
+		name  string
+		apply func(t *testing.T, s *Store) bool
+	}{
+		{"intact", func(*testing.T, *Store) bool { return true }},
+		{"node-down", func(t *testing.T, s *Store) bool {
+			if err := s.KillNode(s.code.Placement().SymbolNodes[0][0]); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		}},
+		// A latent-error pattern: every replica of data symbol 0 of
+		// stripe 0 corrupt, plus one block the read plan around them
+		// sources from a further node. For pentagon that exhausts the
+		// plan's node tolerance (three nodes bad, two tolerated) while
+		// the stripe has lost a single symbol — which only the
+		// full-stripe decode serves.
+		{"latent", func(t *testing.T, s *Store) bool {
+			holders := s.code.Placement().SymbolNodes[0]
+			if len(holders) > s.code.FaultTolerance() {
+				return false
+			}
+			plan, err := s.code.(core.ReadPlanner).PlanRead(0, holders, core.OffCluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := plan.Transfers[0]
+			for _, v := range holders {
+				if err := s.CorruptBlock(v, "f", 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.CorruptBlock(src.From, "f", 0, src.Terms[0].Symbol); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		}},
+	}
+	for _, codeName := range core.Names() {
+		for _, extents := range []bool{false, true} {
+			for _, dmg := range damages {
+				t.Run(fmt.Sprintf("%s/extents=%v/%s", codeName, extents, dmg.name), func(t *testing.T) {
+					c, err := core.New(codeName)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Three full stripes (two extents on the extent
+					// store) whose last block is cut short.
+					k := c.DataSymbols()
+					extentBlocks := 0
+					if extents {
+						extentBlocks = 2 * k
+					}
+					s := newExtStore(t, codeName, extentBlocks)
+					data := randomFile(t, 3*k*blockSize-100, 90)
+					if err := s.Put("f", data); err != nil {
+						t.Fatal(err)
+					}
+					if !dmg.apply(t, s) {
+						t.Skip("code cannot lose a data symbol within its tolerance")
+					}
+					bio := &frozenIO{}
+					s.SetBlockIO(bio)
+					fi, _ := s.Info("f")
+
+					got, err := s.Get("f")
+					if err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("Get: err %v, bytes equal %v", err, bytes.Equal(got, data))
+					}
+					if reads := bio.reads.Load(); dmg.name == "intact" && reads != int64(k*fi.Stripes) {
+						t.Fatalf("intact Get read %d blocks over %d stripes, want k=%d per stripe", reads, fi.Stripes, k)
+					}
+
+					rng := rand.New(rand.NewSource(91))
+					for i := 0; i < 40; i++ {
+						off := 1 // the first range starts inside the damaged block
+						if i > 0 {
+							off = rng.Intn(len(data))
+						}
+						p := make([]byte, 1+rng.Intn(min(len(data)-off, 4*blockSize)))
+						if _, err := s.ReadAt(p, "f", int64(off)); err != nil || !bytes.Equal(p, data[off:off+len(p)]) {
+							t.Fatalf("ReadAt(off=%d, n=%d): err %v, bytes equal %v", off, len(p), err, bytes.Equal(p, data[off:off+len(p)]))
+						}
+					}
+
+					dst := make([]byte, blockSize)
+					want := make([]byte, blockSize)
+					for g := 0; g < 3*k; g++ { // every stripe is full, so block g is (g/k, g%k)
+						before := bio.reads.Load()
+						cost, err := s.ReadBlockInto(dst, "f", g/k, g%k)
+						if err != nil {
+							t.Fatalf("ReadBlockInto(block %d): %v", g, err)
+						}
+						clear(want)
+						copy(want, data[g*blockSize:])
+						if !bytes.Equal(dst, want) {
+							t.Fatalf("ReadBlockInto(block %d): wrong bytes", g)
+						}
+						if dmg.name != "node-down" {
+							continue
+						}
+						// One dead node: a block with a surviving replica
+						// costs one read and no transfer (every block of a
+						// double-replication code); a block whose only
+						// copy was on the node costs the k-block plan.
+						holders := c.Placement().SymbolNodes[g%k]
+						wantReads, wantDegraded := int64(1), false
+						if len(holders) == 1 && holders[0] == c.Placement().SymbolNodes[0][0] {
+							wantReads, wantDegraded = int64(k), true
+						}
+						if reads := bio.reads.Load() - before; reads != wantReads || (cost > 0) != wantDegraded {
+							t.Fatalf("block %d with a node down: %d block reads at cost %d, want %d reads, degraded=%v",
+								g, reads, cost, wantReads, wantDegraded)
+						}
+					}
+				})
+			}
+		}
 	}
 }

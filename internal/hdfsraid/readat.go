@@ -10,28 +10,13 @@ import (
 // off — the ranged-read primitive the serving front door's HTTP Range
 // path sits on. It follows io.ReaderAt semantics: a read past the end
 // returns the bytes available and io.EOF; n == len(p) iff err == nil.
-// Each touched data block is served the way ReadBlockInto serves it —
-// a healthy replica first, then the code's partial-parity read plan —
-// and only the extents the range intersects are read or counted as
-// heat, so a ranged read of a large file never pays for (or warms) the
-// rest of it. The manifest read lock spans the whole call, so a
-// concurrent transcode's block swap can never be observed half-done.
-func (s *Store) ReadAt(p []byte, name string, off int64) (n int, err error) {
-	var start time.Time
-	degraded := false
-	if s.obs != nil {
-		start = time.Now()
-		defer func() {
-			if err != nil && err != io.EOF {
-				return
-			}
-			s.obs.readAtNs.Observe(time.Since(start).Nanoseconds())
-			if degraded {
-				s.obs.readsDegraded.Inc()
-			}
-			s.obs.bytesOut.Add(int64(n))
-		}()
-	}
+// It is Get over a byte range: the same drain (readRange) down the
+// same ladder, so any damage a Get survives, a ReadAt of the same bytes
+// survives too — but only the extents the range intersects are read or
+// counted as heat, so a ranged read of a large file never pays for (or
+// warms) the rest of it.
+func (s *Store) ReadAt(p []byte, name string, off int64) (int, error) {
+	start := time.Now()
 	if off < 0 {
 		return 0, fmt.Errorf("hdfsraid: negative read offset %d", off)
 	}
@@ -47,65 +32,18 @@ func (s *Store) ReadAt(p []byte, name string, off int64) (n int, err error) {
 	if off >= int64(fi.Length) {
 		return 0, io.EOF
 	}
-	want := int64(len(p))
-	if rem := int64(fi.Length) - off; want > rem {
-		want = rem
-	}
+	want := min(int64(len(p)), int64(fi.Length)-off)
 	bs := int64(s.blockSize)
-	first := int(off / bs)
-	last := int((off + want - 1) / bs)
-	firstExt := extentOf(fi, first)
-	lastExt := extentOf(fi, last)
-	for e := firstExt; e <= lastExt; e++ {
-		if s.pendingSwapLocked(name, e) {
-			return 0, fmt.Errorf("hdfsraid: %q extent %d is mid-swap in the journal; run Recover", name, e)
-		}
-	}
-	if s.OnRead != nil {
-		s.OnRead(name)
-	}
-	if s.OnReadExtent != nil {
-		for e := firstExt; e <= lastExt; e++ {
-			s.OnReadExtent(name, e)
-		}
-	}
-	buf := s.payloadPool.Get()
-	defer s.payloadPool.Put(buf)
-	ext := firstExt
-	cc, err := s.codecByName(fi.Extents[ext].Code)
-	if err != nil {
+	if err := s.admitRead(name, extentOf(fi, int(off/bs)), extentOf(fi, int((off+want-1)/bs))); err != nil {
 		return 0, err
 	}
-	for g := first; g <= last; g++ {
-		for g >= fi.Extents[ext].Start+fi.Extents[ext].Blocks {
-			ext++
-			if cc, err = s.codecByName(fi.Extents[ext].Code); err != nil {
-				return n, err
-			}
-		}
-		l := g - fi.Extents[ext].Start
-		k := cc.code.DataSymbols()
-		cost, rerr := s.readDataBlockInto(buf, cc, name, fi, ext, l/k, l%k, true)
-		if rerr != nil {
-			return n, fmt.Errorf("hdfsraid: reading %q block %d: %w", name, g, rerr)
-		}
-		if cost > 0 {
-			degraded = true
-		}
-		// Copy the slice of this block that intersects [off, off+want).
-		blockStart := int64(g) * bs
-		from := int64(0)
-		if off > blockStart {
-			from = off - blockStart
-		}
-		to := bs
-		if blockStart+to > off+want {
-			to = off + want - blockStart
-		}
-		n += copy(p[n:], buf[from:to])
+	degraded, err := s.readRange(name, fi, p[:want], off)
+	if err != nil {
+		return 0, fmt.Errorf("hdfsraid: reading %q bytes %d-%d: %w", name, off, off+want-1, err)
 	}
-	if n < len(p) {
-		return n, io.EOF
+	s.observeRead(readAt, start, degraded, int(want))
+	if int(want) < len(p) {
+		return int(want), io.EOF
 	}
-	return n, nil
+	return int(want), nil
 }

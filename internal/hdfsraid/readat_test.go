@@ -3,7 +3,9 @@ package hdfsraid
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -127,6 +129,62 @@ func TestDelete(t *testing.T) {
 	}
 	if !rep.Healthy() {
 		t.Fatalf("unhealthy after delete + re-put: %+v", rep)
+	}
+}
+
+// stuckRemove is a BlockIO whose Remove fails for block files under
+// one node directory — a Delete's reclamation leaks exactly those.
+type stuckRemove struct {
+	BlockIO
+	dir string
+}
+
+func (r stuckRemove) Remove(path string) error {
+	if strings.Contains(path, r.dir) {
+		return fmt.Errorf("stuckRemove: %s", path)
+	}
+	return r.BlockIO.Remove(path)
+}
+
+// TestDeleteLeakSurfacesAsOrphans: block reclamation after a Delete's
+// manifest commit is best-effort, so a Remove that fails leaks the
+// block — silently, until Fsck counts the files nothing expects.
+func TestDeleteLeakSurfacesAsOrphans(t *testing.T) {
+	s := newStore(t, "pentagon")
+	data := randomFile(t, 2*blockSize*s.Code().DataSymbols(), 12)
+	for _, name := range []string{"f", "kept"} {
+		if err := s.Put(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := s.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Orphans != 0 {
+		t.Fatalf("fresh store reports %d orphans", rep.Orphans)
+	}
+	perFile := rep.Blocks / 2
+
+	s.SetBlockIO(stuckRemove{BlockIO: osBlockIO{}, dir: "node-02"})
+	removed, err := s.Delete("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaked := perFile - removed
+	if leaked == 0 {
+		t.Fatal("the stuck node leaked nothing; the test is not testing")
+	}
+	s.SetBlockIO(nil)
+	rep, err = s.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Orphans != leaked || !rep.Healthy() || rep.Blocks != perFile {
+		t.Fatalf("after a Delete leaking %d blocks: %+v", leaked, rep)
+	}
+	if got := s.obs.fsckOrphans.Value(); got != int64(leaked) {
+		t.Fatalf("store_fsck_orphans_total = %d, want %d", got, leaked)
 	}
 }
 

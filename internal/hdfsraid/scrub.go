@@ -8,18 +8,13 @@ import (
 	"repro/internal/obs"
 )
 
-// scrubCursor names the next block replica the trickle scrubber will
-// verify, in scan order (file name, extent, stripe, symbol, replica).
-// The zero value means "start from the first replica of the first
-// file". The cursor persists only in memory: a restarted store rescans
-// from the top, which is safe (scrubbing is idempotent) and simple.
-type scrubCursor struct {
-	name                  string
-	ext, stripe, sym, rep int
-}
-
-// before reports whether replica r scans strictly before the cursor.
-func (c scrubCursor) before(r blockRef) bool {
+// before reports whether replica r scans strictly before the scrub
+// cursor c — the next replica the trickle scrubber will verify, in
+// scan order (file name, extent, stripe, symbol, replica). The zero
+// cursor means "start from the first replica of the first file". The
+// cursor persists only in memory: a restarted store rescans from the
+// top, which is safe (scrubbing is idempotent) and simple.
+func (r blockRef) before(c blockRef) bool {
 	if r.name != c.name {
 		return r.name < c.name
 	}
@@ -33,14 +28,6 @@ func (c scrubCursor) before(r blockRef) bool {
 		return r.sym < c.sym
 	}
 	return r.rep < c.rep
-}
-
-// blockRef is the scan-order coordinate of one physical block replica:
-// rep indexes the symbol's replica list in the code's placement, from
-// which the node (and so the path) follows.
-type blockRef struct {
-	name                  string
-	ext, stripe, sym, rep int
 }
 
 // ScrubReport summarizes one Scrub call.
@@ -94,24 +81,18 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 	var refs []blockRef
 	for _, name := range s.filesLocked() {
 		fi := s.manifest.Files[name]
-		for ext, e := range fi.Extents {
+		for ext := range fi.Extents {
 			if s.pendingSwapLocked(name, ext) {
 				// A half-swapped extent mixes two layouts on shared
 				// paths; scanning it would quarantine blocks that are
 				// fine. Recovery owns it, not the scrubber.
 				continue
 			}
-			cc, err := s.codecByName(e.Code)
-			if err != nil {
+			if err := s.forEachReplica(name, fi, ext, func(r blockRef, _ int) error {
+				refs = append(refs, r)
+				return nil
+			}); err != nil {
 				return rep, err
-			}
-			p := cc.code.Placement()
-			for i := 0; i < e.Stripes; i++ {
-				for sym := 0; sym < cc.code.Symbols(); sym++ {
-					for r := range p.SymbolNodes[sym] {
-						refs = append(refs, blockRef{name, ext, i, sym, r})
-					}
-				}
 			}
 		}
 	}
@@ -122,7 +103,7 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 	// Resume at the first replica not strictly before the cursor; if
 	// the cursor points past everything (files removed), wrap to 0.
 	startIdx := 0
-	for startIdx < len(refs) && s.scrubPos.before(refs[startIdx]) {
+	for startIdx < len(refs) && refs[startIdx].before(s.scrubPos) {
 		startIdx++
 	}
 	if startIdx == len(refs) {
@@ -177,7 +158,7 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 			// (permissions, an injected outage outlasting the backoff),
 			// scrubbing through it would misreport the store, so stop
 			// and let the next call retry from the same cursor.
-			s.scrubPos = scrubCursor(ref)
+			s.scrubPos = ref
 			return rep, err
 		}
 		if i++; i == len(refs) {
@@ -185,7 +166,7 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 		}
 	}
 	rep.Wrapped = rep.BlocksScanned == len(refs)
-	s.scrubPos = scrubCursor(refs[i])
+	s.scrubPos = refs[i]
 	if s.obs != nil {
 		s.obs.scrubNs.Observe(time.Since(start).Nanoseconds())
 		s.obs.scrubBytes.Add(rep.BytesScanned)

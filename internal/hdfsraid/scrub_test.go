@@ -55,9 +55,14 @@ func TestScrubTrickleBudget(t *testing.T) {
 
 // TestScrubFindsAndHeals: latent corruption in two different stripes
 // is found by trickle passes and healed in place — the reads never
-// tripped over it, the scrubber did.
+// tripped over it, the scrubber did. On the extent store the second
+// corrupt block (file stripe 1) sits in extent 1, local stripe 0.
 func TestScrubFindsAndHeals(t *testing.T) {
-	s := newStore(t, "rs-9-6")
+	t.Run("whole-file", func(t *testing.T) { testScrubFindsAndHeals(t, newStore(t, "rs-9-6")) })
+	t.Run("extents", func(t *testing.T) { testScrubFindsAndHeals(t, newExtStore(t, "rs-9-6", 6)) })
+}
+
+func testScrubFindsAndHeals(t *testing.T, s *Store) {
 	data := randomFile(t, 3*blockSize*s.Code().DataSymbols(), 61)
 	if err := s.Put("f", data); err != nil {
 		t.Fatal(err)

@@ -179,7 +179,7 @@ type Store struct {
 	// scrubMu serializes scrub passes; scrubPos is the cursor the
 	// trickle scrubber resumes from between budgeted calls.
 	scrubMu  sync.Mutex
-	scrubPos scrubCursor
+	scrubPos blockRef
 
 	// killHook simulates a crash at named points for kill-point tests;
 	// nil in production. See (*Store).kill.
@@ -320,32 +320,15 @@ func Create(root, codeName string, blockSize int) (*Store, error) {
 // multiple of the codes' data-symbol counts avoid per-extent stripe
 // padding.
 func CreateExt(root, codeName string, blockSize, extentBlocks int) (*Store, error) {
-	c, err := core.New(codeName)
-	if err != nil {
-		return nil, err
-	}
 	if _, err := os.Stat(filepath.Join(root, manifestName)); err == nil {
 		return nil, fmt.Errorf("hdfsraid: store already exists at %s", root)
 	}
-	st, err := core.NewStriper(c, blockSize)
+	s, err := buildStore(root, Manifest{CodeName: codeName, BlockSize: blockSize,
+		ExtentBlocks: max(extentBlocks, 0), Files: map[string]FileInfo{}})
 	if err != nil {
 		return nil, err
 	}
-	if extentBlocks < 0 {
-		extentBlocks = 0
-	}
-	s := &Store{
-		root: root, code: c, striper: st, bio: osBlockIO{},
-		codeName: codeName, blockSize: blockSize, extentBlocks: extentBlocks,
-		framePool:   core.NewBlockPool(blockSize + 4),
-		payloadPool: core.NewBlockPool(blockSize),
-		manifest: Manifest{CodeName: codeName, BlockSize: blockSize,
-			ExtentBlocks: extentBlocks, Files: map[string]FileInfo{}},
-		codecs:    map[string]codec{codeName: {c, st}},
-		moveLocks: map[string]*fileLock{},
-		obs:       newStoreObs(),
-	}
-	if err := s.ensureNodeDirs(c.Nodes()); err != nil {
+	if err := s.ensureNodeDirs(s.code.Nodes()); err != nil {
 		return nil, err
 	}
 	if s.lockFile, err = openLockFile(root); err != nil {
@@ -358,16 +341,9 @@ func CreateExt(root, codeName string, blockSize, extentBlocks int) (*Store, erro
 	return s, nil
 }
 
-// Open loads an existing store.
-func Open(root string) (*Store, error) {
-	raw, err := os.ReadFile(filepath.Join(root, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("hdfsraid: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("hdfsraid: corrupt manifest: %w", err)
-	}
+// buildStore assembles the in-memory store a manifest describes: its
+// default codec, block pools and lock tables.
+func buildStore(root string, m Manifest) (*Store, error) {
 	c, err := core.New(m.CodeName)
 	if err != nil {
 		return nil, err
@@ -376,16 +352,41 @@ func Open(root string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Files == nil {
-		m.Files = map[string]FileInfo{}
-	}
-	s := &Store{root: root, code: c, striper: st, manifest: m, bio: osBlockIO{},
+	return &Store{root: root, code: c, striper: st, manifest: m, bio: osBlockIO{},
 		codeName: m.CodeName, blockSize: m.BlockSize, extentBlocks: m.ExtentBlocks,
 		framePool:   core.NewBlockPool(m.BlockSize + 4),
 		payloadPool: core.NewBlockPool(m.BlockSize),
 		codecs:      map[string]codec{m.CodeName: {c, st}},
 		moveLocks:   map[string]*fileLock{},
-		obs:         newStoreObs()}
+		obs:         newStoreObs()}, nil
+}
+
+// readManifest loads and parses the manifest under root.
+func readManifest(root string) (Manifest, error) {
+	var m Manifest
+	raw, err := os.ReadFile(filepath.Join(root, manifestName))
+	if err != nil {
+		return m, fmt.Errorf("hdfsraid: %w", err)
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return m, fmt.Errorf("hdfsraid: corrupt manifest: %w", err)
+	}
+	if m.Files == nil {
+		m.Files = map[string]FileInfo{}
+	}
+	return m, nil
+}
+
+// Open loads an existing store.
+func Open(root string) (*Store, error) {
+	m, err := readManifest(root)
+	if err != nil {
+		return nil, err
+	}
+	s, err := buildStore(root, m)
+	if err != nil {
+		return nil, err
+	}
 	if s.lockFile, err = openLockFile(root); err != nil {
 		return nil, err
 	}
@@ -489,6 +490,10 @@ func (s *Store) extentCodecs(fi FileInfo) ([]codec, error) {
 func (s *Store) Nodes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.nodesLocked()
+}
+
+func (s *Store) nodesLocked() int {
 	n := s.code.Nodes()
 	for _, fi := range s.manifest.Files {
 		for _, e := range fi.Extents {
@@ -548,16 +553,9 @@ func (s *Store) blockPath(v int, name string, stripe, symbol int) string {
 // moves between this handle's Open-time snapshot and the lock grant.
 // Caller holds mu.
 func (s *Store) reloadManifest() error {
-	raw, err := os.ReadFile(filepath.Join(s.root, manifestName))
+	m, err := readManifest(s.root)
 	if err != nil {
-		return fmt.Errorf("hdfsraid: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("hdfsraid: corrupt manifest: %w", err)
-	}
-	if m.Files == nil {
-		m.Files = map[string]FileInfo{}
+		return err
 	}
 	s.manifest = m
 	s.normalizeManifestLocked()
@@ -668,37 +666,6 @@ func readBlockFrame(bio BlockIO, path string, frame []byte) ([]byte, error) {
 	return data, nil
 }
 
-// writeExtentBlocks encodes one extent's data under cc and writes
-// every symbol replica of every stripe to its placement node,
-// appending suffix to each block path. data is the extent's bytes (the
-// tail block may be partial; padding blocks are zero-filled from the
-// pool). Encoding and disk writes run through the striper's streaming
-// pipeline: a bounded worker pool encodes one stripe from pooled
-// buffers while others are being written, and every buffer is recycled
-// the moment its blocks are on disk. It returns the paths written
-// (without suffix), including those written before a failure, so
-// callers can clean up staged blocks.
-func (s *Store) writeExtentBlocks(name string, fi FileInfo, ext int, cc codec, data []byte, suffix string) ([]string, error) {
-	p := cc.code.Placement()
-	var mu sync.Mutex
-	var written []string
-	err := cc.striper.EncodeStream(data, 0, s.payloadPool, func(stripe core.EncodedStripe) error {
-		for sym, buf := range stripe.Symbols {
-			for _, v := range p.SymbolNodes[sym] {
-				path := s.extentBlockPath(v, name, fi, ext, stripe.Index, sym)
-				if err := s.writeBlock(path+suffix, buf); err != nil {
-					return err
-				}
-				mu.Lock()
-				written = append(written, path)
-				mu.Unlock()
-			}
-		}
-		return nil
-	})
-	return written, err
-}
-
 // checkNewFile validates a Put/PutReader target name. Caller holds mu.
 func (s *Store) checkNewFile(name string) error {
 	if name == "" || filepath.Base(name) != name {
@@ -708,246 +675,6 @@ func (s *Store) checkNewFile(name string) error {
 		return fmt.Errorf("hdfsraid: file %q %w", name, ErrExists)
 	}
 	return nil
-}
-
-// Put stripes, encodes and stores a file, writing every symbol replica
-// to its placement node. With extents enabled (CreateExt), the file is
-// split into extent-sized runs, each striped independently so it can
-// later change tier on its own.
-func (s *Store) Put(name string, data []byte) (err error) {
-	if s.obs != nil {
-		start := time.Now()
-		defer func() {
-			s.obs.putNs.Observe(time.Since(start).Nanoseconds())
-			if err == nil {
-				s.obs.bytesIn.Add(int64(len(data)))
-			}
-		}()
-	}
-	// The ingest lock serializes this Put against a concurrent
-	// PutReader of the same name, whose block writes happen outside
-	// the manifest lock.
-	s.lockMove(ingestKey(name))
-	defer s.unlockMove(ingestKey(name))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkNewFile(name); err != nil {
-		return err
-	}
-	fi := FileInfo{
-		Length:      len(data),
-		Extents:     s.buildExtents(len(data)),
-		ExtentPaths: s.extentBlocks > 0,
-	}
-	refreshSummary(&fi)
-	bs := s.blockSize
-	cc := codec{s.code, s.striper}
-	for i, e := range fi.Extents {
-		lo := e.Start * bs
-		hi := (e.Start + e.Blocks) * bs
-		if hi > len(data) {
-			hi = len(data)
-		}
-		if _, err := s.writeExtentBlocks(name, fi, i, cc, data[lo:hi], ""); err != nil {
-			return err
-		}
-	}
-	s.manifest.Files[name] = fi
-	return s.saveManifest()
-}
-
-// Get reads a file back, decoding around missing or corrupt blocks as
-// long as each stripe remains within the code's erasure tolerance.
-func (s *Store) Get(name string) ([]byte, error) {
-	return s.get(name, false)
-}
-
-// get is Get with an internal flag: maintenance reads (transcodes)
-// skip the heat hook so tiering moves don't count as accesses. The
-// read lock spans the whole read, so a concurrent transcode's block
-// swap can never be observed half-done.
-//
-// Stripes are independent, so they are loaded and decoded by a worker
-// pool, each worker reading block frames into pooled buffers that are
-// recycled as soon as the stripe's bytes are copied into the result —
-// the only steady-state allocation is the returned file buffer.
-func (s *Store) get(name string, internal bool) ([]byte, error) {
-	// degraded flips when any stripe decodes around a missing symbol;
-	// it picks which latency histogram the read lands in.
-	var start time.Time
-	var degraded atomic.Bool
-	if s.obs != nil {
-		start = time.Now()
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fi, ok := s.manifest.Files[name]
-	if !ok {
-		return nil, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
-	}
-	for e := range fi.Extents {
-		if s.pendingSwapLocked(name, e) {
-			return nil, fmt.Errorf("hdfsraid: %q extent %d is mid-swap in the journal; run Recover", name, e)
-		}
-	}
-	if !internal {
-		if s.OnRead != nil {
-			s.OnRead(name)
-		}
-		if s.OnReadExtent != nil {
-			for i := range fi.Extents {
-				s.OnReadExtent(name, i)
-			}
-		}
-	}
-	ccs, err := s.extentCodecs(fi)
-	if err != nil {
-		return nil, err
-	}
-	bs := s.blockSize
-	out := make([]byte, fi.Length)
-	// Flatten the extent map into independent (extent, stripe) jobs a
-	// worker pool drains: stripes of different extents decode with
-	// different codes but share the frame pool and the output buffer.
-	type stripeJob struct{ ext, stripe int }
-	var jobs []stripeJob
-	for e, ext := range fi.Extents {
-		for i := 0; i < ext.Stripes; i++ {
-			jobs = append(jobs, stripeJob{e, i})
-		}
-	}
-	if len(jobs) == 0 {
-		return out, nil
-	}
-
-	// Pool size: the widest calibrated decode fan-out among the codes
-	// this file's extents actually use (GOMAXPROCS uncalibrated).
-	workers := 0
-	for _, cc := range ccs {
-		if w := s.decodeWorkersFor(cc.code.Name()); w > workers {
-			workers = w
-		}
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	errs := make([]error, workers)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var frames [][]byte // free frames, reused across this worker's stripes
-			defer func() {
-				for _, f := range frames {
-					s.framePool.Put(f)
-				}
-			}()
-			getFrame := func() []byte {
-				if n := len(frames); n > 0 {
-					f := frames[n-1]
-					frames = frames[:n-1]
-					return f
-				}
-				return s.framePool.Get()
-			}
-			var symbols, used [][]byte
-			// heals collects (symbol, node) pairs whose replica read
-			// failed with a verdict (corrupt or missing frame) this
-			// stripe; once the stripe decodes, each is repaired in
-			// place from the decoded bytes.
-			type healCand struct{ sym, v int }
-			var heals []healCand
-			for j := w; j < len(jobs) && !failed.Load(); j += workers {
-				ext, i := jobs[j].ext, jobs[j].stripe
-				e := fi.Extents[ext]
-				cc := ccs[ext]
-				p := cc.code.Placement()
-				k := cc.code.DataSymbols()
-				nsym := cc.code.Symbols()
-				if cap(symbols) < nsym {
-					symbols = make([][]byte, nsym)
-					used = make([][]byte, 0, nsym)
-				}
-				symbols = symbols[:nsym]
-				used = used[:0]
-				heals = heals[:0]
-				for sym := 0; sym < nsym; sym++ {
-					symbols[sym] = nil
-					for _, v := range p.SymbolNodes[sym] {
-						frame := getFrame()
-						data, err := s.readBlockInto(s.extentBlockPath(v, name, fi, ext, i, sym), frame)
-						if err != nil {
-							frames = append(frames, frame)
-							if !transientReadErr(err) {
-								heals = append(heals, healCand{sym, v})
-							}
-							continue
-						}
-						symbols[sym] = data
-						used = append(used, frame)
-						break
-					}
-					if symbols[sym] == nil {
-						degraded.Store(true)
-					}
-				}
-				data, err := cc.code.Decode(symbols)
-				if err != nil {
-					errs[w] = fmt.Errorf("hdfsraid: decoding %q extent %d stripe %d: %w", name, ext, i, err)
-					failed.Store(true)
-				} else {
-					for _, h := range heals {
-						// Decoded data blocks heal directly; parity
-						// replicas reconstruct via re-encode inside
-						// healBlock.
-						var content []byte
-						if h.sym < k {
-							content = data[h.sym]
-						}
-						if s.healBlock(cc, name, fi, ext, i, h.sym, h.v, content) == nil && s.obs != nil {
-							s.obs.readHeal.Inc()
-						}
-					}
-					for b := 0; b < k; b++ {
-						g := e.Start + i*k + b // file-global data block
-						if g >= e.Start+e.Blocks {
-							break // extent tail padding
-						}
-						off := g * bs
-						if off >= len(out) {
-							break
-						}
-						n := len(out) - off
-						if n > bs {
-							n = bs
-						}
-						copy(out[off:off+n], data[b][:n])
-					}
-				}
-				frames = append(frames, used...)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if s.obs != nil {
-		elapsed := time.Since(start).Nanoseconds()
-		if degraded.Load() {
-			s.obs.getDegraded.Observe(elapsed)
-			s.obs.readsDegraded.Inc()
-		} else {
-			s.obs.getIntact.Observe(elapsed)
-		}
-		s.obs.bytesOut.Add(int64(len(out)))
-	}
-	return out, nil
 }
 
 // KillNode erases a node's directory contents, simulating node loss.
@@ -997,16 +724,9 @@ func (s *Store) Repair(failed []int) (RepairReport, error) {
 	// Reject out-of-range node indices up front: the per-extent filter
 	// below must only drop nodes a *narrower* extent code doesn't
 	// span, never hide a typo as a successful no-op repair.
-	max := s.code.Nodes()
-	for _, fi := range s.manifest.Files {
-		for _, e := range fi.Extents {
-			if cc, err := s.codecByName(e.Code); err == nil && cc.code.Nodes() > max {
-				max = cc.code.Nodes()
-			}
-		}
-	}
+	nodes := s.nodesLocked()
 	for _, f := range failed {
-		if f < 0 || f >= max {
+		if f < 0 || f >= nodes {
 			return rep, fmt.Errorf("hdfsraid: invalid node %d", f)
 		}
 	}
@@ -1025,47 +745,17 @@ func (s *Store) Repair(failed []int) (RepairReport, error) {
 			return names[i] < names[j]
 		})
 	}
-	if len(names) == 0 {
-		return rep, nil
-	}
-	workers := s.repairWorkers()
-	if workers > len(names) {
-		workers = len(names)
-	}
-	var (
-		next     atomic.Int64
-		failedOp atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failedOp.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(names) {
-					return
-				}
-				name := names[i]
-				frep, err := s.repairFile(name, s.manifest.Files[name], failed)
-				mu.Lock()
-				rep.Stripes += frep.Stripes
-				rep.Transfers += frep.Transfers
-				rep.BlocksRestored += frep.BlocksRestored
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					failedOp.Store(true)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return rep, firstErr
+	var mu sync.Mutex
+	err := parallel(len(names), s.repairWorkers(), func(i int) error {
+		frep, err := s.repairFile(names[i], s.manifest.Files[names[i]], failed)
+		mu.Lock()
+		rep.Stripes += frep.Stripes
+		rep.Transfers += frep.Transfers
+		rep.BlocksRestored += frep.BlocksRestored
+		mu.Unlock()
+		return err
+	})
+	return rep, err
 }
 
 // repairFile rebuilds one file's blocks on the failed nodes, extent by
@@ -1164,13 +854,21 @@ type FsckReport struct {
 	Blocks  int
 	Missing int
 	Corrupt int
+	// Orphans counts block files under the node directories that no
+	// manifest entry or journaled move expects: what a Delete's best-
+	// effort reclamation left behind, or the blocks of an ingest that
+	// failed (or is still streaming) before its manifest commit. They
+	// waste space but no read ever touches them, so they do not make a
+	// store unhealthy.
+	Orphans int
 }
 
 // Healthy reports whether every expected block replica is present and
 // checksums clean.
 func (r FsckReport) Healthy() bool { return r.Missing == 0 && r.Corrupt == 0 }
 
-// Fsck scans every expected block replica of every file.
+// Fsck scans every expected block replica of every file, then counts
+// the block files nothing expects.
 func (s *Store) Fsck() (FsckReport, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -1181,44 +879,69 @@ func (s *Store) Fsck() (FsckReport, error) {
 			s.obs.fsckNs.Observe(time.Since(start).Nanoseconds())
 			s.obs.fsckMissing.Add(int64(rep.Missing))
 			s.obs.fsckCorrupt.Add(int64(rep.Corrupt))
+			s.obs.fsckOrphans.Add(int64(rep.Orphans))
 		}()
 	}
 	frame := s.framePool.Get()
 	defer s.framePool.Put(frame)
+	expected := map[string]bool{}
 	for _, name := range s.filesLocked() {
 		fi := s.manifest.Files[name]
-		for ext, e := range fi.Extents {
-			cc, err := s.codecByName(e.Code)
+		for ext := range fi.Extents {
+			err := s.forEachReplica(name, fi, ext, func(r blockRef, v int) error {
+				path := s.extentBlockPath(v, name, fi, ext, r.stripe, r.sym)
+				expected[path] = true
+				rep.Blocks++
+				_, err := s.readBlockInto(path, frame)
+				switch {
+				case err == nil:
+				case errors.Is(err, ErrCorrupt):
+					rep.Corrupt++
+				case os.IsNotExist(err):
+					rep.Missing++
+				default:
+					return err
+				}
+				return nil
+			})
 			if err != nil {
 				return rep, err
 			}
-			p := cc.code.Placement()
-			for i := 0; i < e.Stripes; i++ {
-				for sym := 0; sym < cc.code.Symbols(); sym++ {
-					for _, v := range p.SymbolNodes[sym] {
-						rep.Blocks++
-						_, err := s.readBlockInto(s.extentBlockPath(v, name, fi, ext, i, sym), frame)
-						switch {
-						case err == nil:
-						case errors.Is(err, ErrCorrupt):
-							rep.Corrupt++
-						case os.IsNotExist(err):
-							rep.Missing++
-						default:
-							return rep, err
-						}
-					}
-				}
-			}
+		}
+	}
+	// A journaled move's staged blocks are expected under both their
+	// staged and final names: a resumed swap may have promoted some.
+	for _, in := range s.manifest.Queue {
+		for _, rel := range in.Staged {
+			path := filepath.Join(s.root, rel)
+			expected[path], expected[path+tmpSuffix] = true, true
+		}
+	}
+	onDisk, err := filepath.Glob(filepath.Join(s.root, "node-*", "*"))
+	if err != nil {
+		return rep, err
+	}
+	for _, path := range onDisk {
+		if !expected[path] {
+			rep.Orphans++
 		}
 	}
 	return rep, nil
 }
 
 // CorruptBlock flips a byte in a stored block replica (for testing and
-// demos of checksum detection).
+// demos of checksum detection). The stripe index is file-global, as in
+// ReadBlockInto.
 func (s *Store) CorruptBlock(v int, name string, stripe, symbol int) error {
-	path := s.blockPath(v, name, stripe, symbol)
+	fi, ok := s.Info(name)
+	if !ok {
+		return fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
+	}
+	ext, local, ok := locateStripe(fi, stripe)
+	if !ok {
+		return fmt.Errorf("hdfsraid: stripe %d out of range", stripe)
+	}
+	path := s.extentBlockPath(v, name, fi, ext, local, symbol)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err

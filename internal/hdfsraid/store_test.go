@@ -12,6 +12,7 @@ import (
 	_ "repro/internal/code/raidm"
 	_ "repro/internal/code/replication"
 	_ "repro/internal/code/rs"
+	"repro/internal/tune"
 )
 
 const blockSize = 1 << 12
@@ -412,30 +413,56 @@ func TestReadBlockRAIDMDegradedCostsNine(t *testing.T) {
 // TestRepairHotFilesFirst: with the Heat hook set, Repair rebuilds hot
 // files before cold ones — so when a cold file turns out to be
 // unrepairable mid-pass, the hot file has already regained its
-// replicas. Without heat the alphabetical order would have died on the
-// cold file first.
+// replicas. Without heat the alphabetical order dies on the cold file
+// first. Repair fans files out over repairWorkers(), so the pool is
+// pinned to one worker (through the calibration seam): dispatch order
+// is then completion order, and what got repaired before the pass died
+// reads the order off directly.
 func TestRepairHotFilesFirst(t *testing.T) {
-	s := newStore(t, "rs-9-6")
 	cold := randomFile(t, 6*blockSize, 80)
 	hot := randomFile(t, 6*blockSize, 81)
-	if err := s.Put("a-cold", cold); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("b-hot", hot); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.KillNode(1); err != nil {
-		t.Fatal(err)
-	}
-	// Damage the cold file past the code's tolerance: with node 1 dead
-	// plus three more of its stripe-0 symbols gone, its repair fails.
-	for _, v := range []int{2, 3, 4} {
-		for _, sym := range s.code.Placement().NodeSymbols[v] {
-			if err := os.Remove(s.blockPath(v, "a-cold", 0, sym)); err != nil {
-				t.Fatal(err)
+	// damaged builds a store whose cold file is unrepairable: node 1
+	// dead plus three more of its stripe-0 symbols gone is past the
+	// code's tolerance.
+	damaged := func() *Store {
+		s := newStore(t, "rs-9-6")
+		s.installTune(&tune.Params{Codes: map[string]tune.CodeTune{"rs-9-6": {DecodeWorkers: 1}}})
+		if got := s.repairWorkers(); got != 1 {
+			t.Fatalf("repair workers = %d, want the pinned 1", got)
+		}
+		if err := s.Put("a-cold", cold); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put("b-hot", hot); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.KillNode(1); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []int{2, 3, 4} {
+			for _, sym := range s.code.Placement().NodeSymbols[v] {
+				if err := os.Remove(s.blockPath(v, "a-cold", 0, sym)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		return s
 	}
+	// hotBlocksRestored counts b-hot's node-1 replicas back on disk.
+	hotBlocksRestored := func(s *Store) (restored, want int) {
+		fi, _ := s.Info("b-hot")
+		for _, sym := range s.code.Placement().NodeSymbols[1] {
+			for i := 0; i < fi.Stripes; i++ {
+				want++
+				if _, err := os.Stat(s.blockPath(1, "b-hot", i, sym)); err == nil {
+					restored++
+				}
+			}
+		}
+		return restored, want
+	}
+
+	s := damaged()
 	s.Heat = func(name string) float64 {
 		if name == "b-hot" {
 			return 10
@@ -445,42 +472,23 @@ func TestRepairHotFilesFirst(t *testing.T) {
 	if _, err := s.Repair([]int{1}); err == nil {
 		t.Fatal("repair of the damaged cold file succeeded")
 	}
-	// The hot file was repaired before the pass died on the cold one.
-	for _, sym := range s.code.Placement().NodeSymbols[1] {
-		fi, _ := s.Info("b-hot")
-		for i := 0; i < fi.Stripes; i++ {
-			if _, err := os.Stat(s.blockPath(1, "b-hot", i, sym)); err != nil {
-				t.Fatalf("hot file not repaired first: %v", err)
-			}
-		}
+	// Dispatch order b-hot, a-cold: the hot file was fully repaired
+	// before the pass died on the cold one.
+	if restored, want := hotBlocksRestored(s); restored != want {
+		t.Fatalf("hot file not repaired first: %d of %d blocks restored", restored, want)
 	}
 	got, err := s.Get("b-hot")
 	if err != nil || !bytes.Equal(got, hot) {
 		t.Fatalf("hot file wrong after hot-first repair (%v)", err)
 	}
-	// Sanity: without heat, alphabetical order dies on a-cold before
-	// b-hot is touched.
-	s2 := newStore(t, "rs-9-6")
-	if err := s2.Put("a-cold", cold); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Put("b-hot", hot); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.KillNode(1); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []int{2, 3, 4} {
-		for _, sym := range s2.code.Placement().NodeSymbols[v] {
-			if err := os.Remove(s2.blockPath(v, "a-cold", 0, sym)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+
+	// Without heat the order is alphabetical — a-cold, b-hot — so the
+	// pass dies before b-hot is dispatched at all.
+	s2 := damaged()
 	if _, err := s2.Repair([]int{1}); err == nil {
 		t.Fatal("repair of the damaged cold file succeeded")
 	}
-	if _, err := os.Stat(s2.blockPath(1, "b-hot", 0, s2.code.Placement().NodeSymbols[1][0])); err == nil {
-		t.Fatal("heatless repair restored the hot file before dying on the cold one")
+	if restored, _ := hotBlocksRestored(s2); restored != 0 {
+		t.Fatalf("heatless repair restored %d hot blocks before dying on the cold file", restored)
 	}
 }

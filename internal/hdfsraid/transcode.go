@@ -82,11 +82,11 @@ func (s *Store) Transcode(name, codeName string) (TranscodeReport, error) {
 // The data plane streams: both codes stripe the extent at the store's
 // block size, so extent-local data block l under the new layout is
 // exactly data block l under the old one, and a worker pool reads each
-// new stripe's blocks through the old code (healthy replica or
-// partial-parity degraded read) straight into the encoder's pooled
-// buffers. Peak memory is O(stripes in flight) — a few block frames
-// per worker — never O(extent), so a rebalance scan can move
-// arbitrarily large extents without ballooning the process.
+// new stripe's blocks through the old code's read ladder (readStripe)
+// straight into the encoder's pooled buffers. Peak memory is O(stripes
+// in flight) — a few block frames per worker — never O(extent), so a
+// rebalance scan can move arbitrarily large extents without ballooning
+// the process.
 //
 // Moves of distinct extents (of the same or different files) run
 // concurrently: each holds only its per-extent lock plus, briefly, the
@@ -274,10 +274,9 @@ func (s *Store) commitIntentLocked(in *TranscodeIntent) {
 
 // transcodeExtentStream stages the extent's re-encoding under newCC
 // through the striper's source-driven pipeline: each worker reads one
-// new stripe's data blocks through the old code's read path (healthy
-// replica first, partial-parity degraded read when both replicas are
-// gone) into pooled buffers it reuses across stripes, encodes, and
-// writes every staged replica before touching the next stripe. It
+// new stripe's data blocks through the old code's read ladder
+// (readStripe) into pooled buffers it reuses across stripes, encodes,
+// and writes every staged replica before touching the next stripe. It
 // returns the staged final paths (without the .tc suffix), including
 // those written before a failure so callers can clean up, plus the
 // number of source data blocks actually read — bounded by the extent's
@@ -304,7 +303,7 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 		if s.obs != nil {
 			t0 = time.Now()
 		}
-		for j, dst := range blocks {
+		for j := 0; j < len(blocks); {
 			// Both layouts stripe the extent's block sequence, so new
 			// stripe/symbol (stripe, j) is extent-local data block l,
 			// which the old layout stores at (l/kOld, l%kOld). Blocks
@@ -312,13 +311,19 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 			// padding blocks are zero too, but need no disk read).
 			l := stripe*kNew + j
 			if l >= e.Blocks {
-				clear(dst)
+				clear(blocks[j])
+				j++
 				continue
 			}
-			if _, err := s.readDataBlockInto(dst, oldCC, name, fi, ext, l/kOld, l%kOld, false); err != nil {
-				return fmt.Errorf("reading data block %d: %w", e.Start+l, err)
+			// Read the run of wanted blocks one old stripe holds in a
+			// single pass of the ladder — never healing: old-layout
+			// blocks must not be rewritten mid-move.
+			run := min(kOld-l%kOld, e.Blocks-l, len(blocks)-j)
+			if _, err := s.readStripe(oldCC, name, fi, ext, l/kOld, l%kOld, blocks[j:j+run], false); err != nil {
+				return fmt.Errorf("reading data blocks %d-%d: %w", e.Start+l, e.Start+l+run-1, err)
 			}
-			read.Add(1)
+			read.Add(int64(run))
+			j += run
 		}
 		if s.obs != nil {
 			end := time.Now()
@@ -382,6 +387,14 @@ func (s *Store) removeStaged(staged []string) {
 	}
 }
 
+// moveCost is the block-unit traffic bill of re-encoding blocks data
+// blocks between two codes: the source stripes' data blocks read plus
+// the target stripes' physical replicas written.
+func moveCost(from, to codec, blocks int) int {
+	kFrom, kTo := from.code.DataSymbols(), to.code.DataSymbols()
+	return stripesFor(blocks, kFrom)*kFrom + stripesFor(blocks, kTo)*to.code.Placement().TotalBlocks()
+}
+
 // TranscodeCost returns the block-unit traffic bill of moving a file of
 // the given byte length between two registered codes at the store's
 // block size: data blocks read plus physical replicas written. It lets
@@ -395,23 +408,18 @@ func (s *Store) TranscodeCost(length int, fromName, toName string) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	read := from.striper.StripeCount(length) * from.code.DataSymbols()
-	written := to.striper.StripeCount(length) * to.code.Placement().TotalBlocks()
-	return read + written, nil
+	return moveCost(from, to, s.dataBlocks(length)), nil
 }
 
 // TranscodeExtentCost prices one extent's move to the named code in
 // block units — the extent-scoped admission estimate the rate-limited
 // tier daemon budgets against.
 func (s *Store) TranscodeExtentCost(name string, ext int, toName string) (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fi, ok := s.manifest.Files[name]
+	fi, ok := s.Info(name)
 	if !ok || ext < 0 || ext >= len(fi.Extents) {
 		return 0, fmt.Errorf("hdfsraid: no such extent %q/%d", name, ext)
 	}
-	e := fi.Extents[ext]
-	from, err := s.codecByName(e.Code)
+	from, err := s.codecByName(fi.Extents[ext].Code)
 	if err != nil {
 		return 0, err
 	}
@@ -422,7 +430,5 @@ func (s *Store) TranscodeExtentCost(name string, ext int, toName string) (int, e
 	if from.code.Name() == to.code.Name() {
 		return 0, nil
 	}
-	read := e.Stripes * from.code.DataSymbols()
-	written := stripesFor(e.Blocks, to.code.DataSymbols()) * to.code.Placement().TotalBlocks()
-	return read + written, nil
+	return moveCost(from, to, fi.Extents[ext].Blocks), nil
 }

@@ -462,6 +462,7 @@ func (s *Server) Fsck() (hdfsraid.FsckReport, error) {
 		total.Blocks += rep.Blocks
 		total.Missing += rep.Missing
 		total.Corrupt += rep.Corrupt
+		total.Orphans += rep.Orphans
 		if err != nil {
 			return total, fmt.Errorf("serve: fsck shard %d: %w", i, err)
 		}
