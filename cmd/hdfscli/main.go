@@ -685,6 +685,18 @@ func doFsck(store string) error {
 		status = "DEGRADED"
 	}
 	fmt.Printf("%s: %d blocks, %d missing, %d corrupt, %d orphans\n", status, rep.Blocks, rep.Missing, rep.Corrupt, rep.Orphans)
+	// What the layout stores per byte of file — tail stripes store only
+	// the symbols that carry data — beside the default code's rate.
+	live := 0
+	for _, name := range s.Files() {
+		fi, _ := s.Info(name)
+		live += fi.Length
+	}
+	if live > 0 {
+		fmt.Printf("overhead: %.3fx stored (%d blocks of %d B for %d B of files), %s nominal %.3fx\n",
+			float64(rep.Blocks)*float64(s.BlockSize())/float64(live), rep.Blocks, s.BlockSize(), live,
+			s.CodeName(), core.StorageOverhead(s.Code()))
+	}
 	return flushObs(store, s)
 }
 

@@ -220,6 +220,28 @@ func TestScrubCLI(t *testing.T) {
 	}
 }
 
+// TestFsckReportsOverhead: fsck prints what the layout stores per byte
+// of file beside the code's nominal rate — a 2-block file on rs-9-6 is
+// a shortened stripe of 2 data blocks + 3 parities, 2.5x, not the
+// padded stripe's 4.5x.
+func TestFsckReportsOverhead(t *testing.T) {
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
+	src := filepath.Join(dir, "small.bin")
+	if err := os.WriteFile(src, bytes.Repeat([]byte{7}, 2*4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run(t, bin, store, "create", "-code", "rs-9-6", "-blocksize", "4096")
+	run(t, bin, store, "put", src)
+	out := run(t, bin, store, "fsck")
+	for _, want := range []string{"HEALTHY: 5 blocks, 0 missing, 0 corrupt, 0 orphans", "overhead: 2.500x stored", "rs-9-6 nominal 1.500x"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("fsck output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestTierDaemonScrubFlag: `tier daemon -scrub MB` trickle-verifies
 // blocks during scans, heals what it finds, and reports the scrubbed
 // volume in its shutdown summary.

@@ -141,6 +141,17 @@ func (p Placement) TotalBlocks() int {
 	return n
 }
 
+// StripeBlocks returns the physical blocks a shortened stripe occupies:
+// one whose first live of k data symbols carry data, the rest being
+// known zeros that are never stored. live == k is TotalBlocks.
+func (p Placement) StripeBlocks(k, live int) int {
+	n := p.TotalBlocks()
+	for sym := live; sym < k; sym++ {
+		n -= len(p.SymbolNodes[sym])
+	}
+	return n
+}
+
 // Holds reports whether node v stores a replica of symbol s.
 func (p Placement) Holds(v, s int) bool {
 	for _, x := range p.NodeSymbols[v] {

@@ -38,6 +38,16 @@ func stripesFor(blocks, k int) int {
 	return (blocks + k - 1) / k
 }
 
+// zeroSymbol reports whether symbol sym of the extent's stripe is a
+// known zero: a data symbol past the extent's last data block, which
+// only the (shortened) tail stripe has. No replica of such a symbol
+// exists — it is never written, placed, read, scrubbed or repaired,
+// and every consumer takes its content from the store's shared zero
+// block. To the codes it is simply a present symbol.
+func (e Extent) zeroSymbol(k, stripe, sym int) bool {
+	return sym < k && stripe*k+sym >= e.Blocks
+}
+
 // dataBlocks returns the data blocks a length-byte file occupies at
 // the store's block size.
 func (s *Store) dataBlocks(length int) int {
@@ -191,19 +201,23 @@ type blockRef struct {
 }
 
 // forEachReplica calls fn for every block replica the layout of one
-// extent of a file expects — each stripe's every symbol's every
-// placement node v — in scan order (stripe, symbol, replica). It is
-// the one walk behind Fsck, Scrub, Delete and the transcode swap; an
-// error from fn stops it and is returned.
+// extent of a file expects — each stripe's every stored symbol's every
+// placement node v (known-zero symbols have no replicas) — in scan
+// order (stripe, symbol, replica). It is the one walk behind Fsck,
+// Scrub, Delete and the transcode staging and swap; an error from fn
+// stops it and is returned.
 func (s *Store) forEachReplica(name string, fi FileInfo, ext int, fn func(r blockRef, v int) error) error {
 	e := fi.Extents[ext]
 	cc, err := s.codecByName(e.Code)
 	if err != nil {
 		return err
 	}
-	symbolNodes := cc.code.Placement().SymbolNodes
+	k, symbolNodes := cc.code.DataSymbols(), cc.code.Placement().SymbolNodes
 	for i := 0; i < e.Stripes; i++ {
 		for sym, nodes := range symbolNodes {
+			if e.zeroSymbol(k, i, sym) {
+				continue
+			}
 			for rep, v := range nodes {
 				if err := fn(blockRef{name, ext, i, sym, rep}, v); err != nil {
 					return err

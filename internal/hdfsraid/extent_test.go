@@ -89,9 +89,11 @@ func TestExtentMoveBoundedBytes(t *testing.T) {
 	if rep.DataBlocksRead != extBlocks {
 		t.Fatalf("read %d data blocks, want exactly the extent's %d (file has 60)", rep.DataBlocksRead, extBlocks)
 	}
-	// ceil(12/9) = 2 pentagon stripes at 20 physical replicas each —
-	// a whole-file move would write ceil(60/9)*20 = 140.
-	if wantWritten := 2 * 20; rep.BlocksWritten != wantWritten {
+	// ceil(12/9) = 2 pentagon stripes: a full one at 20 physical
+	// replicas plus a shortened one storing 3 data symbols and the
+	// parity twice each (8; its other 6 data symbols are known zeros)
+	// — a whole-file move would write 6*20 + (6 data + parity)*2 = 134.
+	if wantWritten := 20 + 8; rep.BlocksWritten != wantWritten {
 		t.Fatalf("wrote %d blocks, want %d (extent-scoped)", rep.BlocksWritten, wantWritten)
 	}
 	if rep.Extents != 1 || rep.Stripes != 2 {
@@ -133,6 +135,32 @@ func TestExtentMoveBoundedBytes(t *testing.T) {
 	got, err = s.Get("f")
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("bytes wrong after extent demote (%v)", err)
+	}
+
+	// Extents that do not fill their stripes (1, k-1, k+1, 2k+2 blocks
+	// of rs-9-6) are billed what the move does: the extent's data
+	// blocks read, no source padding, plus the replicas actually stored.
+	for _, blocks := range []int{1, 5, 7, 14} {
+		s := newExtStore(t, "rs-9-6", blocks)
+		if err := s.Put("f", randomFile(t, 3*blocks*blockSize, 211)); err != nil {
+			t.Fatal(err)
+		}
+		for _, to := range []string{"pentagon", "rs-9-6"} {
+			cost, err := s.TranscodeExtentCost("f", 1, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.TranscodeExtent("f", 1, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.DataBlocksRead != blocks || cost != rep.DataBlocksRead+rep.BlocksWritten {
+				t.Fatalf("%d-block extent -> %s: cost %d, report %+v", blocks, to, cost, rep)
+			}
+		}
+		if fsck, err := s.Fsck(); err != nil || !fsck.Healthy() || fsck.Orphans != 0 {
+			t.Fatalf("%d-block extents after the round trip: %+v, %v", blocks, fsck, err)
+		}
 	}
 }
 

@@ -261,9 +261,7 @@ func (s *Store) replayIntent(in *TranscodeIntent) (int, error) {
 // drop the staged blocks and clear the journal. The file table entry
 // was never touched, so the file simply stays on its old code.
 func (s *Store) rollbackIntent(in *TranscodeIntent) error {
-	for _, rel := range in.Staged {
-		s.bio.Remove(filepath.Join(s.root, rel) + tmpSuffix)
-	}
+	s.removeStaged(in.Staged)
 	s.removeIntent(in)
 	return s.saveManifest()
 }

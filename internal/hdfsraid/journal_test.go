@@ -70,29 +70,32 @@ func assertRecovered(t *testing.T, dir string, want []byte, wantCode string) *St
 	return s
 }
 
+// transcodeKillPoints is the kill-point table of an rs-9-6 -> pentagon
+// move: every stage of the journal state machine a process can die in.
+var transcodeKillPoints = []struct {
+	point    string // where the process "dies"
+	wantCode string // code the file must be on after recovery
+	replayed bool   // whether recovery rolls forward
+}{
+	// Crash after staging but before the intent record exists:
+	// recovery knows nothing of the move, sweeps the orphan .tc
+	// blocks, and the file stays cold.
+	{point: "staged", wantCode: "rs-9-6", replayed: false},
+	// Crash with the intent journaled and all staged blocks
+	// durable: recovery rolls the move forward.
+	{point: "intent", wantCode: "pentagon", replayed: true},
+	// Crash mid-swap — old replicas partially deleted, one staged
+	// block already renamed: forward is the only safe direction.
+	{point: "midswap", wantCode: "pentagon", replayed: true},
+	// Crash after the full swap, before the manifest commit.
+	{point: "swapped", wantCode: "pentagon", replayed: true},
+}
+
 // TestTranscodeKillPoints crashes a transcode between every stage of
 // the journal state machine and checks that reopening the store
 // replays or rolls back to a consistent, byte-identical file.
 func TestTranscodeKillPoints(t *testing.T) {
-	cases := []struct {
-		point    string // where the process "dies"
-		wantCode string // code the file must be on after recovery
-		replayed bool   // whether recovery rolls forward
-	}{
-		// Crash after staging but before the intent record exists:
-		// recovery knows nothing of the move, sweeps the orphan .tc
-		// blocks, and the file stays cold.
-		{point: "staged", wantCode: "rs-9-6", replayed: false},
-		// Crash with the intent journaled and all staged blocks
-		// durable: recovery rolls the move forward.
-		{point: "intent", wantCode: "pentagon", replayed: true},
-		// Crash mid-swap — old replicas partially deleted, one staged
-		// block already renamed: forward is the only safe direction.
-		{point: "midswap", wantCode: "pentagon", replayed: true},
-		// Crash after the full swap, before the manifest commit.
-		{point: "swapped", wantCode: "pentagon", replayed: true},
-	}
-	for _, tc := range cases {
+	for _, tc := range transcodeKillPoints {
 		t.Run(tc.point, func(t *testing.T) {
 			dir := t.TempDir()
 			s, err := Create(dir, "rs-9-6", blockSize)

@@ -22,9 +22,12 @@ const (
 	metricReadsDegraded       = "store_reads_degraded_total"
 	metricBytesOut            = "store_bytes_out_total"
 
-	// Ingest: Put and PutReader latency and bytes accepted.
-	metricPutNs   = "store_put_ns"
-	metricBytesIn = "store_bytes_in_total"
+	// Ingest: Put and PutReader latency and bytes accepted, and the
+	// known-zero symbols of shortened tail stripes that ingests and
+	// moves (writeStripe) did not store.
+	metricPutNs      = "store_put_ns"
+	metricBytesIn    = "store_bytes_in_total"
+	metricZeroElided = "store_zero_symbols_elided_total"
 
 	// Ranged reads (ReadAt, the serving front door's HTTP Range path)
 	// and deletes.
@@ -100,6 +103,7 @@ type storeObs struct {
 	scrubNs                           *obs.Histogram
 
 	bytesIn, bytesOut               *obs.Counter
+	zeroElided                      *obs.Counter
 	deletes                         *obs.Counter
 	readsDegraded                   *obs.Counter
 	repairBlocks, repairTransfers   *obs.Counter
@@ -141,6 +145,7 @@ func newStoreObs() *storeObs {
 		tcSwap:            reg.Histogram(metricTcSwapNs),
 		bytesIn:           reg.Counter(metricBytesIn),
 		bytesOut:          reg.Counter(metricBytesOut),
+		zeroElided:        reg.Counter(metricZeroElided),
 		readsDegraded:     reg.Counter(metricReadsDegraded),
 		repairBlocks:      reg.Counter(metricRepairBlocksRestored),
 		repairTransfers:   reg.Counter(metricRepairTransfers),

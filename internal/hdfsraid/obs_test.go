@@ -2,6 +2,7 @@ package hdfsraid
 
 import (
 	"bytes"
+	"os"
 	"testing"
 	"time"
 )
@@ -49,6 +50,12 @@ func TestStoreObsIntegration(t *testing.T) {
 
 	snap := s.Obs().Snapshot()
 	c, h := snap.Counters, snap.Histograms
+	// The 6-block file is a 4-block and a 2-block extent, each one
+	// shortened pentagon stripe with 5 and 7 of its 9 data symbols
+	// known zero; moving extent 0 to rs-14-10 leaves 6 of 10 zero.
+	if c[metricZeroElided] != 5+7+6 {
+		t.Errorf("zero symbols elided = %d, want 18", c[metricZeroElided])
+	}
 	if h[metricPutNs].Count == 0 {
 		t.Error("put latency histogram empty")
 	}
@@ -99,6 +106,26 @@ func TestStoreObsIntegration(t *testing.T) {
 	for i, typ := range want {
 		if types[i] != typ {
 			t.Fatalf("journal event types = %v, want %v", types, want)
+		}
+	}
+}
+
+// TestMetricNamesDocumented: every counter and histogram the store
+// registers is named in docs/OBSERVABILITY.md.
+func TestMetricNamesDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := newStoreObs().reg.Snapshot()
+	for name := range snap.Counters {
+		if !bytes.Contains(doc, []byte("`"+name+"`")) {
+			t.Errorf("counter %s is not documented in docs/OBSERVABILITY.md", name)
+		}
+	}
+	for name := range snap.Histograms {
+		if !bytes.Contains(doc, []byte("`"+name+"`")) {
+			t.Errorf("histogram %s is not documented in docs/OBSERVABILITY.md", name)
 		}
 	}
 }

@@ -24,18 +24,19 @@ func (s *Store) Put(name string, data []byte) error {
 }
 
 // PutReader stripes, encodes and stores a file streamed from r,
-// writing every symbol replica to its placement node, without a
-// caller-materialized byte slice. With extents enabled (CreateExt) the
-// file is split into extent-sized runs, each striped independently so
-// it can later change tier on its own. The data plane streams: a
-// sequential producer reads one stripe's data blocks at a time into
-// pooled buffers (closing each stripe at the extent boundary), and a
-// calibrated worker pool (the default code's tuned encode width,
-// GOMAXPROCS when uncalibrated) encodes and writes stripes
-// concurrently behind it. Peak memory is O(workers × stripe),
-// independent of the file's length — the ingest-side counterpart of
-// the streaming transcode pipeline. The file's length and extent map
-// are recorded when the reader is exhausted.
+// writing every stored symbol's replicas to their placement nodes
+// (writeStripe), without a caller-materialized byte slice. With
+// extents enabled (CreateExt) the file is split into extent-sized
+// runs, each striped independently so it can later change tier on its
+// own. The data plane streams: a sequential producer reads one
+// stripe's data blocks at a time into pooled buffers (closing each
+// stripe at the extent boundary), and up to a calibrated number of
+// stripes (the default code's tuned encode width, GOMAXPROCS when
+// uncalibrated) encode and write concurrently behind it. Peak memory
+// is O(workers × stripe), independent of the file's length — the
+// ingest-side counterpart of the streaming transcode pipeline. The
+// file's length and extent map are recorded when the reader is
+// exhausted.
 //
 // The store lock is NOT held while the reader drains or stripes encode
 // — a slow or stalling source must not block readers of other files.
@@ -62,57 +63,43 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 	extBlocks := s.extentBlocks
 	pathFI := FileInfo{ExtentPaths: extBlocks > 0}
 	cc := codec{s.code, s.striper}
-	p := cc.code.Placement()
 	if err := s.ensureNodeDirs(cc.code.Nodes()); err != nil {
 		return err
 	}
 
+	// A job's first live blocks are pooled payload buffers holding the
+	// stripe's data; the rest alias the store's read-only zero block.
 	type job struct {
-		ext, stripe int
-		blocks      [][]byte // k pooled payload buffers, padding zeroed
+		ext, stripe, live int
+		blocks            [][]byte
 	}
-	release := func(blocks [][]byte) {
-		for _, b := range blocks {
-			if b != nil {
-				s.payloadPool.Put(b)
-			}
+	release := func(j job) {
+		for _, b := range j.blocks[:j.live] {
+			s.payloadPool.Put(b)
 		}
 	}
-	workers := s.encodeWorkersFor(s.codeName)
-	jobs := make(chan job, workers)
-	var failed atomic.Bool
-	errs := make([]error, workers+1)
+	// inflight bounds the stripes (and their pooled buffers) being
+	// encoded and written behind the producer; the first error, from
+	// the source or any stripe, stops the stream.
+	inflight := make(chan struct{}, s.encodeWorkersFor(s.codeName))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if failed.Load() {
-					release(j.blocks)
-					continue
-				}
-				symbols, rel, err := core.EncodeWith(cc.code, s.payloadPool, j.blocks)
-				if err == nil {
-				write:
-					for sym, buf := range symbols {
-						for _, v := range p.SymbolNodes[sym] {
-							path := s.extentBlockPath(v, name, pathFI, j.ext, j.stripe, sym)
-							if err = s.writeBlock(path, buf); err != nil {
-								break write
-							}
-						}
-					}
-					rel()
-				}
-				release(j.blocks)
-				if err != nil {
-					errs[w+1] = fmt.Errorf("hdfsraid: put %q extent %d stripe %d: %w", name, j.ext, j.stripe, err)
-					failed.Store(true)
-				}
-			}
+	var failed atomic.Pointer[error]
+	fail := func(err error) { failed.CompareAndSwap(nil, &err) }
+	encode := func(j job) {
+		defer func() {
+			release(j)
+			<-inflight
+			wg.Done()
 		}()
+		symbols, rel, err := core.EncodeWith(cc.code, s.payloadPool, j.blocks)
+		if err == nil {
+			e := Extent{Blocks: j.stripe*k + j.live} // the extent as ingested so far
+			err = s.writeStripe(cc, name, pathFI, j.ext, e, j.stripe, symbols, "")
+			rel()
+		}
+		if err != nil {
+			fail(fmt.Errorf("hdfsraid: put %q extent %d stripe %d: %w", name, j.ext, j.stripe, err))
+		}
 	}
 
 	// fillBlock reads one full data block (or the file's tail),
@@ -131,45 +118,45 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 
 	total := 0
 	ext, extDone, stripe := 0, 0, 0
-	for !failed.Load() {
+	for failed.Load() == nil {
 		// A stripe holds k data blocks but never crosses an extent
 		// boundary: the capacity left in the current extent caps how
-		// many carry data, and the rest are padding.
+		// many carry data, and the rest are known zeros — the shared
+		// zero block, which EncodeInto only reads.
 		limit := k
 		if extBlocks > 0 && extBlocks-extDone < k {
 			limit = extBlocks - extDone
 		}
-		blocks := make([][]byte, k)
-		read, eof := 0, false
+		j := job{ext: ext, stripe: stripe, blocks: make([][]byte, k)}
+		eof := false
 		var rdErr error
-		for j := 0; j < k; j++ {
-			buf := s.payloadPool.Get()
-			blocks[j] = buf
-			if j >= limit || eof {
-				clear(buf)
+		for i := range j.blocks {
+			j.blocks[i] = s.zeroBlock
+			if i >= limit || eof || rdErr != nil {
 				continue
 			}
+			buf := s.payloadPool.Get()
 			var n int
-			n, eof, rdErr = fillBlock(buf)
+			if n, eof, rdErr = fillBlock(buf); n == 0 {
+				s.payloadPool.Put(buf)
+				continue
+			}
 			total += n
-			if n > 0 {
-				read++
-			}
-			if rdErr != nil {
-				break
-			}
+			j.blocks[i] = buf
+			j.live++
 		}
 		if rdErr != nil {
-			release(blocks)
-			errs[0] = fmt.Errorf("hdfsraid: put %q: reading source: %w", name, rdErr)
+			release(j)
+			fail(fmt.Errorf("hdfsraid: put %q: reading source: %w", name, rdErr))
 			break
 		}
-		if read == 0 {
-			release(blocks)
+		if j.live == 0 {
 			break // reader exhausted at a stripe boundary
 		}
-		jobs <- job{ext: ext, stripe: stripe, blocks: blocks}
-		if eof || read < limit {
+		inflight <- struct{}{}
+		wg.Add(1)
+		go encode(j)
+		if eof || j.live < limit {
 			break // reader exhausted inside this stripe
 		}
 		if extDone += limit; extBlocks > 0 && extDone == extBlocks {
@@ -178,12 +165,9 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 			stripe++
 		}
 	}
-	close(jobs)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := failed.Load(); err != nil {
+		return *err
 	}
 	fi := FileInfo{
 		Length:      total,
@@ -204,6 +188,32 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 	}
 	if s.obs != nil {
 		s.obs.bytesIn.Add(int64(total))
+	}
+	return nil
+}
+
+// writeStripe is the store's one layout-block write path, the mirror
+// of readStripe: PutReader's stripes and the transcode emit both hand
+// it one encoded stripe, and it writes every replica of every symbol
+// to its placement node under its block path plus suffix ("" for an
+// ingest, tmpSuffix for a staged move). e is the extent the stripe
+// belongs to (only Blocks is consulted): its known-zero symbols — the
+// tail stripe's data symbols past the last block — are elided, so no
+// replica of them ever exists for a reader, scrub or repair to visit.
+func (s *Store) writeStripe(cc codec, name string, fi FileInfo, ext int, e Extent, stripe int, symbols [][]byte, suffix string) error {
+	k, symbolNodes := cc.code.DataSymbols(), cc.code.Placement().SymbolNodes
+	for sym, buf := range symbols {
+		if e.zeroSymbol(k, stripe, sym) {
+			if s.obs != nil {
+				s.obs.zeroElided.Inc()
+			}
+			continue
+		}
+		for _, v := range symbolNodes[sym] {
+			if err := s.writeBlock(s.extentBlockPath(v, name, fi, ext, stripe, sym)+suffix, buf); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -102,9 +102,19 @@ func (r *stripeRead) path(v, sym int) string {
 	return r.s.extentBlockPath(v, r.name, r.fi, r.ext, r.stripe, sym)
 }
 
+// zero reports whether sym is a known-zero symbol of the stripe: one
+// with no replicas, whose content is the store's shared zero block.
+func (r *stripeRead) zero(sym int) bool {
+	return r.fi.Extents[r.ext].zeroSymbol(r.cc.code.DataSymbols(), r.stripe, sym)
+}
+
 // replica reads the first healthy replica of sym into frame and
 // returns its payload (aliasing frame), or nil when none is readable.
+// A known-zero symbol is the read-only zero block, at no read.
 func (r *stripeRead) replica(sym int, frame []byte) []byte {
+	if r.zero(sym) {
+		return r.s.zeroBlock
+	}
 	for _, v := range r.cc.code.Placement().SymbolNodes[sym] {
 		data, err := r.s.readBlockInto(r.path(v, sym), frame)
 		if err == nil {
@@ -127,10 +137,12 @@ func (r *stripeRead) replica(sym int, frame []byte) []byte {
 // turn out corrupt or missing (latent errors cluster under real fault
 // conditions); that is a verdict about its node, so mark the node down
 // and re-plan — the loop is bounded because every pass grows down and
-// planning fails past the code's tolerance. It reports the plan's
-// block transfers, or false when no plan delivers (the code cannot
-// plan reads, the node tolerance is exhausted, or a source failed
-// transiently) and the caller falls through to the full-stripe decode.
+// planning fails past the code's tolerance. A term over a known-zero
+// symbol contributes nothing and costs no read, so it reports the
+// transfers that read a block — the whole plan on a full stripe — or
+// false when no plan delivers (the code cannot plan reads, the node
+// tolerance is exhausted, or a source failed transiently) and the
+// caller falls through to the full-stripe decode.
 func (r *stripeRead) plan(sym int, dst []byte) (int, bool) {
 	rp, ok := r.cc.code.(core.ReadPlanner)
 	if !ok {
@@ -145,9 +157,15 @@ replan:
 			return 0, false
 		}
 		clear(dst)
+		cost := 0
 		for i, tr := range plan.Transfers {
 			clear(payload)
+			read := false
 			for _, term := range tr.Terms {
+				if r.zero(term.Symbol) {
+					continue
+				}
+				read = true
 				data, err := r.s.readBlockInto(r.path(tr.From, term.Symbol), r.frame)
 				if err != nil {
 					if transientReadErr(err) {
@@ -158,13 +176,17 @@ replan:
 				}
 				gf256.MulAddSlice(term.Coeff, data, payload)
 			}
+			if !read {
+				continue
+			}
+			cost++
 			coeff := byte(1)
 			if plan.Coeffs != nil {
 				coeff = plan.Coeffs[i]
 			}
 			gf256.MulAddSlice(coeff, payload, dst)
 		}
-		return plan.Bandwidth(), true
+		return cost, true
 	}
 }
 
@@ -175,11 +197,16 @@ replan:
 // pass already delivered; every other symbol outside the wanted range
 // [first, first+n) (a wanted symbol still nil has no readable replica
 // left) is read from its first healthy replica, any unreadable one
-// being one more erasure to decode. It returns the stripe's data
-// blocks and the number of blocks it read.
+// being one more erasure to decode; known-zero symbols are present
+// without a read. It returns the stripe's data blocks and the number
+// of blocks it read.
 func (r *stripeRead) decode(symbols [][]byte, first, n int) ([][]byte, int, error) {
 	for sym := range symbols {
 		if sym >= first && sym < first+n {
+			continue
+		}
+		if r.zero(sym) {
+			symbols[sym] = r.s.zeroBlock
 			continue
 		}
 		frame := r.s.framePool.Get()
@@ -209,7 +236,10 @@ func (r *stripeRead) decode(symbols [][]byte, first, n int) ([][]byte, int, erro
 // Which of 2 and 3 runs follows from what the call can observe — how
 // many blocks it wants and which reads failed — never from a setting.
 // cost is the number of block transfers the degraded steps paid (0
-// when every wanted block came from a replica).
+// when every wanted block came from a replica). No step opens a file
+// for a known-zero symbol of a shortened tail stripe (see
+// Extent.zeroSymbol): it is delivered from, planned over and decoded
+// as the shared zero block, and costs nothing.
 //
 // With heal set, every replica that failed with a verdict is repaired
 // in place from the delivered bytes once the read succeeds. Transcode

@@ -253,56 +253,85 @@ func TestReadBlockSingleFailureAllCodes(t *testing.T) {
 	}
 }
 
-// frozenIO is the equivalence test's BlockIO: it counts the block
-// files successfully opened and refuses every write and rename, so
-// self-healing cannot repair the damage under test between one entry
-// point's read and the next.
-type frozenIO struct {
-	reads atomic.Int64
+// countingIO is the equivalence and exact-count tests' BlockIO: it
+// counts block files opened, opens that missed and frames written, and
+// once frozen refuses every write, rename and removal, so self-healing
+// cannot repair the damage under test between one entry point's read
+// and the next.
+type countingIO struct {
+	reads, misses, writes atomic.Int64
+	frozen                atomic.Bool
 }
 
-func (f *frozenIO) Open(path string) (io.ReadCloser, error) {
+var errFrozen = errors.New("countingIO: frozen")
+
+func (c *countingIO) Open(path string) (io.ReadCloser, error) {
 	r, err := os.Open(path)
 	if err == nil {
-		f.reads.Add(1)
+		c.reads.Add(1)
+	} else {
+		c.misses.Add(1)
 	}
 	return r, err
 }
-func (f *frozenIO) WriteFile(string, []byte, fs.FileMode) error {
-	return errors.New("frozenIO: frozen")
+func (c *countingIO) WriteFile(path string, data []byte, perm fs.FileMode) error {
+	if c.frozen.Load() {
+		return errFrozen
+	}
+	c.writes.Add(1)
+	return os.WriteFile(path, data, perm)
 }
-func (f *frozenIO) Rename(string, string) error { return errors.New("frozenIO: frozen") }
-func (f *frozenIO) Remove(string) error         { return errors.New("frozenIO: frozen") }
+func (c *countingIO) Rename(oldPath, newPath string) error {
+	if c.frozen.Load() {
+		return errFrozen
+	}
+	return os.Rename(oldPath, newPath)
+}
+func (c *countingIO) Remove(path string) error {
+	if c.frozen.Load() {
+		return errFrozen
+	}
+	return os.Remove(path)
+}
 
 // TestOneReaderEquivalence pins the contract of the single stripe
 // reader: for every registered code, on whole-file and extent stores,
-// intact and damaged, Get, ReadAt over random unaligned ranges and
+// intact and damaged, over files that fill their stripes and files
+// whose tail stripe is shortened (1 byte, 1 block, k-1 blocks, k
+// blocks + 1 byte), Get, ReadAt over random unaligned ranges and
 // ReadBlockInto over every block deliver the same bytes — one ladder,
 // so whatever damage one entry point survives, all survive — and the
-// ladder's steps cost what the paper says: k block reads per intact
-// stripe, one for a degraded block of a double-replication code, k for
-// RS.
+// ladder's steps cost what the paper says: one block read per live
+// data block of an intact stripe, one for a degraded block of a
+// double-replication code, and for RS the k-block plan less its
+// known-zero terms. The write side is pinned with it: a PUT writes the
+// replicas of live data symbols and parities only, and nothing ever
+// opens the path of a known-zero symbol.
 func TestOneReaderEquivalence(t *testing.T) {
+	// zero mirrors Extent.zeroSymbol for this test's files, which are
+	// either one extent or all full stripes: blocks is the file's
+	// data-block count, stripe file-global.
+	zero := func(k, blocks, stripe, sym int) bool { return sym < k && stripe*k+sym >= blocks }
 	// damage returns false when the code cannot lose data symbol 0
 	// within its tolerance (plain replication).
 	damages := []struct {
 		name  string
-		apply func(t *testing.T, s *Store) bool
+		apply func(t *testing.T, s *Store, blocks int) bool
 	}{
-		{"intact", func(*testing.T, *Store) bool { return true }},
-		{"node-down", func(t *testing.T, s *Store) bool {
+		{"intact", func(*testing.T, *Store, int) bool { return true }},
+		{"node-down", func(t *testing.T, s *Store, _ int) bool {
 			if err := s.KillNode(s.code.Placement().SymbolNodes[0][0]); err != nil {
 				t.Fatal(err)
 			}
 			return true
 		}},
 		// A latent-error pattern: every replica of data symbol 0 of
-		// stripe 0 corrupt, plus one block the read plan around them
-		// sources from a further node. For pentagon that exhausts the
-		// plan's node tolerance (three nodes bad, two tolerated) while
-		// the stripe has lost a single symbol — which only the
+		// stripe 0 corrupt, plus one stored block the read plan around
+		// them sources from a further node. For pentagon that exhausts
+		// the plan's node tolerance (three nodes bad, two tolerated)
+		// while the stripe has lost a single symbol — which only the
 		// full-stripe decode serves.
-		{"latent", func(t *testing.T, s *Store) bool {
+		{"latent", func(t *testing.T, s *Store, blocks int) bool {
 			holders := s.code.Placement().SymbolNodes[0]
 			if len(holders) > s.code.FaultTolerance() {
 				return false
@@ -311,96 +340,162 @@ func TestOneReaderEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := plan.Transfers[0]
 			for _, v := range holders {
 				if err := s.CorruptBlock(v, "f", 0, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := s.CorruptBlock(src.From, "f", 0, src.Terms[0].Symbol); err != nil {
-				t.Fatal(err)
+			for _, tr := range plan.Transfers {
+				for _, term := range tr.Terms {
+					if !zero(s.code.DataSymbols(), blocks, 0, term.Symbol) {
+						if err := s.CorruptBlock(tr.From, "f", 0, term.Symbol); err != nil {
+							t.Fatal(err)
+						}
+						return true
+					}
+				}
 			}
-			return true
+			t.Fatal("read plan has no stored source block")
+			return false
 		}},
 	}
 	for _, codeName := range core.Names() {
-		for _, extents := range []bool{false, true} {
-			for _, dmg := range damages {
-				t.Run(fmt.Sprintf("%s/extents=%v/%s", codeName, extents, dmg.name), func(t *testing.T) {
-					c, err := core.New(codeName)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// Three full stripes (two extents on the extent
-					// store) whose last block is cut short.
-					k := c.DataSymbols()
-					extentBlocks := 0
-					if extents {
-						extentBlocks = 2 * k
-					}
-					s := newExtStore(t, codeName, extentBlocks)
-					data := randomFile(t, 3*k*blockSize-100, 90)
-					if err := s.Put("f", data); err != nil {
-						t.Fatal(err)
-					}
-					if !dmg.apply(t, s) {
-						t.Skip("code cannot lose a data symbol within its tolerance")
-					}
-					bio := &frozenIO{}
-					s.SetBlockIO(bio)
-					fi, _ := s.Info("f")
+		c, err := core.New(codeName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, p := c.DataSymbols(), c.Placement()
+		// Three full stripes (two extents on the extent store) whose
+		// last block is cut short, then the shortened-tail shapes.
+		lengths := []int{3*k*blockSize - 100, 1, blockSize, k*blockSize + 1}
+		if k > 2 {
+			lengths = append(lengths, (k-1)*blockSize)
+		}
+		for _, length := range lengths {
+			for _, extents := range []bool{false, true} {
+				for _, dmg := range damages {
+					t.Run(fmt.Sprintf("%s/len=%d/extents=%v/%s", codeName, length, extents, dmg.name), func(t *testing.T) {
+						extentBlocks := 0
+						if extents {
+							extentBlocks = 2 * k
+						}
+						s := newExtStore(t, codeName, extentBlocks)
+						bio := &countingIO{}
+						s.SetBlockIO(bio)
+						data := randomFile(t, length, 90)
+						if err := s.Put("f", data); err != nil {
+							t.Fatal(err)
+						}
+						blocks := (length + blockSize - 1) / blockSize
+						stripes := (blocks + k - 1) / k
+						// A PUT writes every replica of every live data
+						// symbol and parity, none of a known-zero symbol.
+						wantWrites := 0
+						for stripe := 0; stripe < stripes; stripe++ {
+							for sym, nodes := range p.SymbolNodes {
+								if !zero(k, blocks, stripe, sym) {
+									wantWrites += len(nodes)
+								}
+							}
+						}
+						if writes := bio.writes.Load(); writes != int64(wantWrites) {
+							t.Fatalf("Put wrote %d block files, want %d", writes, wantWrites)
+						}
+						if !dmg.apply(t, s, blocks) {
+							t.Skip("code cannot lose a data symbol within its tolerance")
+						}
+						bio.frozen.Store(true)
 
-					got, err := s.Get("f")
-					if err != nil || !bytes.Equal(got, data) {
-						t.Fatalf("Get: err %v, bytes equal %v", err, bytes.Equal(got, data))
-					}
-					if reads := bio.reads.Load(); dmg.name == "intact" && reads != int64(k*fi.Stripes) {
-						t.Fatalf("intact Get read %d blocks over %d stripes, want k=%d per stripe", reads, fi.Stripes, k)
-					}
+						got, err := s.Get("f")
+						if err != nil || !bytes.Equal(got, data) {
+							t.Fatalf("Get: err %v, bytes equal %v", err, bytes.Equal(got, data))
+						}
+						if reads := bio.reads.Load(); dmg.name == "intact" && reads != int64(blocks) {
+							t.Fatalf("intact Get read %d blocks, want the file's %d data blocks", reads, blocks)
+						}
 
-					rng := rand.New(rand.NewSource(91))
-					for i := 0; i < 40; i++ {
-						off := 1 // the first range starts inside the damaged block
-						if i > 0 {
-							off = rng.Intn(len(data))
+						rng := rand.New(rand.NewSource(91))
+						for i := 0; i < 40 && len(data) > 1; i++ {
+							off := 1 // the first range starts inside the damaged block
+							if i > 0 {
+								off = rng.Intn(len(data))
+							}
+							p := make([]byte, 1+rng.Intn(min(len(data)-off, 4*blockSize)))
+							if _, err := s.ReadAt(p, "f", int64(off)); err != nil || !bytes.Equal(p, data[off:off+len(p)]) {
+								t.Fatalf("ReadAt(off=%d, n=%d): err %v, bytes equal %v", off, len(p), err, bytes.Equal(p, data[off:off+len(p)]))
+							}
 						}
-						p := make([]byte, 1+rng.Intn(min(len(data)-off, 4*blockSize)))
-						if _, err := s.ReadAt(p, "f", int64(off)); err != nil || !bytes.Equal(p, data[off:off+len(p)]) {
-							t.Fatalf("ReadAt(off=%d, n=%d): err %v, bytes equal %v", off, len(p), err, bytes.Equal(p, data[off:off+len(p)]))
-						}
-					}
 
-					dst := make([]byte, blockSize)
-					want := make([]byte, blockSize)
-					for g := 0; g < 3*k; g++ { // every stripe is full, so block g is (g/k, g%k)
-						before := bio.reads.Load()
-						cost, err := s.ReadBlockInto(dst, "f", g/k, g%k)
-						if err != nil {
-							t.Fatalf("ReadBlockInto(block %d): %v", g, err)
+						dst := make([]byte, blockSize)
+						want := make([]byte, blockSize)
+						dead := p.SymbolNodes[0][0]
+						// Extents hold whole stripes, so block g is (g/k,
+						// g%k); the tail stripe's positions past the last
+						// block read back as zeros, for free.
+						for g := 0; g < stripes*k; g++ {
+							before := bio.reads.Load()
+							cost, err := s.ReadBlockInto(dst, "f", g/k, g%k)
+							if err != nil {
+								t.Fatalf("ReadBlockInto(block %d): %v", g, err)
+							}
+							clear(want)
+							if g < blocks {
+								copy(want, data[g*blockSize:])
+							}
+							if !bytes.Equal(dst, want) {
+								t.Fatalf("ReadBlockInto(block %d): wrong bytes", g)
+							}
+							reads := bio.reads.Load() - before
+							if g >= blocks && (reads != 0 || cost != 0) {
+								t.Fatalf("known-zero block %d: %d block reads at cost %d, want none", g, reads, cost)
+							}
+							if dmg.name != "node-down" || g >= blocks {
+								continue
+							}
+							// One dead node: a block with a surviving replica
+							// costs one read and no transfer (every block of a
+							// double-replication code); a block whose only
+							// copy was on the node costs the stored blocks of
+							// its read plan — k on a full RS stripe, fewer on
+							// a shortened one.
+							wantReads, wantDegraded := int64(1), false
+							if holders := p.SymbolNodes[g%k]; len(holders) == 1 && holders[0] == dead {
+								plan, err := c.(core.ReadPlanner).PlanRead(g%k, []int{dead}, core.OffCluster)
+								if err != nil {
+									t.Fatal(err)
+								}
+								wantReads, wantDegraded = 0, true
+								for _, tr := range plan.Transfers {
+									for _, term := range tr.Terms {
+										if !zero(k, blocks, g/k, term.Symbol) {
+											wantReads++
+										}
+									}
+								}
+							}
+							if reads != wantReads || (cost > 0) != wantDegraded {
+								t.Fatalf("block %d with a node down: %d block reads at cost %d, want %d reads, degraded=%v",
+									g, reads, cost, wantReads, wantDegraded)
+							}
 						}
-						clear(want)
-						copy(want, data[g*blockSize:])
-						if !bytes.Equal(dst, want) {
-							t.Fatalf("ReadBlockInto(block %d): wrong bytes", g)
+						if dmg.name != "intact" {
+							return
 						}
-						if dmg.name != "node-down" {
-							continue
+						// Nothing on an intact store — reads above, a full
+						// scrub, fsck — opened a path that does not exist,
+						// and what exists is exactly what the PUT wrote.
+						if _, err := s.Scrub(0); err != nil {
+							t.Fatal(err)
 						}
-						// One dead node: a block with a surviving replica
-						// costs one read and no transfer (every block of a
-						// double-replication code); a block whose only
-						// copy was on the node costs the k-block plan.
-						holders := c.Placement().SymbolNodes[g%k]
-						wantReads, wantDegraded := int64(1), false
-						if len(holders) == 1 && holders[0] == c.Placement().SymbolNodes[0][0] {
-							wantReads, wantDegraded = int64(k), true
+						fsck, err := s.Fsck()
+						if err != nil || !fsck.Healthy() || fsck.Blocks != wantWrites || fsck.Orphans != 0 {
+							t.Fatalf("fsck = %+v, %v; want %d healthy blocks, no orphans", fsck, err, wantWrites)
 						}
-						if reads := bio.reads.Load() - before; reads != wantReads || (cost > 0) != wantDegraded {
-							t.Fatalf("block %d with a node down: %d block reads at cost %d, want %d reads, degraded=%v",
-								g, reads, cost, wantReads, wantDegraded)
+						if misses := bio.misses.Load(); misses != 0 {
+							t.Fatalf("%d block opens missed on an intact store", misses)
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -99,6 +100,11 @@ type Store struct {
 	// keep steady-state block traffic allocation-free.
 	framePool   *core.BlockPool
 	payloadPool *core.BlockPool
+
+	// zeroBlock is the content of every known-zero symbol (see
+	// Extent.zeroSymbol): one shared, read-only block. It is never
+	// pooled, never a read destination and never healed.
+	zeroBlock []byte
 
 	mu       sync.RWMutex
 	manifest Manifest
@@ -316,9 +322,11 @@ func Create(root, codeName string, blockSize int) (*Store, error) {
 // extents of extentBlocks data blocks, each striped — and later tiered
 // — independently, so a hot region of a large file can move to a
 // replicated code while the rest stays on RS. extentBlocks <= 0
-// stores whole files as single extents. Extent sizes that are a
-// multiple of the codes' data-symbol counts avoid per-extent stripe
-// padding.
+// stores whole files as single extents. An extent that does not fill
+// its last stripe stores only the symbols that carry data (see
+// Extent.zeroSymbol), so sizes need not be multiples of the codes'
+// data-symbol counts — though every stripe, shortened or not, carries
+// its full parities.
 func CreateExt(root, codeName string, blockSize, extentBlocks int) (*Store, error) {
 	if _, err := os.Stat(filepath.Join(root, manifestName)); err == nil {
 		return nil, fmt.Errorf("hdfsraid: store already exists at %s", root)
@@ -356,6 +364,7 @@ func buildStore(root string, m Manifest) (*Store, error) {
 		codeName: m.CodeName, blockSize: m.BlockSize, extentBlocks: m.ExtentBlocks,
 		framePool:   core.NewBlockPool(m.BlockSize + 4),
 		payloadPool: core.NewBlockPool(m.BlockSize),
+		zeroBlock:   make([]byte, m.BlockSize),
 		codecs:      map[string]codec{m.CodeName: {c, st}},
 		moveLocks:   map[string]*fileLock{},
 		obs:         newStoreObs()}, nil
@@ -759,7 +768,10 @@ func (s *Store) Repair(failed []int) (RepairReport, error) {
 }
 
 // repairFile rebuilds one file's blocks on the failed nodes, extent by
-// extent. Caller holds mu's read side.
+// extent. A shortened tail stripe's known-zero symbols are present by
+// definition: survivors contribute the zero block without a read, and
+// the ones the plan "restores" on a failed node are neither written
+// nor counted. Caller holds mu's read side.
 func (s *Store) repairFile(name string, fi FileInfo, failed []int) (RepairReport, error) {
 	var rep RepairReport
 	for ext, e := range fi.Extents {
@@ -782,71 +794,115 @@ func (s *Store) repairFile(name string, fi FileInfo, failed []int) (RepairReport
 		if len(extFailed) == 0 {
 			continue
 		}
-		p := cc.code.Placement()
 		// The failure pattern is fixed across stripes, so plan once and
 		// execute per stripe with pooled frames and payloads.
 		plan, err := planner.PlanRepair(extFailed)
 		if err != nil {
 			return rep, err
 		}
-		isFailed := map[int]bool{}
-		for _, f := range extFailed {
-			isFailed[f] = true
-		}
-		var frames [][]byte
-		releaseFrames := func() {
-			for _, f := range frames {
-				s.framePool.Put(f)
-			}
-			frames = frames[:0]
-		}
+		k := cc.code.DataSymbols()
 		for i := 0; i < e.Stripes; i++ {
-			// Load surviving node contents into pooled frames.
-			nc := make(core.NodeContents, cc.code.Nodes())
-			for v := range nc {
-				nc[v] = map[int][]byte{}
-				if isFailed[v] {
-					continue
-				}
-				for _, sym := range p.NodeSymbols[v] {
-					frame := s.framePool.Get()
-					data, err := s.readBlockInto(s.extentBlockPath(v, name, fi, ext, i, sym), frame)
-					if err != nil {
-						s.framePool.Put(frame)
-						continue // tolerate extra damage; the plan will fail loudly if fatal
-					}
-					frames = append(frames, frame)
-					nc[v][sym] = data
-				}
+			zero := func(sym int) bool { return e.zeroSymbol(k, i, sym) }
+			transfers := plan.Bandwidth()
+			if zero(k - 1) { // the shortened tail stripe
+				transfers = liveBandwidth(plan, zero)
 			}
-			if err := core.ExecuteRepairPooled(nc, plan, s.blockSize, s.payloadPool); err != nil {
-				releaseFrames()
+			if transfers == 0 {
+				continue // the failed nodes held only zero symbols
+			}
+			restored, err := s.repairStripe(cc, plan, extFailed, zero, func(v, sym int) string {
+				return s.extentBlockPath(v, name, fi, ext, i, sym)
+			})
+			rep.BlocksRestored += restored
+			if err != nil {
 				return rep, fmt.Errorf("hdfsraid: %s extent %d stripe %d: %w", name, ext, i, err)
 			}
-			// Persist the restored replicas, recycling each recovered
-			// buffer (drawn from the payload pool by the executor) the
-			// moment it is on disk.
-			for _, f := range extFailed {
-				for _, sym := range p.NodeSymbols[f] {
-					buf, ok := nc[f][sym]
-					if !ok {
-						releaseFrames()
-						return rep, fmt.Errorf("hdfsraid: %s extent %d stripe %d: symbol %d not restored on node %d", name, ext, i, sym, f)
-					}
-					if err := s.writeBlock(s.extentBlockPath(f, name, fi, ext, i, sym), buf); err != nil {
-						releaseFrames()
-						return rep, err
-					}
-					s.payloadPool.Put(buf)
-					rep.BlocksRestored++
-				}
-			}
-			releaseFrames()
 			rep.Stripes++
-			rep.Transfers += plan.Bandwidth()
+			rep.Transfers += transfers
 		}
 	}
 	return rep, nil
+}
+
+// repairStripe executes plan over one stripe whose blocks live at
+// path(node, symbol): load the surviving nodes' contents into pooled
+// frames, run the plan, and persist what it rebuilt on the failed
+// nodes, returning the number of block files restored.
+func (s *Store) repairStripe(cc codec, plan *core.RepairPlan, failed []int, zero func(sym int) bool, path func(v, sym int) string) (restored int, err error) {
+	p := cc.code.Placement()
+	var frames [][]byte
+	defer func() {
+		for _, f := range frames {
+			s.framePool.Put(f)
+		}
+	}()
+	nc := make(core.NodeContents, cc.code.Nodes())
+	for v := range nc {
+		nc[v] = map[int][]byte{}
+		if slices.Contains(failed, v) {
+			continue
+		}
+		for _, sym := range p.NodeSymbols[v] {
+			if zero(sym) {
+				nc[v][sym] = s.zeroBlock
+				continue
+			}
+			frame := s.framePool.Get()
+			frames = append(frames, frame)
+			// Tolerate extra damage; the plan will fail loudly if fatal.
+			if data, err := s.readBlockInto(path(v, sym), frame); err == nil {
+				nc[v][sym] = data
+			}
+		}
+	}
+	if err := core.ExecuteRepairPooled(nc, plan, s.blockSize, s.payloadPool); err != nil {
+		return 0, err
+	}
+	// Persist the restored replicas, recycling each recovered buffer
+	// (drawn from the payload pool by the executor) the moment it is on
+	// disk.
+	for _, f := range failed {
+		for _, sym := range p.NodeSymbols[f] {
+			buf, ok := nc[f][sym]
+			if !ok {
+				return restored, fmt.Errorf("symbol %d not restored on node %d", sym, f)
+			}
+			if !zero(sym) {
+				if err := s.writeBlock(path(f, sym), buf); err != nil {
+					return restored, err
+				}
+				restored++
+			}
+			s.payloadPool.Put(buf)
+		}
+	}
+	return restored, nil
+}
+
+// liveBandwidth is plan.Bandwidth() for a stripe whose symbols zero
+// names are known zeros: the transfers that still have to move. The
+// recovery of a zero symbol needs none, and a transfer whose every
+// term is a zero symbol carries a known-zero payload.
+func liveBandwidth(plan *core.RepairPlan, zero func(sym int) bool) int {
+	need := make([]bool, len(plan.Transfers))
+	n := 0
+	for _, rec := range plan.Recoveries {
+		if zero(rec.Symbol) {
+			continue
+		}
+		for _, ti := range rec.Sources {
+			if need[ti] {
+				continue
+			}
+			for _, term := range plan.Transfers[ti].Terms {
+				need[ti] = need[ti] || !zero(term.Symbol)
+			}
+			if need[ti] {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // FsckReport summarizes an integrity scan.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -151,16 +150,29 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 	// Stream the re-encoding: per-stripe (possibly degraded) reads
 	// through the old code feed the new code's encoder directly, and
 	// every stripe is staged as .tc blocks the moment it is encoded.
+	// What gets staged is exactly the replica set the extent's new
+	// layout expects, so the staged list (root-relative final paths)
+	// is that layout's walk.
 	if err := s.ensureNodeDirs(newCC.code.Nodes()); err != nil {
 		return rep, err
 	}
-	staged, blocksRead, err := s.transcodeExtentStream(name, fi, ext, oldCC, newCC)
+	stripeCount := stripesFor(e.Blocks, newCC.code.DataSymbols())
+	target := fi
+	target.Extents = append([]Extent(nil), fi.Extents...)
+	target.Extents[ext].Code, target.Extents[ext].Stripes = codeName, stripeCount
+	staged := make([]string, 0, layoutBlocks(newCC, e.Blocks))
+	err = s.forEachReplica(name, target, ext, func(r blockRef, v int) error {
+		rel, err := filepath.Rel(s.root, s.extentBlockPath(v, name, target, ext, r.stripe, r.sym))
+		staged = append(staged, rel)
+		return err
+	})
 	if err != nil {
+		return rep, err
+	}
+	if rep.DataBlocksRead, err = s.transcodeExtentStream(name, fi, ext, oldCC, newCC); err != nil {
 		s.removeStaged(staged)
 		return rep, fmt.Errorf("hdfsraid: transcode %q extent %d: %w", name, ext, err)
 	}
-	rep.DataBlocksRead = blocksRead
-	stripeCount := stripesFor(e.Blocks, newCC.code.DataSymbols())
 	if err := s.kill("staged"); err != nil {
 		return rep, err // simulated crash: orphan .tc blocks, no journal record
 	}
@@ -184,15 +196,7 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 	in := &TranscodeIntent{
 		File: name, Extent: ext, From: fromName, To: codeName,
 		Length: fi.Length, OldStripes: e.Stripes, NewStripes: stripeCount,
-		State: IntentStaged,
-	}
-	for _, path := range staged {
-		rel, err := filepath.Rel(s.root, path)
-		if err != nil {
-			s.removeStaged(staged)
-			return rep, err
-		}
-		in.Staged = append(in.Staged, rel)
+		State: IntentStaged, Staged: staged,
 	}
 	s.manifest.Queue = append(s.manifest.Queue, in)
 	if err := s.saveManifest(); err != nil {
@@ -276,20 +280,15 @@ func (s *Store) commitIntentLocked(in *TranscodeIntent) {
 // through the striper's source-driven pipeline: each worker reads one
 // new stripe's data blocks through the old code's read ladder
 // (readStripe) into pooled buffers it reuses across stripes, encodes,
-// and writes every staged replica before touching the next stripe. It
-// returns the staged final paths (without the .tc suffix), including
-// those written before a failure so callers can clean up, plus the
-// number of source data blocks actually read — bounded by the extent's
-// blocks, never the file's.
-func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, newCC codec) ([]string, int, error) {
+// and stages every replica (writeStripe) before touching the next
+// stripe. It returns the number of source data blocks actually read —
+// the extent's blocks, never the file's or any stripe padding.
+func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, newCC codec) (int, error) {
 	e := fi.Extents[ext]
 	kOld := oldCC.code.DataSymbols()
 	kNew := newCC.code.DataSymbols()
-	p := newCC.code.Placement()
 	count := stripesFor(e.Blocks, kNew)
 	var read atomic.Int64
-	var mu sync.Mutex
-	var staged []string
 	// Per-stage timings: fill and emit for one stripe run back to back
 	// in the same pipeline worker with only the encode between them, so
 	// fillEnd[stripe] → emit-entry measures the encode stage exactly.
@@ -307,8 +306,8 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 			// Both layouts stripe the extent's block sequence, so new
 			// stripe/symbol (stripe, j) is extent-local data block l,
 			// which the old layout stores at (l/kOld, l%kOld). Blocks
-			// past the extent's data are padding: zero them (stored
-			// padding blocks are zero too, but need no disk read).
+			// past the extent's data are the new tail stripe's known
+			// zeros: the encoder needs them zeroed, nothing stores them.
 			l := stripe*kNew + j
 			if l >= e.Blocks {
 				clear(blocks[j])
@@ -338,21 +337,11 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 			t0 = time.Now()
 			s.obs.tcEncode.Observe(t0.Sub(fillEnd[stripe.Index]).Nanoseconds())
 		}
-		for sym, buf := range stripe.Symbols {
-			for _, v := range p.SymbolNodes[sym] {
-				path := s.extentBlockPath(v, name, fi, ext, stripe.Index, sym)
-				if err := s.writeBlock(path+tmpSuffix, buf); err != nil {
-					return err
-				}
-				mu.Lock()
-				staged = append(staged, path)
-				mu.Unlock()
-			}
-		}
+		err := s.writeStripe(newCC, name, fi, ext, e, stripe.Index, stripe.Symbols, tmpSuffix)
 		if s.obs != nil {
 			s.obs.tcWrite.Observe(time.Since(t0).Nanoseconds())
 		}
-		return nil
+		return err
 	}
 	// Share the machine's encode-worker budget across concurrent
 	// moves: the pipeline's peak memory is O(workers × stripe), so a
@@ -377,38 +366,47 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 	}
 	defer s.encodeWorkers.Add(-int64(workers))
 	err := newCC.striper.EncodeStreamFrom(count, workers, s.payloadPool, fill, emit)
-	return staged, int(read.Load()), err
+	return int(read.Load()), err
 }
 
-// removeStaged best-effort deletes staged temp blocks after a failure.
+// removeStaged best-effort deletes the staged temp blocks of a failed
+// or rolled-back move; staged holds root-relative final paths.
 func (s *Store) removeStaged(staged []string) {
-	for _, p := range staged {
-		s.bio.Remove(p + tmpSuffix)
+	for _, rel := range staged {
+		s.bio.Remove(filepath.Join(s.root, rel) + tmpSuffix)
 	}
 }
 
-// moveCost is the block-unit traffic bill of re-encoding blocks data
-// blocks between two codes: the source stripes' data blocks read plus
-// the target stripes' physical replicas written.
-func moveCost(from, to codec, blocks int) int {
-	kFrom, kTo := from.code.DataSymbols(), to.code.DataSymbols()
-	return stripesFor(blocks, kFrom)*kFrom + stripesFor(blocks, kTo)*to.code.Placement().TotalBlocks()
+// layoutBlocks returns the physical block replicas an extent of blocks
+// data blocks occupies under cc: full stripes plus a shortened tail.
+func layoutBlocks(cc codec, blocks int) int {
+	k, p := cc.code.DataSymbols(), cc.code.Placement()
+	n := blocks / k * p.TotalBlocks()
+	if tail := blocks % k; tail > 0 {
+		n += p.StripeBlocks(k, tail)
+	}
+	return n
 }
+
+// moveCost is the block-unit traffic bill of re-encoding blocks data
+// blocks onto a code: exactly those data blocks read from the source
+// layout, whatever its code, plus the target layout's physical
+// replicas written.
+func moveCost(to codec, blocks int) int { return blocks + layoutBlocks(to, blocks) }
 
 // TranscodeCost returns the block-unit traffic bill of moving a file of
 // the given byte length between two registered codes at the store's
 // block size: data blocks read plus physical replicas written. It lets
 // policy engines price a move without performing it.
 func (s *Store) TranscodeCost(length int, fromName, toName string) (int, error) {
-	from, err := s.codecByName(fromName)
-	if err != nil {
+	if _, err := s.codecByName(fromName); err != nil {
 		return 0, err
 	}
 	to, err := s.codecByName(toName)
 	if err != nil {
 		return 0, err
 	}
-	return moveCost(from, to, s.dataBlocks(length)), nil
+	return moveCost(to, s.dataBlocks(length)), nil
 }
 
 // TranscodeExtentCost prices one extent's move to the named code in
@@ -430,5 +428,5 @@ func (s *Store) TranscodeExtentCost(name string, ext int, toName string) (int, e
 	if from.code.Name() == to.code.Name() {
 		return 0, nil
 	}
-	return moveCost(from, to, fi.Extents[ext].Blocks), nil
+	return moveCost(to, fi.Extents[ext].Blocks), nil
 }

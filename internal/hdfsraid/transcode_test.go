@@ -2,6 +2,7 @@ package hdfsraid
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -68,9 +69,12 @@ func TestTranscodeReportAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 12 data blocks read; ceil(12/9)=2 pentagon stripes at 20
-	// physical replicas each; 2*9=18 old replicas dropped.
-	if rep.DataBlocksRead != 12 || rep.BlocksWritten != 40 || rep.BlocksRemoved != 18 || rep.Stripes != 2 {
+	// 12 data blocks read; ceil(12/9)=2 pentagon stripes: a full one at
+	// 20 physical replicas plus a shortened one holding 3 data symbols
+	// and the parity, 4 symbols x 2 replicas = 8 (the other 6 data
+	// symbols are known zeros, never stored); 2*9=18 old replicas
+	// dropped.
+	if rep.DataBlocksRead != 12 || rep.BlocksWritten != 28 || rep.BlocksRemoved != 18 || rep.Stripes != 2 {
 		t.Fatalf("report = %+v", rep)
 	}
 	cost, err := s.TranscodeCost(len(want), "rs-9-6", "pentagon")
@@ -79,6 +83,36 @@ func TestTranscodeReportAccounting(t *testing.T) {
 	}
 	if cost != rep.DataBlocksRead+rep.BlocksWritten {
 		t.Fatalf("TranscodeCost = %d, report says %d", cost, rep.DataBlocksRead+rep.BlocksWritten)
+	}
+	// The bill is the physical truth for unaligned sizes too, in both
+	// directions: exactly the data blocks read (never the source's
+	// stripe padding) plus the replicas the target layout stores, and
+	// the move back removes exactly what the move out wrote.
+	for _, k := range []int{6, 9} { // rs-9-6's k, then pentagon's
+		for _, blocks := range []int{1, k - 1, k + 1, 2*k + 2} {
+			name := fmt.Sprintf("g%d-%d", k, blocks)
+			if err := s.Put(name, randomFile(t, blocks*blockSize-1, int64(blocks))); err != nil {
+				t.Fatal(err)
+			}
+			var written int
+			for _, hop := range [][2]string{{"rs-9-6", "pentagon"}, {"pentagon", "rs-9-6"}} {
+				cost, err := s.TranscodeCost(blocks*blockSize-1, hop[0], hop[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := s.Transcode(name, hop[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.DataBlocksRead != blocks || cost != rep.DataBlocksRead+rep.BlocksWritten {
+					t.Fatalf("%d blocks %s->%s: cost %d, report %+v", blocks, hop[0], hop[1], cost, rep)
+				}
+				if hop[0] == "pentagon" && rep.BlocksRemoved != written {
+					t.Fatalf("%d blocks: move back removed %d replicas, move out wrote %d", blocks, rep.BlocksRemoved, written)
+				}
+				written = rep.BlocksWritten
+			}
+		}
 	}
 }
 

@@ -47,10 +47,12 @@ func TestManagerPromotesHotExtentOnDisk(t *testing.T) {
 	if len(moves) != 1 || !moves[0].Promote || moves[0].Ext != 0 || moves[0].To != "pentagon" {
 		t.Fatalf("moves = %+v, want one promotion of extent 0", moves)
 	}
-	// Extent-scoped traffic: 6 blocks read + 1 pentagon stripe of 20
-	// replicas, not the file's 24 blocks.
-	if moves[0].BlocksMoved != 6+20 {
-		t.Fatalf("promotion moved %d block-units, want 26 (extent-scoped)", moves[0].BlocksMoved)
+	// Extent-scoped traffic: 6 blocks read + 1 shortened pentagon
+	// stripe — 6 data symbols and the parity at two replicas each, 14
+	// (the stripe's other 3 data symbols are known zeros, never
+	// stored) — not the file's 24 blocks.
+	if moves[0].BlocksMoved != 6+14 {
+		t.Fatalf("promotion moved %d block-units, want 20 (extent-scoped)", moves[0].BlocksMoved)
 	}
 	for ext, wantCode := range []string{"pentagon", "rs-9-6", "rs-9-6", "rs-9-6"} {
 		if code, _ := s.ExtentCode("f", ext); code != wantCode {
