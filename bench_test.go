@@ -774,7 +774,7 @@ func BenchmarkTieringReplay(b *testing.B) {
 		}
 		hot = 0
 		for _, name := range ct.Files() {
-			if code, _ := ct.FileCode(name); code == "pentagon" {
+			if code, _ := ct.ExtentCode(name, 0); code == "pentagon" {
 				hot++
 			}
 		}

@@ -184,15 +184,11 @@ func openStore(store string) (*hdfsraid.Store, error) {
 // stats command can report later. Counters and histograms add; the
 // journal trace keeps its newest window.
 func flushObs(store string, s *hdfsraid.Store) error {
-	reg := s.Obs()
-	if reg == nil {
-		return nil
-	}
 	disk, err := obs.ReadSnapshotFile(obsPath(store))
 	if err != nil {
 		return err
 	}
-	disk.Merge(reg.Snapshot())
+	disk.Merge(s.Obs().Snapshot())
 	return obs.WriteSnapshotFile(obsPath(store), disk)
 }
 
@@ -434,11 +430,8 @@ func doTierSet(store string, args []string) error {
 
 func doTierRebalance(store string, args []string) error {
 	fs := flag.NewFlagSet("tier rebalance", flag.ExitOnError)
-	hot := fs.String("hot", "pentagon", "hot-tier code")
-	cold := fs.String("cold", "rs-14-10", "cold-tier code")
-	promote := fs.Float64("promote", 5, "promote at this decayed heat")
-	demote := fs.Float64("demote", 1, "demote at or below this decayed heat")
-	dwell := fs.Float64("dwell", 0, "min seconds between moves of one file")
+	policy := policyFlags(fs)
+	fs.Float64Var(&policy.MinDwell, "dwell", 0, dwellHelp)
 	workers := fs.Int("workers", 0, "concurrent transcodes (0 = the store's calibrated move fan-out, or 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -452,10 +445,7 @@ func doTierRebalance(store string, args []string) error {
 		return err
 	}
 	defer hl.Close()
-	m, err := tier.NewManager(tier.StoreTarget{Store: s}, tier.Policy{
-		HotCode: *hot, ColdCode: *cold,
-		PromoteAt: *promote, DemoteAt: *demote, MinDwell: *dwell,
-	}, hl.Tracker())
+	m, err := tier.NewManager(tier.StoreTarget{Store: s}, *policy, hl.Tracker())
 	if err != nil {
 		return err
 	}
@@ -480,6 +470,22 @@ func doTierRebalance(store string, args []string) error {
 	return flushObs(store, s)
 }
 
+// policyFlags declares the tier policy flags every tiering command
+// (tier rebalance, tier daemon, serve -tierevery) takes, and returns the
+// policy they fill in once fs is parsed.
+func policyFlags(fs *flag.FlagSet) *tier.Policy {
+	p := &tier.Policy{}
+	fs.StringVar(&p.HotCode, "hot", "pentagon", "hot-tier code")
+	fs.StringVar(&p.ColdCode, "cold", "rs-14-10", "cold-tier code")
+	fs.Float64Var(&p.PromoteAt, "promote", 5, "promote at this decayed heat")
+	fs.Float64Var(&p.DemoteAt, "demote", 1, "demote at or below this decayed heat")
+	return p
+}
+
+// dwellHelp describes -dwell, which the per-store tiering commands add
+// to the policy flags (serve has never taken it).
+const dwellHelp = "min seconds between moves of one extent"
+
 // moveWorkers resolves a -workers flag: an explicit value wins, 0
 // falls back to the store's calibrated move fan-out (tune.json, see
 // `hdfscli tune`), then to 1.
@@ -493,19 +499,14 @@ func moveWorkers(flagValue int, s *hdfsraid.Store) int {
 	return 1
 }
 
-// printMove reports one executed tiering move, extent-qualified when
-// the move covered a single extent.
+// printMove reports one executed extent move.
 func printMove(mv tier.MoveResult) {
 	dir := "demote"
 	if mv.Promote {
 		dir = "promote"
 	}
-	unit := mv.Name
-	if mv.Ext >= 0 {
-		unit = fmt.Sprintf("%s[x%d]", mv.Name, mv.Ext)
-	}
-	fmt.Printf("%s %s: %s -> %s (heat %.2f, %d block-units moved)\n",
-		dir, unit, mv.From, mv.To, mv.Heat, mv.BlocksMoved)
+	fmt.Printf("%s %s[x%d]: %s -> %s (heat %.2f, %d block-units moved)\n",
+		dir, mv.Name, mv.Ext, mv.From, mv.To, mv.Heat, mv.BlocksMoved)
 }
 
 // doTierDaemon runs the background rebalance daemon in the
@@ -515,11 +516,8 @@ func printMove(mv tier.MoveResult) {
 // stops after -duration seconds, or on interrupt when 0.
 func doTierDaemon(store string, args []string) error {
 	fs := flag.NewFlagSet("tier daemon", flag.ExitOnError)
-	hot := fs.String("hot", "pentagon", "hot-tier code")
-	cold := fs.String("cold", "rs-14-10", "cold-tier code")
-	promote := fs.Float64("promote", 5, "promote at this decayed heat")
-	demote := fs.Float64("demote", 1, "demote at or below this decayed heat")
-	dwell := fs.Float64("dwell", 0, "min seconds between moves of one file")
+	policy := policyFlags(fs)
+	fs.Float64Var(&policy.MinDwell, "dwell", 0, dwellHelp)
 	every := fs.Float64("every", 10, "seconds between rebalance scans")
 	budget := fs.Float64("budget", 0, "transcode budget, MB/s (0 = unlimited)")
 	scrub := fs.Float64("scrub", 0, "trickle-scrub up to this many MB per scan from the leftover move budget (0 = off)")
@@ -537,10 +535,7 @@ func doTierDaemon(store string, args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := tier.NewManager(tier.StoreTarget{Store: s}, tier.Policy{
-		HotCode: *hot, ColdCode: *cold,
-		PromoteAt: *promote, DemoteAt: *demote, MinDwell: *dwell,
-	}, hl.Tracker())
+	m, err := tier.NewManager(tier.StoreTarget{Store: s}, *policy, hl.Tracker())
 	if err != nil {
 		return err
 	}
@@ -827,10 +822,7 @@ func doServe(store string, args []string) error {
 	extentBlocks := fs.Int("extentblocks", 0, "extent size in data blocks (with -create)")
 	resumeReshard := fs.Bool("resume-reshard", false, "serve a half-resharded directory and finish its reshard in the background")
 	tierEvery := fs.Float64("tierevery", 0, "run a tier daemon per shard, scanning every this many seconds (0 = off)")
-	hot := fs.String("hot", "pentagon", "hot-tier code (with -tierevery)")
-	cold := fs.String("cold", "rs-14-10", "cold-tier code (with -tierevery)")
-	promote := fs.Float64("promote", 5, "promote at this decayed heat (with -tierevery)")
-	demote := fs.Float64("demote", 1, "demote at or below this decayed heat (with -tierevery)")
+	policy := policyFlags(fs) // consulted with -tierevery
 	budget := fs.Float64("budget", 0, "per-shard transcode budget, MB/s (with -tierevery; 0 = unlimited)")
 	scrub := fs.Float64("scrub", 0, "per-shard trickle scrub, MB per scan (with -tierevery; 0 = off)")
 	if err := fs.Parse(args); err != nil {
@@ -845,8 +837,8 @@ func doServe(store string, args []string) error {
 	cfg := serve.Config{ResumeReshard: *resumeReshard}
 	if *tierEvery > 0 {
 		cfg.Tier = &serve.TierConfig{
-			HotCode: *hot, ColdCode: *cold,
-			PromoteAt: *promote, DemoteAt: *demote,
+			HotCode: policy.HotCode, ColdCode: policy.ColdCode,
+			PromoteAt: policy.PromoteAt, DemoteAt: policy.DemoteAt,
 			Interval:     *tierEvery,
 			BytesPerSec:  *budget * 1e6,
 			ScrubPerScan: *scrub * 1e6,

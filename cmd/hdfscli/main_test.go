@@ -82,7 +82,16 @@ func TestStatsAfterReplay(t *testing.T) {
 	}
 
 	run(t, bin, store, "create", "-code", "pentagon", "-blocksize", "4096", "-extentblocks", "4")
+	// The residue of a metrics flush that died mid-write must not stop
+	// the commands below from succeeding and accumulating.
+	metricsTmp := filepath.Join(store, "obs-metrics.json.tmp")
+	if err := os.WriteFile(metricsTmp, []byte(`{"counters": {"store_by`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	run(t, bin, store, "put", src)
+	if _, err := os.Stat(metricsTmp); !os.IsNotExist(err) {
+		t.Fatalf("metrics temp file survives a command's flush: %v", err)
+	}
 	run(t, bin, store, "get", "data.bin", filepath.Join(dir, "out1.bin"))
 	run(t, bin, store, "tier", "set", "-ext", "0", "data.bin", "rs-14-10")
 	run(t, bin, store, "kill", "0", "1")

@@ -1,0 +1,34 @@
+//go:build unix
+
+package durable
+
+import (
+	"os"
+	"syscall"
+)
+
+// Lock takes the advisory flock(2) on f, shared or exclusive, blocking
+// until compatible. The kernel drops a process's flocks when it dies,
+// so crash residue never wedges a later locker.
+func Lock(f *os.File, exclusive bool) error {
+	how := syscall.LOCK_SH
+	if exclusive {
+		how = syscall.LOCK_EX
+	}
+	return syscall.Flock(int(f.Fd()), how)
+}
+
+// TryLock attempts the exclusive lock on f without blocking. A false
+// return means another live process holds it.
+func TryLock(f *os.File) (bool, error) {
+	err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
+	if err == syscall.EWOULDBLOCK {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// Unlock releases the advisory lock on f.
+func Unlock(f *os.File) error {
+	return syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
+}

@@ -17,7 +17,7 @@ import (
 // Only block files route through the seam. The manifest, the heat and
 // move sidecars, the advisory lock file, and the test-only helpers
 // (KillNode, CorruptBlock) stay on direct os calls: manifest
-// durability has its own atomic tmp+fsync+rename path, and the seam
+// durability has its own path (durable.WriteFile), and the seam
 // exists to exercise the block-level detection and healing machinery
 // above it.
 type BlockIO interface {

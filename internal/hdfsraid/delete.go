@@ -2,7 +2,6 @@ package hdfsraid
 
 import (
 	"fmt"
-	"time"
 )
 
 // Delete removes a stored file: the manifest entry goes first (one
@@ -23,16 +22,13 @@ import (
 // blocks vanish mid-read; such a read fails, it never returns wrong
 // bytes.
 func (s *Store) Delete(name string) (blocksRemoved int, err error) {
-	if s.obs != nil {
-		start := time.Now()
-		defer func() {
-			if err != nil {
-				return
-			}
-			s.obs.deleteNs.Observe(time.Since(start).Nanoseconds())
-			s.obs.deletes.Inc()
-		}()
-	}
+	start := s.obs.now()
+	defer func() {
+		if err == nil {
+			s.obs.since(hDelete, start)
+			s.obs.add(cDeletes, 1)
+		}
+	}()
 	// Claim the name against concurrent ingest, then every extent's
 	// move lock so no transcode is mid-flight while blocks disappear.
 	// Lock order (ingest key, then extent keys ascending) matches the

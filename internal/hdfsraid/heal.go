@@ -88,11 +88,9 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 		switch err := s.bio.Rename(path, q); {
 		case err == nil:
 			quarantined = q
-			if s.obs != nil {
-				s.obs.quarantine.Inc()
-				s.obs.heal.Emit(obs.Event{Type: "quarantine", Name: name, Ext: ext,
-					Detail: fmt.Sprintf("stripe %d sym %d node %d -> %s", stripe, sym, v, filepath.Base(q))})
-			}
+			s.obs.add(cQuarantine, 1)
+			s.obs.emit(traceHeal, obs.Event{Type: "quarantine", Name: name, Ext: ext,
+				Detail: fmt.Sprintf("stripe %d sym %d node %d -> %s", stripe, sym, v, filepath.Base(q))})
 		case errors.Is(err, fs.ErrNotExist):
 			// Lost a race with a concurrent quarantine of the same frame.
 		default:
@@ -112,8 +110,8 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 		// injected errors mid-reconstruct): put the captured frame back
 		// where it was and report.
 		if quarantined != "" {
-			if rerr := s.bio.Rename(quarantined, path); rerr == nil && s.obs != nil {
-				s.obs.heal.Emit(obs.Event{Type: "unquarantine", Name: name, Ext: ext,
+			if rerr := s.bio.Rename(quarantined, path); rerr == nil {
+				s.obs.emit(traceHeal, obs.Event{Type: "unquarantine", Name: name, Ext: ext,
 					Detail: fmt.Sprintf("stripe %d sym %d node %d restored", stripe, sym, v)})
 			}
 		}
@@ -122,10 +120,8 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 	if err := s.writeBlockAtomic(path, payload); err != nil {
 		return err
 	}
-	if s.obs != nil {
-		s.obs.heal.Emit(obs.Event{Type: "healed", Name: name, Ext: ext,
-			Detail: fmt.Sprintf("stripe %d sym %d node %d", stripe, sym, v)})
-	}
+	s.obs.emit(traceHeal, obs.Event{Type: "healed", Name: name, Ext: ext,
+		Detail: fmt.Sprintf("stripe %d sym %d node %d", stripe, sym, v)})
 	return nil
 }
 

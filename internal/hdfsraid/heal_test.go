@@ -49,10 +49,10 @@ func testReadHealsCorruptBlock(t *testing.T, s *Store) {
 	if len(q) != 1 {
 		t.Fatalf("quarantined frames = %v, want exactly one", q)
 	}
-	if got := s.obs.readHeal.Value(); got < 1 {
+	if got := s.obs.counters[cReadHeal].Value(); got < 1 {
 		t.Fatalf("read_heal counter = %d, want >= 1", got)
 	}
-	if got := s.obs.quarantine.Value(); got != 1 {
+	if got := s.obs.counters[cQuarantine].Value(); got != 1 {
 		t.Fatalf("quarantine counter = %d, want 1", got)
 	}
 
@@ -65,11 +65,11 @@ func testReadHealsCorruptBlock(t *testing.T, s *Store) {
 	if !fsck.Healthy() {
 		t.Fatalf("store not healthy after read heal: %+v", fsck)
 	}
-	before := s.obs.readsDegraded.Value()
+	before := s.obs.counters[cReadsDegraded].Value()
 	if got, err := s.Get("f"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("second read: err %v, bytes equal %v", err, bytes.Equal(got, data))
 	}
-	if after := s.obs.readsDegraded.Value(); after != before {
+	if after := s.obs.counters[cReadsDegraded].Value(); after != before {
 		t.Fatal("second read still ran degraded; heal did not restore the replica")
 	}
 }
@@ -107,7 +107,7 @@ func TestReadBlockIntoHeals(t *testing.T) {
 	if !bytes.Equal(dst, data[:blockSize]) {
 		t.Fatal("healed block read returned wrong bytes")
 	}
-	if got := s.obs.readHeal.Value(); got != 1 {
+	if got := s.obs.counters[cReadHeal].Value(); got != 1 {
 		t.Fatalf("read_heal counter = %d, want 1", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -110,19 +111,18 @@ func (s *Store) Recover() (RecoverReport, error) {
 	// blocking would stall every Open behind a slow paced move. A held
 	// flock proves its owner is alive, so skipping is both safe and
 	// cheap; a dead process's flock is released by the kernel, so
-	// genuine crash recovery always gets the lock.
-	ok, err := s.tryLockExclusive()
+	// genuine crash recovery always gets the lock. (opMu's write side
+	// is held, so no move of this process holds it either.)
+	ok, err := durable.TryLock(s.lockFile)
 	if err != nil {
-		return RecoverReport{}, err
+		return RecoverReport{}, fmt.Errorf("hdfsraid: locking store for recovery: %w", err)
 	}
 	if !ok {
-		if s.obs != nil {
-			s.obs.journal.Emit(obs.Event{Type: "recovery_skipped", Ext: -1,
-				Detail: "store flock held by a live mover"})
-		}
+		s.obs.emit(traceJournal, obs.Event{Type: "recovery_skipped", Ext: -1,
+			Detail: "store flock held by a live mover"})
 		return RecoverReport{Skipped: true}, nil
 	}
-	defer s.unlockExclusive()
+	defer durable.Unlock(s.lockFile)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep RecoverReport
@@ -153,18 +153,14 @@ func (s *Store) Recover() (RecoverReport, error) {
 			}
 			rep.Replayed++
 			rep.MissingStaged += missing
-			if s.obs != nil {
-				s.obs.jReplayed.Inc()
-			}
+			s.obs.add(cJournalReplayed, 1)
 			s.journalEvent("replayed", in)
 		} else {
 			if err := s.rollbackIntent(in); err != nil {
 				return rep, err
 			}
 			rep.RolledBack++
-			if s.obs != nil {
-				s.obs.jRolledBack.Inc()
-			}
+			s.obs.add(cJournalRolledBack, 1)
 			s.journalEvent("rolled_back", in)
 		}
 	}
@@ -173,9 +169,9 @@ func (s *Store) Recover() (RecoverReport, error) {
 		return rep, err
 	}
 	rep.OrphanBlocks = n
-	if n > 0 && s.obs != nil {
-		s.obs.jOrphan.Add(int64(n))
-		s.obs.journal.Emit(obs.Event{Type: "orphan_sweep", Ext: -1,
+	if n > 0 {
+		s.obs.add(cJournalOrphans, int64(n))
+		s.obs.emit(traceJournal, obs.Event{Type: "orphan_sweep", Ext: -1,
 			Detail: fmt.Sprintf("%d stray staged blocks removed", n)})
 	}
 	return rep, nil

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/durable"
 )
 
 // errKilled simulates process death at a kill point: the operation
@@ -254,9 +256,10 @@ func TestTranscodeRefusesPendingJournal(t *testing.T) {
 	}
 }
 
-// TestManifestSaveAtomic checks that the manifest is replaced by
-// rename: a leftover temp file from a crashed save must never shadow
-// or corrupt the real manifest.
+// TestManifestSaveAtomic checks that the manifest is replaced through
+// durable.WriteFile: a leftover temp file from a crashed save never
+// shadows or corrupts the real manifest, a committed save fsyncs the
+// file and its directory, and a failed one changes nothing.
 func TestManifestSaveAtomic(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir, "rs-9-6", blockSize)
@@ -281,6 +284,36 @@ func TestManifestSaveAtomic(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("bytes differ after torn manifest save")
+	}
+	// The next save commits over the residue through durable.WriteFile:
+	// the file's fsync plus the directory's (the one that makes the
+	// rename itself durable), and no temp file left behind.
+	tmp := filepath.Join(dir, manifestName+".tmp")
+	before := durable.Syncs()
+	if err := s2.saveManifest(); err != nil {
+		t.Fatal(err)
+	}
+	if got := durable.Syncs() - before; got != 2 {
+		t.Fatalf("manifest save issued %d fsyncs, want 2 (file + directory)", got)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp file left after a committed save: %v", err)
+	}
+	// A save that fails before its rename leaves the committed manifest
+	// byte for byte as it was.
+	committed, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s2.manifest.Files["phantom"] = FileInfo{}
+	if err := s2.saveManifest(); err == nil {
+		t.Fatal("save succeeded with an unwritable temp path")
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(after, committed) {
+		t.Fatalf("failed save changed the committed manifest (err %v)", err)
 	}
 }
 

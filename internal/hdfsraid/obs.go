@@ -2,173 +2,215 @@ package hdfsraid
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/obs"
 )
 
-// Metric and trace names the store registers, also documented in
-// docs/OBSERVABILITY.md (keep the two in sync; the CI smoke test greps
-// the live endpoint for the core ones).
+// hist, counter and trace name the store's instruments: each indexes
+// its handle table in storeObs and its name table below. The names are
+// also documented in docs/OBSERVABILITY.md (keep the two in sync; the
+// CI smoke test greps the live endpoint for the core ones).
+type (
+	hist    int
+	counter int
+	trace   int
+)
+
 const (
+	hGetIntact hist = iota
+	hGetDegraded
+	hReadBlockIntact
+	hReadBlockDegraded
+	hReadAt
+	hPut
+	hDelete
+	hRepair
+	hFsck
+	hTcRead
+	hTcEncode
+	hTcWrite
+	hTcSwap
+	hScrub
+	numHists
+)
+
+var histNames = [numHists]string{
 	// Read path: whole-file Get latency, split by whether every symbol
 	// was served from a healthy replica (intact) or at least one stripe
 	// had to reconstruct around missing blocks (degraded).
-	metricGetIntactNs   = "store_get_intact_ns"
-	metricGetDegradedNs = "store_get_degraded_ns"
+	hGetIntact:   "store_get_intact_ns",
+	hGetDegraded: "store_get_degraded_ns",
 	// Single-block reads, same split: degraded means the block came
 	// through a partial-parity read plan instead of a replica.
-	metricReadBlockIntactNs   = "store_readblock_intact_ns"
-	metricReadBlockDegradedNs = "store_readblock_degraded_ns"
-	metricReadsDegraded       = "store_reads_degraded_total"
-	metricBytesOut            = "store_bytes_out_total"
-
-	// Ingest: Put and PutReader latency and bytes accepted, and the
-	// known-zero symbols of shortened tail stripes that ingests and
-	// moves (writeStripe) did not store.
-	metricPutNs      = "store_put_ns"
-	metricBytesIn    = "store_bytes_in_total"
-	metricZeroElided = "store_zero_symbols_elided_total"
-
-	// Ranged reads (ReadAt, the serving front door's HTTP Range path)
-	// and deletes.
-	metricReadAtNs = "store_readat_ns"
-	metricDeleteNs = "store_delete_ns"
-	metricDeletes  = "store_deletes_total"
-
-	// Maintenance: repair and fsck pass durations and what they found.
-	metricRepairNs             = "store_repair_ns"
-	metricRepairBlocksRestored = "store_repair_blocks_restored_total"
-	metricRepairTransfers      = "store_repair_transfers_total"
-	metricFsckNs               = "store_fsck_ns"
-	metricFsckMissing          = "store_fsck_missing_total"
-	metricFsckCorrupt          = "store_fsck_corrupt_total"
-	metricFsckOrphans          = "store_fsck_orphans_total"
-
+	hReadBlockIntact:   "store_readblock_intact_ns",
+	hReadBlockDegraded: "store_readblock_degraded_ns",
+	// Ranged reads (ReadAt, the serving front door's HTTP Range path;
+	// both sides of the split are this one histogram), ingest (Put and
+	// PutReader) and deletes.
+	hReadAt: "store_readat_ns",
+	hPut:    "store_put_ns",
+	hDelete: "store_delete_ns",
+	// Maintenance pass durations.
+	hRepair: "store_repair_ns",
+	hFsck:   "store_fsck_ns",
+	hScrub:  "store_scrub_ns",
 	// Transcode pipeline, per-stage: read (source blocks through the
 	// old code, per stripe), encode (new code, per stripe), write
 	// (staged replicas, per stripe), swap (the destructive promote
 	// phase, per move).
-	metricTcReadNs        = "transcode_read_ns"
-	metricTcEncodeNs      = "transcode_encode_ns"
-	metricTcWriteNs       = "transcode_write_ns"
-	metricTcSwapNs        = "transcode_swap_ns"
-	metricTcMoves         = "transcode_moves_total"
-	metricTcBytesMoved    = "transcode_bytes_moved_total"
-	metricTcBlocksRead    = "transcode_blocks_read_total"
-	metricTcBlocksWritten = "transcode_blocks_written_total"
+	hTcRead:   "transcode_read_ns",
+	hTcEncode: "transcode_encode_ns",
+	hTcWrite:  "transcode_write_ns",
+	hTcSwap:   "transcode_swap_ns",
+}
 
+// readHists is each read entry point's latency split, indexed by
+// readKind.
+var readHists = [...]struct{ intact, degraded hist }{
+	readGet:   {hGetIntact, hGetDegraded},
+	readBlock: {hReadBlockIntact, hReadBlockDegraded},
+	readAt:    {hReadAt, hReadAt},
+}
+
+const (
+	cReadsDegraded counter = iota
+	cBytesOut
+	cBytesIn
+	cZeroElided
+	cDeletes
+	cRepairBlocks
+	cRepairTransfers
+	cFsckMissing
+	cFsckCorrupt
+	cFsckOrphans
+	cTcMoves
+	cTcBytesMoved
+	cTcBlocksRead
+	cTcBlocksWritten
+	cJournalReplayed
+	cJournalRolledBack
+	cJournalOrphans
+	cScrubBytes
+	cScrubBlocks
+	cScrubFound
+	cScrubHealed
+	cScrubUnrepairable
+	cReadHeal
+	cQuarantine
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	cReadsDegraded: "store_reads_degraded_total",
+	cBytesOut:      "store_bytes_out_total",
+	// Ingest: bytes accepted, and the known-zero symbols of shortened
+	// tail stripes that ingests and moves (writeStripe) did not store.
+	cBytesIn:    "store_bytes_in_total",
+	cZeroElided: "store_zero_symbols_elided_total",
+	cDeletes:    "store_deletes_total",
+	// What the repair and fsck passes found.
+	cRepairBlocks:    "store_repair_blocks_restored_total",
+	cRepairTransfers: "store_repair_transfers_total",
+	cFsckMissing:     "store_fsck_missing_total",
+	cFsckCorrupt:     "store_fsck_corrupt_total",
+	cFsckOrphans:     "store_fsck_orphans_total",
+	// Committed transcodes and their traffic.
+	cTcMoves:         "transcode_moves_total",
+	cTcBytesMoved:    "transcode_bytes_moved_total",
+	cTcBlocksRead:    "transcode_blocks_read_total",
+	cTcBlocksWritten: "transcode_blocks_written_total",
 	// Journal recovery outcomes.
-	metricJournalReplayed   = "journal_replayed_total"
-	metricJournalRolledBack = "journal_rolled_back_total"
-	metricJournalOrphans    = "journal_orphans_total"
+	cJournalReplayed:   "journal_replayed_total",
+	cJournalRolledBack: "journal_rolled_back_total",
+	cJournalOrphans:    "journal_orphans_total",
+	// Scrubbing and self-healing: frames/bytes verified, latent errors
+	// found (corrupt + missing), and how each found error ended —
+	// healed by the scrubber, healed inline by a read (read_heal), or
+	// unrepairable this pass. quarantine counts bad frames captured
+	// under .quarantine/.
+	cScrubBytes:        "scrub_bytes_total",
+	cScrubBlocks:       "scrub_blocks_total",
+	cScrubFound:        "scrub_corrupt_found_total",
+	cScrubHealed:       "scrub_healed_total",
+	cScrubUnrepairable: "scrub_unrepairable_total",
+	cReadHeal:          "read_heal_total",
+	cQuarantine:        "quarantine_total",
+}
 
-	// Scrubbing and self-healing: Scrub pass durations, frames/bytes
-	// verified, latent errors found (corrupt + missing), and how each
-	// found error ended — healed by the scrubber, healed inline by a
-	// read (read_heal), or unrepairable this pass. quarantine counts
-	// bad frames captured under .quarantine/.
-	metricScrubNs           = "store_scrub_ns"
-	metricScrubBytes        = "scrub_bytes_total"
-	metricScrubBlocks       = "scrub_blocks_total"
-	metricScrubFound        = "scrub_corrupt_found_total"
-	metricScrubHealed       = "scrub_healed_total"
-	metricScrubUnrepairable = "scrub_unrepairable_total"
-	metricReadHeal          = "read_heal_total"
-	metricQuarantine        = "quarantine_total"
-
+const (
 	// traceJournal is the event ring recording every journal state
 	// transition and recovery outcome.
-	traceJournal = "journal"
+	traceJournal trace = iota
 	// traceHeal records the healing lifecycle: quarantine (bad frame
 	// captured), healed (repaired frame written back), unquarantine
 	// (reconstruction failed, captured frame restored), unrepairable
 	// (a scrub-found error healing could not fix this pass).
-	traceHeal = "heal"
+	traceHeal
+	numTraces
 )
 
+var traceNames = [numTraces]string{traceJournal: "journal", traceHeal: "heal"}
+
 // storeObs bundles the store's pre-resolved metric handles so hot
-// paths never touch the registry's name map. A nil *storeObs disables
-// instrumentation entirely (one predictable branch per site) — the
-// overhead benchmark gate flips it to price the instrumentation.
+// paths never touch the registry's name map. Every method is safe on a
+// nil receiver, where it does nothing — not even read the clock: that
+// is the one place instrumentation is switched off, and only the
+// overhead benchmark gate does it, to price the instrumentation. Every
+// store buildStore returns is instrumented.
 type storeObs struct {
-	reg *obs.Registry
-
-	// readNs is indexed by readKind: the latency histograms of Get,
-	// ReadBlockInto and ReadAt (whose two sides are one histogram).
-	readNs [3]readHists
-
-	putNs, deleteNs                   *obs.Histogram
-	repairNs, fsckNs                  *obs.Histogram
-	tcRead, tcEncode, tcWrite, tcSwap *obs.Histogram
-	scrubNs                           *obs.Histogram
-
-	bytesIn, bytesOut               *obs.Counter
-	zeroElided                      *obs.Counter
-	deletes                         *obs.Counter
-	readsDegraded                   *obs.Counter
-	repairBlocks, repairTransfers   *obs.Counter
-	fsckMissing, fsckCorrupt        *obs.Counter
-	fsckOrphans                     *obs.Counter
-	tcMoves, tcBytesMoved           *obs.Counter
-	tcBlocksRead, tcBlocksWritten   *obs.Counter
-	jReplayed, jRolledBack, jOrphan *obs.Counter
-	scrubBytes, scrubBlocks         *obs.Counter
-	scrubFound, scrubHealed         *obs.Counter
-	scrubUnrepairable               *obs.Counter
-	readHeal, quarantine            *obs.Counter
-
-	journal *obs.Trace
-	heal    *obs.Trace
+	reg      *obs.Registry
+	hists    [numHists]*obs.Histogram
+	counters [numCounters]*obs.Counter
+	traces   [numTraces]*obs.Trace
 }
-
-// readHists is one read entry point's latency split.
-type readHists struct{ intact, degraded *obs.Histogram }
 
 // newStoreObs builds the store's registry and resolves every handle.
 func newStoreObs() *storeObs {
-	reg := obs.NewRegistry()
-	return &storeObs{
-		reg: reg,
-		readNs: [3]readHists{
-			readGet:   {reg.Histogram(metricGetIntactNs), reg.Histogram(metricGetDegradedNs)},
-			readBlock: {reg.Histogram(metricReadBlockIntactNs), reg.Histogram(metricReadBlockDegradedNs)},
-			readAt:    {reg.Histogram(metricReadAtNs), reg.Histogram(metricReadAtNs)},
-		},
-		putNs:             reg.Histogram(metricPutNs),
-		deleteNs:          reg.Histogram(metricDeleteNs),
-		deletes:           reg.Counter(metricDeletes),
-		repairNs:          reg.Histogram(metricRepairNs),
-		fsckNs:            reg.Histogram(metricFsckNs),
-		tcRead:            reg.Histogram(metricTcReadNs),
-		tcEncode:          reg.Histogram(metricTcEncodeNs),
-		tcWrite:           reg.Histogram(metricTcWriteNs),
-		tcSwap:            reg.Histogram(metricTcSwapNs),
-		bytesIn:           reg.Counter(metricBytesIn),
-		bytesOut:          reg.Counter(metricBytesOut),
-		zeroElided:        reg.Counter(metricZeroElided),
-		readsDegraded:     reg.Counter(metricReadsDegraded),
-		repairBlocks:      reg.Counter(metricRepairBlocksRestored),
-		repairTransfers:   reg.Counter(metricRepairTransfers),
-		fsckMissing:       reg.Counter(metricFsckMissing),
-		fsckCorrupt:       reg.Counter(metricFsckCorrupt),
-		fsckOrphans:       reg.Counter(metricFsckOrphans),
-		tcMoves:           reg.Counter(metricTcMoves),
-		tcBytesMoved:      reg.Counter(metricTcBytesMoved),
-		tcBlocksRead:      reg.Counter(metricTcBlocksRead),
-		tcBlocksWritten:   reg.Counter(metricTcBlocksWritten),
-		jReplayed:         reg.Counter(metricJournalReplayed),
-		jRolledBack:       reg.Counter(metricJournalRolledBack),
-		jOrphan:           reg.Counter(metricJournalOrphans),
-		scrubNs:           reg.Histogram(metricScrubNs),
-		scrubBytes:        reg.Counter(metricScrubBytes),
-		scrubBlocks:       reg.Counter(metricScrubBlocks),
-		scrubFound:        reg.Counter(metricScrubFound),
-		scrubHealed:       reg.Counter(metricScrubHealed),
-		scrubUnrepairable: reg.Counter(metricScrubUnrepairable),
-		readHeal:          reg.Counter(metricReadHeal),
-		quarantine:        reg.Counter(metricQuarantine),
-		journal:           reg.Trace(traceJournal, obs.DefaultTraceCap),
-		heal:              reg.Trace(traceHeal, obs.DefaultTraceCap),
+	o := &storeObs{reg: obs.NewRegistry()}
+	for h, name := range histNames {
+		o.hists[h] = o.reg.Histogram(name)
+	}
+	for c, name := range counterNames {
+		o.counters[c] = o.reg.Counter(name)
+	}
+	for t, name := range traceNames {
+		o.traces[t] = o.reg.Trace(name, obs.DefaultTraceCap)
+	}
+	return o
+}
+
+// now starts a latency measurement that since finishes.
+func (o *storeObs) now() time.Time {
+	if o == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// since records the time elapsed from start (a value now returned) in
+// h and returns the instant it read, so back-to-back stages share one
+// clock read.
+func (o *storeObs) since(h hist, start time.Time) time.Time {
+	if o == nil {
+		return time.Time{}
+	}
+	end := time.Now()
+	o.hists[h].Observe(end.Sub(start).Nanoseconds())
+	return end
+}
+
+// add increments counter c by n.
+func (o *storeObs) add(c counter, n int64) {
+	if o != nil {
+		o.counters[c].Add(n)
+	}
+}
+
+// emit appends one event to trace t.
+func (o *storeObs) emit(t trace, e obs.Event) {
+	if o != nil {
+		o.traces[t].Emit(e)
 	}
 }
 
@@ -176,25 +218,12 @@ func newStoreObs() *storeObs {
 // journal instrument the store maintains, for snapshotting (hdfscli
 // stats), live serving (the daemon's -metrics endpoint), or wiring a
 // daemon's own metrics into the same namespace.
-func (s *Store) Obs() *obs.Registry {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.reg
-}
+func (s *Store) Obs() *obs.Registry { return s.obs.reg }
 
 // journalEvent records one journal state transition in the store's
 // event trace: the lifecycle record of what the move machinery
 // actually did, complementing the counters.
 func (s *Store) journalEvent(typ string, in *TranscodeIntent) {
-	if s.obs == nil {
-		return
-	}
-	e := obs.Event{Type: typ, Ext: -1}
-	if in != nil {
-		e.Name = in.File
-		e.Ext = in.Extent
-		e.Detail = fmt.Sprintf("%s -> %s", in.From, in.To)
-	}
-	s.obs.journal.Emit(e)
+	s.obs.emit(traceJournal, obs.Event{Type: typ, Name: in.File, Ext: in.Extent,
+		Detail: fmt.Sprintf("%s -> %s", in.From, in.To)})
 }

@@ -53,45 +53,45 @@ func TestStoreObsIntegration(t *testing.T) {
 	// The 6-block file is a 4-block and a 2-block extent, each one
 	// shortened pentagon stripe with 5 and 7 of its 9 data symbols
 	// known zero; moving extent 0 to rs-14-10 leaves 6 of 10 zero.
-	if c[metricZeroElided] != 5+7+6 {
-		t.Errorf("zero symbols elided = %d, want 18", c[metricZeroElided])
+	if c[counterNames[cZeroElided]] != 5+7+6 {
+		t.Errorf("zero symbols elided = %d, want 18", c[counterNames[cZeroElided]])
 	}
-	if h[metricPutNs].Count == 0 {
+	if h[histNames[hPut]].Count == 0 {
 		t.Error("put latency histogram empty")
 	}
-	if h[metricGetIntactNs].Count == 0 {
+	if h[histNames[hGetIntact]].Count == 0 {
 		t.Error("intact get latency histogram empty")
 	}
-	if h[metricGetDegradedNs].Count == 0 {
+	if h[histNames[hGetDegraded]].Count == 0 {
 		t.Error("degraded get latency histogram empty")
 	}
-	if c[metricReadsDegraded] == 0 {
+	if c[counterNames[cReadsDegraded]] == 0 {
 		t.Error("degraded-read counter is zero after reading past two dead nodes")
 	}
-	if c[metricBytesIn] != int64(len(data)) {
-		t.Errorf("bytes in = %d, want %d", c[metricBytesIn], len(data))
+	if c[counterNames[cBytesIn]] != int64(len(data)) {
+		t.Errorf("bytes in = %d, want %d", c[counterNames[cBytesIn]], len(data))
 	}
-	if want := int64(2 * len(data)); c[metricBytesOut] != want {
-		t.Errorf("bytes out = %d, want %d (two whole-file gets)", c[metricBytesOut], want)
+	if want := int64(2 * len(data)); c[counterNames[cBytesOut]] != want {
+		t.Errorf("bytes out = %d, want %d (two whole-file gets)", c[counterNames[cBytesOut]], want)
 	}
-	if c[metricTcMoves] != 1 {
-		t.Errorf("transcode moves = %d, want 1", c[metricTcMoves])
+	if c[counterNames[cTcMoves]] != 1 {
+		t.Errorf("transcode moves = %d, want 1", c[counterNames[cTcMoves]])
 	}
-	if c[metricTcBytesMoved] == 0 {
+	if c[counterNames[cTcBytesMoved]] == 0 {
 		t.Error("transcode bytes-moved counter is zero after an extent move")
 	}
-	for _, name := range []string{metricTcReadNs, metricTcEncodeNs, metricTcWriteNs, metricTcSwapNs} {
+	for _, name := range []string{histNames[hTcRead], histNames[hTcEncode], histNames[hTcWrite], histNames[hTcSwap]} {
 		if h[name].Count == 0 {
 			t.Errorf("transcode stage histogram %s empty", name)
 		}
 	}
-	if h[metricRepairNs].Count == 0 {
+	if h[histNames[hRepair]].Count == 0 {
 		t.Error("repair latency histogram empty")
 	}
-	if c[metricRepairBlocksRestored] == 0 {
+	if c[counterNames[cRepairBlocks]] == 0 {
 		t.Error("repair restored-blocks counter is zero")
 	}
-	events := snap.Traces[traceJournal]
+	events := snap.Traces[traceNames[traceJournal]]
 	if len(events) < 3 {
 		t.Fatalf("journal trace has %d events, want >= 3", len(events))
 	}
@@ -148,10 +148,10 @@ func TestObsRecoveryMetrics(t *testing.T) {
 		t.Fatalf("recover = %+v, %v", rec, err)
 	}
 	snap := s.Obs().Snapshot()
-	if snap.Counters[metricJournalReplayed] != 1 {
-		t.Errorf("replayed counter = %d, want 1", snap.Counters[metricJournalReplayed])
+	if snap.Counters[counterNames[cJournalReplayed]] != 1 {
+		t.Errorf("replayed counter = %d, want 1", snap.Counters[counterNames[cJournalReplayed]])
 	}
-	events := snap.Traces[traceJournal]
+	events := snap.Traces[traceNames[traceJournal]]
 	var sawReplayed bool
 	for _, e := range events {
 		if e.Type == "replayed" && e.Name == "f" {
@@ -164,8 +164,8 @@ func TestObsRecoveryMetrics(t *testing.T) {
 }
 
 // TestObsOverheadGate prices the instrumentation on the read hot path:
-// the same get loop with metrics on and with s.obs nil (every site is
-// one nil check) must differ by at most 50% plus a fixed per-op
+// the same get loop with metrics on and with s.obs nil (every storeObs
+// method is a no-op on a nil receiver and reads no clock) must differ by at most 50% plus a fixed per-op
 // allowance — a regression here means an instrument landed on the hot
 // path doing real work (locking, map lookups, allocation) instead of
 // the intended atomic adds.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 )
@@ -45,12 +44,8 @@ func (s *Store) Put(name string, data []byte) error {
 // loser errors at its pre-stream check, and no block is ever written
 // for a name another writer already committed.
 func (s *Store) PutReader(name string, r io.Reader) (err error) {
-	if s.obs != nil {
-		start := time.Now()
-		defer func() {
-			s.obs.putNs.Observe(time.Since(start).Nanoseconds())
-		}()
-	}
+	start := s.obs.now()
+	defer func() { s.obs.since(hPut, start) }()
 	s.lockMove(ingestKey(name))
 	defer s.unlockMove(ingestKey(name))
 	s.mu.RLock()
@@ -186,9 +181,7 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 	if err := s.saveManifest(); err != nil {
 		return err
 	}
-	if s.obs != nil {
-		s.obs.bytesIn.Add(int64(total))
-	}
+	s.obs.add(cBytesIn, int64(total))
 	return nil
 }
 
@@ -204,9 +197,7 @@ func (s *Store) writeStripe(cc codec, name string, fi FileInfo, ext int, e Exten
 	k, symbolNodes := cc.code.DataSymbols(), cc.code.Placement().SymbolNodes
 	for sym, buf := range symbols {
 		if e.zeroSymbol(k, stripe, sym) {
-			if s.obs != nil {
-				s.obs.zeroElided.Inc()
-			}
+			s.obs.add(cZeroElided, 1)
 			continue
 		}
 		for _, v := range symbolNodes[sym] {

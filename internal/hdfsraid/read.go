@@ -60,17 +60,13 @@ func (s *Store) admitRead(name string, lo, hi int) error {
 // start: its latency — split by whether any wanted block had to be
 // reconstructed instead of copied from a replica — and the bytes served.
 func (s *Store) observeRead(kind readKind, start time.Time, degraded bool, n int) {
-	if s.obs == nil {
-		return
-	}
-	elapsed := time.Since(start).Nanoseconds()
 	if degraded {
-		s.obs.readNs[kind].degraded.Observe(elapsed)
-		s.obs.readsDegraded.Inc()
+		s.obs.since(readHists[kind].degraded, start)
+		s.obs.add(cReadsDegraded, 1)
 	} else {
-		s.obs.readNs[kind].intact.Observe(elapsed)
+		s.obs.since(readHists[kind].intact, start)
 	}
-	s.obs.bytesOut.Add(int64(n))
+	s.obs.add(cBytesOut, int64(n))
 }
 
 // stripeRead is one pass of the read ladder over one stripe (see
@@ -296,8 +292,8 @@ func (s *Store) readStripe(cc codec, name string, fi FileInfo, ext, stripe, firs
 		case b.sym < len(decoded):
 			content = decoded[b.sym]
 		}
-		if s.healBlock(cc, name, fi, ext, stripe, b.sym, b.v, content) == nil && s.obs != nil {
-			s.obs.readHeal.Inc()
+		if s.healBlock(cc, name, fi, ext, stripe, b.sym, b.v, content) == nil {
+			s.obs.add(cReadHeal, 1)
 		}
 	}
 	return cost, nil
@@ -309,7 +305,7 @@ func (s *Store) readStripe(cc codec, name string, fi FileInfo, ext, stripe, firs
 // only to decode around a lost data block, so latent parity damage is
 // the scrubber's to find, as it is for ReadAt.
 func (s *Store) Get(name string) ([]byte, error) {
-	start := time.Now()
+	start := s.obs.now()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	fi, ok := s.manifest.Files[name]
@@ -422,7 +418,7 @@ func (s *Store) ReadBlock(name string, stripe, symbol int) ([]byte, int, error) 
 // sets are concatenated in extent order, so (stripe, symbol) addresses
 // the same data block it did before the file grew an extent map.
 func (s *Store) ReadBlockInto(dst []byte, name string, stripe, symbol int) (int, error) {
-	start := time.Now()
+	start := s.obs.now()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if len(dst) != s.blockSize {

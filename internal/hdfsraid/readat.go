@@ -3,7 +3,6 @@ package hdfsraid
 import (
 	"fmt"
 	"io"
-	"time"
 )
 
 // ReadAt reads len(p) bytes of a stored file starting at byte offset
@@ -16,7 +15,7 @@ import (
 // counted as heat, so a ranged read of a large file never pays for (or
 // warms) the rest of it.
 func (s *Store) ReadAt(p []byte, name string, off int64) (int, error) {
-	start := time.Now()
+	start := s.obs.now()
 	if off < 0 {
 		return 0, fmt.Errorf("hdfsraid: negative read offset %d", off)
 	}

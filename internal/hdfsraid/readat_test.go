@@ -183,7 +183,7 @@ func TestDeleteLeakSurfacesAsOrphans(t *testing.T) {
 	if rep.Orphans != leaked || !rep.Healthy() || rep.Blocks != perFile {
 		t.Fatalf("after a Delete leaking %d blocks: %+v", leaked, rep)
 	}
-	if got := s.obs.fsckOrphans.Value(); got != int64(leaked) {
+	if got := s.obs.counters[cFsckOrphans].Value(); got != int64(leaked) {
 		t.Fatalf("store_fsck_orphans_total = %d, want %d", got, leaked)
 	}
 }

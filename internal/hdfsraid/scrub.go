@@ -3,7 +3,6 @@ package hdfsraid
 import (
 	"errors"
 	"io/fs"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -66,10 +65,7 @@ type ScrubReport struct {
 func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 	s.scrubMu.Lock()
 	defer s.scrubMu.Unlock()
-	var start time.Time
-	if s.obs != nil {
-		start = time.Now()
-	}
+	start := s.obs.now()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
@@ -136,22 +132,16 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 			} else {
 				rep.MissingFound++
 			}
-			if s.obs != nil {
-				s.obs.scrubFound.Inc()
-			}
+			s.obs.add(cScrubFound, 1)
 			if healErr := s.healBlock(cc, ref.name, fi, ref.ext, ref.stripe, ref.sym, v, nil); healErr != nil {
 				rep.Unrepairable++
-				if s.obs != nil {
-					s.obs.scrubUnrepairable.Inc()
-					s.obs.heal.Emit(obs.Event{Type: "unrepairable", Name: ref.name, Ext: ref.ext,
-						Detail: healErr.Error()})
-				}
+				s.obs.add(cScrubUnrepairable, 1)
+				s.obs.emit(traceHeal, obs.Event{Type: "unrepairable", Name: ref.name, Ext: ref.ext,
+					Detail: healErr.Error()})
 			} else {
 				rep.Healed++
 				rep.BytesScanned += frameBytes // the reconstruct's reads, roughly
-				if s.obs != nil {
-					s.obs.scrubHealed.Inc()
-				}
+				s.obs.add(cScrubHealed, 1)
 			}
 		default:
 			// Reads already retried transient errors; whatever this is
@@ -167,10 +157,8 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 	}
 	rep.Wrapped = rep.BlocksScanned == len(refs)
 	s.scrubPos = refs[i]
-	if s.obs != nil {
-		s.obs.scrubNs.Observe(time.Since(start).Nanoseconds())
-		s.obs.scrubBytes.Add(rep.BytesScanned)
-		s.obs.scrubBlocks.Add(int64(rep.BlocksScanned))
-	}
+	s.obs.since(hScrub, start)
+	s.obs.add(cScrubBytes, rep.BytesScanned)
+	s.obs.add(cScrubBlocks, int64(rep.BlocksScanned))
 	return rep, nil
 }

@@ -109,11 +109,11 @@ func testScrubFindsAndHeals(t *testing.T, s *Store) {
 	if q, _ := s.Quarantined(); len(q) != 2 {
 		t.Fatalf("quarantined frames = %d, want 2", len(q))
 	}
-	if s.obs.scrubFound.Value() != 2 || s.obs.scrubHealed.Value() != 2 {
+	if s.obs.counters[cScrubFound].Value() != 2 || s.obs.counters[cScrubHealed].Value() != 2 {
 		t.Fatalf("scrub counters found=%d healed=%d, want 2/2",
-			s.obs.scrubFound.Value(), s.obs.scrubHealed.Value())
+			s.obs.counters[cScrubFound].Value(), s.obs.counters[cScrubHealed].Value())
 	}
-	if s.obs.scrubBytes.Value() == 0 || s.obs.scrubBlocks.Value() == 0 {
+	if s.obs.counters[cScrubBytes].Value() == 0 || s.obs.counters[cScrubBlocks].Value() == 0 {
 		t.Fatal("scrub byte/block counters stayed zero")
 	}
 }
@@ -139,8 +139,8 @@ func TestScrubUnrepairable(t *testing.T) {
 	if rep.CorruptFound != 4 || rep.Unrepairable != 4 || rep.Healed != 0 {
 		t.Fatalf("report = %+v, want 4 found, 4 unrepairable", rep)
 	}
-	if s.obs.scrubUnrepairable.Value() != 4 {
-		t.Fatalf("unrepairable counter = %d, want 4", s.obs.scrubUnrepairable.Value())
+	if s.obs.counters[cScrubUnrepairable].Value() != 4 {
+		t.Fatalf("unrepairable counter = %d, want 4", s.obs.counters[cScrubUnrepairable].Value())
 	}
 	// Every corrupt frame restored, none lost to quarantine.
 	if q, _ := s.Quarantined(); len(q) != 0 {

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 )
 
 // TestShortenedStripeCounts is the in-tree gate on what a shortened
@@ -83,6 +85,82 @@ func TestShortenedStripeCounts(t *testing.T) {
 			if reads := bio.reads.Load() - before; reads != tc.degradedReads {
 				t.Fatalf("degraded single-block read cost %d block reads, want %d", reads, tc.degradedReads)
 			}
+		})
+	}
+}
+
+// TestMetadataCostCounts pins what each mutation pays to make its
+// metadata durable today, so a change to the commit path (a manifest
+// log, group commit) moves a number here instead of arguing from fsync-
+// bound timings: every manifest save is one durable.WriteFile — two
+// fsyncs, the whole indented manifest rewritten — and a Put or Delete
+// is one save, a journaled TranscodeExtent three (intent, swapping,
+// commit). Bytes are exact and grow with the names the manifest holds.
+func TestMetadataCostCounts(t *testing.T) {
+	cases := []struct {
+		names                         int
+		putBytes, moveBytes, delBytes int64
+	}{
+		{names: 10, putBytes: 1851, moveBytes: 6426, delBytes: 1672},
+		{names: 800, putBytes: 143261, moveBytes: 430656, delBytes: 143082},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprint(tc.names), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Create(dir, "rs-9-6", blockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			manifestBytes := func() int64 {
+				fi, err := os.Stat(filepath.Join(dir, manifestName))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fi.Size()
+			}
+			data := randomFile(t, 2*blockSize, 600)
+			if err := s.Put("f0000", data); err != nil {
+				t.Fatal(err)
+			}
+			// The cost depends on the manifest's entries, not on their
+			// blocks: fill the table to names-1 with copies of one entry.
+			for i := 1; i < tc.names-1; i++ {
+				s.manifest.Files[fmt.Sprintf("f%04d", i)] = s.manifest.Files["f0000"]
+			}
+			check := func(op string, wantSyncs, wantBytes int64, run func() (int64, error)) {
+				t.Helper()
+				before := durable.Syncs()
+				written, err := run()
+				if err != nil {
+					t.Fatalf("%s: %v", op, err)
+				}
+				if syncs := durable.Syncs() - before; syncs != wantSyncs || written != wantBytes {
+					t.Fatalf("%s at %d names: %d fsyncs, %d manifest bytes written; want %d, %d",
+						op, tc.names, syncs, written, wantSyncs, wantBytes)
+				}
+			}
+			check("Put", 2, tc.putBytes, func() (int64, error) {
+				err := s.Put("f9999", data)
+				return manifestBytes(), err
+			})
+			check("TranscodeExtent", 6, tc.moveBytes, func() (int64, error) {
+				// The intent and swapping saves are on disk at the kill
+				// points that follow them; the commit save at return.
+				var written int64
+				s.killHook = func(point string) error {
+					if point == "intent" || point == "midswap" {
+						written += manifestBytes()
+					}
+					return nil
+				}
+				defer func() { s.killHook = nil }()
+				_, err := s.TranscodeExtent("f9999", 0, "pentagon")
+				return written + manifestBytes(), err
+			})
+			check("Delete", 2, tc.delBytes, func() (int64, error) {
+				_, err := s.Delete("f9999")
+				return manifestBytes(), err
+			})
 		})
 	}
 }

@@ -22,12 +22,13 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/core"
+	"repro/internal/durable"
 )
 
 // Manifest records the store's configuration and file table, plus the
@@ -169,8 +170,8 @@ type Store struct {
 	// obs holds the store's always-on metrics: read/ingest latency
 	// histograms, degraded-read and byte counters, transcode stage
 	// timings and the journal event trace (see internal/obs and
-	// docs/OBSERVABILITY.md). Nil disables instrumentation; the
-	// overhead benchmark gate uses that to price it.
+	// docs/OBSERVABILITY.md). Never nil outside the overhead benchmark
+	// gate, which prices the instrumentation by removing it.
 	obs *storeObs
 
 	// tuned holds the store's calibrated worker-pool sizing loaded
@@ -243,15 +244,15 @@ func (s *Store) unlockMove(name string) {
 func (s *Store) lockStoreForMove() error {
 	s.flockMu.Lock()
 	defer s.flockMu.Unlock()
-	if s.flockRefs == 0 && s.lockFile != nil {
-		if err := flockLock(s.lockFile, true); err != nil {
+	if s.flockRefs == 0 {
+		if err := durable.Lock(s.lockFile, true); err != nil {
 			return fmt.Errorf("hdfsraid: locking store for move: %w", err)
 		}
 		s.mu.Lock()
 		err := s.reloadManifest()
 		s.mu.Unlock()
 		if err != nil {
-			flockUnlock(s.lockFile)
+			durable.Unlock(s.lockFile)
 			return err
 		}
 	}
@@ -264,32 +265,8 @@ func (s *Store) lockStoreForMove() error {
 func (s *Store) unlockStoreForMove() {
 	s.flockMu.Lock()
 	defer s.flockMu.Unlock()
-	if s.flockRefs--; s.flockRefs == 0 && s.lockFile != nil {
-		flockUnlock(s.lockFile)
-	}
-}
-
-// tryLockExclusive attempts the recovery flock without blocking. A
-// false return means another live process holds the store (a move in
-// flight) — which also means there is no crash residue to recover, so
-// callers skip recovery rather than stall every Open behind a slow
-// paced move. Callers hold opMu's write side, so no shared hold
-// exists in this process.
-func (s *Store) tryLockExclusive() (bool, error) {
-	if s.lockFile == nil {
-		return true, nil
-	}
-	ok, err := flockTry(s.lockFile)
-	if err != nil {
-		return false, fmt.Errorf("hdfsraid: locking store for recovery: %w", err)
-	}
-	return ok, nil
-}
-
-// unlockExclusive releases the recovery flock.
-func (s *Store) unlockExclusive() {
-	if s.lockFile != nil {
-		flockUnlock(s.lockFile)
+	if s.flockRefs--; s.flockRefs == 0 {
+		durable.Unlock(s.lockFile)
 	}
 }
 
@@ -571,52 +548,18 @@ func (s *Store) reloadManifest() error {
 	return nil
 }
 
-// saveManifest persists the manifest atomically: write a temp file,
-// fsync it, and rename over the old manifest. A crash at any point
-// leaves either the old or the new manifest intact, never a torn
-// half-write — the property the transcode journal's recovery depends
-// on. Callers hold mu (or have exclusive access during Create).
+// saveManifest persists the manifest atomically and durably (see
+// durable.WriteFile): a crash at any point leaves either the old or
+// the new manifest intact, never a torn half-write, and a save that
+// returned survives power loss — the properties the transcode
+// journal's recovery depends on. Callers hold mu (or have exclusive
+// access during Create).
 func (s *Store) saveManifest() error {
 	raw, err := json.MarshalIndent(s.manifest, "", "  ")
 	if err != nil {
 		return err
 	}
-	final := filepath.Join(s.root, manifestName)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	// The rename itself must be durable before callers take
-	// destructive steps that depend on the journal record: fsync the
-	// directory entry, or a power loss could surface the old manifest
-	// alongside a half-swapped file.
-	dir, err := os.Open(s.root)
-	if err != nil {
-		return err
-	}
-	syncErr := dir.Sync()
-	if closeErr := dir.Close(); syncErr == nil {
-		syncErr = closeErr
-	}
-	return syncErr
+	return durable.WriteFile(filepath.Join(s.root, manifestName), raw)
 }
 
 // writeBlock writes block bytes with a CRC-32C trailer through the
@@ -722,14 +665,12 @@ func (s *Store) Repair(failed []int) (RepairReport, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var rep RepairReport
-	if s.obs != nil {
-		start := time.Now()
-		defer func() {
-			s.obs.repairNs.Observe(time.Since(start).Nanoseconds())
-			s.obs.repairBlocks.Add(int64(rep.BlocksRestored))
-			s.obs.repairTransfers.Add(int64(rep.Transfers))
-		}()
-	}
+	start := s.obs.now()
+	defer func() {
+		s.obs.since(hRepair, start)
+		s.obs.add(cRepairBlocks, int64(rep.BlocksRestored))
+		s.obs.add(cRepairTransfers, int64(rep.Transfers))
+	}()
 	// Reject out-of-range node indices up front: the per-extent filter
 	// below must only drop nodes a *narrower* extent code doesn't
 	// span, never hide a typo as a successful no-op repair.
@@ -929,24 +870,30 @@ func (s *Store) Fsck() (FsckReport, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var rep FsckReport
-	if s.obs != nil {
-		start := time.Now()
-		defer func() {
-			s.obs.fsckNs.Observe(time.Since(start).Nanoseconds())
-			s.obs.fsckMissing.Add(int64(rep.Missing))
-			s.obs.fsckCorrupt.Add(int64(rep.Corrupt))
-			s.obs.fsckOrphans.Add(int64(rep.Orphans))
-		}()
-	}
+	start := s.obs.now()
+	defer func() {
+		s.obs.since(hFsck, start)
+		s.obs.add(cFsckMissing, int64(rep.Missing))
+		s.obs.add(cFsckCorrupt, int64(rep.Corrupt))
+		s.obs.add(cFsckOrphans, int64(rep.Orphans))
+	}()
 	frame := s.framePool.Get()
 	defer s.framePool.Put(frame)
-	expected := map[string]bool{}
+	// A journaled move's staged blocks are expected under both their
+	// staged and final names: a resumed swap may have promoted some.
+	staged := map[string]bool{}
+	for _, in := range s.manifest.Queue {
+		for _, rel := range in.Staged {
+			path := filepath.Join(s.root, rel)
+			staged[path], staged[path+tmpSuffix] = true, true
+		}
+	}
 	for _, name := range s.filesLocked() {
 		fi := s.manifest.Files[name]
 		for ext := range fi.Extents {
 			err := s.forEachReplica(name, fi, ext, func(r blockRef, v int) error {
 				path := s.extentBlockPath(v, name, fi, ext, r.stripe, r.sym)
-				expected[path] = true
+				delete(staged, path) // a final name the old layout expects too
 				rep.Blocks++
 				_, err := s.readBlockInto(path, frame)
 				switch {
@@ -965,24 +912,52 @@ func (s *Store) Fsck() (FsckReport, error) {
 			}
 		}
 	}
-	// A journaled move's staged blocks are expected under both their
-	// staged and final names: a resumed swap may have promoted some.
-	for _, in := range s.manifest.Queue {
-		for _, rel := range in.Staged {
-			path := filepath.Join(s.root, rel)
-			expected[path], expected[path+tmpSuffix] = true, true
+	// Expected paths are pairwise distinct, so the orphans are a count,
+	// not a path set: every entry under the node directories, less the
+	// expected replicas found present, less the staged names that exist.
+	expected := rep.Blocks - rep.Missing
+	for path := range staged {
+		if _, err := os.Stat(path); err == nil {
+			expected++
 		}
 	}
-	onDisk, err := filepath.Glob(filepath.Join(s.root, "node-*", "*"))
+	onDisk, err := s.nodeDirEntries()
 	if err != nil {
 		return rep, err
 	}
-	for _, path := range onDisk {
-		if !expected[path] {
-			rep.Orphans++
+	// (A concurrent heal's quarantine-then-rewrite can take a counted
+	// replica away for a moment; never report that as negative.)
+	rep.Orphans = max(onDisk-expected, 0)
+	return rep, nil
+}
+
+// nodeDirEntries counts the entries of every node directory, reading
+// each in batches so no store-sized listing is ever held.
+func (s *Store) nodeDirEntries() (int, error) {
+	dirs, err := os.ReadDir(s.root)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, d := range dirs {
+		if !strings.HasPrefix(d.Name(), "node-") {
+			continue
+		}
+		f, err := os.Open(filepath.Join(s.root, d.Name()))
+		if err != nil {
+			return 0, err
+		}
+		for err == nil {
+			var names []string
+			names, err = f.Readdirnames(1024)
+			n += len(names)
+		}
+		f.Close()
+		if err != io.EOF {
+			return 0, err
 		}
 	}
-	return rep, nil
+	return n, nil
 }
 
 // CorruptBlock flips a byte in a stored block replica (for testing and

@@ -218,10 +218,7 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 		return rep, err // journal survives; recovery finishes the move
 	}
 	s.journalEvent("swapping", in)
-	var swapStart time.Time
-	if s.obs != nil {
-		swapStart = time.Now()
-	}
+	swapStart := s.obs.now()
 	swap, err := s.completeSwap(in) // calls kill("midswap") after the first rename
 	// The swap is idempotent, so a transient I/O failure (a flaky
 	// device, an injected fault) gets a bounded in-place retry before
@@ -235,9 +232,7 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 	if err != nil {
 		return rep, err
 	}
-	if s.obs != nil {
-		s.obs.tcSwap.Observe(time.Since(swapStart).Nanoseconds())
-	}
+	s.obs.since(hTcSwap, swapStart)
 	rep.BlocksRemoved = swap.removed
 	rep.BlocksWritten = swap.renamed
 	rep.Stripes = stripeCount
@@ -250,13 +245,11 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 	if err := s.saveManifest(); err != nil {
 		return rep, err
 	}
-	if s.obs != nil {
-		s.obs.tcMoves.Inc()
-		s.obs.tcBlocksRead.Add(int64(rep.DataBlocksRead))
-		s.obs.tcBlocksWritten.Add(int64(rep.BlocksWritten))
-		s.obs.tcBytesMoved.Add(int64(rep.DataBlocksRead+rep.BlocksWritten) * int64(s.blockSize))
-		s.journalEvent("committed", in)
-	}
+	s.obs.add(cTcMoves, 1)
+	s.obs.add(cTcBlocksRead, int64(rep.DataBlocksRead))
+	s.obs.add(cTcBlocksWritten, int64(rep.BlocksWritten))
+	s.obs.add(cTcBytesMoved, int64(rep.DataBlocksRead+rep.BlocksWritten)*int64(s.blockSize))
+	s.journalEvent("committed", in)
 	return rep, nil
 }
 
@@ -293,15 +286,9 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 	// in the same pipeline worker with only the encode between them, so
 	// fillEnd[stripe] → emit-entry measures the encode stage exactly.
 	// Each slot is written and read by the worker owning that stripe.
-	var fillEnd []time.Time
-	if s.obs != nil {
-		fillEnd = make([]time.Time, count)
-	}
+	fillEnd := make([]time.Time, count)
 	fill := func(stripe int, blocks [][]byte) error {
-		var t0 time.Time
-		if s.obs != nil {
-			t0 = time.Now()
-		}
+		t0 := s.obs.now()
 		for j := 0; j < len(blocks); {
 			// Both layouts stripe the extent's block sequence, so new
 			// stripe/symbol (stripe, j) is extent-local data block l,
@@ -324,23 +311,13 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 			read.Add(int64(run))
 			j += run
 		}
-		if s.obs != nil {
-			end := time.Now()
-			s.obs.tcRead.Observe(end.Sub(t0).Nanoseconds())
-			fillEnd[stripe] = end
-		}
+		fillEnd[stripe] = s.obs.since(hTcRead, t0)
 		return nil
 	}
 	emit := func(stripe core.EncodedStripe) error {
-		var t0 time.Time
-		if s.obs != nil {
-			t0 = time.Now()
-			s.obs.tcEncode.Observe(t0.Sub(fillEnd[stripe.Index]).Nanoseconds())
-		}
+		t0 := s.obs.since(hTcEncode, fillEnd[stripe.Index])
 		err := s.writeStripe(newCC, name, fi, ext, e, stripe.Index, stripe.Symbols, tmpSuffix)
-		if s.obs != nil {
-			s.obs.tcWrite.Observe(time.Since(t0).Nanoseconds())
-		}
+		s.obs.since(hTcWrite, t0)
 		return err
 	}
 	// Share the machine's encode-worker budget across concurrent
@@ -393,21 +370,6 @@ func layoutBlocks(cc codec, blocks int) int {
 // layout, whatever its code, plus the target layout's physical
 // replicas written.
 func moveCost(to codec, blocks int) int { return blocks + layoutBlocks(to, blocks) }
-
-// TranscodeCost returns the block-unit traffic bill of moving a file of
-// the given byte length between two registered codes at the store's
-// block size: data blocks read plus physical replicas written. It lets
-// policy engines price a move without performing it.
-func (s *Store) TranscodeCost(length int, fromName, toName string) (int, error) {
-	if _, err := s.codecByName(fromName); err != nil {
-		return 0, err
-	}
-	to, err := s.codecByName(toName)
-	if err != nil {
-		return 0, err
-	}
-	return moveCost(to, s.dataBlocks(length)), nil
-}
 
 // TranscodeExtentCost prices one extent's move to the named code in
 // block units — the extent-scoped admission estimate the rate-limited

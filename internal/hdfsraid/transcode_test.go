@@ -65,6 +65,10 @@ func TestTranscodeReportAccounting(t *testing.T) {
 	if err := s.Put("f", want); err != nil {
 		t.Fatal(err)
 	}
+	cost, err := s.TranscodeExtentCost("f", 0, "pentagon")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := s.Transcode("f", "pentagon")
 	if err != nil {
 		t.Fatal(err)
@@ -77,12 +81,8 @@ func TestTranscodeReportAccounting(t *testing.T) {
 	if rep.DataBlocksRead != 12 || rep.BlocksWritten != 28 || rep.BlocksRemoved != 18 || rep.Stripes != 2 {
 		t.Fatalf("report = %+v", rep)
 	}
-	cost, err := s.TranscodeCost(len(want), "rs-9-6", "pentagon")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cost != rep.DataBlocksRead+rep.BlocksWritten {
-		t.Fatalf("TranscodeCost = %d, report says %d", cost, rep.DataBlocksRead+rep.BlocksWritten)
+		t.Fatalf("TranscodeExtentCost = %d, report says %d", cost, rep.DataBlocksRead+rep.BlocksWritten)
 	}
 	// The bill is the physical truth for unaligned sizes too, in both
 	// directions: exactly the data blocks read (never the source's
@@ -96,7 +96,7 @@ func TestTranscodeReportAccounting(t *testing.T) {
 			}
 			var written int
 			for _, hop := range [][2]string{{"rs-9-6", "pentagon"}, {"pentagon", "rs-9-6"}} {
-				cost, err := s.TranscodeCost(blocks*blockSize-1, hop[0], hop[1])
+				cost, err := s.TranscodeExtentCost(name, 0, hop[1])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +152,7 @@ func TestTranscodeNoOpAndErrors(t *testing.T) {
 	if _, err := s.Transcode("f", "no-such-code"); err == nil {
 		t.Fatal("transcoded to an unknown code")
 	}
-	if _, err := s.TranscodeCost(100, "rs-14-10", "no-such-code"); err == nil {
+	if _, err := s.TranscodeExtentCost("f", 0, "no-such-code"); err == nil {
 		t.Fatal("costed an unknown code")
 	}
 }

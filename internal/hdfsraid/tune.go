@@ -41,18 +41,19 @@ func (s *Store) Tune() *tune.Params { return s.tuned.p.Load() }
 
 func (s *Store) installTune(p *tune.Params) {
 	s.tuned.p.Store(p)
-	if p == nil || s.obs == nil {
+	if p == nil {
 		return
 	}
+	reg := s.Obs()
 	for code, ct := range p.Codes {
-		s.obs.reg.Gauge("tune_encode_workers_" + code).Set(float64(ct.EncodeWorkers))
-		s.obs.reg.Gauge("tune_decode_workers_" + code).Set(float64(ct.DecodeWorkers))
+		reg.Gauge("tune_encode_workers_" + code).Set(float64(ct.EncodeWorkers))
+		reg.Gauge("tune_decode_workers_" + code).Set(float64(ct.DecodeWorkers))
 	}
 	if p.MoveWorkers > 0 {
-		s.obs.reg.Gauge("tune_move_workers").Set(float64(p.MoveWorkers))
+		reg.Gauge("tune_move_workers").Set(float64(p.MoveWorkers))
 	}
 	if p.DeviceWriteMBps > 0 {
-		s.obs.reg.Gauge("tune_device_write_mbps").Set(p.DeviceWriteMBps)
+		reg.Gauge("tune_device_write_mbps").Set(p.DeviceWriteMBps)
 	}
 }
 

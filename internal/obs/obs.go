@@ -1,4 +1,5 @@
-// Package obs is the store's dependency-free observability substrate:
+// Package obs is the store's observability substrate (standard library
+// plus internal/durable for the snapshot file):
 // sharded counters, float gauges, log-bucketed latency histograms with
 // p50/p99/p999 quantiles, and a fixed-size structured event ring, all
 // owned by a named Registry that exports JSON snapshots (mergeable

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -156,6 +157,45 @@ func TestSnapshotRoundTripAndMerge(t *testing.T) {
 	// A missing file is an empty snapshot, not an error.
 	if s, err := ReadSnapshotFile(filepath.Join(t.TempDir(), "nope.json")); err != nil || len(s.Counters) != 0 {
 		t.Fatalf("missing file: %+v, %v", s, err)
+	}
+}
+
+// TestSnapshotFileNeverTorn: every one-shot CLI command rewrites the
+// persisted snapshot on its way out, so a reader (the next command's
+// merge) must never catch it truncated or half-written: while one
+// goroutine rewrites a large snapshot, ReadSnapshotFile only ever
+// returns complete ones.
+func TestSnapshotFileNeverTorn(t *testing.T) {
+	r := NewRegistry()
+	const counters = 2000
+	for i := 0; i < counters; i++ {
+		r.Counter(fmt.Sprintf("counter_with_a_long_name_%04d_total", i)).Add(int64(i))
+	}
+	snap := r.Snapshot()
+	path := filepath.Join(t.TempDir(), "obs-metrics.json")
+	if err := WriteSnapshotFile(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			if err := WriteSnapshotFile(path, snap); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for reads := 0; ; reads++ {
+		got, err := ReadSnapshotFile(path)
+		if err != nil || len(got.Counters) != counters {
+			t.Fatalf("read %d: %d counters, err %v; want %d and no error", reads, len(got.Counters), err, counters)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"sort"
+
+	"repro/internal/durable"
 )
 
 // Snapshot is a registry's full state as plain data: the JSON schema
@@ -82,13 +84,15 @@ func ReadSnapshotFile(path string) (Snapshot, error) {
 	return s, nil
 }
 
-// WriteSnapshotFile persists a snapshot as indented JSON.
+// WriteSnapshotFile persists a snapshot as indented JSON, atomically
+// (durable.WriteFile): every one-shot CLI command rewrites this file on
+// its way out, and a torn one would fail every later command's merge.
 func WriteSnapshotFile(path string, s Snapshot) error {
 	raw, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, raw, 0o644)
+	return durable.WriteFile(path, raw)
 }
 
 // WriteText renders the snapshot human-readably: counters and gauges

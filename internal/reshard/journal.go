@@ -7,9 +7,10 @@
 // from the source — so a name is always wholly readable on at least
 // one shard; internal/serve's dual-ring routing turns that invariant
 // into served availability. Progress is journaled per name (staged →
-// copied → committed → done) with atomic tmp+fsync+rename saves, the
-// same discipline as the transcode journal, so a killed reshard
-// resumes idempotently from the journal at any point.
+// copied → committed → done) with atomic, directory-fsynced saves
+// (durable.WriteFile), the same discipline as the transcode journal,
+// so a killed reshard resumes idempotently from the journal at any
+// point.
 package reshard
 
 import (
@@ -18,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/durable"
 	"repro/internal/serve"
 )
 
@@ -96,39 +98,16 @@ func ReadJournal(root string) (*Journal, error) {
 	return &j, nil
 }
 
-// save writes the journal durably: sibling temp file, fsync, rename —
+// save writes the journal atomically and durably (durable.WriteFile):
 // a crash mid-save leaves either the previous complete journal or the
-// new one, never a truncated half.
+// new one, never a truncated half, and the journal's directory entry —
+// the durable "reshard pending" bit — survives power loss.
 func (j *Journal) save(root string) error {
 	data, err := json.MarshalIndent(j, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := journalPath(root)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("reshard: committing journal: %w", err)
-	}
-	return nil
+	return durable.WriteFile(journalPath(root), data)
 }
 
 // remove deletes the journal — the durable "reshard finished" act.

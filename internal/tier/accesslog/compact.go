@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+
+	"repro/internal/durable"
 )
 
 // compactKillHook, when set by tests, is invoked at the named stage of
@@ -57,10 +59,10 @@ func Compact(dir string, applied int64, fold func(Record) error, commit func(new
 		return applied, 0, err
 	}
 	defer lock.Close()
-	if err := flockLock(lock, true); err != nil {
+	if err := durable.Lock(lock, true); err != nil {
 		return applied, 0, err
 	}
-	defer flockUnlock(lock)
+	defer durable.Unlock(lock)
 
 	seqs, err := Segments(dir)
 	if err != nil {
@@ -82,7 +84,7 @@ func Compact(dir string, applied int64, fold func(Record) error, commit func(new
 	var open []*os.File
 	defer func() {
 		for _, f := range open {
-			_ = flockUnlock(f)
+			_ = durable.Unlock(f)
 			_ = f.Close()
 		}
 	}()
@@ -99,7 +101,7 @@ func Compact(dir string, applied int64, fold func(Record) error, commit func(new
 			}
 			return applied, 0, err
 		}
-		if err := flockLock(f, true); err != nil {
+		if err := durable.Lock(f, true); err != nil {
 			_ = f.Close()
 			return applied, 0, err
 		}

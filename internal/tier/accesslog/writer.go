@@ -6,6 +6,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // Options tunes a Writer's batching and rotation thresholds. Zero
@@ -189,7 +191,15 @@ func (w *Writer) ensureSegmentLocked() error {
 		_ = w.f.Close()
 		w.f = nil
 	}
-	f, err := os.OpenFile(segPath(w.dir, latest), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	// No O_CREATE: if a rotation sealed this segment and a compactor
+	// folded and removed it since the listing, creating it again would
+	// put the batch in a segment at or below the snapshot's watermark,
+	// which replay skips and the next compaction deletes unread. The
+	// highest segment is never removed, so listing again finds it.
+	f, err := os.OpenFile(segPath(w.dir, latest), os.O_WRONLY|os.O_APPEND, 0o644)
+	if os.IsNotExist(err) {
+		return w.ensureSegmentLocked()
+	}
 	if err != nil {
 		return err
 	}
@@ -209,7 +219,7 @@ func (w *Writer) flushLocked() error {
 		if err := w.ensureSegmentLocked(); err != nil {
 			return err
 		}
-		if err := flockLock(w.f, false); err != nil {
+		if err := durable.Lock(w.f, false); err != nil {
 			return err
 		}
 		// A compactor may have folded and unlinked this segment while
@@ -219,7 +229,7 @@ func (w *Writer) flushLocked() error {
 		fi, ferr := w.f.Stat()
 		di, derr := os.Stat(segPath(w.dir, w.seq))
 		if ferr != nil || derr != nil || !os.SameFile(fi, di) {
-			_ = flockUnlock(w.f)
+			_ = durable.Unlock(w.f)
 			_ = w.f.Close()
 			w.f = nil
 			if attempt > 100 {
@@ -228,15 +238,15 @@ func (w *Writer) flushLocked() error {
 			continue
 		}
 		if _, err := w.f.Write(w.buf); err != nil {
-			_ = flockUnlock(w.f)
+			_ = durable.Unlock(w.f)
 			return err
 		}
 		if err := w.f.Sync(); err != nil {
-			_ = flockUnlock(w.f)
+			_ = durable.Unlock(w.f)
 			return err
 		}
 		size := fi.Size() + int64(len(w.buf))
-		_ = flockUnlock(w.f)
+		_ = durable.Unlock(w.f)
 
 		records, bytes := w.pending, len(w.buf)
 		w.buf = w.buf[:0]

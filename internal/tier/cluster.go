@@ -7,10 +7,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/hdfsraid"
 )
 
-// ClusterTarget is an ExtentTarget over the simulated cluster
+// ClusterTarget is a Target over the simulated cluster
 // placement model: files are split into extents, each striped across a
 // cluster of Nodes data nodes by cluster.PlaceFile, and a transcode
 // re-places an extent under the new code, paying the read-plus-write
@@ -94,23 +93,6 @@ func (t *ClusterTarget) Files() []string {
 	return names
 }
 
-// FileCode returns a file's current code name: the shared code when
-// every extent agrees, hdfsraid.MixedCode otherwise (the same
-// sentinel the on-disk store reports).
-func (t *ClusterTarget) FileCode(name string) (string, bool) {
-	pf, ok := t.files[name]
-	if !ok {
-		return "", false
-	}
-	code := pf.exts[0].codeName
-	for _, pe := range pf.exts[1:] {
-		if pe.codeName != code {
-			return hdfsraid.MixedCode, true
-		}
-	}
-	return code, true
-}
-
 // Extents returns a file's extent count.
 func (t *ClusterTarget) Extents(name string) int {
 	pf, ok := t.files[name]
@@ -143,25 +125,6 @@ func (t *ClusterTarget) ExtentOf(name string, block int) int {
 	return -1
 }
 
-// Transcode re-places every extent of the file under the new code and
-// returns the block-unit traffic: each moved extent's data blocks read
-// once plus every physical replica of its new layout written.
-func (t *ClusterTarget) Transcode(name, codeName string) (int, error) {
-	pf, ok := t.files[name]
-	if !ok {
-		return 0, fmt.Errorf("tier: no such file %q", name)
-	}
-	total := 0
-	for ext := range pf.exts {
-		moved, err := t.TranscodeExtent(name, ext, codeName)
-		if err != nil {
-			return total, err
-		}
-		total += moved
-	}
-	return total, nil
-}
-
 // TranscodeExtent re-places one extent under the new code, paying only
 // that extent's read-plus-write block bill.
 func (t *ClusterTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
@@ -179,24 +142,6 @@ func (t *ClusterTarget) TranscodeExtent(name string, ext int, codeName string) (
 	}
 	pf.exts[ext] = moved
 	return pe.blocks + physicalBlocks(moved.file), nil
-}
-
-// MoveCost prices a whole-file move without re-placing it: the same
-// read-plus-write block bill Transcode would report.
-func (t *ClusterTarget) MoveCost(name, codeName string) (int, error) {
-	pf, ok := t.files[name]
-	if !ok {
-		return 0, fmt.Errorf("tier: no such file %q", name)
-	}
-	total := 0
-	for ext := range pf.exts {
-		cost, err := t.ExtentMoveCost(name, ext, codeName)
-		if err != nil {
-			return 0, err
-		}
-		total += cost
-	}
-	return total, nil
 }
 
 // ExtentMoveCost prices one extent's move without re-placing it.

@@ -69,21 +69,6 @@ func (b *TokenBucket) Available(now float64) float64 {
 	return b.tokens
 }
 
-// MoveCoster is implemented by targets that can price a move without
-// performing it, in block units. The daemon uses it to admission-check
-// moves against its byte budget before any data moves; targets without
-// it are metered after the fact, which can overshoot the budget by at
-// most one move.
-type MoveCoster interface {
-	MoveCost(name, codeName string) (blocks int, err error)
-}
-
-// ExtentMoveCoster prices a single extent's move, the admission
-// estimate for extent-granular targets.
-type ExtentMoveCoster interface {
-	ExtentMoveCost(name string, ext int, codeName string) (blocks int, err error)
-}
-
 // Scrubber is implemented by targets that can verify stored block
 // checksums on a byte budget, returning the bytes actually read (a
 // resumable trickle pass — hdfsraid.Store.Scrub is the canonical one).
@@ -265,15 +250,13 @@ func (d *Daemon) Tick(now float64) ([]MoveResult, error) {
 	for i, mv := range moves {
 		var est float64
 		if d.bucket != nil {
-			blocks, priced, err := d.priceMove(mv)
+			blocks, err := d.m.Target.ExtentMoveCost(mv.Name, mv.Ext, mv.To)
 			if err != nil {
 				d.stats.Errors++
 				d.lastErr = err
 				return done, fmt.Errorf("tier: pricing %q -> %s: %w", mv.Name, mv.To, err)
 			}
-			if priced {
-				est = float64(blocks * d.cfg.BlockBytes)
-			}
+			est = float64(blocks * d.cfg.BlockBytes)
 			// Horizon feedback: the pacer has booked transfer windows
 			// through paceUntil; if this move's window would end past
 			// the admission horizon, the scan stops here and leaves the
@@ -386,25 +369,6 @@ func (d *Daemon) scrubTick(now float64) {
 		d.stats.Errors++
 		d.lastErr = err
 	}
-}
-
-// priceMove estimates one move's block cost through the target's
-// coster interfaces: the extent-scoped price for extent moves when the
-// target offers one, the whole-file price otherwise. priced is false
-// when the target cannot price moves at all (the daemon then meters
-// after the fact).
-func (d *Daemon) priceMove(mv Move) (blocks int, priced bool, err error) {
-	if mv.Ext >= 0 {
-		if coster, ok := d.m.Target.(ExtentMoveCoster); ok {
-			blocks, err = coster.ExtentMoveCost(mv.Name, mv.Ext, mv.To)
-			return blocks, true, err
-		}
-	}
-	if coster, ok := d.m.Target.(MoveCoster); ok {
-		blocks, err = coster.MoveCost(mv.Name, mv.To)
-		return blocks, true, err
-	}
-	return 0, false, nil
 }
 
 // Start launches the background rebalance goroutine, ticking every

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,9 +12,10 @@ import (
 	"repro/internal/workload"
 )
 
-// fakeTarget is an in-memory Target+MoveCoster that records the order
-// moves execute in and charges a fixed block cost per move.
+// fakeTarget is an in-memory Target of single-extent files that records
+// the order moves execute in and charges a fixed block cost per move.
 type fakeTarget struct {
+	mu    sync.Mutex
 	codes map[string]string
 	cost  int
 	calls []string
@@ -28,6 +30,8 @@ func newFakeTarget(cost int, files map[string]string) *fakeTarget {
 }
 
 func (f *fakeTarget) Files() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	names := make([]string, 0, len(f.codes))
 	for n := range f.codes {
 		names = append(names, n)
@@ -36,22 +40,40 @@ func (f *fakeTarget) Files() []string {
 	return names
 }
 
-func (f *fakeTarget) FileCode(name string) (string, bool) {
-	c, ok := f.codes[name]
-	return c, ok
+func (f *fakeTarget) Extents(name string) int {
+	if _, ok := f.ExtentCode(name, 0); !ok {
+		return 0
+	}
+	return 1
 }
 
-func (f *fakeTarget) Transcode(name, codeName string) (int, error) {
-	if _, ok := f.codes[name]; !ok {
-		return 0, fmt.Errorf("no such file %q", name)
+func (f *fakeTarget) ExtentCode(name string, ext int) (string, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c, ok := f.codes[name]
+	return c, ok && ext == 0
+}
+
+func (f *fakeTarget) ExtentOf(name string, block int) int {
+	if _, ok := f.ExtentCode(name, 0); !ok {
+		return -1
 	}
+	return 0
+}
+
+func (f *fakeTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
+	if _, ok := f.ExtentCode(name, ext); !ok {
+		return 0, fmt.Errorf("no such extent %q/%d", name, ext)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.codes[name] = codeName
 	f.calls = append(f.calls, name)
 	return f.cost, nil
 }
 
-func (f *fakeTarget) MoveCost(name, codeName string) (int, error) {
-	if f.codes[name] == codeName {
+func (f *fakeTarget) ExtentMoveCost(name string, ext int, codeName string) (int, error) {
+	if code, _ := f.ExtentCode(name, ext); code == codeName {
 		return 0, nil
 	}
 	return f.cost, nil
@@ -428,7 +450,7 @@ func TestDaemonStartStop(t *testing.T) {
 	if st.Ticks == 0 {
 		t.Fatal("daemon never ticked")
 	}
-	if code, _ := ft.FileCode("f"); code != "pentagon" {
+	if code, _ := ft.ExtentCode("f", 0); code != "pentagon" {
 		t.Fatalf("background daemon never promoted: %q", code)
 	}
 	// A stopped daemon can be restarted.

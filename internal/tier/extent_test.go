@@ -152,8 +152,7 @@ func TestReplayBlockDeterministic(t *testing.T) {
 }
 
 // TestClusterTargetExtents covers the extent surface of the simulated
-// target: extent lookup, per-extent transcode traffic, and mixed-code
-// reporting.
+// target: extent lookup and per-extent transcode traffic and codes.
 func TestClusterTargetExtents(t *testing.T) {
 	ct := NewClusterTarget(30, 20, rand.New(rand.NewSource(12)))
 	ct.ExtentBlocks = 10
@@ -181,8 +180,8 @@ func TestClusterTargetExtents(t *testing.T) {
 	if moved != 10+2*20 || cost != moved {
 		t.Fatalf("extent transcode = %d (cost %d), want 50", moved, cost)
 	}
-	if code, _ := ct.FileCode("f"); code != "mixed" {
-		t.Fatalf("mixed file code = %q", code)
+	if code, _ := ct.ExtentCode("f", 0); code != "pentagon" {
+		t.Fatalf("moved extent code = %q", code)
 	}
 	if code, _ := ct.ExtentCode("f", 1); code != "rs-14-10" {
 		t.Fatalf("untouched extent code = %q", code)
@@ -192,11 +191,11 @@ func TestClusterTargetExtents(t *testing.T) {
 	if data != 20 || phys != 2*20+14 {
 		t.Fatalf("storage = %d/%d", phys, data)
 	}
-	// Whole-file transcode converges the remaining extent.
-	if _, err := ct.Transcode("f", "pentagon"); err != nil {
+	// Moving the remaining extent converges the file.
+	if _, err := ct.TranscodeExtent("f", 1, "pentagon"); err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := ct.FileCode("f"); code != "pentagon" {
+	if code, _ := ct.ExtentCode("f", 1); code != "pentagon" {
 		t.Fatalf("converged code = %q", code)
 	}
 }

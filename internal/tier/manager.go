@@ -7,29 +7,20 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/durable"
 	"repro/internal/hdfsraid"
 )
 
-// Target is a store the tiering manager can move files across codes
-// in. Both the on-disk HDFS-RAID store and the simulated cluster
-// placement satisfy it.
+// Target is a store the tiering manager can move data across codes
+// in, with the extent as the unit of tiering: heat is tracked, policy
+// is decided, moves are priced and executed per extent, so a large file
+// with one hot region pays to move only that region's stripes. A store
+// that tiers whole files exposes each file as a single extent. Both
+// the on-disk HDFS-RAID store (StoreTarget) and the simulated cluster
+// placement (ClusterTarget) satisfy it.
 type Target interface {
 	// Files lists stored file names.
 	Files() []string
-	// FileCode returns the effective code name of a file.
-	FileCode(name string) (string, bool)
-	// Transcode moves a file to the named code and returns the
-	// block-unit traffic the move cost.
-	Transcode(name, codeName string) (moved int, err error)
-}
-
-// ExtentTarget is a Target that exposes sub-file extents as the unit
-// of tiering. When the manager's target implements it, heat is
-// tracked, policy is decided, and moves are executed per extent: a
-// large file with one hot region pays to move only that region's
-// stripes. Both StoreTarget and ClusterTarget satisfy it.
-type ExtentTarget interface {
-	Target
 	// Extents returns the number of extents a file has (0 for an
 	// unknown file).
 	Extents(name string) int
@@ -41,6 +32,10 @@ type ExtentTarget interface {
 	// TranscodeExtent moves one extent to the named code and returns
 	// the block-unit traffic the move cost.
 	TranscodeExtent(name string, ext int, codeName string) (moved int, err error)
+	// ExtentMoveCost prices one extent's move without performing it,
+	// in block units: the rate-limited daemon's admission estimate
+	// against its byte budget, before any data moves.
+	ExtentMoveCost(name string, ext int, codeName string) (blocks int, err error)
 }
 
 // Manager glues tracker, policy and target together: hook OnRead into
@@ -81,31 +76,23 @@ func NewManager(target Target, policy Policy, tracker *Tracker) (*Manager, error
 func (m *Manager) OnRead(name string, now float64) { m.Tracker.Touch(name, now) }
 
 // OnReadBlock records one access to a file's data block at time now,
-// attributing it to the extent holding the block when the target is
-// extent-granular (and to the whole file otherwise). A negative block
+// attributing it to the extent holding the block. A negative block
 // means the access carries no offset information and is recorded as a
 // whole-file touch — which every extent inherits — rather than
 // silently pinning legacy traces' heat onto extent 0. Trace replays
 // feed heat through here.
 func (m *Manager) OnReadBlock(name string, block int, now float64) {
 	if block >= 0 {
-		if et, ok := m.Target.(ExtentTarget); ok {
-			if ext := et.ExtentOf(name, block); ext >= 0 {
-				m.Tracker.TouchExtent(name, ext, now)
-				return
-			}
+		if ext := m.Target.ExtentOf(name, block); ext >= 0 {
+			m.Tracker.TouchExtent(name, ext, now)
+			return
 		}
 	}
 	m.Tracker.Touch(name, now)
 }
 
 // moveKey names the dwell-guard entry for one tiering unit.
-func moveKey(name string, ext int) string {
-	if ext < 0 {
-		return name
-	}
-	return fmt.Sprintf("%s#%d", name, ext)
-}
+func moveKey(name string, ext int) string { return fmt.Sprintf("%s#%d", name, ext) }
 
 // LastMoves returns a copy of the per-file last-transcode times, for
 // persisting MinDwell state across short-lived processes.
@@ -131,8 +118,8 @@ func (m *Manager) RestoreLastMoves(moves map[string]float64) {
 
 // SaveLastMoves writes the per-file last-transcode times as JSON to
 // path — the dwell-state counterpart of Tracker.Save for short-lived
-// processes. The save is atomic (tmp + fsync + rename), so a crash
-// mid-save cannot corrupt the dwell history.
+// processes. The save is atomic and durable (durable.WriteFile), so a
+// crash mid-save cannot corrupt the dwell history.
 func (m *Manager) SaveLastMoves(path string) error {
 	m.mu.Lock()
 	raw, err := json.MarshalIndent(m.lastMove, "", "  ")
@@ -140,7 +127,7 @@ func (m *Manager) SaveLastMoves(path string) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(path, raw)
+	return durable.WriteFile(path, raw)
 }
 
 // LoadLastMoves restores per-file last-transcode times saved with
@@ -174,65 +161,37 @@ type MoveResult struct {
 	Duration    float64
 }
 
-// States returns the policy-engine view of every tiering unit in the
-// target at time now: one state per extent when the target is extent-
-// granular, one per file otherwise.
+// States returns the policy-engine view of every tiering unit — every
+// extent of every file — in the target at time now.
 func (m *Manager) States(now float64) []FileState {
 	names := m.Target.Files()
-	et, extents := m.Target.(ExtentTarget)
 	states := make([]FileState, 0, len(names))
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, name := range names {
-		if extents {
-			n := et.Extents(name)
-			for ext := 0; ext < n; ext++ {
-				code, ok := et.ExtentCode(name, ext)
-				if !ok {
-					continue
-				}
-				states = append(states, FileState{
-					Name: name, Ext: ext, Code: code,
-					Heat:     m.Tracker.ExtentHeat(name, ext, now),
-					LastMove: m.lastMove[moveKey(name, ext)],
-				})
+		n := m.Target.Extents(name)
+		for ext := 0; ext < n; ext++ {
+			code, ok := m.Target.ExtentCode(name, ext)
+			if !ok {
+				continue
 			}
-			continue
+			states = append(states, FileState{
+				Name: name, Ext: ext, Code: code,
+				Heat:     m.Tracker.ExtentHeat(name, ext, now),
+				LastMove: m.lastMove[moveKey(name, ext)],
+			})
 		}
-		code, ok := m.Target.FileCode(name)
-		if !ok {
-			continue
-		}
-		states = append(states, FileState{
-			Name: name, Ext: -1, Code: code,
-			Heat:     m.Tracker.Heat(name, now),
-			LastMove: m.lastMove[name],
-		})
 	}
 	return states
 }
 
 // execute performs one decided move — the single funnel both
 // Rebalance and the background Daemon run transcodes through — and
-// records the move time for the dwell guard. Extent moves route
-// through the target's TranscodeExtent, whole-file moves through
-// Transcode.
+// records the move time for the dwell guard.
 func (m *Manager) execute(mv Move, now float64) (MoveResult, error) {
-	var moved int
-	var err error
-	if et, ok := m.Target.(ExtentTarget); ok && mv.Ext >= 0 {
-		moved, err = et.TranscodeExtent(mv.Name, mv.Ext, mv.To)
-		if err != nil {
-			err = fmt.Errorf("tier: moving %q extent %d to %s: %w", mv.Name, mv.Ext, mv.To, err)
-		}
-	} else {
-		moved, err = m.Target.Transcode(mv.Name, mv.To)
-		if err != nil {
-			err = fmt.Errorf("tier: moving %q to %s: %w", mv.Name, mv.To, err)
-		}
-	}
+	moved, err := m.Target.TranscodeExtent(mv.Name, mv.Ext, mv.To)
 	if err != nil {
-		return MoveResult{}, err
+		return MoveResult{}, fmt.Errorf("tier: moving %q extent %d to %s: %w", mv.Name, mv.Ext, mv.To, err)
 	}
 	m.mu.Lock()
 	m.lastMove[moveKey(mv.Name, mv.Ext)] = now
@@ -315,23 +274,16 @@ func (m *Manager) rebalanceParallel(moves []Move, now float64) ([]MoveResult, er
 	return done, firstErr
 }
 
-// StoreTarget adapts the on-disk HDFS-RAID store to the ExtentTarget
-// interface: tiering against a store runs at extent granularity.
+// StoreTarget adapts the on-disk HDFS-RAID store to the Target
+// interface.
 type StoreTarget struct{ Store *hdfsraid.Store }
 
 // Files lists the store's files.
 func (t StoreTarget) Files() []string { return t.Store.Files() }
 
-// FileCode returns a file's effective code name ("mixed" when its
-// extents disagree).
-func (t StoreTarget) FileCode(name string) (string, bool) { return t.Store.FileCode(name) }
-
 // Extents returns a file's extent count.
 func (t StoreTarget) Extents(name string) int {
-	exts, ok := t.Store.Extents(name)
-	if !ok {
-		return 0
-	}
+	exts, _ := t.Store.Extents(name)
 	return len(exts)
 }
 
@@ -345,16 +297,6 @@ func (t StoreTarget) ExtentOf(name string, block int) int {
 	return t.Store.ExtentOf(name, block)
 }
 
-// Transcode re-encodes the file on disk and reports the physical
-// blocks read plus written as the move's traffic.
-func (t StoreTarget) Transcode(name, codeName string) (int, error) {
-	rep, err := t.Store.Transcode(name, codeName)
-	if err != nil {
-		return 0, err
-	}
-	return rep.DataBlocksRead + rep.BlocksWritten, nil
-}
-
 // TranscodeExtent re-encodes one extent on disk — only that extent's
 // stripes move — and reports the blocks read plus written.
 func (t StoreTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
@@ -363,26 +305,6 @@ func (t StoreTarget) TranscodeExtent(name string, ext int, codeName string) (int
 		return 0, err
 	}
 	return rep.DataBlocksRead + rep.BlocksWritten, nil
-}
-
-// MoveCost prices a whole-file move without performing it, in block
-// units, so the rate-limited daemon can admission-check against its
-// byte budget. The price is the sum over extents not already on the
-// target — well-defined even for mixed-tier files.
-func (t StoreTarget) MoveCost(name, codeName string) (int, error) {
-	exts, ok := t.Store.Extents(name)
-	if !ok {
-		return 0, fmt.Errorf("tier: no such file %q", name)
-	}
-	total := 0
-	for i := range exts {
-		cost, err := t.Store.TranscodeExtentCost(name, i, codeName)
-		if err != nil {
-			return 0, err
-		}
-		total += cost
-	}
-	return total, nil
 }
 
 // ExtentMoveCost prices one extent's move without performing it.

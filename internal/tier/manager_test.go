@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	_ "repro/internal/code/heptlocal"
@@ -171,7 +170,7 @@ func TestClusterTargetTranscode(t *testing.T) {
 	if data != 20 || phys != 2*14 { // 2 stripes of (14,10)
 		t.Fatalf("rs storage = %d/%d", phys, data)
 	}
-	moved, err := ct.Transcode("f", "pentagon")
+	moved, err := ct.TranscodeExtent("f", 0, "pentagon")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +178,10 @@ func TestClusterTargetTranscode(t *testing.T) {
 	if moved != 20+3*20 {
 		t.Fatalf("transcode traffic = %d", moved)
 	}
-	if code, _ := ct.FileCode("f"); code != "pentagon" {
+	if code, _ := ct.ExtentCode("f", 0); code != "pentagon" {
 		t.Fatalf("code = %q", code)
 	}
-	if moved, err = ct.Transcode("f", "pentagon"); err != nil || moved != 0 {
+	if moved, err = ct.TranscodeExtent("f", 0, "pentagon"); err != nil || moved != 0 {
 		t.Fatalf("no-op transcode = %d, %v", moved, err)
 	}
 }
@@ -293,45 +292,22 @@ func TestManagerLastMovesFilePersistence(t *testing.T) {
 	}
 }
 
-// barrierTarget is a Target whose Transcode blocks until `width` moves
-// are in flight simultaneously — it deadlocks (and the test times out)
-// unless the manager genuinely runs that many moves concurrently.
+// barrierTarget is a fakeTarget whose moves block until `width` of
+// them are in flight simultaneously — it deadlocks (and the test times
+// out) unless the manager genuinely runs that many moves concurrently.
 type barrierTarget struct {
-	mu      sync.Mutex
-	codes   map[string]string
-	entered int
-	width   int
+	*fakeTarget
+	entered atomic.Int64
+	width   int64
 	ready   chan struct{}
 }
 
-func (b *barrierTarget) Files() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.codes))
-	for n := range b.codes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func (b *barrierTarget) FileCode(name string) (string, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c, ok := b.codes[name]
-	return c, ok
-}
-
-func (b *barrierTarget) Transcode(name, codeName string) (int, error) {
-	b.mu.Lock()
-	b.entered++
-	if b.entered == b.width {
+func (b *barrierTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
+	if b.entered.Add(1) == b.width {
 		close(b.ready)
 	}
-	b.codes[name] = codeName
-	b.mu.Unlock()
 	<-b.ready
-	return 7, nil
+	return b.fakeTarget.TranscodeExtent(name, ext, codeName)
 }
 
 // TestRebalanceParallelMoves: with MoveWorkers set, a rebalance pass
@@ -339,7 +315,7 @@ func (b *barrierTarget) Transcode(name, codeName string) (int, error) {
 // barrier target proves all of them are in flight at once.
 func TestRebalanceParallelMoves(t *testing.T) {
 	const n = 3
-	bt := &barrierTarget{codes: map[string]string{}, width: n, ready: make(chan struct{})}
+	bt := &barrierTarget{fakeTarget: newFakeTarget(7, nil), width: n, ready: make(chan struct{})}
 	tr := NewTracker(0)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("f%d", i)
@@ -359,7 +335,7 @@ func TestRebalanceParallelMoves(t *testing.T) {
 		t.Fatalf("moves = %+v, want %d", moves, n)
 	}
 	for _, name := range bt.Files() {
-		if code, _ := bt.FileCode(name); code != "pentagon" {
+		if code, _ := bt.ExtentCode(name, 0); code != "pentagon" {
 			t.Fatalf("%s on %q after parallel rebalance", name, code)
 		}
 	}
@@ -375,11 +351,11 @@ type errorTarget struct {
 	bad string
 }
 
-func (e *errorTarget) Transcode(name, codeName string) (int, error) {
+func (e *errorTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
 	if name == e.bad {
 		return 0, fmt.Errorf("injected failure for %q", name)
 	}
-	return e.barrierTarget.Transcode(name, codeName)
+	return e.barrierTarget.TranscodeExtent(name, ext, codeName)
 }
 
 // TestRebalanceParallelError: a failing move surfaces its error after
@@ -388,7 +364,7 @@ func (e *errorTarget) Transcode(name, codeName string) (int, error) {
 // failing move is only pulled after they complete, so the outcome is
 // deterministic.
 func TestRebalanceParallelError(t *testing.T) {
-	bt := &barrierTarget{codes: map[string]string{}, width: 2, ready: make(chan struct{})}
+	bt := &barrierTarget{fakeTarget: newFakeTarget(7, nil), width: 2, ready: make(chan struct{})}
 	et := &errorTarget{barrierTarget: bt, bad: "f2"}
 	tr := NewTracker(0)
 	for i, heat := range []float64{10, 10, 5} {

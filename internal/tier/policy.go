@@ -42,23 +42,23 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// FileState is the policy engine's view of one tiering unit: a whole
-// file (Ext < 0) or a single extent of one (Ext >= 0). Extent states
-// carry the extent's own decayed heat, so a hot region of a large file
-// crosses the promote threshold on its own merits.
+// FileState is the policy engine's view of one tiering unit: a single
+// extent of a file, carrying the extent's own decayed heat, so a hot
+// region of a large file crosses the promote threshold on its own
+// merits. (A whole-file target exposes one extent per file.)
 type FileState struct {
 	Name     string
-	Ext      int     // extent index, or -1 for whole-file tiering
+	Ext      int     // extent index
 	Code     string  // current code name
 	Heat     float64 // decayed heat now
 	LastMove float64 // time of the unit's last transcode (0 if never)
 }
 
-// Move is one tiering decision: transcode Name (extent Ext when >= 0)
-// from code From to To.
+// Move is one tiering decision: transcode extent Ext of Name from code
+// From to To.
 type Move struct {
 	Name     string
-	Ext      int // extent index, or -1 for a whole-file move
+	Ext      int // extent index
 	From, To string
 	Heat     float64
 	Promote  bool
@@ -67,8 +67,8 @@ type Move struct {
 // Decide returns the moves the policy wants at time now, in input
 // order. Units already on their target code, inside the hysteresis
 // band, or moved more recently than MinDwell are left alone. The
-// policy is granularity-blind: it sees whatever units (files or
-// extents) the manager's target exposes.
+// policy is granularity-blind: it sees whatever extents the manager's
+// target exposes.
 func (p Policy) Decide(now float64, files []FileState) []Move {
 	var moves []Move
 	for _, f := range files {

@@ -20,11 +20,10 @@ type ReplayStats struct {
 
 // Replay drives the manager from a workload trace on a discrete-event
 // engine: every access touches the tracker — attributed to the extent
-// holding the access's block when the target is extent-granular — and
-// the optional onAccess callback (where callers meter read costs), and
-// the policy runs every rebalanceEvery seconds of virtual time. The
-// engine's clock is the tracker's clock, so identical traces and seeds
-// replay identically.
+// holding the access's block — and the optional onAccess callback
+// (where callers meter read costs), and the policy runs every
+// rebalanceEvery seconds of virtual time. The engine's clock is the
+// tracker's clock, so identical traces and seeds replay identically.
 func Replay(eng *sim.Engine, trace []workload.Access, m *Manager,
 	rebalanceEvery float64, onAccess func(a workload.Access, now float64) error) (ReplayStats, error) {
 	var stats ReplayStats

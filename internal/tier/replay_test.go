@@ -52,14 +52,14 @@ func TestReplayPromotesHotFiles(t *testing.T) {
 		t.Fatal("moves reported no traffic")
 	}
 	// The Zipf head (file-000) must sit on the hot code at the end.
-	if code, _ := ct.FileCode(workload.TraceFileName(0)); code != "pentagon" {
+	if code, _ := ct.ExtentCode(workload.TraceFileName(0), 0); code != "pentagon" {
 		t.Fatalf("hottest file ended on %q", code)
 	}
 	// The cluster must still hold plenty of cold RS files: a sane
 	// policy does not promote the long tail.
 	cold := 0
 	for _, name := range ct.Files() {
-		if code, _ := ct.FileCode(name); code == "rs-14-10" {
+		if code, _ := ct.ExtentCode(name, 0); code == "rs-14-10" {
 			cold++
 		}
 	}

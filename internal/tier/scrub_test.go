@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/durable"
 )
 
 // fakeScrubber records the byte grants the daemon hands it and
@@ -139,7 +141,7 @@ func TestDaemonScrubUnlimited(t *testing.T) {
 }
 
 // TestSidecarSavesAtomic: heat and dwell sidecar saves must go through
-// tmp+fsync+rename, so stray garbage at the temp path (the residue of
+// durable.WriteFile, so stray garbage at the temp path (the residue of
 // a crashed save) neither corrupts the sidecar nor breaks the next
 // save, and loads see only complete states.
 func TestSidecarSavesAtomic(t *testing.T) {
@@ -170,6 +172,18 @@ func TestSidecarSavesAtomic(t *testing.T) {
 	if got, err = LoadTracker(heat, 100); err != nil || got.Heat("f", 0) != tr.Heat("f", 0) {
 		t.Fatalf("reload after re-save: heat %v err %v", got.Heat("f", 0), err)
 	}
+	// A save that fails before its rename leaves the committed sidecar
+	// untouched.
+	if err := os.Mkdir(heat+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	tr.TouchN("f", 5, 0)
+	if err := tr.Save(heat); err == nil {
+		t.Fatal("save succeeded with an unwritable temp path")
+	}
+	if kept, err := LoadTracker(heat, 100); err != nil || kept.Heat("f", 0) != got.Heat("f", 0) {
+		t.Fatalf("failed save changed the committed heat (err %v)", err)
+	}
 
 	moves := filepath.Join(dir, "tier-moves.json")
 	m, err := NewManager(newFakeTarget(1, nil), testPolicy(), NewTracker(100))
@@ -190,7 +204,16 @@ func TestSidecarSavesAtomic(t *testing.T) {
 	if err := m2.LoadLastMoves(moves); err != nil {
 		t.Fatalf("load with crash residue: %v", err)
 	}
+	// Both sidecars commit through durable.WriteFile: the file's fsync
+	// plus the directory's, and no temp file left behind.
+	before := durable.Syncs()
 	if err := m2.SaveLastMoves(moves); err != nil {
 		t.Fatalf("save over crash residue: %v", err)
+	}
+	if got := durable.Syncs() - before; got != 2 {
+		t.Fatalf("dwell sidecar save issued %d fsyncs, want 2 (file + directory)", got)
+	}
+	if _, err := os.Stat(moves + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left after a committed save: %v", err)
 	}
 }

@@ -4,9 +4,9 @@
 // moves data between a hot code with inherent double replication
 // (replication, polygon, heptagon-local) and the cold RS baseline by
 // online transcoding. Heat, policy and moves all operate at extent
-// granularity when the target supports it — a hot region of a large
-// file promotes on its own, the way HotRAP promotes individual hot
-// records between LSM tiers — and fall back to whole files otherwise.
+// granularity — a hot region of a large file promotes on its own, the
+// way HotRAP promotes individual hot records between LSM tiers; a
+// store that tiers whole files exposes one extent per file.
 // The design follows the paper's framing: double replication codes for
 // hot data, RS(14,10) for cold.
 package tier
@@ -17,6 +17,8 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"repro/internal/durable"
 )
 
 // Tracker is a concurrency-safe heat tracker: per-file and per-extent
@@ -237,9 +239,9 @@ type trackerState struct {
 }
 
 // Save writes the tracker state as JSON to path, so one-shot CLI
-// invocations can accumulate heat across runs. The save is atomic
-// (tmp + fsync + rename), so a crash mid-save cannot corrupt the
-// accumulated heat. A clean tracker (no changes since load or last
+// invocations can accumulate heat across runs. The save is atomic and
+// durable (durable.WriteFile): a corrupt sidecar would silently reset
+// tiering history, so a crash mid-save must not produce one. A clean tracker (no changes since load or last
 // save) skips the write entirely when the file already exists.
 func (t *Tracker) Save(path string) error {
 	return t.SaveWithSeq(path, 0)
@@ -262,7 +264,7 @@ func (t *Tracker) SaveWithSeq(path string, appliedSeq int64) error {
 	}
 	t.dirty = false
 	t.mu.Unlock()
-	if err := atomicWriteFile(path, raw); err != nil {
+	if err := durable.WriteFile(path, raw); err != nil {
 		t.mu.Lock()
 		t.dirty = true // the state on disk does not reflect us after all
 		t.mu.Unlock()

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/gf256"
 )
 
@@ -85,17 +86,13 @@ func (p *Params) DecodeWorkers(code string) int {
 	return p.Codes[code].DecodeWorkers
 }
 
-// Save writes p to path atomically (tmp + rename).
+// Save writes p to path atomically and durably (durable.WriteFile).
 func (p *Params) Save(path string) error {
 	raw, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.WriteFile(path, append(raw, '\n'))
 }
 
 // Load reads a calibration file. A missing file returns (nil, nil):

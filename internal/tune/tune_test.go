@@ -1,12 +1,14 @@
 package tune
 
 import (
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
 
 	_ "repro/internal/code/polygon"
 	_ "repro/internal/code/rs"
+	"repro/internal/durable"
 	"repro/internal/gf256"
 )
 
@@ -68,6 +70,41 @@ func TestLoadMissingAndNilSafety(t *testing.T) {
 	}
 	if !p.Stale() {
 		t.Fatal("nil Params must be stale")
+	}
+	// Save never leaves a zero-length or partial file visible: a store
+	// opening mid-save loads the previous calibration or the new one.
+	path := filepath.Join(t.TempDir(), FileName)
+	saved := &Params{Kernel: gf256.KernelName(), MaxProcs: 1, Codes: map[string]CodeTune{}}
+	for i := 0; i < 500; i++ {
+		saved.Codes[fmt.Sprintf("code-%03d", i)] = CodeTune{EncodeWorkers: 1, DecodeWorkers: 1}
+	}
+	before := durable.Syncs()
+	if err := saved.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := durable.Syncs() - before; got != 2 {
+		t.Fatalf("Save issued %d fsyncs, want the file's and the directory's", got)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if err := saved.Save(path); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for reads := 0; ; reads++ {
+		got, err := Load(path)
+		if err != nil || got == nil || len(got.Codes) != len(saved.Codes) {
+			t.Fatalf("read %d during Save: %v, err %v", reads, got, err)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }
 

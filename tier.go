@@ -37,14 +37,11 @@ type TierMoveResult = tier.MoveResult
 // TierManager wires tracker, policy and a store together.
 type TierManager = tier.Manager
 
-// TierTarget is a store the manager can tier files in.
+// TierTarget is a store the manager can tier data in, extent by
+// extent: heat, policy and moves all run per extent, so a hot region
+// of a large file promotes on its own. The on-disk store and the
+// simulated cluster target both satisfy it.
 type TierTarget = tier.Target
-
-// TierExtentTarget is a TierTarget exposing sub-file extents as the
-// tiering unit: heat, policy and moves all run per extent, so a hot
-// region of a large file promotes on its own. The on-disk store and
-// the simulated cluster target both satisfy it.
-type TierExtentTarget = tier.ExtentTarget
 
 // NewTierManager returns a manager tiering files inside an on-disk
 // store. Hook heat tracking into the data path with:
@@ -106,8 +103,8 @@ type TierReplayStats = tier.ReplayStats
 
 // ReplayTiering drives a manager from an access trace on a
 // discrete-event engine, rebalancing every rebalanceEvery virtual
-// seconds. Accesses carry the data block they hit, so extent-granular
-// targets heat up per extent.
+// seconds. Accesses carry the data block they hit, so heat accrues per
+// extent.
 func ReplayTiering(eng *sim.Engine, trace []WorkloadAccess, m *TierManager,
 	rebalanceEvery float64, onAccess func(a WorkloadAccess, now float64) error) (TierReplayStats, error) {
 	return tier.Replay(eng, trace, m, rebalanceEvery, onAccess)
