@@ -1,8 +1,9 @@
 // Package durable is the one place a metadata file becomes durable and
-// the one advisory file lock: the store manifest, the reshard journal,
-// the tier heat and dwell sidecars, tune.json and the metrics snapshot
-// all commit through WriteFile, and the store's mover lock and the
-// access log's segment locks are Lock/TryLock/Unlock.
+// the one advisory file lock: the store's manifest snapshot, the
+// reshard journal, the tier heat and dwell sidecars, tune.json and the
+// metrics snapshot all commit through WriteFile, the store's manifest
+// log is a Log, and the store's mover lock and the access log's segment
+// locks are Lock/TryLock/Unlock.
 package durable
 
 import (
@@ -13,9 +14,10 @@ import (
 
 var syncs atomic.Int64
 
-// Syncs returns the number of fsyncs this process's WriteFile calls
-// have issued, file and directory alike: two per committed file. Tests
-// difference it around an operation to pin its metadata cost.
+// Syncs returns the number of fsyncs this process's WriteFile and Log
+// calls have issued, file and directory alike: two per committed file,
+// one per Append. Tests difference it around an operation to pin its
+// metadata cost.
 func Syncs() int64 { return syncs.Load() }
 
 // WriteFile replaces path with data so that a crash at any point —
@@ -47,12 +49,17 @@ func WriteFile(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	dir, err := os.Open(filepath.Dir(path))
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes a rename or create inside dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	defer dir.Close()
-	return fsync(dir)
+	defer d.Close()
+	return fsync(d)
 }
 
 func fsync(f *os.File) error {

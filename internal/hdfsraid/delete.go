@@ -5,8 +5,8 @@ import (
 )
 
 // Delete removes a stored file: the manifest entry goes first (one
-// atomic save — the moment it lands the delete is durable), then every
-// block replica is removed best-effort. A replica that cannot be
+// logged record — the moment it is fsynced the delete is durable), then
+// every block replica is removed best-effort. A replica that cannot be
 // removed (already missing on a degraded file, or a transient I/O
 // fault) is simply left behind: no manifest entry names it, so no read,
 // scrub or repair will ever touch it, and a later ingest of the same
@@ -57,7 +57,7 @@ func (s *Store) Delete(name string) (blocksRemoved int, err error) {
 		return 0, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
 	}
 	for ext := range fi.Extents {
-		if s.queuedIntent(name, ext) != nil {
+		if s.manifest.queued(name, ext) >= 0 {
 			s.mu.Unlock()
 			return 0, fmt.Errorf("hdfsraid: %q extent %d has a journaled transcode; run Recover before deleting", name, ext)
 		}
@@ -66,11 +66,7 @@ func (s *Store) Delete(name string) (blocksRemoved int, err error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	delete(s.manifest.Files, name)
-	if err := s.saveManifest(); err != nil {
-		// The on-disk manifest still holds the entry; restore memory to
-		// match and report the failure.
-		s.manifest.Files[name] = fi
+	if err := s.commit(record{Op: opDel, Name: name}); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}

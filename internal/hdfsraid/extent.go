@@ -110,16 +110,6 @@ func (s *Store) normalizeFileInfo(fi FileInfo) FileInfo {
 	return fi
 }
 
-// normalizeManifestLocked migrates every legacy file entry to the
-// extent map. Caller holds mu (or has exclusive access during Open).
-func (s *Store) normalizeManifestLocked() {
-	for name, fi := range s.manifest.Files {
-		if len(fi.Extents) == 0 {
-			s.manifest.Files[name] = s.normalizeFileInfo(fi)
-		}
-	}
-}
-
 // validateExtents checks that a file's extent map tiles its data
 // blocks exactly, with consistent stripe counts, and that every extent
 // code is registered.

@@ -349,9 +349,14 @@ func TestExtentReadBlock(t *testing.T) {
 // stripLegacy rewrites the on-disk manifest in the pre-extent shape:
 // file entries lose their extent map (keeping length/stripes/tier_code)
 // and the journal queue's single entry, if any, moves to the legacy
-// transcode_intent field without its extent index.
-func stripLegacy(t *testing.T, dir string) {
+// transcode_intent field without its extent index. A legacy store has
+// no log, so s's is folded into the snapshot first.
+func stripLegacy(t *testing.T, s *Store) {
 	t.Helper()
+	dir := s.root
+	if err := s.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +403,7 @@ func TestLegacyManifestMigration(t *testing.T) {
 	if _, err := s.Transcode("f", "pentagon"); err != nil {
 		t.Fatal(err)
 	}
-	stripLegacy(t, dir)
+	stripLegacy(t, s)
 
 	s2, err := Open(dir)
 	if err != nil {
@@ -423,6 +428,9 @@ func TestLegacyManifestMigration(t *testing.T) {
 	}
 	// A post-migration move works and persists the extent map.
 	if _, err := s2.Transcode("f", "rs-9-6"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -471,7 +479,7 @@ func TestLegacyJournalMigrationKillPoints(t *testing.T) {
 			if _, err := s.Transcode("f", "pentagon"); !errors.Is(err, errKilled) {
 				t.Fatalf("Transcode error = %v, want simulated crash", err)
 			}
-			stripLegacy(t, dir)
+			stripLegacy(t, s)
 
 			s2 := assertRecovered(t, dir, want, tc.wantCode)
 			if rec := s2.LastRecovery(); rec.Replayed != 1 {
@@ -501,7 +509,7 @@ func TestLegacyJournalRollback(t *testing.T) {
 	if _, err := s.Transcode("f", "pentagon"); !errors.Is(err, errKilled) {
 		t.Fatal("expected simulated crash")
 	}
-	stripLegacy(t, dir)
+	stripLegacy(t, s)
 	// Lose a staged block: forward is impossible, rollback mandatory.
 	matches, err := filepath.Glob(filepath.Join(dir, "node-*", "*"+tmpSuffix))
 	if err != nil || len(matches) == 0 {

@@ -37,9 +37,10 @@ const (
 )
 
 // TranscodeIntent is the journal record of one in-flight extent
-// transcode, persisted inside the manifest's journal queue before any
-// destructive step so that recovery after a crash is exact. The queue
-// holds one entry per in-flight move (at most one per extent —
+// transcode, persisted in the manifest's journal queue (an intent record
+// in the manifest log, carried by the snapshot across a checkpoint)
+// before any destructive step so that recovery after a crash is exact.
+// The queue holds one entry per in-flight move (at most one per extent —
 // per-extent locking enforces that), so any number of moves of
 // distinct extents can be mid-flight when a process dies and Recover
 // replays or rolls back every one of them. Entries written before
@@ -126,17 +127,11 @@ func (s *Store) Recover() (RecoverReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep RecoverReport
-	// Re-read the manifest now that the lock is held: the snapshot
-	// taken before the flock was granted may predate moves another
-	// process committed while we waited.
-	if err := s.reloadManifest(); err != nil {
+	// Catch up now that the lock is held: the table loaded before the
+	// flock was granted may predate moves another process committed
+	// while we waited.
+	if err := s.refresh(); err != nil {
 		return rep, err
-	}
-	// Manifests written before the journal became a queue carry a
-	// single-entry field; fold it in so one recovery path serves both.
-	if in := s.manifest.Journal; in != nil {
-		s.manifest.Journal = nil
-		s.manifest.Queue = append(s.manifest.Queue, in)
 	}
 	for len(s.manifest.Queue) > 0 {
 		in := s.manifest.Queue[0]
@@ -156,7 +151,11 @@ func (s *Store) Recover() (RecoverReport, error) {
 			s.obs.add(cJournalReplayed, 1)
 			s.journalEvent("replayed", in)
 		} else {
-			if err := s.rollbackIntent(in); err != nil {
+			// The swap never began and the file table was never touched:
+			// drop the staged blocks and the entry, and the file simply
+			// stays on its old code.
+			s.removeStaged(in.Staged)
+			if err := s.commit(record{Op: opRollback, Name: in.File, Ext: in.Extent}); err != nil {
 				return rep, err
 			}
 			rep.RolledBack++
@@ -177,17 +176,6 @@ func (s *Store) Recover() (RecoverReport, error) {
 	return rep, nil
 }
 
-// queuedIntent returns the journal entry for one extent of name, if
-// any. Caller holds mu.
-func (s *Store) queuedIntent(name string, ext int) *TranscodeIntent {
-	for _, in := range s.manifest.Queue {
-		if in.File == name && in.Extent == ext {
-			return in
-		}
-	}
-	return nil
-}
-
 // pendingSwapLocked reports whether an extent has a journaled move
 // whose destructive swap phase began but never committed — possible
 // in-process when an I/O fault aborts completeSwap after its bounded
@@ -197,20 +185,8 @@ func (s *Store) queuedIntent(name string, ext int) *TranscodeIntent {
 // CRCs. Readers and the scrubber must refuse such extents. Caller
 // holds mu. (IntentStaged is harmless: the old layout is intact.)
 func (s *Store) pendingSwapLocked(name string, ext int) bool {
-	in := s.queuedIntent(name, ext)
-	return in != nil && in.State == IntentSwapping
-}
-
-// removeIntent drops one entry (matched by identity) from the journal
-// queue. Caller holds mu and must save the manifest afterwards.
-func (s *Store) removeIntent(in *TranscodeIntent) {
-	q := s.manifest.Queue
-	for i, e := range q {
-		if e == in {
-			s.manifest.Queue = append(q[:i], q[i+1:]...)
-			return
-		}
-	}
+	i := s.manifest.queued(name, ext)
+	return i >= 0 && s.manifest.Queue[i].State == IntentSwapping
 }
 
 // stagedComplete reports whether every staged .tc block of the intent
@@ -239,8 +215,7 @@ func (s *Store) replayIntent(in *TranscodeIntent) (int, error) {
 	// The swap is about to begin (or resume); record that fact first
 	// so a crash during this very replay still recovers forward.
 	if in.State != IntentSwapping {
-		in.State = IntentSwapping
-		if err := s.saveManifest(); err != nil {
+		if err := s.commit(record{Op: opSwapping, Name: in.File, Ext: in.Extent}); err != nil {
 			return 0, err
 		}
 	}
@@ -248,18 +223,7 @@ func (s *Store) replayIntent(in *TranscodeIntent) (int, error) {
 	if err != nil {
 		return swap.missing, err
 	}
-	s.commitIntentLocked(in)
-	s.removeIntent(in)
-	return swap.missing, s.saveManifest()
-}
-
-// rollbackIntent undoes a journaled transcode whose swap never began:
-// drop the staged blocks and clear the journal. The file table entry
-// was never touched, so the file simply stays on its old code.
-func (s *Store) rollbackIntent(in *TranscodeIntent) error {
-	s.removeStaged(in.Staged)
-	s.removeIntent(in)
-	return s.saveManifest()
+	return swap.missing, s.commit(record{Op: opCommit, Name: in.File, Ext: in.Extent})
 }
 
 // swapResult tallies one completeSwap pass.

@@ -256,8 +256,8 @@ func TestTranscodeRefusesPendingJournal(t *testing.T) {
 	}
 }
 
-// TestManifestSaveAtomic checks that the manifest is replaced through
-// durable.WriteFile: a leftover temp file from a crashed save never
+// TestManifestSaveAtomic checks that the manifest snapshot is replaced
+// (at a checkpoint) through durable.WriteFile: a leftover temp file from a crashed save never
 // shadows or corrupts the real manifest, a committed save fsyncs the
 // file and its directory, and a failed one changes nothing.
 func TestManifestSaveAtomic(t *testing.T) {
@@ -290,7 +290,7 @@ func TestManifestSaveAtomic(t *testing.T) {
 	// rename itself durable), and no temp file left behind.
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	before := durable.Syncs()
-	if err := s2.saveManifest(); err != nil {
+	if err := s2.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if got := durable.Syncs() - before; got != 2 {
@@ -309,7 +309,7 @@ func TestManifestSaveAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.manifest.Files["phantom"] = FileInfo{}
-	if err := s2.saveManifest(); err == nil {
+	if err := s2.checkpoint(); err == nil {
 		t.Fatal("save succeeded with an unwritable temp path")
 	}
 	if after, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(after, committed) {
@@ -317,9 +317,9 @@ func TestManifestSaveAtomic(t *testing.T) {
 	}
 }
 
-// TestJournalPersistedBeforeSwap inspects the on-disk manifest at the
-// intent kill point: the journal record must already be durable, with
-// the staged-block list recovery needs.
+// TestJournalPersistedBeforeSwap inspects the on-disk manifest log at
+// the intent kill point: the journal record must already be durable,
+// with the staged-block list recovery needs.
 func TestJournalPersistedBeforeSwap(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir, "rs-9-6", blockSize)
@@ -333,13 +333,13 @@ func TestJournalPersistedBeforeSwap(t *testing.T) {
 	if _, err := s.Transcode("f", "pentagon"); !errors.Is(err, errKilled) {
 		t.Fatal("expected simulated crash")
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	raw, err := os.ReadFile(filepath.Join(dir, logName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"transcode_queue"`, `"from": "rs-9-6"`, `"to": "pentagon"`, `"staged"`} {
+	for _, want := range []string{`"op":"intent"`, `"from":"rs-9-6"`, `"to":"pentagon"`, `"staged"`} {
 		if !strings.Contains(string(raw), want) {
-			t.Fatalf("durable manifest missing %s:\n%s", want, raw)
+			t.Fatalf("durable manifest log missing %s:\n%q", want, raw)
 		}
 	}
 }

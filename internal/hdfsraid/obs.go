@@ -91,6 +91,9 @@ const (
 	cJournalReplayed
 	cJournalRolledBack
 	cJournalOrphans
+	cLogAppends
+	cLogBytes
+	cCheckpoints
 	cScrubBytes
 	cScrubBlocks
 	cScrubFound
@@ -124,6 +127,11 @@ var counterNames = [numCounters]string{
 	cJournalReplayed:   "journal_replayed_total",
 	cJournalRolledBack: "journal_rolled_back_total",
 	cJournalOrphans:    "journal_orphans_total",
+	// Manifest commits: appends to manifest.log (one fsync each), the
+	// bytes they wrote, and snapshots the log was folded into.
+	cLogAppends:  "store_manifest_log_appends_total",
+	cLogBytes:    "store_manifest_log_bytes",
+	cCheckpoints: "store_manifest_checkpoints_total",
 	// Scrubbing and self-healing: frames/bytes verified, latent errors
 	// found (corrupt + missing), and how each found error ended —
 	// healed by the scrubber, healed inline by a read (read_heal), or

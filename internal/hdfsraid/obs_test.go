@@ -56,6 +56,15 @@ func TestStoreObsIntegration(t *testing.T) {
 	if c[counterNames[cZeroElided]] != 5+7+6 {
 		t.Errorf("zero symbols elided = %d, want 18", c[counterNames[cZeroElided]])
 	}
+	// One put and one journaled move: 1 + 3 log records on top of the
+	// snapshot Create wrote, all still in the log.
+	if c[counterNames[cLogAppends]] != 4 || c[counterNames[cCheckpoints]] != 1 {
+		t.Errorf("manifest log appends = %d, checkpoints = %d; want 4, 1",
+			c[counterNames[cLogAppends]], c[counterNames[cCheckpoints]])
+	}
+	if fi, err := os.Stat(s.root + "/" + logName); err != nil || c[counterNames[cLogBytes]] != fi.Size() {
+		t.Errorf("manifest log bytes counted = %d, the log holds %v (%v)", c[counterNames[cLogBytes]], fi, err)
+	}
 	if h[histNames[hPut]].Count == 0 {
 		t.Error("put latency histogram empty")
 	}

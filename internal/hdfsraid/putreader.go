@@ -177,8 +177,7 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 	if err := s.checkNewFile(name); err != nil {
 		return err
 	}
-	s.manifest.Files[name] = fi
-	if err := s.saveManifest(); err != nil {
+	if err := s.commit(record{Op: opPut, Name: name, File: &fi}); err != nil {
 		return err
 	}
 	s.obs.add(cBytesIn, int64(total))

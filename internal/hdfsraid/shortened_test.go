@@ -90,29 +90,25 @@ func TestShortenedStripeCounts(t *testing.T) {
 }
 
 // TestMetadataCostCounts pins what each mutation pays to make its
-// metadata durable today, so a change to the commit path (a manifest
-// log, group commit) moves a number here instead of arguing from fsync-
-// bound timings: every manifest save is one durable.WriteFile — two
-// fsyncs, the whole indented manifest rewritten — and a Put or Delete
-// is one save, a journaled TranscodeExtent three (intent, swapping,
-// commit). Bytes are exact and grow with the names the manifest holds.
+// metadata durable, in counts instead of fsync-bound timings: every
+// commit is one framed record appended to manifest.log and one fsync —
+// a Put or Delete is one record, a journaled TranscodeExtent three
+// (intent, swapping, commit) — the snapshot is not touched, and the
+// bytes are exact and the same whether the table holds 10 names or 800.
+// Amortised, N operations write their N records plus one snapshot each
+// time the log outgrows max(snapshot, 64 KiB), and durable.Syncs counts
+// every fsync of both.
 func TestMetadataCostCounts(t *testing.T) {
-	cases := []struct {
-		names                         int
-		putBytes, moveBytes, delBytes int64
-	}{
-		{names: 10, putBytes: 1851, moveBytes: 6426, delBytes: 1672},
-		{names: 800, putBytes: 143261, moveBytes: 430656, delBytes: 143082},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprint(tc.names), func(t *testing.T) {
+	const putBytes, moveBytes, delBytes = 117, 353, 35
+	for _, names := range []int{10, 800} {
+		t.Run(fmt.Sprint(names), func(t *testing.T) {
 			dir := t.TempDir()
 			s, err := Create(dir, "rs-9-6", blockSize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			manifestBytes := func() int64 {
-				fi, err := os.Stat(filepath.Join(dir, manifestName))
+			size := func(name string) int64 {
+				fi, err := os.Stat(filepath.Join(dir, name))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,45 +118,72 @@ func TestMetadataCostCounts(t *testing.T) {
 			if err := s.Put("f0000", data); err != nil {
 				t.Fatal(err)
 			}
-			// The cost depends on the manifest's entries, not on their
-			// blocks: fill the table to names-1 with copies of one entry.
-			for i := 1; i < tc.names-1; i++ {
+			// The cost must not depend on the table's entries: fill it to
+			// names-1 with copies of one entry.
+			for i := 1; i < names-1; i++ {
 				s.manifest.Files[fmt.Sprintf("f%04d", i)] = s.manifest.Files["f0000"]
 			}
-			check := func(op string, wantSyncs, wantBytes int64, run func() (int64, error)) {
+			snapshot := size(manifestName)
+			check := func(op string, wantSyncs, wantBytes int64, run func() error) {
 				t.Helper()
-				before := durable.Syncs()
-				written, err := run()
-				if err != nil {
+				syncs, logged := durable.Syncs(), size(logName)
+				if err := run(); err != nil {
 					t.Fatalf("%s: %v", op, err)
 				}
-				if syncs := durable.Syncs() - before; syncs != wantSyncs || written != wantBytes {
-					t.Fatalf("%s at %d names: %d fsyncs, %d manifest bytes written; want %d, %d",
-						op, tc.names, syncs, written, wantSyncs, wantBytes)
+				syncs, logged = durable.Syncs()-syncs, size(logName)-logged
+				if syncs != wantSyncs || logged != wantBytes || size(manifestName) != snapshot {
+					t.Fatalf("%s at %d names: %d fsyncs, %d log bytes, snapshot %d -> %d bytes; want %d fsyncs, %d bytes, snapshot untouched",
+						op, names, syncs, logged, snapshot, size(manifestName), wantSyncs, wantBytes)
 				}
 			}
-			check("Put", 2, tc.putBytes, func() (int64, error) {
-				err := s.Put("f9999", data)
-				return manifestBytes(), err
-			})
-			check("TranscodeExtent", 6, tc.moveBytes, func() (int64, error) {
-				// The intent and swapping saves are on disk at the kill
-				// points that follow them; the commit save at return.
-				var written int64
-				s.killHook = func(point string) error {
-					if point == "intent" || point == "midswap" {
-						written += manifestBytes()
-					}
-					return nil
-				}
-				defer func() { s.killHook = nil }()
+			check("Put", 1, putBytes, func() error { return s.Put("f9999", data) })
+			check("TranscodeExtent", 3, moveBytes, func() error {
 				_, err := s.TranscodeExtent("f9999", 0, "pentagon")
-				return written + manifestBytes(), err
+				return err
 			})
-			check("Delete", 2, tc.delBytes, func() (int64, error) {
+			check("Delete", 1, delBytes, func() error {
 				_, err := s.Delete("f9999")
-				return manifestBytes(), err
+				return err
 			})
+			if names != 800 {
+				return
+			}
+			// Amortised: churn one name until the log has been folded
+			// once. Every op costs its record and one fsync; the op that
+			// crosses the threshold also writes one snapshot (two fsyncs)
+			// of the whole 800-name table and empties the log.
+			checkpoints := func() int64 { return s.Obs().Snapshot().Counters[counterNames[cCheckpoints]] }
+			syncs, before := durable.Syncs(), checkpoints()
+			var ops, last int64
+			for ; checkpoints() == before; ops++ {
+				last = size(logName)
+				if ops%2 == 0 {
+					err = s.Put("f9999", data[:1])
+				} else {
+					_, err = s.Delete("f9999")
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if last > minCheckpointBytes || last+putBytes <= minCheckpointBytes {
+				t.Fatalf("checkpoint by the record after %d log bytes, want by the first one past %d", last, minCheckpointBytes)
+			}
+			if got := durable.Syncs() - syncs; got != ops+2 {
+				t.Fatalf("%d ops and one checkpoint issued %d fsyncs, want %d", ops, got, ops+2)
+			}
+			if size(logName) != 0 || size(manifestName) < 800*100 {
+				t.Fatalf("after the checkpoint: log %d bytes, snapshot %d; want an empty log and the 800-name table",
+					size(logName), size(manifestName))
+			}
+			want := 799 + int(ops%2)
+			s2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(s2.Files()); got != want {
+				t.Fatalf("reopened after the checkpoint: %d names, want %d", got, want)
+			}
 		})
 	}
 }

@@ -14,7 +14,6 @@ package hdfsraid
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,7 +33,9 @@ import (
 // Manifest records the store's configuration and file table, plus the
 // transcode journal: one intent record per in-flight transcode (at
 // most one per file), each persisted before any destructive swap step
-// so crash recovery is exact (see TranscodeIntent).
+// so crash recovery is exact (see TranscodeIntent). On disk it is a
+// snapshot (manifest.json, this struct) plus the log of mutations since
+// (manifest.log; see manifestlog.go).
 type Manifest struct {
 	CodeName  string              `json:"code"`
 	BlockSize int                 `json:"block_size"`
@@ -44,11 +45,15 @@ type Manifest struct {
 	// tiered independently. 0 stores every file as a single extent
 	// (the pre-extent behavior).
 	ExtentBlocks int `json:"extent_blocks,omitempty"`
-	// Journal is the pre-queue single-entry journal field; Recover
+	// Journal is the pre-queue single-entry journal field; load
 	// migrates it into Queue so manifests written by older versions
 	// recover identically. Never written anymore.
 	Journal *TranscodeIntent   `json:"transcode_intent,omitempty"`
 	Queue   []*TranscodeIntent `json:"transcode_queue,omitempty"`
+	// LogGen is the generation of the log whose records apply to this
+	// snapshot: each checkpoint writes the next one. A log whose header
+	// names an older generation predates the snapshot and is ignored.
+	LogGen int64 `json:"log_gen,omitempty"`
 }
 
 // FileInfo records one stored file: its length plus the extent map
@@ -89,8 +94,8 @@ type Store struct {
 	// codeName, blockSize and extentBlocks mirror the manifest's
 	// immutable configuration fields. Lock-free paths (streaming
 	// ingest and transcode workers) read these, never the manifest —
-	// reloadManifest reassigns the whole manifest struct under mu,
-	// which unlocked readers of its fields would race with.
+	// load reassigns the whole manifest struct under mu, which unlocked
+	// readers of its fields would race with.
 	codeName     string
 	blockSize    int
 	extentBlocks int
@@ -109,6 +114,11 @@ type Store struct {
 
 	mu       sync.RWMutex
 	manifest Manifest
+	// log is the manifest's op log; snapID is the file identity (and
+	// size) of the snapshot the table was loaded from or last
+	// checkpointed to (see commit, refresh). Both guarded by mu.
+	log    *durable.Log
+	snapID os.FileInfo
 
 	codecMu sync.Mutex
 	codecs  map[string]codec // per-code cache for tiered files
@@ -122,9 +132,9 @@ type Store struct {
 	// lockFile makes one process at a time the store's mover:
 	// transcodes flock it exclusively (refcounted — the flock is per
 	// open file description, so moves of distinct files still run
-	// concurrently inside this process) and the manifest is re-read
-	// when the flock is first taken, so a move never commits a
-	// snapshot predating another process's commits. Recover tries the
+	// concurrently inside this process) and the manifest is refreshed
+	// when the flock is first taken, so a move never commits onto a
+	// table predating another process's commits. Recover tries the
 	// same exclusive lock without blocking: a refusal proves a live
 	// mover, so its journal entries and staged blocks are not crash
 	// residue. The fd lives as long as the store; a crashed process's
@@ -236,8 +246,8 @@ func (s *Store) unlockMove(name string) {
 
 // lockStoreForMove marks this process the store's single mover: the
 // first in-process move takes the exclusive flock (waiting out any
-// other process's moves) and re-reads the manifest so this process
-// never commits a snapshot predating another process's commits;
+// other process's moves) and replays what they logged meanwhile, so this
+// process never commits onto a table predating another's commits;
 // further in-process moves just join the refcount and proceed
 // concurrently. Callers hold opMu's read side and no other store
 // locks.
@@ -249,7 +259,7 @@ func (s *Store) lockStoreForMove() error {
 			return fmt.Errorf("hdfsraid: locking store for move: %w", err)
 		}
 		s.mu.Lock()
-		err := s.reloadManifest()
+		err := s.refresh()
 		s.mu.Unlock()
 		if err != nil {
 			durable.Unlock(s.lockFile)
@@ -270,22 +280,22 @@ func (s *Store) unlockStoreForMove() {
 	}
 }
 
-const manifestName = "manifest.json"
-
 // lockName is the advisory cross-process lock file beside the
 // manifest (see Store.lockFile).
 const lockName = ".store.lock"
 
-// openLockFile opens (creating if needed) the store's advisory lock
-// file. Failure is fatal to Create/Open: without the lock a recovery
-// pass could sweep another live process's staged blocks — the exact
-// corruption the flock exists to prevent.
-func openLockFile(root string) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(root, lockName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("hdfsraid: opening store lock: %w", err)
+// openFiles opens (creating if needed) the store's advisory lock file
+// and its manifest log. Failure is fatal to Create/Open: without the
+// lock a recovery pass could sweep another live process's staged blocks
+// — the exact corruption the flock exists to prevent.
+func (s *Store) openFiles() (err error) {
+	if s.lockFile, err = os.OpenFile(filepath.Join(s.root, lockName), os.O_CREATE|os.O_RDWR, 0o644); err != nil {
+		return fmt.Errorf("hdfsraid: opening store lock: %w", err)
 	}
-	return f, nil
+	if s.log, err = durable.OpenLog(filepath.Join(s.root, logName)); err != nil {
+		return fmt.Errorf("hdfsraid: opening manifest log: %w", err)
+	}
+	return nil
 }
 
 // Create initializes a new store at root for the named code, storing
@@ -316,10 +326,10 @@ func CreateExt(root, codeName string, blockSize, extentBlocks int) (*Store, erro
 	if err := s.ensureNodeDirs(s.code.Nodes()); err != nil {
 		return nil, err
 	}
-	if s.lockFile, err = openLockFile(root); err != nil {
+	if err := s.openFiles(); err != nil {
 		return nil, err
 	}
-	if err := s.saveManifest(); err != nil {
+	if err := s.checkpoint(); err != nil {
 		return nil, err
 	}
 	s.loadTune()
@@ -347,25 +357,10 @@ func buildStore(root string, m Manifest) (*Store, error) {
 		obs:         newStoreObs()}, nil
 }
 
-// readManifest loads and parses the manifest under root.
-func readManifest(root string) (Manifest, error) {
-	var m Manifest
-	raw, err := os.ReadFile(filepath.Join(root, manifestName))
-	if err != nil {
-		return m, fmt.Errorf("hdfsraid: %w", err)
-	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, fmt.Errorf("hdfsraid: corrupt manifest: %w", err)
-	}
-	if m.Files == nil {
-		m.Files = map[string]FileInfo{}
-	}
-	return m, nil
-}
-
-// Open loads an existing store.
+// Open loads an existing store: the manifest snapshot plus the valid
+// prefix of its log.
 func Open(root string) (*Store, error) {
-	m, err := readManifest(root)
+	m, id, err := readSnapshot(root)
 	if err != nil {
 		return nil, err
 	}
@@ -373,17 +368,11 @@ func Open(root string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.lockFile, err = openLockFile(root); err != nil {
+	if err := s.openFiles(); err != nil {
 		return nil, err
 	}
-	// Migrate legacy per-file entries to single-extent files, then
-	// fail fast if any extent references an unregistered tier code or
-	// an inconsistent layout.
-	s.normalizeManifestLocked()
-	for name, fi := range s.manifest.Files {
-		if err := s.validateExtents(name, fi); err != nil {
-			return nil, err
-		}
+	if err := s.load(m, id); err != nil {
+		return nil, err
 	}
 	// Replay or roll back any transcode the last process left mid-
 	// flight, and sweep orphan staged blocks, before serving reads.
@@ -531,35 +520,6 @@ func (s *Store) nodeDir(v int) string {
 
 func (s *Store) blockPath(v int, name string, stripe, symbol int) string {
 	return filepath.Join(s.nodeDir(v), fmt.Sprintf("%s.%d.%d", name, stripe, symbol))
-}
-
-// reloadManifest re-reads the manifest from disk. Recovery calls it
-// after winning the cross-process lock, so its decisions rest on the
-// authoritative on-disk state — another process may have committed
-// moves between this handle's Open-time snapshot and the lock grant.
-// Caller holds mu.
-func (s *Store) reloadManifest() error {
-	m, err := readManifest(s.root)
-	if err != nil {
-		return err
-	}
-	s.manifest = m
-	s.normalizeManifestLocked()
-	return nil
-}
-
-// saveManifest persists the manifest atomically and durably (see
-// durable.WriteFile): a crash at any point leaves either the old or
-// the new manifest intact, never a torn half-write, and a save that
-// returned survives power loss — the properties the transcode
-// journal's recovery depends on. Callers hold mu (or have exclusive
-// access during Create).
-func (s *Store) saveManifest() error {
-	raw, err := json.MarshalIndent(s.manifest, "", "  ")
-	if err != nil {
-		return err
-	}
-	return durable.WriteFile(filepath.Join(s.root, manifestName), raw)
 }
 
 // writeBlock writes block bytes with a CRC-32C trailer through the

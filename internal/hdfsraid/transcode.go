@@ -95,7 +95,8 @@ func (s *Store) Transcode(name, codeName string) (TranscodeReport, error) {
 // The swap is crash-exact: before any old block is touched, the full
 // move — file, extent, codes, staged-block list — is journaled as a
 // TranscodeIntent in the manifest's journal queue, and each
-// destructive phase advances the journal state first. A process killed
+// destructive phase advances the journal state first (one fsynced log
+// record per transition: intent, swapping, commit). A process killed
 // at any point, with any number of moves in flight, leaves a store
 // that Open's recovery pass (see Recover) rolls forward to the new
 // code or back to the old one, extent by extent, byte-identical either
@@ -141,9 +142,9 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 	// the only recovery map for the extent — never stage over it; make
 	// the caller run Recover first. Moves of other extents proceed.
 	s.mu.RLock()
-	pending := s.queuedIntent(name, ext)
+	pending := s.manifest.queued(name, ext) >= 0
 	s.mu.RUnlock()
-	if pending != nil {
+	if pending {
 		return rep, fmt.Errorf("hdfsraid: transcode of %q extent %d pending in journal; run Recover before moving it again", name, ext)
 	}
 
@@ -198,9 +199,7 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 		Length: fi.Length, OldStripes: e.Stripes, NewStripes: stripeCount,
 		State: IntentStaged, Staged: staged,
 	}
-	s.manifest.Queue = append(s.manifest.Queue, in)
-	if err := s.saveManifest(); err != nil {
-		s.removeIntent(in)
+	if err := s.commit(record{Op: opIntent, Intent: in}); err != nil {
 		s.removeStaged(staged)
 		return rep, err
 	}
@@ -213,8 +212,7 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 	// rolls forward past here), drop the old replicas, promote the
 	// staged ones, then commit the new code and clear the journal
 	// entry.
-	in.State = IntentSwapping
-	if err := s.saveManifest(); err != nil {
+	if err := s.commit(record{Op: opSwapping, Name: name, Ext: ext}); err != nil {
 		return rep, err // journal survives; recovery finishes the move
 	}
 	s.journalEvent("swapping", in)
@@ -240,9 +238,7 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 	if err := s.kill("swapped"); err != nil {
 		return rep, err // simulated crash: swap done, commit pending
 	}
-	s.commitIntentLocked(in)
-	s.removeIntent(in)
-	if err := s.saveManifest(); err != nil {
+	if err := s.commit(record{Op: opCommit, Name: name, Ext: ext}); err != nil {
 		return rep, err
 	}
 	s.obs.add(cTcMoves, 1)
@@ -251,22 +247,6 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 	s.obs.add(cTcBytesMoved, int64(rep.DataBlocksRead+rep.BlocksWritten)*int64(s.blockSize))
 	s.journalEvent("committed", in)
 	return rep, nil
-}
-
-// commitIntentLocked records a finished extent move in the file table:
-// the extent's code and stripe count change, its data-block range
-// never does. Caller holds mu and saves the manifest afterwards.
-func (s *Store) commitIntentLocked(in *TranscodeIntent) {
-	fi := s.manifest.Files[in.File]
-	if in.Extent < 0 || in.Extent >= len(fi.Extents) {
-		return
-	}
-	exts := append([]Extent(nil), fi.Extents...)
-	exts[in.Extent].Code = in.To
-	exts[in.Extent].Stripes = in.NewStripes
-	fi.Extents = exts
-	refreshSummary(&fi)
-	s.manifest.Files[in.File] = fi
 }
 
 // transcodeExtentStream stages the extent's re-encoding under newCC

@@ -207,7 +207,10 @@ func TestRecoverLegacySingleEntryJournal(t *testing.T) {
 		t.Fatal("expected simulated crash")
 	}
 	// Rewrite the on-disk manifest in the legacy shape: the queue's
-	// single entry moved to the old transcode_intent field.
+	// single entry moved to the old transcode_intent field (and no log).
+	if err := s.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
