@@ -23,7 +23,7 @@
 //	hdfscli -store DIR tier set [-ext N] NAME CODE
 //	hdfscli -store DIR tier rebalance [-hot CODE] [-cold CODE] [-promote H] [-demote H] [-dwell S] [-workers N]
 //	hdfscli -store DIR tier daemon [-every S] [-budget MBPS] [-scrub MB] [-horizon S] [-duration S] [-metrics ADDR] [rebalance flags]
-//	hdfscli -store DIR serve [-addr HOST:PORT] [-create -shards N -code NAME -blocksize B -extentblocks E] [-resume-reshard] [-tierevery S ...]
+//	hdfscli -store DIR serve [-addr HOST:PORT] [-create -shards N -code NAME -blocksize B -extentblocks E] [-resume-reshard] [-cache-mb MB] [-tierevery S ...]
 //	hdfscli -store DIR reshard {-to N | -resume | -status}
 //
 // serve runs the sharded front door: DIR holds N independent shard
@@ -821,6 +821,7 @@ func doServe(store string, args []string) error {
 	blockSize := fs.Int("blocksize", 1<<20, "block size in bytes (with -create)")
 	extentBlocks := fs.Int("extentblocks", 0, "extent size in data blocks (with -create)")
 	resumeReshard := fs.Bool("resume-reshard", false, "serve a half-resharded directory and finish its reshard in the background")
+	cacheMB := fs.Int64("cache-mb", 64, "memory for the shared cache of hot decoded extents, MiB (0 = none)")
 	tierEvery := fs.Float64("tierevery", 0, "run a tier daemon per shard, scanning every this many seconds (0 = off)")
 	policy := policyFlags(fs) // consulted with -tierevery
 	budget := fs.Float64("budget", 0, "per-shard transcode budget, MB/s (with -tierevery; 0 = unlimited)")
@@ -834,7 +835,7 @@ func doServe(store string, args []string) error {
 		}
 		fmt.Printf("created %d %s shards at %s\n", *shards, *code, store)
 	}
-	cfg := serve.Config{ResumeReshard: *resumeReshard}
+	cfg := serve.Config{ResumeReshard: *resumeReshard, ReadCacheBytes: *cacheMB << 20}
 	if *tierEvery > 0 {
 		cfg.Tier = &serve.TierConfig{
 			HotCode: policy.HotCode, ColdCode: policy.ColdCode,
@@ -873,7 +874,9 @@ func doServe(store string, args []string) error {
 		srv.Close()
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Bodies stream for as long as they take; only a client that never
+	// finishes its request header is cut off.
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	// The signal handler must be live before the readiness line goes
 	// out: a supervisor may TERM us the instant it reads the address.
 	interrupt := make(chan os.Signal, 1)

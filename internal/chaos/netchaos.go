@@ -98,7 +98,9 @@ func RunNet(dir string, cfg NetConfig) (NetResult, error) {
 	if err := serve.CreateShards(dir, "rs-9-6", cfg.BlockSize, cfg.ExtentBlocks, cfg.Shards); err != nil {
 		return res, err
 	}
-	srv, err := serve.Open(dir, serve.Config{})
+	// Read cache on: every verified GET also proves a hit never
+	// outlives a delete or serves a flipped bit.
+	srv, err := serve.Open(dir, serve.Config{ReadCacheBytes: 1 << 20})
 	if err != nil {
 		return res, err
 	}
@@ -191,15 +193,18 @@ func RunNet(dir string, cfg NetConfig) (NetResult, error) {
 		}
 		return names[r.Intn(len(names))]
 	}
-	// lookup re-reads the reference AFTER a response arrived: a nil
-	// second return means the name was deleted concurrently and the
-	// response (whatever it carried) proves nothing.
+	// lookup reads the reference. A read verifies its response only
+	// against bytes the name held both BEFORE the request went out and
+	// AFTER the response arrived: a name leaves ref before its DELETE is
+	// sent and returns once a re-put succeeded, so a response in between
+	// must carry exactly those; any other response proves nothing.
 	lookup := func(name string) ([]byte, bool) {
 		refMu.Lock()
 		defer refMu.Unlock()
 		want, ok := ref[name]
 		return want, ok
 	}
+	same := func(a, b []byte) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
 	nodes := srv.Shard(0).Code().Nodes()
 
 	for _, fs := range injectors {
@@ -218,6 +223,7 @@ func RunNet(dir string, cfg NetConfig) (NetResult, error) {
 					if name == "" {
 						break
 					}
+					before, _ := lookup(name)
 					atomic.AddInt64(&res.Gets, 1)
 					resp, err := client.Get(base + "/files/" + name)
 					if err != nil {
@@ -230,7 +236,7 @@ func RunNet(dir string, cfg NetConfig) (NetResult, error) {
 						atomic.AddInt64(&res.GetErrs, 1)
 						break
 					}
-					if want, ok := lookup(name); ok && !bytes.Equal(got, want) {
+					if want, _ := lookup(name); same(before, want) && !bytes.Equal(got, want) {
 						violation("GET %s returned %d bytes that differ from the %d put", name, len(got), len(want))
 					}
 				case roll < 60: // ranged read, verified
@@ -258,7 +264,7 @@ func RunNet(dir string, cfg NetConfig) (NetResult, error) {
 						atomic.AddInt64(&res.RangeErrs, 1)
 						break
 					}
-					if want, ok := lookup(name); ok && !bytes.Equal(got, want[off:off+n]) {
+					if after, _ := lookup(name); same(want, after) && !bytes.Equal(got, want[off:off+n]) {
 						violation("ranged GET %s [%d,%d) returned bytes that differ from the put", name, off, off+n)
 					}
 				case roll < 75: // put a new file
@@ -294,6 +300,22 @@ func RunNet(dir string, cfg NetConfig) (NetResult, error) {
 					resp.Body.Close()
 					if resp.StatusCode != http.StatusOK {
 						atomic.AddInt64(&res.DeleteErrs, 1)
+						break
+					}
+					// Half the deleted names come straight back with other
+					// bytes: no cached extent of the old entry may answer.
+					if r.Intn(2) == 0 {
+						data := make([]byte, 1+r.Intn(2*extBytes))
+						r.Read(data)
+						atomic.AddInt64(&res.Puts, 1)
+						if err := httpPut(name, data); err != nil {
+							atomic.AddInt64(&res.PutErrs, 1)
+							break
+						}
+						refMu.Lock()
+						ref[name] = data
+						names = append(names, name)
+						refMu.Unlock()
 					}
 				default: // brief single-node outage on one shard
 					atomic.AddInt64(&res.Outages, 1)

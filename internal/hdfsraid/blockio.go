@@ -70,15 +70,14 @@ func transientReadErr(err error) bool {
 	return !errors.Is(err, ErrCorrupt) && !errors.Is(err, fs.ErrNotExist)
 }
 
-// readBlockInto reads and verifies one block file into frame through
-// the store's BlockIO seam, retrying transient errors with bounded
-// backoff. frame must be blockSize+4 bytes (typically from the frame
-// pool); the returned payload aliases frame[:blockSize].
-func (s *Store) readBlockInto(path string, frame []byte) ([]byte, error) {
-	data, err := readBlockFrame(s.bio, path, frame)
+// readBlockInto reads and verifies one block file into dst — a
+// block-size buffer — through the store's BlockIO seam, retrying
+// transient errors with bounded backoff. On error dst holds garbage.
+func (s *Store) readBlockInto(path string, dst []byte) error {
+	err := readBlockFile(s.bio, path, dst)
 	for attempt := 0; err != nil && transientReadErr(err) && attempt < blockReadRetries; attempt++ {
 		time.Sleep(blockReadBackoff << attempt)
-		data, err = readBlockFrame(s.bio, path, frame)
+		err = readBlockFile(s.bio, path, dst)
 	}
-	return data, err
+	return err
 }

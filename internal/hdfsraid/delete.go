@@ -66,11 +66,18 @@ func (s *Store) Delete(name string) (blocksRemoved int, err error) {
 		s.mu.Unlock()
 		return 0, err
 	}
+	id := s.manifest.ids[name]
 	if err := s.commit(record{Op: opDel, Name: name}); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
 	s.mu.Unlock()
+	// The identity is retired: nothing can hit its cached extents again,
+	// dropping them just gives the bytes back at once.
+	if s.cache != nil {
+		s.cache.drop(id, len(fi.Extents))
+		s.obs.cacheLevel(s.cache)
+	}
 
 	// Durable: reclaim the blocks. Best-effort by design (see doc
 	// comment); count what actually went away.

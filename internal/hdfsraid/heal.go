@@ -68,9 +68,9 @@ func (s *Store) Quarantined() ([]string, error) {
 // comes from the re-verify plus rename-into-place write-back.
 func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, v int, content []byte) error {
 	path := s.extentBlockPath(v, name, fi, ext, stripe, sym)
-	frame := s.framePool.Get()
-	defer s.framePool.Put(frame)
-	_, err := s.readBlockInto(path, frame)
+	payload := s.payloadPool.Get()
+	defer s.payloadPool.Put(payload)
+	err := s.readBlockInto(path, payload)
 	if err == nil {
 		return nil // already healthy: a concurrent heal (or flake) beat us
 	}
@@ -101,8 +101,6 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 		return err
 	}
 
-	payload := s.payloadPool.Get()
-	defer s.payloadPool.Put(payload)
 	if content != nil {
 		copy(payload, content)
 	} else if err := s.reconstructBlock(payload, cc, name, fi, ext, stripe, sym); err != nil {

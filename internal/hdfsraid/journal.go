@@ -196,10 +196,10 @@ func (s *Store) pendingSwapLocked(name string, ext int) bool {
 // path — mistaking it for a renamed staged block would replay the
 // transcode over missing data.
 func (s *Store) stagedComplete(in *TranscodeIntent) bool {
-	frame := s.framePool.Get()
-	defer s.framePool.Put(frame)
+	buf := s.payloadPool.Get()
+	defer s.payloadPool.Put(buf)
 	for _, rel := range in.Staged {
-		if _, err := s.readBlockInto(filepath.Join(s.root, rel)+tmpSuffix, frame); err != nil {
+		if err := s.readBlockInto(filepath.Join(s.root, rel)+tmpSuffix, buf); err != nil {
 			return false
 		}
 	}

@@ -66,8 +66,10 @@ func (m *Manifest) apply(r record) error {
 			return fmt.Errorf("hdfsraid: manifest log: put of %q carries no entry", r.Name)
 		}
 		m.Files[r.Name] = *r.File
+		m.newID(r.Name)
 	case opDel:
 		delete(m.Files, r.Name)
+		delete(m.ids, r.Name)
 	case opIntent:
 		if r.Intent == nil || m.queued(r.Intent.File, r.Intent.Extent) >= 0 {
 			return errors.New("hdfsraid: manifest log: intent record empty or for an extent already journaled")
@@ -239,6 +241,7 @@ func (s *Store) load(m Manifest, id os.FileInfo) (err error) {
 		}
 		for name, fi := range m.Files {
 			m.Files[name] = s.normalizeFileInfo(fi)
+			m.newID(name)
 		}
 		if err = s.replayLog(&m, 0); err == errNewerLog && attempt < 3 {
 			id = nil

@@ -101,6 +101,10 @@ const (
 	cScrubUnrepairable
 	cReadHeal
 	cQuarantine
+	cCacheHits
+	cCacheMisses
+	cCacheFills
+	cCacheEvictions
 	numCounters
 )
 
@@ -144,7 +148,18 @@ var counterNames = [numCounters]string{
 	cScrubUnrepairable: "scrub_unrepairable_total",
 	cReadHeal:          "read_heal_total",
 	cQuarantine:        "quarantine_total",
+	// The read cache, per extent, counted by the store whose read it
+	// was: served from memory, read from blocks with a cache attached,
+	// admitted, pushed out to make room (whichever store's they were).
+	cCacheHits:      "store_cache_hits_total",
+	cCacheMisses:    "store_cache_misses_total",
+	cCacheFills:     "store_cache_fills_total",
+	cCacheEvictions: "store_cache_evictions_total",
 }
+
+// cacheBytesName is the one gauge: what the attached read cache held,
+// all stores' of it, when this store last filled or dropped from it.
+const cacheBytesName = "store_cache_bytes"
 
 const (
 	// traceJournal is the event ring recording every journal state
@@ -167,15 +182,17 @@ var traceNames = [numTraces]string{traceJournal: "journal", traceHeal: "heal"}
 // overhead benchmark gate does it, to price the instrumentation. Every
 // store buildStore returns is instrumented.
 type storeObs struct {
-	reg      *obs.Registry
-	hists    [numHists]*obs.Histogram
-	counters [numCounters]*obs.Counter
-	traces   [numTraces]*obs.Trace
+	reg        *obs.Registry
+	hists      [numHists]*obs.Histogram
+	counters   [numCounters]*obs.Counter
+	traces     [numTraces]*obs.Trace
+	cacheBytes *obs.Gauge
 }
 
 // newStoreObs builds the store's registry and resolves every handle.
 func newStoreObs() *storeObs {
 	o := &storeObs{reg: obs.NewRegistry()}
+	o.cacheBytes = o.reg.Gauge(cacheBytesName)
 	for h, name := range histNames {
 		o.hists[h] = o.reg.Histogram(name)
 	}
@@ -206,6 +223,28 @@ func (o *storeObs) since(h hist, start time.Time) time.Time {
 	end := time.Now()
 	o.hists[h].Observe(end.Sub(start).Nanoseconds())
 	return end
+}
+
+// lap returns the time elapsed since start (a value now returned), for
+// a latency summed over several intervals; observe records one.
+func (o *storeObs) lap(start time.Time) time.Duration {
+	if o == nil {
+		return 0
+	}
+	return time.Since(start)
+}
+
+func (o *storeObs) observe(h hist, d time.Duration) {
+	if o != nil {
+		o.hists[h].Observe(d.Nanoseconds())
+	}
+}
+
+// cacheLevel publishes the read cache's current size.
+func (o *storeObs) cacheLevel(c *ReadCache) {
+	if o != nil {
+		o.cacheBytes.Set(float64(c.Bytes()))
+	}
 }
 
 // add increments counter c by n.

@@ -119,8 +119,8 @@ func TestStoreObsIntegration(t *testing.T) {
 	}
 }
 
-// TestMetricNamesDocumented: every counter and histogram the store
-// registers is named in docs/OBSERVABILITY.md.
+// TestMetricNamesDocumented: every counter, histogram and gauge the
+// store registers is named in docs/OBSERVABILITY.md.
 func TestMetricNamesDocumented(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
 	if err != nil {
@@ -135,6 +135,11 @@ func TestMetricNamesDocumented(t *testing.T) {
 	for name := range snap.Histograms {
 		if !bytes.Contains(doc, []byte("`"+name+"`")) {
 			t.Errorf("histogram %s is not documented in docs/OBSERVABILITY.md", name)
+		}
+	}
+	for name := range snap.Gauges {
+		if !bytes.Contains(doc, []byte("`"+name+"`")) {
+			t.Errorf("gauge %s is not documented in docs/OBSERVABILITY.md", name)
 		}
 	}
 }

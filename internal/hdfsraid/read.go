@@ -1,7 +1,9 @@
 package hdfsraid
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sync/atomic"
 	"time"
 
@@ -31,18 +33,27 @@ const (
 	readAt
 )
 
+// midSwap refuses an extent that is mid-swap in the journal.
+func (s *Store) midSwap(name string, ext int) error {
+	if s.pendingSwapLocked(name, ext) {
+		return fmt.Errorf("hdfsraid: %q extent %d is mid-swap in the journal; run Recover", name, ext)
+	}
+	return nil
+}
+
 // admitRead is the one preamble of every foreground read (Get, ReadAt,
-// ReadBlockInto), run once the caller has looked the file up and
-// validated its request against the layout. The caller holds mu's read
-// side for the whole read, so a concurrent transcode's block swap can
-// never be observed half-done; admitRead refuses any touched extent
-// [lo, hi] that is mid-swap in the journal, then feeds the heat hooks
-// with exactly the extents touched, so a ranged read of a large file
-// never warms the rest of it.
+// ReadTo, ReadBlockInto), run once the caller has looked the file up
+// and validated its request against the layout — and before the read
+// cache is consulted, so a hit is admitted like any other read. The
+// caller holds mu's read side while it reads an extent's blocks, so a
+// concurrent transcode's block swap can never be observed half-done;
+// admitRead refuses any touched extent [lo, hi] that is mid-swap in
+// the journal, then feeds the heat hooks with exactly the extents
+// touched, so a ranged read of a large file never warms the rest of it.
 func (s *Store) admitRead(name string, lo, hi int) error {
 	for e := lo; e <= hi; e++ {
-		if s.pendingSwapLocked(name, e) {
-			return fmt.Errorf("hdfsraid: %q extent %d is mid-swap in the journal; run Recover", name, e)
+		if err := s.midSwap(name, e); err != nil {
+			return err
 		}
 	}
 	if s.OnRead != nil {
@@ -56,15 +67,15 @@ func (s *Store) admitRead(name string, lo, hi int) error {
 	return nil
 }
 
-// observeRead records a successful foreground read of n bytes begun at
-// start: its latency — split by whether any wanted block had to be
+// observeRead records a successful foreground read of n bytes that
+// took d: its latency — split by whether any wanted block had to be
 // reconstructed instead of copied from a replica — and the bytes served.
-func (s *Store) observeRead(kind readKind, start time.Time, degraded bool, n int) {
+func (s *Store) observeRead(kind readKind, d time.Duration, degraded bool, n int) {
 	if degraded {
-		s.obs.since(readHists[kind].degraded, start)
+		s.obs.observe(readHists[kind].degraded, d)
 		s.obs.add(cReadsDegraded, 1)
 	} else {
-		s.obs.since(readHists[kind].intact, start)
+		s.obs.observe(readHists[kind].intact, d)
 	}
 	s.obs.add(cBytesOut, int64(n))
 }
@@ -79,11 +90,9 @@ type stripeRead struct {
 	fi          FileInfo
 	ext, stripe int
 
-	// frame is the one pooled block frame behind every read whose
-	// payload is copied out at once; held are the frames backing the
-	// symbols the decode step keeps until the pass ends.
-	frame []byte
-	held  [][]byte
+	// held are the pooled buffers backing the symbols the decode step
+	// keeps until the pass ends.
+	held [][]byte
 	// bad lists replicas whose read failed with a verdict about their
 	// bytes (corrupt or missing, not transient): the heal candidates.
 	bad []badReplica
@@ -104,24 +113,25 @@ func (r *stripeRead) zero(sym int) bool {
 	return r.fi.Extents[r.ext].zeroSymbol(r.cc.code.DataSymbols(), r.stripe, sym)
 }
 
-// replica reads the first healthy replica of sym into frame and
-// returns its payload (aliasing frame), or nil when none is readable.
-// A known-zero symbol is the read-only zero block, at no read.
-func (r *stripeRead) replica(sym int, frame []byte) []byte {
+// replica reads the first healthy replica of sym into dst, a block-
+// size buffer, and reports whether one was readable; when none is, dst
+// holds garbage. A known-zero symbol is zeros, at no read.
+func (r *stripeRead) replica(sym int, dst []byte) bool {
 	if r.zero(sym) {
-		return r.s.zeroBlock
+		clear(dst)
+		return true
 	}
 	for _, v := range r.cc.code.Placement().SymbolNodes[sym] {
-		data, err := r.s.readBlockInto(r.path(v, sym), frame)
+		err := r.s.readBlockInto(r.path(v, sym), dst)
 		if err == nil {
-			return data
+			return true
 		}
 		if !transientReadErr(err) {
 			r.bad = append(r.bad, badReplica{sym, v})
 		}
 		r.down = append(r.down, v)
 	}
-	return nil
+	return false
 }
 
 // plan is the ladder's second step: deliver data symbol sym into dst
@@ -144,8 +154,9 @@ func (r *stripeRead) plan(sym int, dst []byte) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	payload := r.s.payloadPool.Get()
+	payload, data := r.s.payloadPool.Get(), r.s.payloadPool.Get()
 	defer r.s.payloadPool.Put(payload)
+	defer r.s.payloadPool.Put(data)
 replan:
 	for {
 		plan, err := rp.PlanRead(sym, r.down, core.OffCluster)
@@ -162,8 +173,7 @@ replan:
 					continue
 				}
 				read = true
-				data, err := r.s.readBlockInto(r.path(tr.From, term.Symbol), r.frame)
-				if err != nil {
+				if err := r.s.readBlockInto(r.path(tr.From, term.Symbol), data); err != nil {
 					if transientReadErr(err) {
 						return 0, false
 					}
@@ -205,12 +215,13 @@ func (r *stripeRead) decode(symbols [][]byte, first, n int) ([][]byte, int, erro
 			symbols[sym] = r.s.zeroBlock
 			continue
 		}
-		frame := r.s.framePool.Get()
-		if symbols[sym] = r.replica(sym, frame); symbols[sym] == nil {
-			r.s.framePool.Put(frame)
+		buf := r.s.payloadPool.Get()
+		if !r.replica(sym, buf) {
+			r.s.payloadPool.Put(buf)
 			continue
 		}
-		r.held = append(r.held, frame)
+		symbols[sym] = buf
+		r.held = append(r.held, buf)
 	}
 	data, err := r.cc.code.Decode(symbols)
 	return data, len(r.held), err
@@ -245,19 +256,18 @@ func (r *stripeRead) decode(symbols [][]byte, first, n int) ([][]byte, int, erro
 // readStripe takes no lock and fires no hook; callers hold mu's read
 // side (foreground reads, scrub) or the extent's move lock (transcode).
 func (s *Store) readStripe(cc codec, name string, fi FileInfo, ext, stripe, first int, dst [][]byte, heal bool) (cost int, err error) {
-	r := stripeRead{s: s, cc: cc, name: name, fi: fi, ext: ext, stripe: stripe, frame: s.framePool.Get()}
+	r := stripeRead{s: s, cc: cc, name: name, fi: fi, ext: ext, stripe: stripe}
 	defer func() {
-		s.framePool.Put(r.frame)
-		for _, f := range r.held {
-			s.framePool.Put(f)
+		for _, b := range r.held {
+			s.payloadPool.Put(b)
 		}
 	}()
 
+	// A replica's payload lands in its destination directly; what a
+	// failed read left there, the degraded steps overwrite.
 	var lost []int // indices into dst no replica delivered
 	for j, d := range dst {
-		if data := r.replica(first+j, r.frame); data != nil {
-			copy(d, data)
-		} else {
+		if !r.replica(first+j, d) {
 			lost = append(lost, j)
 		}
 	}
@@ -316,12 +326,176 @@ func (s *Store) Get(name string) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, fi.Length)
-	degraded, err := s.readRange(name, fi, out, 0)
+	degraded, err := s.readInto(name, fi, out, 0)
 	if err != nil {
 		return nil, err
 	}
-	s.observeRead(readGet, start, degraded, len(out))
+	s.observeRead(readGet, s.obs.lap(start), degraded, len(out))
 	return out, nil
+}
+
+// SetReadCache attaches a cache (nil: none) that Get, ReadAt and ReadTo
+// serve hits from and fill; stores may share one. Set it before serving.
+func (s *Store) SetReadCache(c *ReadCache) { s.cache = c }
+
+// extentAt returns the extent holding byte off of the file, and where
+// the part of [off, end) inside that extent ends.
+func (s *Store) extentAt(fi FileInfo, off, end int64) (ext int, hi int64) {
+	bs := int64(s.blockSize)
+	ext = extentOf(fi, int(off/bs))
+	return ext, min(end, int64(fi.Extents[ext].Start+fi.Extents[ext].Blocks)*bs)
+}
+
+// readInto fills p with the file's bytes from offset off for Get and
+// ReadAt: without a cache in one readRange, every touched stripe in
+// flight at once; with one, extent by extent, each a hit or miss of its
+// own.
+func (s *Store) readInto(name string, fi FileInfo, p []byte, off int64) (degraded bool, err error) {
+	if s.cache == nil {
+		return s.readRange(name, fi, p, off)
+	}
+	id := s.manifest.ids[name]
+	for end := off + int64(len(p)); off < end; {
+		ext, hi := s.extentAt(fi, off, end)
+		_, deg, err := s.readExtent(name, fi, id, ext, off, hi, p[:hi-off])
+		if err != nil {
+			return false, err
+		}
+		degraded = degraded || deg
+		p, off = p[hi-off:], hi
+	}
+	return degraded, nil
+}
+
+// readExtent produces bytes [lo, hi) of the file, which lie inside
+// extent ext of the entry with identity id: out of the read cache when
+// it holds the extent, else from the blocks — and only a miss that read
+// the whole extent is offered to the cache, so no read is amplified to
+// fill it. With dst nil the result is the cached slice itself on a hit
+// (not to be modified) and a buffer of just the wanted bytes on a miss,
+// which the cache takes over if it admits it; otherwise the bytes land
+// in dst and the cache gets a copy. The caller holds mu's read side,
+// has admitted the read and looked id up under the same hold: all a hit
+// needs to be right (see extentKey).
+func (s *Store) readExtent(name string, fi FileInfo, id uint64, ext int, lo, hi int64, dst []byte) ([]byte, bool, error) {
+	e, bs := fi.Extents[ext], int64(s.blockSize)
+	start, end := int64(e.Start)*bs, min(int64(e.Start+e.Blocks)*bs, int64(fi.Length))
+	key := extentKey{id, ext}
+	if data := s.cache.get(key); data != nil {
+		s.obs.add(cCacheHits, 1)
+		if dst == nil {
+			return data[lo-start : hi-start], false, nil
+		}
+		copy(dst, data[lo-start:hi-start])
+		return dst, false, nil
+	}
+	owned := dst == nil
+	if owned {
+		dst = make([]byte, hi-lo)
+	}
+	degraded, err := s.readRange(name, fi, dst, lo)
+	if err != nil || s.cache == nil {
+		return dst, degraded, err
+	}
+	s.obs.add(cCacheMisses, 1)
+	if lo == start && hi == end && s.cache.admit(key, hi-lo) {
+		data := dst
+		if !owned {
+			data = bytes.Clone(dst)
+		}
+		s.obs.add(cCacheFills, 1)
+		s.obs.add(cCacheEvictions, int64(s.cache.add(key, data)))
+		s.obs.cacheLevel(s.cache)
+	}
+	return dst, degraded, nil
+}
+
+// clipRange resolves a requested byte range against a file's length:
+// off < 0 counts back from the end, n < 0 or too long runs to the end.
+func clipRange(length, off, n int64) (lo, hi int64) {
+	if off < 0 {
+		off, n = max(length+off, 0), -1
+	}
+	if off = min(off, length); n < 0 || n > length-off {
+		return off, length
+	}
+	return off, off + n
+}
+
+// ReadTo writes bytes [off, off+n) of a stored file (clipped as
+// clipRange says) to w, one extent at a time: the serving front door's
+// read path. Each extent is looked up, admitted and produced under mu's
+// read side (readExtent) and written only after the lock is released,
+// so a slow w delays no writer. Once the first extent's bytes are in
+// hand — whatever can fail before a byte is sent already has — begin,
+// if not nil, learns the file's length and the range about to be
+// written; its error ends the read. An entry deleted or replaced
+// between two extents fails the read: two entries' bytes are never
+// spliced. An empty range reads nothing and records nothing; the
+// latency recorded otherwise leaves the writes out.
+func (s *Store) ReadTo(w io.Writer, name string, off, n int64, begin func(length, off, n int64) error) (written int64, err error) {
+	var (
+		id          uint64 // the entry's identity, pinned by the first step
+		length, end int64
+		busy        time.Duration
+		degraded    bool
+	)
+	// step produces the bytes of the extent holding off.
+	step := func(first bool) ([]byte, error) {
+		t := s.obs.now()
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		fi, ok := s.manifest.Files[name]
+		switch {
+		case !ok && first:
+			return nil, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
+		case !first && (!ok || s.manifest.ids[name] != id):
+			return nil, fmt.Errorf("hdfsraid: %q was deleted or replaced mid-read", name)
+		case first:
+			id, length = s.manifest.ids[name], int64(fi.Length)
+			if off, end = clipRange(length, off, n); off == end {
+				return nil, nil
+			}
+		}
+		ext, hi := s.extentAt(fi, off, end)
+		var err error
+		if first {
+			last, _ := s.extentAt(fi, end-1, end)
+			err = s.admitRead(name, ext, last)
+		} else {
+			err = s.midSwap(name, ext)
+		}
+		if err != nil {
+			return nil, err
+		}
+		chunk, deg, err := s.readExtent(name, fi, id, ext, off, hi, nil)
+		if err != nil {
+			return nil, fmt.Errorf("hdfsraid: reading %q bytes %d-%d: %w", name, off, hi-1, err)
+		}
+		degraded = degraded || deg
+		busy += s.obs.lap(t)
+		return chunk, nil
+	}
+	for first := true; first || off < end; first = false {
+		chunk, err := step(first)
+		if err == nil && first && begin != nil {
+			err = begin(length, off, end-off)
+		}
+		if err != nil || off == end {
+			return written, err
+		}
+		m, err := w.Write(chunk)
+		written, off = written+int64(m), off+int64(m)
+		if err != nil {
+			return written, err
+		}
+	}
+	kind := readAt
+	if written == length {
+		kind = readGet
+	}
+	s.observeRead(kind, busy, degraded, int(written))
+	return written, nil
 }
 
 // readRange fills p with the file's bytes from offset off, reporting
@@ -446,6 +620,6 @@ func (s *Store) ReadBlockInto(dst []byte, name string, stripe, symbol int) (int,
 	if err != nil {
 		return 0, err
 	}
-	s.observeRead(readBlock, start, cost > 0, len(dst))
+	s.observeRead(readBlock, s.obs.lap(start), cost > 0, len(dst))
 	return cost, nil
 }

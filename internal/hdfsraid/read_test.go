@@ -478,6 +478,33 @@ func TestOneReaderEquivalence(t *testing.T) {
 									g, reads, cost, wantReads, wantDegraded)
 							}
 						}
+						// The same entry points with the read cache on, each
+						// case read three times — a miss, the miss that fills,
+						// a hit — plus ReadTo over the whole file and a range:
+						// whatever the ladder delivered, memory delivers too.
+						s.SetReadCache(NewReadCache(8 << 20))
+						for round := 0; round < 3; round++ {
+							before := bio.reads.Load()
+							if got, err := s.Get("f"); err != nil || !bytes.Equal(got, data) {
+								t.Fatalf("cached Get, round %d: err %v, bytes equal %v", round, err, bytes.Equal(got, data))
+							}
+							off := rng.Intn(len(data))
+							p := make([]byte, 1+rng.Intn(len(data)-off))
+							if _, err := s.ReadAt(p, "f", int64(off)); err != nil || !bytes.Equal(p, data[off:off+len(p)]) {
+								t.Fatalf("cached ReadAt(off=%d, n=%d), round %d: err %v", off, len(p), round, err)
+							}
+							for _, r := range [][2]int64{{0, -1}, {int64(off), int64(len(p))}, {-int64(len(p)), -1}} {
+								var buf bytes.Buffer
+								lo, hi := clipRange(int64(len(data)), r[0], r[1])
+								if _, err := s.ReadTo(&buf, "f", r[0], r[1], nil); err != nil || !bytes.Equal(buf.Bytes(), data[lo:hi]) {
+									t.Fatalf("ReadTo(off=%d, n=%d), round %d: err %v", r[0], r[1], round, err)
+								}
+							}
+							if reads := bio.reads.Load() - before; round == 2 && reads != 0 {
+								t.Fatalf("round 3 with every extent cached read %d blocks", reads)
+							}
+						}
+						s.SetReadCache(nil)
 						if dmg.name != "intact" {
 							return
 						}

@@ -36,11 +36,11 @@ func (s *Store) ReadAt(p []byte, name string, off int64) (int, error) {
 	if err := s.admitRead(name, extentOf(fi, int(off/bs)), extentOf(fi, int((off+want-1)/bs))); err != nil {
 		return 0, err
 	}
-	degraded, err := s.readRange(name, fi, p[:want], off)
+	degraded, err := s.readInto(name, fi, p[:want], off)
 	if err != nil {
 		return 0, fmt.Errorf("hdfsraid: reading %q bytes %d-%d: %w", name, off, off+want-1, err)
 	}
-	s.observeRead(readAt, start, degraded, int(want))
+	s.observeRead(readAt, s.obs.lap(start), degraded, int(want))
 	if int(want) < len(p) {
 		return int(want), io.EOF
 	}

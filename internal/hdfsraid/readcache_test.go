@@ -1,0 +1,354 @@
+package hdfsraid
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// cacheCount reads one of the store's cache counters.
+func cacheCount(s *Store, c counter) int64 { return s.obs.counters[c].Value() }
+
+// readTo is ReadTo into memory.
+func readTo(s *Store, name string, off, n int64) ([]byte, error) {
+	var buf bytes.Buffer
+	_, err := s.ReadTo(&buf, name, off, n, nil)
+	return buf.Bytes(), err
+}
+
+// parkedWriter blocks its first Write until released, after announcing
+// it: a client that stops reading between two extents.
+type parkedWriter struct {
+	bytes.Buffer
+	parked, release chan struct{}
+	once            sync.Once
+}
+
+func newParkedWriter() *parkedWriter {
+	return &parkedWriter{parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (w *parkedWriter) Write(p []byte) (int, error) {
+	n, _ := w.Buffer.Write(p)
+	w.once.Do(func() {
+		close(w.parked)
+		<-w.release
+	})
+	return n, nil
+}
+
+// TestReadCacheNeverServesAReplacedName: an entry's cached bytes die
+// with the entry. After a delete and a re-put of the same name with
+// different bytes of the same length, no entry point returns a byte of
+// the old content — including a ReadTo parked between two extents while
+// the name was replaced, which must fail rather than splice two files.
+func TestReadCacheNeverServesAReplacedName(t *testing.T) {
+	s := newExtStore(t, "rs-9-6", 6)
+	cache := NewReadCache(1 << 20)
+	s.SetReadCache(cache)
+	const length = 3*6*blockSize - 77 // three extents
+	old, fresh := randomFile(t, length, 1), randomFile(t, length, 2)
+	if err := s.Put("f", old); err != nil {
+		t.Fatal(err)
+	}
+	check := func(want []byte) {
+		t.Helper()
+		got, err := s.Get("f")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get: err %v, bytes equal %v", err, bytes.Equal(got, want))
+		}
+		p := make([]byte, 2*blockSize)
+		off := int64(6*blockSize - 100) // straddles extents 0 and 1
+		if _, err := s.ReadAt(p, "f", off); err != nil || !bytes.Equal(p, want[off:off+int64(len(p))]) {
+			t.Fatalf("ReadAt: err %v", err)
+		}
+		if got, err := readTo(s, "f", 0, -1); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("ReadTo: err %v, bytes equal %v", err, bytes.Equal(got, want))
+		}
+	}
+	check(old)
+	check(old)
+	if cacheCount(s, cCacheHits) == 0 || cache.Bytes() != length {
+		t.Fatalf("cache not warm: %d hits, %d bytes", cacheCount(s, cCacheHits), cache.Bytes())
+	}
+
+	// A reader parks after extent 0; the name is replaced under it.
+	w := newParkedWriter()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.ReadTo(w, "f", 0, -1, nil)
+		done <- err
+	}()
+	<-w.parked
+	if _, err := s.Delete("f"); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Bytes() != 0 {
+		t.Fatalf("delete left %d bytes cached", cache.Bytes())
+	}
+	if err := s.Put("f", fresh); err != nil {
+		t.Fatal(err)
+	}
+	close(w.release)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "replaced mid-read") {
+		t.Fatalf("parked ReadTo over a replaced name: err = %v", err)
+	}
+	if got := w.Bytes(); !bytes.Equal(got, old[:6*blockSize]) {
+		t.Fatalf("parked ReadTo delivered %d bytes, want exactly the old entry's first extent", len(got))
+	}
+	check(fresh)
+	check(fresh)
+	check(fresh)
+
+	// Deleted outright under a parked reader: the rest fails too.
+	w = newParkedWriter()
+	go func() {
+		_, err := s.ReadTo(w, "f", 0, -1, nil)
+		done <- err
+	}()
+	<-w.parked
+	if _, err := s.Delete("f"); err != nil {
+		t.Fatal(err)
+	}
+	close(w.release)
+	if err := <-done; err == nil {
+		t.Fatal("parked ReadTo over a deleted name succeeded")
+	}
+	if _, err := readTo(s, "f", 0, -1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadTo of a deleted name: %v", err)
+	}
+}
+
+// TestReadCacheSurvivesTranscode: a committed transcode keeps the
+// entry's identity, so its cached extents stay valid — there and back,
+// byte-exact, at no block read. A hit is still a read: it feeds both
+// heat hooks, lands in the histograms, and is refused while the extent
+// is mid-swap in the journal.
+func TestReadCacheSurvivesTranscode(t *testing.T) {
+	s := newExtStore(t, "rs-9-6", 6)
+	s.SetReadCache(NewReadCache(1 << 20))
+	bio := &countingIO{}
+	s.SetBlockIO(bio)
+	var fileTouches, extTouches int
+	s.OnRead = func(string) { fileTouches++ }
+	s.OnReadExtent = func(string, int) { extTouches++ }
+	data := randomFile(t, 2*6*blockSize, 3) // two extents
+	if err := s.Put("f", data); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // seen, then filled
+		if _, err := s.Get("f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit := func(what string) {
+		t.Helper()
+		reads, hits, files, exts := bio.reads.Load(), cacheCount(s, cCacheHits), fileTouches, extTouches
+		gets := s.obs.hists[hGetIntact].Count()
+		got, err := readTo(s, "f", 0, -1)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: ReadTo err %v, bytes equal %v", what, err, bytes.Equal(got, data))
+		}
+		if bio.reads.Load() != reads || cacheCount(s, cCacheHits) != hits+2 {
+			t.Fatalf("%s: %d block reads, %d hits; want 0 and 2", what, bio.reads.Load()-reads, cacheCount(s, cCacheHits)-hits)
+		}
+		if fileTouches != files+1 || extTouches != exts+2 || s.obs.hists[hGetIntact].Count() != gets+1 {
+			t.Fatalf("%s: a hit fed OnRead %d, OnReadExtent %d, histogram %d times; want 1, 2, 1",
+				what, fileTouches-files, extTouches-exts, s.obs.hists[hGetIntact].Count()-gets)
+		}
+	}
+	hit("warm")
+	for _, to := range []string{"pentagon", "rs-9-6"} {
+		if _, err := s.TranscodeExtent("f", 0, to); err != nil {
+			t.Fatal(err)
+		}
+		hit("after move to " + to)
+	}
+
+	killAt(s, "midswap")
+	if _, err := s.TranscodeExtent("f", 1, "pentagon"); !errors.Is(err, errKilled) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	s.killHook = nil
+	if _, err := s.Get("f"); err == nil || !strings.Contains(err.Error(), "mid-swap") {
+		t.Fatalf("Get of a cached mid-swap extent: %v", err)
+	}
+	if _, err := s.ReadAt(make([]byte, 10), "f", 6*blockSize); err == nil || !strings.Contains(err.Error(), "mid-swap") {
+		t.Fatalf("ReadAt of a cached mid-swap extent: %v", err)
+	}
+	// A range touching the extent is refused before its first byte.
+	got, err := readTo(s, "f", 6*blockSize-10, 20)
+	if err == nil || !strings.Contains(err.Error(), "mid-swap") || len(got) != 0 {
+		t.Fatalf("ReadTo into a cached mid-swap extent: %d bytes, %v", len(got), err)
+	}
+	if got, err := readTo(s, "f", 0, 6*blockSize); err != nil || !bytes.Equal(got, data[:6*blockSize]) {
+		t.Fatalf("ReadTo of the untouched extent: %v", err)
+	}
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	hit("after recovery")
+
+	// An extent that goes mid-swap while a reader is parked in front of
+	// it is refused when the reader gets there.
+	w := newParkedWriter()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.ReadTo(w, "f", 0, -1, nil)
+		done <- err
+	}()
+	<-w.parked
+	killAt(s, "midswap")
+	if _, err := s.TranscodeExtent("f", 1, "rs-9-6"); !errors.Is(err, errKilled) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	close(w.release)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "mid-swap") || w.Len() != 6*blockSize {
+		t.Fatalf("parked ReadTo reaching a mid-swap extent: %d bytes, %v", w.Len(), err)
+	}
+}
+
+// TestReadCacheBounds: the byte cap holds under a concurrent fill storm,
+// an extent over an eighth of the budget is never admitted, admission
+// takes a second whole-extent read, and a ranged read neither fills
+// the cache nor reads a block outside its range.
+func TestReadCacheBounds(t *testing.T) {
+	const budget = 16 * blockSize
+	s := newStore(t, "rs-9-6")
+	cache := NewReadCache(budget)
+	s.SetReadCache(cache)
+	const files = 24
+	for i := 0; i < files; i++ {
+		if err := s.Put(fmt.Sprintf("f%02d", i), randomFile(t, 2*blockSize-i, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := 0; i < files; i++ {
+					name := fmt.Sprintf("f%02d", (i+g*5)%files)
+					if _, err := s.Get(name); err != nil {
+						t.Error(err)
+					}
+					if b := cache.Bytes(); b > budget {
+						t.Errorf("cache holds %d bytes, budget %d", b, budget)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if cacheCount(s, cCacheEvictions) == 0 || cacheCount(s, cCacheFills) == 0 {
+		t.Fatalf("storm evicted %d, filled %d; want both", cacheCount(s, cCacheEvictions), cacheCount(s, cCacheFills))
+	}
+	if got := s.Obs().Snapshot().Gauges[cacheBytesName]; got <= 0 || got > budget {
+		t.Fatalf("%s gauge = %v, want within (0, %d]", cacheBytesName, got, budget)
+	}
+
+	// Over budget/8 by one byte: read from the blocks every time.
+	big := randomFile(t, budget/8+1, 99)
+	if err := s.Put("big", big); err != nil {
+		t.Fatal(err)
+	}
+	bio := &countingIO{}
+	s.SetBlockIO(bio)
+	fills := cacheCount(s, cCacheFills)
+	for i := 1; i <= 3; i++ {
+		if got, err := s.Get("big"); err != nil || !bytes.Equal(got, big) {
+			t.Fatalf("Get(big): %v", err)
+		}
+		if reads := bio.reads.Load(); reads != int64(3*i) {
+			t.Fatalf("read %d of the oversized extent took %d block reads in all, want %d", i, reads, 3*i)
+		}
+	}
+	// Ranged reads of a cold extent: one block each, forever, no fill.
+	cold := randomFile(t, 2*blockSize, 98)
+	if err := s.Put("cold", cold); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		before := bio.reads.Load()
+		p := make([]byte, 100)
+		if _, err := s.ReadAt(p, "cold", blockSize+5); err != nil || !bytes.Equal(p, cold[blockSize+5:][:100]) {
+			t.Fatalf("ReadAt(cold): %v", err)
+		}
+		if got, err := readTo(s, "cold", blockSize+5, 100); err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("ReadTo(cold): %v", err)
+		}
+		if reads := bio.reads.Load() - before; reads != 2 {
+			t.Fatalf("two one-block ranged reads took %d block reads", reads)
+		}
+	}
+	if got := cacheCount(s, cCacheFills); got != fills {
+		t.Fatalf("oversized and ranged reads filled the cache %d times", got-fills)
+	}
+	// Second touch: the first whole read is remembered, the second
+	// admitted, the third served from memory.
+	for i, wantReads := range []int64{2, 2, 0} {
+		before := bio.reads.Load()
+		if got, err := readTo(s, "cold", 0, -1); err != nil || !bytes.Equal(got, cold) {
+			t.Fatalf("ReadTo(cold) %d: %v", i, err)
+		}
+		if reads := bio.reads.Load() - before; reads != wantReads {
+			t.Fatalf("whole read %d of a cold extent took %d block reads, want %d", i+1, reads, wantReads)
+		}
+	}
+}
+
+// TestReadBlockFileVerdicts pins the payload-direct block read's
+// verdicts about a frame: exact length and CRC or ErrCorrupt, whichever
+// way it is wrong; a missing file is not a verdict about bytes.
+func TestReadBlockFileVerdicts(t *testing.T) {
+	s := newStore(t, "pentagon")
+	if err := s.Put("f", randomFile(t, blockSize, 7)); err != nil {
+		t.Fatal(err)
+	}
+	fi, _ := s.Info("f")
+	path := s.extentBlockPath(s.code.Placement().SymbolNodes[0][0], "f", fi, 0, 0, 0)
+	frame, err := os.ReadFile(path)
+	if err != nil || len(frame) != blockSize+4 {
+		t.Fatalf("frame: %d bytes, %v", len(frame), err)
+	}
+	flipped := bytes.Clone(frame)
+	flipped[blockSize/2] ^= 1
+	badCRC := bytes.Clone(frame)
+	badCRC[blockSize+3] ^= 1
+	for _, tc := range []struct {
+		name    string
+		content []byte
+		want    string // substring of the ErrCorrupt verdict; "" = healthy
+	}{
+		{"exact", frame, ""},
+		{"empty", nil, "shorter"},
+		{"payload cut", frame[:blockSize-1], "shorter"},
+		{"trailer cut", frame[:blockSize+3], "shorter"},
+		{"one byte long", append(bytes.Clone(frame), 0), "longer"},
+		{"payload bit flipped", flipped, "checksum"},
+		{"trailer bit flipped", badCRC, "checksum"},
+	} {
+		p := filepath.Join(t.TempDir(), "block")
+		if err := os.WriteFile(p, tc.content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, blockSize)
+		err := s.readBlockInto(p, dst)
+		switch {
+		case tc.want == "" && (err != nil || !bytes.Equal(dst, frame[:blockSize])):
+			t.Errorf("%s: err %v, payload equal %v", tc.name, err, bytes.Equal(dst, frame[:blockSize]))
+		case tc.want != "" && (!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want ErrCorrupt (%s)", tc.name, err, tc.want)
+		}
+	}
+	if err := s.readBlockInto(filepath.Join(t.TempDir(), "absent"), make([]byte, blockSize)); !os.IsNotExist(err) {
+		t.Errorf("missing block file: err = %v", err)
+	}
+}

@@ -106,8 +106,8 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 		startIdx = 0
 	}
 
-	frame := s.framePool.Get()
-	defer s.framePool.Put(frame)
+	buf := s.payloadPool.Get()
+	defer s.payloadPool.Put(buf)
 	frameBytes := int64(s.blockSize + 4)
 	i := startIdx
 	for scanned := 0; scanned < len(refs); scanned++ {
@@ -121,7 +121,7 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 			return rep, err
 		}
 		v := cc.code.Placement().SymbolNodes[ref.sym][ref.rep]
-		_, err = s.readBlockInto(s.extentBlockPath(v, ref.name, fi, ref.ext, ref.stripe, ref.sym), frame)
+		err = s.readBlockInto(s.extentBlockPath(v, ref.name, fi, ref.ext, ref.stripe, ref.sym), buf)
 		rep.BlocksScanned++
 		rep.BytesScanned += frameBytes
 		switch {

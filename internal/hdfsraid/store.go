@@ -54,6 +54,21 @@ type Manifest struct {
 	// snapshot: each checkpoint writes the next one. A log whose header
 	// names an older generation predates the snapshot and is ignored.
 	LogGen int64 `json:"log_gen,omitempty"`
+
+	// ids gives every file-table entry an in-memory identity (fileIDs),
+	// assigned where apply handles a put and load rebuilds the table:
+	// what the read cache keys bytes by. It lives beside FileInfo, not in
+	// it: a committed transcode replaces the FileInfo and keeps the
+	// identity, a delete retires it, a re-put gets a new one.
+	ids map[string]uint64
+}
+
+// newID gives name's entry a fresh identity.
+func (m *Manifest) newID(name string) {
+	if m.ids == nil {
+		m.ids = map[string]uint64{}
+	}
+	m.ids[name] = fileIDs.Add(1)
 }
 
 // FileInfo records one stored file: its length plus the extent map
@@ -100,10 +115,11 @@ type Store struct {
 	blockSize    int
 	extentBlocks int
 
-	// framePool recycles on-disk block frames (payload + CRC trailer)
-	// across reads and writes; payloadPool recycles bare block-size
-	// buffers for degraded-read payloads and encode pipelines. Both
-	// keep steady-state block traffic allocation-free.
+	// framePool recycles the on-disk block frames (payload + CRC
+	// trailer) writes assemble; payloadPool recycles bare block-size
+	// buffers for block reads that are not into their final destination,
+	// degraded-read payloads and encode pipelines. Both keep steady-
+	// state block traffic allocation-free.
 	framePool   *core.BlockPool
 	payloadPool *core.BlockPool
 
@@ -114,6 +130,7 @@ type Store struct {
 
 	mu       sync.RWMutex
 	manifest Manifest
+	cache    *ReadCache // decoded hot extents; nil = none (SetReadCache)
 	// log is the manifest's op log; snapID is the file identity (and
 	// size) of the snapshot the table was loaded from or last
 	// checkpointed to (see commit, refresh). Both guarded by mu.
@@ -549,33 +566,39 @@ var ErrNotFound = errors.New("no such file")
 // errors.Is.
 var ErrExists = errors.New("already stored")
 
-// readBlockFrame reads and verifies one block file into frame through
-// bio; frame must be blockSize+4 bytes (typically from the store's
-// frame pool). The returned payload aliases frame[:blockSize]. Most
-// callers want (*Store).readBlockInto, which adds transient-error
-// retry on top.
-func readBlockFrame(bio BlockIO, path string, frame []byte) ([]byte, error) {
+// readBlockFile reads and verifies one block file through bio: the
+// payload straight into dst — a block-size buffer, usually the read's
+// final destination — then the 4-byte CRC trailer plus the byte that
+// must not follow it in one more read. On any error dst holds garbage.
+// Most callers want (*Store).readBlockInto, which retries transient
+// errors on top.
+func readBlockFile(bio BlockIO, path string, dst []byte) error {
 	f, err := bio.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
-	if _, err := io.ReadFull(f, frame); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: %s shorter than %d bytes", ErrCorrupt, path, len(frame))
-		}
-		return nil, err
+	var tail [5]byte
+	_, err = io.ReadFull(f, dst)
+	n := 0
+	if err == nil {
+		n, err = io.ReadFull(f, tail[:])
 	}
-	var extra [1]byte
-	if n, _ := f.Read(extra[:]); n != 0 {
-		return nil, fmt.Errorf("%w: %s longer than %d bytes", ErrCorrupt, path, len(frame))
+	switch {
+	case n == 5:
+		return fmt.Errorf("%w: %s longer than %d bytes", ErrCorrupt, path, len(dst)+4)
+	case n == 4:
+		// The frame's exact length; how the probe for a fifth byte came
+		// back empty is no verdict about the four before it.
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return fmt.Errorf("%w: %s shorter than %d bytes", ErrCorrupt, path, len(dst)+4)
+	default:
+		return err
 	}
-	blockSize := len(frame) - 4
-	data := frame[:blockSize]
-	if binary.LittleEndian.Uint32(frame[blockSize:]) != block.Checksum(data) {
-		return nil, fmt.Errorf("%w: %s", ErrCorrupt, path)
+	if binary.LittleEndian.Uint32(tail[:4]) != block.Checksum(dst) {
+		return fmt.Errorf("%w: %s", ErrCorrupt, path)
 	}
-	return data, nil
+	return nil
 }
 
 // checkNewFile validates a Put/PutReader target name. Caller holds mu.
@@ -696,7 +719,7 @@ func (s *Store) repairFile(name string, fi FileInfo, failed []int) (RepairReport
 			continue
 		}
 		// The failure pattern is fixed across stripes, so plan once and
-		// execute per stripe with pooled frames and payloads.
+		// execute per stripe with pooled payloads.
 		plan, err := planner.PlanRepair(extFailed)
 		if err != nil {
 			return rep, err
@@ -727,14 +750,14 @@ func (s *Store) repairFile(name string, fi FileInfo, failed []int) (RepairReport
 
 // repairStripe executes plan over one stripe whose blocks live at
 // path(node, symbol): load the surviving nodes' contents into pooled
-// frames, run the plan, and persist what it rebuilt on the failed
+// buffers, run the plan, and persist what it rebuilt on the failed
 // nodes, returning the number of block files restored.
 func (s *Store) repairStripe(cc codec, plan *core.RepairPlan, failed []int, zero func(sym int) bool, path func(v, sym int) string) (restored int, err error) {
 	p := cc.code.Placement()
-	var frames [][]byte
+	var bufs [][]byte
 	defer func() {
-		for _, f := range frames {
-			s.framePool.Put(f)
+		for _, b := range bufs {
+			s.payloadPool.Put(b)
 		}
 	}()
 	nc := make(core.NodeContents, cc.code.Nodes())
@@ -748,11 +771,11 @@ func (s *Store) repairStripe(cc codec, plan *core.RepairPlan, failed []int, zero
 				nc[v][sym] = s.zeroBlock
 				continue
 			}
-			frame := s.framePool.Get()
-			frames = append(frames, frame)
+			buf := s.payloadPool.Get()
+			bufs = append(bufs, buf)
 			// Tolerate extra damage; the plan will fail loudly if fatal.
-			if data, err := s.readBlockInto(path(v, sym), frame); err == nil {
-				nc[v][sym] = data
+			if s.readBlockInto(path(v, sym), buf) == nil {
+				nc[v][sym] = buf
 			}
 		}
 	}
@@ -837,8 +860,8 @@ func (s *Store) Fsck() (FsckReport, error) {
 		s.obs.add(cFsckCorrupt, int64(rep.Corrupt))
 		s.obs.add(cFsckOrphans, int64(rep.Orphans))
 	}()
-	frame := s.framePool.Get()
-	defer s.framePool.Put(frame)
+	buf := s.payloadPool.Get()
+	defer s.payloadPool.Put(buf)
 	// A journaled move's staged blocks are expected under both their
 	// staged and final names: a resumed swap may have promoted some.
 	staged := map[string]bool{}
@@ -855,7 +878,7 @@ func (s *Store) Fsck() (FsckReport, error) {
 				path := s.extentBlockPath(v, name, fi, ext, r.stripe, r.sym)
 				delete(staged, path) // a final name the old layout expects too
 				rep.Blocks++
-				_, err := s.readBlockInto(path, frame)
+				err := s.readBlockInto(path, buf)
 				switch {
 				case err == nil:
 				case errors.Is(err, ErrCorrupt):

@@ -26,7 +26,9 @@ func seedRoot(t *testing.T, shards, files int) (string, *serve.Server, map[strin
 	if err := serve.CreateShards(root, "rs-9-6", testBlock, testExt, shards); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.Open(root, serve.Config{})
+	// The shared read cache is on: moved, deleted and re-put names must
+	// read back exact with it, on old and grown shards alike.
+	srv, err := serve.Open(root, serve.Config{ReadCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 //
 //	PUT    /files/{name}            streaming ingest (chunked bodies ok)
 //	GET    /files/{name}            whole file, or one range via Range: bytes=
+//	                                (HEAD: the headers, from the manifest)
 //	DELETE /files/{name}            remove the file
 //	GET    /files                   sorted name list (JSON)
 //	GET    /stats                   merged obs snapshot across shards (JSON);
@@ -86,60 +87,52 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"name": name, "length": fi.Length, "shard": s.ShardOf(name)})
 }
 
+// handleGet serves a file, whole or one byte range, through the one
+// read path, Server.ReadTo. Nothing is sent until the first extent's
+// bytes are in hand, so an unreadable file answers with a status; a
+// failure after that aborts the connection — a short body, never a
+// wrong one. HEAD is the empty read: begin learns the length from the
+// manifest, no block is read, no heat fed, nothing recorded.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if rng := r.Header.Get("Range"); rng != "" {
-		if off, n, ok := parseRange(rng); ok {
-			s.serveRange(w, name, off, n)
-			return
+	// Multi-range or malformed: the whole file, as RFC 9110 permits.
+	off, n, ranged := parseRange(r.Header.Get("Range"))
+	switch {
+	case r.Method == http.MethodHead:
+		off, n, ranged = 0, 0, false
+	case !ranged:
+		off, n = 0, -1
+	}
+	begun, refused := false, errors.New("range not satisfiable") // begin's own 416
+	_, err := s.ReadTo(w, r.PathValue("name"), off, n, func(length, off, n int64) error {
+		begun = true
+		h := w.Header()
+		if ranged && n == 0 {
+			h.Set("Content-Range", fmt.Sprintf("bytes */%d", length))
+			http.Error(w, "range out of bounds", http.StatusRequestedRangeNotSatisfiable)
+			return refused
 		}
-		// Multi-range or malformed: fall through and serve the whole
-		// file, which RFC 9110 permits.
-	}
-	data, err := s.Get(name)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Header().Set("Accept-Ranges", "bytes")
-	w.Write(data)
-}
-
-// serveRange answers one Range request via the shard's ReadAt. n < 0
-// means "through the end"; off < 0 means a suffix range of -off bytes.
-func (s *Server) serveRange(w http.ResponseWriter, name string, off, n int64) {
-	fi, ok := s.Info(name)
-	if !ok {
-		http.Error(w, fmt.Sprintf("no such file %q", name), http.StatusNotFound)
-		return
-	}
-	length := int64(fi.Length)
-	if off < 0 { // suffix: last -off bytes
-		off = length + off
-		if off < 0 {
-			off = 0
+		status := http.StatusOK
+		if ranged {
+			h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+n-1, length))
+			status = http.StatusPartialContent
+		} else {
+			n = length // what a HEAD promises, too
 		}
-		n = length - off
-	}
-	if off >= length {
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", length))
-		http.Error(w, "range out of bounds", http.StatusRequestedRangeNotSatisfiable)
-		return
-	}
-	if n < 0 || off+n > length {
-		n = length - off
-	}
-	p := make([]byte, n)
-	got, err := s.ReadAt(p, name, off)
-	if err != nil && got != len(p) {
+		// Stored bytes are opaque: no client may sniff a type out of them.
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set("X-Content-Type-Options", "nosniff")
+		h.Set("Accept-Ranges", "bytes")
+		h.Set("Content-Length", strconv.FormatInt(n, 10))
+		w.WriteHeader(status)
+		return nil
+	})
+	switch {
+	case err == nil || err == refused:
+	case begun:
+		panic(http.ErrAbortHandler)
+	default:
 		httpError(w, err)
-		return
 	}
-	w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+n-1, length))
-	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-	w.WriteHeader(http.StatusPartialContent)
-	w.Write(p[:got])
 }
 
 // parseRange parses a single-range "bytes=a-b" header into (offset,

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"repro/internal/hdfsraid"
 )
 
 // ReshardJournalName is the file at the serving root that records an
@@ -112,33 +110,16 @@ func (s *Server) Vnodes() int { return s.cfg.Vnodes }
 // BeginResharding installs the wider ring.
 func (s *Server) Grow(to int) error {
 	s.mu.RLock()
-	cur := len(s.shards)
-	codeName := s.shards[0].store.CodeName()
-	blockSize := s.shards[0].store.BlockSize()
-	extentBlocks := s.shards[0].store.ExtentBlocks()
+	cur, first := len(s.shards), s.shards[0].store
 	s.mu.RUnlock()
 	if to < cur {
 		return fmt.Errorf("serve: cannot shrink %d shards to %d (only growing reshards are supported)", cur, to)
 	}
 	var added []*shard
 	for i := cur; i < to; i++ {
-		dir := filepath.Join(s.root, fmt.Sprintf(shardDirFmt, i))
-		var st *hdfsraid.Store
-		var err error
-		if _, statErr := os.Stat(filepath.Join(dir, "manifest.json")); statErr == nil {
-			st, err = hdfsraid.Open(dir)
-		} else {
-			if err = os.MkdirAll(dir, 0o755); err != nil {
-				return err
-			}
-			st, err = hdfsraid.CreateExt(dir, codeName, blockSize, extentBlocks)
-		}
+		sh, err := s.openShard(i, first)
 		if err != nil {
-			return fmt.Errorf("serve: growing shard %d: %w", i, err)
-		}
-		sh := &shard{dir: dir, store: st}
-		if err := s.wireTier(sh, s.cfg.Tier); err != nil {
-			return fmt.Errorf("serve: shard %d tier daemon: %w", i, err)
+			return err
 		}
 		added = append(added, sh)
 	}

@@ -22,13 +22,15 @@ import (
 const testBlock = 1 << 12
 
 // newServer creates and opens n shards under a temp root.
-func newServer(t *testing.T, n int) *Server {
+func newServer(t *testing.T, n int) *Server { return newServerWith(t, n, Config{}) }
+
+func newServerWith(t *testing.T, n int, cfg Config) *Server {
 	t.Helper()
 	root := t.TempDir()
 	if err := CreateShards(root, "rs-9-6", testBlock, 6, n); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Open(root, Config{})
+	srv, err := Open(root, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +98,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	name := "round.dat"
-	data := content(name, 7*testBlock+123)
+	name := "round.html"
+	data := append([]byte("<html><body>"), content(name, 7*testBlock+123)...)
 	// io.Pipe forces a chunked request body — the streaming ingest path.
 	pr, pw := io.Pipe()
 	go func() {
@@ -114,6 +116,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("PUT status %d", resp.StatusCode)
 	}
 
+	// Stored bytes are opaque: a 200 or 206 names them octet-stream and
+	// forbids sniffing, whatever they look like.
 	get := func(rangeHdr string) (int, []byte, string) {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/files/"+name, nil)
 		if rangeHdr != "" {
@@ -125,6 +129,11 @@ func TestHTTPRoundTrip(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusPartialContent {
+			if ct, opt := resp.Header.Get("Content-Type"), resp.Header.Get("X-Content-Type-Options"); ct != "application/octet-stream" || opt != "nosniff" {
+				t.Errorf("GET %q: Content-Type %q, X-Content-Type-Options %q", rangeHdr, ct, opt)
+			}
+		}
 		return resp.StatusCode, body, resp.Header.Get("Content-Range")
 	}
 

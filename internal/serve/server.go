@@ -53,6 +53,10 @@ type Config struct {
 	// readable. Without this flag such a root fails to open with
 	// ErrReshardPending.
 	ResumeReshard bool
+	// ReadCacheBytes is the budget of the one cache of decoded extents
+	// all shards share (hdfsraid.ReadCache): resident memory, spent on
+	// whichever shards' extents are hot. 0 means no cache.
+	ReadCacheBytes int64
 }
 
 // shard is one independent store plus its sidecars.
@@ -75,6 +79,8 @@ type Server struct {
 	// reg holds the front door's own metrics (reshard_* counters and
 	// gauges); Stats merges it with every shard's registry.
 	reg *obs.Registry
+	// cache is the shards' shared read cache; nil when not configured.
+	cache *hdfsraid.ReadCache
 
 	mu     sync.RWMutex
 	shards []*shard
@@ -151,24 +157,46 @@ func Open(root string, cfg Config) (*Server, error) {
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("serve: no shards at %s (create them first)", root)
 	}
-	srv := &Server{root: root, cfg: cfg, reg: obs.NewRegistry(), ring: newRing(len(dirs), cfg.Vnodes)}
+	srv := &Server{root: root, cfg: cfg, reg: obs.NewRegistry(), ring: newRing(len(dirs), cfg.Vnodes),
+		cache: hdfsraid.NewReadCache(cfg.ReadCacheBytes)}
 	for i, dir := range dirs {
-		want := filepath.Join(root, fmt.Sprintf(shardDirFmt, i))
-		if dir != want {
+		if want := srv.shardDir(i); dir != want {
 			return nil, fmt.Errorf("serve: shard directories are not contiguous: found %s, want %s", dir, want)
 		}
-		st, err := hdfsraid.Open(dir)
+		sh, err := srv.openShard(i, nil)
 		if err != nil {
-			return nil, fmt.Errorf("serve: opening shard %d: %w", i, err)
-		}
-		sh := &shard{dir: dir, store: st}
-		if err := srv.wireTier(sh, cfg.Tier); err != nil {
 			srv.Close()
-			return nil, fmt.Errorf("serve: shard %d tier daemon: %w", i, err)
+			return nil, err
 		}
 		srv.shards = append(srv.shards, sh)
 	}
 	return srv, nil
+}
+
+func (s *Server) shardDir(i int) string { return filepath.Join(s.root, fmt.Sprintf(shardDirFmt, i)) }
+
+// openShard is the one place a shard comes up, at Open and at Grow:
+// open its store — or, given like and a directory that holds none yet,
+// create it with like's geometry — attach the shared read cache, wire
+// its tier sidecars.
+func (s *Server) openShard(i int, like *hdfsraid.Store) (*shard, error) {
+	dir := s.shardDir(i)
+	var st *hdfsraid.Store
+	var err error
+	if _, statErr := os.Stat(filepath.Join(dir, "manifest.json")); statErr == nil || like == nil {
+		st, err = hdfsraid.Open(dir)
+	} else if err = os.MkdirAll(dir, 0o755); err == nil {
+		st, err = hdfsraid.CreateExt(dir, like.CodeName(), like.BlockSize(), like.ExtentBlocks())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: opening shard %d: %w", i, err)
+	}
+	st.SetReadCache(s.cache)
+	sh := &shard{dir: dir, store: st}
+	if err := s.wireTier(sh, s.cfg.Tier); err != nil {
+		return nil, fmt.Errorf("serve: shard %d tier daemon: %w", i, err)
+	}
+	return sh, nil
 }
 
 // movesFile is the per-shard last-move sidecar, the same name hdfscli
@@ -293,42 +321,55 @@ func (s *Server) Put(name string, r io.Reader) error {
 	return s.routeFor(name).cur.store.PutReader(name, r)
 }
 
-// Get reads a whole file from its owning shard. During a reshard a
-// miss on the new ring falls back to the name's old-ring shard: a
-// name is always wholly readable on at least one of the two.
-func (s *Server) Get(name string) ([]byte, error) {
+// readShard runs read against the name's owning shard. During a
+// reshard a miss on the new ring falls back to the name's old-ring
+// shard — a name is always wholly readable on at least one of the two —
+// and a miss on both is classified by fallbackErr. A store reports a
+// missing name before it delivers anything, so at most one run has any
+// effect.
+func (s *Server) readShard(name string, read func(*hdfsraid.Store) error) error {
 	rt := s.routeFor(name)
-	data, err := rt.cur.store.Get(name)
-	if err == nil || rt.old == nil || !errors.Is(err, hdfsraid.ErrNotFound) {
-		return data, err
+	err := read(rt.cur.store)
+	if rt.old == nil || !errors.Is(err, hdfsraid.ErrNotFound) {
+		return err
 	}
-	data, err2 := rt.old.store.Get(name)
-	if err2 == nil {
+	switch err = read(rt.old.store); {
+	case errors.Is(err, hdfsraid.ErrNotFound):
+		return s.fallbackErr(name, rt, err)
+	case err == nil || err == io.EOF:
 		s.reg.Counter("reshard_fallback_reads_total").Inc()
-		return data, nil
 	}
-	if errors.Is(err2, hdfsraid.ErrNotFound) {
-		return nil, s.fallbackErr(name, rt, err2)
-	}
-	return nil, err2
+	return err
+}
+
+// Get reads a whole file from its owning shard (see readShard).
+func (s *Server) Get(name string) (data []byte, err error) {
+	err = s.readShard(name, func(st *hdfsraid.Store) error {
+		data, err = st.Get(name)
+		return err
+	})
+	return data, err
 }
 
 // ReadAt reads a byte range of a file from its owning shard,
-// io.ReaderAt semantics, with the same old-ring fallback as Get.
-func (s *Server) ReadAt(p []byte, name string, off int64) (int, error) {
-	rt := s.routeFor(name)
-	n, err := rt.cur.store.ReadAt(p, name, off)
-	if err == nil || rt.old == nil || !errors.Is(err, hdfsraid.ErrNotFound) {
-		return n, err
-	}
-	n, err2 := rt.old.store.ReadAt(p, name, off)
-	if err2 == nil || !errors.Is(err2, hdfsraid.ErrNotFound) {
-		if err2 == nil {
-			s.reg.Counter("reshard_fallback_reads_total").Inc()
-		}
-		return n, err2
-	}
-	return n, s.fallbackErr(name, rt, err2)
+// io.ReaderAt semantics (see readShard).
+func (s *Server) ReadAt(p []byte, name string, off int64) (n int, err error) {
+	err = s.readShard(name, func(st *hdfsraid.Store) error {
+		n, err = st.ReadAt(p, name, off)
+		return err
+	})
+	return n, err
+}
+
+// ReadTo streams a byte range of a file from its owning shard to w
+// (hdfsraid.Store.ReadTo; see readShard — which shard serves is
+// settled before begin runs or a byte is written).
+func (s *Server) ReadTo(w io.Writer, name string, off, n int64, begin func(length, off, n int64) error) (written int64, err error) {
+	err = s.readShard(name, func(st *hdfsraid.Store) error {
+		written, err = st.ReadTo(w, name, off, n, begin)
+		return err
+	})
+	return written, err
 }
 
 // Delete removes a file, returning the block replicas reclaimed.
@@ -402,6 +443,11 @@ func (s *Server) Stats() obs.Snapshot {
 		if reg := sh.store.Obs(); reg != nil {
 			merged.Merge(reg.Snapshot())
 		}
+	}
+	// Gauges merge last-shard-wins, and a shard knows the shared cache's
+	// size only as of its own last fill or drop.
+	if s.cache != nil {
+		merged.Gauges["store_cache_bytes"] = float64(s.cache.Bytes())
 	}
 	return merged
 }
