@@ -9,6 +9,7 @@
 package block
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -35,6 +36,31 @@ func Checksum(b []byte) uint32 {
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// CellSize is the granularity of a stored block's integrity check: a
+// block frame is the payload followed by one little-endian Checksum per
+// CellSize bytes of it (the last cell may be short), so a reader that
+// wants a byte range verifies only the cells the range touches — HDFS
+// checksums per chunk, not per block, for the same reason. A payload no
+// longer than one cell has the single-checksum frame the store has
+// always written.
+const CellSize = 64 << 10
+
+// Cells returns the number of cells in a payload of n bytes (n > 0).
+func Cells(n int) int { return (n + CellSize - 1) / CellSize }
+
+// FrameSize returns the on-disk size of the frame of an n-byte payload.
+func FrameSize(n int) int { return n + 4*Cells(n) }
+
+// PutCellChecksums writes the checksum table of payload into table,
+// which must hold 4*Cells(len(payload)) bytes.
+func PutCellChecksums(table, payload []byte) {
+	for c := 0; len(payload) > 0; c++ {
+		cell := payload[:min(CellSize, len(payload))]
+		binary.LittleEndian.PutUint32(table[4*c:], Checksum(cell))
+		payload = payload[len(cell):]
+	}
+}
 
 // XorInto sets dst[i] ^= src[i] for all i. The slices must have equal
 // length. It delegates to the gf256 XOR kernel, which runs 32 bytes

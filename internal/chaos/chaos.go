@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/faultfs"
 	"repro/internal/hdfsraid"
 	"repro/internal/tier"
@@ -160,7 +161,7 @@ func Run(dir string, cfg Config) (Result, error) {
 		return res, err
 	}
 	daemon, err := tier.NewDaemon(mgr, tier.DaemonConfig{
-		Interval: 1, ScrubPerScan: float64(4 * (cfg.BlockSize + 4)),
+		Interval: 1, ScrubPerScan: float64(4 * block.FrameSize(cfg.BlockSize)),
 	})
 	if err != nil {
 		return res, err

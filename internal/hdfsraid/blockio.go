@@ -21,7 +21,10 @@ import (
 // exists to exercise the block-level detection and healing machinery
 // above it.
 type BlockIO interface {
-	// Open opens a block file for reading.
+	// Open opens a block file for reading. The store uses the result as
+	// an io.ReaderAt when it is one (an *os.File is), reading only the
+	// checksum table and the cells a read needs; from anything else it
+	// reads the whole frame.
 	Open(path string) (io.ReadCloser, error)
 	// WriteFile writes a complete block frame.
 	WriteFile(path string, data []byte, perm os.FileMode) error
@@ -70,14 +73,18 @@ func transientReadErr(err error) bool {
 	return !errors.Is(err, ErrCorrupt) && !errors.Is(err, fs.ErrNotExist)
 }
 
-// readBlockInto reads and verifies one block file into dst — a
-// block-size buffer — through the store's BlockIO seam, retrying
-// transient errors with bounded backoff. On error dst holds garbage.
-func (s *Store) readBlockInto(path string, dst []byte) error {
-	err := readBlockFile(s.bio, path, dst)
+// readBlockInto reads and verifies bytes [off, off+len(dst)) of one
+// block file's payload into dst through the store's BlockIO seam (see
+// readBlockFile), retrying transient errors with bounded backoff. On
+// error dst holds garbage.
+func (s *Store) readBlockInto(path string, dst []byte, off int) error {
+	read, err := readBlockFile(s.bio, s.payloadPool, path, dst, off)
 	for attempt := 0; err != nil && transientReadErr(err) && attempt < blockReadRetries; attempt++ {
 		time.Sleep(blockReadBackoff << attempt)
-		err = readBlockFile(s.bio, path, dst)
+		var n int
+		n, err = readBlockFile(s.bio, s.payloadPool, path, dst, off)
+		read += n
 	}
+	s.obs.add(cBlockReadBytes, int64(read))
 	return err
 }

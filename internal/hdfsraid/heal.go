@@ -70,7 +70,7 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 	path := s.extentBlockPath(v, name, fi, ext, stripe, sym)
 	payload := s.payloadPool.Get()
 	defer s.payloadPool.Put(payload)
-	err := s.readBlockInto(path, payload)
+	err := s.readBlockInto(path, payload, 0)
 	if err == nil {
 		return nil // already healthy: a concurrent heal (or flake) beat us
 	}
@@ -133,7 +133,7 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 func (s *Store) reconstructBlock(dst []byte, cc codec, name string, fi FileInfo, ext, stripe, sym int) error {
 	k := cc.code.DataSymbols()
 	if sym < k {
-		_, err := s.readStripe(cc, name, fi, ext, stripe, sym, [][]byte{dst}, false)
+		_, err := s.readStripe(cc, name, fi, ext, stripe, sym, 0, [][]byte{dst}, false)
 		return err
 	}
 	data := make([][]byte, k)
@@ -145,7 +145,7 @@ func (s *Store) reconstructBlock(dst []byte, cc codec, name string, fi FileInfo,
 			s.payloadPool.Put(b)
 		}
 	}()
-	if _, err := s.readStripe(cc, name, fi, ext, stripe, 0, data, false); err != nil {
+	if _, err := s.readStripe(cc, name, fi, ext, stripe, 0, 0, data, false); err != nil {
 		return err
 	}
 	enc, release, err := core.EncodeWith(cc.code, s.payloadPool, data)

@@ -199,7 +199,7 @@ func (s *Store) stagedComplete(in *TranscodeIntent) bool {
 	buf := s.payloadPool.Get()
 	defer s.payloadPool.Put(buf)
 	for _, rel := range in.Staged {
-		if err := s.readBlockInto(filepath.Join(s.root, rel)+tmpSuffix, buf); err != nil {
+		if err := s.readBlockInto(filepath.Join(s.root, rel)+tmpSuffix, buf, 0); err != nil {
 			return false
 		}
 	}

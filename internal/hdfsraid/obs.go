@@ -76,6 +76,7 @@ var readHists = [...]struct{ intact, degraded hist }{
 const (
 	cReadsDegraded counter = iota
 	cBytesOut
+	cBlockReadBytes
 	cBytesIn
 	cZeroElided
 	cDeletes
@@ -111,6 +112,9 @@ const (
 var counterNames = [numCounters]string{
 	cReadsDegraded: "store_reads_degraded_total",
 	cBytesOut:      "store_bytes_out_total",
+	// Bytes every block read took from block files, checksum tables
+	// included: over store_bytes_out_total, the read amplification.
+	cBlockReadBytes: "store_block_read_bytes_total",
 	// Ingest: bytes accepted, and the known-zero symbols of shortened
 	// tail stripes that ingests and moves (writeStripe) did not store.
 	cBytesIn:    "store_bytes_in_total",

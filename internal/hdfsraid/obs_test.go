@@ -5,6 +5,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"repro/internal/block"
 )
 
 // TestStoreObsIntegration replays the acceptance scenario against one
@@ -28,6 +30,11 @@ func TestStoreObsIntegration(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
+	}
+	// An intact whole-file read takes the six data blocks' frames from
+	// disk and nothing else.
+	if got, want := cacheCount(s, cBlockReadBytes), int64(6*block.FrameSize(blockSize)); got != want {
+		t.Errorf("%s = %d after one intact get, want %d", counterNames[cBlockReadBytes], got, want)
 	}
 	if _, err := s.TranscodeExtent("f", 0, "rs-14-10"); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -99,6 +100,8 @@ type stripeRead struct {
 	// down lists the nodes of every failed read — what the read plan
 	// must route around.
 	down []int
+	// lost lists the symbols no replica delivered.
+	lost []int
 }
 
 type badReplica struct{ sym, v int }
@@ -113,16 +116,17 @@ func (r *stripeRead) zero(sym int) bool {
 	return r.fi.Extents[r.ext].zeroSymbol(r.cc.code.DataSymbols(), r.stripe, sym)
 }
 
-// replica reads the first healthy replica of sym into dst, a block-
-// size buffer, and reports whether one was readable; when none is, dst
-// holds garbage. A known-zero symbol is zeros, at no read.
-func (r *stripeRead) replica(sym int, dst []byte) bool {
+// replica reads bytes [off, off+len(dst)) of sym from its first healthy
+// replica into dst and reports whether one was readable; when none is,
+// dst holds garbage and sym joins lost. A known-zero symbol is zeros, at
+// no read.
+func (r *stripeRead) replica(sym int, dst []byte, off int) bool {
 	if r.zero(sym) {
 		clear(dst)
 		return true
 	}
 	for _, v := range r.cc.code.Placement().SymbolNodes[sym] {
-		err := r.s.readBlockInto(r.path(v, sym), dst)
+		err := r.s.readBlockInto(r.path(v, sym), dst, off)
 		if err == nil {
 			return true
 		}
@@ -131,13 +135,16 @@ func (r *stripeRead) replica(sym int, dst []byte) bool {
 		}
 		r.down = append(r.down, v)
 	}
+	r.lost = append(r.lost, sym)
 	return false
 }
 
-// plan is the ladder's second step: deliver data symbol sym into dst
-// through the code's partial-parity read plan around the nodes known
-// down, computing each payload from the blocks on disk at its source
-// node. The plan's decode coefficients come from the code's per-
+// plan is the ladder's second step: deliver bytes [off, off+len(dst))
+// of data symbol sym into dst through the code's partial-parity read
+// plan around the nodes known down, computing each payload from the
+// same bytes of the blocks on disk at its source node — the codes are
+// linear byte by byte, so a window costs its share of every source and
+// no more. The plan's decode coefficients come from the code's per-
 // erasure-pattern cache, so repeated degraded reads of one failure
 // pattern skip the matrix inversion. A plan's source block can itself
 // turn out corrupt or missing (latent errors cluster under real fault
@@ -149,7 +156,7 @@ func (r *stripeRead) replica(sym int, dst []byte) bool {
 // false when no plan delivers (the code cannot plan reads, the node
 // tolerance is exhausted, or a source failed transiently) and the
 // caller falls through to the full-stripe decode.
-func (r *stripeRead) plan(sym int, dst []byte) (int, bool) {
+func (r *stripeRead) plan(sym int, dst []byte, off int) (int, bool) {
 	rp, ok := r.cc.code.(core.ReadPlanner)
 	if !ok {
 		return 0, false
@@ -157,6 +164,7 @@ func (r *stripeRead) plan(sym int, dst []byte) (int, bool) {
 	payload, data := r.s.payloadPool.Get(), r.s.payloadPool.Get()
 	defer r.s.payloadPool.Put(payload)
 	defer r.s.payloadPool.Put(data)
+	payload, data = payload[:len(dst)], data[:len(dst)]
 replan:
 	for {
 		plan, err := rp.PlanRead(sym, r.down, core.OffCluster)
@@ -173,7 +181,7 @@ replan:
 					continue
 				}
 				read = true
-				if err := r.s.readBlockInto(r.path(tr.From, term.Symbol), data); err != nil {
+				if err := r.s.readBlockInto(r.path(tr.From, term.Symbol), data, off); err != nil {
 					if transientReadErr(err) {
 						return 0, false
 					}
@@ -196,31 +204,30 @@ replan:
 	}
 }
 
-// decode is the ladder's last step: a full-stripe decode, which
-// succeeds for ANY failure pattern within the code's tolerance — a
-// stripe may hold several latent errors at once, which the single-
-// erasure read plan cannot route around. symbols holds the blocks the
-// pass already delivered; every other symbol outside the wanted range
-// [first, first+n) (a wanted symbol still nil has no readable replica
-// left) is read from its first healthy replica, any unreadable one
-// being one more erasure to decode; known-zero symbols are present
-// without a read. It returns the stripe's data blocks and the number
-// of blocks it read.
-func (r *stripeRead) decode(symbols [][]byte, first, n int) ([][]byte, int, error) {
+// decode is the ladder's last step: a full-stripe decode of bytes [lo,
+// hi) of every symbol, which succeeds for ANY failure pattern within the
+// code's tolerance — a stripe may hold several latent errors at once,
+// which the single-erasure read plan cannot route around. symbols holds
+// those bytes of the blocks the pass already delivered; every other
+// symbol not known lost is read from its first healthy replica, any
+// unreadable one being one more erasure to decode; known-zero symbols
+// are present without a read. It returns the stripe's data blocks' bytes
+// [lo, hi) and the number of blocks it read.
+func (r *stripeRead) decode(symbols [][]byte, lo, hi int) ([][]byte, int, error) {
 	for sym := range symbols {
-		if sym >= first && sym < first+n {
+		if symbols[sym] != nil || slices.Contains(r.lost, sym) {
 			continue
 		}
 		if r.zero(sym) {
-			symbols[sym] = r.s.zeroBlock
+			symbols[sym] = r.s.zeroBlock[:hi-lo]
 			continue
 		}
 		buf := r.s.payloadPool.Get()
-		if !r.replica(sym, buf) {
+		if !r.replica(sym, buf[:hi-lo], lo) {
 			r.s.payloadPool.Put(buf)
 			continue
 		}
-		symbols[sym] = buf
+		symbols[sym] = buf[:hi-lo]
 		r.held = append(r.held, buf)
 	}
 	data, err := r.cc.code.Decode(symbols)
@@ -229,16 +236,21 @@ func (r *stripeRead) decode(symbols [][]byte, first, n int) ([][]byte, int, erro
 
 // readStripe is the store's one block-read path: Get, ReadAt,
 // ReadBlockInto, the transcode source and healing's reconstruction all
-// deliver blocks through it. It reads data symbols [first,
-// first+len(dst)) of one stripe (extent-local coordinates) into dst —
-// caller-owned buffers of exactly BlockSize bytes — down a three-step
-// ladder, each step taken only for what the one before left
-// undelivered:
+// deliver blocks through it. It reads a run of one stripe's data bytes
+// (extent-local coordinates) — from byte off of data symbol first on,
+// through consecutive symbols — into dst, caller-owned buffers: dst[j]
+// takes symbol first+j's part of the run, from off in dst[0] and from
+// the block's start in the others, to wherever the buffer ends (whole
+// blocks are off 0 and BlockSize buffers). No step reads, verifies or
+// computes more of any block than those windows (readBlockFile rounds
+// them out to checksummed cells). It goes down a three-step ladder, each
+// step taken only for what the one before left undelivered:
 //
 //  1. the first healthy replica of each wanted symbol (cost 0);
 //  2. when a single block of the stripe is wanted, the code's partial-
 //     parity read plan — the paper's cheap degraded read (see plan);
-//  3. a full-stripe decode reusing the blocks step 1 delivered.
+//  3. a full-stripe decode over the lost symbols' windows, reusing the
+//     blocks step 1 delivered that far.
 //
 // Which of 2 and 3 runs follows from what the call can observe — how
 // many blocks it wants and which reads failed — never from a setting.
@@ -249,58 +261,79 @@ func (r *stripeRead) decode(symbols [][]byte, first, n int) ([][]byte, int, erro
 // as the shared zero block, and costs nothing.
 //
 // With heal set, every replica that failed with a verdict is repaired
-// in place from the delivered bytes once the read succeeds. Transcode
-// sources and healing's own reconstruction pass false: the former must
-// not rewrite old-layout blocks mid-move, the latter must not recurse.
+// in place once the read succeeds — from the delivered bytes when they
+// are the whole block, through healBlock's own reconstruction when the
+// read was a window. Transcode sources and healing's own reconstruction
+// pass false: the former must not rewrite old-layout blocks mid-move,
+// the latter must not recurse.
 //
 // readStripe takes no lock and fires no hook; callers hold mu's read
 // side (foreground reads, scrub) or the extent's move lock (transcode).
-func (s *Store) readStripe(cc codec, name string, fi FileInfo, ext, stripe, first int, dst [][]byte, heal bool) (cost int, err error) {
+func (s *Store) readStripe(cc codec, name string, fi FileInfo, ext, stripe, first, off int, dst [][]byte, heal bool) (cost int, err error) {
 	r := stripeRead{s: s, cc: cc, name: name, fi: fi, ext: ext, stripe: stripe}
 	defer func() {
 		for _, b := range r.held {
 			s.payloadPool.Put(b)
 		}
 	}()
+	// window is the byte range of its block that dst[sym-first] takes.
+	window := func(sym int) (lo, hi int) {
+		if sym == first {
+			lo = off
+		}
+		return lo, lo + len(dst[sym-first])
+	}
 
 	// A replica's payload lands in its destination directly; what a
 	// failed read left there, the degraded steps overwrite.
-	var lost []int // indices into dst no replica delivered
 	for j, d := range dst {
-		if !r.replica(first+j, d) {
-			lost = append(lost, j)
-		}
+		lo, _ := window(first + j)
+		r.replica(first+j, d, lo)
 	}
+	lost := r.lost
 	var decoded [][]byte
 	planned := false
 	if len(lost) == 1 && len(dst) == 1 {
-		cost, planned = r.plan(first, dst[0])
+		cost, planned = r.plan(first, dst[0], off)
 	}
 	if len(lost) > 0 && !planned {
-		symbols := make([][]byte, cc.code.Symbols())
-		copy(symbols[first:], dst)
-		for _, j := range lost {
-			symbols[first+j] = nil
+		// Decode the hull of the lost windows, from the delivered blocks
+		// whose window covers it and a fresh read of every other.
+		lo, hi := s.blockSize, 0
+		for _, sym := range lost {
+			l, h := window(sym)
+			lo, hi = min(lo, l), max(hi, h)
 		}
-		if decoded, cost, err = r.decode(symbols, first, len(dst)); err != nil {
+		symbols := make([][]byte, cc.code.Symbols())
+		for j, d := range dst {
+			if l, h := window(first + j); l <= lo && h >= hi && !slices.Contains(lost, first+j) {
+				symbols[first+j] = d[lo-l : hi-l]
+			}
+		}
+		if decoded, cost, err = r.decode(symbols, lo, hi); err != nil {
 			return 0, fmt.Errorf("hdfsraid: decoding %q extent %d stripe %d: %w", name, ext, stripe, err)
 		}
-		for _, j := range lost {
-			copy(dst[j], decoded[first+j])
+		for _, sym := range lost {
+			l, h := window(sym)
+			copy(dst[sym-first], decoded[sym][l-lo:h-lo])
 		}
 	}
 	if !heal {
 		return cost, nil
 	}
 	for _, b := range r.bad {
-		// Wanted and decoded data blocks heal from the bytes in hand;
-		// any other replica reconstructs inside healBlock.
+		// Wanted and decoded data blocks heal from the bytes in hand when
+		// those are the whole block; any other replica reconstructs
+		// inside healBlock.
 		var content []byte
 		switch {
 		case b.sym >= first && b.sym < first+len(dst):
 			content = dst[b.sym-first]
 		case b.sym < len(decoded):
 			content = decoded[b.sym]
+		}
+		if len(content) != s.blockSize {
+			content = nil
 		}
 		if s.healBlock(cc, name, fi, ext, stripe, b.sym, b.v, content) == nil {
 			s.obs.add(cReadHeal, 1)
@@ -504,10 +537,10 @@ func (s *Store) ReadTo(w io.Writer, name string, off, n int64, begin func(length
 // the ones the range touches are drained through readStripe by a
 // worker pool — the widest calibrated decode fan-out among the codes
 // they use, GOMAXPROCS uncalibrated; a range inside one stripe runs
-// inline. Blocks wholly inside the range land in p directly — a whole-
-// file read's only steady-state allocation is the caller's buffer —
-// while the range's edge blocks (and the file's short tail block) go
-// through a pooled buffer and are cut to fit. Extent tail padding is
+// inline. Every block's part of the range is read straight into its
+// place in p — a whole-file read's only steady-state allocation is the
+// caller's buffer, and a range that starts or ends inside a block reads
+// that block from there or to there, not whole. Extent tail padding is
 // never read.
 func (s *Store) readRange(name string, fi FileInfo, p []byte, off int64) (bool, error) {
 	if len(p) == 0 {
@@ -539,28 +572,13 @@ func (s *Store) readRange(name string, fi FileInfo, p []byte, off int64) (bool, 
 	err := parallel(len(jobs), workers, func(i int) error {
 		j := jobs[i]
 		k, l := j.cc.code.DataSymbols(), j.g-fi.Extents[j.ext].Start
-		inside := func(b int) bool {
-			start := int64(j.g+b) * bs
-			return start >= off && start+bs <= end
-		}
 		dst := make([][]byte, j.run)
 		for b := range dst {
-			if start := int64(j.g+b)*bs - off; inside(b) {
-				dst[b] = p[start : start+bs]
-			} else {
-				dst[b] = s.payloadPool.Get()
-			}
-		}
-		cost, err := s.readStripe(j.cc, name, fi, j.ext, l/k, l%k, dst, true)
-		for b, buf := range dst {
-			if inside(b) {
-				continue
-			}
-			// Copy the slice of the block that intersects the range.
 			start := int64(j.g+b) * bs
-			copy(p[max(start-off, 0):], buf[max(off-start, 0):min(end-start, bs)])
-			s.payloadPool.Put(buf)
+			dst[b] = p[max(start, off)-off : min(start+bs, end)-off]
 		}
+		first := int(max(off-int64(j.g)*bs, 0)) // where the range enters the run's first block
+		cost, err := s.readStripe(j.cc, name, fi, j.ext, l/k, l%k, first, dst, true)
 		if cost > 0 {
 			degraded.Store(true)
 		}
@@ -616,7 +634,7 @@ func (s *Store) ReadBlockInto(dst []byte, name string, stripe, symbol int) (int,
 	if err := s.admitRead(name, ext, ext); err != nil {
 		return 0, err
 	}
-	cost, err := s.readStripe(cc, name, fi, ext, local, symbol, [][]byte{dst}, true)
+	cost, err := s.readStripe(cc, name, fi, ext, local, symbol, 0, [][]byte{dst}, true)
 	if err != nil {
 		return 0, err
 	}

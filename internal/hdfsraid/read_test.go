@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/core"
 )
 
@@ -254,25 +255,49 @@ func TestReadBlockSingleFailureAllCodes(t *testing.T) {
 }
 
 // countingIO is the equivalence and exact-count tests' BlockIO: it
-// counts block files opened, opens that missed and frames written, and
-// once frozen refuses every write, rename and removal, so self-healing
-// cannot repair the damage under test between one entry point's read
-// and the next.
+// counts block files opened, the bytes read from them, opens that
+// missed and frames written, and once frozen refuses every write,
+// rename and removal, so self-healing cannot repair the damage under
+// test between one entry point's read and the next. No file under a
+// node directory named down can be opened: the node is unreachable.
 type countingIO struct {
-	reads, misses, writes atomic.Int64
-	frozen                atomic.Bool
+	reads, bytes, misses, writes atomic.Int64
+	frozen                       atomic.Bool
+	down                         string
 }
 
 var errFrozen = errors.New("countingIO: frozen")
 
+// countedFile is an open block file whose reads countingIO tallies.
+type countedFile struct {
+	*os.File
+	n *atomic.Int64
+}
+
+func (f countedFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.n.Add(int64(n))
+	return n, err
+}
+
+func (f countedFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.n.Add(int64(n))
+	return n, err
+}
+
 func (c *countingIO) Open(path string) (io.ReadCloser, error) {
 	r, err := os.Open(path)
-	if err == nil {
-		c.reads.Add(1)
-	} else {
-		c.misses.Add(1)
+	if err == nil && c.down != "" && strings.Contains(path, c.down) {
+		r.Close()
+		err = errors.New("countingIO: node unreachable")
 	}
-	return r, err
+	if err != nil {
+		c.misses.Add(1)
+		return nil, err
+	}
+	c.reads.Add(1)
+	return countedFile{r, &c.bytes}, nil
 }
 func (c *countingIO) WriteFile(path string, data []byte, perm fs.FileMode) error {
 	if c.frozen.Load() {
@@ -307,7 +332,22 @@ func (c *countingIO) Remove(path string) error {
 // known-zero terms. The write side is pinned with it: a PUT writes the
 // replicas of live data symbols and parities only, and nothing ever
 // opens the path of a known-zero symbol.
+//
+// It runs twice: on the suite's 4 KiB blocks — one cell each — for
+// every code, and on blocks of two and a half cells for the paper's
+// pair of codes, where every window the reads above ask for is cut out
+// of a multi-cell frame; there, damage to a single cell outside and
+// inside the windows read is two patterns more (testCellDamage).
 func TestOneReaderEquivalence(t *testing.T) {
+	oneReaderEquivalence(t, blockSize, core.Names())
+	oneReaderEquivalence(t, cellsBlock, []string{"pentagon", "rs-9-6"})
+	for _, codeName := range []string{"pentagon", "rs-9-6"} {
+		t.Run(codeName+"/cell-outside-windows", func(t *testing.T) { testCellDamage(t, codeName, false) })
+		t.Run(codeName+"/cell-inside-window", func(t *testing.T) { testCellDamage(t, codeName, true) })
+	}
+}
+
+func oneReaderEquivalence(t *testing.T, blockSize int, codes []string) {
 	// zero mirrors Extent.zeroSymbol for this test's files, which are
 	// either one extent or all full stripes: blocks is the file's
 	// data-block count, stripe file-global.
@@ -359,7 +399,7 @@ func TestOneReaderEquivalence(t *testing.T) {
 			return false
 		}},
 	}
-	for _, codeName := range core.Names() {
+	for _, codeName := range codes {
 		c, err := core.New(codeName)
 		if err != nil {
 			t.Fatal(err)
@@ -371,6 +411,9 @@ func TestOneReaderEquivalence(t *testing.T) {
 		if k > 2 {
 			lengths = append(lengths, (k-1)*blockSize)
 		}
+		if blockSize > block.CellSize {
+			lengths = []int{3*k*blockSize - 100, k*blockSize + 1}
+		}
 		for _, length := range lengths {
 			for _, extents := range []bool{false, true} {
 				for _, dmg := range damages {
@@ -379,7 +422,10 @@ func TestOneReaderEquivalence(t *testing.T) {
 						if extents {
 							extentBlocks = 2 * k
 						}
-						s := newExtStore(t, codeName, extentBlocks)
+						s, err := CreateExt(t.TempDir(), codeName, blockSize, extentBlocks)
+						if err != nil {
+							t.Fatal(err)
+						}
 						bio := &countingIO{}
 						s.SetBlockIO(bio)
 						data := randomFile(t, length, 90)
@@ -482,7 +528,7 @@ func TestOneReaderEquivalence(t *testing.T) {
 						// case read three times — a miss, the miss that fills,
 						// a hit — plus ReadTo over the whole file and a range:
 						// whatever the ladder delivered, memory delivers too.
-						s.SetReadCache(NewReadCache(8 << 20))
+						s.SetReadCache(NewReadCache(max(8<<20, 8*int64(length)))) // an extent may take ⅛ of it
 						for round := 0; round < 3; round++ {
 							before := bio.reads.Load()
 							if got, err := s.Get("f"); err != nil || !bytes.Equal(got, data) {

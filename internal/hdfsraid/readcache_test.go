@@ -9,9 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/block"
 )
 
-// cacheCount reads one of the store's cache counters.
+// cacheCount reads one of the store's counters.
 func cacheCount(s *Store, c counter) int64 { return s.obs.counters[c].Value() }
 
 // readTo is ReadTo into memory.
@@ -305,50 +307,76 @@ func TestReadCacheBounds(t *testing.T) {
 }
 
 // TestReadBlockFileVerdicts pins the payload-direct block read's
-// verdicts about a frame: exact length and CRC or ErrCorrupt, whichever
-// way it is wrong; a missing file is not a verdict about bytes.
+// verdicts about a frame, of one cell and of several: exact length and
+// the CRC of every cell the window touches, or ErrCorrupt, whichever
+// way it is wrong; damage to a cell outside the window is no verdict
+// of that read; a missing file is not a verdict about bytes.
 func TestReadBlockFileVerdicts(t *testing.T) {
-	s := newStore(t, "pentagon")
-	if err := s.Put("f", randomFile(t, blockSize, 7)); err != nil {
-		t.Fatal(err)
-	}
-	fi, _ := s.Info("f")
-	path := s.extentBlockPath(s.code.Placement().SymbolNodes[0][0], "f", fi, 0, 0, 0)
-	frame, err := os.ReadFile(path)
-	if err != nil || len(frame) != blockSize+4 {
-		t.Fatalf("frame: %d bytes, %v", len(frame), err)
-	}
-	flipped := bytes.Clone(frame)
-	flipped[blockSize/2] ^= 1
-	badCRC := bytes.Clone(frame)
-	badCRC[blockSize+3] ^= 1
-	for _, tc := range []struct {
-		name    string
-		content []byte
-		want    string // substring of the ErrCorrupt verdict; "" = healthy
-	}{
-		{"exact", frame, ""},
-		{"empty", nil, "shorter"},
-		{"payload cut", frame[:blockSize-1], "shorter"},
-		{"trailer cut", frame[:blockSize+3], "shorter"},
-		{"one byte long", append(bytes.Clone(frame), 0), "longer"},
-		{"payload bit flipped", flipped, "checksum"},
-		{"trailer bit flipped", badCRC, "checksum"},
-	} {
-		p := filepath.Join(t.TempDir(), "block")
-		if err := os.WriteFile(p, tc.content, 0o644); err != nil {
+	for _, bs := range []int{blockSize, cellsBlock} {
+		s, err := Create(t.TempDir(), "pentagon", bs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		dst := make([]byte, blockSize)
-		err := s.readBlockInto(p, dst)
-		switch {
-		case tc.want == "" && (err != nil || !bytes.Equal(dst, frame[:blockSize])):
-			t.Errorf("%s: err %v, payload equal %v", tc.name, err, bytes.Equal(dst, frame[:blockSize]))
-		case tc.want != "" && (!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("%s: err = %v, want ErrCorrupt (%s)", tc.name, err, tc.want)
+		if err := s.Put("f", randomFile(t, bs, 7)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := s.readBlockInto(filepath.Join(t.TempDir(), "absent"), make([]byte, blockSize)); !os.IsNotExist(err) {
-		t.Errorf("missing block file: err = %v", err)
+		fi, _ := s.Info("f")
+		path := s.extentBlockPath(s.code.Placement().SymbolNodes[0][0], "f", fi, 0, 0, 0)
+		frame, err := os.ReadFile(path)
+		if err != nil || len(frame) != block.FrameSize(bs) {
+			t.Fatalf("frame: %d bytes, %v", len(frame), err)
+		}
+		flip := func(at int) []byte {
+			bad := bytes.Clone(frame)
+			bad[at] ^= 1
+			return bad
+		}
+		type verdict struct {
+			name    string
+			content []byte
+			off, n  int    // the window read
+			want    string // substring of the ErrCorrupt verdict; "" = healthy
+		}
+		cases := []verdict{
+			{"exact", frame, 0, bs, ""},
+			{"exact, a window", frame, bs / 3, bs / 2, ""},
+			{"empty", nil, 0, bs, "shorter"},
+			{"payload cut", frame[:bs-1], 0, bs, "shorter"},
+			{"table cut", frame[:len(frame)-1], 0, bs, "shorter"},
+			{"one byte long", append(bytes.Clone(frame), 0), 0, bs, "longer"},
+			{"payload bit flipped", flip(bs / 2), 0, bs, "checksum"},
+			{"table bit flipped", flip(len(frame) - 1), 0, bs, "checksum"},
+		}
+		if bs > block.CellSize {
+			c := block.CellSize
+			cases = append(cases,
+				verdict{"a table entry short", frame[:len(frame)-4], 0, 10, "shorter"},
+				verdict{"one byte long, a window", append(bytes.Clone(frame), 0), 0, 10, "longer"},
+				verdict{"payload torn, table gone", frame[:bs-c], 0, 10, "shorter"},
+				verdict{"bad cell cut by the window", flip(c + 5), c - 10, 20, "checksum"},
+				verdict{"bad cell whole in the window", flip(c + 5), 0, bs, "checksum"},
+				verdict{"bad cell before the window", flip(c - 1), c, 100, ""},
+				verdict{"bad cell after the window", flip(2 * c), c - 10, c + 10, ""},
+				verdict{"bad table entry outside the window", flip(bs + 9), 0, c, ""},
+				verdict{"bad table entry of the window's cell", flip(bs + 1), c - 1, 1, "checksum"},
+			)
+		}
+		for _, tc := range cases {
+			p := filepath.Join(t.TempDir(), "block")
+			if err := os.WriteFile(p, tc.content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]byte, tc.n)
+			err := s.readBlockInto(p, dst, tc.off)
+			switch {
+			case tc.want == "" && (err != nil || !bytes.Equal(dst, frame[tc.off:tc.off+tc.n])):
+				t.Errorf("%d-byte block, %s: err %v, payload equal %v", bs, tc.name, err, bytes.Equal(dst, frame[tc.off:tc.off+tc.n]))
+			case tc.want != "" && (!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%d-byte block, %s: err = %v, want ErrCorrupt (%s)", bs, tc.name, err, tc.want)
+			}
+		}
+		if err := s.readBlockInto(filepath.Join(t.TempDir(), "absent"), make([]byte, bs), 0); !os.IsNotExist(err) {
+			t.Errorf("missing block file: err = %v", err)
+		}
 	}
 }

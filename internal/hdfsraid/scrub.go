@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io/fs"
 
+	"repro/internal/block"
 	"repro/internal/obs"
 )
 
@@ -108,7 +109,7 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 
 	buf := s.payloadPool.Get()
 	defer s.payloadPool.Put(buf)
-	frameBytes := int64(s.blockSize + 4)
+	frameBytes := int64(block.FrameSize(s.blockSize))
 	i := startIdx
 	for scanned := 0; scanned < len(refs); scanned++ {
 		if maxBytes > 0 && rep.BytesScanned+frameBytes > maxBytes && scanned > 0 {
@@ -121,7 +122,7 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 			return rep, err
 		}
 		v := cc.code.Placement().SymbolNodes[ref.sym][ref.rep]
-		err = s.readBlockInto(s.extentBlockPath(v, ref.name, fi, ref.ext, ref.stripe, ref.sym), buf)
+		err = s.readBlockInto(s.extentBlockPath(v, ref.name, fi, ref.ext, ref.stripe, ref.sym), buf, 0)
 		rep.BlocksScanned++
 		rep.BytesScanned += frameBytes
 		switch {

@@ -3,6 +3,8 @@ package hdfsraid
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/block"
 )
 
 // TestScrubTrickleBudget verifies the cursor arithmetic: a budget of N
@@ -19,7 +21,7 @@ func TestScrubTrickleBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := fsck.Blocks // every replica the store expects
-	frame := int64(blockSize + 4)
+	frame := int64(block.FrameSize(blockSize))
 
 	scanned := 0
 	calls := 0
@@ -81,7 +83,7 @@ func testScrubFindsAndHeals(t *testing.T, s *Store) {
 		t.Fatal(err)
 	}
 	healed, scanned := 0, 0
-	frame := int64(blockSize + 4)
+	frame := int64(block.FrameSize(blockSize))
 	for scanned < fsck.Blocks {
 		rep, err := s.Scrub(5 * frame)
 		if err != nil {

@@ -13,6 +13,7 @@
 package hdfsraid
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -366,7 +367,7 @@ func buildStore(root string, m Manifest) (*Store, error) {
 	}
 	return &Store{root: root, code: c, striper: st, manifest: m, bio: osBlockIO{},
 		codeName: m.CodeName, blockSize: m.BlockSize, extentBlocks: m.ExtentBlocks,
-		framePool:   core.NewBlockPool(m.BlockSize + 4),
+		framePool:   core.NewBlockPool(block.FrameSize(m.BlockSize)),
 		payloadPool: core.NewBlockPool(m.BlockSize),
 		zeroBlock:   make([]byte, m.BlockSize),
 		codecs:      map[string]codec{m.CodeName: {c, st}},
@@ -539,9 +540,10 @@ func (s *Store) blockPath(v int, name string, stripe, symbol int) string {
 	return filepath.Join(s.nodeDir(v), fmt.Sprintf("%s.%d.%d", name, stripe, symbol))
 }
 
-// writeBlock writes block bytes with a CRC-32C trailer through the
-// BlockIO seam, assembling the on-disk frame in a pooled buffer
-// instead of allocating one per block.
+// writeBlock writes block bytes as a frame — the payload, then one
+// CRC-32C per block.CellSize bytes of it — through the BlockIO seam,
+// assembling the frame in a pooled buffer instead of allocating one per
+// block.
 func (s *Store) writeBlock(path string, data []byte) error {
 	if len(data) != s.blockSize {
 		return fmt.Errorf("hdfsraid: writeBlock got %d bytes, want %d", len(data), s.blockSize)
@@ -549,7 +551,7 @@ func (s *Store) writeBlock(path string, data []byte) error {
 	frame := s.framePool.Get()
 	defer s.framePool.Put(frame)
 	copy(frame, data)
-	binary.LittleEndian.PutUint32(frame[len(data):], block.Checksum(data))
+	block.PutCellChecksums(frame[len(data):], data)
 	return s.bio.WriteFile(path, frame, 0o644)
 }
 
@@ -566,39 +568,90 @@ var ErrNotFound = errors.New("no such file")
 // errors.Is.
 var ErrExists = errors.New("already stored")
 
-// readBlockFile reads and verifies one block file through bio: the
-// payload straight into dst — a block-size buffer, usually the read's
-// final destination — then the 4-byte CRC trailer plus the byte that
-// must not follow it in one more read. On any error dst holds garbage.
+// readBlockFile reads bytes [off, off+len(dst)) of the payload of one
+// block file through bio into dst — usually the read's final
+// destination — verifying every cell those bytes touch and reading no
+// other. scratch pools buffers of the block size. The checksum table
+// comes first, with the byte that must not follow it, and its length
+// says how the frame is cut: 4*Cells bytes is one CRC per block.CellSize
+// bytes, 4 bytes one cell spanning the block (every block of at most a
+// cell, and larger ones written before frames had cells). Then the run
+// of whole cells inside the window lands in dst in one read, and a cell
+// the window cuts is read into a scratch buffer, verified whole, and
+// only its wanted part copied. What Open returns is used as an
+// io.ReaderAt; when it is not one, the whole frame is read once. read
+// is the bytes taken from the file. On any error dst holds garbage.
 // Most callers want (*Store).readBlockInto, which retries transient
 // errors on top.
-func readBlockFile(bio BlockIO, path string, dst []byte) error {
+func readBlockFile(bio BlockIO, scratch *core.BlockPool, path string, dst []byte, off int) (read int, err error) {
+	bs, lo, hi := scratch.Size(), off, off+len(dst)
+	if lo < 0 || hi > bs {
+		return 0, fmt.Errorf("hdfsraid: bytes %d-%d are outside a %d-byte block", lo, hi, bs)
+	}
 	f, err := bio.Open(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Close()
-	var tail [5]byte
-	_, err = io.ReadFull(f, dst)
-	n := 0
-	if err == nil {
-		n, err = io.ReadFull(f, tail[:])
+	ra, ok := f.(io.ReaderAt)
+	if !ok {
+		raw, err := io.ReadAll(io.LimitReader(f, int64(block.FrameSize(bs))+1))
+		if err != nil {
+			return len(raw), err
+		}
+		ra = bytes.NewReader(raw)
+		defer func() { read = len(raw) }()
 	}
+	cells, cell := block.Cells(bs), block.CellSize
+	table := make([]byte, 4*cells+1)
+	n, err := ra.ReadAt(table, int64(bs))
+	read += n
 	switch {
-	case n == 5:
-		return fmt.Errorf("%w: %s longer than %d bytes", ErrCorrupt, path, len(dst)+4)
+	case n == len(table):
+		return read, fmt.Errorf("%w: %s longer than %d bytes", ErrCorrupt, path, bs+4*cells)
+	case n == 4*cells:
+		// The frame's exact length; how the probe for one more byte came
+		// back empty is no verdict about the ones before it.
 	case n == 4:
-		// The frame's exact length; how the probe for a fifth byte came
-		// back empty is no verdict about the four before it.
-	case err == io.EOF || err == io.ErrUnexpectedEOF:
-		return fmt.Errorf("%w: %s shorter than %d bytes", ErrCorrupt, path, len(dst)+4)
+		cell = bs
+	case err == io.EOF:
+		return read, fmt.Errorf("%w: %s shorter than %d bytes", ErrCorrupt, path, bs+4*cells)
 	default:
-		return err
+		return read, err
 	}
-	if binary.LittleEndian.Uint32(tail[:4]) != block.Checksum(dst) {
-		return fmt.Errorf("%w: %s", ErrCorrupt, path)
+	var cut []byte // the scratch buffer, once a cell needs it
+	for cs := lo / cell * cell; cs < hi; {
+		ce := min(cs+cell, bs)
+		whole := cs >= lo && ce <= hi
+		var buf []byte
+		if whole { // and every whole cell behind it, in the same read
+			if ce = bs; hi < bs {
+				ce = hi / cell * cell
+			}
+			buf = dst[cs-lo : ce-lo]
+		} else {
+			if cut == nil {
+				cut = scratch.Get()
+				defer scratch.Put(cut)
+			}
+			buf = cut[:ce-cs]
+		}
+		n, err := ra.ReadAt(buf, int64(cs))
+		read += n
+		if n < len(buf) {
+			return read, err // the table lies past these bytes: not a verdict
+		}
+		for c := cs; c < ce; c += cell {
+			if binary.LittleEndian.Uint32(table[c/cell*4:]) != block.Checksum(buf[c-cs:min(c+cell, ce)-cs]) {
+				return read, fmt.Errorf("%w: %s", ErrCorrupt, path)
+			}
+		}
+		if !whole {
+			copy(dst[max(cs, lo)-lo:], buf[max(cs, lo)-cs:min(ce, hi)-cs])
+		}
+		cs = ce
 	}
-	return nil
+	return read, nil
 }
 
 // checkNewFile validates a Put/PutReader target name. Caller holds mu.
@@ -774,7 +827,7 @@ func (s *Store) repairStripe(cc codec, plan *core.RepairPlan, failed []int, zero
 			buf := s.payloadPool.Get()
 			bufs = append(bufs, buf)
 			// Tolerate extra damage; the plan will fail loudly if fatal.
-			if s.readBlockInto(path(v, sym), buf) == nil {
+			if s.readBlockInto(path(v, sym), buf, 0) == nil {
 				nc[v][sym] = buf
 			}
 		}
@@ -878,7 +931,7 @@ func (s *Store) Fsck() (FsckReport, error) {
 				path := s.extentBlockPath(v, name, fi, ext, r.stripe, r.sym)
 				delete(staged, path) // a final name the old layout expects too
 				rep.Blocks++
-				err := s.readBlockInto(path, buf)
+				err := s.readBlockInto(path, buf, 0)
 				switch {
 				case err == nil:
 				case errors.Is(err, ErrCorrupt):

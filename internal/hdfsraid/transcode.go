@@ -285,7 +285,7 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 			// single pass of the ladder — never healing: old-layout
 			// blocks must not be rewritten mid-move.
 			run := min(kOld-l%kOld, e.Blocks-l, len(blocks)-j)
-			if _, err := s.readStripe(oldCC, name, fi, ext, l/kOld, l%kOld, blocks[j:j+run], false); err != nil {
+			if _, err := s.readStripe(oldCC, name, fi, ext, l/kOld, l%kOld, 0, blocks[j:j+run], false); err != nil {
 				return fmt.Errorf("reading data blocks %d-%d: %w", e.Start+l, e.Start+l+run-1, err)
 			}
 			read.Add(int64(run))

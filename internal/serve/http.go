@@ -137,8 +137,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 // parseRange parses a single-range "bytes=a-b" header into (offset,
 // count): "a-b" → (a, b-a+1), "a-" → (a, -1 = rest), "-k" → (-k, -1 =
-// suffix). ok is false for anything else (no ranges, several ranges,
-// garbage), which callers treat as "serve the whole file".
+// suffix), "-0" → (0, 0): a suffix of no bytes, which no file can
+// satisfy (RFC 9110 §14.1.2). ok is false for anything else (no ranges,
+// several ranges, garbage), which callers treat as "serve the whole
+// file".
 func parseRange(h string) (off, n int64, ok bool) {
 	spec, found := strings.CutPrefix(h, "bytes=")
 	if !found || strings.Contains(spec, ",") {
@@ -150,8 +152,11 @@ func parseRange(h string) (off, n int64, ok bool) {
 	}
 	if lo == "" { // suffix range: -k
 		k, err := strconv.ParseInt(hi, 10, 64)
-		if err != nil || k <= 0 {
+		if err != nil || k < 0 {
 			return 0, 0, false
+		}
+		if k == 0 {
+			return 0, 0, true
 		}
 		return -k, -1, true
 	}

@@ -140,20 +140,27 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if code, body, _ := get(""); code != http.StatusOK || !bytes.Equal(body, data) {
 		t.Fatalf("whole GET: status %d, %d bytes", code, len(body))
 	}
-	if code, body, cr := get("bytes=100-299"); code != http.StatusPartialContent ||
-		!bytes.Equal(body, data[100:300]) || cr != fmt.Sprintf("bytes 100-299/%d", len(data)) {
-		t.Fatalf("ranged GET: status %d, %d bytes, Content-Range %q", code, len(body), cr)
-	}
-	if code, body, _ := get(fmt.Sprintf("bytes=%d-", len(data)-50)); code != http.StatusPartialContent ||
-		!bytes.Equal(body, data[len(data)-50:]) {
-		t.Fatalf("open-ended GET: status %d, %d bytes", code, len(body))
-	}
-	if code, body, _ := get("bytes=-75"); code != http.StatusPartialContent ||
-		!bytes.Equal(body, data[len(data)-75:]) {
-		t.Fatalf("suffix GET: status %d, %d bytes", code, len(body))
-	}
-	if code, _, _ := get(fmt.Sprintf("bytes=%d-", len(data)+10)); code != http.StatusRequestedRangeNotSatisfiable {
-		t.Fatalf("out-of-bounds range: status %d, want 416", code)
+	n := len(data)
+	for _, tc := range []struct {
+		hdr    string
+		lo, hi int // the bytes a 206 carries; lo < 0 = 416
+	}{
+		{"bytes=100-299", 100, 300},
+		{"bytes=0-0", 0, 1},
+		{fmt.Sprintf("bytes=%d-", n-50), n - 50, n},
+		{"bytes=-75", n - 75, n},
+		{fmt.Sprintf("bytes=-%d", n+10), 0, n}, // a suffix longer than the file is the file
+		{fmt.Sprintf("bytes=%d-", n+10), -1, 0},
+		{"bytes=-0", -1, 0}, // a suffix of no bytes is unsatisfiable, not malformed
+	} {
+		code, body, cr := get(tc.hdr)
+		wantCode, wantCR := http.StatusPartialContent, fmt.Sprintf("bytes %d-%d/%d", tc.lo, tc.hi-1, n)
+		if tc.lo < 0 {
+			wantCode, wantCR, tc.lo = http.StatusRequestedRangeNotSatisfiable, fmt.Sprintf("bytes */%d", n), 0
+		}
+		if code != wantCode || cr != wantCR || (code == http.StatusPartialContent && !bytes.Equal(body, data[tc.lo:tc.hi])) {
+			t.Fatalf("GET %q: status %d, %d bytes, Content-Range %q; want %d, %q", tc.hdr, code, len(body), cr, wantCode, wantCR)
+		}
 	}
 
 	// Duplicate PUT conflicts.
