@@ -1,7 +1,7 @@
 // Command hdfscli drives the on-disk miniature HDFS-RAID store: create
 // a store for any registered code (optionally with extent-granular
 // tiering), put/get files (put streams; get appends per-extent heat
-// records to the store's shared access log), kill nodes, repair them
+// records to the store's tier-heat.log), kill nodes, repair them
 // with the code's partial-parity plans (hottest files first, fed by
 // the persisted heat), fsck the block inventory, calibrate per-code
 // worker pools with tune, and tier extents between hot and cold codes
@@ -143,8 +143,8 @@ func usage() {
 }
 
 // openHeat opens the store's heat state: the tier-heat.json snapshot
-// plus the heatlog/ shared access log beside the manifest. Reads
-// append O(1) records to the log (batched fsync); concurrent CLIs,
+// plus the tier-heat.log of access records since, beside the manifest.
+// Reads join an O(1) batch (one fsync per batch); concurrent CLIs,
 // daemons and servers on one store each open their own HeatLog and
 // tail each other's appends.
 func openHeat(store string, s *hdfsraid.Store) (*tier.HeatLog, error) {
@@ -262,8 +262,8 @@ func doGet(store string, args []string) error {
 	}
 	// Heat accrues per extent: a whole-file get touches every extent,
 	// so the rebalance daemon sees which regions are actually hot. Each
-	// touch appends one O(1) record to the shared access log; Close
-	// flushes the batch — no whole-tracker rewrite.
+	// touch joins an O(1) batch; Close flushes it to the shared heat log
+	// in one append.
 	s.OnReadExtent = func(name string, ext int) { hl.TouchExtent(name, ext, nowSeconds()) }
 	data, err := s.Get(args[0])
 	if err != nil {
@@ -510,8 +510,8 @@ func printMove(mv tier.MoveResult) {
 }
 
 // doTierDaemon runs the background rebalance daemon in the
-// foreground: every -every seconds it reloads the persisted heat
-// counters, asks the policy for moves, and executes them hottest file
+// foreground: every -every seconds it tails the heat other processes
+// logged, asks the policy for moves, and executes them hottest file
 // first under a -budget MB/s transcode rate limit (0 = unlimited). It
 // stops after -duration seconds, or on interrupt when 0.
 func doTierDaemon(store string, args []string) error {
@@ -557,17 +557,9 @@ func doTierDaemon(store string, args []string) error {
 		d.Scrub = tier.StoreTarget{Store: s}
 	}
 	// Concurrent hdfscli gets and per-shard servers append heat to the
-	// shared access log; tail their records before every scan — O(new
-	// records) instead of the old whole-heat-file reload — and fold
-	// sealed segments into the snapshot now and then so the log and
-	// replay-at-open stay short.
-	var ticks int
-	d.OnTick = func(float64) {
-		hl.Refresh()
-		if ticks++; ticks%64 == 0 {
-			hl.Compact(false)
-		}
-	}
+	// shared log; tail their records before every scan — O(new records).
+	// Whoever flushes the log past its checkpoint threshold folds it.
+	d.OnTick = func(float64) { hl.Refresh() }
 	d.OnMove = func(mv tier.MoveResult, now float64) { printMove(mv) }
 	// One registry serves both layers: the daemon's scan/budget metrics
 	// land beside the store's data-plane metrics, so the endpoint (and
@@ -600,10 +592,10 @@ func doTierDaemon(store string, args []string) error {
 		<-interrupt
 	}
 	d.Stop()
-	// Shutdown folds the log into a tight snapshot and releases the
-	// writer; a kill instead loses at most one unsynced batch and the
-	// next open replays the rest.
-	if _, err := hl.Compact(true); err != nil {
+	// Shutdown folds the heat log into its snapshot; a kill instead
+	// loses at most the unflushed batch and the next open replays the
+	// rest.
+	if err := hl.Compact(); err != nil {
 		return err
 	}
 	if err := hl.Close(); err != nil {

@@ -31,15 +31,6 @@ func (g *Graph) AddEdge(l, r int) {
 	g.adj[l] = append(g.adj[l], r)
 }
 
-// Left returns the number of left vertices.
-func (g *Graph) Left() int { return g.nLeft }
-
-// Right returns the number of right vertices.
-func (g *Graph) Right() int { return g.nRight }
-
-// Degree returns the degree of left vertex l.
-func (g *Graph) Degree(l int) int { return len(g.adj[l]) }
-
 const inf = int(^uint(0) >> 1)
 
 // MaxMatching computes a maximum matching with the Hopcroft-Karp

@@ -207,15 +207,3 @@ func TestAddEdgePanicsOutOfRange(t *testing.T) {
 	}()
 	NewGraph(2, 2).AddEdge(2, 0)
 }
-
-func TestDegree(t *testing.T) {
-	g := NewGraph(2, 3)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	if g.Degree(0) != 2 || g.Degree(1) != 0 {
-		t.Fatal("Degree wrong")
-	}
-	if g.Left() != 2 || g.Right() != 3 {
-		t.Fatal("shape accessors wrong")
-	}
-}

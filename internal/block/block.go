@@ -86,16 +86,6 @@ func Xor(blocks ...[]byte) []byte {
 	return out
 }
 
-// Zero reports whether every byte of b is zero.
-func Zero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether two blocks have identical contents.
 func Equal(a, b []byte) bool {
 	if len(a) != len(b) {
@@ -125,14 +115,4 @@ func CloneAll(blocks [][]byte) [][]byte {
 		}
 	}
 	return out
-}
-
-// Sizes verifies that every non-nil block has the given size.
-func Sizes(blocks [][]byte, size int) error {
-	for i, b := range blocks {
-		if b != nil && len(b) != size {
-			return fmt.Errorf("block %d has size %d, want %d", i, len(b), size)
-		}
-	}
-	return nil
 }

@@ -86,22 +86,10 @@ func TestXorParityProperty(t *testing.T) {
 		}
 		parity := Xor(blocks...)
 		all := append(blocks, parity)
-		return Zero(Xor(all...))
+		return Equal(Xor(all...), make([]byte, 64))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestZero(t *testing.T) {
-	if !Zero(make([]byte, 10)) {
-		t.Fatal("Zero(zeros) = false")
-	}
-	if Zero([]byte{0, 0, 1}) {
-		t.Fatal("Zero(non-zero) = true")
-	}
-	if !Zero(nil) {
-		t.Fatal("Zero(nil) = false")
 	}
 }
 
@@ -146,15 +134,6 @@ func TestChecksumStable(t *testing.T) {
 	}
 	if a == Checksum([]byte("hellp")) {
 		t.Fatal("Checksum collision on near inputs (suspicious)")
-	}
-}
-
-func TestSizes(t *testing.T) {
-	if err := Sizes([][]byte{make([]byte, 4), nil, make([]byte, 4)}, 4); err != nil {
-		t.Fatalf("Sizes on valid input: %v", err)
-	}
-	if err := Sizes([][]byte{make([]byte, 3)}, 4); err == nil {
-		t.Fatal("Sizes missed a bad block")
 	}
 }
 

@@ -152,16 +152,6 @@ func (p Placement) StripeBlocks(k, live int) int {
 	return n
 }
 
-// Holds reports whether node v stores a replica of symbol s.
-func (p Placement) Holds(v, s int) bool {
-	for _, x := range p.NodeSymbols[v] {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 // StorageOverhead returns the physical-blocks-per-data-block ratio of a
 // code, the "storage overhead" column of Table 1.
 func StorageOverhead(c Code) float64 {

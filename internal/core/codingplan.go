@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -103,8 +102,7 @@ func (p *EncodePlan) ApplyRow(i int, in [][]byte, dst []byte) {
 // SequenceKey renders an index sequence into a cache key verbatim:
 // order- and multiplicity-preserving, dash-joined. Use it when the
 // cached artifact depends on the exact sequence (e.g. a SubMatrix
-// inverse, whose row order matters), and ErasureKey when only the set
-// identity does.
+// inverse, whose row order matters).
 func SequenceKey(idx []int) string {
 	var b []byte
 	for i, v := range idx {
@@ -112,26 +110,6 @@ func SequenceKey(idx []int) string {
 			b = append(b, '-')
 		}
 		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(b)
-}
-
-// ErasureKey canonicalizes a set of symbol or row indices into a cache
-// key: sorted, deduplicated, dash-joined. The input is not modified.
-func ErasureKey(idx []int) string {
-	sorted := append([]int(nil), idx...)
-	sort.Ints(sorted)
-	var b []byte
-	last := -1
-	for i, v := range sorted {
-		if i > 0 && v == last {
-			continue
-		}
-		if len(b) > 0 {
-			b = append(b, '-')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-		last = v
 	}
 	return string(b)
 }

@@ -112,30 +112,6 @@ func TestSequenceKey(t *testing.T) {
 	}
 }
 
-func TestErasureKey(t *testing.T) {
-	cases := []struct {
-		in   []int
-		want string
-	}{
-		{nil, ""},
-		{[]int{3}, "3"},
-		{[]int{3, 1, 2}, "1-2-3"},
-		{[]int{2, 2, 1}, "1-2"},
-		{[]int{10, 2}, "2-10"},
-	}
-	for _, c := range cases {
-		if got := ErasureKey(c.in); got != c.want {
-			t.Errorf("ErasureKey(%v) = %q, want %q", c.in, got, c.want)
-		}
-	}
-	// The input must not be reordered in place.
-	in := []int{5, 1}
-	ErasureKey(in)
-	if in[0] != 5 || in[1] != 1 {
-		t.Error("ErasureKey mutated its input")
-	}
-}
-
 // TestMatrixCacheConcurrent hammers one cache from many goroutines
 // with overlapping keys — the shape of parallel degraded reads under
 // distinct erasure patterns — and checks every caller sees the right
@@ -153,7 +129,7 @@ func TestMatrixCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 200; iter++ {
 				pat := (w + iter) % patterns
-				key := ErasureKey([]int{pat})
+				key := SequenceKey([]int{pat})
 				m, err := cache.Get(key, func() (*gf256.Matrix, error) {
 					mm := gf256.NewMatrix(1, 1)
 					mm.Set(0, 0, byte(pat+1))

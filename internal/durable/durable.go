@@ -1,9 +1,10 @@
 // Package durable is the one place a metadata file becomes durable and
-// the one advisory file lock: the store's manifest snapshot, the
-// reshard journal, the tier heat and dwell sidecars, tune.json and the
-// metrics snapshot all commit through WriteFile, the store's manifest
-// log is a Log, and the store's mover lock and the access log's segment
-// locks are Lock/TryLock/Unlock.
+// the one advisory file lock: the reshard journal, the tier dwell
+// sidecar, tune.json and the metrics snapshot commit through WriteFile;
+// the store's manifest and the tier heat are each a SnapLog — a
+// WriteFile'd snapshot plus a Log of the records since, tied together
+// by a generation; and the store's mover lock and the heat log's flush
+// lock are Lock/TryLock/Unlock.
 package durable
 
 import (

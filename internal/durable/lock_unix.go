@@ -7,15 +7,11 @@ import (
 	"syscall"
 )
 
-// Lock takes the advisory flock(2) on f, shared or exclusive, blocking
-// until compatible. The kernel drops a process's flocks when it dies,
-// so crash residue never wedges a later locker.
-func Lock(f *os.File, exclusive bool) error {
-	how := syscall.LOCK_SH
-	if exclusive {
-		how = syscall.LOCK_EX
-	}
-	return syscall.Flock(int(f.Fd()), how)
+// Lock takes the exclusive advisory flock(2) on f, blocking until it is
+// free. The kernel drops a process's flocks when it dies, so crash
+// residue never wedges a later locker.
+func Lock(f *os.File) error {
+	return syscall.Flock(int(f.Fd()), syscall.LOCK_EX)
 }
 
 // TryLock attempts the exclusive lock on f without blocking. A false

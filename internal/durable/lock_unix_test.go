@@ -8,9 +8,8 @@ import (
 	"testing"
 )
 
-// TestLocks: flock semantics through the one shim — shared holders
-// coexist, an exclusive holder excludes TryLock from another open file
-// description until it unlocks.
+// TestLocks: flock semantics through the one shim — a holder excludes
+// Lock and TryLock from another open file description until it unlocks.
 func TestLocks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lock")
 	open := func() *os.File {
@@ -21,20 +20,14 @@ func TestLocks(t *testing.T) {
 		t.Cleanup(func() { f.Close() })
 		return f
 	}
-	f1, f2, f3 := open(), open(), open()
-	if err := Lock(f1, false); err != nil {
+	f1, f3 := open(), open()
+	if err := Lock(f1); err != nil {
 		t.Fatal(err)
-	}
-	if err := Lock(f2, false); err != nil {
-		t.Fatalf("second shared lock: %v", err)
 	}
 	if ok, err := TryLock(f3); err != nil || ok {
-		t.Fatalf("TryLock under shared holders = %v, %v; want refused", ok, err)
+		t.Fatalf("TryLock under a Lock holder = %v, %v; want refused", ok, err)
 	}
 	if err := Unlock(f1); err != nil {
-		t.Fatal(err)
-	}
-	if err := Unlock(f2); err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := TryLock(f3); err != nil || !ok {
@@ -46,7 +39,7 @@ func TestLocks(t *testing.T) {
 	if err := Unlock(f3); err != nil {
 		t.Fatal(err)
 	}
-	if err := Lock(f1, true); err != nil {
+	if err := Lock(f1); err != nil {
 		t.Fatalf("exclusive lock after release: %v", err)
 	}
 }

@@ -18,9 +18,6 @@ import "fmt"
 // term included (0x11D = x^8 + x^4 + x^3 + x^2 + 1).
 const Poly = 0x11D
 
-// Order is the number of elements in the field.
-const Order = 256
-
 var (
 	expTable [512]byte // exp[i] = 2^i, doubled to avoid a mod in Mul
 	logTable [256]byte // log[x] = discrete log base 2; log[0] unused
@@ -53,17 +50,6 @@ func Mul(a, b byte) byte {
 		return 0
 	}
 	return expTable[int(logTable[a])+int(logTable[b])]
-}
-
-// Div returns a/b in GF(2^8). Div panics if b is zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[int(logTable[a])-int(logTable[b])+255]
 }
 
 // Inv returns the multiplicative inverse of a. Inv panics if a is zero.

@@ -88,27 +88,6 @@ func TestInverse(t *testing.T) {
 	}
 }
 
-func TestDivIsMulByInverse(t *testing.T) {
-	f := func(a, b byte) bool {
-		if b == 0 {
-			return true
-		}
-		return Div(a, b) == Mul(a, Inv(b))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDivByZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Div by zero did not panic")
-		}
-	}()
-	Div(1, 0)
-}
-
 func TestInvZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

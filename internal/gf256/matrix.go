@@ -19,22 +19,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]byte, rows*cols)}
 }
 
-// MatrixFromRows builds a matrix from row slices, which must all have the
-// same length. The rows are copied.
-func MatrixFromRows(rows [][]byte) *Matrix {
-	if len(rows) == 0 {
-		panic("gf256: MatrixFromRows with no rows")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("gf256: ragged rows")
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)

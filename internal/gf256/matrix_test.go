@@ -178,15 +178,8 @@ func systematicVandermonde(n, k int, t *testing.T) *Matrix {
 	return v.Mul(topInv)
 }
 
-func TestMatrixFromRows(t *testing.T) {
-	m := MatrixFromRows([][]byte{{1, 2}, {3, 4}})
-	if m.At(1, 0) != 3 {
-		t.Fatalf("At(1,0) = %d, want 3", m.At(1, 0))
-	}
-}
-
 func TestSubMatrix(t *testing.T) {
-	m := MatrixFromRows([][]byte{{1, 2}, {3, 4}, {5, 6}})
+	m := &Matrix{Rows: 3, Cols: 2, Data: []byte{1, 2, 3, 4, 5, 6}}
 	s := m.SubMatrix([]int{2, 0})
 	if s.At(0, 0) != 5 || s.At(1, 1) != 2 {
 		t.Fatalf("SubMatrix wrong: %v", s)

@@ -12,10 +12,9 @@ import (
 // order; each extent carries its own code and stripe set, so a hot
 // region of a large cold file can sit on a double-replication code
 // while the rest stays on RS. Extent boundaries are fixed at ingest
-// (Put splits files into store-configured extent-sized runs; legacy
-// manifests migrate on Open as single-extent files) and never move —
-// a transcode changes an extent's code and stripe count, never its
-// data-block range.
+// (Put splits files into store-configured extent-sized runs) and never
+// move — a transcode changes an extent's code and stripe count, never
+// its data-block range.
 type Extent struct {
 	// Start is the extent's first data block, file-global.
 	Start int `json:"start"`
@@ -76,10 +75,9 @@ func (s *Store) buildExtents(length int) []Extent {
 	return exts
 }
 
-// refreshSummary recomputes fi's legacy summary fields from its extent
-// map: Stripes is the total across extents, and Code mirrors the
-// extent code for single-extent files so manifests written by this
-// version stay readable (and meaningful) to pre-extent tooling.
+// refreshSummary recomputes fi's summary fields from its extent map:
+// Stripes is the total across extents, and Code mirrors the extent
+// code for single-extent files.
 func refreshSummary(fi *FileInfo) {
 	total := 0
 	for _, e := range fi.Extents {
@@ -91,23 +89,6 @@ func refreshSummary(fi *FileInfo) {
 	} else {
 		fi.Code = ""
 	}
-}
-
-// normalizeFileInfo migrates a legacy per-file manifest entry to the
-// extent map in memory: a file without extents becomes a single-extent
-// file on its recorded code, byte-for-byte the same layout. Entries
-// that already carry extents pass through untouched.
-func (s *Store) normalizeFileInfo(fi FileInfo) FileInfo {
-	if len(fi.Extents) > 0 {
-		return fi
-	}
-	fi.Extents = []Extent{{
-		Start:   0,
-		Blocks:  s.dataBlocks(fi.Length),
-		Stripes: fi.Stripes,
-		Code:    fi.Code,
-	}}
-	return fi
 }
 
 // validateExtents checks that a file's extent map tiles its data
@@ -143,9 +124,8 @@ func (s *Store) validateExtents(name string, fi FileInfo) error {
 
 // extentBlockPath is blockPath with the extent dimension: files stored
 // under extent-style naming qualify every block with its extent index
-// (name.x<ext>.<stripe>.<symbol>), while legacy and migrated files
-// keep the flat name.<stripe>.<symbol> form their blocks were written
-// under. The naming style is fixed per file at ingest (FileInfo
+// (name.x<ext>.<stripe>.<symbol>), while files of a store
+// created without extents keep the flat name.<stripe>.<symbol> form. The naming style is fixed per file at ingest (FileInfo
 // .ExtentPaths), so concurrent extent moves of one file never collide
 // on staging paths.
 func (s *Store) extentBlockPath(v int, name string, fi FileInfo, ext, stripe, sym int) string {
@@ -218,8 +198,7 @@ func (s *Store) forEachReplica(name string, fi FileInfo, ext int, fn func(r bloc
 	return nil
 }
 
-// Extents returns a copy of a file's extent map (a migrated legacy
-// file shows a single extent spanning the whole file).
+// Extents returns a copy of a file's extent map.
 func (s *Store) Extents(name string) ([]Extent, bool) {
 	fi, ok := s.Info(name)
 	return append([]Extent(nil), fi.Extents...), ok

@@ -346,181 +346,35 @@ func TestExtentReadBlock(t *testing.T) {
 	}
 }
 
-// stripLegacy rewrites the on-disk manifest in the pre-extent shape:
-// file entries lose their extent map (keeping length/stripes/tier_code)
-// and the journal queue's single entry, if any, moves to the legacy
-// transcode_intent field without its extent index. A legacy store has
-// no log, so s's is folded into the snapshot first.
-func stripLegacy(t *testing.T, s *Store) {
-	t.Helper()
-	dir := s.root
-	if err := s.checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+// TestPreExtentManifestRefused: a manifest entry with no extent map —
+// what stores wrote before extents existed — is refused by Open with
+// validateExtents' message, not migrated.
+func TestPreExtentManifestRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, "rs-9-6", blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
+	if err := s.Put("f", randomFile(t, 9*blockSize+5, 230)); err != nil {
 		t.Fatal(err)
 	}
-	if files, ok := m["files"].(map[string]any); ok {
-		for _, v := range files {
-			fi := v.(map[string]any)
-			delete(fi, "extents")
-			delete(fi, "extent_paths")
-		}
+	if err := s.checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if q, ok := m["transcode_queue"].([]any); ok && len(q) == 1 {
-		in := q[0].(map[string]any)
-		delete(in, "extent")
-		m["transcode_intent"] = in
-		delete(m, "transcode_queue")
+	var m map[string]any
+	if err := json.Unmarshal(readFile(t, filepath.Join(dir, manifestName)), &m); err != nil {
+		t.Fatal(err)
 	}
-	raw, err = json.Marshal(m)
+	delete(m["files"].(map[string]any)["f"].(map[string]any), "extents")
+	raw, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestLegacyManifestMigration: a pre-extent manifest (per-file entries
-// only) opens cleanly as single-extent files, round-trips bytes, and
-// persists the migrated extent map on the next save.
-func TestLegacyManifestMigration(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Create(dir, "rs-9-6", blockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := randomFile(t, 9*blockSize+5, 230)
-	if err := s.Put("f", want); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Transcode("f", "pentagon"); err != nil {
-		t.Fatal(err)
-	}
-	stripLegacy(t, s)
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exts, ok := s2.Extents("f")
-	if !ok || len(exts) != 1 {
-		t.Fatalf("migrated extents = %+v, %v; want one", exts, ok)
-	}
-	if exts[0].Code != "pentagon" || exts[0].Blocks != 10 || exts[0].Start != 0 {
-		t.Fatalf("migrated extent = %+v", exts[0])
-	}
-	if code, _ := s2.FileCode("f"); code != "pentagon" {
-		t.Fatalf("migrated code = %q", code)
-	}
-	got, err := s2.Get("f")
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("migrated file wrong (%v)", err)
-	}
-	if fsck, err := s2.Fsck(); err != nil || !fsck.Healthy() {
-		t.Fatalf("unhealthy after migration: %+v, %v", fsck, err)
-	}
-	// A post-migration move works and persists the extent map.
-	if _, err := s2.Transcode("f", "rs-9-6"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"extents"`) {
-		t.Fatalf("saved manifest missing extent map:\n%s", raw)
-	}
-	s3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = s3.Get("f")
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("round-tripped migrated file wrong (%v)", err)
-	}
-}
-
-// TestLegacyJournalMigrationKillPoints: a legacy manifest whose
-// transcode died at each journal stage — per-file entries AND a
-// single-entry transcode_intent record, both in the pre-extent shape —
-// recovers on Open exactly as the queue-era store would: replayed
-// forward or rolled back, byte-identical, journal drained.
-func TestLegacyJournalMigrationKillPoints(t *testing.T) {
-	cases := []struct {
-		point    string
-		wantCode string
-	}{
-		{point: "intent", wantCode: "pentagon"},
-		{point: "midswap", wantCode: "pentagon"},
-		{point: "swapped", wantCode: "pentagon"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.point, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := Create(dir, "rs-9-6", blockSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := randomFile(t, 12*blockSize, 231)
-			if err := s.Put("f", want); err != nil {
-				t.Fatal(err)
-			}
-			killAt(s, tc.point)
-			if _, err := s.Transcode("f", "pentagon"); !errors.Is(err, errKilled) {
-				t.Fatalf("Transcode error = %v, want simulated crash", err)
-			}
-			stripLegacy(t, s)
-
-			s2 := assertRecovered(t, dir, want, tc.wantCode)
-			if rec := s2.LastRecovery(); rec.Replayed != 1 {
-				t.Fatalf("legacy journal recovery = %+v, want a replay", rec)
-			}
-			exts, _ := s2.Extents("f")
-			if len(exts) != 1 || exts[0].Code != tc.wantCode {
-				t.Fatalf("recovered extents = %+v", exts)
-			}
-		})
-	}
-}
-
-// TestLegacyJournalRollback: the staged-damage rollback path works
-// through the legacy manifest shape too.
-func TestLegacyJournalRollback(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Create(dir, "rs-9-6", blockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := randomFile(t, 12*blockSize, 232)
-	if err := s.Put("f", want); err != nil {
-		t.Fatal(err)
-	}
-	killAt(s, "intent")
-	if _, err := s.Transcode("f", "pentagon"); !errors.Is(err, errKilled) {
-		t.Fatal("expected simulated crash")
-	}
-	stripLegacy(t, s)
-	// Lose a staged block: forward is impossible, rollback mandatory.
-	matches, err := filepath.Glob(filepath.Join(dir, "node-*", "*"+tmpSuffix))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no staged blocks (err=%v)", err)
-	}
-	if err := os.Remove(matches[0]); err != nil {
-		t.Fatal(err)
-	}
-	s2 := assertRecovered(t, dir, want, "rs-9-6")
-	if rec := s2.LastRecovery(); rec.RolledBack != 1 {
-		t.Fatalf("recovery = %+v, want a rollback", rec)
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), `file "f" has no extents`) {
+		t.Fatalf("Open of a pre-extent manifest: %v, want the no-extents refusal", err)
 	}
 }
 

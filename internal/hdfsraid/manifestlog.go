@@ -4,18 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
-
-	"repro/internal/durable"
 )
 
-// The manifest on disk is a snapshot plus an op log: manifest.json is
-// the whole table as of the last checkpoint, manifest.log (a
-// durable.Log) one fsynced record per mutation since. Every mutation,
-// live or replayed, reaches the in-memory table through Manifest.apply,
-// and only after its record is durable.
+// The manifest on disk is a durable.SnapLog: manifest.json is the whole
+// table as of the last checkpoint, manifest.log one fsynced record per
+// mutation since. Every mutation, live or replayed, reaches the
+// in-memory table through Manifest.apply, and only after its record is
+// durable.
 const (
 	manifestName = "manifest.json"
 	logName      = "manifest.log"
@@ -24,12 +20,10 @@ const (
 	minCheckpointBytes = 64 << 10
 )
 
-// The record types. opGen heads every log and names the generation of
-// the snapshot its records apply to; put and del are the file table's
-// mutations; the rest are the transcode journal's transitions (see
-// IntentState), the last three naming their entry by file and extent.
+// The record types: put and del are the file table's mutations; the
+// rest are the transcode journal's transitions (see IntentState), the
+// last three naming their entry by file and extent.
 const (
-	opGen      = "gen"
 	opPut      = "put"
 	opDel      = "del"
 	opIntent   = "intent"
@@ -41,7 +35,6 @@ const (
 // record is one manifest-log entry.
 type record struct {
 	Op     string           `json:"op"`
-	Gen    int64            `json:"gen,omitempty"`
 	Name   string           `json:"name,omitempty"`
 	Ext    int              `json:"ext,omitempty"`
 	File   *FileInfo        `json:"file,omitempty"`
@@ -105,8 +98,7 @@ func (m *Manifest) apply(r record) error {
 	return nil
 }
 
-// commit makes one mutation durable — one framed record, one fsync, the
-// generation's header riding in the same write when the log is empty —
+// commit makes one mutation durable — one framed record, one fsync —
 // and only then applies it, so an operation that failed is never served
 // and a served one survives a crash. A log that has outgrown the
 // snapshot is folded; the operation is already durable, so a failed
@@ -116,12 +108,8 @@ func (s *Store) commit(r record) error {
 	if err != nil {
 		return err
 	}
-	recs, before := [][]byte{raw}, s.log.Size()
-	if before == 0 {
-		head, _ := json.Marshal(record{Op: opGen, Gen: s.manifest.LogGen}) // plain data: cannot fail
-		recs = [][]byte{head, raw}
-	}
-	if err := s.log.Append(recs...); err != nil {
+	before := s.log.Size()
+	if err := s.log.Append(raw); err != nil {
 		return fmt.Errorf("hdfsraid: appending %s to the manifest log: %w", r.Op, err)
 	}
 	s.obs.add(cLogAppends, 1)
@@ -129,148 +117,81 @@ func (s *Store) commit(r record) error {
 	if err := s.manifest.apply(r); err != nil {
 		return err
 	}
-	if s.log.Size() > max(s.snapID.Size(), minCheckpointBytes) {
+	if s.log.Outgrown(minCheckpointBytes) {
 		_ = s.checkpoint()
 	}
 	return nil
 }
 
-// checkpoint folds the log into a new snapshot, crash-exactly: the
-// snapshot for generation g+1 is made durable first (durable.WriteFile:
-// old or new, never torn), only then is the generation-g log emptied. A
-// crash between the two leaves a log older than its snapshot, which
-// replayLog ignores and the next commit truncates. Caller holds mu (or
-// has exclusive access during Create).
+// checkpoint folds the log into the next generation's snapshot (see
+// durable.SnapLog.Checkpoint). Caller holds mu (or has exclusive access
+// during Create).
 func (s *Store) checkpoint() error {
-	next := s.manifest
-	next.LogGen++
-	raw, err := json.MarshalIndent(next, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(s.root, manifestName)
-	if err := durable.WriteFile(path, raw); err != nil {
-		return err
-	}
-	s.manifest.LogGen = next.LogGen
-	s.log.Reset()
-	s.obs.add(cCheckpoints, 1)
-	// A stale identity only costs the next refresh a full load.
-	id, err := os.Stat(path)
+	err := s.log.Checkpoint(func(gen int64) ([]byte, error) {
+		next := s.manifest
+		next.LogGen = gen
+		return json.MarshalIndent(next, "", "  ")
+	})
 	if err == nil {
-		s.snapID = id
+		s.manifest.LogGen++
+		s.obs.add(cCheckpoints, 1)
 	}
 	return err
 }
 
-// readSnapshot parses manifest.json. id is the file's identity, by
-// which refresh tells whether a checkpoint replaced it since; taken
-// before the read, it is never newer than the content.
-func readSnapshot(root string) (m Manifest, id os.FileInfo, err error) {
-	path := filepath.Join(root, manifestName)
-	if id, err = os.Stat(path); err != nil {
-		return m, nil, fmt.Errorf("hdfsraid: %w", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return m, nil, fmt.Errorf("hdfsraid: %w", err)
-	}
+// parseSnapshot parses manifest.json's content.
+func parseSnapshot(raw []byte) (m Manifest, err error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, nil, fmt.Errorf("hdfsraid: corrupt manifest: %w", err)
+		return m, fmt.Errorf("hdfsraid: corrupt manifest: %w", err)
 	}
 	if m.Files == nil {
 		m.Files = map[string]FileInfo{}
 	}
-	return m, id, nil
+	return m, nil
 }
 
-// A log's header can name another generation than the snapshot read
-// beside it: an older one is what a crash between a checkpoint's two
-// steps left, a newer one means a checkpoint landed between the reads.
-var (
-	errStaleLog = errors.New("hdfsraid: manifest log predates its snapshot")
-	errNewerLog = errors.New("hdfsraid: manifest log is newer than its snapshot")
-)
+// load rebuilds the table from disk without changing anything there;
+// refresh brings it up to date with what other handles on this root
+// committed since this one last looked, replaying only the records they
+// appended onto the live table unless a checkpoint replaced the
+// snapshot. A table loaded afresh replaces the live one only once every
+// extent in it names a registered code and a consistent layout. Callers
+// hold mu (or have exclusive access during Open); refresh's also hold
+// the store flock, which every other mover appends under.
+func (s *Store) load() error    { return s.replay(s.log.Load) }
+func (s *Store) refresh() error { return s.replay(s.log.Refresh) }
 
-// replayLog applies the log's records from offset from onto m. The
-// record at offset 0, and only it, must be the opGen header. Every
-// record of a stale log is already in the snapshot, so none is applied
-// (and Replay accepted none, so the next commit cuts them off).
-func (s *Store) replayLog(m *Manifest, from int64) error {
-	head := from == 0
-	err := s.log.Replay(from, func(raw []byte) error {
+func (s *Store) replay(read func(restore func([]byte) (int64, error), apply func([]byte) error) error) error {
+	var fresh *Manifest
+	m := &s.manifest
+	err := read(func(raw []byte) (int64, error) {
+		if raw == nil {
+			return 0, fmt.Errorf("hdfsraid: no %s in %s", manifestName, s.root)
+		}
+		loaded, err := parseSnapshot(raw)
+		if err != nil {
+			return 0, err
+		}
+		for name := range loaded.Files {
+			loaded.newID(name)
+		}
+		fresh, m = &loaded, &loaded
+		return loaded.LogGen, nil
+	}, func(raw []byte) error {
 		var r record
 		if err := json.Unmarshal(raw, &r); err != nil {
 			return fmt.Errorf("hdfsraid: corrupt manifest log record: %w", err)
 		}
-		switch {
-		case head != (r.Op == opGen):
-			return fmt.Errorf("hdfsraid: corrupt manifest log: %q record at offset %d", r.Op, s.log.Size())
-		case !head:
-			return m.apply(r)
-		case r.Gen < m.LogGen:
-			return errStaleLog
-		case r.Gen > m.LogGen:
-			return errNewerLog
-		}
-		head = false
-		return nil
+		return m.apply(r)
 	})
-	if err == errStaleLog {
-		return nil
-	}
-	return err
-}
-
-// load rebuilds the table from disk without changing anything there:
-// the snapshot (m and id when Open has already read it), legacy shapes
-// migrated in memory, then the log's valid prefix replayed through
-// apply — both read again if a checkpoint landed in between. Caller
-// holds mu (or has exclusive access during Open).
-func (s *Store) load(m Manifest, id os.FileInfo) (err error) {
-	for attempt := 0; ; attempt++ {
-		if id == nil {
-			if m, id, err = readSnapshot(s.root); err != nil {
-				return err
-			}
-		}
-		// Manifests written before the journal became a queue carry a
-		// single-entry field, and pre-extent ones per-file entries only.
-		if m.Journal != nil {
-			m.Queue, m.Journal = append(m.Queue, m.Journal), nil
-		}
-		for name, fi := range m.Files {
-			m.Files[name] = s.normalizeFileInfo(fi)
-			m.newID(name)
-		}
-		if err = s.replayLog(&m, 0); err == errNewerLog && attempt < 3 {
-			id = nil
-			continue
-		}
-		// Fail fast if any extent references an unregistered code or an
-		// inconsistent layout.
-		for name, fi := range m.Files {
-			if err == nil {
-				err = s.validateExtents(name, fi)
-			}
-		}
-		if err == nil {
-			s.manifest, s.snapID = m, id
-		}
+	if err != nil || fresh == nil {
 		return err
 	}
-}
-
-// refresh brings the table up to date with what other handles on this
-// root committed since this one last looked, at the cost of the records
-// they appended: unless a checkpoint replaced the snapshot (a new file),
-// only the log's tail past this handle's offset is replayed. Callers
-// hold mu and the store flock, which every other mover appends under.
-func (s *Store) refresh() error {
-	id, err := os.Stat(filepath.Join(s.root, manifestName))
-	if err != nil || !os.SameFile(id, s.snapID) ||
-		!id.ModTime().Equal(s.snapID.ModTime()) || id.Size() != s.snapID.Size() {
-		return s.load(Manifest{}, nil)
+	for name, fi := range fresh.Files {
+		if err := s.validateExtents(name, fi); err != nil {
+			return err
+		}
 	}
-	return s.replayLog(&s.manifest, s.log.Size())
+	s.manifest = *fresh
+	return nil
 }

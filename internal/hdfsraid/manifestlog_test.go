@@ -74,10 +74,11 @@ func TestCommitFailureNeverLies(t *testing.T) {
 	offset := s.log.Size()
 	reopenLog := func() {
 		t.Helper()
-		if s.log, err = durable.OpenLog(filepath.Join(dir, logName)); err != nil {
+		s.log, err = durable.OpenSnapLog(filepath.Join(dir, manifestName), filepath.Join(dir, logName))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.log.Replay(0, func([]byte) error { return nil }); err != nil || s.log.Size() != offset {
+		if err := s.load(); err != nil || s.log.Size() != offset {
 			t.Fatalf("log after the failed commits: offset %d, %v; want %d", s.log.Size(), err, offset)
 		}
 	}
@@ -281,8 +282,9 @@ func TestCheckpointKillPoints(t *testing.T) {
 // TestTwoHandlesOneRoot: two Store handles on one root, as two
 // processes. B's committed move reaches A at A's next flock acquisition
 // by replaying only the records B appended — the snapshot is not read
-// again — and a checkpoint by B (a new snapshot, an emptied log) reaches
-// A through a full load. Meanwhile a third handle that only reads — what
+// again, so the table's entries keep their identities — and a
+// checkpoint by B (a new snapshot, an emptied log) reaches A through a
+// full load, which renumbers them. Meanwhile a third handle that only reads — what
 // hdfscli fsck or kill is beside a live server — changes neither file,
 // even with a commit in flight at the log's tail.
 func TestTwoHandlesOneRoot(t *testing.T) {
@@ -305,14 +307,14 @@ func TestTwoHandlesOneRoot(t *testing.T) {
 	if code, _ := a.FileCode("f"); code != "rs-9-6" {
 		t.Fatalf("A saw B's move before taking the flock: %q", code)
 	}
-	snapID, offset := a.snapID, a.log.Size()
+	id, offset := a.manifest.ids["h"], a.log.Size()
 	if _, err := a.Transcode("g", "pentagon"); err != nil {
 		t.Fatal(err)
 	}
 	if code, _ := a.FileCode("f"); code != "pentagon" {
 		t.Fatalf("A after its own move still sees f on %q", code)
 	}
-	if a.snapID != snapID || a.log.Size() <= offset {
+	if a.manifest.ids["h"] != id || a.log.Size() <= offset {
 		t.Fatal("A caught up by loading the snapshot again, not by replaying the tail")
 	}
 
@@ -363,7 +365,7 @@ func TestTwoHandlesOneRoot(t *testing.T) {
 	if _, err := a.Transcode("g", "rs-9-6"); err != nil {
 		t.Fatal(err)
 	}
-	if a.snapID == snapID || a.manifest.LogGen != b.manifest.LogGen {
+	if a.manifest.ids["h"] == id || a.manifest.LogGen != b.manifest.LogGen {
 		t.Fatalf("A did not follow B's checkpoint: generation %d vs %d", a.manifest.LogGen, b.manifest.LogGen)
 	}
 	d, final := reopen(t, dir)
@@ -478,16 +480,20 @@ func FuzzManifestLogReplay(f *testing.F) {
 			}
 		}
 	}
+	log, err := durable.OpenLog(filepath.Join(dir, logName))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, framed bool) {
-		s.log.Reset()
+		log.Reset()
 		if framed {
-			if err := s.log.Append(bytes.Split(data, []byte("\n"))...); err != nil {
+			if err := log.Append(bytes.Split(data, []byte("\n"))...); err != nil {
 				t.Fatal(err)
 			}
 		} else if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.load(Manifest{}, nil); err != nil {
+		if err := s.load(); err != nil {
 			return
 		}
 		for name, fi := range s.manifest.Files {

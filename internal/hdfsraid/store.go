@@ -45,12 +45,8 @@ type Manifest struct {
 	// splits files into runs of this many blocks, each striped and
 	// tiered independently. 0 stores every file as a single extent
 	// (the pre-extent behavior).
-	ExtentBlocks int `json:"extent_blocks,omitempty"`
-	// Journal is the pre-queue single-entry journal field; load
-	// migrates it into Queue so manifests written by older versions
-	// recover identically. Never written anymore.
-	Journal *TranscodeIntent   `json:"transcode_intent,omitempty"`
-	Queue   []*TranscodeIntent `json:"transcode_queue,omitempty"`
+	ExtentBlocks int                `json:"extent_blocks,omitempty"`
+	Queue        []*TranscodeIntent `json:"transcode_queue,omitempty"`
 	// LogGen is the generation of the log whose records apply to this
 	// snapshot: each checkpoint writes the next one. A log whose header
 	// names an older generation predates the snapshot and is ignored.
@@ -74,9 +70,8 @@ func (m *Manifest) newID(name string) {
 
 // FileInfo records one stored file: its length plus the extent map
 // that carries the real layout. Stripes and Code are summary fields
-// (total stripes across extents; the single extent's code) kept for
-// pre-extent readers — manifests written before the extent map carry
-// only them, and Open migrates such entries to a single extent.
+// (total stripes across extents; the single extent's code) that Open
+// checks against the extents.
 type FileInfo struct {
 	Length  int `json:"length"`
 	Stripes int `json:"stripes"`
@@ -85,11 +80,13 @@ type FileInfo struct {
 	// code (or a mixed multi-extent file; see Extents).
 	Code string `json:"tier_code,omitempty"`
 	// Extents is the file's layout: consecutive data-block runs, each
-	// with its own code and stripe set. Never empty after Open.
+	// with its own code and stripe set. Never empty: Open refuses an
+	// entry without one.
 	Extents []Extent `json:"extents,omitempty"`
 	// ExtentPaths records the block naming style: true means blocks
 	// are extent-qualified (name.x<ext>.<stripe>.<symbol>), false the
-	// legacy flat form. Fixed at ingest.
+	// flat name.<stripe>.<symbol> form of a store created without
+	// extents. Fixed at ingest.
 	ExtentPaths bool `json:"extent_paths,omitempty"`
 }
 
@@ -132,11 +129,9 @@ type Store struct {
 	mu       sync.RWMutex
 	manifest Manifest
 	cache    *ReadCache // decoded hot extents; nil = none (SetReadCache)
-	// log is the manifest's op log; snapID is the file identity (and
-	// size) of the snapshot the table was loaded from or last
-	// checkpointed to (see commit, refresh). Both guarded by mu.
-	log    *durable.Log
-	snapID os.FileInfo
+	// log is the manifest's snapshot and op log (see manifestlog.go),
+	// guarded by mu.
+	log *durable.SnapLog
 
 	codecMu sync.Mutex
 	codecs  map[string]codec // per-code cache for tiered files
@@ -273,7 +268,7 @@ func (s *Store) lockStoreForMove() error {
 	s.flockMu.Lock()
 	defer s.flockMu.Unlock()
 	if s.flockRefs == 0 {
-		if err := durable.Lock(s.lockFile, true); err != nil {
+		if err := durable.Lock(s.lockFile); err != nil {
 			return fmt.Errorf("hdfsraid: locking store for move: %w", err)
 		}
 		s.mu.Lock()
@@ -310,7 +305,8 @@ func (s *Store) openFiles() (err error) {
 	if s.lockFile, err = os.OpenFile(filepath.Join(s.root, lockName), os.O_CREATE|os.O_RDWR, 0o644); err != nil {
 		return fmt.Errorf("hdfsraid: opening store lock: %w", err)
 	}
-	if s.log, err = durable.OpenLog(filepath.Join(s.root, logName)); err != nil {
+	s.log, err = durable.OpenSnapLog(filepath.Join(s.root, manifestName), filepath.Join(s.root, logName))
+	if err != nil {
 		return fmt.Errorf("hdfsraid: opening manifest log: %w", err)
 	}
 	return nil
@@ -376,9 +372,14 @@ func buildStore(root string, m Manifest) (*Store, error) {
 }
 
 // Open loads an existing store: the manifest snapshot plus the valid
-// prefix of its log.
+// prefix of its log. The snapshot is read once for the store's fixed
+// configuration, before anything is created in root, and again by load.
 func Open(root string) (*Store, error) {
-	m, id, err := readSnapshot(root)
+	raw, err := os.ReadFile(filepath.Join(root, manifestName))
+	if err != nil {
+		return nil, fmt.Errorf("hdfsraid: %w", err)
+	}
+	m, err := parseSnapshot(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +390,7 @@ func Open(root string) (*Store, error) {
 	if err := s.openFiles(); err != nil {
 		return nil, err
 	}
-	if err := s.load(m, id); err != nil {
+	if err := s.load(); err != nil {
 		return nil, err
 	}
 	// Replay or roll back any transcode the last process left mid-

@@ -2,10 +2,8 @@ package hdfsraid
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -186,53 +184,6 @@ func TestTranscodeParallelKillPoints(t *testing.T) {
 			}
 			assertNoStagedBlocks(t, dir)
 		})
-	}
-}
-
-// TestRecoverLegacySingleEntryJournal: manifests written before the
-// journal became a queue carry the move under "transcode_intent";
-// recovery must fold that entry in and replay it identically.
-func TestRecoverLegacySingleEntryJournal(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Create(dir, "rs-9-6", blockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := randomFile(t, 9*blockSize, 70)
-	if err := s.Put("f", want); err != nil {
-		t.Fatal(err)
-	}
-	killAt(s, "intent")
-	if _, err := s.Transcode("f", "pentagon"); !errors.Is(err, errKilled) {
-		t.Fatal("expected simulated crash")
-	}
-	// Rewrite the on-disk manifest in the legacy shape: the queue's
-	// single entry moved to the old transcode_intent field (and no log).
-	if err := s.checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Queue) != 1 {
-		t.Fatalf("queue = %+v, want one entry", m.Queue)
-	}
-	m.Journal, m.Queue = m.Queue[0], nil
-	raw, err = json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := assertRecovered(t, dir, want, "pentagon")
-	if rec := s2.LastRecovery(); rec.Replayed != 1 {
-		t.Fatalf("legacy journal recovery = %+v, want a replay", rec)
 	}
 }
 

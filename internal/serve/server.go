@@ -201,15 +201,16 @@ func (s *Server) openShard(i int, like *hdfsraid.Store) (*shard, error) {
 
 // movesFile is the per-shard last-move sidecar, the same name hdfscli
 // uses so a shard store remains driveable by the CLI. Heat lives in
-// the shard's tier-heat.json snapshot plus its heatlog/ access log,
-// both managed by tier.HeatLog.
+// the shard's tier-heat.json snapshot plus its tier-heat.log, both
+// managed by tier.HeatLog.
 func movesFile(dir string) string { return filepath.Join(dir, "tier-moves.json") }
 
 // wireTier hooks the shard's heat log into its store's read path and
-// starts the shard's daemon when tiering is configured. Reads append
-// O(1) records to the shard's shared access log (crash-durable up to
-// the writer's batch), and the daemon tails foreign appends instead of
-// re-reading the heat file every scan.
+// starts the shard's daemon when tiering is configured. Reads join the
+// heat log's O(1) batch (crash-durable up to the unflushed batch; the
+// flush that outgrows the snapshot folds the log, so it stays bounded
+// while the server runs), and the daemon tails foreign appends instead
+// of re-reading the heat file every scan.
 func (s *Server) wireTier(sh *shard, tc *TierConfig) error {
 	halfLife := 24.0 * 3600
 	if tc != nil && tc.HalfLife > 0 {
@@ -294,8 +295,7 @@ func (s *Server) Close() error {
 			// Fold the shard's log into a tight snapshot, then release
 			// the writer. A kill instead of a clean Close loses at most
 			// the unsynced batch; the log replays the rest at next open.
-			_, err := sh.heat.Compact(true)
-			keep(err)
+			keep(sh.heat.Compact())
 			keep(sh.heat.Close())
 		}
 	}

@@ -50,22 +50,6 @@ func (e *Engine) Run() float64 {
 	return e.now
 }
 
-// RunUntil processes events with timestamps <= t, then sets the clock
-// to t.
-func (e *Engine) RunUntil(t float64) {
-	for e.events.Len() > 0 && e.events[0].t <= t {
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.t
-		ev.fn()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.events.Len() }
-
 type event struct {
 	t   float64
 	seq int64

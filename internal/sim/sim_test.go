@@ -73,27 +73,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	e.After(-1, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(1, func() { fired++ })
-	e.At(5, func() { fired++ })
-	e.RunUntil(3)
-	if fired != 1 {
-		t.Fatalf("fired=%d, want 1", fired)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("clock = %v, want 3", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if fired != 2 {
-		t.Fatal("second event never fired")
-	}
-}
-
 func TestEngineMonotonicClockProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

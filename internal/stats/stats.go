@@ -51,10 +51,6 @@ func (a *Accumulator) StdErr() float64 {
 	return a.StdDev() / math.Sqrt(float64(a.n))
 }
 
-// CI95 returns the half-width of the 95% normal-approximation
-// confidence interval for the mean.
-func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
-
 // String renders "mean ± stderr (n)".
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", a.Mean(), a.StdErr(), a.n)
@@ -67,13 +63,4 @@ func Mean(xs []float64) float64 {
 		a.Add(x)
 	}
 	return a.Mean()
-}
-
-// Summarize folds a sample into an accumulator.
-func Summarize(xs []float64) *Accumulator {
-	var a Accumulator
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return &a
 }

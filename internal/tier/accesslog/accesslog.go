@@ -1,36 +1,16 @@
-// Package accesslog is the shared append-only access log behind tier
-// heat: every read appends one small framed record, batches are
-// fsync'd when a byte or age threshold trips (amortized O(1) on the
-// read path), and a compactor periodically folds sealed segments into
-// the heat snapshot and deletes them.
-//
-// On-disk layout, inside a store's heatlog/ directory:
-//
-//	seg-00000001.log  sealed segment (any segment but the highest)
-//	seg-00000002.log  active segment, writers append here
-//	compact.lock      flock serializing compactors
-//
-// Records are individually CRC-framed; a torn tail (the batch a crash
-// interrupted) is detected and skipped, and readers resynchronize on
-// the frame magic, so a kill at any moment loses at most the unsynced
-// batch and never corrupts what was already durable. Multiple
-// processes (serve shards, the tier daemon, hdfscli one-shots) share
-// the log: appends go through O_APPEND single writes under a shared
-// flock per segment, while the compactor takes exclusive flocks, so a
-// batch is either folded into the snapshot or still in a segment —
-// never neither, never both (see Compact for the commit protocol).
+// Package accesslog is the record format and the write batching of the
+// tier heat log: every read becomes one small Record, a Writer collects
+// them in memory (amortized O(1), no I/O on the read path) until a byte
+// or age threshold says the batch is due, and tier.HeatLog appends the
+// due batch to the store's tier-heat.log — a durable.SnapLog shared by
+// every process on the store — in one write and one fsync.
 package accesslog
 
 import (
+	"crypto/rand"
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
+	"time"
 )
 
 // Record is one access-log entry: an access of weight N against a
@@ -45,98 +25,103 @@ type Record struct {
 	Src  uint64  // writer identity, stamped by Writer.Append
 }
 
-// Frame layout: [0xA5 0x5A][le16 payloadLen][le32 crc32(payload)] then
-// payload = [le16 nameLen][name][le32 ext][le64 n][le64 time][le64 src].
+// A record's payload in the log is
+// [le16 nameLen][name][le32 ext][le64 n][le64 time][le64 src].
 const (
-	magic0      = 0xA5
-	magic1      = 0x5A
-	headerBytes = 8
-	maxName     = 4096
-	maxPayload  = maxName + 30
+	maxName    = 4096
+	fixedBytes = 2 + 4 + 8 + 8 + 8
 )
 
-func appendFrame(buf []byte, rec Record) []byte {
-	if len(rec.Name) > maxName {
-		rec.Name = rec.Name[:maxName]
+// Encode returns the record's log payload.
+func (r Record) Encode() []byte {
+	if len(r.Name) > maxName {
+		r.Name = r.Name[:maxName]
 	}
-	payload := make([]byte, 0, 2+len(rec.Name)+28)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(rec.Name)))
-	payload = append(payload, rec.Name...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(int32(rec.Ext)))
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(rec.N))
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(rec.Time))
-	payload = binary.LittleEndian.AppendUint64(payload, rec.Src)
-
-	buf = append(buf, magic0, magic1)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	p := make([]byte, 0, fixedBytes+len(r.Name))
+	p = binary.LittleEndian.AppendUint16(p, uint16(len(r.Name)))
+	p = append(p, r.Name...)
+	p = binary.LittleEndian.AppendUint32(p, uint32(int32(r.Ext)))
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.N))
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.Time))
+	return binary.LittleEndian.AppendUint64(p, r.Src)
 }
 
-// parseFrame decodes the frame starting at data[i]. ok is false when
-// the bytes there are not a complete, checksummed frame — torn tail,
-// mid-batch garbage, or a partially visible concurrent write.
-func parseFrame(data []byte, i int) (rec Record, next int, ok bool) {
-	if i+headerBytes > len(data) || data[i] != magic0 || data[i+1] != magic1 {
-		return rec, 0, false
+// Decode parses a log payload. ok is false when the bytes are not one
+// complete record with a finite weight and time — another format's, or
+// a newer writer's.
+func Decode(p []byte) (r Record, ok bool) {
+	if len(p) < fixedBytes {
+		return r, false
 	}
-	plen := int(binary.LittleEndian.Uint16(data[i+2:]))
-	if plen < 30 || plen > maxPayload || i+headerBytes+plen > len(data) {
-		return rec, 0, false
+	nameLen := int(binary.LittleEndian.Uint16(p))
+	if nameLen > maxName || fixedBytes+nameLen != len(p) {
+		return r, false
 	}
-	payload := data[i+headerBytes : i+headerBytes+plen]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[i+4:]) {
-		return rec, 0, false
-	}
-	nameLen := int(binary.LittleEndian.Uint16(payload))
-	if 2+nameLen+28 != plen {
-		return rec, 0, false
-	}
-	rec.Name = string(payload[2 : 2+nameLen])
-	p := payload[2+nameLen:]
-	rec.Ext = int(int32(binary.LittleEndian.Uint32(p)))
-	rec.N = math.Float64frombits(binary.LittleEndian.Uint64(p[4:]))
-	rec.Time = math.Float64frombits(binary.LittleEndian.Uint64(p[12:]))
-	rec.Src = binary.LittleEndian.Uint64(p[20:])
-	return rec, i + headerBytes + plen, true
+	r.Name = string(p[2 : 2+nameLen])
+	p = p[2+nameLen:]
+	r.Ext = int(int32(binary.LittleEndian.Uint32(p)))
+	r.N = math.Float64frombits(binary.LittleEndian.Uint64(p[4:]))
+	r.Time = math.Float64frombits(binary.LittleEndian.Uint64(p[12:]))
+	r.Src = binary.LittleEndian.Uint64(p[20:])
+	// One NaN would stick to its counter for good, and no snapshot
+	// holding it would marshal.
+	finite := !math.IsNaN(r.N+r.Time) && !math.IsInf(r.N, 0) && !math.IsInf(r.Time, 0)
+	return r, finite
 }
 
-// segPath names segment seq inside dir.
-func segPath(dir string, seq int64) string {
-	return filepath.Join(dir, fmt.Sprintf("seg-%08d.log", seq))
+// Options is empty: the batching thresholds are constants, since no
+// caller ever set them. The type stays so that callers of
+// tier.OpenHeatLog keep compiling.
+type Options struct{}
+
+const (
+	// flushBytes makes a batch due once it holds this many payload bytes.
+	flushBytes = 8 << 10
+	// flushEvery makes a batch due once its oldest record is this old
+	// (checked on the next Append). It is the durability window: a kill
+	// loses at most this much heat.
+	flushEvery = 500 * time.Millisecond
+)
+
+// Writer batches encoded records for one log handle and stamps them
+// with its identity. It does no I/O and no locking: the owner appends
+// what Pending returns to the log and then calls Reset, all under its
+// own mutex.
+type Writer struct {
+	id     uint64
+	batch  [][]byte
+	bytes  int
+	oldest time.Time
 }
 
-// Segments lists the segment sequence numbers in dir, ascending. The
-// highest is the active segment; the rest are sealed.
-func Segments(dir string) ([]int64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
+// NewWriter returns a writer with a random identity (see Record.Src).
+func NewWriter() (*Writer, error) {
+	var idb [8]byte
+	if _, err := rand.Read(idb[:]); err != nil {
 		return nil, err
 	}
-	var seqs []int64
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		seq, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".log"), 10, 64)
-		if err != nil || seq <= 0 {
-			continue
-		}
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
+	return &Writer{id: binary.LittleEndian.Uint64(idb[:])}, nil
 }
 
-// syncDir fsyncs the directory so segment creates and unlinks are
-// durable. Best-effort: some filesystems reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+// ID returns the writer's random identity, the value stamped into
+// Record.Src on Append.
+func (w *Writer) ID() uint64 { return w.id }
+
+// Append adds one record to the pending batch and reports whether the
+// batch is now due a flush.
+func (w *Writer) Append(rec Record) (due bool) {
+	rec.Src = w.id
+	p := rec.Encode()
+	if len(w.batch) == 0 {
+		w.oldest = time.Now()
 	}
+	w.batch = append(w.batch, p)
+	w.bytes += len(p)
+	return w.bytes >= flushBytes || time.Since(w.oldest) >= flushEvery
 }
+
+// Pending returns the encoded records appended since the last Reset.
+func (w *Writer) Pending() [][]byte { return w.batch }
+
+// Reset empties the batch once the owner has made it durable.
+func (w *Writer) Reset() { w.batch, w.bytes = w.batch[:0], 0 }

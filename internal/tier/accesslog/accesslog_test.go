@@ -1,368 +1,111 @@
 package accesslog
 
 import (
-	"errors"
-	"os"
-	"sync"
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
 
-func openTestWriter(t *testing.T, dir string, opt Options) *Writer {
+func newTestWriter(t *testing.T) *Writer {
 	t.Helper()
-	w, err := OpenWriter(dir, opt)
+	w, err := NewWriter()
 	if err != nil {
-		t.Fatalf("OpenWriter: %v", err)
+		t.Fatalf("NewWriter: %v", err)
 	}
-	t.Cleanup(func() { w.Close() })
 	return w
 }
 
-func replayAll(t *testing.T, dir string, from Cursor) ([]Record, Cursor) {
-	t.Helper()
-	var recs []Record
-	cur, _, err := Replay(dir, from, func(r Record) error {
-		recs = append(recs, r)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	return recs, cur
-}
-
+// TestRoundtrip: what Append batches decodes to the records appended,
+// stamped with the writer's identity; anything that is not exactly one
+// record of finite weight and time does not decode.
 func TestRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	w := openTestWriter(t, dir, Options{})
+	w := newTestWriter(t)
 	want := []Record{
 		{Name: "a.bin", Ext: -1, N: 1, Time: 100},
 		{Name: "b/with/slashes.dat", Ext: 7, N: 2.5, Time: 101.25},
 		{Name: "", Ext: 0, N: 1, Time: 102},
+		{Name: strings.Repeat("n", maxName), Ext: 1 << 20, N: 1e-9, Time: 1.7e9},
 	}
 	for _, r := range want {
-		if err := w.Append(r); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
+		w.Append(r)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	got, cur := replayAll(t, dir, Cursor{})
+	got := w.Pending()
 	if len(got) != len(want) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+		t.Fatalf("%d records pending, want %d", len(got), len(want))
 	}
-	for i := range want {
-		if got[i].Name != want[i].Name || got[i].Ext != want[i].Ext ||
-			got[i].N != want[i].N || got[i].Time != want[i].Time {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+	for i, raw := range got {
+		r, ok := Decode(raw)
+		want[i].Src = w.ID()
+		if !ok || r != want[i] {
+			t.Fatalf("record %d = %+v, %v; want %+v", i, r, ok, want[i])
 		}
-		if got[i].Src != w.ID() {
-			t.Fatalf("record %d Src = %x, want writer id %x", i, got[i].Src, w.ID())
+		for _, bad := range [][]byte{raw[:len(raw)-1], append(raw[:len(raw):len(raw)], 0), nil} {
+			if _, ok := Decode(bad); ok {
+				t.Fatalf("record %d: Decode accepted %d of its %d bytes", i, len(bad), len(raw))
+			}
 		}
 	}
-	// Tailing from the returned cursor sees nothing new.
-	more, _ := replayAll(t, dir, cur)
-	if len(more) != 0 {
-		t.Fatalf("tail after cursor replayed %d records, want 0", len(more))
+	// A weight or time that is NaN or infinite would poison its counter
+	// and every snapshot after it.
+	for _, r := range []Record{
+		{Name: "f", N: math.NaN(), Time: 1},
+		{Name: "f", N: 1, Time: math.NaN()},
+		{Name: "f", N: math.Inf(1), Time: 1},
+		{Name: "f", N: 1, Time: math.Inf(-1)},
+	} {
+		if _, ok := Decode(r.Encode()); ok {
+			t.Errorf("Decode accepted weight %v at time %v", r.N, r.Time)
+		}
+	}
+	long := Record{Name: strings.Repeat("x", maxName+5), Ext: 3, N: 1, Time: 1}
+	if r, ok := Decode(long.Encode()); !ok || len(r.Name) != maxName || r.Ext != 3 {
+		t.Fatalf("an over-long name: %d bytes, ext %d, %v; want it cut to %d", len(r.Name), r.Ext, ok, maxName)
 	}
 }
 
+// TestAppendIsBuffered: below both thresholds an Append only grows the
+// batch, and Reset empties it.
 func TestAppendIsBuffered(t *testing.T) {
-	dir := t.TempDir()
-	w := openTestWriter(t, dir, Options{FlushBytes: 1 << 20, FlushEvery: time.Hour})
+	w := newTestWriter(t)
 	for i := 0; i < 100; i++ {
-		if err := w.Append(Record{Name: "x", Ext: -1, N: 1, Time: float64(i)}); err != nil {
-			t.Fatalf("Append: %v", err)
+		if w.Append(Record{Name: "x", Ext: -1, N: 1, Time: float64(i)}) {
+			t.Fatalf("append %d (%d bytes pending) reported the batch due", i, w.bytes)
 		}
 	}
-	fi, err := os.Stat(segPath(dir, 1))
-	if err != nil {
-		t.Fatalf("stat segment: %v", err)
+	if len(w.Pending()) != 100 {
+		t.Fatalf("%d records pending, want 100", len(w.Pending()))
 	}
-	if fi.Size() != 0 {
-		t.Fatalf("segment has %d bytes before any flush threshold, want 0", fi.Size())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	recs, _ := replayAll(t, dir, Cursor{})
-	if len(recs) != 100 {
-		t.Fatalf("replayed %d, want 100", len(recs))
+	w.Reset()
+	if len(w.Pending()) != 0 || w.bytes != 0 {
+		t.Fatalf("after Reset: %d records, %d bytes", len(w.Pending()), w.bytes)
 	}
 }
 
+// TestFlushThresholdTrips: a batch is due at flushBytes of payload, or
+// once its oldest record is flushEvery old — and stays due until Reset.
 func TestFlushThresholdTrips(t *testing.T) {
-	dir := t.TempDir()
-	var flushes int
-	w := openTestWriter(t, dir, Options{FlushBytes: 64, FlushEvery: time.Hour})
-	w.OnFlush = func(records, bytes int) { flushes++ }
-	for i := 0; i < 10; i++ {
-		if err := w.Append(Record{Name: "file.bin", Ext: -1, N: 1, Time: 1}); err != nil {
-			t.Fatalf("Append: %v", err)
+	w := newTestWriter(t)
+	rec := Record{Name: "file.bin", Ext: -1, N: 1, Time: 1}
+	size := len(rec.Encode())
+	for n := 1; ; n++ {
+		due := w.Append(rec)
+		if want := n*size >= flushBytes; due != want {
+			t.Fatalf("append %d (%d bytes): due = %v, want %v", n, n*size, due, want)
+		}
+		if due {
+			break
 		}
 	}
-	if flushes == 0 {
-		t.Fatal("byte threshold never tripped a flush")
+	if !w.Append(rec) {
+		t.Fatal("a due batch stopped being due before Reset")
 	}
-}
-
-func TestRotationSealsSegments(t *testing.T) {
-	dir := t.TempDir()
-	w := openTestWriter(t, dir, Options{FlushBytes: 1, SegmentBytes: 256})
-	for i := 0; i < 50; i++ {
-		if err := w.Append(Record{Name: "rot.bin", Ext: i, N: 1, Time: float64(i)}); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
+	w.Reset()
+	if w.Append(rec) {
+		t.Fatal("the first record after Reset is due")
 	}
-	seqs, err := Segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) < 2 {
-		t.Fatalf("expected rotation to create several segments, got %v", seqs)
-	}
-	recs, _ := replayAll(t, dir, Cursor{})
-	if len(recs) != 50 {
-		t.Fatalf("replayed %d across segments, want 50", len(recs))
-	}
-}
-
-func TestReplayResyncsPastGarbage(t *testing.T) {
-	dir := t.TempDir()
-	w := openTestWriter(t, dir, Options{})
-	if err := w.Append(Record{Name: "one", Ext: -1, N: 1, Time: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// A crashed writer's torn batch: garbage bytes in the middle.
-	f, err := os.OpenFile(segPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{magic0, magic1, 0xFF, 0xFF, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if err := w.Append(Record{Name: "two", Ext: -1, N: 1, Time: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs, cur := replayAll(t, dir, Cursor{})
-	if len(recs) != 2 || recs[0].Name != "one" || recs[1].Name != "two" {
-		t.Fatalf("resync replay got %+v, want [one two]", recs)
-	}
-	// Torn tail with nothing after it: cursor must stop before it.
-	f, err = os.OpenFile(segPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0xDE, 0xAD}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	recs2, cur2 := replayAll(t, dir, cur)
-	if len(recs2) != 0 {
-		t.Fatalf("tail replay got %d records, want 0", len(recs2))
-	}
-	if cur2 != cur {
-		t.Fatalf("cursor advanced over torn tail: %+v -> %+v", cur, cur2)
-	}
-}
-
-func TestCompactFoldsSealedOnly(t *testing.T) {
-	dir := t.TempDir()
-	w := openTestWriter(t, dir, Options{FlushBytes: 1})
-	for i := 0; i < 10; i++ {
-		if err := w.Append(Record{Name: "c.bin", Ext: i, N: 1, Time: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 10; i < 13; i++ {
-		if err := w.Append(Record{Name: "c.bin", Ext: i, N: 1, Time: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	folded := 0
-	committed := int64(-1)
-	newApplied, n, err := Compact(dir, 0,
-		func(r Record) error { folded++; return nil },
-		func(seq int64) error { committed = seq; return nil })
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if folded != 10 || n != 10 {
-		t.Fatalf("folded %d/%d records, want 10 (active segment must not fold)", folded, n)
-	}
-	if committed != newApplied || newApplied < 1 {
-		t.Fatalf("committed=%d newApplied=%d", committed, newApplied)
-	}
-	seqs, _ := Segments(dir)
-	for _, s := range seqs {
-		if s <= newApplied {
-			t.Fatalf("sealed segment %d survived compaction (segments: %v)", s, seqs)
-		}
-	}
-	// The active records are still replayable from the new cursor.
-	recs, _ := replayAll(t, dir, Cursor{Seq: newApplied + 1})
-	if len(recs) != 3 {
-		t.Fatalf("post-compact tail has %d records, want 3", len(recs))
-	}
-}
-
-// TestCompactKillPoints simulates a crash at each stage of the commit
-// protocol and checks the no-loss / no-double-count invariant.
-func TestCompactKillPoints(t *testing.T) {
-	boom := errors.New("kill")
-	for _, stage := range []string{"folded", "committed"} {
-		t.Run(stage, func(t *testing.T) {
-			dir := t.TempDir()
-			w := openTestWriter(t, dir, Options{FlushBytes: 1})
-			for i := 0; i < 8; i++ {
-				if err := w.Append(Record{Name: "k.bin", Ext: i, N: 1, Time: float64(i)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Rotate(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Durable state: heat total + the applied watermark, as
-			// the snapshot would hold them.
-			var snapTotal float64
-			var snapApplied int64
-
-			total := snapTotal
-			compactKillHook = func(s string) error {
-				if s == stage {
-					return boom
-				}
-				return nil
-			}
-			_, _, err := Compact(dir, snapApplied,
-				func(r Record) error { total += r.N; return nil },
-				func(seq int64) error { snapTotal, snapApplied = total, seq; return nil })
-			compactKillHook = nil
-			if !errors.Is(err, boom) {
-				t.Fatalf("Compact did not die at %s: %v", stage, err)
-			}
-
-			// Recovery: a fresh compactor starts from the durable
-			// snapshot, exactly like a restarted process.
-			total = snapTotal
-			_, _, err = Compact(dir, snapApplied,
-				func(r Record) error { total += r.N; return nil },
-				func(seq int64) error { snapTotal, snapApplied = total, seq; return nil })
-			if err != nil {
-				t.Fatalf("recovery Compact: %v", err)
-			}
-			if snapTotal != 8 {
-				t.Fatalf("after crash at %q and recovery, snapshot heat = %v, want 8 (no loss, no double count)", stage, snapTotal)
-			}
-			seqs, _ := Segments(dir)
-			if len(seqs) != 1 {
-				t.Fatalf("stale segments not collected after recovery: %v", seqs)
-			}
-		})
-	}
-}
-
-// TestConcurrentWritersReadersCompactor is the -race coverage for the
-// shared log: two writers append, a reader tails, a compactor folds —
-// all concurrently — and at the end snapshot + tail must account for
-// every append exactly once.
-func TestConcurrentWritersReadersCompactor(t *testing.T) {
-	dir := t.TempDir()
-	const perWriter = 300
-
-	var wg sync.WaitGroup
-	for wi := 0; wi < 2; wi++ {
-		w := openTestWriter(t, dir, Options{FlushBytes: 64, SegmentBytes: 2048})
-		wg.Add(1)
-		go func(w *Writer) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if err := w.Append(Record{Name: "hot.bin", Ext: i % 4, N: 1, Time: float64(i)}); err != nil {
-					t.Errorf("Append: %v", err)
-					return
-				}
-			}
-			if err := w.Flush(); err != nil {
-				t.Errorf("Flush: %v", err)
-			}
-		}(w)
-	}
-
-	stop := make(chan struct{})
-	var tailWG sync.WaitGroup
-	tailWG.Add(2)
-	go func() { // reader tailing from its own cursor
-		defer tailWG.Done()
-		cur := Cursor{}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			var err error
-			cur, _, err = Replay(dir, cur, func(Record) error { return nil })
-			if err != nil {
-				t.Errorf("tail Replay: %v", err)
-				return
-			}
-		}
-	}()
-
-	var mu sync.Mutex
-	snapTotal := 0.0
-	snapApplied := int64(0)
-	go func() { // compactor folding into a "snapshot"
-		defer tailWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			mu.Lock()
-			total, applied := snapTotal, snapApplied
-			_, _, err := Compact(dir, applied,
-				func(r Record) error { total += r.N; return nil },
-				func(seq int64) error { snapTotal, snapApplied = total, seq; return nil })
-			mu.Unlock()
-			if err != nil {
-				t.Errorf("Compact: %v", err)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	wg.Wait()
-	close(stop)
-	tailWG.Wait()
-
-	// Final accounting: snapshot + everything after the watermark.
-	total := snapTotal
-	_, _, err := Replay(dir, Cursor{Seq: snapApplied + 1}, func(r Record) error {
-		total += r.N
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("final Replay: %v", err)
-	}
-	if total != 2*perWriter {
-		t.Fatalf("snapshot+tail accounts for %v accesses, want %d", total, 2*perWriter)
+	w.oldest = time.Now().Add(-flushEvery)
+	if !w.Append(rec) {
+		t.Fatalf("a batch whose oldest record is %v old is not due", flushEvery)
 	}
 }

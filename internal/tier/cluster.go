@@ -180,13 +180,6 @@ func (t *ClusterTarget) StorageBlocks() (physical, data int) {
 	return physical, data
 }
 
-// ReadCost simulates one locality-scheduled read of a uniformly random
-// block of the file while the nodes for which down reports true are
-// dead. See ReadCostAt.
-func (t *ClusterTarget) ReadCost(name string, down func(int) bool) (int, error) {
-	return t.ReadCostAt(name, -1, down)
-}
-
 // ReadCostAt simulates one locality-scheduled read of the given data
 // block of the file while the nodes for which down reports true are
 // dead: a map task lands on a live replica holder when one exists
@@ -197,7 +190,7 @@ func (t *ClusterTarget) ReadCost(name string, down func(int) bool) (int, error) 
 // extent map, so a read of a promoted hot extent prices against the
 // replicated layout even while the rest of the file sits on RS. A
 // negative block means "no offset information" and reads a uniformly
-// random block, the pre-extent ReadCost behavior.
+// random block.
 func (t *ClusterTarget) ReadCostAt(name string, block int, down func(int) bool) (int, error) {
 	pf, ok := t.files[name]
 	if !ok {

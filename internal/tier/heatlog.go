@@ -5,268 +5,237 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/tier/accesslog"
 )
 
-// HeatFileName is the heat snapshot inside a store directory — the
-// same file the pre-log tier code persisted whole trackers to, now the
-// compaction target of the access log. Legacy snapshots (no
-// applied_seq) load as-is and migrate on first compaction.
-const HeatFileName = "tier-heat.json"
+// heatFileName is the heat snapshot inside a store directory and
+// heatLogName the log of access records since: together one
+// durable.SnapLog, the same snapshot + generation + log protocol the
+// store's manifest uses.
+const (
+	heatFileName = "tier-heat.json"
+	heatLogName  = "tier-heat.log"
+)
 
-// HeatLogDirName is the access-log directory inside a store.
-const HeatLogDirName = "heatlog"
+// checkpointFloor floors the checkpoint trigger: a flush folds the log
+// into the snapshot once the log outgrows the snapshot, or this. A
+// variable only so that tests can reach a checkpoint with few records.
+var checkpointFloor int64 = 1 << 20
 
-// HeatLog couples an in-memory Tracker with the shared append-only
-// access log: touches bump the tracker and append a log record (O(1),
-// amortized-fsync'd), Refresh tails records other processes appended,
-// and Compact folds sealed segments into the tier-heat.json snapshot.
-// Durable heat = snapshot + log; the in-memory tracker is a live view
-// and is never saved wholesale — a kill loses at most the writer's
-// unsynced batch.
+// HeatLog couples an in-memory Tracker with the store's shared heat
+// log: touches bump the tracker and join a batch (O(1), no I/O), a
+// batch that is due is appended in one write and one fsync, Refresh
+// tails records other processes appended, and a checkpoint folds the
+// log into the tier-heat.json snapshot. Durable heat = snapshot + log;
+// a kill loses at most the unflushed batch.
 //
 // Concurrent use across processes is the point: per-shard servers
-// append while the tier daemon tails and compacts, and hdfscli
-// one-shots do both briefly.
+// append while the tier daemon tails, and hdfscli one-shots do both
+// briefly. Every flush and checkpoint runs under the exclusive flock on
+// the log file and first tails what others appended, so a handle
+// appends at the log's true end and a checkpoint folds every record
+// exactly once; another process's flush therefore waits out a
+// checkpoint (one marshal and two fsyncs, once per ≥ 1 MiB of log).
 type HeatLog struct {
 	// Obs, when set, receives accesslog_* counters. Set before use.
 	Obs *obs.Registry
 
-	dir      string // access-log directory
-	snap     string // snapshot path
 	halfLife float64
+	tracker  *Tracker
 
-	mu      sync.Mutex
-	tracker *Tracker
-	w       *accesslog.Writer
-	cursor  accesslog.Cursor
-	closed  bool
+	mu     sync.Mutex // guards everything below, and orders touches with flushes
+	sl     *durable.SnapLog
+	w      *accesslog.Writer
+	closed bool
 }
 
-// OpenHeatLog opens the heat state of storeDir: it loads the
-// tier-heat.json snapshot (legacy pre-log files included), replays
-// every log record past the snapshot's watermark into the tracker, and
-// opens the log for appending. Options control the writer's batching.
-func OpenHeatLog(storeDir string, halfLife float64, opt accesslog.Options) (*HeatLog, error) {
-	h := &HeatLog{
-		dir:  filepath.Join(storeDir, HeatLogDirName),
-		snap: filepath.Join(storeDir, HeatFileName),
-	}
-	tr, applied, err := LoadTrackerState(h.snap, halfLife)
+// OpenHeatLog opens the heat state of storeDir: the tier-heat.json
+// snapshot with every intact record of tier-heat.log applied. Nothing
+// is written until a batch is flushed.
+func OpenHeatLog(storeDir string, halfLife float64, _ accesslog.Options) (*HeatLog, error) {
+	w, err := accesslog.NewWriter()
 	if err != nil {
 		return nil, err
 	}
-	h.tracker = tr
-	h.halfLife = halfLifeOf(tr, halfLife)
-	h.cursor = accesslog.Cursor{Seq: applied + 1}
-	h.cursor, _, err = accesslog.Replay(h.dir, h.cursor, func(rec accesslog.Record) error {
-		h.applyLocked(rec)
-		return nil
-	})
+	h := &HeatLog{halfLife: halfLife, tracker: NewTracker(halfLife), w: w}
+	h.sl, err = durable.OpenSnapLog(filepath.Join(storeDir, heatFileName), filepath.Join(storeDir, heatLogName))
 	if err != nil {
 		return nil, err
 	}
-	h.w, err = accesslog.OpenWriter(h.dir, opt)
-	if err != nil {
+	if err := h.Refresh(); err != nil {
+		h.sl.Close()
 		return nil, err
-	}
-	h.w.OnFlush = func(records, bytes int) {
-		if r := h.Obs; r != nil {
-			r.Counter("accesslog_flushes_total").Inc()
-			r.Counter("accesslog_flush_records_total").Add(int64(records))
-			r.Counter("accesslog_flush_bytes_total").Add(int64(bytes))
-		}
 	}
 	return h, nil
 }
 
-// halfLifeOf recovers the effective half-life: a loaded snapshot keeps
-// its own, a fresh tracker uses the caller's.
-func halfLifeOf(tr *Tracker, fallback float64) float64 {
-	if tr != nil && tr.halfLife > 0 {
-		return tr.halfLife
-	}
-	return fallback
-}
-
 // Tracker returns the live in-memory heat view. Callers may read it
 // freely (it has its own lock); its counters include this process's
-// un-flushed touches.
+// unflushed touches.
 func (h *HeatLog) Tracker() *Tracker { return h.tracker }
 
-// applyLocked folds one log record into the tracker. Caller note:
-// Tracker has its own mutex; h.mu is not required here.
-func (h *HeatLog) applyLocked(rec accesslog.Record) {
-	if rec.Ext < 0 {
-		h.tracker.TouchN(rec.Name, rec.N, rec.Time)
-	} else {
-		h.tracker.TouchExtentN(rec.Name, rec.Ext, rec.N, rec.Time)
+func (h *HeatLog) count(name string, n int) {
+	if r := h.Obs; r != nil {
+		r.Counter(name).Add(int64(n))
 	}
 }
 
-// Touch records a whole-file access: tracker bump plus O(1) log
-// append.
+// touchTracker folds one record into a tracker.
+func touchTracker(t *Tracker, rec accesslog.Record) {
+	if rec.Ext < 0 {
+		t.TouchN(rec.Name, rec.N, rec.Time)
+	} else {
+		t.TouchExtentN(rec.Name, rec.Ext, rec.N, rec.Time)
+	}
+}
+
+// refreshLocked tails what other handles appended — a record is applied
+// to the live view unless this handle appended it and so already counted
+// it — or, when one of them checkpointed since, and at open, rebuilds the
+// view from snapshot + log (this handle's flushed records included) plus
+// the batch it has not flushed yet, and only then swaps it in. A
+// CRC-valid record that does not decode (a newer writer's) is skipped
+// and counted, never an error: an error would fail every later flush
+// here and leave the log marked torn at that record, where an append
+// would cut off it and everything behind it. Caller holds mu and the
+// flock.
+func (h *HeatLog) refreshLocked() error {
+	var fresh *Tracker
+	err := h.sl.Refresh(func(raw []byte) (gen int64, err error) {
+		fresh, gen, err = restoreTracker(raw, h.halfLife)
+		return gen, err
+	}, func(raw []byte) error {
+		rec, ok := accesslog.Decode(raw)
+		switch {
+		case !ok:
+			h.count("accesslog_skipped_records_total", 1)
+		case fresh != nil:
+			touchTracker(fresh, rec)
+		case rec.Src != h.w.ID():
+			touchTracker(h.tracker, rec)
+			h.count("accesslog_tailed_records_total", 1)
+		}
+		return nil
+	})
+	if err != nil || fresh == nil {
+		return err
+	}
+	for _, raw := range h.w.Pending() {
+		if rec, ok := accesslog.Decode(raw); ok {
+			touchTracker(fresh, rec)
+		}
+	}
+	h.tracker.adopt(fresh)
+	h.count("accesslog_reloads_total", 1)
+	return nil
+}
+
+// Touch records a whole-file access: tracker bump plus O(1) batching.
 func (h *HeatLog) Touch(name string, now float64) error {
 	return h.touch(accesslog.Record{Name: name, Ext: -1, N: 1, Time: now})
 }
 
-// TouchExtent records an extent access: tracker bump plus O(1) log
-// append.
+// TouchExtent records an extent access: tracker bump plus O(1)
+// batching.
 func (h *HeatLog) TouchExtent(name string, ext int, now float64) error {
 	return h.touch(accesslog.Record{Name: name, Ext: ext, N: 1, Time: now})
 }
 
 func (h *HeatLog) touch(rec accesslog.Record) error {
-	h.applyLocked(rec)
-	if r := h.Obs; r != nil {
-		r.Counter("accesslog_appends_total").Inc()
-	}
+	h.count("accesslog_appends_total", 1)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return os.ErrClosed
 	}
-	return h.w.Append(rec)
+	touchTracker(h.tracker, rec)
+	if h.w.Append(rec) {
+		return h.flushLocked(false)
+	}
+	return nil
+}
+
+// flushLocked is the one path to disk: exclusive flock → refresh (so
+// the append lands at the log's true end and foreign records are
+// tailed for free) → the pending batch in one write and one fsync →
+// a checkpoint when asked for or when the log has outgrown the
+// snapshot → unlock. After the append the live view is exactly
+// snapshot + log, which is what makes it the checkpoint's content. A
+// checkpoint with no record to fold writes nothing. Caller holds mu.
+func (h *HeatLog) flushLocked(fold bool) error {
+	batch := h.w.Pending()
+	if len(batch) == 0 && !fold {
+		return nil
+	}
+	if err := h.sl.Lock(); err != nil {
+		return err
+	}
+	defer h.sl.Unlock()
+	if err := h.refreshLocked(); err != nil {
+		return err
+	}
+	if len(batch) > 0 {
+		before := h.sl.Size()
+		if err := h.sl.Append(batch...); err != nil {
+			return err
+		}
+		h.count("accesslog_flushes_total", 1)
+		h.count("accesslog_flush_records_total", len(batch))
+		h.count("accesslog_flush_bytes_total", int(h.sl.Size()-before))
+		h.w.Reset()
+	}
+	if h.sl.Size() == 0 || !(fold || h.sl.Outgrown(checkpointFloor)) {
+		return nil
+	}
+	if err := h.sl.Checkpoint(h.tracker.snapshot); err != nil {
+		return err
+	}
+	h.count("accesslog_compactions_total", 1)
+	return nil
 }
 
 // Refresh tails records appended by other processes since the last
-// Refresh (or open) into the tracker — the daemon's O(new records)
-// replacement for reloading the whole heat file every scan. Records
-// this process appended are skipped by writer identity: they are
-// already in the tracker. If a foreign compactor collected our cursor
-// segment, the view is rebuilt from snapshot + log.
+// Refresh (or open) into the tracker — O(new records). Records this
+// handle appended are skipped by writer identity: they are already in
+// the tracker. If another process checkpointed since, the view is
+// rebuilt from snapshot + log.
 func (h *HeatLog) Refresh() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return os.ErrClosed
 	}
-	own := h.w.ID()
-	cur, reset, err := accesslog.Replay(h.dir, h.cursor, func(rec accesslog.Record) error {
-		if rec.Src != own {
-			h.applyLocked(rec)
-			if r := h.Obs; r != nil {
-				r.Counter("accesslog_tailed_records_total").Inc()
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := h.sl.Lock(); err != nil {
 		return err
 	}
-	if reset {
-		return h.reloadLocked()
-	}
-	h.cursor = cur
-	return nil
+	defer h.sl.Unlock()
+	return h.refreshLocked()
 }
 
-// reloadLocked rebuilds the in-memory view from the snapshot plus a
-// full log replay (no identity filter: the old in-memory state is
-// discarded, so our flushed records must fold back in too).
-func (h *HeatLog) reloadLocked() error {
-	if err := h.w.Flush(); err != nil {
-		return err
-	}
-	tr, applied, err := LoadTrackerState(h.snap, h.halfLife)
-	if err != nil {
-		return err
-	}
-	cur, _, err := accesslog.Replay(h.dir, accesslog.Cursor{Seq: applied + 1}, func(rec accesslog.Record) error {
-		if rec.Ext < 0 {
-			tr.TouchN(rec.Name, rec.N, rec.Time)
-		} else {
-			tr.TouchExtentN(rec.Name, rec.Ext, rec.N, rec.Time)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	*h.tracker = *cloneInto(h.tracker, tr)
-	h.cursor = cur
-	if r := h.Obs; r != nil {
-		r.Counter("accesslog_reloads_total").Inc()
-	}
-	return nil
-}
+// Flush forces the pending batch to disk.
+func (h *HeatLog) Flush() error { return h.sync(false) }
 
-// cloneInto moves src's state into dst's identity (dst pointer stays
-// valid for managers/daemons holding it) and returns dst.
-func cloneInto(dst, src *Tracker) *Tracker {
-	dst.mu.Lock()
-	src.mu.Lock()
-	dst.halfLife = src.halfLife
-	dst.files = src.files
-	dst.dirty = src.dirty
-	src.mu.Unlock()
-	dst.mu.Unlock()
-	return dst
-}
+// Compact flushes, then folds the whole log into the tier-heat.json
+// snapshot — the checkpoint a flush makes by itself once the log
+// outgrows the snapshot, forced: what a clean shutdown does so that the
+// next open replays nothing. A kill at any point of it neither loses
+// nor double-counts a flushed record (see durable.SnapLog.Checkpoint).
+func (h *HeatLog) Compact() error { return h.sync(true) }
 
-// Compact folds sealed log segments into the tier-heat.json snapshot
-// and deletes them. With force, the active segment is first flushed
-// and rotated so everything durable folds down. The fold is
-// disk-to-disk: a snapshot-loaded tracker accumulates the sealed
-// segments and is committed with the new watermark before any segment
-// is deleted, so a kill at any point neither loses nor double-counts
-// heat (see accesslog.Compact). The live in-memory view is untouched.
-func (h *HeatLog) Compact(force bool) (folded int, err error) {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return 0, os.ErrClosed
-	}
-	if force {
-		if err := h.w.Rotate(); err != nil {
-			h.mu.Unlock()
-			return 0, err
-		}
-	} else if err := h.w.Flush(); err != nil {
-		h.mu.Unlock()
-		return 0, err
-	}
-	h.mu.Unlock()
-
-	base, applied, err := LoadTrackerState(h.snap, h.halfLife)
-	if err != nil {
-		return 0, err
-	}
-	_, folded, err = accesslog.Compact(h.dir, applied,
-		func(rec accesslog.Record) error {
-			if rec.Ext < 0 {
-				base.TouchN(rec.Name, rec.N, rec.Time)
-			} else {
-				base.TouchExtentN(rec.Name, rec.Ext, rec.N, rec.Time)
-			}
-			return nil
-		},
-		func(newApplied int64) error {
-			return base.SaveWithSeq(h.snap, newApplied)
-		})
-	if err != nil {
-		return folded, err
-	}
-	if r := h.Obs; r != nil && folded > 0 {
-		r.Counter("accesslog_compactions_total").Inc()
-		r.Counter("accesslog_compacted_records_total").Add(int64(folded))
-	}
-	return folded, nil
-}
-
-// Flush forces the pending append batch to disk.
-func (h *HeatLog) Flush() error {
+func (h *HeatLog) sync(fold bool) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return nil
+		return os.ErrClosed
 	}
-	return h.w.Flush()
+	return h.flushLocked(fold)
 }
 
-// Close flushes and closes the log writer. It does not compact; call
-// Compact first for a tight snapshot (daemons do, one-shots need not).
+// Close flushes and releases the log. It does not compact; call
+// Compact first for a tight snapshot (daemons and servers do,
+// one-shots need not).
 func (h *HeatLog) Close() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -274,5 +243,9 @@ func (h *HeatLog) Close() error {
 		return nil
 	}
 	h.closed = true
-	return h.w.Close()
+	err := h.flushLocked(false)
+	if cerr := h.sl.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

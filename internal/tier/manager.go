@@ -94,18 +94,6 @@ func (m *Manager) OnReadBlock(name string, block int, now float64) {
 // moveKey names the dwell-guard entry for one tiering unit.
 func moveKey(name string, ext int) string { return fmt.Sprintf("%s#%d", name, ext) }
 
-// LastMoves returns a copy of the per-file last-transcode times, for
-// persisting MinDwell state across short-lived processes.
-func (m *Manager) LastMoves() map[string]float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]float64, len(m.lastMove))
-	for name, t := range m.lastMove {
-		out[name] = t
-	}
-	return out
-}
-
 // RestoreLastMoves seeds the per-file last-transcode times, so a
 // reconstructed manager keeps honoring MinDwell.
 func (m *Manager) RestoreLastMoves(moves map[string]float64) {
@@ -117,8 +105,8 @@ func (m *Manager) RestoreLastMoves(moves map[string]float64) {
 }
 
 // SaveLastMoves writes the per-file last-transcode times as JSON to
-// path — the dwell-state counterpart of Tracker.Save for short-lived
-// processes. The save is atomic and durable (durable.WriteFile), so a
+// path — the dwell-state counterpart of the heat snapshot for
+// short-lived processes. The save is atomic and durable (durable.WriteFile), so a
 // crash mid-save cannot corrupt the dwell history.
 func (m *Manager) SaveLastMoves(path string) error {
 	m.mu.Lock()

@@ -193,12 +193,12 @@ func TestClusterTargetReadCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := func(int) bool { return false }
-	if c, err := ct.ReadCost("f", up); err != nil || c != 0 {
+	if c, err := ct.ReadCostAt("f", -1, up); err != nil || c != 0 {
 		t.Fatalf("healthy read cost = %d, %v", c, err)
 	}
 	// Everything down except ten survivors still decodes, at k fetches
 	// for a single-copy RS block whose node is dead.
-	if _, err := ct.ReadCost("nope", up); err == nil {
+	if _, err := ct.ReadCostAt("nope", -1, up); err == nil {
 		t.Fatal("read of unknown file")
 	}
 }
@@ -208,7 +208,7 @@ func TestClusterTargetReadCostAllDown(t *testing.T) {
 	if err := ct.AddFile("f", "rs-9-6"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ct.ReadCost("f", func(int) bool { return true }); err == nil {
+	if _, err := ct.ReadCostAt("f", -1, func(int) bool { return true }); err == nil {
 		t.Fatal("read with every node down succeeded")
 	}
 }
@@ -238,7 +238,7 @@ func TestManagerLastMovesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2.RestoreLastMoves(m1.LastMoves())
+	m2.RestoreLastMoves(m1.lastMove)
 	if moves, err := m2.Rebalance(50); err != nil || len(moves) != 0 {
 		t.Fatalf("dwell not honored after restore: %+v, %v", moves, err)
 	}
@@ -340,7 +340,7 @@ func TestRebalanceParallelMoves(t *testing.T) {
 		}
 	}
 	// The dwell guard saw every move.
-	if got := m.LastMoves(); len(got) != n {
+	if got := m.lastMove; len(got) != n {
 		t.Fatalf("lastMove = %v, want %d entries", got, n)
 	}
 }

@@ -97,7 +97,7 @@ func TestReplayOnAccessMetersReads(t *testing.T) {
 	metered := 0
 	stats, err := Replay(sim.NewEngine(), trace, m, 2, func(a workload.Access, now float64) error {
 		metered++
-		_, err := ct.ReadCost(a.Name, func(int) bool { return false })
+		_, err := ct.ReadCostAt(a.Name, -1, func(int) bool { return false })
 		return err
 	})
 	if err != nil {

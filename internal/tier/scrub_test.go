@@ -1,12 +1,14 @@
 package tier
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/durable"
+	"repro/internal/tier/accesslog"
 )
 
 // fakeScrubber records the byte grants the daemon hands it and
@@ -140,49 +142,70 @@ func TestDaemonScrubUnlimited(t *testing.T) {
 	}
 }
 
-// TestSidecarSavesAtomic: heat and dwell sidecar saves must go through
-// durable.WriteFile, so stray garbage at the temp path (the residue of
-// a crashed save) neither corrupts the sidecar nor breaks the next
-// save, and loads see only complete states.
+// TestSidecarSavesAtomic: the heat snapshot and the dwell sidecar are
+// written through durable.WriteFile, so stray garbage at the temp path
+// (the residue of a crashed save) neither corrupts the file nor breaks
+// the next save, and loads see only complete states.
 func TestSidecarSavesAtomic(t *testing.T) {
 	dir := t.TempDir()
 
-	heat := filepath.Join(dir, "tier-heat.json")
-	tr := NewTracker(100)
-	tr.TouchN("f", 5, 0)
-	if err := tr.Save(heat); err != nil {
-		t.Fatal(err)
+	heat := filepath.Join(dir, heatFileName)
+	reopened := func() float64 {
+		t.Helper()
+		h, err := OpenHeatLog(dir, 100, accesslog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		return h.Tracker().Heat("f", 0)
 	}
-	// A crash mid-save leaves a truncated temp file; the committed
-	// sidecar must be untouched and the next save must still work.
-	if err := os.WriteFile(heat+".tmp", []byte("{\"half_"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTracker(heat, 100)
+	hl, err := OpenHeatLog(dir, 100, accesslog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Heat("f", 0) != tr.Heat("f", 0) {
-		t.Fatalf("heat after crash residue = %v, want %v", got.Heat("f", 0), tr.Heat("f", 0))
+	defer hl.Close()
+	compactAfterTouches := func() error {
+		for i := 0; i < 5; i++ {
+			if err := hl.Touch("f", 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return hl.Compact()
 	}
-	tr.TouchN("f", 5, 0)
-	if err := tr.Save(heat); err != nil {
-		t.Fatalf("save over crash residue: %v", err)
+	if err := compactAfterTouches(); err != nil {
+		t.Fatal(err)
 	}
-	if got, err = LoadTracker(heat, 100); err != nil || got.Heat("f", 0) != tr.Heat("f", 0) {
-		t.Fatalf("reload after re-save: heat %v err %v", got.Heat("f", 0), err)
+	// A crash mid-checkpoint leaves a truncated temp file; the committed
+	// snapshot must be untouched and the next checkpoint must still work.
+	if err := os.WriteFile(heat+".tmp", []byte("{\"half_"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// A save that fails before its rename leaves the committed sidecar
-	// untouched.
+	if got := reopened(); got != 5 {
+		t.Fatalf("heat after crash residue = %v, want 5", got)
+	}
+	if err := compactAfterTouches(); err != nil {
+		t.Fatalf("checkpoint over crash residue: %v", err)
+	}
+	if got := reopened(); got != 10 {
+		t.Fatalf("heat after the next checkpoint = %v, want 10", got)
+	}
+	// A checkpoint that fails before its rename leaves the committed
+	// snapshot untouched — and the heat in the log it did not fold.
+	committed, err := os.ReadFile(heat)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.Mkdir(heat+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	tr.TouchN("f", 5, 0)
-	if err := tr.Save(heat); err == nil {
-		t.Fatal("save succeeded with an unwritable temp path")
+	if err := compactAfterTouches(); err == nil {
+		t.Fatal("checkpoint succeeded with an unwritable temp path")
 	}
-	if kept, err := LoadTracker(heat, 100); err != nil || kept.Heat("f", 0) != got.Heat("f", 0) {
-		t.Fatalf("failed save changed the committed heat (err %v)", err)
+	if after, err := os.ReadFile(heat); err != nil || !bytes.Equal(after, committed) {
+		t.Fatalf("failed checkpoint changed the committed snapshot (err %v)", err)
+	}
+	if got := reopened(); got != 15 {
+		t.Fatalf("heat after the failed checkpoint = %v, want 15", got)
 	}
 
 	moves := filepath.Join(dir, "tier-moves.json")

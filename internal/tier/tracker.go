@@ -14,11 +14,7 @@ package tier
 import (
 	"encoding/json"
 	"math"
-	"os"
-	"sort"
 	"sync"
-
-	"repro/internal/durable"
 )
 
 // Tracker is a concurrency-safe heat tracker: per-file and per-extent
@@ -34,7 +30,6 @@ type Tracker struct {
 	mu       sync.Mutex
 	halfLife float64
 	files    map[string]*fileEntry
-	dirty    bool
 }
 
 type heatEntry struct {
@@ -43,8 +38,8 @@ type heatEntry struct {
 }
 
 // fileEntry holds one file's counters: Whole collects accesses not
-// attributed to an extent (legacy feeds, whole-file hooks), Exts the
-// extent-attributed ones.
+// attributed to an extent (whole-file hooks, traces without offsets),
+// Exts the extent-attributed ones.
 type fileEntry struct {
 	Whole *heatEntry         `json:"whole,omitempty"`
 	Exts  map[int]*heatEntry `json:"exts,omitempty"`
@@ -96,7 +91,6 @@ func (t *Tracker) TouchN(name string, n, now float64) {
 		f.Whole = &heatEntry{}
 	}
 	t.bump(f.Whole, n, now)
-	t.dirty = true
 }
 
 // TouchExtent records one access to extent ext of name at time now.
@@ -118,7 +112,6 @@ func (t *Tracker) TouchExtentN(name string, ext int, n, now float64) {
 		f.Exts[ext] = e
 	}
 	t.bump(e, n, now)
-	t.dirty = true
 }
 
 // fileHeatLocked aggregates a file's decayed heat: whole-file counter
@@ -145,8 +138,7 @@ func (t *Tracker) Heat(name string, now float64) float64 {
 // ExtentHeat returns the decayed heat of one extent of name at time
 // now: the extent's counter plus the file-level counter (an access not
 // attributed to an extent could have hit any of them, so every extent
-// inherits it — which also lets legacy whole-file heat keep driving
-// extent policy after an upgrade).
+// inherits it).
 func (t *Tracker) ExtentHeat(name string, ext int, now float64) float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -157,26 +149,6 @@ func (t *Tracker) ExtentHeat(name string, ext int, now float64) float64 {
 	return t.decayed(f.Whole, now) + t.decayed(f.Exts[ext], now)
 }
 
-// Forget drops name's counters.
-func (t *Tracker) Forget(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.files[name]; ok {
-		t.dirty = true
-	}
-	delete(t.files, name)
-}
-
-// Dirty reports whether the tracker has changed since it was loaded or
-// last saved. Save is a no-op on a clean tracker, so periodic
-// snapshotters (the tier daemon) don't fsync an unchanged heat file
-// every tick.
-func (t *Tracker) Dirty() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dirty
-}
-
 // Len returns the number of tracked files.
 func (t *Tracker) Len() int {
 	t.mu.Lock()
@@ -184,112 +156,28 @@ func (t *Tracker) Len() int {
 	return len(t.files)
 }
 
-// FileHeat is one tracked file's decayed heat.
-type FileHeat struct {
-	Name string
-	Heat float64
+// trackerState is the persisted form of a tracker: the tier-heat.json
+// snapshot. Gen is the generation of the tier-heat.log whose records
+// apply to it (see HeatLog, durable.SnapLog).
+type trackerState struct {
+	HalfLife float64               `json:"half_life"`
+	Gen      int64                 `json:"log_gen,omitempty"`
+	Files    map[string]*fileEntry `json:"files,omitempty"`
 }
 
-// Heats returns every tracked file's aggregated decayed heat at time
-// now, hottest first (ties broken by name for determinism).
-func (t *Tracker) Heats(now float64) []FileHeat {
-	t.mu.Lock()
-	out := make([]FileHeat, 0, len(t.files))
-	for name, f := range t.files {
-		out = append(out, FileHeat{Name: name, Heat: t.fileHeatLocked(f, now)})
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Heat != out[j].Heat {
-			return out[i].Heat > out[j].Heat
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// ExtentHeats returns the decayed per-extent heats of one file (extent
-// counters only, without the shared file-level component), keyed by
-// extent index.
-func (t *Tracker) ExtentHeats(name string, now float64) map[int]float64 {
+// snapshot marshals the tracker as generation gen's snapshot.
+func (t *Tracker) snapshot(gen int64) ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	f, ok := t.files[name]
-	if !ok {
-		return nil
-	}
-	out := make(map[int]float64, len(f.Exts))
-	for ext, e := range f.Exts {
-		out[ext] = t.decayed(e, now)
-	}
-	return out
+	return json.MarshalIndent(trackerState{HalfLife: t.halfLife, Gen: gen, Files: t.files}, "", "  ")
 }
 
-// trackerState is the persisted form of a tracker. Files is the
-// current shape; Entries is the pre-extent flat map, loaded (as
-// file-level counters) but never written. AppliedSeq is the access-log
-// watermark: every log segment with sequence <= AppliedSeq is already
-// folded into this snapshot (see HeatLog); 0 for legacy heat files and
-// stores not using the log.
-type trackerState struct {
-	HalfLife   float64               `json:"half_life"`
-	AppliedSeq int64                 `json:"applied_seq,omitempty"`
-	Files      map[string]*fileEntry `json:"files,omitempty"`
-	Entries    map[string]*heatEntry `json:"entries,omitempty"`
-}
-
-// Save writes the tracker state as JSON to path, so one-shot CLI
-// invocations can accumulate heat across runs. The save is atomic and
-// durable (durable.WriteFile): a corrupt sidecar would silently reset
-// tiering history, so a crash mid-save must not produce one. A clean tracker (no changes since load or last
-// save) skips the write entirely when the file already exists.
-func (t *Tracker) Save(path string) error {
-	return t.SaveWithSeq(path, 0)
-}
-
-// SaveWithSeq is Save with an explicit access-log watermark recorded
-// in the snapshot. HeatLog compaction uses it; plain Save writes 0.
-func (t *Tracker) SaveWithSeq(path string, appliedSeq int64) error {
-	t.mu.Lock()
-	if !t.dirty && appliedSeq == 0 {
-		if _, err := os.Stat(path); err == nil {
-			t.mu.Unlock()
-			return nil
-		}
-	}
-	raw, err := json.MarshalIndent(trackerState{HalfLife: t.halfLife, AppliedSeq: appliedSeq, Files: t.files}, "", "  ")
-	if err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	t.dirty = false
-	t.mu.Unlock()
-	if err := durable.WriteFile(path, raw); err != nil {
-		t.mu.Lock()
-		t.dirty = true // the state on disk does not reflect us after all
-		t.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// LoadTracker restores a tracker from path. A missing file yields a
-// fresh tracker with the given half-life; a file saved before extent
-// tracking loads its per-file counters as whole-file heat.
-func LoadTracker(path string, halfLife float64) (*Tracker, error) {
-	tr, _, err := LoadTrackerState(path, halfLife)
-	return tr, err
-}
-
-// LoadTrackerState is LoadTracker plus the snapshot's access-log
-// watermark (0 for legacy files), for callers resuming log replay.
-func LoadTrackerState(path string, halfLife float64) (*Tracker, int64, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
+// restoreTracker parses a snapshot into a new tracker, which keeps the
+// half-life the snapshot recorded; nil (no snapshot yet) is an empty
+// tracker with the caller's.
+func restoreTracker(raw []byte, halfLife float64) (*Tracker, int64, error) {
+	if raw == nil {
 		return NewTracker(halfLife), 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
 	}
 	var st trackerState
 	if err := json.Unmarshal(raw, &st); err != nil {
@@ -299,8 +187,13 @@ func LoadTrackerState(path string, halfLife float64) (*Tracker, int64, error) {
 	if st.Files != nil {
 		tr.files = st.Files
 	}
-	for name, e := range st.Entries {
-		tr.entry(name).Whole = e
-	}
-	return tr, st.AppliedSeq, nil
+	return tr, st.Gen, nil
+}
+
+// adopt moves src's state into t, whose identity stays valid for the
+// managers and daemons holding it. src must not be used again.
+func (t *Tracker) adopt(src *Tracker) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.halfLife, t.files = src.halfLife, src.files
 }

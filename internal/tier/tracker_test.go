@@ -2,8 +2,6 @@ package tier
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -40,21 +38,6 @@ func TestTrackerUnknownFile(t *testing.T) {
 	tr := NewTracker(10)
 	if h := tr.Heat("nope", 5); h != 0 {
 		t.Fatalf("unknown file heat = %v", h)
-	}
-}
-
-func TestTrackerHeatsSorted(t *testing.T) {
-	tr := NewTracker(10)
-	tr.TouchN("cold", 1, 0)
-	tr.TouchN("hot", 5, 0)
-	tr.TouchN("warm", 3, 0)
-	hs := tr.Heats(0)
-	if len(hs) != 3 || hs[0].Name != "hot" || hs[1].Name != "warm" || hs[2].Name != "cold" {
-		t.Fatalf("Heats = %+v", hs)
-	}
-	tr.Forget("hot")
-	if tr.Len() != 2 {
-		t.Fatalf("Len after Forget = %d", tr.Len())
 	}
 }
 
@@ -108,25 +91,21 @@ func TestTrackerExtentHeat(t *testing.T) {
 	if h := tr.ExtentHeat("f", 0, 10); math.Abs(h-3) > 1e-12 {
 		t.Fatalf("decayed extent heat = %v, want 3", h)
 	}
-	hs := tr.ExtentHeats("f", 0)
-	if len(hs) != 2 || hs[0] != 4 || hs[2] != 1 {
-		t.Fatalf("ExtentHeats = %v", hs)
-	}
 }
 
-// TestTrackerExtentSaveLoad round-trips extent counters through the
-// persisted form.
+// TestTrackerExtentSaveLoad round-trips extent counters and the
+// generation through the snapshot form.
 func TestTrackerExtentSaveLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "heat.json")
 	tr := NewTracker(10)
 	tr.TouchExtentN("f", 3, 4, 100)
 	tr.TouchN("f", 1, 100)
-	if err := tr.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := LoadTracker(path, 99)
+	raw, err := tr.snapshot(3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	tr2, gen, err := restoreTracker(raw, 99)
+	if err != nil || gen != 3 {
+		t.Fatalf("restored generation %d, %v; want 3", gen, err)
 	}
 	if h := tr2.ExtentHeat("f", 3, 100); h != 5 {
 		t.Fatalf("restored extent heat = %v, want 5", h)
@@ -136,38 +115,14 @@ func TestTrackerExtentSaveLoad(t *testing.T) {
 	}
 }
 
-// TestLoadTrackerLegacyFormat: heat files written before extent
-// tracking (flat "entries" map) load as whole-file counters that both
-// file- and extent-level policy still see.
-func TestLoadTrackerLegacyFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "heat.json")
-	legacy := `{"half_life": 10, "entries": {"f": {"heat": 4, "last": 100}}}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := LoadTracker(path, 99)
+func TestTrackerSaveLoad(t *testing.T) {
+	tr := NewTracker(10)
+	tr.TouchN("f", 4, 100)
+	raw, err := tr.snapshot(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := tr.Heat("f", 100); h != 4 {
-		t.Fatalf("legacy heat = %v, want 4", h)
-	}
-	if h := tr.ExtentHeat("f", 7, 100); h != 4 {
-		t.Fatalf("legacy heat through extent view = %v, want 4", h)
-	}
-	if h := tr.Heat("f", 110); math.Abs(h-2) > 1e-12 {
-		t.Fatalf("legacy decay = %v, want 2", h)
-	}
-}
-
-func TestTrackerSaveLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "heat.json")
-	tr := NewTracker(10)
-	tr.TouchN("f", 4, 100)
-	if err := tr.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := LoadTracker(path, 99)
+	tr2, _, err := restoreTracker(raw, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +133,23 @@ func TestTrackerSaveLoad(t *testing.T) {
 	if h := tr2.Heat("f", 110); math.Abs(h-2) > 1e-12 {
 		t.Fatalf("restored decay = %v, want 2", h)
 	}
+	if _, _, err := restoreTracker([]byte(`{"half_`), 99); err == nil {
+		t.Fatal("a torn snapshot restored")
+	}
 }
 
+// TestLoadTrackerMissingFile: with no snapshot yet the tracker starts
+// empty, on the caller's half-life.
 func TestLoadTrackerMissingFile(t *testing.T) {
-	tr, err := LoadTracker(filepath.Join(t.TempDir(), "none.json"), 7)
-	if err != nil {
-		t.Fatal(err)
+	tr, gen, err := restoreTracker(nil, 7)
+	if err != nil || gen != 0 {
+		t.Fatalf("generation %d, %v; want 0", gen, err)
 	}
 	if tr.Len() != 0 {
 		t.Fatal("fresh tracker not empty")
+	}
+	tr.TouchN("f", 2, 0)
+	if h := tr.Heat("f", 7); math.Abs(h-1) > 1e-12 {
+		t.Fatalf("heat one half-life on = %v, want 1", h)
 	}
 }

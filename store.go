@@ -40,6 +40,6 @@ func CreateStoreExt(root, codeName string, blockSize, extentBlocks int) (*Store,
 	return hdfsraid.CreateExt(root, codeName, blockSize, extentBlocks)
 }
 
-// OpenStore loads an existing on-disk store (per-file manifests
-// written before extents migrate to single-extent files).
+// OpenStore loads an existing on-disk store: the manifest snapshot
+// plus its log, with any transcode a crash left mid-flight recovered.
 func OpenStore(root string) (*Store, error) { return hdfsraid.Open(root) }
