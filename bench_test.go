@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
+	"repro/internal/hdfsraid"
 	"repro/internal/locality"
 	"repro/internal/mapred"
 	"repro/internal/reliability"
@@ -482,6 +483,40 @@ func BenchmarkReadFile(b *testing.B) {
 		}
 	}
 }
+
+// benchGetMultiExtent measures Get of a file of two extents (30 MiB,
+// 1 MiB blocks, 20-block extents, rs-14-10: two stripes, then one) with
+// or without a read cache attached. At 64 MiB the cache takes no extent
+// over 8 MiB, so both sides read the same bytes from the blocks and the
+// pair prices what having a cache costs a read it cannot help.
+func benchGetMultiExtent(b *testing.B, cache *hdfsraid.ReadCache) {
+	rng := rand.New(rand.NewSource(12))
+	data := make([]byte, 30<<20)
+	rng.Read(data)
+	s, err := CreateStoreExt(b.TempDir(), "rs-14-10", 1<<20, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.SetReadCache(cache)
+	if err := s.Put("f", data); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Get("f"); err != nil { // warm the pools
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Get("f"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGetMultiExtentCached(b *testing.B) {
+	benchGetMultiExtent(b, hdfsraid.NewReadCache(64<<20))
+}
+func BenchmarkGetMultiExtentUncached(b *testing.B) { benchGetMultiExtent(b, nil) }
 
 // BenchmarkReadBlockInto measures the steady-state healthy single-block
 // read into a caller buffer: zero block-payload allocations per op.

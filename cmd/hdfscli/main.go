@@ -3,9 +3,8 @@
 // tiering), put/get files (put streams; get appends per-extent heat
 // records to the store's tier-heat.log), kill nodes, repair them
 // with the code's partial-parity plans (hottest files first, fed by
-// the persisted heat), fsck the block inventory, calibrate per-code
-// worker pools with tune, and tier extents between hot and cold codes
-// by decayed access heat.
+// the persisted heat), fsck the block inventory, and tier extents
+// between hot and cold codes by decayed access heat.
 //
 // Usage:
 //
@@ -18,7 +17,6 @@
 //	hdfscli -store DIR fsck
 //	hdfscli -store DIR scrub [-budget MB]
 //	hdfscli -store DIR stats [-json]
-//	hdfscli -store DIR tune [-mb N] [-rounds N] [-all]
 //	hdfscli -store DIR tier status
 //	hdfscli -store DIR tier set [-ext N] NAME CODE
 //	hdfscli -store DIR tier rebalance [-hot CODE] [-cold CODE] [-promote H] [-demote H] [-dwell S] [-workers N]
@@ -72,7 +70,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"syscall"
 	"time"
@@ -89,7 +86,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/tier"
 	"repro/internal/tier/accesslog"
-	"repro/internal/tune"
 )
 
 func main() {
@@ -121,8 +117,6 @@ func main() {
 		err = doStats(*store, args[1:])
 	case "tier":
 		err = doTier(*store, args[1:])
-	case "tune":
-		err = doTune(*store, args[1:])
 	case "serve":
 		err = doServe(*store, args[1:])
 	case "reshard":
@@ -137,7 +131,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hdfscli -store DIR {create -code NAME [-blocksize N] | put FILE | get NAME OUT | ls | kill NODE... | repair NODE... | fsck | scrub [-budget MB] | stats [-json] | tune [-mb N] [-rounds N] [-all] | tier {status | set NAME CODE | rebalance [flags] | daemon [flags]} | serve [flags] | reshard {-to N | -resume | -status}}")
+	fmt.Fprintln(os.Stderr, "usage: hdfscli -store DIR {create -code NAME [-blocksize N] | put FILE | get NAME OUT | ls | kill NODE... | repair NODE... | fsck | scrub [-budget MB] | stats [-json] | tier {status | set NAME CODE | rebalance [flags] | daemon [flags]} | serve [flags] | reshard {-to N | -resume | -status}}")
 	fmt.Fprintln(os.Stderr, "codes:", core.Names())
 	os.Exit(2)
 }
@@ -432,7 +426,7 @@ func doTierRebalance(store string, args []string) error {
 	fs := flag.NewFlagSet("tier rebalance", flag.ExitOnError)
 	policy := policyFlags(fs)
 	fs.Float64Var(&policy.MinDwell, "dwell", 0, dwellHelp)
-	workers := fs.Int("workers", 0, "concurrent transcodes (0 = the store's calibrated move fan-out, or 1)")
+	workers := fs.Int("workers", 0, "concurrent transcodes (0 or 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -449,7 +443,7 @@ func doTierRebalance(store string, args []string) error {
 	if err != nil {
 		return err
 	}
-	m.MoveWorkers = moveWorkers(*workers, s)
+	m.MoveWorkers = *workers
 	if err := m.LoadLastMoves(movesPath(store)); err != nil {
 		return err
 	}
@@ -485,19 +479,6 @@ func policyFlags(fs *flag.FlagSet) *tier.Policy {
 // dwellHelp describes -dwell, which the per-store tiering commands add
 // to the policy flags (serve has never taken it).
 const dwellHelp = "min seconds between moves of one extent"
-
-// moveWorkers resolves a -workers flag: an explicit value wins, 0
-// falls back to the store's calibrated move fan-out (tune.json, see
-// `hdfscli tune`), then to 1.
-func moveWorkers(flagValue int, s *hdfsraid.Store) int {
-	if flagValue > 0 {
-		return flagValue
-	}
-	if mw := s.MoveWorkers(); mw > 0 {
-		return mw
-	}
-	return 1
-}
 
 // printMove reports one executed extent move.
 func printMove(mv tier.MoveResult) {
@@ -539,7 +520,6 @@ func doTierDaemon(store string, args []string) error {
 	if err != nil {
 		return err
 	}
-	m.MoveWorkers = moveWorkers(0, s)
 	if err := m.LoadLastMoves(movesPath(store)); err != nil {
 		return err
 	}
@@ -723,80 +703,6 @@ func doStats(store string, args []string) error {
 	}
 	snap.WriteText(os.Stdout)
 	return nil
-}
-
-// doTune calibrates the store's parallelism on this machine: it
-// measures how each of the store's codes' encode and decode throughput
-// scales with worker count (plus the store device's sequential write
-// rate), persists the result as tune.json beside the manifest, and
-// prints the chosen pool sizes. Every later open of the store — CLI
-// one-shots, the tier daemon, per-shard servers — sizes its encode,
-// decode, repair and move pools from it instead of defaulting to
-// GOMAXPROCS. Calibration goes stale (and is ignored) when the gf256
-// kernel tier or the machine size changes; rerun tune after either.
-func doTune(store string, args []string) error {
-	fs := flag.NewFlagSet("tune", flag.ExitOnError)
-	mb := fs.Int("mb", 8, "megabytes of data per measurement")
-	rounds := fs.Int("rounds", 3, "best-of repetitions per worker count")
-	all := fs.Bool("all", false, "probe every registered code, not just the store's")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	s, err := openStore(store)
-	if err != nil {
-		return err
-	}
-	names := storeCodes(s)
-	if *all {
-		names = core.Names()
-	}
-	p, err := tune.Probe(names, tune.Options{
-		ProbeMB:   *mb,
-		Rounds:    *rounds,
-		DeviceDir: store,
-	})
-	if err != nil {
-		return err
-	}
-	if err := p.Save(tune.PathIn(store)); err != nil {
-		return err
-	}
-	s.SetTune(p)
-	fmt.Printf("calibrated %s: kernel %s, %d procs, device write %.0f MB/s\n",
-		store, p.Kernel, p.MaxProcs, p.DeviceWriteMBps)
-	probed := make([]string, 0, len(p.Codes))
-	for code := range p.Codes {
-		probed = append(probed, code)
-	}
-	sort.Strings(probed)
-	for _, code := range probed {
-		ct := p.Codes[code]
-		fmt.Printf("  %-16s encode %d workers (%.0f MB/s), decode %d workers (%.0f MB/s)\n",
-			code, ct.EncodeWorkers, ct.EncodeMBps, ct.DecodeWorkers, ct.DecodeMBps)
-	}
-	fmt.Printf("  tier moves: %d concurrent\n", p.MoveWorkers)
-	return flushObs(store, s)
-}
-
-// storeCodes collects the codes the store actually serves: its default
-// plus every extent's tier code, plus the default hot/cold rebalance
-// pair so a later `tier daemon` run finds its target codes calibrated.
-func storeCodes(s *hdfsraid.Store) []string {
-	set := map[string]bool{s.Code().Name(): true, "pentagon": true, "rs-14-10": true}
-	for _, name := range s.Files() {
-		exts, _ := s.Extents(name)
-		for ext := range exts {
-			if code, ok := s.ExtentCode(name, ext); ok {
-				set[code] = true
-			}
-		}
-	}
-	names := make([]string, 0, len(set))
-	for code := range set {
-		names = append(names, code)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // doServe runs the sharded serving front door in the foreground: the

@@ -1,6 +1,6 @@
 // Package durable is the one place a metadata file becomes durable and
 // the one advisory file lock: the reshard journal, the tier dwell
-// sidecar, tune.json and the metrics snapshot commit through WriteFile;
+// sidecar and the metrics snapshot commit through WriteFile;
 // the store's manifest and the tier heat are each a SnapLog — a
 // WriteFile'd snapshot plus a Log of the records since, tied together
 // by a generation; and the store's mover lock and the heat log's flush

@@ -41,13 +41,6 @@ func initSplitTables() {
 	}
 }
 
-// KernelName reports the vector kernel tier the dispatch layer
-// selected for this process: "gfni" or "avx2" on amd64, "neon" on
-// arm64, "generic" when no vector unit is usable. The calibration
-// probe (internal/tune) persists it so a tune.json carried to a
-// different machine class is recognizably stale.
-func KernelName() string { return archKernelName() }
-
 // Tables returns the low- and high-nibble product tables of coefficient
 // c: c*s = lo[s&0x0F] ^ hi[s>>4]. Compiled coding plans hold these
 // pointers per matrix entry so the hot loop never re-indexes by

@@ -102,17 +102,6 @@ func initArchKernels() {
 	}
 }
 
-func archKernelName() string {
-	switch {
-	case useGFNI:
-		return "gfni"
-	case useAVX2:
-		return "avx2"
-	default:
-		return "generic"
-	}
-}
-
 // The nibble tables determine the coefficient: lo[1] = Mul(c, 1) = c.
 // That keeps the GFNI tier behind the same table-pointer dispatch the
 // compiled coding plans already use, with one byte load to recover c.

@@ -60,24 +60,6 @@ func TestKernelTiersAMD64(t *testing.T) {
 	t.Run("generic", checkTierMatchesScalar)
 }
 
-func TestKernelNameAMD64(t *testing.T) {
-	savedGFNI, savedAVX2 := useGFNI, useAVX2
-	defer func() { useGFNI, useAVX2 = savedGFNI, savedAVX2 }()
-
-	useGFNI, useAVX2 = false, false
-	if got := KernelName(); got != "generic" {
-		t.Fatalf("KernelName with vectors off = %q, want generic", got)
-	}
-	useAVX2 = true
-	if got := KernelName(); got != "avx2" {
-		t.Fatalf("KernelName avx2 tier = %q", got)
-	}
-	useGFNI = true
-	if got := KernelName(); got != "gfni" {
-		t.Fatalf("KernelName gfni tier = %q", got)
-	}
-}
-
 // TestGFNIMatrices checks the bit-matrix compilation against Mul for
 // every coefficient/byte pair, independently of the assembly.
 func TestGFNIMatrices(t *testing.T) {

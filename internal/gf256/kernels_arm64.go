@@ -13,13 +13,6 @@ var useNEON = true
 
 func initArchKernels() {}
 
-func archKernelName() string {
-	if useNEON {
-		return "neon"
-	}
-	return "generic"
-}
-
 //go:noescape
 func mulVectorNEON(lo, hi *[16]byte, src, dst []byte, n int)
 

@@ -68,17 +68,3 @@ func TestXorSliceNEON(t *testing.T) {
 		}
 	}
 }
-
-func TestKernelNameARM64(t *testing.T) {
-	saved := useNEON
-	defer func() { useNEON = saved }()
-
-	useNEON = true
-	if got := KernelName(); got != "neon" {
-		t.Fatalf("KernelName = %q, want neon", got)
-	}
-	useNEON = false
-	if got := KernelName(); got != "generic" {
-		t.Fatalf("KernelName with NEON off = %q, want generic", got)
-	}
-}

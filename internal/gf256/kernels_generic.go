@@ -7,8 +7,6 @@ package gf256
 
 func initArchKernels() {}
 
-func archKernelName() string { return "generic" }
-
 func archMulSliceTab(lo, hi *[16]byte, src, dst []byte) int    { return 0 }
 func archMulAddSliceTab(lo, hi *[16]byte, src, dst []byte) int { return 0 }
 func archXorSlice(src, dst []byte) int                         { return 0 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -29,9 +30,8 @@ func (s *Store) Put(name string, data []byte) error {
 // runs, each striped independently so it can later change tier on its
 // own. The data plane streams: a sequential producer reads one
 // stripe's data blocks at a time into pooled buffers (closing each
-// stripe at the extent boundary), and up to a calibrated number of
-// stripes (the default code's tuned encode width, GOMAXPROCS when
-// uncalibrated) encode and write concurrently behind it. Peak memory
+// stripe at the extent boundary), and up to GOMAXPROCS stripes
+// encode and write concurrently behind it. Peak memory
 // is O(workers × stripe), independent of the file's length — the
 // ingest-side counterpart of the streaming transcode pipeline. The
 // file's length and extent map are recorded when the reader is
@@ -76,7 +76,7 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 	// inflight bounds the stripes (and their pooled buffers) being
 	// encoded and written behind the producer; the first error, from
 	// the source or any stripe, stops the stream.
-	inflight := make(chan struct{}, s.encodeWorkersFor(s.codeName))
+	inflight := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	var failed atomic.Pointer[error]
 	fail := func(err error) { failed.CompareAndSwap(nil, &err) }

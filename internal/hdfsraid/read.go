@@ -380,67 +380,73 @@ func (s *Store) extentAt(fi FileInfo, off, end int64) (ext int, hi int64) {
 }
 
 // readInto fills p with the file's bytes from offset off for Get and
-// ReadAt: without a cache in one readRange, every touched stripe in
-// flight at once; with one, extent by extent, each a hit or miss of its
-// own.
+// ReadAt: extents the read cache holds are copied out of it, and every
+// run of extents it does not hold is one readRange — all the run's
+// stripes in flight at once — whose extents are then offered to the
+// cache. No cache holds nothing, so the whole read is one run.
 func (s *Store) readInto(name string, fi FileInfo, p []byte, off int64) (degraded bool, err error) {
-	if s.cache == nil {
-		return s.readRange(name, fi, p, off)
-	}
-	id := s.manifest.ids[name]
-	for end := off + int64(len(p)); off < end; {
-		ext, hi := s.extentAt(fi, off, end)
-		_, deg, err := s.readExtent(name, fi, id, ext, off, hi, p[:hi-off])
-		if err != nil {
-			return false, err
-		}
+	id, base, end := s.manifest.ids[name], off, off+int64(len(p))
+	// missed reads [from, to), a run of extents the cache did not hold.
+	missed := func(from, to int64) error {
+		deg, err := s.readRange(name, fi, p[from-base:to-base], from)
 		degraded = degraded || deg
-		p, off = p[hi-off:], hi
+		for err == nil && from < to {
+			ext, hi := s.extentAt(fi, from, to)
+			s.offerExtent(fi, id, ext, from, hi, p[from-base:hi-base], false)
+			from = hi
+		}
+		return err
 	}
-	return degraded, nil
+	run := off // where the current run of misses began
+	for off < end {
+		ext, hi := s.extentAt(fi, off, end)
+		if data := s.cachedExtent(fi, id, ext, off, hi); data != nil {
+			if err := missed(run, off); err != nil {
+				return false, err
+			}
+			copy(p[off-base:], data)
+			run = hi
+		}
+		off = hi
+	}
+	return degraded, missed(run, end)
 }
 
-// readExtent produces bytes [lo, hi) of the file, which lie inside
-// extent ext of the entry with identity id: out of the read cache when
-// it holds the extent, else from the blocks — and only a miss that read
-// the whole extent is offered to the cache, so no read is amplified to
-// fill it. With dst nil the result is the cached slice itself on a hit
-// (not to be modified) and a buffer of just the wanted bytes on a miss,
-// which the cache takes over if it admits it; otherwise the bytes land
-// in dst and the cache gets a copy. The caller holds mu's read side,
-// has admitted the read and looked id up under the same hold: all a hit
-// needs to be right (see extentKey).
-func (s *Store) readExtent(name string, fi FileInfo, id uint64, ext int, lo, hi int64, dst []byte) ([]byte, bool, error) {
+// cachedExtent returns bytes [lo, hi) of the file, which lie inside
+// extent ext of the entry with identity id, when the read cache holds
+// that extent (the cached slice itself, not to be modified), else nil.
+// The caller holds mu's read side, has admitted the read and looked id
+// up under the same hold: all a hit needs to be right (see extentKey).
+func (s *Store) cachedExtent(fi FileInfo, id uint64, ext int, lo, hi int64) []byte {
+	data := s.cache.get(extentKey{id, ext})
+	if data != nil {
+		s.obs.add(cCacheHits, 1)
+		start := int64(fi.Extents[ext].Start) * int64(s.blockSize)
+		data = data[lo-start : hi-start]
+	}
+	return data
+}
+
+// offerExtent tells the read cache of a miss that read bytes [lo, hi)
+// of extent ext from the blocks into data: only a miss that read the
+// whole extent is offered, so no read is amplified to fill the cache,
+// which takes data itself when owned and a copy of it otherwise.
+func (s *Store) offerExtent(fi FileInfo, id uint64, ext int, lo, hi int64, data []byte, owned bool) {
+	if s.cache == nil {
+		return
+	}
+	s.obs.add(cCacheMisses, 1)
 	e, bs := fi.Extents[ext], int64(s.blockSize)
 	start, end := int64(e.Start)*bs, min(int64(e.Start+e.Blocks)*bs, int64(fi.Length))
 	key := extentKey{id, ext}
-	if data := s.cache.get(key); data != nil {
-		s.obs.add(cCacheHits, 1)
-		if dst == nil {
-			return data[lo-start : hi-start], false, nil
-		}
-		copy(dst, data[lo-start:hi-start])
-		return dst, false, nil
-	}
-	owned := dst == nil
-	if owned {
-		dst = make([]byte, hi-lo)
-	}
-	degraded, err := s.readRange(name, fi, dst, lo)
-	if err != nil || s.cache == nil {
-		return dst, degraded, err
-	}
-	s.obs.add(cCacheMisses, 1)
 	if lo == start && hi == end && s.cache.admit(key, hi-lo) {
-		data := dst
 		if !owned {
-			data = bytes.Clone(dst)
+			data = bytes.Clone(data)
 		}
 		s.obs.add(cCacheFills, 1)
 		s.obs.add(cCacheEvictions, int64(s.cache.add(key, data)))
 		s.obs.cacheLevel(s.cache)
 	}
-	return dst, degraded, nil
 }
 
 // clipRange resolves a requested byte range against a file's length:
@@ -457,10 +463,11 @@ func clipRange(length, off, n int64) (lo, hi int64) {
 
 // ReadTo writes bytes [off, off+n) of a stored file (clipped as
 // clipRange says) to w, one extent at a time: the serving front door's
-// read path. Each extent is looked up, admitted and produced under mu's
-// read side (readExtent) and written only after the lock is released,
-// so a slow w delays no writer. Once the first extent's bytes are in
-// hand — whatever can fail before a byte is sent already has — begin,
+// read path. Each extent is looked up, admitted and produced — the
+// cache's own slice on a hit, a buffer the cache may take over on a
+// miss — under mu's read side and written only after the lock is
+// released, so a slow w delays no writer. Once the first extent's bytes
+// are in hand — whatever can fail before a byte is sent has — begin,
 // if not nil, learns the file's length and the range about to be
 // written; its error ends the read. An entry deleted or replaced
 // between two extents fails the read: two entries' bytes are never
@@ -501,11 +508,16 @@ func (s *Store) ReadTo(w io.Writer, name string, off, n int64, begin func(length
 		if err != nil {
 			return nil, err
 		}
-		chunk, deg, err := s.readExtent(name, fi, id, ext, off, hi, nil)
-		if err != nil {
-			return nil, fmt.Errorf("hdfsraid: reading %q bytes %d-%d: %w", name, off, hi-1, err)
+		chunk := s.cachedExtent(fi, id, ext, off, hi)
+		if chunk == nil {
+			chunk = make([]byte, hi-off)
+			deg, err := s.readRange(name, fi, chunk, off)
+			if err != nil {
+				return nil, fmt.Errorf("hdfsraid: reading %q bytes %d-%d: %w", name, off, hi-1, err)
+			}
+			degraded = degraded || deg
+			s.offerExtent(fi, id, ext, off, hi, chunk, true)
 		}
-		degraded = degraded || deg
 		busy += s.obs.lap(t)
 		return chunk, nil
 	}
@@ -534,9 +546,8 @@ func (s *Store) ReadTo(w io.Writer, name string, off, n int64, begin func(length
 // readRange fills p with the file's bytes from offset off, reporting
 // whether any block was read degraded; the caller has admitted the
 // read and clipped p to the file's length. Stripes are independent, so
-// the ones the range touches are drained through readStripe by a
-// worker pool — the widest calibrated decode fan-out among the codes
-// they use, GOMAXPROCS uncalibrated; a range inside one stripe runs
+// the ones the range touches are drained through readStripe by
+// parallel's GOMAXPROCS workers; a range inside one stripe runs
 // inline. Every block's part of the range is read straight into its
 // place in p — a whole-file read's only steady-state allocation is the
 // caller's buffer, and a range that starts or ends inside a block reads
@@ -554,7 +565,6 @@ func (s *Store) readRange(name string, fi FileInfo, p []byte, off int64) (bool, 
 		ext, g, run int
 	}
 	var jobs []stripeJob
-	workers := 0
 	for g, last := int(off/bs), int((end-1)/bs); g <= last; {
 		ext := extentOf(fi, g)
 		e := fi.Extents[ext]
@@ -565,11 +575,10 @@ func (s *Store) readRange(name string, fi FileInfo, p []byte, off int64) (bool, 
 		k, l := cc.code.DataSymbols(), g-e.Start
 		run := min(k-l%k, e.Blocks-l, last-g+1)
 		jobs = append(jobs, stripeJob{cc, ext, g, run})
-		workers = max(workers, s.decodeWorkersFor(cc.code.Name()))
 		g += run
 	}
 	var degraded atomic.Bool
-	err := parallel(len(jobs), workers, func(i int) error {
+	err := parallel(len(jobs), func(i int) error {
 		j := jobs[i]
 		k, l := j.cc.code.DataSymbols(), j.g-fi.Extents[j.ext].Start
 		dst := make([][]byte, j.run)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -572,4 +573,28 @@ func oneReaderEquivalence(t *testing.T, blockSize int, codes []string) {
 			}
 		}
 	}
+}
+
+// FuzzClipRange: whatever range is asked of a file of whatever length,
+// clipRange answers 0 ≤ lo ≤ hi ≤ length, and exactly the asked bytes
+// when the file has them all.
+func FuzzClipRange(f *testing.F) {
+	f.Add(int64(100), int64(0), int64(-1))
+	f.Add(int64(100), int64(-30), int64(-1))
+	f.Add(int64(0), int64(0), int64(0))
+	f.Add(int64(100), int64(0), int64(math.MinInt64)) // bytes=0-9223372036854775807 before parseRange guarded it
+	f.Add(int64(math.MaxInt64), int64(math.MaxInt64), int64(math.MaxInt64))
+	f.Add(int64(math.MaxInt64), int64(math.MinInt64), int64(1))
+	f.Fuzz(func(t *testing.T, length, off, n int64) {
+		if length < 0 {
+			return
+		}
+		lo, hi := clipRange(length, off, n)
+		if lo < 0 || lo > hi || hi > length {
+			t.Fatalf("clipRange(%d, %d, %d) = [%d, %d)", length, off, n, lo, hi)
+		}
+		if off >= 0 && n >= 0 && n <= length && off <= length-n && (lo != off || hi != off+n) {
+			t.Fatalf("clipRange(%d, %d, %d) = [%d, %d), want the range asked", length, off, n, lo, hi)
+		}
+	})
 }

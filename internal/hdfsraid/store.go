@@ -197,11 +197,6 @@ type Store struct {
 	// gate, which prices the instrumentation by removing it.
 	obs *storeObs
 
-	// tuned holds the store's calibrated worker-pool sizing loaded
-	// from tune.json (see internal/tune). A nil inner pointer means
-	// uncalibrated: every pool falls back to GOMAXPROCS.
-	tuned tunedParams
-
 	// healSeq numbers quarantine captures and heal write-back temp
 	// files, so concurrent heals of one block never collide on paths.
 	healSeq atomic.Int64
@@ -346,7 +341,6 @@ func CreateExt(root, codeName string, blockSize, extentBlocks int) (*Store, erro
 	if err := s.checkpoint(); err != nil {
 		return nil, err
 	}
-	s.loadTune()
 	return s, nil
 }
 
@@ -400,7 +394,6 @@ func Open(root string) (*Store, error) {
 		return nil, fmt.Errorf("hdfsraid: recovering journal: %w", err)
 	}
 	s.recovery = rec
-	s.loadTune()
 	return s, nil
 }
 
@@ -692,9 +685,7 @@ type RepairReport struct {
 // set, hot files are repaired before cold ones, so the files
 // foreground traffic cares about most regain their replicas first —
 // and before any error cuts the pass short. Per-file repair work is
-// independent, so files fan out to a calibrated worker pool — the
-// widest tuned decode width among the store's codes, GOMAXPROCS when
-// uncalibrated —
+// independent, so files fan out to GOMAXPROCS workers
 // (the same shape Rebalance uses for moves): workers pull files in
 // heat order, and on error the remaining queue is abandoned while
 // in-flight repairs drain.
@@ -733,7 +724,7 @@ func (s *Store) Repair(failed []int) (RepairReport, error) {
 		})
 	}
 	var mu sync.Mutex
-	err := parallel(len(names), s.repairWorkers(), func(i int) error {
+	err := parallel(len(names), func(i int) error {
 		frep, err := s.repairFile(names[i], s.manifest.Files[names[i]], failed)
 		mu.Lock()
 		rep.Stripes += frep.Stripes

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	_ "repro/internal/code/heptlocal"
@@ -12,7 +13,6 @@ import (
 	_ "repro/internal/code/raidm"
 	_ "repro/internal/code/replication"
 	_ "repro/internal/code/rs"
-	"repro/internal/tune"
 )
 
 const blockSize = 1 << 12
@@ -414,11 +414,11 @@ func TestReadBlockRAIDMDegradedCostsNine(t *testing.T) {
 // files before cold ones — so when a cold file turns out to be
 // unrepairable mid-pass, the hot file has already regained its
 // replicas. Without heat the alphabetical order dies on the cold file
-// first. Repair fans files out over repairWorkers(), so the pool is
-// pinned to one worker (through the calibration seam): dispatch order
-// is then completion order, and what got repaired before the pass died
-// reads the order off directly.
+// first. Repair fans files out over GOMAXPROCS workers, so the test
+// runs at GOMAXPROCS 1: dispatch order is then completion order, and
+// what got repaired before the pass died reads the order off directly.
 func TestRepairHotFilesFirst(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cold := randomFile(t, 6*blockSize, 80)
 	hot := randomFile(t, 6*blockSize, 81)
 	// damaged builds a store whose cold file is unrepairable: node 1
@@ -426,10 +426,6 @@ func TestRepairHotFilesFirst(t *testing.T) {
 	// code's tolerance.
 	damaged := func() *Store {
 		s := newStore(t, "rs-9-6")
-		s.installTune(&tune.Params{Codes: map[string]tune.CodeTune{"rs-9-6": {DecodeWorkers: 1}}})
-		if got := s.repairWorkers(); got != 1 {
-			t.Fatalf("repair workers = %d, want the pinned 1", got)
-		}
 		if err := s.Put("a-cold", cold); err != nil {
 			t.Fatal(err)
 		}
@@ -490,5 +486,61 @@ func TestRepairHotFilesFirst(t *testing.T) {
 	}
 	if restored, _ := hotBlocksRestored(s2); restored != 0 {
 		t.Fatalf("heatless repair restored %d hot blocks before dying on the cold file", restored)
+	}
+}
+
+// TestOpenIgnoresLeftoverTuneJSON: the per-store calibration file
+// earlier versions wrote (`hdfscli tune`) is never read. A store whose
+// directory holds one — valid for some machine, stale for any, or
+// garbage — opens, puts and gets like one that never had it, down to
+// the bytes of its manifest, and the file is left as it was.
+func TestOpenIgnoresLeftoverTuneJSON(t *testing.T) {
+	data := randomFile(t, 7*blockSize+100, 90)
+	// run creates a store, drops leftover beside its manifest, reopens
+	// it and serves a Put and a Get; it returns the manifest's bytes.
+	run := func(leftover string) []byte {
+		dir := t.TempDir()
+		if _, err := Create(dir, "rs-9-6", blockSize); err != nil {
+			t.Fatal(err)
+		}
+		if leftover != "" {
+			if err := os.WriteFile(filepath.Join(dir, "tune.json"), []byte(leftover), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open beside tune.json %q: %v", leftover, err)
+		}
+		if err := s.Put("f", data); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Get("f"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Get beside tune.json %q: err %v", leftover, err)
+		}
+		if leftover != "" {
+			if kept, err := os.ReadFile(filepath.Join(dir, "tune.json")); err != nil || string(kept) != leftover {
+				t.Fatalf("tune.json %q was touched: now %q, err %v", leftover, kept, err)
+			}
+		}
+		var manifest []byte
+		for _, name := range []string{"manifest.json", "manifest.log"} {
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			manifest = append(manifest, raw...)
+		}
+		return manifest
+	}
+	want := run("")
+	for _, leftover := range []string{
+		`{"kernel":"gfni","max_procs":1,"move_workers":1,"codes":{"rs-9-6":{"encode_workers":1,"decode_workers":1}}}`,
+		`{"kernel":"neon","max_procs":4096,"move_workers":64,"codes":{"rs-9-6":{"encode_workers":64,"decode_workers":64}}}`,
+		"\x00not json{",
+	} {
+		if got := run(leftover); !bytes.Equal(got, want) {
+			t.Errorf("manifest beside tune.json %q differs from a store that never had one:\n%s\nwant:\n%s", leftover, got, want)
+		}
 	}
 }

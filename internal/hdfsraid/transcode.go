@@ -302,17 +302,13 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 	}
 	// Share the machine's encode-worker budget across concurrent
 	// moves: the pipeline's peak memory is O(workers × stripe), so a
-	// move asks for the target code's calibrated encode pool (or the
-	// whole machine when uncalibrated) and reserves only what is left
+	// move asks for the whole machine and reserves only what is left
 	// of the GOMAXPROCS budget (never less than one worker) rather
 	// than spawning a full pool per move. The reservation is corrected
 	// atomically, so total held workers stay ≤ GOMAXPROCS plus one per
 	// concurrent move.
 	budget := runtime.GOMAXPROCS(0)
-	workers := s.encodeWorkersFor(newCC.code.Name())
-	if workers > budget {
-		workers = budget
-	}
+	workers := budget
 	if over := int(s.encodeWorkers.Add(int64(workers))) - budget; over > 0 {
 		granted := workers - over
 		if granted < 1 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -69,8 +70,9 @@ func httpError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), code)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
@@ -83,8 +85,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fi, _ := s.Info(name)
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]any{"name": name, "length": fi.Length, "shard": s.ShardOf(name)})
+	writeJSON(w, http.StatusCreated, map[string]any{"name": name, "length": fi.Length, "shard": s.ShardOf(name)})
 }
 
 // handleGet serves a file, whole or one byte range, through the one
@@ -171,6 +172,9 @@ func parseRange(h string) (off, n int64, ok bool) {
 	if err != nil || end < start {
 		return 0, 0, false
 	}
+	if end == math.MaxInt64 { // past any file's last byte: a-, and b-a+1 cannot overflow
+		return start, -1, true
+	}
 	return start, end - start + 1, true
 }
 
@@ -181,11 +185,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"name": name, "blocks_removed": removed})
+	writeJSON(w, http.StatusOK, map[string]any{"name": name, "blocks_removed": removed})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Files())
+	writeJSON(w, http.StatusOK, s.Files())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -200,10 +204,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("no shard %d (have %d)", i, s.NumShards()), http.StatusNotFound)
 			return
 		}
-		writeJSON(w, snap)
+		writeJSON(w, http.StatusOK, snap)
 		return
 	}
-	writeJSON(w, s.Stats())
+	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
@@ -221,7 +225,7 @@ func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, rep)
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // handleReshardStart begins a live reshard to ?to=N shards. The move
@@ -241,8 +245,7 @@ func (s *Server) handleReshardStart(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, rc.Status())
+	writeJSON(w, http.StatusAccepted, rc.Status())
 }
 
 // handleReshardResume resumes a journaled reshard in the background.
@@ -256,18 +259,17 @@ func (s *Server) handleReshardResume(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, rc.Status())
+	writeJSON(w, http.StatusAccepted, rc.Status())
 }
 
 // handleReshardStatus reports reshard progress.
 func (s *Server) handleReshardStatus(w http.ResponseWriter, _ *http.Request) {
 	rc := s.reshardControl()
 	if rc == nil {
-		writeJSON(w, ReshardStatus{Epoch: s.ReshardEpoch()})
+		writeJSON(w, http.StatusOK, ReshardStatus{Epoch: s.ReshardEpoch()})
 		return
 	}
-	writeJSON(w, rc.Status())
+	writeJSON(w, http.StatusOK, rc.Status())
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
@@ -289,5 +291,5 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, rep)
+	writeJSON(w, http.StatusOK, rep)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -112,8 +113,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("PUT status %d", resp.StatusCode)
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusCreated || ct != "application/json" {
+		t.Fatalf("PUT status %d, Content-Type %q; want 201, application/json", resp.StatusCode, ct)
 	}
 
 	// Stored bytes are opaque: a 200 or 206 names them octet-stream and
@@ -147,6 +148,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}{
 		{"bytes=100-299", 100, 300},
 		{"bytes=0-0", 0, 1},
+		{"bytes=0-9223372036854775807", 0, n},
 		{fmt.Sprintf("bytes=%d-", n-50), n - 50, n},
 		{"bytes=-75", n - 75, n},
 		{fmt.Sprintf("bytes=-%d", n+10), 0, n}, // a suffix longer than the file is the file
@@ -374,4 +376,30 @@ func TestStatsMergesShards(t *testing.T) {
 	if merged.Histograms["store_put_ns"].Count != hists || hists == 0 {
 		t.Fatalf("merged put histogram count %d, shards total %d", merged.Histograms["store_put_ns"].Count, hists)
 	}
+}
+
+// FuzzParseRange feeds parseRange arbitrary Range header bytes: it
+// never panics, and what it accepts is one of the four shapes its
+// callers rely on — a suffix (-k, rest), the empty suffix (0, 0), an
+// open range (a, rest) or a closed one (a, count ≥ 1, a+count no
+// overflow) — which hdfsraid's FuzzClipRange shows clip to
+// 0 ≤ lo ≤ hi ≤ length for every length.
+func FuzzParseRange(f *testing.F) {
+	for _, seed := range []string{"", "bytes=0-0", "bytes=100-299", "bytes=5-", "bytes=-75", "bytes=-0",
+		"bytes=0-9223372036854775807", "bytes=9223372036854775807-9223372036854775807",
+		"bytes=-9223372036854775807", "bytes=-9223372036854775808", "bytes=--5", "bytes=1-2,4-5", "bytes= 3-4 ", "lines=1-2"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		off, n, ok := parseRange(h)
+		switch {
+		case !ok:
+		case off < 0 && n == -1 && off > math.MinInt64:
+		case off == 0 && n == 0:
+		case off >= 0 && n == -1:
+		case off >= 0 && n >= 1 && off+n > off:
+		default:
+			t.Fatalf("parseRange(%q) accepted (%d, %d)", h, off, n)
+		}
+	})
 }

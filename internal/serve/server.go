@@ -236,9 +236,6 @@ func (s *Server) wireTier(sh *shard, tc *TierConfig) error {
 	if err != nil {
 		return err
 	}
-	if mw := sh.store.MoveWorkers(); mw > 0 {
-		m.MoveWorkers = mw
-	}
 	if err := m.LoadLastMoves(movesFile(sh.dir)); err != nil {
 		return err
 	}
