@@ -10,11 +10,14 @@ package hadoopcodes
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/hdfsraid"
 	"repro/internal/locality"
 	"repro/internal/mapred"
@@ -655,7 +658,7 @@ func BenchmarkTranscodeStreaming(b *testing.B) {
 }
 
 // BenchmarkTranscodeParallel moves two distinct files concurrently —
-// the journal queue's per-file locking at work. Compare ns/op against
+// the per-extent move locks at work. Compare ns/op against
 // BenchmarkTranscodeStreaming at the same total bytes: with moves of
 // distinct files truly overlapped, a pair costs well under two
 // serialized moves (the old store-wide transcode mutex pinned this at
@@ -704,6 +707,95 @@ func BenchmarkTranscodeParallel(b *testing.B) {
 			}
 		}
 	}
+}
+
+// smallMoveStore is the served workloads' shape of a tier move: a
+// 320 KiB file at 16 KiB blocks on rs-14-10 (two full stripes; two
+// pentagon stripes and a shortened third), warmed by one promote/demote
+// cycle, beside an unrelated file.
+func smallMoveStore(b *testing.B) *Store {
+	rng := rand.New(rand.NewSource(16))
+	s, err := CreateStore(b.TempDir(), "rs-14-10", 16<<10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"moving", "other"} {
+		data := make([]byte, 320<<10)
+		rng.Read(data)
+		if err := s.Put(name, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, code := range []string{"pentagon", "rs-14-10"} {
+		if _, err := s.Transcode("moving", code); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
+// BenchmarkMoveSmallExtent prices one small extent move end to end and
+// in fsyncs (durable.Syncs: the manifest log's appends, plus a share of
+// the checkpoint every few hundred of them): what a promotion costs the
+// daemon per 320 KiB extent. docs/BENCHMARKS.md § "A move is one
+// record" keeps the numbers.
+func BenchmarkMoveSmallExtent(b *testing.B) {
+	s := smallMoveStore(b)
+	syncs := durable.Syncs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Transcode("moving", []string{"pentagon", "rs-14-10"}[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/move")
+	b.ReportMetric(float64(durable.Syncs()-syncs)/float64(b.N), "fsyncs/move")
+}
+
+// BenchmarkReadDuringMoves measures what a foreground read of an
+// unrelated file waits while moves run back to back on the same store:
+// each iteration is one 4 KiB ReadAt, and p99, p99.9 and the worst
+// stall are reported beside the mean (the loop is closed, so a read
+// that waits out a move is one sample among the few hundred that fit
+// between two moves: the tail, not p99, is where a lock hold shows). A
+// move holds the store's write lock for its one manifest append;
+// whatever else it held it across shows up here.
+func BenchmarkReadDuringMoves(b *testing.B) {
+	s := smallMoveStore(b)
+	stop, moved := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				moved <- nil
+				return
+			default:
+			}
+			if _, err := s.Transcode("moving", []string{"pentagon", "rs-14-10"}[i%2]); err != nil {
+				moved <- err
+				return
+			}
+		}
+	}()
+	p, lat := make([]byte, 4<<10), make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		t0 := time.Now()
+		if _, err := s.ReadAt(p, "other", int64(i%79)<<12); err != nil {
+			b.Fatal(err)
+		}
+		lat[i] = time.Since(t0)
+	}
+	b.StopTimer()
+	close(stop)
+	if err := <-moved; err != nil {
+		b.Fatal(err)
+	}
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-us")
+	b.ReportMetric(float64(lat[len(lat)*999/1000].Microseconds()), "p99.9-us")
+	b.ReportMetric(float64(lat[len(lat)-1].Microseconds()), "max-us")
 }
 
 // BenchmarkRepairPooled executes a full on-disk node repair over a

@@ -48,9 +48,9 @@
 // it up to that many MB of the shared move budget per scan so scrubbing
 // never starves rebalance moves.
 //
-// Every command Opens the store, which replays or rolls back any
-// transcode a crashed process left mid-flight (the manifest journal);
-// fsck reports when that recovery acted.
+// Every command Opens the store, which sweeps the stale block files of
+// any extent move a crashed process left mid-flight; fsck reports when
+// that recovery acted.
 //
 // Every invocation folds the metrics it generated into the store's
 // persisted snapshot (obs-metrics.json beside the manifest), so
@@ -639,9 +639,10 @@ func doFsck(store string) error {
 	if err != nil {
 		return err
 	}
-	if rec := s.LastRecovery(); rec.Acted() {
-		fmt.Printf("journal recovery: %d transcodes replayed, %d rolled back, %d orphan staged blocks swept\n",
-			rec.Replayed, rec.RolledBack, rec.OrphanBlocks)
+	if rec := s.LastRecovery(); rec.Skipped {
+		fmt.Println("recovery: skipped, another process is moving extents in this store")
+	} else if rec.Orphans > 0 {
+		fmt.Printf("recovery: %d stale block files swept\n", rec.Orphans)
 	}
 	rep, err := s.Fsck()
 	if err != nil {
@@ -669,7 +670,7 @@ func doFsck(store string) error {
 
 // doStats reports the store's accumulated telemetry: the persisted
 // snapshot of every prior invocation merged with whatever this very
-// invocation generated (Open may have run journal recovery), persisted
+// invocation generated (Open may have swept a killed move), persisted
 // back so nothing is lost. -json emits the machine-readable schema the
 // live endpoint and tiersim share; the default is a human-readable
 // table.

@@ -242,7 +242,7 @@ func Run(dir string, cfg Config) (Result, error) {
 					if _, err := daemon.Tick(now); err != nil {
 						atomic.AddInt64(&res.TickErrs, 1)
 					}
-				case roll < 93: // concurrent recovery (clears abandoned swaps)
+				case roll < 93: // concurrent recovery (sweeps what failed moves left)
 					atomic.AddInt64(&res.Recovers, 1)
 					store.Recover()
 				default: // brief single-node outage

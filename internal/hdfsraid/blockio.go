@@ -28,8 +28,8 @@ type BlockIO interface {
 	Open(path string) (io.ReadCloser, error)
 	// WriteFile writes a complete block frame.
 	WriteFile(path string, data []byte, perm os.FileMode) error
-	// Rename atomically moves a block file (staged-block promotion,
-	// quarantine, heal write-back).
+	// Rename atomically moves a block file (quarantine, heal
+	// write-back).
 	Rename(oldPath, newPath string) error
 	// Remove deletes a block file.
 	Remove(path string) error

@@ -15,12 +15,9 @@ import (
 //
 // Delete serializes against a concurrent ingest of the same name (the
 // per-name ingest lock) and against transcodes of any of the file's
-// extents (the per-extent move locks), and refuses a file with a
-// journaled transcode — Recover must settle the journal first, or the
-// replay would re-create blocks for a file that no longer exists. A
-// reader that looked the file up before the delete commits may see its
-// blocks vanish mid-read; such a read fails, it never returns wrong
-// bytes.
+// extents (the per-extent move locks). A reader that looked the file
+// up before the delete commits may see its blocks vanish mid-read; such
+// a read fails, it never returns wrong bytes.
 func (s *Store) Delete(name string) (blocksRemoved int, err error) {
 	start := s.obs.now()
 	defer func() {
@@ -56,12 +53,6 @@ func (s *Store) Delete(name string) (blocksRemoved int, err error) {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
 	}
-	for ext := range fi.Extents {
-		if s.manifest.queued(name, ext) >= 0 {
-			s.mu.Unlock()
-			return 0, fmt.Errorf("hdfsraid: %q extent %d has a journaled transcode; run Recover before deleting", name, ext)
-		}
-	}
 	if _, err := s.extentCodecs(fi); err != nil {
 		s.mu.Unlock()
 		return 0, err
@@ -82,13 +73,24 @@ func (s *Store) Delete(name string) (blocksRemoved int, err error) {
 	// Durable: reclaim the blocks. Best-effort by design (see doc
 	// comment); count what actually went away.
 	for ext := range fi.Extents {
-		// Cannot fail: the codecs resolved above and fn never errors.
-		_ = s.forEachReplica(name, fi, ext, func(r blockRef, v int) error {
-			if s.bio.Remove(s.extentBlockPath(v, name, fi, ext, r.stripe, r.sym)) == nil {
-				blocksRemoved++
-			}
-			return nil
-		})
+		blocksRemoved += s.reclaim(name, fi, ext)
 	}
 	return blocksRemoved, nil
+}
+
+// reclaim removes every block replica the layout of one extent of fi
+// expects, best-effort, and returns how many went away: how Delete
+// gives back a file's blocks and a move the generation it superseded
+// (or, failing, the one it was writing). Callers have committed the
+// record that makes the layout unreachable and hold the extent's move
+// lock, not mu.
+func (s *Store) reclaim(name string, fi FileInfo, ext int) (removed int) {
+	// Cannot fail: the extent's codec has resolved before and fn never errors.
+	_ = s.forEachReplica(name, fi, ext, func(r blockRef, v int) error {
+		if s.bio.Remove(s.extentBlockPath(v, name, fi, ext, r.stripe, r.sym)) == nil {
+			removed++
+		}
+		return nil
+	})
+	return removed
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Extent is one contiguous run of a file's data blocks, striped and
@@ -13,8 +15,8 @@ import (
 // region of a large cold file can sit on a double-replication code
 // while the rest stays on RS. Extent boundaries are fixed at ingest
 // (Put splits files into store-configured extent-sized runs) and never
-// move — a transcode changes an extent's code and stripe count, never
-// its data-block range.
+// move — a transcode changes an extent's code, stripe count and
+// generation, never its data-block range.
 type Extent struct {
 	// Start is the extent's first data block, file-global.
 	Start int `json:"start"`
@@ -26,6 +28,10 @@ type Extent struct {
 	// Code is the extent's coding scheme; empty means the store
 	// default.
 	Code string `json:"code,omitempty"`
+	// Gen is the layout generation: 0 as ingested, one more after every
+	// move. It is part of every block's name (see blockName), so the
+	// layout a move writes never shares a path with the one it replaces.
+	Gen int `json:"gen,omitempty"`
 }
 
 // stripesFor returns the stripes needed for blocks data blocks under a
@@ -107,8 +113,8 @@ func (s *Store) validateExtents(name string, fi FileInfo) error {
 		if err != nil {
 			return fmt.Errorf("hdfsraid: file %q extent %d: %w", name, i, err)
 		}
-		if want := stripesFor(e.Blocks, cc.code.DataSymbols()); e.Stripes != want {
-			return fmt.Errorf("hdfsraid: file %q extent %d has %d stripes, want %d", name, i, e.Stripes, want)
+		if want := stripesFor(e.Blocks, cc.code.DataSymbols()); e.Stripes != want || e.Gen < 0 {
+			return fmt.Errorf("hdfsraid: file %q extent %d has %d stripes at generation %d, want %d", name, i, e.Stripes, e.Gen, want)
 		}
 		next = e.Start + e.Blocks
 		totalStripes += e.Stripes
@@ -122,17 +128,57 @@ func (s *Store) validateExtents(name string, fi FileInfo) error {
 	return nil
 }
 
-// extentBlockPath is blockPath with the extent dimension: files stored
-// under extent-style naming qualify every block with its extent index
-// (name.x<ext>.<stripe>.<symbol>), while files of a store
-// created without extents keep the flat name.<stripe>.<symbol> form. The naming style is fixed per file at ingest (FileInfo
-// .ExtentPaths), so concurrent extent moves of one file never collide
-// on staging paths.
-func (s *Store) extentBlockPath(v int, name string, fi FileInfo, ext, stripe, sym int) string {
-	if !fi.ExtentPaths {
-		return s.blockPath(v, name, stripe, sym)
+// blockName names one block replica's file inside its node directory:
+// name.<stripe>.<symbol> for a file of a store created without extents,
+// name.x<ext>.<stripe>.<symbol> when the file's blocks are extent-
+// qualified (FileInfo.ExtentPaths, fixed per file at ingest), and
+// either with .g<gen> appended once the extent has moved (gen >= 1;
+// generation 0 is the bare name every store has always used). Given the
+// style, parseBlockName inverts it, so two replicas never share a name.
+func blockName(name string, extPaths bool, ext, gen, stripe, sym int) string {
+	b := append(make([]byte, 0, len(name)+32), name...)
+	if extPaths {
+		b = strconv.AppendInt(append(b, ".x"...), int64(ext), 10)
 	}
-	return filepath.Join(s.nodeDir(v), fmt.Sprintf("%s.x%d.%d.%d", name, ext, stripe, sym))
+	b = strconv.AppendInt(append(b, '.'), int64(stripe), 10)
+	b = strconv.AppendInt(append(b, '.'), int64(sym), 10)
+	if gen > 0 {
+		b = strconv.AppendInt(append(b, ".g"...), int64(gen), 10)
+	}
+	return string(b)
+}
+
+// parseBlockName is blockName's inverse for one naming style; ok is
+// false for anything blockName does not produce under that style.
+func parseBlockName(base string, extPaths bool) (name string, ext, gen, stripe, sym int, ok bool) {
+	// cut peels a trailing ".<prefix><n>" off base, n in the canonical
+	// decimal form blockName writes.
+	cut := func(prefix string) (int, bool) {
+		i := strings.LastIndexByte(base, '.')
+		digits, found := strings.CutPrefix(base[i+1:], prefix)
+		n, err := strconv.Atoi(digits)
+		if i < 0 || !found || err != nil || n < 0 || strconv.Itoa(n) != digits {
+			return 0, false
+		}
+		base = base[:i]
+		return n, true
+	}
+	if gen, ok = cut("g"); ok && gen == 0 {
+		return "", 0, 0, 0, 0, false
+	}
+	if sym, ok = cut(""); ok {
+		stripe, ok = cut("")
+	}
+	if ok && extPaths {
+		ext, ok = cut("x")
+	}
+	return base, ext, gen, stripe, sym, ok && base != ""
+}
+
+// extentBlockPath is the path of the replica of one symbol of one
+// stripe of an extent on node v, under the extent's current generation.
+func (s *Store) extentBlockPath(v int, name string, fi FileInfo, ext, stripe, sym int) string {
+	return filepath.Join(s.nodeDir(v), blockName(name, fi.ExtentPaths, ext, fi.Extents[ext].Gen, stripe, sym))
 }
 
 // extentOf returns the index of the extent containing file-global data
@@ -174,8 +220,7 @@ type blockRef struct {
 // extent of a file expects — each stripe's every stored symbol's every
 // placement node v (known-zero symbols have no replicas) — in scan
 // order (stripe, symbol, replica). It is the one walk behind Fsck,
-// Scrub, Delete and the transcode staging and swap; an error from fn
-// stops it and is returned.
+// Scrub and reclaim; an error from fn stops it and is returned.
 func (s *Store) forEachReplica(name string, fi FileInfo, ext int, fn func(r blockRef, v int) error) error {
 	e := fi.Extents[ext]
 	cc, err := s.codecByName(e.Code)

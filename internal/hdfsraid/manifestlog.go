@@ -20,33 +20,55 @@ const (
 	minCheckpointBytes = 64 << 10
 )
 
-// The record types: put and del are the file table's mutations; the
-// rest are the transcode journal's transitions (see IntentState), the
-// last three naming their entry by file and extent.
+// The record types: put and del are the file table's mutations, move
+// the commit point of an extent move (see TranscodeExtent).
 const (
-	opPut      = "put"
-	opDel      = "del"
-	opIntent   = "intent"
-	opSwapping = "swapping"
-	opCommit   = "commit"
-	opRollback = "rollback"
+	opPut  = "put"
+	opDel  = "del"
+	opMove = "move"
 )
 
-// record is one manifest-log entry.
+// record is one manifest-log entry. Ext, Code, Stripes and Gen are a
+// move's: the extent and the layout it now has.
 type record struct {
-	Op     string           `json:"op"`
-	Name   string           `json:"name,omitempty"`
-	Ext    int              `json:"ext,omitempty"`
-	File   *FileInfo        `json:"file,omitempty"`
-	Intent *TranscodeIntent `json:"intent,omitempty"`
+	Op      string      `json:"op"`
+	Name    string      `json:"name,omitempty"`
+	Ext     int         `json:"ext,omitempty"`
+	File    *FileInfo   `json:"file,omitempty"`
+	Code    string      `json:"code,omitempty"`
+	Stripes int         `json:"stripes,omitempty"`
+	Gen     int         `json:"gen,omitempty"`
+	Intent  *legacyMove `json:"intent,omitempty"`
 }
 
-// queued returns the journal queue index of the entry for one extent of
-// name, or -1.
-func (m *Manifest) queued(name string, ext int) int {
-	return slices.IndexFunc(m.Queue, func(in *TranscodeIntent) bool {
-		return in.File == name && in.Extent == ext
-	})
+// legacyMove is what replay keeps of an intent record of the move
+// journal releases before layout generations wrote (intent, swapping,
+// then commit or rollback, the last three naming their entry by file
+// and extent). Their moves swapped blocks in place, so a committed one
+// is a change of code and stripe count at generation 0; one still
+// pending needs the block-level recovery only those releases have, and
+// Open refuses the store (see Manifest.Queue).
+type legacyMove struct {
+	File       string `json:"file"`
+	Extent     int    `json:"extent,omitempty"`
+	To         string `json:"to"`
+	NewStripes int    `json:"new_stripes"`
+}
+
+// move gives one extent of name a new layout: its code, stripe count
+// and generation change, never its data-block range. Readers may hold
+// the old entry, so the extent map is copied, not edited.
+func (m *Manifest) move(name string, ext int, code string, stripes, gen int) error {
+	fi, ok := m.Files[name]
+	if !ok || ext < 0 || ext >= len(fi.Extents) {
+		return fmt.Errorf("hdfsraid: manifest log: move of %q extent %d the file table lacks", name, ext)
+	}
+	fi.Extents = slices.Clone(fi.Extents)
+	e := &fi.Extents[ext]
+	e.Code, e.Stripes, e.Gen = code, stripes, gen
+	refreshSummary(&fi)
+	m.Files[name] = fi
+	return nil
 }
 
 // apply performs one logged mutation on the table: the one function
@@ -63,33 +85,25 @@ func (m *Manifest) apply(r record) error {
 	case opDel:
 		delete(m.Files, r.Name)
 		delete(m.ids, r.Name)
-	case opIntent:
-		if r.Intent == nil || m.queued(r.Intent.File, r.Intent.Extent) >= 0 {
-			return errors.New("hdfsraid: manifest log: intent record empty or for an extent already journaled")
+	case opMove:
+		return m.move(r.Name, r.Ext, r.Code, r.Stripes, r.Gen)
+	case "intent":
+		if r.Intent == nil {
+			return errors.New("hdfsraid: manifest log: empty intent record")
 		}
 		m.Queue = append(m.Queue, r.Intent)
-	case opSwapping, opCommit, opRollback:
-		i := m.queued(r.Name, r.Ext)
+	case "swapping":
+	case "commit", "rollback":
+		i := slices.IndexFunc(m.Queue, func(in *legacyMove) bool {
+			return in != nil && in.File == r.Name && in.Extent == r.Ext
+		})
 		if i < 0 {
 			return fmt.Errorf("hdfsraid: manifest log: %s of %q extent %d, which has no journaled move", r.Op, r.Name, r.Ext)
 		}
-		in := m.Queue[i]
-		if r.Op == opSwapping {
-			in.State = IntentSwapping
-			return nil
-		}
-		if r.Op == opCommit {
-			// The finished move changes the extent's code and stripe
-			// count, never its data-block range. Readers may hold the old
-			// entry, so the extent map is copied, not edited.
-			fi, ok := m.Files[in.File]
-			if !ok || in.Extent < 0 || in.Extent >= len(fi.Extents) {
-				return fmt.Errorf("hdfsraid: manifest log: commit of %q extent %d the file table lacks", in.File, in.Extent)
+		if in := m.Queue[i]; r.Op == "commit" {
+			if err := m.move(in.File, in.Extent, in.To, in.NewStripes, 0); err != nil {
+				return err
 			}
-			fi.Extents = slices.Clone(fi.Extents)
-			fi.Extents[in.Extent].Code, fi.Extents[in.Extent].Stripes = in.To, in.NewStripes
-			refreshSummary(&fi)
-			m.Files[in.File] = fi
 		}
 		m.Queue = slices.Delete(m.Queue, i, i+1)
 	default:

@@ -2,7 +2,6 @@ package hdfsraid
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -45,9 +44,11 @@ func readFile(t *testing.T, path string) []byte {
 // (the log's descriptor is closed under it) and checks that memory was
 // not touched: a Put that returned an error is not served, not listed
 // and not in the way of its own retry; a Delete that failed still
-// serves the file; a move that could not journal its intent left no
-// queue entry and no staged blocks. At the parent commit the failed Put
-// stayed in the in-memory table until restart.
+// serves the file; a move whose record could not be written left the
+// extent where it was (and the generation it wrote for a retry to
+// overwrite or a sweep to take). At the
+// parent commit the failed Put stayed in the in-memory table until
+// restart.
 func TestCommitFailureNeverLies(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir, "rs-9-6", blockSize)
@@ -70,7 +71,7 @@ func TestCommitFailureNeverLies(t *testing.T) {
 		t.Fatal("Delete succeeded without a manifest log")
 	}
 	// A move's refresh reads the log, so lose it only once the blocks
-	// are staged: the intent record is the first write that fails.
+	// are written: the move record is the first write that fails.
 	offset := s.log.Size()
 	reopenLog := func() {
 		t.Helper()
@@ -93,13 +94,17 @@ func TestCommitFailureNeverLies(t *testing.T) {
 		t.Fatal("TranscodeExtent succeeded without a manifest log")
 	}
 	s.killHook = nil
-	if got := s.Files(); fmt.Sprint(got) != "[kept]" || len(s.manifest.Queue) != 0 {
-		t.Fatalf("after three failed commits: files %v, queue %d entries; want [kept], 0", got, len(s.manifest.Queue))
+	if got := s.Files(); fmt.Sprint(got) != "[kept]" || s.manifest.Files["kept"].Extents[0] != (Extent{Blocks: 3, Stripes: 1}) {
+		t.Fatalf("after three failed commits: files %v, kept = %+v", got, s.manifest.Files["kept"])
 	}
 	if got := s.Obs().Snapshot().Counters[counterNames[cLogAppends]]; got != appends {
 		t.Fatalf("failed commits counted as %d appends", got-appends)
 	}
-	assertNoStagedBlocks(t, dir)
+	// The generation the record named stays on disk: had the failed
+	// append reached it after all, a restart's table would point there.
+	if next, _ := filepath.Glob(filepath.Join(dir, "node-*", "kept.*.g1")); len(next) != blocksOn(t, s, "pentagon", 3) {
+		t.Fatalf("%d blocks of the generation the failed move's record named, want all kept", len(next))
+	}
 	if got, err := s.Get("kept"); err != nil || !bytes.Equal(got, kept) {
 		t.Fatalf("kept file after the failed Delete and move: %v", err)
 	}
@@ -125,8 +130,8 @@ func TestCommitFailureNeverLies(t *testing.T) {
 }
 
 // churn applies a fixed sequence of every record type to a new store
-// and returns it: puts, a delete, a committed move, and a move rolled
-// back by recovery.
+// and returns it: puts, a delete, a committed move, and a move killed
+// before its record, swept by recovery.
 func churn(t *testing.T, dir string) *Store {
 	t.Helper()
 	s, err := CreateExt(dir, "rs-9-6", blockSize, 8)
@@ -144,20 +149,13 @@ func churn(t *testing.T, dir string) *Store {
 	if _, err := s.TranscodeExtent("f2", 1, "pentagon"); err != nil {
 		t.Fatal(err)
 	}
-	killAt(s, "intent")
+	killAt(s, "staged")
 	if _, err := s.TranscodeExtent("f1", 0, "pentagon"); !errors.Is(err, errKilled) {
 		t.Fatalf("move of f1: %v, want the simulated crash", err)
 	}
 	s.killHook = nil
-	matches, _ := filepath.Glob(filepath.Join(dir, "node-*", "f1.*"+tmpSuffix))
-	if len(matches) == 0 {
-		t.Fatal("no staged blocks to lose")
-	}
-	if err := os.Remove(matches[0]); err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := s.Recover(); err != nil || rec.RolledBack != 1 {
-		t.Fatalf("recover = %+v, %v; want one rollback", rec, err)
+	if rec, err := s.Recover(); err != nil || rec.Orphans != blocksOn(t, s, "pentagon", 7) {
+		t.Fatalf("recover = %+v, %v; want f1's unrecorded generation swept", rec, err)
 	}
 	return s
 }
@@ -194,7 +192,7 @@ func TestManifestLogTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		s2, files := reopen(t, dir)
-		if !reflect.DeepEqual(files, before) || len(s2.manifest.Queue) != 0 {
+		if !reflect.DeepEqual(files, before) {
 			t.Fatalf("damage %d: Open sees %v, want the table before the last op %v", i, files, before)
 		}
 		if after := readFile(t, logPath); !bytes.Equal(after, content) {
@@ -250,7 +248,7 @@ func TestCheckpointKillPoints(t *testing.T) {
 			}
 			staleLog := readFile(t, filepath.Join(dir, logName))
 			s2, files := reopen(t, dir)
-			if !reflect.DeepEqual(files, want) || len(s2.manifest.Queue) != 0 || s2.manifest.LogGen != wantGen {
+			if !reflect.DeepEqual(files, want) || s2.manifest.LogGen != wantGen {
 				t.Fatalf("after a crash %s: generation %d, table %v; want %d, %v",
 					point, s2.manifest.LogGen, files, wantGen, want)
 			}
@@ -388,9 +386,11 @@ func TestTwoHandlesOneRoot(t *testing.T) {
 }
 
 // TestParentWrittenStoreOpens: a root as the parent commit left it — a
-// manifest.json with no log_gen, a journaled intent in its queue, no
-// manifest.log — opens, recovers and serves byte-exactly with no
-// migration step, and takes new commits.
+// manifest.json whose extents carry no generation, one of them moved by
+// that release's in-place swap (new code, the names every block has
+// always had), the swap's four journal records still in manifest.log —
+// opens, reads, scrubs and moves again byte-exactly with no migration
+// step and no rewrite, and takes new commits.
 func TestParentWrittenStoreOpens(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir, "rs-9-6", blockSize)
@@ -398,48 +398,56 @@ func TestParentWrittenStoreOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, g := randomFile(t, 9*blockSize+1, 750), randomFile(t, 2*blockSize, 751)
-	if err := s.Put("f", f); err != nil {
+	// What the parent's move of f to pentagon left: the pentagon layout
+	// under generation-0 names. Written here by ingesting f on a pentagon
+	// store sharing the node directories.
+	p, err := Create(t.TempDir(), "pentagon", blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.root = dir
+	if err := p.Put("f", f); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put("g", g); err != nil {
 		t.Fatal(err)
 	}
-	killAt(s, "midswap")
-	if _, err := s.Transcode("f", "pentagon"); !errors.Is(err, errKilled) {
-		t.Fatal("expected the simulated crash")
-	}
 	if err := s.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(readFile(t, filepath.Join(dir, manifestName)), &m); err != nil {
+	if err := s.log.Append(
+		[]byte(`{"op":"put","name":"f","file":{"length":36865,"stripes":2,"extents":[{"start":0,"blocks":10,"stripes":2}]}}`),
+		[]byte(`{"op":"intent","intent":{"file":"f","from":"rs-9-6","to":"pentagon","length":36865,"old_stripes":2,"new_stripes":2,"state":"staged","staged":["node-00/f.0.0"]}}`),
+		[]byte(`{"op":"swapping","name":"f"}`), []byte(`{"op":"commit","name":"f"}`)); err != nil {
 		t.Fatal(err)
 	}
-	delete(m, "log_gen")
-	raw, _ := json.MarshalIndent(m, "", "  ")
-	if !strings.Contains(string(raw), `"transcode_queue"`) {
-		t.Fatalf("no journaled intent in the snapshot:\n%s", raw)
+	snapshot, log := readFile(t, filepath.Join(dir, manifestName)), readFile(t, filepath.Join(dir, logName))
+	if strings.Contains(string(snapshot), `"gen"`) {
+		t.Fatalf("a never-moved table carries a generation:\n%s", snapshot)
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, logName)); err != nil {
-		t.Fatal(err)
-	}
+	before := blockFiles(t, s)
 	s2 := assertRecovered(t, dir, f, "pentagon")
-	if rec := s2.LastRecovery(); rec.Replayed != 1 {
-		t.Fatalf("recovery = %+v, want the journaled move replayed", rec)
+	if rec := s2.LastRecovery(); rec != (RecoverReport{}) {
+		t.Fatalf("recovery = %+v, want nothing to do", rec)
 	}
 	if got, err := s2.Get("g"); err != nil || !bytes.Equal(got, g) {
 		t.Fatalf("g: %v", err)
 	}
+	if rep, err := s2.Scrub(0); err != nil || !rep.Wrapped || rep.CorruptFound+rep.MissingFound != 0 {
+		t.Fatalf("scrub = %+v, %v", rep, err)
+	}
+	if !reflect.DeepEqual(blockFiles(t, s2), before) ||
+		!bytes.Equal(readFile(t, filepath.Join(dir, manifestName)), snapshot) ||
+		!bytes.Equal(readFile(t, filepath.Join(dir, logName)), log) {
+		t.Fatal("opening, reading and scrubbing a parent-written store rewrote it")
+	}
+	if _, err := s2.Transcode("f", "rs-9-6"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s2.Delete("g"); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(readFile(t, filepath.Join(dir, manifestName)), raw) {
-		t.Fatal("opening a parent-written store rewrote its manifest.json")
-	}
-	s3 := assertRecovered(t, dir, f, "pentagon")
+	s3 := assertRecovered(t, dir, f, "rs-9-6")
 	if got := s3.Files(); fmt.Sprint(got) != "[f]" {
 		t.Fatalf("files after restart = %v", got)
 	}
@@ -448,14 +456,15 @@ func TestParentWrittenStoreOpens(t *testing.T) {
 // FuzzManifestLogReplay feeds load arbitrary log bytes beside a fixed
 // snapshot — raw, and (framed) with each line wrapped in a valid frame
 // so the records themselves are reached: it must never panic, and a
-// table it accepts must pass validateExtents entry by entry with at
-// most one journal entry per extent.
+// table it accepts must pass validateExtents entry by entry.
 func FuzzManifestLogReplay(f *testing.F) {
 	f.Add([]byte(`{"op":"gen","gen":2}`+"\n"+
 		`{"op":"put","name":"n","file":{"length":8192,"stripes":1,"extents":[{"start":0,"blocks":2,"stripes":1}]}}`+"\n"+
 		`{"op":"intent","intent":{"file":"n","from":"rs-9-6","to":"pentagon","length":8192,"old_stripes":1,"new_stripes":1,"state":"staged","staged":["node-00/n.0.0"]}}`+"\n"+
 		`{"op":"swapping","name":"n"}`+"\n"+`{"op":"commit","name":"n"}`+"\n"+`{"op":"del","name":"f"}`), true)
 	f.Add([]byte(`{"op":"gen","gen":2}`+"\n"+`{"op":"rollback","name":"f","ext":3}`), true)
+	f.Add([]byte(`{"op":"gen","gen":2}`+"\n"+`{"op":"move","name":"f","code":"pentagon","stripes":1,"gen":1}`+"\n"+
+		`{"op":"move","name":"f","stripes":2,"gen":2}`+"\n"+`{"op":"move","name":"f","ext":1,"code":"warp","stripes":7,"gen":-1}`), true)
 	f.Add([]byte(`{"op":"put","name":"headless"}`), true)
 	f.Add([]byte("\x14\x00\x00\x00\xde\xad\xbe\xef{\"op\":\"gen\",\"gen\":2}"), false)
 	dir := f.TempDir()
@@ -499,11 +508,6 @@ func FuzzManifestLogReplay(f *testing.F) {
 		for name, fi := range s.manifest.Files {
 			if err := s.validateExtents(name, fi); err != nil {
 				t.Fatalf("load accepted %q: %v", name, err)
-			}
-		}
-		for i, in := range s.manifest.Queue {
-			if in == nil || s.manifest.queued(in.File, in.Extent) != i {
-				t.Fatalf("load accepted a journal queue with a nil or duplicate entry: %+v", s.manifest.Queue)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package hdfsraid
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -30,7 +29,6 @@ const (
 	hTcRead
 	hTcEncode
 	hTcWrite
-	hTcSwap
 	hScrub
 	numHists
 )
@@ -57,12 +55,10 @@ var histNames = [numHists]string{
 	hScrub:  "store_scrub_ns",
 	// Transcode pipeline, per-stage: read (source blocks through the
 	// old code, per stripe), encode (new code, per stripe), write
-	// (staged replicas, per stripe), swap (the destructive promote
-	// phase, per move).
+	// (the new generation's replicas, per stripe).
 	hTcRead:   "transcode_read_ns",
 	hTcEncode: "transcode_encode_ns",
 	hTcWrite:  "transcode_write_ns",
-	hTcSwap:   "transcode_swap_ns",
 }
 
 // readHists is each read entry point's latency split, indexed by
@@ -89,8 +85,6 @@ const (
 	cTcBytesMoved
 	cTcBlocksRead
 	cTcBlocksWritten
-	cJournalReplayed
-	cJournalRolledBack
 	cJournalOrphans
 	cLogAppends
 	cLogBytes
@@ -131,10 +125,8 @@ var counterNames = [numCounters]string{
 	cTcBytesMoved:    "transcode_bytes_moved_total",
 	cTcBlocksRead:    "transcode_blocks_read_total",
 	cTcBlocksWritten: "transcode_blocks_written_total",
-	// Journal recovery outcomes.
-	cJournalReplayed:   "journal_replayed_total",
-	cJournalRolledBack: "journal_rolled_back_total",
-	cJournalOrphans:    "journal_orphans_total",
+	// Stale block files the recovery pass swept.
+	cJournalOrphans: "journal_orphans_total",
 	// Manifest commits: appends to manifest.log (one fsync each), the
 	// bytes they wrote, and snapshots the log was folded into.
 	cLogAppends:  "store_manifest_log_appends_total",
@@ -166,8 +158,8 @@ var counterNames = [numCounters]string{
 const cacheBytesName = "store_cache_bytes"
 
 const (
-	// traceJournal is the event ring recording every journal state
-	// transition and recovery outcome.
+	// traceJournal is the event ring recording every committed extent
+	// move (moved) and recovery outcome (orphan_sweep, recovery_skipped).
 	traceJournal trace = iota
 	// traceHeal records the healing lifecycle: quarantine (bad frame
 	// captured), healed (repaired frame written back), unquarantine
@@ -266,15 +258,7 @@ func (o *storeObs) emit(t trace, e obs.Event) {
 }
 
 // Obs returns the store's metrics registry: every data-plane and
-// journal instrument the store maintains, for snapshotting (hdfscli
+// move instrument the store maintains, for snapshotting (hdfscli
 // stats), live serving (the daemon's -metrics endpoint), or wiring a
 // daemon's own metrics into the same namespace.
 func (s *Store) Obs() *obs.Registry { return s.obs.reg }
-
-// journalEvent records one journal state transition in the store's
-// event trace: the lifecycle record of what the move machinery
-// actually did, complementing the counters.
-func (s *Store) journalEvent(typ string, in *TranscodeIntent) {
-	s.obs.emit(traceJournal, obs.Event{Type: typ, Name: in.File, Ext: in.Extent,
-		Detail: fmt.Sprintf("%s -> %s", in.From, in.To)})
-}

@@ -2,6 +2,7 @@ package hdfsraid
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -13,8 +14,8 @@ import (
 // store — put, intact get, extent move, node failures, degraded get,
 // repair — and asserts the registry recorded each step: latency
 // histogram counts, the degraded-read counter, bytes in/out, transcode
-// stage timings and bytes moved, and the journal trace's full
-// staged/swapping/committed lifecycle.
+// stage timings and bytes moved, and the journal trace's one moved
+// event.
 func TestStoreObsIntegration(t *testing.T) {
 	s, err := CreateExt(t.TempDir(), "pentagon", blockSize, 4)
 	if err != nil {
@@ -63,10 +64,10 @@ func TestStoreObsIntegration(t *testing.T) {
 	if c[counterNames[cZeroElided]] != 5+7+6 {
 		t.Errorf("zero symbols elided = %d, want 18", c[counterNames[cZeroElided]])
 	}
-	// One put and one journaled move: 1 + 3 log records on top of the
-	// snapshot Create wrote, all still in the log.
-	if c[counterNames[cLogAppends]] != 4 || c[counterNames[cCheckpoints]] != 1 {
-		t.Errorf("manifest log appends = %d, checkpoints = %d; want 4, 1",
+	// One put and one move: a log record each on top of the snapshot
+	// Create wrote, both still in the log.
+	if c[counterNames[cLogAppends]] != 2 || c[counterNames[cCheckpoints]] != 1 {
+		t.Errorf("manifest log appends = %d, checkpoints = %d; want 2, 1",
 			c[counterNames[cLogAppends]], c[counterNames[cCheckpoints]])
 	}
 	if fi, err := os.Stat(s.root + "/" + logName); err != nil || c[counterNames[cLogBytes]] != fi.Size() {
@@ -96,7 +97,7 @@ func TestStoreObsIntegration(t *testing.T) {
 	if c[counterNames[cTcBytesMoved]] == 0 {
 		t.Error("transcode bytes-moved counter is zero after an extent move")
 	}
-	for _, name := range []string{histNames[hTcRead], histNames[hTcEncode], histNames[hTcWrite], histNames[hTcSwap]} {
+	for _, name := range []string{histNames[hTcRead], histNames[hTcEncode], histNames[hTcWrite]} {
 		if h[name].Count == 0 {
 			t.Errorf("transcode stage histogram %s empty", name)
 		}
@@ -108,21 +109,8 @@ func TestStoreObsIntegration(t *testing.T) {
 		t.Error("repair restored-blocks counter is zero")
 	}
 	events := snap.Traces[traceNames[traceJournal]]
-	if len(events) < 3 {
-		t.Fatalf("journal trace has %d events, want >= 3", len(events))
-	}
-	var types []string
-	for _, e := range events {
-		types = append(types, e.Type)
-		if e.Name != "f" || e.Ext != 0 {
-			t.Errorf("journal event %+v not tagged f[x0]", e)
-		}
-	}
-	want := []string{"staged", "swapping", "committed"}
-	for i, typ := range want {
-		if types[i] != typ {
-			t.Fatalf("journal event types = %v, want %v", types, want)
-		}
+	if len(events) != 1 || events[0].Type != "moved" || events[0].Name != "f" || events[0].Ext != 0 {
+		t.Fatalf("journal trace = %+v, want one moved event tagged f[x0]", events)
 	}
 }
 
@@ -151,36 +139,35 @@ func TestMetricNamesDocumented(t *testing.T) {
 	}
 }
 
-// TestObsRecoveryMetrics crashes a transcode after its intent is
-// journaled and asserts the recovery pass both replays it and records
-// the outcome: the replayed counter and a "replayed" trace event.
+// TestObsRecoveryMetrics crashes a move once its record is durable and
+// asserts the recovery pass both sweeps the generation it left and
+// records the outcome: the orphans counter and an "orphan_sweep" trace
+// event after the move's own "moved".
 func TestObsRecoveryMetrics(t *testing.T) {
 	s := newStore(t, "pentagon")
 	if err := s.Put("f", randomFile(t, 4*blockSize, 3)); err != nil {
 		t.Fatal(err)
 	}
-	killAt(s, "swapped")
+	killAt(s, "moved")
 	if _, err := s.Transcode("f", "rs-14-10"); err == nil {
 		t.Fatal("kill point did not fire")
 	}
 	s.killHook = nil
+	swept := blocksOn(t, s, "pentagon", 4)
 	rec, err := s.Recover()
-	if err != nil || rec.Replayed != 1 {
-		t.Fatalf("recover = %+v, %v", rec, err)
+	if err != nil || rec.Orphans != swept {
+		t.Fatalf("recover = %+v, %v; want %d orphans", rec, err, swept)
 	}
 	snap := s.Obs().Snapshot()
-	if snap.Counters[counterNames[cJournalReplayed]] != 1 {
-		t.Errorf("replayed counter = %d, want 1", snap.Counters[counterNames[cJournalReplayed]])
+	if got := snap.Counters[counterNames[cJournalOrphans]]; got != int64(swept) {
+		t.Errorf("orphans counter = %d, want %d", got, swept)
 	}
-	events := snap.Traces[traceNames[traceJournal]]
-	var sawReplayed bool
-	for _, e := range events {
-		if e.Type == "replayed" && e.Name == "f" {
-			sawReplayed = true
-		}
+	var types []string
+	for _, e := range snap.Traces[traceNames[traceJournal]] {
+		types = append(types, e.Type)
 	}
-	if !sawReplayed {
-		t.Errorf("no replayed event in journal trace: %+v", events)
+	if fmt.Sprint(types) != "[moved orphan_sweep]" {
+		t.Errorf("journal trace = %v, want a moved then an orphan_sweep event", types)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -56,7 +57,6 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 	}
 	k := s.code.DataSymbols()
 	extBlocks := s.extentBlocks
-	pathFI := FileInfo{ExtentPaths: extBlocks > 0}
 	cc := codec{s.code, s.striper}
 	if err := s.ensureNodeDirs(cc.code.Nodes()); err != nil {
 		return err
@@ -89,7 +89,7 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 		symbols, rel, err := core.EncodeWith(cc.code, s.payloadPool, j.blocks)
 		if err == nil {
 			e := Extent{Blocks: j.stripe*k + j.live} // the extent as ingested so far
-			err = s.writeStripe(cc, name, pathFI, j.ext, e, j.stripe, symbols, "")
+			err = s.writeStripe(cc, name, extBlocks > 0, j.ext, e, j.stripe, symbols)
 			rel()
 		}
 		if err != nil {
@@ -187,20 +187,21 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 // writeStripe is the store's one layout-block write path, the mirror
 // of readStripe: PutReader's stripes and the transcode emit both hand
 // it one encoded stripe, and it writes every replica of every symbol
-// to its placement node under its block path plus suffix ("" for an
-// ingest, tmpSuffix for a staged move). e is the extent the stripe
-// belongs to (only Blocks is consulted): its known-zero symbols — the
-// tail stripe's data symbols past the last block — are elided, so no
-// replica of them ever exists for a reader, scrub or repair to visit.
-func (s *Store) writeStripe(cc codec, name string, fi FileInfo, ext int, e Extent, stripe int, symbols [][]byte, suffix string) error {
+// to its placement node under its final name. e is the extent the
+// stripe belongs to (Blocks and Gen are consulted): its known-zero
+// symbols — the tail stripe's data symbols past the last block — are
+// elided, so no replica of them ever exists for a reader, scrub or
+// repair to visit.
+func (s *Store) writeStripe(cc codec, name string, extPaths bool, ext int, e Extent, stripe int, symbols [][]byte) error {
 	k, symbolNodes := cc.code.DataSymbols(), cc.code.Placement().SymbolNodes
 	for sym, buf := range symbols {
 		if e.zeroSymbol(k, stripe, sym) {
 			s.obs.add(cZeroElided, 1)
 			continue
 		}
+		base := blockName(name, extPaths, ext, e.Gen, stripe, sym)
 		for _, v := range symbolNodes[sym] {
-			if err := s.writeBlock(s.extentBlockPath(v, name, fi, ext, stripe, sym)+suffix, buf); err != nil {
+			if err := s.writeBlock(filepath.Join(s.nodeDir(v), base), buf); err != nil {
 				return err
 			}
 		}

@@ -34,29 +34,15 @@ const (
 	readAt
 )
 
-// midSwap refuses an extent that is mid-swap in the journal.
-func (s *Store) midSwap(name string, ext int) error {
-	if s.pendingSwapLocked(name, ext) {
-		return fmt.Errorf("hdfsraid: %q extent %d is mid-swap in the journal; run Recover", name, ext)
-	}
-	return nil
-}
-
 // admitRead is the one preamble of every foreground read (Get, ReadAt,
 // ReadTo, ReadBlockInto), run once the caller has looked the file up
 // and validated its request against the layout — and before the read
-// cache is consulted, so a hit is admitted like any other read. The
-// caller holds mu's read side while it reads an extent's blocks, so a
-// concurrent transcode's block swap can never be observed half-done;
-// admitRead refuses any touched extent [lo, hi] that is mid-swap in
-// the journal, then feeds the heat hooks with exactly the extents
+// cache is consulted, so a hit is counted like any other read. The
+// caller holds mu's read side while it reads an extent's blocks, which
+// a move's commit waits out before the generation read from is
+// reclaimed. It feeds the heat hooks with exactly the extents [lo, hi]
 // touched, so a ranged read of a large file never warms the rest of it.
-func (s *Store) admitRead(name string, lo, hi int) error {
-	for e := lo; e <= hi; e++ {
-		if err := s.midSwap(name, e); err != nil {
-			return err
-		}
-	}
+func (s *Store) admitRead(name string, lo, hi int) {
 	if s.OnRead != nil {
 		s.OnRead(name)
 	}
@@ -65,7 +51,6 @@ func (s *Store) admitRead(name string, lo, hi int) error {
 			s.OnReadExtent(name, e)
 		}
 	}
-	return nil
 }
 
 // observeRead records a successful foreground read of n bytes that
@@ -264,8 +249,8 @@ func (r *stripeRead) decode(symbols [][]byte, lo, hi int) ([][]byte, int, error)
 // in place once the read succeeds — from the delivered bytes when they
 // are the whole block, through healBlock's own reconstruction when the
 // read was a window. Transcode sources and healing's own reconstruction
-// pass false: the former must not rewrite old-layout blocks mid-move,
-// the latter must not recurse.
+// pass false: the former hold no store lock for a rewrite to be safe
+// under, the latter must not recurse.
 //
 // readStripe takes no lock and fires no hook; callers hold mu's read
 // side (foreground reads, scrub) or the extent's move lock (transcode).
@@ -355,9 +340,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
 	}
-	if err := s.admitRead(name, 0, len(fi.Extents)-1); err != nil {
-		return nil, err
-	}
+	s.admitRead(name, 0, len(fi.Extents)-1)
 	out := make([]byte, fi.Length)
 	degraded, err := s.readInto(name, fi, out, 0)
 	if err != nil {
@@ -498,15 +481,9 @@ func (s *Store) ReadTo(w io.Writer, name string, off, n int64, begin func(length
 			}
 		}
 		ext, hi := s.extentAt(fi, off, end)
-		var err error
 		if first {
 			last, _ := s.extentAt(fi, end-1, end)
-			err = s.admitRead(name, ext, last)
-		} else {
-			err = s.midSwap(name, ext)
-		}
-		if err != nil {
-			return nil, err
+			s.admitRead(name, ext, last)
 		}
 		chunk := s.cachedExtent(fi, id, ext, off, hi)
 		if chunk == nil {
@@ -640,9 +617,7 @@ func (s *Store) ReadBlockInto(dst []byte, name string, stripe, symbol int) (int,
 	if symbol < 0 || symbol >= cc.code.DataSymbols() {
 		return 0, fmt.Errorf("hdfsraid: symbol %d is not a data symbol", symbol)
 	}
-	if err := s.admitRead(name, ext, ext); err != nil {
-		return 0, err
-	}
+	s.admitRead(name, ext, ext)
 	cost, err := s.readStripe(cc, name, fi, ext, local, symbol, 0, [][]byte{dst}, true)
 	if err != nil {
 		return 0, err

@@ -262,9 +262,9 @@ func TestReadBlockSingleFailureAllCodes(t *testing.T) {
 // test between one entry point's read and the next. No file under a
 // node directory named down can be opened: the node is unreachable.
 type countingIO struct {
-	reads, bytes, misses, writes atomic.Int64
-	frozen                       atomic.Bool
-	down                         string
+	reads, bytes, misses, writes, renames, removes atomic.Int64
+	frozen                                         atomic.Bool
+	down                                           string
 }
 
 var errFrozen = errors.New("countingIO: frozen")
@@ -311,12 +311,14 @@ func (c *countingIO) Rename(oldPath, newPath string) error {
 	if c.frozen.Load() {
 		return errFrozen
 	}
+	c.renames.Add(1)
 	return os.Rename(oldPath, newPath)
 }
 func (c *countingIO) Remove(path string) error {
 	if c.frozen.Load() {
 		return errFrozen
 	}
+	c.removes.Add(1)
 	return os.Remove(path)
 }
 

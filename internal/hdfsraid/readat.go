@@ -33,9 +33,7 @@ func (s *Store) ReadAt(p []byte, name string, off int64) (int, error) {
 	}
 	want := min(int64(len(p)), int64(fi.Length)-off)
 	bs := int64(s.blockSize)
-	if err := s.admitRead(name, extentOf(fi, int(off/bs)), extentOf(fi, int((off+want-1)/bs))); err != nil {
-		return 0, err
-	}
+	s.admitRead(name, extentOf(fi, int(off/bs)), extentOf(fi, int((off+want-1)/bs)))
 	degraded, err := s.readInto(name, fi, p[:want], off)
 	if err != nil {
 		return 0, fmt.Errorf("hdfsraid: reading %q bytes %d-%d: %w", name, off, off+want-1, err)

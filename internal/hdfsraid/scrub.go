@@ -79,12 +79,6 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 	for _, name := range s.filesLocked() {
 		fi := s.manifest.Files[name]
 		for ext := range fi.Extents {
-			if s.pendingSwapLocked(name, ext) {
-				// A half-swapped extent mixes two layouts on shared
-				// paths; scanning it would quarantine blocks that are
-				// fine. Recovery owns it, not the scrubber.
-				continue
-			}
 			if err := s.forEachReplica(name, fi, ext, func(r blockRef, _ int) error {
 				refs = append(refs, r)
 				return nil

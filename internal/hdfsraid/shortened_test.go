@@ -92,14 +92,15 @@ func TestShortenedStripeCounts(t *testing.T) {
 // TestMetadataCostCounts pins what each mutation pays to make its
 // metadata durable, in counts instead of fsync-bound timings: every
 // commit is one framed record appended to manifest.log and one fsync —
-// a Put or Delete is one record, a journaled TranscodeExtent three
-// (intent, swapping, commit) — the snapshot is not touched, and the
+// a Put, a Delete and a TranscodeExtent are one record each, and the
+// move issues exactly its target layout's block writes, the superseded
+// layout's removes and no rename — the snapshot is not touched, and the
 // bytes are exact and the same whether the table holds 10 names or 800.
 // Amortised, N operations write their N records plus one snapshot each
 // time the log outgrows max(snapshot, 64 KiB), and durable.Syncs counts
 // every fsync of both.
 func TestMetadataCostCounts(t *testing.T) {
-	const putBytes, moveBytes, delBytes = 117, 353, 35
+	const putBytes, moveBytes, delBytes = 117, 74, 35
 	for _, names := range []int{10, 800} {
 		t.Run(fmt.Sprint(names), func(t *testing.T) {
 			dir := t.TempDir()
@@ -137,10 +138,18 @@ func TestMetadataCostCounts(t *testing.T) {
 				}
 			}
 			check("Put", 1, putBytes, func() error { return s.Put("f9999", data) })
-			check("TranscodeExtent", 3, moveBytes, func() error {
+			bio := &countingIO{}
+			s.SetBlockIO(bio)
+			check("TranscodeExtent", 1, moveBytes, func() error {
 				_, err := s.TranscodeExtent("f9999", 0, "pentagon")
 				return err
 			})
+			if w, rm := int64(blocksOn(t, s, "pentagon", 2)), int64(blocksOn(t, s, "rs-9-6", 2)); bio.writes.Load() != w ||
+				bio.removes.Load() != rm || bio.renames.Load() != 0 {
+				t.Fatalf("move issued %d block writes, %d removes, %d renames; want %d, %d, 0",
+					bio.writes.Load(), bio.removes.Load(), bio.renames.Load(), w, rm)
+			}
+			s.SetBlockIO(nil)
 			check("Delete", 1, delBytes, func() error {
 				_, err := s.Delete("f9999")
 				return err
@@ -256,14 +265,13 @@ func TestShortStripeRepairRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShortStripeKillPoints runs the transcode kill-point table on
-// extents whose tail stripes are shortened under both codes — 2 blocks
-// and k+1 blocks — out to pentagon and back to rs-9-6: recovery lands
-// on one code, byte-identical, storing exactly that layout's blocks.
+// TestShortStripeKillPoints runs the move kill-point table on extents
+// whose tail stripes are shortened under both codes — 2 blocks and k+1
+// blocks — out to pentagon and back to rs-9-6: recovery lands on one
+// code, byte-identical, storing exactly that layout's blocks.
 func TestShortStripeKillPoints(t *testing.T) {
-	other := map[string]string{"rs-9-6": "pentagon", "pentagon": "rs-9-6"}
 	for _, blocks := range []int{2, 7} {
-		for _, tc := range transcodeKillPoints {
+		for _, tc := range moveKillPoints {
 			t.Run(fmt.Sprintf("%dblocks/%s", blocks, tc.point), func(t *testing.T) {
 				dir := t.TempDir()
 				s, err := Create(dir, "rs-9-6", blockSize)
@@ -279,8 +287,7 @@ func TestShortStripeKillPoints(t *testing.T) {
 				if _, err := s.Transcode("f", "pentagon"); !errors.Is(err, errKilled) {
 					t.Fatalf("Transcode error = %v, want simulated crash", err)
 				}
-				s = assertRecovered(t, dir, want, tc.wantCode)
-				assertExactLayout(t, s)
+				s = assertRecovered(t, dir, want, movedCode(tc.moved, "rs-9-6", "pentagon"))
 				if _, err := s.Transcode("f", "pentagon"); err != nil {
 					t.Fatal(err)
 				}
@@ -289,7 +296,7 @@ func TestShortStripeKillPoints(t *testing.T) {
 				if _, err := s.Transcode("f", "rs-9-6"); !errors.Is(err, errKilled) {
 					t.Fatalf("Transcode back error = %v, want simulated crash", err)
 				}
-				assertExactLayout(t, assertRecovered(t, dir, want, other[tc.wantCode]))
+				assertRecovered(t, dir, want, movedCode(tc.moved, "pentagon", "rs-9-6"))
 			})
 		}
 	}
@@ -307,9 +314,10 @@ func assertExactLayout(t *testing.T, s *Store) {
 
 // TestPaddedStoreCompat reads a store the way the previous format
 // wrote it — every tail stripe's padding symbols materialised as zero
-// blocks on all their placement nodes. Nothing migrates: the padding
-// is never opened again, reads and scrubs are exact, the store is
-// healthy, and the padding shows up as orphans.
+// blocks on all their placement nodes. No live block is rewritten: the
+// padding is never opened — Open's sweep removes it as the stale block
+// files it is, and nothing else — and reads and scrubs are exact on a
+// healthy store.
 func TestPaddedStoreCompat(t *testing.T) {
 	for _, codeName := range []string{"rs-9-6", "pentagon"} {
 		t.Run(codeName, func(t *testing.T) {
@@ -347,8 +355,13 @@ func TestPaddedStoreCompat(t *testing.T) {
 			if padding == 0 {
 				t.Fatal("no padding materialised; the test files fill their stripes")
 			}
+			live := len(blockFiles(t, s)) - padding
 			if s, err = Open(dir); err != nil {
 				t.Fatal(err)
+			}
+			if rec := s.LastRecovery(); rec.Orphans != padding || len(blockFiles(t, s)) != live {
+				t.Fatalf("recovery = %+v with %d block files left; want the %d padding files swept and the %d live ones kept",
+					rec, len(blockFiles(t, s)), padding, live)
 			}
 			bio := &countingIO{}
 			s.SetBlockIO(bio)
@@ -368,22 +381,11 @@ func TestPaddedStoreCompat(t *testing.T) {
 				t.Fatalf("scrub = %+v, %v", scrub, err)
 			}
 			fsck, err := s.Fsck()
-			if err != nil || !fsck.Healthy() || fsck.Orphans != padding || fsck.Blocks != scrub.BlocksScanned {
-				t.Fatalf("fsck = %+v, %v; want healthy with the %d padding files as orphans", fsck, err, padding)
+			if err != nil || !fsck.Healthy() || fsck.Orphans != 0 || fsck.Blocks != scrub.BlocksScanned {
+				t.Fatalf("fsck = %+v, %v; want healthy with no orphans", fsck, err)
 			}
-			if fsck.Blocks+padding != len(blockFiles(t, s)) || bio.misses.Load() != 0 {
-				t.Fatalf("%d expected + %d padding != %d on disk, or %d missed opens",
-					fsck.Blocks, padding, len(blockFiles(t, s)), bio.misses.Load())
-			}
-			// A delete reclaims the layout's blocks; the padding stays
-			// behind as orphans no read will touch.
-			for name := range files {
-				if _, err := s.Delete(name); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if left := len(blockFiles(t, s)); left != padding {
-				t.Fatalf("%d block files left after deleting everything, want the %d padding files", left, padding)
+			if fsck.Blocks != live || bio.misses.Load() != 0 {
+				t.Fatalf("%d expected != %d on disk, or %d missed opens", fsck.Blocks, live, bio.misses.Load())
 			}
 		})
 	}

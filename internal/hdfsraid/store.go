@@ -10,6 +10,7 @@
 //
 //	root/manifest.json
 //	root/node-03/myfile.2.7    (stripe 2, symbol 7; block bytes + CRC)
+//	root/node-03/myfile.2.7.g1 (the same, once the extent has moved)
 package hdfsraid
 
 import (
@@ -22,7 +23,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,12 +31,9 @@ import (
 	"repro/internal/durable"
 )
 
-// Manifest records the store's configuration and file table, plus the
-// transcode journal: one intent record per in-flight transcode (at
-// most one per file), each persisted before any destructive swap step
-// so crash recovery is exact (see TranscodeIntent). On disk it is a
-// snapshot (manifest.json, this struct) plus the log of mutations since
-// (manifest.log; see manifestlog.go).
+// Manifest records the store's configuration and file table. On disk
+// it is a snapshot (manifest.json, this struct) plus the log of
+// mutations since (manifest.log; see manifestlog.go).
 type Manifest struct {
 	CodeName  string              `json:"code"`
 	BlockSize int                 `json:"block_size"`
@@ -45,8 +42,11 @@ type Manifest struct {
 	// splits files into runs of this many blocks, each striped and
 	// tiered independently. 0 stores every file as a single extent
 	// (the pre-extent behavior).
-	ExtentBlocks int                `json:"extent_blocks,omitempty"`
-	Queue        []*TranscodeIntent `json:"transcode_queue,omitempty"`
+	ExtentBlocks int `json:"extent_blocks,omitempty"`
+	// Queue is the pending part of the move journal of releases before
+	// layout generations (see legacyMove). This one never adds to it, and
+	// Open refuses a store where it is not empty.
+	Queue []*legacyMove `json:"transcode_queue,omitempty"`
 	// LogGen is the generation of the log whose records apply to this
 	// snapshot: each checkpoint writes the next one. A log whose header
 	// names an older generation predates the snapshot and is ignored.
@@ -136,10 +136,10 @@ type Store struct {
 	codecMu sync.Mutex
 	codecs  map[string]codec // per-code cache for tiered files
 
-	// opMu gates the move path against the journal recovery pass:
-	// transcodes hold the read side (any number of moves of distinct
-	// files run concurrently), Recover the write side (it replays
-	// journal entries and must see the move path quiescent).
+	// opMu gates the move path against the recovery pass: transcodes
+	// hold the read side (any number of moves of distinct extents run
+	// concurrently), Recover the write side (a generation being written
+	// is, to its sweep, a stale one).
 	opMu sync.RWMutex
 
 	// lockFile makes one process at a time the store's mover:
@@ -149,18 +149,17 @@ type Store struct {
 	// when the flock is first taken, so a move never commits onto a
 	// table predating another process's commits. Recover tries the
 	// same exclusive lock without blocking: a refusal proves a live
-	// mover, so its journal entries and staged blocks are not crash
-	// residue. The fd lives as long as the store; a crashed process's
-	// flock is released by the kernel.
+	// mover, so the generation it is writing is not crash residue. The
+	// fd lives as long as the store; a crashed process's flock is
+	// released by the kernel.
 	lockFile  *os.File
 	flockMu   sync.Mutex
 	flockRefs int
 
-	// moveMu guards moveLocks, the per-file transcode locks that
-	// replaced the old store-wide transcode mutex: moves of distinct
-	// files proceed in parallel, while two moves of one file serialize
-	// (staged .tc block names are derived from the target layout, so
-	// they would share staging paths).
+	// moveMu guards moveLocks, the per-extent move locks (and the
+	// per-name ingest locks): moves of distinct extents proceed in
+	// parallel, while two moves of one extent serialize (both would
+	// write the same next generation).
 	moveMu    sync.Mutex
 	moveLocks map[string]*fileLock
 
@@ -294,8 +293,8 @@ const lockName = ".store.lock"
 
 // openFiles opens (creating if needed) the store's advisory lock file
 // and its manifest log. Failure is fatal to Create/Open: without the
-// lock a recovery pass could sweep another live process's staged blocks
-// — the exact corruption the flock exists to prevent.
+// lock a recovery pass could sweep the generation another live process
+// is writing — the exact corruption the flock exists to prevent.
 func (s *Store) openFiles() (err error) {
 	if s.lockFile, err = os.OpenFile(filepath.Join(s.root, lockName), os.O_CREATE|os.O_RDWR, 0o644); err != nil {
 		return fmt.Errorf("hdfsraid: opening store lock: %w", err)
@@ -387,11 +386,14 @@ func Open(root string) (*Store, error) {
 	if err := s.load(); err != nil {
 		return nil, err
 	}
-	// Replay or roll back any transcode the last process left mid-
-	// flight, and sweep orphan staged blocks, before serving reads.
+	if len(s.manifest.Queue) > 0 {
+		return nil, errors.New("hdfsraid: store has a pre-generation move pending; finish it with the previous release's recovery")
+	}
+	// Sweep what a move the last process left mid-flight wrote or had
+	// not yet reclaimed.
 	rec, err := s.Recover()
 	if err != nil {
-		return nil, fmt.Errorf("hdfsraid: recovering journal: %w", err)
+		return nil, fmt.Errorf("hdfsraid: recovering: %w", err)
 	}
 	s.recovery = rec
 	return s, nil
@@ -528,10 +530,6 @@ func (s *Store) Info(name string) (FileInfo, bool) {
 
 func (s *Store) nodeDir(v int) string {
 	return filepath.Join(s.root, fmt.Sprintf("node-%02d", v))
-}
-
-func (s *Store) blockPath(v int, name string, stripe, symbol int) string {
-	return filepath.Join(s.nodeDir(v), fmt.Sprintf("%s.%d.%d", name, stripe, symbol))
 }
 
 // writeBlock writes block bytes as a frame — the payload, then one
@@ -880,8 +878,8 @@ type FsckReport struct {
 	Missing int
 	Corrupt int
 	// Orphans counts block files under the node directories that no
-	// manifest entry or journaled move expects: what a Delete's best-
-	// effort reclamation left behind, or the blocks of an ingest that
+	// manifest entry expects: what a Delete's or a move's best-effort
+	// reclamation left behind, or the blocks of an ingest or move that
 	// failed (or is still streaming) before its manifest commit. They
 	// waste space but no read ever touches them, so they do not make a
 	// store unhealthy.
@@ -907,21 +905,11 @@ func (s *Store) Fsck() (FsckReport, error) {
 	}()
 	buf := s.payloadPool.Get()
 	defer s.payloadPool.Put(buf)
-	// A journaled move's staged blocks are expected under both their
-	// staged and final names: a resumed swap may have promoted some.
-	staged := map[string]bool{}
-	for _, in := range s.manifest.Queue {
-		for _, rel := range in.Staged {
-			path := filepath.Join(s.root, rel)
-			staged[path], staged[path+tmpSuffix] = true, true
-		}
-	}
 	for _, name := range s.filesLocked() {
 		fi := s.manifest.Files[name]
 		for ext := range fi.Extents {
 			err := s.forEachReplica(name, fi, ext, func(r blockRef, v int) error {
 				path := s.extentBlockPath(v, name, fi, ext, r.stripe, r.sym)
-				delete(staged, path) // a final name the old layout expects too
 				rep.Blocks++
 				err := s.readBlockInto(path, buf, 0)
 				switch {
@@ -942,50 +930,47 @@ func (s *Store) Fsck() (FsckReport, error) {
 	}
 	// Expected paths are pairwise distinct, so the orphans are a count,
 	// not a path set: every entry under the node directories, less the
-	// expected replicas found present, less the staged names that exist.
-	expected := rep.Blocks - rep.Missing
-	for path := range staged {
-		if _, err := os.Stat(path); err == nil {
-			expected++
-		}
-	}
-	onDisk, err := s.nodeDirEntries()
-	if err != nil {
+	// expected replicas found present.
+	onDisk := 0
+	if err := s.walkNodeDirs(func(int, string) error { onDisk++; return nil }); err != nil {
 		return rep, err
 	}
 	// (A concurrent heal's quarantine-then-rewrite can take a counted
 	// replica away for a moment; never report that as negative.)
-	rep.Orphans = max(onDisk-expected, 0)
+	rep.Orphans = max(onDisk-(rep.Blocks-rep.Missing), 0)
 	return rep, nil
 }
 
-// nodeDirEntries counts the entries of every node directory, reading
-// each in batches so no store-sized listing is ever held.
-func (s *Store) nodeDirEntries() (int, error) {
+// walkNodeDirs calls fn with the node and name of every entry of every
+// node directory, reading each in batches so no store-sized listing is
+// ever held; an error from fn stops it and is returned.
+func (s *Store) walkNodeDirs(fn func(v int, name string) error) error {
 	dirs, err := os.ReadDir(s.root)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	n := 0
 	for _, d := range dirs {
-		if !strings.HasPrefix(d.Name(), "node-") {
+		var v int
+		if _, err := fmt.Sscanf(d.Name(), "node-%d", &v); err != nil {
 			continue
 		}
 		f, err := os.Open(filepath.Join(s.root, d.Name()))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		for err == nil {
 			var names []string
 			names, err = f.Readdirnames(1024)
-			n += len(names)
+			for i := 0; i < len(names) && err == nil; i++ {
+				err = fn(v, names[i])
+			}
 		}
 		f.Close()
 		if err != io.EOF {
-			return 0, err
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // CorruptBlock flips a byte in a stored block replica (for testing and

@@ -410,6 +410,12 @@ func TestReadBlockRAIDMDegradedCostsNine(t *testing.T) {
 	}
 }
 
+// blockPath is the path of one replica of a never-moved file of a store
+// created without extents.
+func (s *Store) blockPath(v int, name string, stripe, sym int) string {
+	return filepath.Join(s.nodeDir(v), blockName(name, false, 0, 0, stripe, sym))
+}
+
 // TestRepairHotFilesFirst: with the Heat hook set, Repair rebuilds hot
 // files before cold ones — so when a cold file turns out to be
 // unrepairable mid-pass, the hot file has already regained its

@@ -2,12 +2,13 @@ package hdfsraid
 
 import (
 	"fmt"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TranscodeReport summarizes one online transcode (of a whole file or
@@ -30,10 +31,6 @@ func (r *TranscodeReport) add(o TranscodeReport) {
 	r.DataBlocksRead += o.DataBlocksRead
 }
 
-// tmpSuffix marks staged transcode blocks; they become visible only
-// after every stripe of the new encoding is safely on disk.
-const tmpSuffix = ".tc"
-
 // moveKey names the per-move lock for one extent of one file.
 func moveKey(name string, ext int) string {
 	return fmt.Sprintf("%s\x00%d", name, ext)
@@ -42,9 +39,9 @@ func moveKey(name string, ext int) string {
 // Transcode re-encodes a stored file from its current code(s) to the
 // named registered code without losing data, extent by extent: each
 // extent not already on the target runs through TranscodeExtent, so a
-// partially tiered file converges and a crash strands at most the
-// in-flight extent (which recovery completes). The report aggregates
-// every extent moved; From is the first moved extent's source code.
+// partially tiered file converges and a crash costs at most the
+// in-flight extent's move. The report aggregates every extent moved;
+// From is the first moved extent's source code.
 func (s *Store) Transcode(name, codeName string) (TranscodeReport, error) {
 	newCC, err := s.codecByName(codeName)
 	if err != nil {
@@ -52,7 +49,7 @@ func (s *Store) Transcode(name, codeName string) (TranscodeReport, error) {
 	}
 	exts, ok := s.Extents(name)
 	if !ok {
-		return TranscodeReport{}, fmt.Errorf("hdfsraid: no such file %q", name)
+		return TranscodeReport{}, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
 	}
 	rep := TranscodeReport{To: newCC.code.Name()}
 	for i := range exts {
@@ -71,12 +68,10 @@ func (s *Store) Transcode(name, codeName string) (TranscodeReport, error) {
 // TranscodeExtent re-encodes one extent of a stored file from its
 // current code to the named registered code without losing data: the
 // extent's data blocks are recovered through the old code's (possibly
-// degraded) read path, re-striped and re-encoded under the new code,
-// staged beside the old blocks, and only then swapped in and recorded
-// in the manifest. It is the move primitive of the hot/cold tiering
-// layer at extent granularity: only the target extent's stripes move,
-// so promoting the hot head of a large cold file costs the head, not
-// the file.
+// degraded) read path, re-striped and re-encoded under the new code. It
+// is the move primitive of the hot/cold tiering layer at extent
+// granularity: only the target extent's stripes move, so promoting the
+// hot head of a large cold file costs the head, not the file.
 //
 // The data plane streams: both codes stripe the extent at the store's
 // block size, so extent-local data block l under the new layout is
@@ -87,26 +82,25 @@ func (s *Store) Transcode(name, codeName string) (TranscodeReport, error) {
 // rebalance scan can move arbitrarily large extents without ballooning
 // the process.
 //
-// Moves of distinct extents (of the same or different files) run
-// concurrently: each holds only its per-extent lock plus, briefly, the
-// manifest lock for the journal and swap phases. Two moves of one
-// extent serialize.
+// The move is copy-on-write: write new, commit one record, delete old.
+// The target layout is written under the extent's next generation
+// (Extent.Gen), whose block names no other layout shares; one move
+// record in the manifest log — one fsync, under mu's write side for
+// exactly that — is the commit point; the superseded generation is
+// reclaimed afterwards, best-effort, the way Delete reclaims a file.
+// The manifest names one complete generation throughout, so no reader
+// is ever refused, and a process killed at any point leaves nothing to
+// replay: Recover sweeps whichever generation the manifest does not
+// name.
 //
-// The swap is crash-exact: before any old block is touched, the full
-// move — file, extent, codes, staged-block list — is journaled as a
-// TranscodeIntent in the manifest's journal queue, and each
-// destructive phase advances the journal state first (one fsynced log
-// record per transition: intent, swapping, commit). A process killed
-// at any point, with any number of moves in flight, leaves a store
-// that Open's recovery pass (see Recover) rolls forward to the new
-// code or back to the old one, extent by extent, byte-identical either
-// way.
+// Moves of distinct extents (of the same or different files) run
+// concurrently; two moves of one extent serialize.
 func (s *Store) TranscodeExtent(name string, ext int, codeName string) (TranscodeReport, error) {
 	// Hold the move path's read side (Recover takes the write side),
 	// the store's process-exclusive move flock (so another process
 	// can neither move concurrently against a stale manifest nor
-	// sweep this move's staged blocks in its startup recovery), and
-	// this extent's move lock, for the whole operation.
+	// sweep the generation this move is writing), and this extent's
+	// move lock, for the whole operation.
 	s.opMu.RLock()
 	defer s.opMu.RUnlock()
 	if err := s.lockStoreForMove(); err != nil {
@@ -118,7 +112,7 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 
 	fi, ok := s.Info(name)
 	if !ok {
-		return TranscodeReport{}, fmt.Errorf("hdfsraid: no such file %q", name)
+		return TranscodeReport{}, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
 	}
 	if ext < 0 || ext >= len(fi.Extents) {
 		return TranscodeReport{}, fmt.Errorf("hdfsraid: %q has no extent %d", name, ext)
@@ -137,130 +131,74 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 	if newCC.code.Name() == oldCC.code.Name() {
 		return rep, nil // already on the target code
 	}
-	// A move of this extent that failed between journaling its intent
-	// and committing (e.g. ENOSPC mid-swap) left its journal entry as
-	// the only recovery map for the extent — never stage over it; make
-	// the caller run Recover first. Moves of other extents proceed.
-	s.mu.RLock()
-	pending := s.manifest.queued(name, ext) >= 0
-	s.mu.RUnlock()
-	if pending {
-		return rep, fmt.Errorf("hdfsraid: transcode of %q extent %d pending in journal; run Recover before moving it again", name, ext)
-	}
 
 	// Stream the re-encoding: per-stripe (possibly degraded) reads
 	// through the old code feed the new code's encoder directly, and
-	// every stripe is staged as .tc blocks the moment it is encoded.
-	// What gets staged is exactly the replica set the extent's new
-	// layout expects, so the staged list (root-relative final paths)
-	// is that layout's walk.
+	// every stripe goes to its final, next-generation names the moment
+	// it is encoded. Nothing reads those names before the record below
+	// says so.
 	if err := s.ensureNodeDirs(newCC.code.Nodes()); err != nil {
 		return rep, err
 	}
-	stripeCount := stripesFor(e.Blocks, newCC.code.DataSymbols())
 	target := fi
-	target.Extents = append([]Extent(nil), fi.Extents...)
-	target.Extents[ext].Code, target.Extents[ext].Stripes = codeName, stripeCount
-	staged := make([]string, 0, layoutBlocks(newCC, e.Blocks))
-	err = s.forEachReplica(name, target, ext, func(r blockRef, v int) error {
-		rel, err := filepath.Rel(s.root, s.extentBlockPath(v, name, target, ext, r.stripe, r.sym))
-		staged = append(staged, rel)
-		return err
-	})
-	if err != nil {
-		return rep, err
-	}
-	if rep.DataBlocksRead, err = s.transcodeExtentStream(name, fi, ext, oldCC, newCC); err != nil {
-		s.removeStaged(staged)
+	target.Extents = slices.Clone(fi.Extents)
+	t := &target.Extents[ext]
+	t.Code, t.Stripes, t.Gen = codeName, stripesFor(e.Blocks, newCC.code.DataSymbols()), e.Gen+1
+	if rep.DataBlocksRead, err = s.transcodeExtentStream(name, fi, ext, *t, oldCC, newCC); err != nil {
+		s.reclaim(name, target, ext)
 		return rep, fmt.Errorf("hdfsraid: transcode %q extent %d: %w", name, ext, err)
 	}
 	if err := s.kill("staged"); err != nil {
-		return rep, err // simulated crash: orphan .tc blocks, no journal record
+		return rep, err // simulated crash: a whole next generation, no record
 	}
 
-	// Journal the intent before any destructive step, with readers
-	// excluded. From here on a crash is recovered from the journal, so
-	// failure paths must NOT clean up staged blocks.
+	// The commit point, with readers excluded: one record. A commit
+	// that fails may still have reached the disk (a failed fsync), where
+	// a restart would find and apply it: the generation it names stays,
+	// for that restart's table or its sweep to claim.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	cur, ok := s.manifest.Files[name]
 	if !ok || cur.Length != fi.Length || ext >= len(cur.Extents) || cur.Extents[ext] != e {
-		s.removeStaged(staged)
+		s.mu.Unlock()
+		s.reclaim(name, target, ext)
 		return rep, fmt.Errorf("hdfsraid: file %q changed during transcode", name)
 	}
-	// The journal needs registry names (codec cache keys), not the
-	// codes' display names.
-	fromName := e.Code
-	if fromName == "" {
-		fromName = s.codeName
-	}
-	in := &TranscodeIntent{
-		File: name, Extent: ext, From: fromName, To: codeName,
-		Length: fi.Length, OldStripes: e.Stripes, NewStripes: stripeCount,
-		State: IntentStaged, Staged: staged,
-	}
-	if err := s.commit(record{Op: opIntent, Intent: in}); err != nil {
-		s.removeStaged(staged)
-		return rep, err
-	}
-	s.journalEvent("staged", in)
-	if err := s.kill("intent"); err != nil {
-		return rep, err // simulated crash: journal in IntentStaged
-	}
-
-	// Point of no return: mark the swap begun (so recovery always
-	// rolls forward past here), drop the old replicas, promote the
-	// staged ones, then commit the new code and clear the journal
-	// entry.
-	if err := s.commit(record{Op: opSwapping, Name: name, Ext: ext}); err != nil {
-		return rep, err // journal survives; recovery finishes the move
-	}
-	s.journalEvent("swapping", in)
-	swapStart := s.obs.now()
-	swap, err := s.completeSwap(in) // calls kill("midswap") after the first rename
-	// The swap is idempotent, so a transient I/O failure (a flaky
-	// device, an injected fault) gets a bounded in-place retry before
-	// the extent is left to Recover. An abandoned half-swap is safe —
-	// readers refuse IntentSwapping extents — but unreadable until
-	// recovery runs, so cheap retries are worth it.
-	for attempt := 0; err != nil && attempt < blockReadRetries; attempt++ {
-		time.Sleep(blockReadBackoff << attempt)
-		swap, err = s.completeSwap(in)
-	}
+	err = s.commit(record{Op: opMove, Name: name, Ext: ext, Code: t.Code, Stripes: t.Stripes, Gen: t.Gen})
+	s.mu.Unlock()
 	if err != nil {
 		return rep, err
 	}
-	s.obs.since(hTcSwap, swapStart)
-	rep.BlocksRemoved = swap.removed
-	rep.BlocksWritten = swap.renamed
-	rep.Stripes = stripeCount
+	s.obs.emit(traceJournal, obs.Event{Type: "moved", Name: name, Ext: ext,
+		Detail: fmt.Sprintf("%s -> %s, generation %d", rep.From, rep.To, t.Gen)})
+	if err := s.kill("moved"); err != nil {
+		return rep, err // simulated crash: record durable, nothing reclaimed
+	}
+	// No reader holds the old entry any more (each reads under mu's read
+	// side, which the commit waited out), so its blocks can go.
+	rep.BlocksRemoved = s.reclaim(name, fi, ext)
+	rep.BlocksWritten = layoutBlocks(newCC, e.Blocks)
+	rep.Stripes = t.Stripes
 	rep.Extents = 1
-	if err := s.kill("swapped"); err != nil {
-		return rep, err // simulated crash: swap done, commit pending
-	}
-	if err := s.commit(record{Op: opCommit, Name: name, Ext: ext}); err != nil {
-		return rep, err
-	}
 	s.obs.add(cTcMoves, 1)
 	s.obs.add(cTcBlocksRead, int64(rep.DataBlocksRead))
 	s.obs.add(cTcBlocksWritten, int64(rep.BlocksWritten))
 	s.obs.add(cTcBytesMoved, int64(rep.DataBlocksRead+rep.BlocksWritten)*int64(s.blockSize))
-	s.journalEvent("committed", in)
 	return rep, nil
 }
 
-// transcodeExtentStream stages the extent's re-encoding under newCC
-// through the striper's source-driven pipeline: each worker reads one
-// new stripe's data blocks through the old code's read ladder
-// (readStripe) into pooled buffers it reuses across stripes, encodes,
-// and stages every replica (writeStripe) before touching the next
-// stripe. It returns the number of source data blocks actually read —
-// the extent's blocks, never the file's or any stripe padding.
-func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, newCC codec) (int, error) {
+// transcodeExtentStream writes the extent as the layout to describes
+// it — fi's blocks, re-encoded under newCC — through the striper's
+// source-driven pipeline: each worker reads one new stripe's data
+// blocks through the old code's read ladder (readStripe) into pooled
+// buffers it reuses across stripes, encodes, and writes every replica
+// (writeStripe) before touching the next stripe. It returns the number
+// of source data blocks actually read — the extent's blocks, never the
+// file's or any stripe padding.
+func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, to Extent, oldCC, newCC codec) (int, error) {
 	e := fi.Extents[ext]
 	kOld := oldCC.code.DataSymbols()
 	kNew := newCC.code.DataSymbols()
-	count := stripesFor(e.Blocks, kNew)
+	count := to.Stripes
 	var read atomic.Int64
 	// Per-stage timings: fill and emit for one stripe run back to back
 	// in the same pipeline worker with only the encode between them, so
@@ -282,8 +220,8 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 				continue
 			}
 			// Read the run of wanted blocks one old stripe holds in a
-			// single pass of the ladder — never healing: old-layout
-			// blocks must not be rewritten mid-move.
+			// single pass of the ladder — never healing: a move holds no
+			// store lock here, which a heal's rewrite needs.
 			run := min(kOld-l%kOld, e.Blocks-l, len(blocks)-j)
 			if _, err := s.readStripe(oldCC, name, fi, ext, l/kOld, l%kOld, 0, blocks[j:j+run], false); err != nil {
 				return fmt.Errorf("reading data blocks %d-%d: %w", e.Start+l, e.Start+l+run-1, err)
@@ -296,7 +234,7 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 	}
 	emit := func(stripe core.EncodedStripe) error {
 		t0 := s.obs.since(hTcEncode, fillEnd[stripe.Index])
-		err := s.writeStripe(newCC, name, fi, ext, e, stripe.Index, stripe.Symbols, tmpSuffix)
+		err := s.writeStripe(newCC, name, fi.ExtentPaths, ext, to, stripe.Index, stripe.Symbols)
 		s.obs.since(hTcWrite, t0)
 		return err
 	}
@@ -322,14 +260,6 @@ func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, oldCC, 
 	return int(read.Load()), err
 }
 
-// removeStaged best-effort deletes the staged temp blocks of a failed
-// or rolled-back move; staged holds root-relative final paths.
-func (s *Store) removeStaged(staged []string) {
-	for _, rel := range staged {
-		s.bio.Remove(filepath.Join(s.root, rel) + tmpSuffix)
-	}
-}
-
 // layoutBlocks returns the physical block replicas an extent of blocks
 // data blocks occupies under cc: full stripes plus a shortened tail.
 func layoutBlocks(cc codec, blocks int) int {
@@ -352,8 +282,11 @@ func moveCost(to codec, blocks int) int { return blocks + layoutBlocks(to, block
 // tier daemon budgets against.
 func (s *Store) TranscodeExtentCost(name string, ext int, toName string) (int, error) {
 	fi, ok := s.Info(name)
-	if !ok || ext < 0 || ext >= len(fi.Extents) {
-		return 0, fmt.Errorf("hdfsraid: no such extent %q/%d", name, ext)
+	if !ok {
+		return 0, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
+	}
+	if ext < 0 || ext >= len(fi.Extents) {
+		return 0, fmt.Errorf("hdfsraid: %q has no extent %d", name, ext)
 	}
 	from, err := s.codecByName(fi.Extents[ext].Code)
 	if err != nil {

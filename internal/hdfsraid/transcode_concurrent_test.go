@@ -58,10 +58,7 @@ func TestTranscodeParallelDistinctFiles(t *testing.T) {
 			t.Fatalf("%s wrong after parallel moves (%v)", name, err)
 		}
 	}
-	if fsck, err := s.Fsck(); err != nil || !fsck.Healthy() {
-		t.Fatalf("unhealthy after parallel moves: %+v, %v", fsck, err)
-	}
-	assertNoStagedBlocks(t, s.root)
+	assertExactLayout(t, s)
 }
 
 // TestTranscodeOverlap proves two moves of distinct files genuinely
@@ -86,7 +83,7 @@ func TestTranscodeOverlap(t *testing.T) {
 		_, err := s.Transcode("f0", "pentagon")
 		aDone <- err
 	}()
-	<-entered // A is mid-move, staged but not journaled
+	<-entered // A is mid-move, its next generation written but not recorded
 	if _, err := s.Transcode("f1", "pentagon"); err != nil {
 		t.Fatalf("concurrent move blocked behind an in-flight move: %v", err)
 	}
@@ -106,28 +103,12 @@ func TestTranscodeOverlap(t *testing.T) {
 }
 
 // TestTranscodeParallelKillPoints crashes N in-flight moves of
-// distinct files at the same journal stage and checks that reopening
-// the store recovers every one of them: the journal queue must replay
-// or roll back entry by entry, leaving each file byte-identical.
+// distinct files at the same kill point and checks that reopening the
+// store settles every one of them: each file byte-identical on one
+// code, and exactly the N generations the manifest does not name swept.
 func TestTranscodeParallelKillPoints(t *testing.T) {
 	const n = 3
-	cases := []struct {
-		point    string
-		wantCode string
-		replayed int // queue entries recovery must roll forward
-	}{
-		// All three moves die after staging, before any journal record:
-		// recovery only sweeps orphans, every file stays cold.
-		{point: "staged", wantCode: "rs-9-6", replayed: 0},
-		// All three die with their intents journaled: three queue
-		// entries, all rolled forward.
-		{point: "intent", wantCode: "pentagon", replayed: n},
-		// All three die mid-swap: forward is the only safe direction.
-		{point: "midswap", wantCode: "pentagon", replayed: n},
-		// All three die after the swap, before the commit.
-		{point: "swapped", wantCode: "pentagon", replayed: n},
-	}
-	for _, tc := range cases {
+	for _, tc := range moveKillPoints {
 		t.Run(tc.point, func(t *testing.T) {
 			dir := t.TempDir()
 			s, err := Create(dir, "rs-9-6", blockSize)
@@ -157,32 +138,20 @@ func TestTranscodeParallelKillPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := s2.LastRecovery()
-			if rec.Replayed != tc.replayed {
-				t.Fatalf("recovery = %+v, want %d replays", rec, tc.replayed)
-			}
-			if tc.replayed == 0 && rec.OrphanBlocks == 0 {
-				t.Fatalf("recovery = %+v, want an orphan sweep", rec)
-			}
-			if rec.MissingStaged != 0 {
-				t.Fatalf("recovery lost staged blocks: %+v", rec)
+			stale := n * blocksOn(t, s2, movedCode(!tc.moved, "rs-9-6", "pentagon"), 10)
+			if rec := s2.LastRecovery(); rec.Orphans != stale {
+				t.Fatalf("recovery = %+v, want %d blocks swept", rec, stale)
 			}
 			for name, data := range want {
-				if code, _ := s2.FileCode(name); code != tc.wantCode {
-					t.Fatalf("%s recovered onto %q, want %q", name, code, tc.wantCode)
+				if code, _ := s2.FileCode(name); code != movedCode(tc.moved, "rs-9-6", "pentagon") {
+					t.Fatalf("%s recovered onto %q", name, code)
 				}
 				got, err := s2.Get(name)
 				if err != nil || !bytes.Equal(got, data) {
 					t.Fatalf("%s wrong after recovery (%v)", name, err)
 				}
 			}
-			if fsck, err := s2.Fsck(); err != nil || !fsck.Healthy() {
-				t.Fatalf("unhealthy after recovery: %+v, %v", fsck, err)
-			}
-			if len(s2.manifest.Queue) != 0 {
-				t.Fatalf("journal queue not drained: %+v", s2.manifest.Queue)
-			}
-			assertNoStagedBlocks(t, dir)
+			assertExactLayout(t, s2)
 		})
 	}
 }
@@ -267,13 +236,14 @@ func TestTranscodeStreamingDegradedTail(t *testing.T) {
 }
 
 // TestRecoverSkipsLiveMove is the cross-process data-loss regression:
-// while one store handle's move is mid-staging (staged .tc blocks on
-// disk, no journal entry yet), a second handle on the same directory
-// runs Open — whose recovery pass sweeps orphan .tc blocks. The store
-// flock must make that recovery stand down (a held flock proves a
-// live owner, so there is no crash residue) instead of destroying the
-// live move's staged blocks or blocking the Open; each handle's flock
-// is a distinct open file description, exactly like two processes.
+// while one store handle's move has its next generation on disk and no
+// record yet, a second handle on the same directory runs Open — whose
+// recovery pass sweeps every generation the manifest does not name. The
+// store flock must make that recovery stand down (a held flock proves
+// a live owner, so there is no crash residue) instead of destroying the
+// generation the live move is about to commit or blocking the Open;
+// each handle's flock is a distinct open file description, exactly like
+// two processes.
 func TestRecoverSkipsLiveMove(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir, "rs-9-6", blockSize)
@@ -298,19 +268,19 @@ func TestRecoverSkipsLiveMove(t *testing.T) {
 		_, err := s.Transcode("f", "pentagon")
 		moveDone <- err
 	}()
-	<-parked // staged blocks on disk, no journal record — the sweep window
+	<-parked // the next generation on disk, no record — the sweep window
 
 	// The second handle opens promptly (no blocking behind the move),
-	// its recovery stands down, and the live staged blocks survive.
+	// its recovery stands down, and the live move's blocks survive.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := s2.LastRecovery(); !rec.Skipped || rec.Acted() {
+	if rec := s2.LastRecovery(); rec != (RecoverReport{Skipped: true}) {
 		t.Fatalf("recovery against a live move = %+v, want a stand-down", rec)
 	}
-	if matches, _ := filepath.Glob(filepath.Join(dir, "node-*", "*"+tmpSuffix)); len(matches) == 0 {
-		t.Fatal("live move's staged blocks were swept")
+	if next, _ := filepath.Glob(filepath.Join(dir, "node-*", "f.*.g1")); len(next) != blocksOn(t, s, "pentagon", 9) {
+		t.Fatalf("%d blocks of the live move's generation on disk after the Open", len(next))
 	}
 	close(release)
 	if err := <-moveDone; err != nil {
@@ -323,7 +293,7 @@ func TestRecoverSkipsLiveMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := s3.LastRecovery(); rec.Skipped || rec.Acted() {
+	if rec := s3.LastRecovery(); rec != (RecoverReport{}) {
 		t.Fatalf("recovery after a clean move = %+v, want a quiet pass", rec)
 	}
 	if code, _ := s3.FileCode("f"); code != "pentagon" {

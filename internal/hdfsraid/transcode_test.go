@@ -3,7 +3,6 @@ package hdfsraid
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -236,31 +235,26 @@ func TestTranscodeMixedRepair(t *testing.T) {
 	}
 }
 
-func TestTranscodeLeavesNoStagedBlocks(t *testing.T) {
+// TestTranscodeLeavesOneGeneration: a finished move has reclaimed the
+// generation it superseded — every block file on disk carries the new
+// one, there and back.
+func TestTranscodeLeavesOneGeneration(t *testing.T) {
 	s := newStore(t, "rs-9-6")
 	if err := s.Put("f", randomFile(t, blockSize*6, 37)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Transcode("f", "pentagon"); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(s.root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range entries {
-		if !dir.IsDir() {
-			continue
-		}
-		files, err := os.ReadDir(s.root + "/" + dir.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			if strings.HasSuffix(f.Name(), tmpSuffix) {
-				t.Fatalf("staged block left behind: %s/%s", dir.Name(), f.Name())
+	for gen, to := range []string{"", "pentagon", "rs-9-6"} {
+		if gen > 0 {
+			if rep, err := s.Transcode("f", to); err != nil || rep.BlocksRemoved == 0 {
+				t.Fatalf("move to %s: %+v, %v", to, rep, err)
 			}
 		}
+		for rel := range blockFiles(t, s) {
+			if want := fmt.Sprintf(".g%d", gen); gen > 0 && !strings.HasSuffix(rel, want) || gen == 0 && strings.Contains(rel, ".g") {
+				t.Fatalf("%s on disk at generation %d", rel, gen)
+			}
+		}
+		assertExactLayout(t, s)
 	}
 }
 

@@ -251,6 +251,9 @@ func (d *Daemon) Tick(now float64) ([]MoveResult, error) {
 		var est float64
 		if d.bucket != nil {
 			blocks, err := d.m.Target.ExtentMoveCost(mv.Name, mv.Ext, mv.To)
+			if vanished(err) {
+				continue
+			}
 			if err != nil {
 				d.stats.Errors++
 				d.lastErr = err
@@ -297,6 +300,9 @@ func (d *Daemon) Tick(now float64) ([]MoveResult, error) {
 		if err != nil {
 			if d.bucket != nil {
 				d.bucket.Settle(now, -est) // refund the unexecuted move
+			}
+			if vanished(err) {
+				continue
 			}
 			d.stats.Errors++
 			d.lastErr = err

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -191,7 +192,9 @@ func (m *Manager) execute(mv Move, now float64) (MoveResult, error) {
 // online transcoding, hottest file first, so the files foreground
 // traffic cares about most are repaired onto their target tier before
 // colder ones — and before any error cuts the pass short. It stops at
-// the first transcode error, returning the moves already made. Against
+// the first transcode error, returning the moves already made; a move
+// whose file a DELETE took since the scan decided is no error, just
+// skipped (see vanished). Against
 // the on-disk store, each move runs through the store's streaming
 // transcode pipeline (per-stripe degraded reads feeding the encoder
 // from pooled buffers), so steady-state rebalance traffic stays off
@@ -210,6 +213,9 @@ func (m *Manager) Rebalance(now float64) ([]MoveResult, error) {
 	var done []MoveResult
 	for _, mv := range moves {
 		res, err := m.execute(mv, now)
+		if vanished(err) {
+			continue
+		}
 		if err != nil {
 			return done, err
 		}
@@ -217,6 +223,12 @@ func (m *Manager) Rebalance(now float64) ([]MoveResult, error) {
 	}
 	return done, nil
 }
+
+// vanished reports whether a move (or its pricing) failed only because
+// its file was deleted between the scan that decided it and its turn:
+// on a served shard that is a DELETE doing its job, not a reason to
+// drop the colder moves behind it.
+func vanished(err error) bool { return errors.Is(err, hdfsraid.ErrNotFound) }
 
 // rebalanceParallel executes the ordered moves through a bounded
 // worker pool. Workers pull moves in hottest-first order; on error the
@@ -245,6 +257,9 @@ func (m *Manager) rebalanceParallel(moves []Move, now float64) ([]MoveResult, er
 					return
 				}
 				res, err := m.execute(moves[i], now)
+				if vanished(err) {
+					continue
+				}
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -383,5 +384,88 @@ func TestRebalanceParallelError(t *testing.T) {
 	}
 	if len(moves) != 2 {
 		t.Fatalf("completed moves = %+v, want 2", moves)
+	}
+}
+
+// deletingTarget is a store target on which a DELETE of victim lands
+// between the scan that decided the moves and the first one's turn —
+// at its pricing, or at the move itself.
+type deletingTarget struct {
+	StoreTarget
+	victim  string
+	atPrice bool
+	once    sync.Once
+}
+
+func (d *deletingTarget) ExtentMoveCost(name string, ext int, codeName string) (int, error) {
+	if d.atPrice {
+		d.once.Do(func() { d.Store.Delete(d.victim) })
+	}
+	return d.StoreTarget.ExtentMoveCost(name, ext, codeName)
+}
+
+func (d *deletingTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
+	d.once.Do(func() { d.Store.Delete(d.victim) })
+	return d.StoreTarget.TranscodeExtent(name, ext, codeName)
+}
+
+// TestDaemonSkipsVanishedFile: a DELETE that takes the hottest
+// candidate after the scan decided to move it costs that one move —
+// the colder ones still run and nothing is reported as an error — on
+// the daemon (priced and unpriced) and on both Rebalance paths. At the
+// parent commit the store reported the vanished file without wrapping
+// ErrNotFound and the first such move ended the whole tick.
+func TestDaemonSkipsVanishedFile(t *testing.T) {
+	for _, mode := range []string{"daemon", "daemon-priced", "rebalance", "rebalance-parallel"} {
+		t.Run(mode, func(t *testing.T) {
+			s, err := hdfsraid.Create(t.TempDir(), "rs-14-10", blockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := NewTracker(0)
+			for i, name := range []string{"hottest", "warm", "warmish"} {
+				if err := s.Put(name, randomBytes(10*blockSize, int64(i))); err != nil {
+					t.Fatal(err)
+				}
+				tr.TouchN(name, float64(30-10*i), 0)
+			}
+			target := &deletingTarget{StoreTarget: StoreTarget{s}, victim: "hottest", atPrice: mode == "daemon-priced"}
+			m, err := NewManager(target, testPolicy(), tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var moves []MoveResult
+			switch mode {
+			case "rebalance-parallel":
+				m.MoveWorkers = 2
+				fallthrough
+			case "rebalance":
+				moves, err = m.Rebalance(1)
+			default:
+				cfg := DaemonConfig{Interval: 1}
+				if target.atPrice {
+					cfg.BytesPerSec, cfg.Burst, cfg.BlockBytes = 1e9, 1e9, blockSize
+				}
+				d, derr := NewDaemon(m, cfg)
+				if derr != nil {
+					t.Fatal(derr)
+				}
+				moves, err = d.Tick(1)
+				if d.Err() != nil || d.Stats().Errors != 0 || d.Stats().Moves != 2 {
+					t.Fatalf("daemon after the tick: Err %v, stats %+v", d.Err(), d.Stats())
+				}
+			}
+			if err != nil || len(moves) != 2 {
+				t.Fatalf("moves = %+v, %v; want the two colder files moved and no error", moves, err)
+			}
+			if _, ok := s.Info("hottest"); ok {
+				t.Fatal("the DELETE never landed")
+			}
+			for _, name := range []string{"warm", "warmish"} {
+				if code, _ := s.FileCode(name); code != "pentagon" {
+					t.Fatalf("%s on %q, want promoted", name, code)
+				}
+			}
+		})
 	}
 }

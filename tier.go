@@ -54,14 +54,8 @@ func NewTierManager(s *Store, policy TierPolicy, tracker *HeatTracker) (*TierMan
 // TranscodeReport summarizes one online transcode between codes.
 type TranscodeReport = hdfsraid.TranscodeReport
 
-// TranscodeIntent is the crash-recovery journal record of an
-// in-flight transcode, persisted in the store manifest before any
-// destructive swap step.
-type TranscodeIntent = hdfsraid.TranscodeIntent
-
-// RecoverReport summarizes the journal recovery pass OpenStore runs:
-// interrupted transcodes replayed or rolled back, orphan staged
-// blocks swept.
+// RecoverReport summarizes the recovery pass OpenStore runs: the stale
+// block files a killed extent move left behind, swept.
 type RecoverReport = hdfsraid.RecoverReport
 
 // TierDaemon is the autonomous background rebalancer: it scans the
