@@ -32,11 +32,12 @@
 // exiting.
 //
 // reshard changes a serving directory's shard count offline: -to N
-// plans and runs a grow to N shards, journaling per-name progress so a
-// killed run resumes with -resume; -status reports the journal without
+// writes a pending record and runs a grow to N shards; a killed run
+// resumes with -resume, which re-derives the names left from the
+// shards' own listings; -status reports how many are left without
 // moving anything. The same mover runs live under serve through
-// POST /admin/reshard. A directory whose journal shows an unfinished
-// reshard refuses a plain serve with a one-line diagnosis; serve
+// POST /admin/reshard. A directory with a pending record refuses a
+// plain serve with a one-line diagnosis; serve
 // -resume-reshard serves it (dual-ring routing keeps every name
 // readable) and finishes the moves in the background.
 //
@@ -755,7 +756,7 @@ func doServe(store string, args []string) error {
 		return err
 	}
 	// Attach the resharder so /admin/reshard works; with -resume-reshard
-	// it also finishes any journaled reshard in the background while the
+	// it also finishes any pending reshard in the background while the
 	// dual-ring router keeps every name servable.
 	ctl, err := reshard.Attach(store, srv, reshard.Options{})
 	if err != nil {
@@ -803,25 +804,24 @@ func doServe(store string, args []string) error {
 	return srv.Close()
 }
 
-// reshardProgress summarizes a serving root's reshard journal for the
+// reshardProgress names a serving root's pending reshard for the
 // one-line mid-reshard diagnosis.
 func reshardProgress(store string) string {
-	j, err := reshard.ReadJournal(store)
-	if err != nil || j == nil {
-		return "journal unreadable"
+	p, err := reshard.ReadPending(store)
+	if err != nil || p == nil {
+		return "pending record unreadable"
 	}
-	done, skipped, total := j.Progress()
-	return fmt.Sprintf("%d -> %d shards, %d/%d names moved, %d skipped", j.FromShards, j.ToShards, done, total, skipped)
+	return fmt.Sprintf("%d -> %d shards", p.FromShards, p.ToShards)
 }
 
-// doReshard changes a serving directory's shard count offline: plan
-// and run with -to N, continue a journaled run with -resume, or report
-// the journal with -status. The directory is opened in resume mode so
-// a half-resharded root is servable here by construction.
+// doReshard changes a serving directory's shard count offline: run a
+// grow with -to N, continue a pending one with -resume, or report the
+// names it has left with -status. The directory is opened in resume
+// mode so a half-resharded root is servable here by construction.
 func doReshard(store string, args []string) error {
 	fs := flag.NewFlagSet("reshard", flag.ExitOnError)
 	to := fs.Int("to", 0, "target shard count (must exceed the current count)")
-	resume := fs.Bool("resume", false, "resume the journaled reshard")
+	resume := fs.Bool("resume", false, "resume the pending reshard")
 	status := fs.Bool("status", false, "report reshard state without moving anything")
 	throttle := fs.Float64("throttle", 0, "seconds to sleep between names (trickle pacing)")
 	if err := fs.Parse(args); err != nil {
@@ -847,15 +847,15 @@ func doReshard(store string, args []string) error {
 			fmt.Printf("no reshard pending: %d shards, single-ring routing\n", srv.NumShards())
 			return nil
 		}
-		fmt.Printf("reshard %d -> %d pending: %d/%d names moved, %d skipped (resume with 'hdfscli -store %s reshard -resume')\n",
-			st.From, st.To, st.Done, st.Total, st.Skipped, store)
+		fmt.Printf("reshard %d -> %d pending: %d names left to move (resume with 'hdfscli -store %s reshard -resume')\n",
+			st.From, st.To, st.Total-st.Done, store)
 		return nil
 	}
 	switch {
 	case *resume:
 		if err := ctl.Resume(); err != nil {
 			if errors.Is(err, reshard.ErrNothingPending) {
-				fmt.Printf("nothing to resume: no reshard journaled at %s\n", store)
+				fmt.Printf("nothing to resume: no reshard pending at %s\n", store)
 				return nil
 			}
 			return err

@@ -1,6 +1,7 @@
 // Package durable is the one place a metadata file becomes durable and
-// the one advisory file lock: the reshard journal, the tier dwell
-// sidecar and the metrics snapshot commit through WriteFile;
+// the one advisory file lock: the reshard pending record, the tier
+// dwell sidecar and the metrics snapshot commit through WriteFile (and
+// the pending record leaves through Remove);
 // the store's manifest and the tier heat are each a SnapLog — a
 // WriteFile'd snapshot plus a Log of the records since, tied together
 // by a generation; and the store's mover lock and the heat log's flush
@@ -15,10 +16,10 @@ import (
 
 var syncs atomic.Int64
 
-// Syncs returns the number of fsyncs this process's WriteFile and Log
-// calls have issued, file and directory alike: two per committed file,
-// one per Append. Tests difference it around an operation to pin its
-// metadata cost.
+// Syncs returns the number of fsyncs this process's WriteFile, Remove
+// and Log calls have issued, file and directory alike: two per
+// committed file, one per removal, one per Append. Tests difference it
+// around an operation to pin its metadata cost.
 func Syncs() int64 { return syncs.Load() }
 
 // WriteFile replaces path with data so that a crash at any point —
@@ -53,7 +54,17 @@ func WriteFile(path string, data []byte) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// syncDir makes a rename or create inside dir durable.
+// Remove deletes path, tolerating its absence, then fsyncs the parent
+// directory so the removal survives power loss: once Remove returns,
+// the file cannot come back.
+func Remove(path string) error {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes a rename, create or removal inside dir durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -69,6 +69,36 @@ func TestWriteFileFailureKeepsOld(t *testing.T) {
 	}
 }
 
+// TestRemove: a removal costs exactly one fsync — the parent
+// directory's, which makes it survive power loss — removing a file
+// that is already gone is not an error, and a removal that fails
+// returns its error.
+func TestRemove(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pending.json")
+	if err := WriteFile(path, []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the second removes nothing
+		before := Syncs()
+		if err := Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if got := Syncs() - before; got != 1 {
+			t.Fatalf("Remove #%d issued %d fsyncs, want 1 (the directory)", i+1, got)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("file still there after Remove: %v", err)
+		}
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "full", "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Remove(filepath.Join(dir, "full")); err == nil {
+		t.Fatal("Remove of a non-empty directory succeeded")
+	}
+}
+
 // TestWriteFileReadersNeverSeeTorn: while one goroutine commits
 // alternating large contents, a reader only ever sees one of them
 // whole — never a prefix, never an empty file.

@@ -12,6 +12,15 @@ import (
 	"repro/internal/loadgen"
 )
 
+// shortRetries lowers the per-name retry budget and backoff for one
+// test, restoring the production values after it.
+func shortRetries(t *testing.T, n int, base time.Duration) {
+	t.Helper()
+	oldN, oldBase := retries, backoff
+	retries, backoff = n, base
+	t.Cleanup(func() { retries, backoff = oldN, oldBase })
+}
+
 // TestReshardChaos is the acceptance gauntlet: a 4 -> 6 reshard under
 // concurrent loadgen traffic WITH fault injection on every source
 // shard (transient read errors, silent bit flips, torn writes) AND a
@@ -35,7 +44,8 @@ func TestReshardChaos(t *testing.T) {
 		injectors[i].SetEnabled(false) // preload runs fault-free
 		srv.Shard(i).SetBlockIO(injectors[i])
 	}
-	ctl, err := Attach(root, srv, Options{Retries: 8, Backoff: 2 * time.Millisecond, Throttle: 5 * time.Millisecond})
+	shortRetries(t, 8, 2*time.Millisecond)
+	ctl, err := Attach(root, srv, Options{Throttle: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +76,12 @@ func TestReshardChaos(t *testing.T) {
 	}()
 	time.Sleep(150 * time.Millisecond)
 
-	// First run dies mid-reshard (once, at a committed transition), as
-	// if the process was killed while moving under fire.
+	// First run dies mid-reshard (once, right after its second copy),
+	// as if the process was killed while moving under fire.
 	killed := false
 	fired := 0
 	ctl.killHook = func(p, _ string) error {
-		if p == "committed" {
+		if p == "copied" {
 			if fired++; fired == 2 && !killed {
 				killed = true
 				return errors.New("chaos kill")

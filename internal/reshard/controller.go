@@ -1,47 +1,36 @@
 package reshard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/hdfsraid"
 	"repro/internal/serve"
 )
 
-// Options bounds the mover's behavior. Zero values take defaults.
+// Options paces the mover.
 type Options struct {
-	// Retries is the per-name retry budget for transient failures
-	// (injected I/O errors, racing deletes). A name that exhausts it
-	// is parked with its error recorded and retried on the next
-	// resume; the rest of the reshard proceeds. Default 4.
-	Retries int
-	// Backoff is the base delay between a name's retries; it doubles
-	// per attempt up to BackoffMax. Defaults 50ms / 2s.
-	Backoff    time.Duration
-	BackoffMax time.Duration
 	// Throttle sleeps between names so a reshard trickles instead of
 	// saturating the disks under live traffic. Default 0 (no pacing).
 	Throttle time.Duration
 }
 
-func (o Options) withDefaults() Options {
-	if o.Retries <= 0 {
-		o.Retries = 4
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-	return o
-}
+// A transient per-name failure (an injected I/O error, a racing
+// delete) is retried up to retries times, the delay doubling from
+// backoff up to backoffMax; a name that still fails is parked until
+// the next resume while the rest of the reshard proceeds. They are
+// variables only so the chaos test can shorten them.
+var (
+	retries    = 4
+	backoff    = 50 * time.Millisecond
+	backoffMax = 2 * time.Second
+)
 
-// ErrNothingPending reports a Resume with no journaled reshard — the
+// ErrNothingPending reports a Resume with no pending reshard — the
 // previous one finished (or none was ever started). Resuming a
 // finished reshard is a clean no-op by design: double-resume must
 // never corrupt anything.
@@ -51,16 +40,13 @@ var ErrNothingPending = errors.New("reshard: nothing to resume")
 // run stops with no cleanup, exactly as if the process had died.
 var errKilled = errors.New("reshard: killed")
 
-// errSrcGone and errDstGone classify a verify that found one side of
-// the move missing — racing client deletes, crash residue — so the
-// state machine can settle the name instead of retrying forever.
-var (
-	errSrcGone = errors.New("reshard: source copy gone")
-	errDstGone = errors.New("reshard: destination copy gone")
-)
+// errSrcGone reports a verify that found the source copy gone: a
+// client delete raced the move, which moveName settles instead of
+// retrying.
+var errSrcGone = errors.New("reshard: source copy gone")
 
-// Controller owns one serving root's reshard lifecycle: planning,
-// moving, journaling, resuming, and the server's dual-ring routing
+// Controller owns one serving root's reshard lifecycle: the pending
+// record, moving, resuming, and the server's dual-ring routing
 // hand-off. It implements serve.ReshardControl, so /admin/reshard
 // drives it live; hdfscli reshard drives it offline through the same
 // methods.
@@ -69,54 +55,62 @@ type Controller struct {
 	srv  *serve.Server
 	opt  Options
 
-	mu      sync.Mutex
-	j       *Journal          // nil when no reshard is pending
-	index   map[string]*Entry // by name; mirrors j.Entries
+	mu sync.Mutex
+	p  *Pending // nil when no reshard is pending
+	// left holds the names still to move, true once parked after
+	// exhausting their retries; it answers inFlight. moved counts the
+	// names this run settled.
+	left    map[string]bool
+	moved   int
 	running bool
 	lastErr error
 	done    chan struct{}
-	// final* preserve the last finished reshard's counts after the
-	// journal (and with it Progress) is gone.
-	finalDone, finalSkipped, finalTotal int
 
 	// killHook simulates a crash at named points for kill-point
 	// tests; production controllers have no hook.
 	killHook func(point, name string) error
 }
 
+// move is one name leaving old-ring shard from for new-ring shard to.
+type move struct {
+	name     string
+	from, to int
+}
+
 // Attach builds the controller for a serving root and wires it into
-// the server: if a journaled reshard is pending, Attach immediately
-// grows the shard set and restores dual-ring routing — BEFORE any
-// data moves — so every name is servable the moment traffic starts;
-// the mover itself runs only when Start or Resume says so. Attach
-// also registers the controller for the /admin/reshard endpoints.
+// the server: if a reshard is pending, Attach immediately grows the
+// shard set, derives the names still to move and restores dual-ring
+// routing — BEFORE any data moves — so every name is servable the
+// moment traffic starts; the mover itself runs only when Start or
+// Resume says so. Attach also registers the controller for the
+// /admin/reshard endpoints.
 func Attach(root string, srv *serve.Server, opt Options) (*Controller, error) {
-	c := &Controller{root: root, srv: srv, opt: opt.withDefaults()}
-	j, err := ReadJournal(root)
+	c := &Controller{root: root, srv: srv, opt: opt}
+	p, err := ReadPending(root)
 	if err != nil {
 		return nil, err
 	}
-	if j != nil {
-		if j.Vnodes != srv.Vnodes() {
-			return nil, fmt.Errorf("reshard: journal was written under vnodes=%d but the server uses %d; refusing to move names under a different ring", j.Vnodes, srv.Vnodes())
+	if p != nil {
+		if p.Vnodes != srv.Vnodes() {
+			return nil, fmt.Errorf("reshard: pending reshard was started under vnodes=%d but the server uses %d; refusing to move names under a different ring", p.Vnodes, srv.Vnodes())
 		}
-		if j.ToShards <= j.FromShards || j.FromShards <= 0 {
-			return nil, fmt.Errorf("reshard: corrupt journal: %d -> %d shards", j.FromShards, j.ToShards)
+		if p.ToShards <= p.FromShards || p.FromShards <= 0 {
+			return nil, fmt.Errorf("reshard: corrupt pending record: %d -> %d shards", p.FromShards, p.ToShards)
 		}
-		c.j = j
-		c.rebuildIndex()
-		if err := srv.Grow(j.ToShards); err != nil {
+		c.p = p
+		if err := srv.Grow(p.ToShards); err != nil {
 			return nil, err
 		}
-		srv.BeginResharding(j.FromShards, c.inFlight)
+		c.track(c.diff(p))
+		srv.BeginResharding(p.FromShards, c.inFlight)
 		c.setGauges()
 	}
 	srv.SetReshardControl(c)
 	return c, nil
 }
 
-// Start plans and runs a reshard to `to` shards, asynchronously. The
-// journal is written before anything else changes on disk, so a crash
+// Start runs a reshard to `to` shards, asynchronously. The pending
+// record is written before anything else changes on disk, so a crash
 // at any later point is resumable; the caller polls Status or blocks
 // on Wait.
 func (c *Controller) Start(to int) error {
@@ -125,25 +119,24 @@ func (c *Controller) Start(to int) error {
 	if c.running {
 		return errors.New("reshard: already running")
 	}
-	if c.j != nil {
-		return errors.New("reshard: an unfinished reshard is journaled; resume it instead of starting a new one")
+	if c.p != nil {
+		return errors.New("reshard: an unfinished reshard is pending; resume it instead of starting a new one")
 	}
 	from := c.srv.NumShards()
 	if to <= from {
 		return fmt.Errorf("reshard: target %d must exceed the current %d shards (shrinking is not supported)", to, from)
 	}
-	j := &Journal{FromShards: from, ToShards: to, Vnodes: c.srv.Vnodes()}
-	if err := j.save(c.root); err != nil {
+	p := &Pending{FromShards: from, ToShards: to, Vnodes: c.srv.Vnodes()}
+	if err := p.write(c.root); err != nil {
 		return err
 	}
-	c.j = j
-	c.index = map[string]*Entry{}
+	c.p = p
 	c.begin()
 	return nil
 }
 
-// Resume continues a journaled reshard, asynchronously. With nothing
-// journaled it returns ErrNothingPending and changes nothing — the
+// Resume continues a pending reshard, asynchronously. With nothing
+// pending it returns ErrNothingPending and changes nothing — the
 // double-resume no-op.
 func (c *Controller) Resume() error {
 	c.mu.Lock()
@@ -151,7 +144,7 @@ func (c *Controller) Resume() error {
 	if c.running {
 		return errors.New("reshard: already running")
 	}
-	if c.j == nil {
+	if c.p == nil {
 		return ErrNothingPending
 	}
 	c.srv.Obs().Counter("reshard_resumes_total").Inc()
@@ -163,6 +156,7 @@ func (c *Controller) Resume() error {
 func (c *Controller) begin() {
 	c.running = true
 	c.lastErr = nil
+	c.moved = 0
 	c.done = make(chan struct{})
 	go c.run()
 }
@@ -189,57 +183,84 @@ func (c *Controller) Wait() error {
 func (c *Controller) Status() serve.ReshardStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := serve.ReshardStatus{Epoch: c.srv.ReshardEpoch(), Active: c.running}
+	st := serve.ReshardStatus{Epoch: c.srv.ReshardEpoch(), Active: c.running, Present: c.p != nil}
 	if c.lastErr != nil {
 		st.Err = c.lastErr.Error()
 	}
-	if c.j == nil {
-		st.Done, st.Skipped, st.Total = c.finalDone, c.finalSkipped, c.finalTotal
-		return st
+	if c.p != nil {
+		st.From, st.To = c.p.FromShards, c.p.ToShards
 	}
-	st.Present = true
-	st.From, st.To = c.j.FromShards, c.j.ToShards
-	st.Done, st.Skipped, st.Total = c.j.Progress()
+	st.Done, st.Skipped, st.Total = c.counts()
 	return st
 }
 
-// inFlight reports whether a name is mid-move: planned and not yet
-// settled. The router consults it to answer 503 instead of 404 when
-// both rings miss.
+// counts reports the names settled, parked, and moved plus left.
+// Caller holds mu.
+func (c *Controller) counts() (done, parked, total int) {
+	for _, p := range c.left {
+		if p {
+			parked++
+		}
+	}
+	return c.moved, parked, c.moved + len(c.left)
+}
+
+// inFlight reports whether a name is mid-move: derived as due and not
+// yet settled. The router consults it to answer 503 instead of 404
+// when both rings miss.
 func (c *Controller) inFlight(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.index[name]
-	return ok && e.State != StateDone
+	_, ok := c.left[name]
+	return ok
 }
 
-// rebuildIndex refreshes the by-name map. Caller holds mu.
-func (c *Controller) rebuildIndex() {
-	c.index = make(map[string]*Entry, len(c.j.Entries))
-	for _, e := range c.j.Entries {
-		c.index[e.Name] = e
+// diff lists the moves still due, straight from the stores: every name
+// an old shard holds whose new-ring home is another shard.
+func (c *Controller) diff(p *Pending) []move {
+	newR := serve.NewRing(p.ToShards, p.Vnodes)
+	var moves []move
+	for i := 0; i < p.FromShards; i++ {
+		for _, name := range c.srv.Shard(i).Files() {
+			if j := newR.Shard(name); j != i {
+				moves = append(moves, move{name, i, j})
+			}
+		}
 	}
+	return moves
 }
 
-// setGauges publishes progress into the server registry. Never holds
-// mu-protected state beyond plain reads by the caller.
+// track makes moves the names left.
+func (c *Controller) track(moves []move) {
+	left := make(map[string]bool, len(moves))
+	for _, m := range moves {
+		left[m.name] = false
+	}
+	c.mu.Lock()
+	c.left = left
+	c.mu.Unlock()
+}
+
+// setGauges publishes progress into the server registry.
 func (c *Controller) setGauges() {
+	c.mu.Lock()
+	done, total := c.moved, c.moved+len(c.left)
+	pending := c.p != nil
+	c.mu.Unlock()
 	reg := c.srv.Obs()
 	reg.Gauge("reshard_epoch").Set(float64(c.srv.ReshardEpoch()))
-	if c.j == nil {
-		reg.Gauge("reshard_progress").Set(1)
-		return
+	progress := 1.0
+	if pending {
+		progress = 0
+		if total > 0 {
+			progress = float64(done) / float64(total)
+		}
 	}
-	done, _, total := c.j.Progress()
-	if total > 0 {
-		reg.Gauge("reshard_progress").Set(float64(done) / float64(total))
-	} else {
-		reg.Gauge("reshard_progress").Set(0)
-	}
+	reg.Gauge("reshard_progress").Set(progress)
 }
 
-// run executes (or resumes) the whole reshard: grow, plan, move every
-// name, settle. It records the terminal error and wakes Wait.
+// run executes (or resumes) the whole reshard and records the terminal
+// error and wakes Wait.
 func (c *Controller) run() {
 	err := c.runMoves()
 	c.mu.Lock()
@@ -250,305 +271,165 @@ func (c *Controller) run() {
 	c.srv.Obs().Gauge("reshard_active").Set(0)
 }
 
-// runMoves is the mover body. Any error return leaves the journal and
-// the dual-ring routing in place — exactly the state a resume needs.
+// runMoves is the mover body. Any error return leaves the pending
+// record and the dual-ring routing in place — exactly the state a
+// resume needs.
 func (c *Controller) runMoves() error {
 	c.mu.Lock()
-	j := c.j
+	p := c.p
 	c.mu.Unlock()
 	reg := c.srv.Obs()
 	reg.Gauge("reshard_active").Set(1)
 
 	// Grow first so the new ring has shards to point at, then switch
-	// to dual-ring routing BEFORE planning: from this moment every
-	// new put lands on its post-reshard home and can never be
-	// stranded by the plan snapshot.
-	if err := c.srv.Grow(j.ToShards); err != nil {
+	// to dual-ring routing BEFORE listing: from this moment every new
+	// put lands on its post-reshard home. A put routed just before the
+	// switch may still commit on an old shard, so the diff repeats
+	// until it comes back empty.
+	if err := c.srv.Grow(p.ToShards); err != nil {
 		return err
 	}
-	c.srv.BeginResharding(j.FromShards, c.inFlight)
+	c.srv.BeginResharding(p.FromShards, c.inFlight)
 	reg.Gauge("reshard_epoch").Set(float64(c.srv.ReshardEpoch()))
-
-	if !j.Planned {
-		oldR := serve.NewRing(j.FromShards, j.Vnodes)
-		newR := serve.NewRing(j.ToShards, j.Vnodes)
-		var entries []*Entry
-		for _, name := range c.srv.Files() {
-			if f, t := oldR.Shard(name), newR.Shard(name); f != t {
-				entries = append(entries, &Entry{Name: name, From: f, To: t, State: StateStaged})
-			}
-		}
-		c.mu.Lock()
-		j.Entries = entries
-		j.Planned = true
-		c.rebuildIndex()
-		err := j.save(c.root)
-		c.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		reg.Counter("reshard_names_planned_total").Add(int64(len(entries)))
-	}
-	if err := c.kill("planned", ""); err != nil {
-		return err
-	}
-
-	c.mu.Lock()
-	entries := j.Entries
-	c.mu.Unlock()
-	for _, e := range entries {
-		c.mu.Lock()
-		state, parked := e.State, e.Err
-		e.Err = "" // a resume retries parked names
-		c.mu.Unlock()
-		if state == StateDone {
-			continue
-		}
-		_ = parked
-		if err := c.moveOne(e); err != nil {
+	for moves := c.diff(p); len(moves) > 0; moves = c.diff(p) {
+		c.track(moves)
+		for _, m := range moves {
+			err := c.moveOne(m)
 			if errors.Is(err, errKilled) {
 				return err
 			}
-			// Parked: recorded on the entry, reported at the end;
-			// the rest of the reshard is not hostage to one name.
-			continue
+			c.mu.Lock()
+			if err != nil {
+				c.left[m.name] = true
+			} else {
+				delete(c.left, m.name)
+				c.moved++
+			}
+			c.mu.Unlock()
+			c.setGauges()
+			if c.opt.Throttle > 0 {
+				time.Sleep(c.opt.Throttle)
+			}
 		}
-		c.setGauges()
-		if c.opt.Throttle > 0 {
-			time.Sleep(c.opt.Throttle)
+		c.mu.Lock()
+		done, parked, total := c.counts()
+		c.mu.Unlock()
+		if parked > 0 {
+			return fmt.Errorf("reshard: %d of %d names parked after retries (%d settled); resume to retry them", parked, total, done)
 		}
 	}
-
-	c.mu.Lock()
-	done, skipped, total := j.Progress()
-	c.mu.Unlock()
-	if skipped > 0 {
-		return fmt.Errorf("reshard: %d of %d names parked after retries (%d settled); resume to retry them", skipped, total, done)
-	}
-	// Everything settled: drop the journal (the durable "finished"
-	// act), then collapse routing back to one ring.
-	c.mu.Lock()
-	err := j.remove(c.root)
-	if err == nil {
-		c.finalDone, c.finalSkipped, c.finalTotal = done, skipped, total
-		c.j = nil
-		c.index = nil
-	}
-	c.mu.Unlock()
-	if err != nil {
+	// Everything settled: drop the pending record (the durable
+	// "finished" act), then collapse routing back to one ring.
+	if err := durable.Remove(pendingPath(c.root)); err != nil {
 		return err
 	}
+	c.mu.Lock()
+	c.p, c.left = nil, nil
+	c.mu.Unlock()
 	c.srv.FinishResharding()
 	c.setGauges()
 	return nil
 }
 
-// moveOne drives one name through the state ladder with bounded
-// retries on transient failures. A kill-hook abort propagates
-// immediately; a retry-budget exhaustion parks the name and returns
-// its error.
-func (c *Controller) moveOne(e *Entry) error {
-	src := c.srv.Shard(e.From)
-	dst := c.srv.Shard(e.To)
+// moveOne runs moveName with bounded retries on transient failures. A
+// kill-hook abort propagates immediately; a name that exhausts its
+// retries returns its last error and is parked by the caller.
+func (c *Controller) moveOne(m move) error {
 	reg := c.srv.Obs()
-	attempt := 0
-	for {
-		err := c.step(e, src, dst)
-		if err == nil {
-			c.mu.Lock()
-			settled := e.State == StateDone
-			c.mu.Unlock()
-			if settled {
-				return nil
-			}
-			continue
-		}
-		if errors.Is(err, errKilled) {
+	for attempt := 0; ; attempt++ {
+		err := c.moveName(m)
+		if err == nil || errors.Is(err, errKilled) {
 			return err
 		}
-		attempt++
-		reg.Counter("reshard_retries_total").Inc()
-		if attempt > c.opt.Retries {
-			c.mu.Lock()
-			e.Err = err.Error()
-			saveErr := c.j.save(c.root)
-			c.mu.Unlock()
+		if attempt == retries {
 			reg.Counter("reshard_names_skipped_total").Inc()
-			if saveErr != nil {
-				return saveErr
-			}
 			return err
 		}
-		backoff := c.opt.Backoff << (attempt - 1)
-		if backoff > c.opt.BackoffMax {
-			backoff = c.opt.BackoffMax
-		}
-		time.Sleep(backoff)
+		reg.Counter("reshard_retries_total").Inc()
+		time.Sleep(min(backoff<<attempt, backoffMax))
 	}
 }
 
-// step advances a name one journal transition. Every branch is
-// idempotent: re-running a step after a crash or retry converges.
-func (c *Controller) step(e *Entry, src, dst *hdfsraid.Store) error {
-	c.mu.Lock()
-	state := e.State
-	c.mu.Unlock()
-	switch state {
-	case StateStaged:
-		if _, ok := src.Info(e.Name); !ok {
-			// The source no longer holds the name: a client deleted it
-			// (front-door deletes hit both rings mid-reshard) or it
-			// was ingested straight onto the new ring after planning.
-			// Either way there is nothing to move.
-			return c.advance(e, StateDone, "done")
-		}
-		if _, ok := dst.Info(e.Name); ok {
-			// A complete destination copy already exists — our own
-			// ingest from a run that died between the PutReader commit
-			// and the journal write, or fresher client data. Claim
-			// copied; the verify step tells the two apart.
-			return c.advance(e, StateCopied, "copied")
-		}
-		if err := c.copy(e, src, dst); err != nil {
-			return err
-		}
-		if err := c.kill("copy-data", e.Name); err != nil {
-			return err
-		}
-		return c.advance(e, StateCopied, "copied")
-
-	case StateCopied:
-		eq, err := c.compare(e, src, dst)
-		switch {
-		case errors.Is(err, errSrcGone):
-			// A client delete raced the copy; respect it.
-			if _, derr := dst.Delete(e.Name); derr != nil && !errors.Is(derr, hdfsraid.ErrNotFound) {
-				return derr
-			}
-			return c.advance(e, StateDone, "done")
-		case errors.Is(err, errDstGone):
-			// The destination copy vanished (a crashed ingest rolled
-			// back on reopen, or a partial racing delete): one rung
-			// back and re-copy.
-			return c.regress(e)
-		case err != nil:
-			return err
-		case !eq:
-			// The destination holds different bytes: a client deleted
-			// and re-ingested the name mid-reshard. New-ring readers
-			// already see that copy, so it is authoritative; the stale
-			// source copy is dropped by the committed step.
-			return c.advance(e, StateCommitted, "committed")
-		default:
-			return c.advance(e, StateCommitted, "committed")
-		}
-
-	case StateCommitted:
-		// The destination is verified; the source copy is now
-		// redundant. Tolerating "already gone" makes the delete — and
-		// with it every resume through this state — idempotent.
-		if _, err := src.Delete(e.Name); err != nil && !errors.Is(err, hdfsraid.ErrNotFound) {
-			return err
-		}
-		if err := c.kill("deleted", e.Name); err != nil {
-			return err
-		}
-		c.srv.Obs().Counter("reshard_names_moved_total").Inc()
-		return c.advance(e, StateDone, "done")
+// moveName settles one name wherever the stores say it is: only on
+// the source, it is copied; on both, the destination copy is verified
+// and the source deleted; no longer on the source, it is done. Every
+// branch is idempotent, so a retry, a crash or a second resume
+// converges.
+func (c *Controller) moveName(m move) error {
+	src, dst := c.srv.Shard(m.from), c.srv.Shard(m.to)
+	fi, ok := src.Info(m.name)
+	if !ok {
+		// Moved by an earlier run, or deleted by a client (front-door
+		// deletes hit both rings mid-reshard): nothing to move.
+		return nil
 	}
-	return nil
-}
-
-// advance journals a state transition durably, then fires the
-// matching kill point so tests can crash exactly between the save and
-// the next step.
-func (c *Controller) advance(e *Entry, to State, point string) error {
-	c.mu.Lock()
-	e.State = to
-	e.Err = ""
-	err := c.j.save(c.root)
-	c.mu.Unlock()
-	if err != nil {
+	if _, ok := dst.Info(m.name); !ok {
+		if err := c.copy(m.name, int64(fi.Length), src, dst); err != nil {
+			return err
+		}
+		if err := c.kill("copied", m.name); err != nil {
+			return err
+		}
+	}
+	switch err := verify(m.name, src, dst); {
+	case errors.Is(err, errSrcGone):
+		// A client delete raced the copy; respect it.
+		if _, err := dst.Delete(m.name); err != nil && !errors.Is(err, hdfsraid.ErrNotFound) {
+			return err
+		}
+		return nil
+	case err != nil:
+		return err // a vanished destination included: the retry re-copies
+	}
+	// The destination is authoritative: our copy, or a client's delete
+	// and re-put that new-ring readers already see. The source copy is
+	// redundant; "already gone" is tolerated.
+	if _, err := src.Delete(m.name); err != nil && !errors.Is(err, hdfsraid.ErrNotFound) {
 		return err
 	}
-	return c.kill(point, e.Name)
-}
-
-// regress journals a step back to staged (destination copy lost).
-func (c *Controller) regress(e *Entry) error {
-	c.mu.Lock()
-	e.State = StateStaged
-	err := c.j.save(c.root)
-	c.mu.Unlock()
-	return err
+	c.srv.Obs().Counter("reshard_names_moved_total").Inc()
+	return c.kill("deleted", m.name)
 }
 
 // copy streams the name from src into dst with the store's own
-// primitives: chunked ReadAt on the source feeding the destination's
-// PutReader, so peak memory is one ingest pipeline regardless of file
-// size, and the destination copy is atomic — fully committed or
-// rolled back, never half.
-func (c *Controller) copy(e *Entry, src, dst *hdfsraid.Store) error {
-	fi, ok := src.Info(e.Name)
-	if !ok {
-		return errSrcGone
-	}
-	r := &storeReader{st: src, name: e.Name, length: int64(fi.Length)}
-	err := dst.PutReader(e.Name, r)
+// primitives — src's ReadTo feeding dst's PutReader through a pipe —
+// so peak memory is one extent regardless of file size, and the
+// destination copy is atomic: fully committed or rolled back, never
+// half.
+func (c *Controller) copy(name string, length int64, src, dst *hdfsraid.Store) error {
+	pr, pw := io.Pipe()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		_, err := src.ReadTo(pw, name, 0, -1, nil)
+		pw.CloseWithError(err)
+	}()
+	err := dst.PutReader(name, pr)
+	pr.Close() // fails the source side's next write if the ingest stopped early
+	<-drained
 	if errors.Is(err, hdfsraid.ErrExists) {
-		// Someone (an earlier run of us, or a client) committed the
-		// name first; the verify step decides what it is.
+		// An earlier run of ours committed the name first; verify
+		// decides what it is.
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	c.srv.Obs().Counter("reshard_bytes_moved_total").Add(int64(fi.Length))
+	c.srv.Obs().Counter("reshard_bytes_moved_total").Add(length)
 	return nil
 }
 
-// compareChunk sizes the verify's read buffers.
-const compareChunk = 256 << 10
-
-// compare reads both copies back chunk for chunk and reports whether
-// they are byte-identical. Missing copies map to errSrcGone /
-// errDstGone so the caller can settle races instead of retrying.
-func (c *Controller) compare(e *Entry, src, dst *hdfsraid.Store) (bool, error) {
-	fiS, ok := src.Info(e.Name)
-	if !ok {
-		return false, errSrcGone
+// verify reads the destination copy back in full — the source copy
+// goes next, so the destination must be readable end to end first —
+// then checks the source still holds the name (errSrcGone if not).
+func verify(name string, src, dst *hdfsraid.Store) error {
+	if _, err := dst.ReadTo(io.Discard, name, 0, -1, nil); err != nil {
+		return err
 	}
-	fiD, ok := dst.Info(e.Name)
-	if !ok {
-		return false, errDstGone
+	if _, ok := src.Info(name); !ok {
+		return errSrcGone
 	}
-	if fiS.Length != fiD.Length {
-		return false, nil
-	}
-	bufS := make([]byte, compareChunk)
-	bufD := make([]byte, compareChunk)
-	for off := int64(0); off < int64(fiS.Length); off += compareChunk {
-		n := int64(fiS.Length) - off
-		if n > compareChunk {
-			n = compareChunk
-		}
-		if _, err := src.ReadAt(bufS[:n], e.Name, off); err != nil {
-			if errors.Is(err, hdfsraid.ErrNotFound) {
-				return false, errSrcGone
-			}
-			return false, err
-		}
-		if _, err := dst.ReadAt(bufD[:n], e.Name, off); err != nil {
-			if errors.Is(err, hdfsraid.ErrNotFound) {
-				return false, errDstGone
-			}
-			return false, err
-		}
-		if !bytes.Equal(bufS[:n], bufD[:n]) {
-			return false, nil
-		}
-	}
-	return true, nil
+	return nil
 }
 
 // kill is the crash-injection hook: when the test-only killHook
@@ -562,29 +443,4 @@ func (c *Controller) kill(point, name string) error {
 		return fmt.Errorf("%w at %s(%s): %v", errKilled, point, name, err)
 	}
 	return nil
-}
-
-// storeReader adapts a stored file to io.Reader via chunked ReadAt,
-// the source half of the cross-shard stream.
-type storeReader struct {
-	st          *hdfsraid.Store
-	name        string
-	off, length int64
-}
-
-// Read fills p from the file's next bytes, EOF at the recorded
-// length.
-func (r *storeReader) Read(p []byte) (int, error) {
-	if r.off >= r.length {
-		return 0, io.EOF
-	}
-	if rest := r.length - r.off; int64(len(p)) > rest {
-		p = p[:rest]
-	}
-	n, err := r.st.ReadAt(p, r.name, r.off)
-	r.off += int64(n)
-	if err == io.EOF && r.off >= r.length {
-		err = nil
-	}
-	return n, err
 }

@@ -59,13 +59,13 @@ func plannedMoves(vnodes, from, to int, names map[string][]byte) int {
 	return moves
 }
 
-// verifySettled asserts the post-reshard end state: journal gone,
+// verifySettled asserts the post-reshard end state: pending record gone,
 // single-ring routing, every name byte-exact on exactly its new-ring
 // shard (source copies deleted), and every shard fsck-healthy.
 func verifySettled(t *testing.T, root string, srv *serve.Server, ref map[string][]byte, to int) {
 	t.Helper()
-	if j, err := ReadJournal(root); err != nil || j != nil {
-		t.Fatalf("journal after reshard: %v, err %v (want gone)", j, err)
+	if p, err := ReadPending(root); err != nil || p != nil {
+		t.Fatalf("pending record after reshard: %v, err %v (want gone)", p, err)
 	}
 	if srv.Resharding() {
 		t.Fatal("dual-ring routing still active after reshard finished")
@@ -105,8 +105,8 @@ func verifySettled(t *testing.T, root string, srv *serve.Server, ref map[string]
 }
 
 // TestOfflineReshard is the base case: 4 -> 6 with no traffic, every
-// planned name (and only those — the exact ring delta) moved, sources
-// deleted, journal gone.
+// name of the ring delta (and only those) moved, sources deleted,
+// pending record gone.
 func TestOfflineReshard(t *testing.T) {
 	root, srv, ref := seedRoot(t, 4, 48)
 	ctl, err := Attach(root, srv, Options{})
@@ -142,8 +142,8 @@ func TestOfflineReshard(t *testing.T) {
 }
 
 // TestStartValidation pins the refusals: shrinks, no-ops, and starting
-// over a journaled reshard are all errors, and resuming with nothing
-// journaled is the ErrNothingPending no-op.
+// over a pending reshard are all errors, and resuming with nothing
+// pending is the ErrNothingPending no-op.
 func TestStartValidation(t *testing.T) {
 	root, srv, _ := seedRoot(t, 4, 12)
 	ctl, err := Attach(root, srv, Options{})
@@ -157,13 +157,13 @@ func TestStartValidation(t *testing.T) {
 		t.Fatal("shrink to 3 shards succeeded; want refusal")
 	}
 	if err := ctl.Resume(); !errors.Is(err, ErrNothingPending) {
-		t.Fatalf("Resume with no journal: %v, want ErrNothingPending", err)
+		t.Fatalf("Resume with nothing pending: %v, want ErrNothingPending", err)
 	}
 
-	// Abort a run right after planning, leaving the journal behind:
-	// a second Start must refuse and point at resume.
+	// Abort a run at its first copy, leaving the pending record
+	// behind: a second Start must refuse and point at resume.
 	ctl.killHook = func(point, _ string) error {
-		if point == "planned" {
+		if point == "copied" {
 			return errors.New("die")
 		}
 		return nil
@@ -175,7 +175,7 @@ func TestStartValidation(t *testing.T) {
 		t.Fatalf("killed run returned %v, want errKilled", err)
 	}
 	if err := ctl.Start(8); err == nil {
-		t.Fatal("Start over a journaled reshard succeeded; want refusal")
+		t.Fatal("Start over a pending reshard succeeded; want refusal")
 	}
 	st := ctl.Status()
 	if !st.Present || st.From != 4 || st.To != 6 {

@@ -24,7 +24,7 @@ import (
 //	POST   /admin/scrub?budget=MB   scrub every shard (JSON report)
 //	POST   /admin/repair?node=N     rebuild node N on every shard (repeatable)
 //	POST   /admin/reshard?to=N      start a live reshard to N shards (202)
-//	POST   /admin/reshard/resume    resume a journaled reshard (202)
+//	POST   /admin/reshard/resume    resume a pending reshard (202)
 //	GET    /admin/reshard           reshard progress (JSON)
 //	GET    /healthz                 liveness
 //
@@ -248,7 +248,7 @@ func (s *Server) handleReshardStart(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, rc.Status())
 }
 
-// handleReshardResume resumes a journaled reshard in the background.
+// handleReshardResume resumes a pending reshard in the background.
 func (s *Server) handleReshardResume(w http.ResponseWriter, r *http.Request) {
 	rc := s.reshardControl()
 	if rc == nil {

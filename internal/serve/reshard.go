@@ -18,21 +18,21 @@ import (
 )
 
 // ReshardJournalName is the file at the serving root that records an
-// in-flight reshard. Its presence is the durable "reshard pending"
-// bit: Open refuses such a root (with ErrReshardPending) unless the
-// caller opts into resuming, so a half-resharded directory can never
-// be served with single-ring routing that would 404 unmoved names.
-// internal/reshard owns the file's contents.
+// in-flight reshard: internal/reshard's pending record. Its presence
+// is the durable "reshard pending" bit: Open refuses such a root (with
+// ErrReshardPending) unless the caller opts into resuming, so a
+// half-resharded directory can never be served with single-ring
+// routing that would 404 unmoved names.
 const ReshardJournalName = "reshard-journal.json"
 
-// ErrReshardPending reports an Open of a serving root whose reshard
-// journal shows an unfinished shard-count change. Resume it (hdfscli
-// reshard -resume) or open with Config.ResumeReshard set.
+// ErrReshardPending reports an Open of a serving root with an
+// unfinished shard-count change pending. Resume it (hdfscli reshard
+// -resume) or open with Config.ResumeReshard set.
 var ErrReshardPending = errors.New("unfinished reshard")
 
 // ErrMidMove reports a read of a name that is mid-move in a reshard:
 // neither the new-ring nor the old-ring shard holds it right now, but
-// the reshard journal says it exists and is being moved. The HTTP
+// the resharder says it exists and is being moved. The HTTP
 // layer maps it to 503 + Retry-After — a retryable availability gap,
 // never a lie.
 var ErrMidMove = errors.New("name is mid-move in a reshard; retry")
@@ -41,15 +41,16 @@ var ErrMidMove = errors.New("name is mid-move in a reshard; retry")
 // GET /admin/reshard and printed by hdfscli.
 type ReshardStatus struct {
 	// Present reports that a reshard exists at all — running now or
-	// journaled and awaiting resume.
+	// pending and awaiting resume.
 	Present bool `json:"present"`
 	// Active reports that the mover is running in this process.
 	Active bool `json:"active"`
 	From   int  `json:"from,omitempty"`
 	To     int  `json:"to,omitempty"`
-	// Total, Done and Skipped count moved names: Total is the planned
-	// move set, Done the names fully settled, Skipped the names parked
-	// after exhausting their retry budget (resume retries them).
+	// Total, Done and Skipped count moved names: Done is the names this
+	// run settled, Total adds those the old shards' listings still show
+	// due to move, Skipped counts the due names parked after exhausting
+	// their retry budget (resume retries them).
 	Total   int `json:"total"`
 	Done    int `json:"done"`
 	Skipped int `json:"skipped"`
@@ -65,10 +66,10 @@ type ReshardStatus struct {
 // resharder. internal/reshard implements it; the server only holds
 // the interface, so serve never imports the mover.
 type ReshardControl interface {
-	// Start plans and runs a reshard to the given shard count,
-	// asynchronously. It fails if one is already pending or running.
+	// Start runs a reshard to the given shard count, asynchronously.
+	// It fails if one is already pending or running.
 	Start(to int) error
-	// Resume continues a journaled reshard, asynchronously.
+	// Resume continues a pending reshard, asynchronously.
 	Resume() error
 	// Status reports progress.
 	Status() ReshardStatus
@@ -89,15 +90,15 @@ func (s *Server) reshardControl() ReshardControl {
 	return s.rc
 }
 
-// pendingReshardJournal reports whether root carries a reshard
-// journal.
+// pendingReshardJournal reports whether root carries a pending
+// reshard record.
 func pendingReshardJournal(root string) bool {
 	_, err := os.Stat(filepath.Join(root, ReshardJournalName))
 	return err == nil
 }
 
 // Vnodes returns the configured virtual-node count per shard (0 means
-// the default). A reshard journal records it so a resume under a
+// the default). A pending reshard records it so a resume under a
 // different ring geometry is refused instead of moving names to the
 // wrong shards.
 func (s *Server) Vnodes() int { return s.cfg.Vnodes }
@@ -105,7 +106,7 @@ func (s *Server) Vnodes() int { return s.cfg.Vnodes }
 // Grow opens shard stores [current, to) under the serving root,
 // creating any that do not exist yet with shard-00's code, block size
 // and extent size. It is idempotent — a resume after a crash between
-// directory creation and journal progress re-runs it safely — and it
+// directory creation and the first move re-runs it safely — and it
 // does NOT touch the ring: new shards receive no traffic until
 // BeginResharding installs the wider ring.
 func (s *Server) Grow(to int) error {

@@ -132,3 +132,43 @@ func TestDualRingRouting(t *testing.T) {
 		t.Fatalf("epoch after begin+finish = %d, want 2", e)
 	}
 }
+
+// TestPutDuringReshardConflicts: a PUT of a name that is stored but
+// not yet moved is 409, exactly as it is with no reshard in flight —
+// not a 201 that shadows the original on the new ring until the mover
+// deletes the original — and every later GET still returns the
+// original bytes. A name with no copy anywhere is still 201.
+func TestPutDuringReshardConflicts(t *testing.T) {
+	srv := newServer(t, 2)
+	var stored []string
+	for i := 0; i < 32; i++ {
+		name := fmt.Sprintf("conflict-%02d.dat", i)
+		if err := srv.Put(name, bytes.NewReader(content(name, 3*testBlock))); err != nil {
+			t.Fatal(err)
+		}
+		stored = append(stored, name)
+	}
+	unmoved := movingName(t, 2, 3, stored)
+	if err := srv.Grow(3); err != nil {
+		t.Fatal(err)
+	}
+	srv.BeginResharding(2, func(string) bool { return false })
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if resp, body := do(t, http.MethodPut, ts.URL+"/files/"+unmoved, []byte("imposter")); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("PUT of an unmoved name mid-reshard: status %d (%s), want 409", resp.StatusCode, body)
+	}
+	for i := 0; i < 2; i++ {
+		resp, got := do(t, http.MethodGet, ts.URL+"/files/"+unmoved, nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, content(unmoved, 3*testBlock)) {
+			t.Fatalf("GET %s after the refused PUT: status %d, %d bytes; want the original", unmoved, resp.StatusCode, len(got))
+		}
+	}
+	if err := srv.Put(unmoved, bytes.NewReader([]byte("imposter"))); !errors.Is(err, hdfsraid.ErrExists) {
+		t.Fatalf("Server.Put of an unmoved name: %v, want ErrExists", err)
+	}
+	if resp, body := do(t, http.MethodPut, ts.URL+"/files/conflict-new.dat", []byte("fresh")); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT of a new name mid-reshard: status %d (%s), want 201", resp.StatusCode, body)
+	}
+}

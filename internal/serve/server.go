@@ -46,8 +46,8 @@ type Config struct {
 	// Tier, when non-nil, starts a tier daemon per shard; Close stops
 	// them and persists their heat.
 	Tier *TierConfig
-	// ResumeReshard permits opening a root whose reshard journal shows
-	// an unfinished shard-count change. The caller MUST then attach a
+	// ResumeReshard permits opening a root with an unfinished
+	// shard-count change pending. The caller MUST then attach a
 	// resharder (internal/reshard.Attach) before serving traffic: it
 	// restores the dual-ring routing that keeps unmoved names
 	// readable. Without this flag such a root fails to open with
@@ -128,10 +128,9 @@ func shardDirs(root string) ([]string, error) {
 
 // Open opens every shard under root and builds the ring. With
 // cfg.Tier set, each shard's tier daemon starts before Open returns.
-// A root whose reshard journal shows an unfinished shard-count change
-// refuses to open unless cfg.ResumeReshard is set — single-ring
-// routing over a half-resharded directory would 404 every unmoved
-// name.
+// A root with an unfinished shard-count change pending refuses to
+// open unless cfg.ResumeReshard is set — single-ring routing over a
+// half-resharded directory would 404 every unmoved name.
 func Open(root string, cfg Config) (*Server, error) {
 	pending := pendingReshardJournal(root)
 	if pending && !cfg.ResumeReshard {
@@ -313,9 +312,17 @@ func (s *Server) ShardOf(name string) int {
 
 // Put streams a file into its owning shard. During a reshard new data
 // always lands on the new ring — its post-reshard home — so nothing
-// ingested mid-reshard ever needs a second move.
+// ingested mid-reshard ever needs a second move; a name its old-ring
+// shard still holds is refused with ErrExists, as it would be with no
+// reshard, instead of shadowing the copy the mover has yet to move.
 func (s *Server) Put(name string, r io.Reader) error {
-	return s.routeFor(name).cur.store.PutReader(name, r)
+	rt := s.routeFor(name)
+	if rt.old != nil {
+		if _, ok := rt.old.store.Info(name); ok {
+			return fmt.Errorf("serve: file %q %w", name, hdfsraid.ErrExists)
+		}
+	}
+	return rt.cur.store.PutReader(name, r)
 }
 
 // readShard runs read against the name's owning shard. During a
