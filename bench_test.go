@@ -16,6 +16,10 @@ import (
 	"time"
 
 	"repro/internal/bipartite"
+	"repro/internal/code/heptlocal"
+	"repro/internal/code/polygon"
+	"repro/internal/code/raidm"
+	"repro/internal/code/rs"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/hdfsraid"
@@ -23,6 +27,9 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/reliability"
 	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/tier"
+	"repro/internal/workload"
 )
 
 // --- Table 1 ---
@@ -161,7 +168,7 @@ func BenchmarkDegradedMR(b *testing.B) {
 // BenchmarkRepairBandwidth plans (and costs) the paper's repair
 // scenarios; the metric is blocks moved.
 func BenchmarkRepairBandwidth(b *testing.B) {
-	pent := NewPentagon()
+	pent := polygon.New(5)
 	var bw int
 	for i := 0; i < b.N; i++ {
 		plan, err := pent.PlanRepair([]int{0, 1})
@@ -175,7 +182,7 @@ func BenchmarkRepairBandwidth(b *testing.B) {
 
 // --- Encoding duration (future-work metric E7) ---
 
-func benchEncode(b *testing.B, c Code) {
+func benchEncode(b *testing.B, c core.Code) {
 	rng := rand.New(rand.NewSource(1))
 	const blockSize = 1 << 20
 	data := make([][]byte, c.DataSymbols())
@@ -192,12 +199,12 @@ func benchEncode(b *testing.B, c Code) {
 	}
 }
 
-func BenchmarkEncodePentagon(b *testing.B)      { benchEncode(b, NewPentagon()) }
-func BenchmarkEncodeHeptagon(b *testing.B)      { benchEncode(b, NewHeptagon()) }
-func BenchmarkEncodeHeptagonLocal(b *testing.B) { benchEncode(b, NewHeptagonLocal()) }
-func BenchmarkEncodeRAIDM109(b *testing.B)      { benchEncode(b, NewRAIDM(9)) }
+func BenchmarkEncodePentagon(b *testing.B)      { benchEncode(b, polygon.New(5)) }
+func BenchmarkEncodeHeptagon(b *testing.B)      { benchEncode(b, polygon.New(7)) }
+func BenchmarkEncodeHeptagonLocal(b *testing.B) { benchEncode(b, heptlocal.New()) }
+func BenchmarkEncodeRAIDM109(b *testing.B)      { benchEncode(b, raidm.New(9)) }
 
-func benchDecode(b *testing.B, c Code, erase []int) {
+func benchDecode(b *testing.B, c core.Code, erase []int) {
 	rng := rand.New(rand.NewSource(2))
 	const blockSize = 1 << 20
 	data := make([][]byte, c.DataSymbols())
@@ -221,15 +228,15 @@ func benchDecode(b *testing.B, c Code, erase []int) {
 	}
 }
 
-func BenchmarkDecodePentagonTwoErasures(b *testing.B) { benchDecode(b, NewPentagon(), []int{0, 1}) }
+func BenchmarkDecodePentagonTwoErasures(b *testing.B) { benchDecode(b, polygon.New(5), []int{0, 1}) }
 func BenchmarkDecodeHeptagonLocalThreeErasures(b *testing.B) {
-	benchDecode(b, NewHeptagonLocal(), []int{0, 1, 2})
+	benchDecode(b, heptlocal.New(), []int{0, 1, 2})
 }
 
 // BenchmarkRepairExecutePentagon executes the full 2-node repair on
 // 1 MiB blocks.
 func BenchmarkRepairExecutePentagon(b *testing.B) {
-	c := NewPentagon()
+	c := polygon.New(5)
 	rng := rand.New(rand.NewSource(3))
 	const blockSize = 1 << 20
 	data := make([][]byte, c.DataSymbols())
@@ -352,12 +359,12 @@ func BenchmarkAblationPeelingVsDelay(b *testing.B) {
 
 // --- Extended-system benchmarks ---
 
-func BenchmarkEncodeRS1410(b *testing.B) { benchEncode(b, NewRS(14, 10)) }
+func BenchmarkEncodeRS1410(b *testing.B) { benchEncode(b, rs.New(14, 10)) }
 
 // BenchmarkEncodeFileConcurrent measures the striper's worker-pool
 // encoding against a multi-stripe pentagon file.
 func BenchmarkEncodeFileConcurrent(b *testing.B) {
-	st, err := NewStriper(NewPentagon(), 1<<18)
+	st, err := core.NewStriper(polygon.New(5), 1<<18)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -382,7 +389,7 @@ func BenchmarkStorePutGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dir := b.TempDir()
-		s, err := CreateStore(dir, "pentagon", 1<<16)
+		s, err := hdfsraid.Create(dir, "pentagon", 1<<16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -400,7 +407,7 @@ func BenchmarkStorePutGet(b *testing.B) {
 // BenchmarkAvailability runs the exact 2^15 pattern enumeration for
 // the heptagon-local code and reports the unavailability.
 func BenchmarkAvailability(b *testing.B) {
-	c, err := New("heptagon-local")
+	c, err := core.New("heptagon-local")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -419,7 +426,7 @@ func BenchmarkAvailability(b *testing.B) {
 // BenchmarkSystemMTTDL runs the whole-cluster overlapping-stripe
 // Monte-Carlo at accelerated rates.
 func BenchmarkSystemMTTDL(b *testing.B) {
-	c, err := New("pentagon")
+	c, err := core.New("pentagon")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -467,7 +474,7 @@ func BenchmarkReadFile(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	data := make([]byte, 1<<20)
 	rng.Read(data)
-	s, err := CreateStore(b.TempDir(), "pentagon", 1<<16)
+	s, err := hdfsraid.Create(b.TempDir(), "pentagon", 1<<16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -496,7 +503,7 @@ func benchGetMultiExtent(b *testing.B, cache *hdfsraid.ReadCache) {
 	rng := rand.New(rand.NewSource(12))
 	data := make([]byte, 30<<20)
 	rng.Read(data)
-	s, err := CreateStoreExt(b.TempDir(), "rs-14-10", 1<<20, 20)
+	s, err := hdfsraid.CreateExt(b.TempDir(), "rs-14-10", 1<<20, 20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -527,7 +534,7 @@ func BenchmarkReadBlockInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	data := make([]byte, 1<<20)
 	rng.Read(data)
-	s, err := CreateStore(b.TempDir(), "pentagon", 1<<16)
+	s, err := hdfsraid.Create(b.TempDir(), "pentagon", 1<<16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -555,7 +562,7 @@ func BenchmarkReadBlockDegraded(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	data := make([]byte, 1<<20)
 	rng.Read(data)
-	s, err := CreateStore(b.TempDir(), "pentagon", 1<<16)
+	s, err := hdfsraid.Create(b.TempDir(), "pentagon", 1<<16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -590,7 +597,7 @@ func benchTranscode(b *testing.B, from, to string) {
 	data := make([]byte, 1<<20)
 	rng.Read(data)
 	dir := b.TempDir()
-	s, err := CreateStore(dir, from, 1<<16)
+	s, err := hdfsraid.Create(dir, from, 1<<16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -630,7 +637,7 @@ func BenchmarkTranscodeStreaming(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	data := make([]byte, 16<<20)
 	rng.Read(data)
-	s, err := CreateStore(b.TempDir(), "rs-14-10", 1<<16)
+	s, err := hdfsraid.Create(b.TempDir(), "rs-14-10", 1<<16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -665,7 +672,7 @@ func BenchmarkTranscodeStreaming(b *testing.B) {
 // exactly 2x).
 func BenchmarkTranscodeParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(14))
-	s, err := CreateStore(b.TempDir(), "rs-14-10", 1<<16)
+	s, err := hdfsraid.Create(b.TempDir(), "rs-14-10", 1<<16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -713,9 +720,9 @@ func BenchmarkTranscodeParallel(b *testing.B) {
 // 320 KiB file at 16 KiB blocks on rs-14-10 (two full stripes; two
 // pentagon stripes and a shortened third), warmed by one promote/demote
 // cycle, beside an unrelated file.
-func smallMoveStore(b *testing.B) *Store {
+func smallMoveStore(b *testing.B) *hdfsraid.Store {
 	rng := rand.New(rand.NewSource(16))
-	s, err := CreateStore(b.TempDir(), "rs-14-10", 16<<10)
+	s, err := hdfsraid.Create(b.TempDir(), "rs-14-10", 16<<10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -806,7 +813,7 @@ func BenchmarkRepairPooled(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
 	data := make([]byte, 8<<20)
 	rng.Read(data)
-	s, err := CreateStore(b.TempDir(), "pentagon", 1<<16)
+	s, err := hdfsraid.Create(b.TempDir(), "pentagon", 1<<16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -831,10 +838,10 @@ func BenchmarkRepairPooled(b *testing.B) {
 // BenchmarkHeatTrackerTouch measures the tracker under concurrent
 // read-hot-path load across 10k files.
 func BenchmarkHeatTrackerTouch(b *testing.B) {
-	tr := NewHeatTracker(3600)
+	tr := tier.NewTracker(3600)
 	names := make([]string, 10_000)
 	for i := range names {
-		names[i] = TraceFileName(i)
+		names[i] = workload.TraceFileName(i)
 	}
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(8))
@@ -852,14 +859,14 @@ func BenchmarkStoreGetWithHeatHook(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	data := make([]byte, 1<<20)
 	rng.Read(data)
-	s, err := CreateStore(b.TempDir(), "pentagon", 1<<16)
+	s, err := hdfsraid.Create(b.TempDir(), "pentagon", 1<<16)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := s.Put("f", data); err != nil {
 		b.Fatal(err)
 	}
-	tr := NewHeatTracker(3600)
+	tr := tier.NewTracker(3600)
 	now := 0.0
 	s.OnRead = func(name string) { now += 0.001; tr.Touch(name, now) }
 	b.SetBytes(int64(len(data)))
@@ -871,11 +878,11 @@ func BenchmarkStoreGetWithHeatHook(b *testing.B) {
 	}
 }
 
-// BenchmarkTieringReplay runs the full tiersim loop — Zipf trace,
+// BenchmarkTieringReplay runs the simulated tiering loop — Zipf trace,
 // heat, policy, simulated transcodes — and reports the final hot-file
 // count.
 func BenchmarkTieringReplay(b *testing.B) {
-	trace, err := ZipfTrace(WorkloadTraceConfig{
+	trace, err := workload.ZipfTrace(workload.TraceConfig{
 		Files: 40, Accesses: 4000, ZipfS: 1.4, Rate: 20, Seed: 1,
 	})
 	if err != nil {
@@ -883,20 +890,20 @@ func BenchmarkTieringReplay(b *testing.B) {
 	}
 	var hot int
 	for i := 0; i < b.N; i++ {
-		ct := NewTierClusterTarget(30, 20, rand.New(rand.NewSource(1)))
+		ct := tier.NewClusterTarget(30, 20, rand.New(rand.NewSource(1)))
 		for j := 0; j < 40; j++ {
-			if err := ct.AddFile(TraceFileName(j), "rs-14-10"); err != nil {
+			if err := ct.AddFile(workload.TraceFileName(j), "rs-14-10"); err != nil {
 				b.Fatal(err)
 			}
 		}
-		m, err := NewClusterTierManager(ct, TierPolicy{
+		m, err := tier.NewManager(ct, tier.Policy{
 			HotCode: "pentagon", ColdCode: "rs-14-10",
 			PromoteAt: 8, DemoteAt: 2, MinDwell: 10,
-		}, NewHeatTracker(60))
+		}, tier.NewTracker(60))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReplayTiering(NewSimEngine(), trace, m, 10, nil); err != nil {
+		if _, err := tier.Replay(sim.NewEngine(), trace, m, 10, nil); err != nil {
 			b.Fatal(err)
 		}
 		hot = 0

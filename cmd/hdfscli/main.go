@@ -673,8 +673,7 @@ func doFsck(store string) error {
 // snapshot of every prior invocation merged with whatever this very
 // invocation generated (Open may have swept a killed move), persisted
 // back so nothing is lost. -json emits the machine-readable schema the
-// live endpoint and tiersim share; the default is a human-readable
-// table.
+// live endpoint shares; the default is a human-readable table.
 func doStats(store string, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit the snapshot as JSON")

@@ -1,7 +1,9 @@
 package hadoopcodes_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 
 	hadoopcodes "repro"
 )
@@ -71,4 +73,52 @@ func ExampleStriper() {
 	fmt.Println(string(back))
 	// Output:
 	// inherent double replication
+}
+
+// Hot/cold tiering by extent: reads of a file's head promote just that
+// extent to the pentagon code while the tail stays on RS(14,10); hours
+// later the daemon finds the head cold again and demotes it.
+func ExampleNewTierManager() {
+	dir, _ := os.MkdirTemp("", "tiering")
+	defer os.RemoveAll(dir)
+
+	// 10 data blocks per extent; 0 = whole-file extents.
+	s, _ := hadoopcodes.CreateStoreExt(dir, "rs-14-10", 4096, 10)
+	data := bytes.Repeat([]byte("cold tail, hot head "), 4096) // 20 blocks: 2 extents
+	s.Put("f", data)
+
+	tr := hadoopcodes.NewHeatTracker(3600) // halve heat every hour
+	m, _ := hadoopcodes.NewTierManager(s, hadoopcodes.TierPolicy{
+		HotCode: "pentagon", ColdCode: "rs-14-10",
+		PromoteAt: 5, DemoteAt: 1, // hysteresis band
+	}, tr)
+	now := 0.0 // seconds
+	s.OnReadExtent = func(name string, ext int) { tr.TouchExtent(name, ext, now) }
+	head := make([]byte, 4096)
+	for i := 0; i < 6; i++ {
+		s.ReadAt(head, "f", 0) // heats extent 0 only
+	}
+	moves, _ := m.Rebalance(now) // promote hot extents, demote cold ones
+	for _, mv := range moves {
+		fmt.Printf("t=0h: %s extent %d %s -> %s\n", mv.Name, mv.Ext, mv.From, mv.To)
+	}
+
+	// Instead of calling Rebalance, let the daemon scan on an interval
+	// under a byte budget: Start/Stop on the wall clock, or Tick on a
+	// virtual one as here.
+	d, _ := hadoopcodes.NewTierDaemon(m, hadoopcodes.TierDaemonConfig{
+		Interval: 30, BytesPerSec: 200e6, BlockBytes: 4096,
+		AdmitHorizon: 60, // book at most 60s of paced transfer per scan
+	})
+	now = 4 * 3600
+	moves, _ = d.Tick(now)
+	for _, mv := range moves {
+		fmt.Printf("t=4h: %s extent %d %s -> %s\n", mv.Name, mv.Ext, mv.From, mv.To)
+	}
+	back, _ := s.Get("f")
+	fmt.Println("bytes unchanged:", bytes.Equal(back, data))
+	// Output:
+	// t=0h: f extent 0 rs-14-10 -> pentagon
+	// t=4h: f extent 0 pentagon -> rs-14-10
+	// bytes unchanged: true
 }

@@ -4,12 +4,10 @@
 // with Inherent Double Replication for Hadoop" (USENIX HotStorage
 // 2014).
 //
-// The package re-exports the core coding API (pentagon, heptagon,
-// heptagon-local, RAID+m and replication codes, with repair and
-// degraded-read planning built on partial parities), the reliability
-// analysis behind the paper's Table 1, the task-assignment simulators
-// behind Figure 3, and the MapReduce cluster simulator behind Figures
-// 4 and 5.
+// The package exports the core coding API (the pentagon and RAID+m
+// codes by constructor, every registered code by name, with repair and
+// degraded-read planning built on partial parities) and the on-disk
+// store with its hot/cold tiering manager and daemon.
 //
 // Quick start:
 //
@@ -18,15 +16,17 @@
 //	plan, err := code.PlanRepair([]int{0, 1})
 //	fmt.Println(plan.Bandwidth()) // 10 blocks, as in the paper
 //
-// See the examples directory for runnable end-to-end scenarios and the
-// cmd directory for the table/figure regeneration tools.
+// The package examples are runnable end-to-end scenarios; cmd/repro
+// regenerates the paper's tables and figures.
 package hadoopcodes
 
 import (
-	"repro/internal/code/heptlocal"
+	// New and the store resolve codes by name, so all of them register.
+	_ "repro/internal/code/heptlocal"
 	"repro/internal/code/polygon"
 	"repro/internal/code/raidm"
-	"repro/internal/code/replication"
+	_ "repro/internal/code/replication"
+	_ "repro/internal/code/rs"
 	"repro/internal/core"
 )
 
@@ -34,43 +34,11 @@ import (
 // the full contract.
 type Code = core.Code
 
-// RepairPlanner plans node rebuilds with explicit transfers and
-// partial parities.
-type RepairPlanner = core.RepairPlanner
-
 // ReadPlanner plans (possibly degraded) reads of data symbols.
 type ReadPlanner = core.ReadPlanner
 
-// Placement is the replica layout of one stripe.
-type Placement = core.Placement
-
-// RepairPlan is the transfer/recovery recipe for rebuilding failed
-// nodes.
-type RepairPlan = core.RepairPlan
-
-// ReadPlan is the transfer recipe for one block read.
-type ReadPlan = core.ReadPlan
-
-// Transfer is one block-sized payload moved between nodes.
-type Transfer = core.Transfer
-
-// Term is one coefficient-weighted symbol inside a payload.
-type Term = core.Term
-
-// Recovery reconstructs one symbol replica from received payloads.
-type Recovery = core.Recovery
-
-// NodeContents is the simulated per-node symbol storage of a stripe.
-type NodeContents = core.NodeContents
-
-// ErasureError reports an unrecoverable erasure pattern.
-type ErasureError = core.ErasureError
-
 // Striper splits files into code stripes.
 type Striper = core.Striper
-
-// EncodedStripe is one encoded stripe of a file.
-type EncodedStripe = core.EncodedStripe
 
 // OffCluster is the reader location for clients outside a stripe's
 // nodes.
@@ -81,37 +49,16 @@ const OffCluster = core.OffCluster
 // tolerates any 2 node failures).
 func NewPentagon() *polygon.Code { return polygon.New(5) }
 
-// NewHeptagon returns the heptagon code: 20 data blocks + 1 XOR
-// parity, each stored twice across 7 nodes (overhead 2.1x).
-func NewHeptagon() *polygon.Code { return polygon.New(7) }
-
-// NewPolygon returns the K_n repair-by-transfer code for any n >= 3.
-func NewPolygon(n int) *polygon.Code { return polygon.New(n) }
-
-// NewHeptagonLocal returns the heptagon-local code: two heptagon local
-// codes plus a global-parity node — 86 blocks on 15 nodes, overhead
-// 2.15x, tolerates any 3 node failures.
-func NewHeptagonLocal() *heptlocal.Code { return heptlocal.New() }
-
 // NewRAIDM returns the (m+1, m) RAID+mirroring baseline.
 func NewRAIDM(m int) *raidm.Code { return raidm.New(m) }
 
-// NewReplication returns plain r-way replication.
-func NewReplication(r int) *replication.Code { return replication.New(r) }
-
 // New constructs a registered code by name: "2-rep", "3-rep",
 // "pentagon", "heptagon", "heptagon-local", "raid+m-10-9",
-// "raid+m-12-11".
+// "raid+m-12-11", "rs-14-10", "rs-9-6".
 func New(name string) (Code, error) { return core.New(name) }
-
-// Names lists the registered code names.
-func Names() []string { return core.Names() }
 
 // StorageOverhead returns physical blocks stored per data block.
 func StorageOverhead(c Code) float64 { return core.StorageOverhead(c) }
-
-// VerifyPlacement checks a code's layout invariants.
-func VerifyPlacement(c Code) error { return core.VerifyPlacement(c) }
 
 // NewStriper returns a file striper for the code and block size.
 func NewStriper(c Code, blockSize int) (*Striper, error) {
@@ -119,16 +66,11 @@ func NewStriper(c Code, blockSize int) (*Striper, error) {
 }
 
 // MaterializeNodes lays encoded symbols onto simulated nodes.
-func MaterializeNodes(c Code, symbols [][]byte) NodeContents {
+func MaterializeNodes(c Code, symbols [][]byte) core.NodeContents {
 	return core.MaterializeNodes(c, symbols)
 }
 
 // ExecuteRepair runs a repair plan against simulated node contents.
-func ExecuteRepair(nc NodeContents, plan *RepairPlan, blockSize int) error {
+func ExecuteRepair(nc core.NodeContents, plan *core.RepairPlan, blockSize int) error {
 	return core.ExecuteRepair(nc, plan, blockSize)
-}
-
-// ExecuteRead runs a read plan and returns the block bytes.
-func ExecuteRead(nc NodeContents, plan *ReadPlan, at int, blockSize int) ([]byte, error) {
-	return core.ExecuteRead(nc, plan, at, blockSize)
 }

@@ -4,41 +4,27 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestFacadeConstructors(t *testing.T) {
 	if NewPentagon().Name() != "pentagon" {
 		t.Error("NewPentagon wrong")
 	}
-	if NewHeptagon().Name() != "heptagon" {
-		t.Error("NewHeptagon wrong")
-	}
-	if NewHeptagonLocal().Nodes() != 15 {
-		t.Error("NewHeptagonLocal wrong")
-	}
 	if NewRAIDM(9).Nodes() != 20 {
 		t.Error("NewRAIDM wrong")
-	}
-	if NewReplication(3).Nodes() != 3 {
-		t.Error("NewReplication wrong")
-	}
-	if NewPolygon(6).Nodes() != 6 {
-		t.Error("NewPolygon wrong")
 	}
 }
 
 func TestFacadeRegistry(t *testing.T) {
-	names := Names()
-	want := []string{"2-rep", "3-rep", "heptagon", "heptagon-local", "pentagon", "raid+m-10-9", "raid+m-12-11"}
-	if len(names) < len(want) {
-		t.Fatalf("registry names = %v", names)
-	}
+	want := []string{"2-rep", "3-rep", "heptagon", "heptagon-local", "pentagon", "raid+m-10-9", "raid+m-12-11", "rs-14-10", "rs-9-6"}
 	for _, w := range want {
 		c, err := New(w)
 		if err != nil {
 			t.Fatalf("New(%q): %v", w, err)
 		}
-		if err := VerifyPlacement(c); err != nil {
+		if err := core.VerifyPlacement(c); err != nil {
 			t.Errorf("%s: %v", w, err)
 		}
 	}
@@ -73,7 +59,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecuteRead(nc, rp, OffCluster, 64)
+	got, err := core.ExecuteRead(nc, rp, OffCluster, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,79 +87,29 @@ func TestFacadeStriper(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentWrappers(t *testing.T) {
-	rows, err := Table1(DefaultReliabilityParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 || FormatTable1(rows) == "" {
-		t.Fatal("Table1 wrapper broken")
-	}
-
-	lcfg := DefaultLocalityConfig(2)
-	lcfg.Trials = 2
-	lcfg.Loads = []float64{1.0}
-	lcfg.Codes = []string{"pentagon"}
-	lcfg.Schedulers = []Scheduler{DelayScheduler(1), MaxMatchScheduler(), PeelingScheduler()}
-	pts, err := RunLocality(lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("locality wrapper returned %d points", len(pts))
-	}
-
-	mcfg := Figure4Config()
-	mcfg.Trials = 1
-	mcfg.Loads = []float64{0.5}
-	mcfg.Codes = []string{"2-rep"}
-	res, err := RunMRExperiment(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || FormatMRResults(res) == "" {
-		t.Fatal("MR wrapper broken")
-	}
-	if Figure5Config().Cluster.Nodes != 9 {
-		t.Fatal("Figure5Config wrong")
-	}
-	if StorageOverhead(NewPentagon()) < 2.2 {
-		t.Fatal("StorageOverhead wrapper broken")
-	}
-}
-
 func TestFacadeRSAndStore(t *testing.T) {
-	c := NewRS(14, 10)
-	if c.FaultTolerance() != 4 {
-		t.Fatal("NewRS wrong")
-	}
-	dir := t.TempDir()
-	s, err := CreateStore(dir, "pentagon", 4096)
+	s, err := CreateStoreExt(t.TempDir(), "rs-14-10", 4096, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := bytes.Repeat([]byte("x"), 10_000)
+	data := bytes.Repeat([]byte("x"), 50_000)
 	if err := s.Put("f", data); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.KillNode(0); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenStore(dir)
-	if err != nil {
+	if _, err := s.Repair([]int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Repair([]int{0}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s2.Fsck()
+	rep, err := s.Fsck()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Healthy() {
 		t.Fatalf("store unhealthy after facade repair: %+v", rep)
 	}
-	got, err := s2.Get("f")
+	got, err := s.Get("f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +119,7 @@ func TestFacadeRSAndStore(t *testing.T) {
 }
 
 func TestFacadeTiering(t *testing.T) {
-	s, err := CreateStore(t.TempDir(), "rs-14-10", 4096)
+	s, err := CreateStoreExt(t.TempDir(), "rs-14-10", 4096, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,33 +157,5 @@ func TestFacadeTiering(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("facade tiering changed bytes")
-	}
-}
-
-func TestFacadeTieringReplay(t *testing.T) {
-	trace, err := ZipfTrace(WorkloadTraceConfig{
-		Files: 10, Accesses: 500, ZipfS: 1.5, Rate: 10, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := NewTierClusterTarget(30, 20, rand.New(rand.NewSource(1)))
-	for i := 0; i < 10; i++ {
-		if err := ct.AddFile(TraceFileName(i), "rs-14-10"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := NewClusterTierManager(ct, TierPolicy{
-		HotCode: "pentagon", ColdCode: "rs-14-10", PromoteAt: 5, DemoteAt: 1,
-	}, NewHeatTracker(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := ReplayTiering(NewSimEngine(), trace, m, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Accesses != 500 || stats.Promotions == 0 {
-		t.Fatalf("facade replay stats = %+v", stats)
 	}
 }

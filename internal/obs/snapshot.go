@@ -11,9 +11,8 @@ import (
 )
 
 // Snapshot is a registry's full state as plain data: the JSON schema
-// shared by the persisted metrics file, `hdfscli stats -json`, the
-// live HTTP endpoint and tiersim's simulated runs, so real and
-// simulated telemetry compare field for field.
+// shared by the persisted metrics file, `hdfscli stats -json` and the
+// live HTTP endpoint.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`

@@ -108,34 +108,49 @@ func TestUnavailabilityHeptagonLocalExact(t *testing.T) {
 	}
 }
 
-func TestUnavailabilityMonteCarloAgreesWithExact(t *testing.T) {
-	// Sample the pentagon with a degraded-availability regime (10%
-	// downtime so samples actually hit bad patterns) and compare to the
-	// exact enumeration.
-	p := Params{NodeMTTFHours: 9, NodeRepairHours: 1}
-	exact, err := StripeUnavailability(mustCode(t, "pentagon"), p, 0, nil)
+// raidmUnavailability is the (m+1, m) RAID+m closed form: each of the
+// m+1 symbols is lost when both its mirrors are down (q = (1-a)^2), and
+// the XOR parity recovers at most one lost symbol.
+func raidmUnavailability(m int, a float64) float64 {
+	q := (1 - a) * (1 - a)
+	return 1 - math.Pow(1-q, float64(m+1)) - float64(m+1)*q*math.Pow(1-q, float64(m))
+}
+
+// TestUnavailabilityRAIDMExact: the 20-node (10,9) RAID+m enumerates
+// exactly and matches its closed form; sampling missed its ~4.5e-7.
+func TestUnavailabilityRAIDMExact(t *testing.T) {
+	res, err := StripeUnavailability(mustCode(t, "raid+m-10-9"), availParams(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mustCode(t, "pentagon")
-	// Force the sampling path by lying about node count via RS (20
-	// nodes) is awkward; instead sample the (10,9) RAID+m (20 nodes).
-	_ = c
-	sampled, err := StripeUnavailability(mustCode(t, "raid+m-10-9"), p, 300000, rand.New(rand.NewSource(2)))
+	if !res.Exact {
+		t.Fatal("20-node code should enumerate exactly")
+	}
+	if want := raidmUnavailability(9, 0.99); math.Abs(res.Unavailability-want) > 1e-12 {
+		t.Fatalf("raid+m-10-9 unavailability = %g, want %g", res.Unavailability, want)
+	}
+}
+
+func TestUnavailabilityMonteCarloAgreesWithExact(t *testing.T) {
+	// Sample the 24-node (12,11) RAID+m at 10% downtime, so samples
+	// actually hit bad patterns, and compare to its closed form.
+	p := Params{NodeMTTFHours: 9, NodeRepairHours: 1}
+	const samples = 300000
+	sampled, err := StripeUnavailability(mustCode(t, "raid+m-12-11"), p, samples, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sampled.Exact {
-		t.Fatal("20-node code should sample")
+		t.Fatal("24-node code should sample")
 	}
-	if sampled.Unavailability <= 0 {
-		t.Fatal("sampling found no bad pattern at 10% downtime")
+	want := raidmUnavailability(11, 0.9)
+	if stderr := math.Sqrt(want / samples); math.Abs(sampled.Unavailability-want) > 5*stderr {
+		t.Fatalf("sampled unavailability %g, closed form %g (5 stderr = %g)", sampled.Unavailability, want, 5*stderr)
 	}
-	_ = exact
 }
 
 func TestUnavailabilityValidation(t *testing.T) {
-	if _, err := StripeUnavailability(mustCode(t, "raid+m-10-9"), availParams(), 0, nil); err == nil {
+	if _, err := StripeUnavailability(mustCode(t, "raid+m-12-11"), availParams(), 0, nil); err == nil {
 		t.Fatal("long code accepted zero samples")
 	}
 	bad := Params{NodeMTTFHours: 0, NodeRepairHours: 1}

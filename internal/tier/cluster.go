@@ -14,8 +14,8 @@ import (
 // cluster of Nodes data nodes by cluster.PlaceFile, and a transcode
 // re-places an extent under the new code, paying the read-plus-write
 // traffic a real RaidNode would — for one extent's blocks, not the
-// file's. It backs the tiersim experiment binary, where thousands of
-// moves must be priced without touching disk.
+// file's. It backs `repro tier`, where thousands of moves must be
+// priced without touching disk.
 type ClusterTarget struct {
 	Nodes         int
 	BlocksPerFile int
