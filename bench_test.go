@@ -500,6 +500,20 @@ func BenchmarkReadFile(b *testing.B) {
 // over 8 MiB, so both sides read the same bytes from the blocks and the
 // pair prices what having a cache costs a read it cannot help.
 func benchGetMultiExtent(b *testing.B, cache *hdfsraid.ReadCache) {
+	s, size := multiExtentStore(b, cache)
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Get("f"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// multiExtentStore stores benchGetMultiExtent's file "f", with the read
+// cache attached, and reads it once to warm the pools. It returns the
+// store and the file's size.
+func multiExtentStore(b *testing.B, cache *hdfsraid.ReadCache) (*hdfsraid.Store, int) {
 	rng := rand.New(rand.NewSource(12))
 	data := make([]byte, 30<<20)
 	rng.Read(data)
@@ -511,22 +525,33 @@ func benchGetMultiExtent(b *testing.B, cache *hdfsraid.ReadCache) {
 	if err := s.Put("f", data); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := s.Get("f"); err != nil { // warm the pools
+	if _, err := s.Get("f"); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Get("f"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return s, len(data)
 }
 
 func BenchmarkGetMultiExtentCached(b *testing.B) {
 	benchGetMultiExtent(b, hdfsraid.NewReadCache(64<<20))
 }
 func BenchmarkGetMultiExtentUncached(b *testing.B) { benchGetMultiExtent(b, nil) }
+
+// BenchmarkReadAtUnaligned measures a 1 MiB ReadAt at unaligned offsets
+// from a fixed seed on benchGetMultiExtent's store (no cache) — the
+// ranged read of the bulk_tier workload: two 1 MiB blocks, cut at the
+// range's edges, nine times in ten in one rs-14-10 stripe.
+func BenchmarkReadAtUnaligned(b *testing.B) {
+	s, size := multiExtentStore(b, nil)
+	rng := rand.New(rand.NewSource(13))
+	p := make([]byte, 1<<20)
+	b.SetBytes(int64(len(p)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ReadAt(p, "f", int64(rng.Intn(size-len(p)+1))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkReadBlockInto measures the steady-state healthy single-block
 // read into a caller buffer: zero block-payload allocations per op.

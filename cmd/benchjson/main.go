@@ -30,7 +30,7 @@ import (
 // kernels, full-file encode, the read paths, the transcode cycle (the
 // streaming and parallel tier-move pipelines included) and the pooled
 // repair path.
-const defaultBench = "MulAddSlice|MulSlice|XorSlice|EncodePentagon$|EncodeHeptagonLocal$|EncodeRS1410$|EncodeFileConcurrent$|ReadFile$|ReadBlockInto$|ReadBlockDegraded$|TranscodeRSToPentagon$|TranscodeRSToHeptagonLocal$|TranscodeStreaming$|TranscodeParallel$|RepairPooled$|DecodePentagonTwoErasures$|DecodeHeptagonLocalThreeErasures$"
+const defaultBench = "MulAddSlice|MulSlice|XorSlice|EncodePentagon$|EncodeHeptagonLocal$|EncodeRS1410$|EncodeFileConcurrent$|ReadFile$|ReadAtUnaligned$|ReadBlockInto$|ReadBlockDegraded$|TranscodeRSToPentagon$|TranscodeRSToHeptagonLocal$|TranscodeStreaming$|TranscodeParallel$|RepairPooled$|DecodePentagonTwoErasures$|DecodeHeptagonLocalThreeErasures$"
 
 var defaultPkgs = []string{".", "./internal/gf256"}
 

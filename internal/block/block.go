@@ -1,6 +1,6 @@
 // Package block provides the block primitives shared by every coding
-// scheme: fixed-size data buffers, fast XOR kernels, block/stripe
-// identifiers, and integrity checksums.
+// scheme: fixed-size data buffers, fast XOR kernels and integrity
+// checksums.
 //
 // HDFS stores files as a sequence of large blocks (64-256 MB in the
 // paper's clusters). All codes in this repository operate stripe by
@@ -9,25 +9,13 @@
 package block
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
 	"repro/internal/gf256"
 )
-
-// ID identifies a stored block: the file it belongs to, the stripe index
-// within the file, and the symbol index within the stripe's code.
-type ID struct {
-	File   string
-	Stripe int
-	Symbol int
-}
-
-// String renders the ID in the form file#stripe/symbol.
-func (id ID) String() string {
-	return fmt.Sprintf("%s#%d/%d", id.File, id.Stripe, id.Symbol)
-}
 
 // Checksum returns the CRC-32C (Castagnoli) checksum of a block, the
 // same family of checksum HDFS uses for block integrity.
@@ -78,8 +66,7 @@ func Xor(blocks ...[]byte) []byte {
 	if len(blocks) == 0 {
 		panic("block: Xor of no blocks")
 	}
-	out := make([]byte, len(blocks[0]))
-	copy(out, blocks[0])
+	out := bytes.Clone(blocks[0])
 	for _, b := range blocks[1:] {
 		XorInto(out, b)
 	}
@@ -110,9 +97,7 @@ func Clone(b []byte) []byte {
 func CloneAll(blocks [][]byte) [][]byte {
 	out := make([][]byte, len(blocks))
 	for i, b := range blocks {
-		if b != nil {
-			out[i] = Clone(b)
-		}
+		out[i] = bytes.Clone(b)
 	}
 	return out
 }

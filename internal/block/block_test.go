@@ -136,10 +136,3 @@ func TestChecksumStable(t *testing.T) {
 		t.Fatal("Checksum collision on near inputs (suspicious)")
 	}
 }
-
-func TestIDString(t *testing.T) {
-	id := ID{File: "f", Stripe: 2, Symbol: 7}
-	if got := id.String(); got != "f#2/7" {
-		t.Fatalf("ID.String() = %q", got)
-	}
-}

@@ -75,6 +75,10 @@ type stripeRead struct {
 	name        string
 	fi          FileInfo
 	ext, stripe int
+	// dst are the wanted windows: dst[j] takes symbol first+j's part of
+	// the run, from byte off of the first (see readStripe).
+	first, off int
+	dst        [][]byte
 
 	// held are the pooled buffers backing the symbols the decode step
 	// keeps until the pass ends.
@@ -254,52 +258,62 @@ func (r *stripeRead) decode(symbols [][]byte, lo, hi int) ([][]byte, int, error)
 //
 // readStripe takes no lock and fires no hook; callers hold mu's read
 // side (foreground reads, scrub) or the extent's move lock (transcode).
+// readRange runs step 1 itself, a block at a time, and the rest of the
+// ladder through finish.
 func (s *Store) readStripe(cc codec, name string, fi FileInfo, ext, stripe, first, off int, dst [][]byte, heal bool) (cost int, err error) {
-	r := stripeRead{s: s, cc: cc, name: name, fi: fi, ext: ext, stripe: stripe}
+	r := stripeRead{s: s, cc: cc, name: name, fi: fi, ext: ext, stripe: stripe, first: first, off: off, dst: dst}
+	// A replica's payload lands in its destination directly; what a
+	// failed read left there, the degraded steps overwrite.
+	for j, d := range dst {
+		lo, _ := r.window(first + j)
+		r.replica(first+j, d, lo)
+	}
+	return r.finish(heal)
+}
+
+// window is the byte range of its block that dst[sym-first] takes.
+func (r *stripeRead) window(sym int) (lo, hi int) {
+	if sym == r.first {
+		lo = r.off
+	}
+	return lo, lo + len(r.dst[sym-r.first])
+}
+
+// finish takes the ladder on from step 1, whose reads of the wanted
+// windows left in r what they learnt: it delivers the lost windows
+// through the read plan or the decode, then heals.
+func (r *stripeRead) finish(heal bool) (cost int, err error) {
+	s, first, dst := r.s, r.first, r.dst
 	defer func() {
 		for _, b := range r.held {
 			s.payloadPool.Put(b)
 		}
 	}()
-	// window is the byte range of its block that dst[sym-first] takes.
-	window := func(sym int) (lo, hi int) {
-		if sym == first {
-			lo = off
-		}
-		return lo, lo + len(dst[sym-first])
-	}
-
-	// A replica's payload lands in its destination directly; what a
-	// failed read left there, the degraded steps overwrite.
-	for j, d := range dst {
-		lo, _ := window(first + j)
-		r.replica(first+j, d, lo)
-	}
 	lost := r.lost
 	var decoded [][]byte
 	planned := false
 	if len(lost) == 1 && len(dst) == 1 {
-		cost, planned = r.plan(first, dst[0], off)
+		cost, planned = r.plan(first, dst[0], r.off)
 	}
 	if len(lost) > 0 && !planned {
 		// Decode the hull of the lost windows, from the delivered blocks
 		// whose window covers it and a fresh read of every other.
 		lo, hi := s.blockSize, 0
 		for _, sym := range lost {
-			l, h := window(sym)
+			l, h := r.window(sym)
 			lo, hi = min(lo, l), max(hi, h)
 		}
-		symbols := make([][]byte, cc.code.Symbols())
+		symbols := make([][]byte, r.cc.code.Symbols())
 		for j, d := range dst {
-			if l, h := window(first + j); l <= lo && h >= hi && !slices.Contains(lost, first+j) {
+			if l, h := r.window(first + j); l <= lo && h >= hi && !slices.Contains(lost, first+j) {
 				symbols[first+j] = d[lo-l : hi-l]
 			}
 		}
 		if decoded, cost, err = r.decode(symbols, lo, hi); err != nil {
-			return 0, fmt.Errorf("hdfsraid: decoding %q extent %d stripe %d: %w", name, ext, stripe, err)
+			return 0, fmt.Errorf("hdfsraid: decoding %q extent %d stripe %d: %w", r.name, r.ext, r.stripe, err)
 		}
 		for _, sym := range lost {
-			l, h := window(sym)
+			l, h := r.window(sym)
 			copy(dst[sym-first], decoded[sym][l-lo:h-lo])
 		}
 	}
@@ -320,7 +334,7 @@ func (s *Store) readStripe(cc codec, name string, fi FileInfo, ext, stripe, firs
 		if len(content) != s.blockSize {
 			content = nil
 		}
-		if s.healBlock(cc, name, fi, ext, stripe, b.sym, b.v, content) == nil {
+		if s.healBlock(r.cc, r.name, r.fi, r.ext, r.stripe, b.sym, b.v, content) == nil {
 			s.obs.add(cReadHeal, 1)
 		}
 	}
@@ -522,49 +536,55 @@ func (s *Store) ReadTo(w io.Writer, name string, off, n int64, begin func(length
 
 // readRange fills p with the file's bytes from offset off, reporting
 // whether any block was read degraded; the caller has admitted the
-// read and clipped p to the file's length. Stripes are independent, so
-// the ones the range touches are drained through readStripe by
-// parallel's GOMAXPROCS workers; a range inside one stripe runs
-// inline. Every block's part of the range is read straight into its
-// place in p — a whole-file read's only steady-state allocation is the
-// caller's buffer, and a range that starts or ends inside a block reads
-// that block from there or to there, not whole. Extent tail padding is
-// never read.
+// read and clipped p to the file's length. The ladder's step 1 is
+// per-byte work — page-cache copies and CRCs — so every block the range
+// touches, in whatever stripe, is one index for parallel's GOMAXPROCS
+// workers, learning into a stripeRead of its own; a one-block range
+// runs inline. A stripe whose blocks' reads lost or misread one then
+// goes on down the ladder once, over the union of what they learnt, so
+// a lost block decodes from the blocks its stripe already delivered.
+// Every block's part of the range is read straight into its place in p
+// — a whole-file read allocates no block buffer beyond the caller's,
+// and a range that starts or ends inside a block reads that block from
+// there or to there, not whole. Extent tail padding is never read.
 func (s *Store) readRange(name string, fi FileInfo, p []byte, off int64) (bool, error) {
 	if len(p) == 0 {
 		return false, nil
 	}
 	bs, end := int64(s.blockSize), off+int64(len(p))
-	// One job per stripe: the run of wanted file-global data blocks
-	// [g, g+run) it holds.
-	type stripeJob struct {
-		cc          codec
-		ext, g, run int
-	}
-	var jobs []stripeJob
-	for g, last := int(off/bs), int((end-1)/bs); g <= last; {
+	g0 := off / bs
+	reads := make([]stripeRead, (end-1)/bs-g0+1)
+	err := parallel(len(reads), func(i int) error {
+		g, start := int(g0)+i, (g0+int64(i))*bs
 		ext := extentOf(fi, g)
 		e := fi.Extents[ext]
 		cc, err := s.codecByName(e.Code)
 		if err != nil {
-			return false, err
+			return err
 		}
 		k, l := cc.code.DataSymbols(), g-e.Start
-		run := min(k-l%k, e.Blocks-l, last-g+1)
-		jobs = append(jobs, stripeJob{cc, ext, g, run})
-		g += run
+		dst, lo := p[max(start, off)-off:min(start+bs, end)-off], int(max(off-start, 0))
+		reads[i] = stripeRead{s: s, cc: cc, name: name, fi: fi, ext: ext, stripe: l / k, first: l % k, off: lo, dst: [][]byte{dst}}
+		reads[i].replica(l%k, dst, lo)
+		return nil
+	})
+	if err != nil {
+		return false, err
 	}
-	var degraded atomic.Bool
-	err := parallel(len(jobs), func(i int) error {
-		j := jobs[i]
-		k, l := j.cc.code.DataSymbols(), j.g-fi.Extents[j.ext].Start
-		dst := make([][]byte, j.run)
-		for b := range dst {
-			start := int64(j.g+b) * bs
-			dst[b] = p[max(start, off)-off : min(start+bs, end)-off]
+	var stripes []stripeRead // one per stripe: its blocks' reads, merged
+	for _, r := range reads {
+		if n := len(stripes) - 1; n >= 0 && stripes[n].ext == r.ext && stripes[n].stripe == r.stripe {
+			m := &stripes[n]
+			m.dst, m.lost = append(m.dst, r.dst...), append(m.lost, r.lost...)
+			m.bad, m.down = append(m.bad, r.bad...), append(m.down, r.down...)
+		} else {
+			stripes = append(stripes, r)
 		}
-		first := int(max(off-int64(j.g)*bs, 0)) // where the range enters the run's first block
-		cost, err := s.readStripe(j.cc, name, fi, j.ext, l/k, l%k, first, dst, true)
+	}
+	stripes = slices.DeleteFunc(stripes, func(r stripeRead) bool { return len(r.lost)+len(r.bad) == 0 })
+	var degraded atomic.Bool
+	err = parallel(len(stripes), func(i int) error {
+		cost, err := stripes[i].finish(true)
 		if cost > 0 {
 			degraded.Store(true)
 		}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -512,12 +513,7 @@ func (s *Store) Files() []string {
 }
 
 func (s *Store) filesLocked() []string {
-	names := make([]string, 0, len(s.manifest.Files))
-	for n := range s.manifest.Files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(s.manifest.Files))
 }
 
 // Info returns metadata for a stored file.
@@ -628,15 +624,9 @@ func readBlockFile(bio BlockIO, scratch *core.BlockPool, path string, dst []byte
 			}
 			buf = cut[:ce-cs]
 		}
-		n, err := ra.ReadAt(buf, int64(cs))
-		read += n
-		if n < len(buf) {
-			return read, err // the table lies past these bytes: not a verdict
-		}
-		for c := cs; c < ce; c += cell {
-			if binary.LittleEndian.Uint32(table[c/cell*4:]) != block.Checksum(buf[c-cs:min(c+cell, ce)-cs]) {
-				return read, fmt.Errorf("%w: %s", ErrCorrupt, path)
-			}
+		n, err := readCells(ra, table, buf, cs, cell, path)
+		if read += n; err != nil {
+			return read, err
 		}
 		if !whole {
 			copy(dst[max(cs, lo)-lo:], buf[max(cs, lo)-cs:min(ce, hi)-cs])
@@ -644,6 +634,39 @@ func readBlockFile(bio BlockIO, scratch *core.BlockPool, path string, dst []byte
 		cs = ce
 	}
 	return read, nil
+}
+
+// pieceCells is how many of a run's cells readCells reads and verifies
+// on one worker: 128 KiB of block.CellSize cells.
+const pieceCells = 2
+
+// readCells reads the frame's bytes [cs, cs+len(buf)) into buf — whole
+// cells of size cell, the last maybe short at the block's end — and
+// checks each against its checksum in table, returning the bytes read.
+// A run longer than a piece is per-byte work worth every core: its
+// pieces go to parallel, each its own read. A run of one piece — every
+// block of at most a cell, and every frame with one checksum — is one
+// read on the caller's goroutine.
+func readCells(ra io.ReaderAt, table, buf []byte, cs, cell int, path string) (int, error) {
+	if piece := pieceCells * cell; len(buf) > piece {
+		var read atomic.Int64
+		err := parallel((len(buf)+piece-1)/piece, func(i int) error {
+			n, err := readCells(ra, table, buf[i*piece:min((i+1)*piece, len(buf))], cs+i*piece, cell, path)
+			read.Add(int64(n))
+			return err
+		})
+		return int(read.Load()), err
+	}
+	n, err := ra.ReadAt(buf, int64(cs))
+	if n < len(buf) {
+		return n, err // the table lies past these bytes: not a verdict
+	}
+	for c := 0; c < len(buf); c += cell {
+		if binary.LittleEndian.Uint32(table[(cs+c)/cell*4:]) != block.Checksum(buf[c:min(c+cell, len(buf))]) {
+			return n, fmt.Errorf("%w: %s", ErrCorrupt, path)
+		}
+	}
+	return n, nil
 }
 
 // checkNewFile validates a Put/PutReader target name. Caller holds mu.

@@ -182,6 +182,41 @@ func testCellDamage(t *testing.T, codeName string, inside bool) {
 	}
 }
 
+// TestLaterPieceDamage: a flipped byte in the third piece of a 1 MiB
+// block's run of whole cells — a piece other than the first, which only
+// a run of more than two pieces has — is a checksum verdict from
+// readBlockFile, as damage in the first piece is, never a transient
+// error to retry. So a read of the block falls over to the sibling
+// replica or decodes, returns exact bytes, and heals the replica once.
+func TestLaterPieceDamage(t *testing.T) {
+	const bs = 1 << 20
+	for _, codeName := range []string{"rs-9-6", "pentagon"} {
+		t.Run(codeName, func(t *testing.T) {
+			s, err := Create(t.TempDir(), codeName, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := randomFile(t, 2*bs+1, 97)
+			if err := s.Put("f", data); err != nil {
+				t.Fatal(err)
+			}
+			fi, _ := s.Info("f")
+			path := s.extentBlockPath(s.code.Placement().SymbolNodes[0][0], "f", fi, 0, 0, 0)
+			flipByte(t, path, 2*pieceCells*block.CellSize+7)
+			if _, err := readBlockFile(osBlockIO{}, s.payloadPool, path, make([]byte, bs), 0); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("readBlockFile of the damaged block: %v, want ErrCorrupt", err)
+			}
+			p := make([]byte, bs)
+			if _, err := s.ReadAt(p, "f", 0); err != nil || !bytes.Equal(p, data[:bs]) {
+				t.Fatalf("ReadAt of the damaged block: err %v, bytes equal %v", err, bytes.Equal(p, data[:bs]))
+			}
+			if heals, fsck := cacheCount(s, cReadHeal), mustFsck(t, s); heals != 1 || !fsck.Healthy() {
+				t.Fatalf("%d heals, fsck %+v; want the read to have healed the replica once", heals, fsck)
+			}
+		})
+	}
+}
+
 func mustFsck(t *testing.T, s *Store) FsckReport {
 	t.Helper()
 	rep, err := s.Fsck()

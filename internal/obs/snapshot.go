@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/durable"
 )
@@ -101,19 +102,19 @@ func WriteSnapshotFile(path string, s Snapshot) error {
 func (s Snapshot) WriteText(w io.Writer) {
 	if len(s.Counters) > 0 {
 		fmt.Fprintln(w, "counters:")
-		for _, name := range sortedKeys(s.Counters) {
+		for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
 			fmt.Fprintf(w, "  %-40s %12d\n", name, s.Counters[name])
 		}
 	}
 	if len(s.Gauges) > 0 {
 		fmt.Fprintln(w, "gauges:")
-		for _, name := range sortedKeys(s.Gauges) {
+		for _, name := range slices.Sorted(maps.Keys(s.Gauges)) {
 			fmt.Fprintf(w, "  %-40s %12.3f\n", name, s.Gauges[name])
 		}
 	}
 	if len(s.Histograms) > 0 {
 		fmt.Fprintln(w, "histograms:                                     count       mean        p50        p99       p999        max")
-		for _, name := range sortedKeys(s.Histograms) {
+		for _, name := range slices.Sorted(maps.Keys(s.Histograms)) {
 			h := s.Histograms[name]
 			scale, unit := 1.0, ""
 			if len(name) > 3 && name[len(name)-3:] == "_ns" {
@@ -126,7 +127,7 @@ func (s Snapshot) WriteText(w io.Writer) {
 		}
 	}
 	if len(s.Traces) > 0 {
-		for _, name := range sortedKeys(s.Traces) {
+		for _, name := range slices.Sorted(maps.Keys(s.Traces)) {
 			fmt.Fprintf(w, "trace %s (%d events):\n", name, len(s.Traces[name]))
 			for _, e := range s.Traces[name] {
 				target := e.Name
@@ -137,14 +138,4 @@ func (s Snapshot) WriteText(w io.Writer) {
 			}
 		}
 	}
-}
-
-// sortedKeys returns a map's keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -2,7 +2,9 @@ package reliability
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -36,7 +38,8 @@ func SimulateMTTDL(c *Chain, trials int, rng *rand.Rand) (mean, stderr float64, 
 			u := rng.Float64() * total
 			next := -1
 			acc := 0.0
-			for _, to := range sortedKeys(trans) {
+			keys := slices.Sorted(maps.Keys(trans))
+			for _, to := range keys {
 				acc += trans[to]
 				if u <= acc {
 					next = to
@@ -44,7 +47,6 @@ func SimulateMTTDL(c *Chain, trials int, rng *rand.Rand) (mean, stderr float64, 
 				}
 			}
 			if next < 0 { // floating point slack: take the last key
-				keys := sortedKeys(trans)
 				next = keys[len(keys)-1]
 			}
 			s = next
@@ -52,17 +54,4 @@ func SimulateMTTDL(c *Chain, trials int, rng *rand.Rand) (mean, stderr float64, 
 		acc.Add(elapsed)
 	}
 	return acc.Mean(), acc.StdErr(), nil
-}
-
-func sortedKeys(m map[int]float64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }

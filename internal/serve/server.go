@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -418,14 +419,8 @@ func (s *Server) Files() []string {
 	for _, sh := range s.shardList() {
 		names = append(names, sh.store.Files()...)
 	}
-	sort.Strings(names)
-	out := names[:0]
-	for i, n := range names {
-		if i == 0 || names[i-1] != n {
-			out = append(out, n)
-		}
-	}
-	return out
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 // Shard exposes shard i's store for tests, maintenance tooling and

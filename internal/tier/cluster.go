@@ -2,8 +2,9 @@ package tier
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -85,12 +86,7 @@ func (t *ClusterTarget) place(codeName string, start, blocks int) (*placedExtent
 
 // Files lists placed file names in sorted order.
 func (t *ClusterTarget) Files() []string {
-	names := make([]string, 0, len(t.files))
-	for n := range t.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(t.files))
 }
 
 // Extents returns a file's extent count.
