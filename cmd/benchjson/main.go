@@ -27,12 +27,12 @@ import (
 )
 
 // defaultBench selects the coding hot-path benchmarks: the gf256
-// kernels, full-file encode, the read paths, the transcode cycle (the
-// streaming and parallel tier-move pipelines included) and the pooled
-// repair path.
-const defaultBench = "MulAddSlice|MulSlice|XorSlice|EncodePentagon$|EncodeHeptagonLocal$|EncodeRS1410$|EncodeFileConcurrent$|ReadFile$|ReadAtUnaligned$|ReadBlockInto$|ReadBlockDegraded$|TranscodeRSToPentagon$|TranscodeRSToHeptagonLocal$|TranscodeStreaming$|TranscodeParallel$|RepairPooled$|DecodePentagonTwoErasures$|DecodeHeptagonLocalThreeErasures$"
+// kernels, the block checksum, full-file encode, the read paths, the
+// transcode cycle (the streaming and parallel tier-move pipelines
+// included) and the pooled repair path.
+const defaultBench = "MulAddSlice|MulSlice|XorSlice|Checksum$|EncodePentagon$|EncodeHeptagonLocal$|EncodeRS1410$|EncodeFileConcurrent$|ReadFile$|ReadAtUnaligned$|ReadBlockInto$|ReadBlockDegraded$|TranscodeRSToPentagon$|TranscodeRSToHeptagonLocal$|TranscodeStreaming$|TranscodeParallel$|RepairPooled$|DecodePentagonTwoErasures$|DecodeHeptagonLocalThreeErasures$"
 
-var defaultPkgs = []string{".", "./internal/gf256"}
+var defaultPkgs = []string{".", "./internal/gf256", "./internal/block"}
 
 // Result is one benchmark's parsed output.
 type Result struct {

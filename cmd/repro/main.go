@@ -17,13 +17,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 
-	"repro/internal/block"
 	"repro/internal/cluster"
 	"repro/internal/code/heptlocal"
 	_ "repro/internal/code/polygon"
@@ -243,7 +243,7 @@ func repairCost(c core.Code, failed []int) (string, error) {
 	}
 	for v := range nc {
 		for _, s := range c.Placement().NodeSymbols[v] {
-			if !block.Equal(nc[v][s], symbols[s]) {
+			if !bytes.Equal(nc[v][s], symbols[s]) {
 				return "", fmt.Errorf("%s: node %d symbol %d wrong after repair", c.Name(), v, s)
 			}
 		}
@@ -273,7 +273,7 @@ func readCost(c core.Code, down []int) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("%s: read: %w", c.Name(), err)
 	}
-	if !block.Equal(got, symbols[0]) {
+	if !bytes.Equal(got, symbols[0]) {
 		return "", fmt.Errorf("%s: read returned wrong data", c.Name())
 	}
 	return fmt.Sprintf("%d blocks", plan.Bandwidth()), nil

@@ -11,16 +11,20 @@ package block
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 
 	"repro/internal/gf256"
 )
 
 // Checksum returns the CRC-32C (Castagnoli) checksum of a block, the
-// same family of checksum HDFS uses for block integrity.
+// same family of checksum HDFS uses for block integrity: a fold kernel
+// where the CPU has one (crc_amd64.s), hash/crc32 for the rest.
 func Checksum(b []byte) uint32 {
-	return crc32.Checksum(b, castagnoli)
+	var crc uint32
+	if n := len(b) &^ 255; n > 0 && useFold {
+		crc, b = ^crc32cFold(^crc, b[:n]), b[n:]
+	}
+	return crc32.Update(crc, castagnoli, b)
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -51,14 +55,8 @@ func PutCellChecksums(table, payload []byte) {
 }
 
 // XorInto sets dst[i] ^= src[i] for all i. The slices must have equal
-// length. It delegates to the gf256 XOR kernel, which runs 32 bytes
-// per iteration under AVX2 and word-at-a-time elsewhere.
-func XorInto(dst, src []byte) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("block: XorInto length mismatch %d != %d", len(dst), len(src)))
-	}
-	gf256.XorSlice(src, dst)
-}
+// length (gf256.XorSlice, the kernel it delegates to, panics otherwise).
+func XorInto(dst, src []byte) { gf256.XorSlice(src, dst) }
 
 // Xor returns the XOR of all given blocks, which must be non-empty and
 // of equal length. The inputs are not modified.
@@ -70,26 +68,6 @@ func Xor(blocks ...[]byte) []byte {
 	for _, b := range blocks[1:] {
 		XorInto(out, b)
 	}
-	return out
-}
-
-// Equal reports whether two blocks have identical contents.
-func Equal(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns a copy of b.
-func Clone(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
 	return out
 }
 

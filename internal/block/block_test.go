@@ -1,6 +1,7 @@
 package block
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,10 +14,10 @@ func TestXorIntoSelfInverse(t *testing.T) {
 		} else {
 			b = b[:len(a)]
 		}
-		orig := Clone(a)
+		orig := bytes.Clone(a)
 		XorInto(a, b)
 		XorInto(a, b)
-		return Equal(a, orig)
+		return bytes.Equal(a, orig)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -35,7 +36,7 @@ func TestXorIntoMatchesNaive(t *testing.T) {
 			want[i] = a[i] ^ b[i]
 		}
 		XorInto(a, b)
-		if !Equal(a, want) {
+		if !bytes.Equal(a, want) {
 			t.Fatalf("XorInto wrong at size %d", n)
 		}
 	}
@@ -86,31 +87,10 @@ func TestXorParityProperty(t *testing.T) {
 		}
 		parity := Xor(blocks...)
 		all := append(blocks, parity)
-		return Equal(Xor(all...), make([]byte, 64))
+		return bytes.Equal(Xor(all...), make([]byte, 64))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	if !Equal([]byte{1, 2}, []byte{1, 2}) {
-		t.Fatal("Equal on equal slices = false")
-	}
-	if Equal([]byte{1, 2}, []byte{1, 3}) {
-		t.Fatal("Equal on different slices = true")
-	}
-	if Equal([]byte{1}, []byte{1, 2}) {
-		t.Fatal("Equal on different lengths = true")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := []byte{1, 2, 3}
-	c := Clone(a)
-	c[0] = 9
-	if a[0] != 1 {
-		t.Fatal("Clone aliases its input")
 	}
 }
 
@@ -123,16 +103,5 @@ func TestCloneAll(t *testing.T) {
 	out[0][0] = 9
 	if in[0][0] != 1 {
 		t.Fatal("CloneAll aliases its input")
-	}
-}
-
-func TestChecksumStable(t *testing.T) {
-	a := Checksum([]byte("hello"))
-	b := Checksum([]byte("hello"))
-	if a != b {
-		t.Fatal("Checksum not deterministic")
-	}
-	if a == Checksum([]byte("hellp")) {
-		t.Fatal("Checksum collision on near inputs (suspicious)")
 	}
 }

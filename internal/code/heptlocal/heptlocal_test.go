@@ -1,6 +1,7 @@
 package heptlocal
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -86,10 +87,10 @@ func TestPlacementInvariants(t *testing.T) {
 
 func TestEncodeParities(t *testing.T) {
 	data, symbols := encoded(t, 1)
-	if !block.Equal(symbols[localParityA], block.Xor(data[:20]...)) {
+	if !bytes.Equal(symbols[localParityA], block.Xor(data[:20]...)) {
 		t.Error("local parity A wrong")
 	}
-	if !block.Equal(symbols[localParityB], block.Xor(data[20:]...)) {
+	if !bytes.Equal(symbols[localParityB], block.Xor(data[20:]...)) {
 		t.Error("local parity B wrong")
 	}
 	q0 := make([]byte, testBlockSize)
@@ -98,14 +99,14 @@ func TestEncodeParities(t *testing.T) {
 		gf256.MulAddSlice(gf256.Exp(i), d, q0)
 		gf256.MulAddSlice(gf256.Exp(2*i), d, q1)
 	}
-	if !block.Equal(symbols[globalQ0], q0) {
+	if !bytes.Equal(symbols[globalQ0], q0) {
 		t.Error("Q0 wrong")
 	}
-	if !block.Equal(symbols[globalQ1], q1) {
+	if !bytes.Equal(symbols[globalQ1], q1) {
 		t.Error("Q1 wrong")
 	}
 	for i := range data {
-		if !block.Equal(symbols[i], data[i]) {
+		if !bytes.Equal(symbols[i], data[i]) {
 			t.Fatalf("not systematic at %d", i)
 		}
 	}
@@ -127,7 +128,7 @@ func TestDecodeAnyThreeNodeErasure(t *testing.T) {
 					t.Fatalf("decode after erasing %d,%d,%d: %v", f1, f2, f3, err)
 				}
 				for i := range data {
-					if !block.Equal(decoded[i], data[i]) {
+					if !bytes.Equal(decoded[i], data[i]) {
 						t.Fatalf("block %d wrong after erasing %d,%d,%d", i, f1, f2, f3)
 					}
 				}
@@ -158,7 +159,7 @@ func TestDecodeNoErasure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range data {
-		if !block.Equal(decoded[i], data[i]) {
+		if !bytes.Equal(decoded[i], data[i]) {
 			t.Fatalf("block %d corrupted", i)
 		}
 	}
@@ -181,7 +182,7 @@ func TestDecodeRecoverableFourSymbolPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range data {
-		if !block.Equal(decoded[i], data[i]) {
+		if !bytes.Equal(decoded[i], data[i]) {
 			t.Fatalf("block %d wrong", i)
 		}
 	}
@@ -363,7 +364,7 @@ func TestReadLocalAndCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !block.Equal(got, symbols[g]) {
+		if !bytes.Equal(got, symbols[g]) {
 			t.Fatalf("read of %d returned wrong data", g)
 		}
 	}
@@ -388,7 +389,7 @@ func TestDegradedReadAllDataSymbols(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !block.Equal(got, symbols[g]) {
+		if !bytes.Equal(got, symbols[g]) {
 			t.Fatalf("degraded read of %d returned wrong data", g)
 		}
 	}
@@ -437,7 +438,7 @@ func TestDecodeProperty(t *testing.T) {
 			return false
 		}
 		for i := range data {
-			if !block.Equal(decoded[i], data[i]) {
+			if !bytes.Equal(decoded[i], data[i]) {
 				return false
 			}
 		}
@@ -460,7 +461,7 @@ func assertFullyRestored(t *testing.T, c *Code, nc core.NodeContents, symbols []
 			if !ok {
 				t.Fatalf("node %d missing symbol %d after repair", v, s)
 			}
-			if !block.Equal(b, symbols[s]) {
+			if !bytes.Equal(b, symbols[s]) {
 				t.Fatalf("node %d symbol %d corrupted after repair", v, s)
 			}
 		}
@@ -509,7 +510,7 @@ func TestConcurrentDecodeDistinctPatterns(t *testing.T) {
 					return
 				}
 				for i := range data {
-					if !block.Equal(got[i], data[i]) {
+					if !bytes.Equal(got[i], data[i]) {
 						errs <- fmt.Errorf("erasing nodes %v: block %d wrong", nodes, i)
 						return
 					}

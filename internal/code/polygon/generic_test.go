@@ -6,6 +6,7 @@ package polygon
 // instantiate via New.
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestGenericDecodeAndRepair(t *testing.T) {
 					t.Fatalf("K%d decode after %d,%d: %v", n, f1, f2, err)
 				}
 				for i := range data {
-					if !block.Equal(decoded[i], data[i]) {
+					if !bytes.Equal(decoded[i], data[i]) {
 						t.Fatalf("K%d block %d wrong", n, i)
 					}
 				}
@@ -72,7 +73,7 @@ func TestGenericDecodeAndRepair(t *testing.T) {
 				}
 				for v := range nc2 {
 					for _, s := range c.Placement().NodeSymbols[v] {
-						if !block.Equal(nc2[v][s], symbols[s]) {
+						if !bytes.Equal(nc2[v][s], symbols[s]) {
 							t.Fatalf("K%d node %d symbol %d wrong after repair", n, v, s)
 						}
 					}
@@ -91,7 +92,7 @@ func TestTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !block.Equal(symbols[2], block.Xor(data...)) {
+	if !bytes.Equal(symbols[2], block.Xor(data...)) {
 		t.Fatal("K3 parity wrong")
 	}
 	// One node failure: repair by transfer, 2 copies.
@@ -110,7 +111,7 @@ func TestTriangle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range data {
-		if !block.Equal(decoded[i], data[i]) {
+		if !bytes.Equal(decoded[i], data[i]) {
 			t.Fatal("K3 decode wrong")
 		}
 	}

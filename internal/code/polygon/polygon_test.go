@@ -1,6 +1,7 @@
 package polygon
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -111,11 +112,11 @@ func TestEdgeSymbolRoundTrip(t *testing.T) {
 func TestEncodeParity(t *testing.T) {
 	c := New(5)
 	data, symbols := encoded(t, c, 1)
-	if !block.Equal(symbols[c.ParitySymbol()], block.Xor(data...)) {
+	if !bytes.Equal(symbols[c.ParitySymbol()], block.Xor(data...)) {
 		t.Fatal("parity symbol is not XOR of data")
 	}
 	for i, d := range data {
-		if !block.Equal(symbols[i], d) {
+		if !bytes.Equal(symbols[i], d) {
 			t.Fatalf("code is not systematic at %d", i)
 		}
 	}
@@ -149,7 +150,7 @@ func TestDecodeFromAnyTwoNodeErasure(t *testing.T) {
 					t.Fatalf("K%d: decode after erasing %d,%d: %v", n, f1, f2, err)
 				}
 				for i := range data {
-					if !block.Equal(decoded[i], data[i]) {
+					if !bytes.Equal(decoded[i], data[i]) {
 						t.Fatalf("K%d: wrong block %d after erasing %d,%d", n, i, f1, f2)
 					}
 				}
@@ -176,7 +177,7 @@ func TestDecodeNoErasure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range data {
-		if !block.Equal(decoded[i], data[i]) {
+		if !bytes.Equal(decoded[i], data[i]) {
 			t.Fatalf("block %d corrupted by decode", i)
 		}
 	}
@@ -192,7 +193,7 @@ func TestDecodeParityErased(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range data {
-		if !block.Equal(decoded[i], data[i]) {
+		if !bytes.Equal(decoded[i], data[i]) {
 			t.Fatalf("block %d wrong with parity erased", i)
 		}
 	}
@@ -327,7 +328,7 @@ func TestReadRemoteCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !block.Equal(got, symbols[s]) {
+	if !bytes.Equal(got, symbols[s]) {
 		t.Fatal("remote read returned wrong data")
 	}
 }
@@ -354,7 +355,7 @@ func TestDegradedReadPartialParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !block.Equal(got, symbols[s]) {
+			if !bytes.Equal(got, symbols[s]) {
 				t.Fatalf("K%d degraded read of %d returned wrong data", n, s)
 			}
 		}
@@ -441,7 +442,7 @@ func TestRepairProperty(t *testing.T) {
 		p := c.Placement()
 		for v := range nc {
 			for _, s := range p.NodeSymbols[v] {
-				if !block.Equal(nc[v][s], symbols[s]) {
+				if !bytes.Equal(nc[v][s], symbols[s]) {
 					return false
 				}
 			}
@@ -467,7 +468,7 @@ func assertFullyRestored(t *testing.T, c core.Code, nc core.NodeContents, symbol
 			if !ok {
 				t.Fatalf("node %d missing symbol %d after repair", v, s)
 			}
-			if !block.Equal(b, symbols[s]) {
+			if !bytes.Equal(b, symbols[s]) {
 				t.Fatalf("node %d symbol %d corrupted after repair", v, s)
 			}
 		}

@@ -1,6 +1,7 @@
 package raidm
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestShape(t *testing.T) {
 func TestEncodeParity(t *testing.T) {
 	c := New(9)
 	data, symbols := encoded(t, c, 1)
-	if !block.Equal(symbols[9], block.Xor(data...)) {
+	if !bytes.Equal(symbols[9], block.Xor(data...)) {
 		t.Fatal("parity wrong")
 	}
 }
@@ -72,7 +73,7 @@ func TestDecodeAllTripleNodeErasures(t *testing.T) {
 					t.Fatalf("decode after %d,%d,%d: %v", f1, f2, f3, err)
 				}
 				for i := range data {
-					if !block.Equal(decoded[i], data[i]) {
+					if !bytes.Equal(decoded[i], data[i]) {
 						t.Fatalf("block %d wrong after %d,%d,%d", i, f1, f2, f3)
 					}
 				}
@@ -106,7 +107,7 @@ func TestRepairMirrorCopy(t *testing.T) {
 	if err := core.ExecuteRepair(nc, plan, testBlockSize); err != nil {
 		t.Fatal(err)
 	}
-	if !block.Equal(nc[4][2], symbols[2]) {
+	if !bytes.Equal(nc[4][2], symbols[2]) {
 		t.Fatal("node 4 not restored")
 	}
 }
@@ -129,7 +130,7 @@ func TestRepairDoublyLostSymbol(t *testing.T) {
 	if err := core.ExecuteRepair(nc, plan, testBlockSize); err != nil {
 		t.Fatal(err)
 	}
-	if !block.Equal(nc[6][3], symbols[3]) || !block.Equal(nc[7][3], symbols[3]) {
+	if !bytes.Equal(nc[6][3], symbols[3]) || !bytes.Equal(nc[7][3], symbols[3]) {
 		t.Fatal("mirror pair not restored")
 	}
 }
@@ -152,7 +153,7 @@ func TestRepairAllTriplePatterns(t *testing.T) {
 				}
 				for v := 0; v < n; v++ {
 					s := symbolOf(v)
-					if !block.Equal(nc[v][s], symbols[s]) {
+					if !bytes.Equal(nc[v][s], symbols[s]) {
 						t.Fatalf("node %d wrong after %d,%d,%d", v, f1, f2, f3)
 					}
 				}
@@ -187,7 +188,7 @@ func TestDegradedReadCostsM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !block.Equal(got, symbols[0]) {
+	if !bytes.Equal(got, symbols[0]) {
 		t.Fatal("degraded read returned wrong data")
 	}
 }

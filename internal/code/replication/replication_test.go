@@ -1,10 +1,10 @@
 package replication
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
-	"repro/internal/block"
 	"repro/internal/core"
 )
 
@@ -45,14 +45,14 @@ func TestEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(symbols) != 1 || !block.Equal(symbols[0], data[0]) {
+	if len(symbols) != 1 || !bytes.Equal(symbols[0], data[0]) {
 		t.Fatal("Encode must be the identity")
 	}
 	decoded, err := c.Decode(symbols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !block.Equal(decoded[0], data[0]) {
+	if !bytes.Equal(decoded[0], data[0]) {
 		t.Fatal("Decode returned wrong data")
 	}
 	if _, err := c.Decode([][]byte{nil}); err == nil {
@@ -84,7 +84,7 @@ func TestRepairEveryPattern(t *testing.T) {
 			t.Fatalf("repair %v: %v", failed, err)
 		}
 		for v := 0; v < 3; v++ {
-			if !block.Equal(nc[v][0], data[0]) {
+			if !bytes.Equal(nc[v][0], data[0]) {
 				t.Fatalf("node %d wrong after repairing %v", v, failed)
 			}
 		}

@@ -1,6 +1,7 @@
 package rs
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -64,7 +65,7 @@ func TestSystematic(t *testing.T) {
 	c := New(9, 6)
 	data, symbols := encoded(t, c, 1)
 	for i := range data {
-		if !block.Equal(symbols[i], data[i]) {
+		if !bytes.Equal(symbols[i], data[i]) {
 			t.Fatalf("not systematic at %d", i)
 		}
 	}
@@ -85,7 +86,7 @@ func TestDecodeAllErasurePatterns(t *testing.T) {
 					t.Fatalf("decode after %d,%d,%d: %v", f1, f2, f3, err)
 				}
 				for i := range data {
-					if !block.Equal(decoded[i], data[i]) {
+					if !bytes.Equal(decoded[i], data[i]) {
 						t.Fatalf("block %d wrong after %d,%d,%d", i, f1, f2, f3)
 					}
 				}
@@ -128,7 +129,7 @@ func TestDecodeProperty(t *testing.T) {
 			return false
 		}
 		for i := range data {
-			if !block.Equal(decoded[i], data[i]) {
+			if !bytes.Equal(decoded[i], data[i]) {
 				return false
 			}
 		}
@@ -159,7 +160,7 @@ func TestRepairCostsKTransfers(t *testing.T) {
 		if err := core.ExecuteRepair(nc, plan, testBlockSize); err != nil {
 			t.Fatalf("repair of %d: %v", f, err)
 		}
-		if !block.Equal(nc[f][f], symbols[f]) {
+		if !bytes.Equal(nc[f][f], symbols[f]) {
 			t.Fatalf("node %d not restored", f)
 		}
 	}
@@ -178,7 +179,7 @@ func TestRepairMaxErasures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range []int{1, 4, 8} {
-		if !block.Equal(nc[f][f], symbols[f]) {
+		if !bytes.Equal(nc[f][f], symbols[f]) {
 			t.Fatalf("node %d not restored", f)
 		}
 	}
@@ -225,7 +226,7 @@ func TestReadPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !block.Equal(got, symbols[2]) {
+	if !bytes.Equal(got, symbols[2]) {
 		t.Fatal("degraded read wrong")
 	}
 	if _, err := c.PlanRead(8, nil, 0); err == nil {
@@ -295,7 +296,7 @@ func TestConcurrentDecodeDistinctPatterns(t *testing.T) {
 					return
 				}
 				for i := range data {
-					if !block.Equal(got[i], data[i]) {
+					if !bytes.Equal(got[i], data[i]) {
 						errs <- fmt.Errorf("pattern %v: data block %d wrong", pat, i)
 						return
 					}

@@ -40,10 +40,6 @@ func init() {
 	initArchKernels() // per-arch table compilation (e.g. GFNI matrices)
 }
 
-// Add returns the sum of a and b in GF(2^8). Addition is XOR and is its
-// own inverse, so Add doubles as subtraction.
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns the product of a and b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -68,15 +64,6 @@ func Exp(n int) byte {
 		n += 255
 	}
 	return expTable[n]
-}
-
-// Log returns the discrete logarithm of a to the base 2.
-// Log panics if a is zero.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[a])
 }
 
 // Pow returns a raised to the power n. Pow(0, 0) is defined as 1.

@@ -81,6 +81,19 @@ func detectGFNI() bool {
 	return ecx7&gfni != 0
 }
 
+// HasAVX512CLMUL reports whether the CPU has AVX-512F, VPCLMULQDQ and
+// SSE4.2 and the OS saves opmask and ZMM state (XCR0 0xE6): the gate of
+// internal/block's CRC-32C fold.
+func HasAVX512CLMUL() bool {
+	_, _, ecx1, _ := cpuidex(1, 0)
+	_, ebx7, ecx7, _ := cpuidex(7, 0)
+	if !detectAVX2() || ecx1&(1<<20) == 0 || ebx7&(1<<16) == 0 || ecx7&(1<<10) == 0 { // SSE4.2, AVX512F, VPCLMULQDQ
+		return false
+	}
+	xcr0, _ := xgetbv0() // detectAVX2 saw OSXSAVE, so XGETBV is safe
+	return xcr0&0xE6 == 0xE6
+}
+
 // initArchKernels compiles every coefficient to its GFNI bit-matrix.
 // Called from init() in gf256.go after the exp/log tables exist.
 func initArchKernels() {

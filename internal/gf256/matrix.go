@@ -57,15 +57,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// String renders the matrix as rows of hex bytes, for debugging.
-func (m *Matrix) String() string {
-	s := ""
-	for i := 0; i < m.Rows; i++ {
-		s += fmt.Sprintf("%02x\n", m.Row(i))
-	}
-	return s
-}
-
 // Mul returns the matrix product m * other.
 func (m *Matrix) Mul(other *Matrix) *Matrix {
 	if m.Cols != other.Rows {
