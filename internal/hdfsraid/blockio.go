@@ -15,11 +15,10 @@ import (
 // logic. The default is a plain passthrough to the os package.
 //
 // Only block files route through the seam. The manifest, the heat and
-// move sidecars, the advisory lock file, and the test-only helpers
-// (KillNode, CorruptBlock) stay on direct os calls: manifest
-// durability has its own path (durable.WriteFile), and the seam
-// exists to exercise the block-level detection and healing machinery
-// above it.
+// move sidecars, the advisory lock file, KillNode and the tests'
+// CorruptBlock stay on direct os calls: manifest durability has its
+// own path (durable.WriteFile), and the seam exists to exercise the
+// block-level detection and healing machinery above it.
 type BlockIO interface {
 	// Open opens a block file for reading. The store uses the result as
 	// an io.ReaderAt when it is one (an *os.File is), reading only the

@@ -355,7 +355,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 		return nil, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
 	}
 	s.admitRead(name, 0, len(fi.Extents)-1)
-	out := make([]byte, fi.Length)
+	out := makeNoZero(fi.Length)
 	degraded, err := s.readInto(name, fi, out, 0)
 	if err != nil {
 		return nil, err
@@ -501,7 +501,7 @@ func (s *Store) ReadTo(w io.Writer, name string, off, n int64, begin func(length
 		}
 		chunk := s.cachedExtent(fi, id, ext, off, hi)
 		if chunk == nil {
-			chunk = make([]byte, hi-off)
+			chunk = makeNoZero(int(hi - off))
 			deg, err := s.readRange(name, fi, chunk, off)
 			if err != nil {
 				return nil, fmt.Errorf("hdfsraid: reading %q bytes %d-%d: %w", name, off, hi-1, err)
@@ -593,25 +593,14 @@ func (s *Store) readRange(name string, fi FileInfo, p []byte, off int64) (bool, 
 	return degraded.Load(), err
 }
 
-// ReadBlock serves one data block of a stored file the way a degraded
-// map task would: a live replica first, then — if both replicas are
-// unreadable — through the code's partial-parity read plan, computing
-// each payload from the blocks actually on disk at its source node,
-// then whatever the stripe can still decode. It returns the block
-// bytes and the number of block-unit transfers the read cost (0 for a
-// healthy replica read).
-func (s *Store) ReadBlock(name string, stripe, symbol int) ([]byte, int, error) {
-	dst := make([]byte, s.BlockSize())
-	cost, err := s.ReadBlockInto(dst, name, stripe, symbol)
-	if err != nil {
-		return nil, 0, err
-	}
-	return dst, cost, nil
-}
-
-// ReadBlockInto is ReadBlock into a caller-provided buffer of exactly
-// BlockSize bytes — the steady-state read path, which together with the
-// store's frame and payload pools moves block payloads with zero
+// ReadBlockInto serves one data block of a stored file into dst, a
+// buffer of exactly BlockSize bytes, the way a degraded map task would:
+// a live replica first, then — if both replicas are unreadable —
+// through the code's partial-parity read plan, computing each payload
+// from the blocks actually on disk at its source node, then whatever
+// the stripe can still decode. It returns the number of block-unit
+// transfers the read cost (0 for a healthy replica read); with the
+// store's frame and payload pools it moves block payloads with zero
 // allocations per read. The stripe index is file-global: extent stripe
 // sets are concatenated in extent order, so (stripe, symbol) addresses
 // the same data block it did before the file grew an extent map.

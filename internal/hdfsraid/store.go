@@ -172,14 +172,14 @@ type Store struct {
 	encodeWorkers atomic.Int64
 
 	// OnRead, when non-nil, is invoked with the file name on every
-	// Get and ReadBlock access. The tier subsystem hooks it to feed
-	// heat tracking; it must be cheap and non-blocking. Set it before
-	// serving concurrent reads.
+	// Get, ReadAt, ReadTo and ReadBlockInto access. The tier subsystem
+	// hooks it to feed heat tracking; it must be cheap and non-blocking.
+	// Set it before serving concurrent reads.
 	OnRead func(name string)
 
 	// OnReadExtent, when non-nil, observes accesses at extent
 	// granularity: Get invokes it once per extent of the file (a whole
-	// -file read touches every extent), ReadBlock with the extent
+	// -file read touches every extent), ReadBlockInto with the extent
 	// holding the block. The tier subsystem hooks it to feed per-
 	// extent heat. Same contract as OnRead.
 	OnReadExtent func(name string, ext int)
@@ -994,28 +994,4 @@ func (s *Store) walkNodeDirs(fn func(v int, name string) error) error {
 		}
 	}
 	return nil
-}
-
-// CorruptBlock flips a byte in a stored block replica (for testing and
-// demos of checksum detection). The stripe index is file-global, as in
-// ReadBlockInto.
-func (s *Store) CorruptBlock(v int, name string, stripe, symbol int) error {
-	fi, ok := s.Info(name)
-	if !ok {
-		return fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
-	}
-	ext, local, ok := locateStripe(fi, stripe)
-	if !ok {
-		return fmt.Errorf("hdfsraid: stripe %d out of range", stripe)
-	}
-	path := s.extentBlockPath(v, name, fi, ext, local, symbol)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(raw) == 0 {
-		return fmt.Errorf("hdfsraid: empty block %s", path)
-	}
-	raw[0] ^= 0xFF
-	return os.WriteFile(path, raw, 0o644)
 }
