@@ -928,12 +928,16 @@ func BenchmarkTieringReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tier.Replay(sim.NewEngine(), trace, m, 10, nil); err != nil {
+		d, err := tier.NewDaemon(m, tier.DaemonConfig{Interval: 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tier.Replay(sim.NewEngine(), trace, d, nil); err != nil {
 			b.Fatal(err)
 		}
 		hot = 0
 		for _, name := range ct.Files() {
-			if code, _ := ct.ExtentCode(name, 0); code == "pentagon" {
+			if code, _, _ := ct.ExtentCode(name, 0); code == "pentagon" {
 				hot++
 			}
 		}

@@ -19,8 +19,8 @@
 //	hdfscli -store DIR stats [-json]
 //	hdfscli -store DIR tier status
 //	hdfscli -store DIR tier set [-ext N] NAME CODE
-//	hdfscli -store DIR tier rebalance [-hot CODE] [-cold CODE] [-promote H] [-demote H] [-dwell S] [-workers N]
-//	hdfscli -store DIR tier daemon [-every S] [-budget MBPS] [-scrub MB] [-horizon S] [-duration S] [-metrics ADDR] [rebalance flags]
+//	hdfscli -store DIR tier rebalance [-hot CODE] [-cold CODE] [-promote H] [-demote H] [-dwell S]
+//	hdfscli -store DIR tier daemon [-every S] [-budget MBPS] [-scrub MB] [-duration S] [-metrics ADDR] [rebalance flags]
 //	hdfscli -store DIR serve [-addr HOST:PORT] [-create -shards N -code NAME -blocksize B -extentblocks E] [-resume-reshard] [-cache-mb MB] [-tierevery S ...]
 //	hdfscli -store DIR reshard {-to N | -resume | -status}
 //
@@ -152,10 +152,6 @@ func openHeat(store string, s *hdfsraid.Store) (*tier.HeatLog, error) {
 	}
 	return hl, nil
 }
-
-// movesPath is where per-file last-move times persist, so the
-// rebalance -dwell guard holds across one-shot invocations.
-func movesPath(store string) string { return filepath.Join(store, "tier-moves.json") }
 
 // obsPath is where metric snapshots accumulate across one-shot
 // invocations, beside the manifest.
@@ -423,11 +419,14 @@ func doTierSet(store string, args []string) error {
 	return flushObs(store, s)
 }
 
+// doTierRebalance runs one scan of an unbudgeted daemon: every move
+// the policy wants, hottest first. The -dwell guard holds across
+// invocations because each move's record in the manifest carries its
+// time.
 func doTierRebalance(store string, args []string) error {
 	fs := flag.NewFlagSet("tier rebalance", flag.ExitOnError)
 	policy := policyFlags(fs)
 	fs.Float64Var(&policy.MinDwell, "dwell", 0, dwellHelp)
-	workers := fs.Int("workers", 0, "concurrent transcodes (0 or 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -444,15 +443,12 @@ func doTierRebalance(store string, args []string) error {
 	if err != nil {
 		return err
 	}
-	m.MoveWorkers = *workers
-	if err := m.LoadLastMoves(movesPath(store)); err != nil {
-		return err
-	}
-	moves, err := m.Rebalance(nowSeconds())
+	d, err := tier.NewDaemon(m, tier.DaemonConfig{})
 	if err != nil {
 		return err
 	}
-	if err := m.SaveLastMoves(movesPath(store)); err != nil {
+	moves, err := d.Tick(nowSeconds())
+	if err != nil {
 		return err
 	}
 	if len(moves) == 0 {
@@ -503,7 +499,6 @@ func doTierDaemon(store string, args []string) error {
 	every := fs.Float64("every", 10, "seconds between rebalance scans")
 	budget := fs.Float64("budget", 0, "transcode budget, MB/s (0 = unlimited)")
 	scrub := fs.Float64("scrub", 0, "trickle-scrub up to this many MB per scan from the leftover move budget (0 = off)")
-	horizon := fs.Float64("horizon", 0, "admission horizon: max seconds of booked transfer window per scan (0 = unlimited)")
 	duration := fs.Float64("duration", 0, "run this many seconds (0 = until interrupt)")
 	metrics := fs.String("metrics", "", "serve live metrics over HTTP on this address (e.g. :8080)")
 	if err := fs.Parse(args); err != nil {
@@ -521,14 +516,10 @@ func doTierDaemon(store string, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := m.LoadLastMoves(movesPath(store)); err != nil {
-		return err
-	}
 	d, err := tier.NewDaemon(m, tier.DaemonConfig{
 		Interval:     *every,
 		BytesPerSec:  *budget * 1e6,
 		BlockBytes:   s.BlockSize(),
-		AdmitHorizon: *horizon,
 		ScrubPerScan: *scrub * 1e6,
 	})
 	if err != nil {
@@ -580,9 +571,6 @@ func doTierDaemon(store string, args []string) error {
 		return err
 	}
 	if err := hl.Close(); err != nil {
-		return err
-	}
-	if err := m.SaveLastMoves(movesPath(store)); err != nil {
 		return err
 	}
 	st := d.Stats()

@@ -278,3 +278,44 @@ func TestTierDaemonScrubFlag(t *testing.T) {
 		t.Fatalf("store not clean after daemon trickle scrub:\n%s", out)
 	}
 }
+
+// TestTierRebalanceCLI drives `tier rebalance` through the real binary:
+// six gets heat a file past -promote and one run promotes it; a second
+// run whose thresholds want it demoted moves nothing, because the
+// promotion's manifest record carries its time and -dwell has not
+// passed; without -dwell the same run demotes. The dwell needs no file
+// of its own beside the store.
+func TestTierRebalanceCLI(t *testing.T) {
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
+	data := make([]byte, 5*4096)
+	rand.New(rand.NewSource(9)).Read(data)
+	src := filepath.Join(dir, "data.bin")
+	if err := os.WriteFile(src, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run(t, bin, store, "create", "-code", "rs-14-10", "-blocksize", "4096")
+	run(t, bin, store, "put", src)
+	for i := 0; i < 6; i++ {
+		run(t, bin, store, "get", "data.bin", filepath.Join(dir, "out.bin"))
+	}
+	out := run(t, bin, store, "tier", "rebalance", "-promote", "5", "-demote", "1", "-dwell", "3600")
+	if !strings.Contains(out, "promote data.bin[x0]: rs-14-10 -> pentagon") {
+		t.Fatalf("first rebalance did not promote:\n%s", out)
+	}
+	demote := []string{"tier", "rebalance", "-promote", "1e9", "-demote", "1e8"}
+	if out := run(t, bin, store, append(demote, "-dwell", "3600")...); out != "tiering stable: no moves\n" {
+		t.Fatalf("rebalance inside the dwell:\n%s", out)
+	}
+	if _, err := os.Stat(filepath.Join(store, "tier-moves.json")); !os.IsNotExist(err) {
+		t.Fatalf("tier-moves.json beside the store: %v", err)
+	}
+	if out := run(t, bin, store, demote...); !strings.Contains(out, "demote data.bin[x0]: pentagon -> rs-14-10") {
+		t.Fatalf("rebalance without a dwell did not demote:\n%s", out)
+	}
+	run(t, bin, store, "get", "data.bin", filepath.Join(dir, "out.bin"))
+	if got, err := os.ReadFile(filepath.Join(dir, "out.bin")); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("bytes changed across the moves (%v)", err)
+	}
+}

@@ -392,9 +392,9 @@ func tierFrontier(w io.Writer) error {
 		)
 	}
 
-	var dc tier.DaemonConfig // no budget, no admission horizon
-	fmt.Fprintf(w, "tiersim: %d files x %d blocks (ext=%d), %d accesses (zipf %.2f/blk %.2f), %d nodes, %d failed, hot=%s cold=%s, budget=%g MB/s horizon=%gs\n\n",
-		files, blocks, extBlocks, tc.Accesses, tc.ZipfS, tc.BlockZipfS, nodes, failed, hot, cold, dc.BytesPerSec/1e6, dc.AdmitHorizon)
+	var dc tier.DaemonConfig // no budget
+	fmt.Fprintf(w, "tiersim: %d files x %d blocks (ext=%d), %d accesses (zipf %.2f/blk %.2f), %d nodes, %d failed, hot=%s cold=%s, budget=%g MB/s\n\n",
+		files, blocks, extBlocks, tc.Accesses, tc.ZipfS, tc.BlockZipfS, nodes, failed, hot, cold, dc.BytesPerSec/1e6)
 	fmt.Fprintf(w, "%-18s %9s %6s %6s %10s %10s %10s %11s %11s\n",
 		"policy", "hot-end", "moves", "defer", "moved-blk", "overhead", "deg-reads", "xfers/read", "read-ms")
 
@@ -427,10 +427,9 @@ func tierFrontier(w io.Writer) error {
 			}
 		}
 		d.OnMove = func(mv tier.MoveResult, now float64) {
-			// With no budget the daemon books no paced window
-			// (mv.Duration is 0), so the move crosses the LAN at once.
+			// The move crosses the LAN at once, block by block.
 			src := live[nrng.Intn(len(live))]
-			net.TransferPaced(src, pick(src), float64(mv.BlocksMoved)*blockBytes, blockBytes, 0, func() {})
+			net.TransferChunked(src, pick(src), float64(mv.BlocksMoved)*blockBytes, blockBytes, func() {})
 		}
 
 		// Meter reads through the network and integrate storage
@@ -463,7 +462,7 @@ func tierFrontier(w io.Writer) error {
 			}
 			return nil
 		}
-		stats, err := tier.ReplayDaemon(eng, trace, d, onAccess)
+		stats, err := tier.Replay(eng, trace, d, onAccess)
 		if err != nil {
 			return err
 		}
@@ -473,7 +472,7 @@ func tierFrontier(w io.Writer) error {
 			n := ct.Extents(name)
 			extTotal += n
 			for ext := 0; ext < n; ext++ {
-				if code, _ := ct.ExtentCode(name, ext); code == hot {
+				if code, _, _ := ct.ExtentCode(name, ext); code == hot {
 					hotEnd++
 				}
 			}

@@ -98,22 +98,16 @@ func ExampleNewTierManager() {
 	for i := 0; i < 6; i++ {
 		s.ReadAt(head, "f", 0) // heats extent 0 only
 	}
-	moves, _ := m.Rebalance(now) // promote hot extents, demote cold ones
-	for _, mv := range moves {
-		fmt.Printf("t=0h: %s extent %d %s -> %s\n", mv.Name, mv.Ext, mv.From, mv.To)
-	}
-
-	// Instead of calling Rebalance, let the daemon scan on an interval
-	// under a byte budget: Start/Stop on the wall clock, or Tick on a
-	// virtual one as here.
+	// The daemon scans on an interval under a byte budget: Start/Stop
+	// on the wall clock, or Tick on a virtual one as here.
 	d, _ := hadoopcodes.NewTierDaemon(m, hadoopcodes.TierDaemonConfig{
 		Interval: 30, BytesPerSec: 200e6, BlockBytes: 4096,
-		AdmitHorizon: 60, // book at most 60s of paced transfer per scan
 	})
-	now = 4 * 3600
-	moves, _ = d.Tick(now)
-	for _, mv := range moves {
-		fmt.Printf("t=4h: %s extent %d %s -> %s\n", mv.Name, mv.Ext, mv.From, mv.To)
+	for _, now = range []float64{0, 4 * 3600} {
+		moves, _ := d.Tick(now) // promote hot extents, demote cold ones
+		for _, mv := range moves {
+			fmt.Printf("t=%gh: %s extent %d %s -> %s\n", now/3600, mv.Name, mv.Ext, mv.From, mv.To)
+		}
 	}
 	back, _ := s.Get("f")
 	fmt.Println("bytes unchanged:", bytes.Equal(back, data))

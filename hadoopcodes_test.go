@@ -141,7 +141,11 @@ func TestFacadeTiering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	moves, err := m.Rebalance(clock)
+	d, err := NewTierDaemon(m, TierDaemonConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves, err := d.Tick(clock)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package durable is the one place a metadata file becomes durable and
-// the one advisory file lock: the reshard pending record, the tier
-// dwell sidecar and the metrics snapshot commit through WriteFile (and
+// the one advisory file lock: the reshard pending record and the
+// metrics snapshot commit through WriteFile (and
 // the pending record leaves through Remove);
 // the store's manifest and the tier heat are each a SnapLog — a
 // WriteFile'd snapshot plus a Log of the records since, tied together

@@ -14,8 +14,8 @@ import (
 // can corrupt, tear, delay or fail any of them without touching store
 // logic. The default is a plain passthrough to the os package.
 //
-// Only block files route through the seam. The manifest, the heat and
-// move sidecars, the advisory lock file, KillNode and the tests'
+// Only block files route through the seam. The manifest, the heat
+// sidecars, the advisory lock file, KillNode and the tests'
 // CorruptBlock stay on direct os calls: manifest durability has its
 // own path (durable.WriteFile), and the seam exists to exercise the
 // block-level detection and healing machinery above it.

@@ -32,6 +32,9 @@ type Extent struct {
 	// move. It is part of every block's name (see blockName), so the
 	// layout a move writes never shares a path with the one it replaces.
 	Gen int `json:"gen,omitempty"`
+	// Moved is the clock time of the extent's last tiering move (see
+	// TranscodeExtentAt), 0 if none: the tiering policy's dwell.
+	Moved float64 `json:"moved,omitempty"`
 }
 
 // stripesFor returns the stripes needed for blocks data blocks under a

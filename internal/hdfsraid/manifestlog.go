@@ -28,8 +28,9 @@ const (
 	opMove = "move"
 )
 
-// record is one manifest-log entry. Ext, Code, Stripes and Gen are a
-// move's: the extent and the layout it now has.
+// record is one manifest-log entry. Ext, Code, Stripes, Gen and T are a
+// move's: the extent, the layout it now has and, for a tiering move,
+// its clock time.
 type record struct {
 	Op      string      `json:"op"`
 	Name    string      `json:"name,omitempty"`
@@ -38,6 +39,7 @@ type record struct {
 	Code    string      `json:"code,omitempty"`
 	Stripes int         `json:"stripes,omitempty"`
 	Gen     int         `json:"gen,omitempty"`
+	T       float64     `json:"t,omitempty"`
 	Intent  *legacyMove `json:"intent,omitempty"`
 }
 
@@ -56,9 +58,10 @@ type legacyMove struct {
 }
 
 // move gives one extent of name a new layout: its code, stripe count
-// and generation change, never its data-block range. Readers may hold
-// the old entry, so the extent map is copied, not edited.
-func (m *Manifest) move(name string, ext int, code string, stripes, gen int) error {
+// and generation change, never its data-block range; a move at a clock
+// time t != 0 also becomes the extent's Moved. Readers may hold the old
+// entry, so the extent map is copied, not edited.
+func (m *Manifest) move(name string, ext int, code string, stripes, gen int, t float64) error {
 	fi, ok := m.Files[name]
 	if !ok || ext < 0 || ext >= len(fi.Extents) {
 		return fmt.Errorf("hdfsraid: manifest log: move of %q extent %d the file table lacks", name, ext)
@@ -66,6 +69,9 @@ func (m *Manifest) move(name string, ext int, code string, stripes, gen int) err
 	fi.Extents = slices.Clone(fi.Extents)
 	e := &fi.Extents[ext]
 	e.Code, e.Stripes, e.Gen = code, stripes, gen
+	if t != 0 {
+		e.Moved = t
+	}
 	refreshSummary(&fi)
 	m.Files[name] = fi
 	return nil
@@ -86,7 +92,7 @@ func (m *Manifest) apply(r record) error {
 		delete(m.Files, r.Name)
 		delete(m.ids, r.Name)
 	case opMove:
-		return m.move(r.Name, r.Ext, r.Code, r.Stripes, r.Gen)
+		return m.move(r.Name, r.Ext, r.Code, r.Stripes, r.Gen, r.T)
 	case "intent":
 		if r.Intent == nil {
 			return errors.New("hdfsraid: manifest log: empty intent record")
@@ -101,7 +107,7 @@ func (m *Manifest) apply(r record) error {
 			return fmt.Errorf("hdfsraid: manifest log: %s of %q extent %d, which has no journaled move", r.Op, r.Name, r.Ext)
 		}
 		if in := m.Queue[i]; r.Op == "commit" {
-			if err := m.move(in.File, in.Extent, in.To, in.NewStripes, 0); err != nil {
+			if err := m.move(in.File, in.Extent, in.To, in.NewStripes, 0, 0); err != nil {
 				return err
 			}
 		}

@@ -129,9 +129,16 @@ func TestCommitFailureNeverLies(t *testing.T) {
 	}
 }
 
+// churnMoved is the clock time churn's tiering move records for f2's
+// extent 0.
+const churnMoved = 42.5
+
 // churn applies a fixed sequence of every record type to a new store
-// and returns it: puts, a delete, a committed move, and a move killed
-// before its record, swept by recovery.
+// and returns it: puts, a delete, committed moves — a tiering move at
+// churnMoved, then a manual one of the same extent, whose record must be
+// the bytes it was before moves carried a time and must keep the
+// extent's Moved — and a move killed before its record, swept by
+// recovery.
 func churn(t *testing.T, dir string) *Store {
 	t.Helper()
 	s, err := CreateExt(dir, "rs-9-6", blockSize, 8)
@@ -146,9 +153,20 @@ func churn(t *testing.T, dir string) *Store {
 	if _, err := s.Delete("f0"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.TranscodeExtentAt("f2", 0, "pentagon", churnMoved); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.TranscodeExtent("f2", 1, "pentagon"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.TranscodeExtent("f2", 0, "rs-9-6"); err != nil {
+		t.Fatal(err)
+	}
+	if log := readFile(t, filepath.Join(dir, logName)); !bytes.HasSuffix(log, []byte(`{"op":"move","name":"f2","code":"rs-9-6","stripes":2,"gen":2}`)) ||
+		bytes.Count(log, []byte(`"t":`)) != 1 {
+		t.Fatalf("move records: want one timed, the manual ones untimed and unchanged:\n%q", log)
+	}
+	assertMoved(t, s.manifest.Files)
 	killAt(s, "staged")
 	if _, err := s.TranscodeExtent("f1", 0, "pentagon"); !errors.Is(err, errKilled) {
 		t.Fatalf("move of f1: %v, want the simulated crash", err)
@@ -158,6 +176,16 @@ func churn(t *testing.T, dir string) *Store {
 		t.Fatalf("recover = %+v, %v; want f1's unrecorded generation swept", rec, err)
 	}
 	return s
+}
+
+// assertMoved checks the dwell churn left in a table: f2's extent 0
+// keeps its tiering move's time through the manual move after it, and
+// the extent only ever moved by hand has none.
+func assertMoved(t *testing.T, files map[string]FileInfo) {
+	t.Helper()
+	if exts := files["f2"].Extents; exts[0].Moved != churnMoved || exts[1].Moved != 0 {
+		t.Fatalf("f2 extents %+v: want Moved %v on extent 0 only", exts, churnMoved)
+	}
 }
 
 // TestManifestLogTornTail: with the log cut at every byte of its last
@@ -223,8 +251,10 @@ func TestManifestLogTornTail(t *testing.T) {
 // before its snapshot was renamed into place (the torn temp file beside
 // the old snapshot and the full log), and after it but before the old
 // log was emptied (the new snapshot beside the old log): Open yields the
-// same table both ways, the stale log is never replayed onto the newer
-// snapshot, and the next commit sweeps it.
+// same table both ways — each extent's Moved included, replayed from the
+// log the first way and read from the snapshot the second — the stale
+// log is never replayed onto the newer snapshot, and the next commit
+// sweeps it.
 func TestCheckpointKillPoints(t *testing.T) {
 	for _, point := range []string{"before the rename", "before the log is emptied"} {
 		t.Run(point, func(t *testing.T) {
@@ -252,6 +282,7 @@ func TestCheckpointKillPoints(t *testing.T) {
 				t.Fatalf("after a crash %s: generation %d, table %v; want %d, %v",
 					point, s2.manifest.LogGen, files, wantGen, want)
 			}
+			assertMoved(t, files)
 			if !bytes.Equal(readFile(t, filepath.Join(dir, logName)), staleLog) {
 				t.Fatal("Open rewrote the log")
 			}
@@ -465,6 +496,8 @@ func FuzzManifestLogReplay(f *testing.F) {
 	f.Add([]byte(`{"op":"gen","gen":2}`+"\n"+`{"op":"rollback","name":"f","ext":3}`), true)
 	f.Add([]byte(`{"op":"gen","gen":2}`+"\n"+`{"op":"move","name":"f","code":"pentagon","stripes":1,"gen":1}`+"\n"+
 		`{"op":"move","name":"f","stripes":2,"gen":2}`+"\n"+`{"op":"move","name":"f","ext":1,"code":"warp","stripes":7,"gen":-1}`), true)
+	f.Add([]byte(`{"op":"gen","gen":2}`+"\n"+`{"op":"move","name":"f","code":"pentagon","stripes":1,"gen":1,"t":1e9}`+"\n"+
+		`{"op":"move","name":"f","stripes":2,"gen":2,"t":-3}`), true)
 	f.Add([]byte(`{"op":"put","name":"headless"}`), true)
 	f.Add([]byte("\x14\x00\x00\x00\xde\xad\xbe\xef{\"op\":\"gen\",\"gen\":2}"), false)
 	dir := f.TempDir()

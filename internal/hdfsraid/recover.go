@@ -48,7 +48,7 @@ func (s *Store) Recover() (RecoverReport, error) {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
 	// A held flock proves its owner is alive and mid-move, and blocking
-	// would stall every Open behind a slow paced move; a dead process's
+	// would stall every Open behind a slow move; a dead process's
 	// flock is released by the kernel, so genuine crash recovery always
 	// gets the lock.
 	ok, err := durable.TryLock(s.lockFile)

@@ -706,8 +706,7 @@ type RepairReport struct {
 // set, hot files are repaired before cold ones, so the files
 // foreground traffic cares about most regain their replicas first —
 // and before any error cuts the pass short. Per-file repair work is
-// independent, so files fan out to GOMAXPROCS workers
-// (the same shape Rebalance uses for moves): workers pull files in
+// independent, so files fan out to GOMAXPROCS workers: workers pull files in
 // heat order, and on error the remaining queue is abandoned while
 // in-flight repairs drain.
 func (s *Store) Repair(failed []int) (RepairReport, error) {

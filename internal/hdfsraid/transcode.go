@@ -96,6 +96,14 @@ func (s *Store) Transcode(name, codeName string) (TranscodeReport, error) {
 // Moves of distinct extents (of the same or different files) run
 // concurrently; two moves of one extent serialize.
 func (s *Store) TranscodeExtent(name string, ext int, codeName string) (TranscodeReport, error) {
+	return s.TranscodeExtentAt(name, ext, codeName, 0)
+}
+
+// TranscodeExtentAt is TranscodeExtent for a tiering move decided at
+// clock time at: a nonzero at goes into the move record and becomes the
+// extent's Moved, so the policy's dwell survives any restart with the
+// move itself. At 0 the record is TranscodeExtent's and Moved is kept.
+func (s *Store) TranscodeExtentAt(name string, ext int, codeName string, at float64) (TranscodeReport, error) {
 	// Hold the move path's read side (Recover takes the write side),
 	// the store's process-exclusive move flock (so another process
 	// can neither move concurrently against a stale manifest nor
@@ -163,7 +171,7 @@ func (s *Store) TranscodeExtent(name string, ext int, codeName string) (Transcod
 		s.reclaim(name, target, ext)
 		return rep, fmt.Errorf("hdfsraid: file %q changed during transcode", name)
 	}
-	err = s.commit(record{Op: opMove, Name: name, Ext: ext, Code: t.Code, Stripes: t.Stripes, Gen: t.Gen})
+	err = s.commit(record{Op: opMove, Name: name, Ext: ext, Code: t.Code, Stripes: t.Stripes, Gen: t.Gen, T: at})
 	s.mu.Unlock()
 	if err != nil {
 		return rep, err

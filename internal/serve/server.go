@@ -62,11 +62,10 @@ type Config struct {
 
 // shard is one independent store plus its sidecars.
 type shard struct {
-	dir     string
-	store   *hdfsraid.Store
-	heat    *tier.HeatLog
-	daemon  *tier.Daemon
-	manager *tier.Manager
+	dir    string
+	store  *hdfsraid.Store
+	heat   *tier.HeatLog
+	daemon *tier.Daemon
 }
 
 // Server routes file operations over N shards. All methods are safe
@@ -199,17 +198,14 @@ func (s *Server) openShard(i int, like *hdfsraid.Store) (*shard, error) {
 	return sh, nil
 }
 
-// movesFile is the per-shard last-move sidecar, the same name hdfscli
-// uses so a shard store remains driveable by the CLI. Heat lives in
-// the shard's tier-heat.json snapshot plus its tier-heat.log, both
-// managed by tier.HeatLog.
-func movesFile(dir string) string { return filepath.Join(dir, "tier-moves.json") }
-
 // wireTier hooks the shard's heat log into its store's read path and
-// starts the shard's daemon when tiering is configured. Reads join the
-// heat log's O(1) batch (crash-durable up to the unflushed batch; the
-// flush that outgrows the snapshot folds the log, so it stays bounded
-// while the server runs), and the daemon tails foreign appends instead
+// starts the shard's daemon when tiering is configured. Heat lives in
+// the shard's tier-heat.json snapshot plus its tier-heat.log, both
+// managed by tier.HeatLog; each extent's dwell lives in the shard
+// manifest's move records. Reads join the heat log's O(1) batch
+// (crash-durable up to the unflushed batch; the flush that outgrows
+// the snapshot folds the log, so it stays bounded while the server
+// runs), and the daemon tails foreign appends instead
 // of re-reading the heat file every scan.
 func (s *Server) wireTier(sh *shard, tc *TierConfig) error {
 	halfLife := 24.0 * 3600
@@ -236,9 +232,6 @@ func (s *Server) wireTier(sh *shard, tc *TierConfig) error {
 	if err != nil {
 		return err
 	}
-	if err := m.LoadLastMoves(movesFile(sh.dir)); err != nil {
-		return err
-	}
 	d, err := tier.NewDaemon(m, tier.DaemonConfig{
 		Interval:     tc.Interval,
 		BytesPerSec:  tc.BytesPerSec,
@@ -258,7 +251,6 @@ func (s *Server) wireTier(sh *shard, tc *TierConfig) error {
 	// The shard's daemon metrics land in the shard's own registry, so
 	// the merged /stats snapshot carries every shard's scans and moves.
 	d.Obs = sh.store.Obs()
-	sh.manager = m
 	sh.daemon = d
 	return d.Start()
 }
@@ -271,7 +263,7 @@ func (s *Server) shardList() []*shard {
 	return s.shards
 }
 
-// Close stops every shard daemon and persists heat and move state.
+// Close stops every shard daemon and persists heat.
 // The first error wins; shutdown continues regardless.
 func (s *Server) Close() error {
 	var first error
@@ -284,9 +276,6 @@ func (s *Server) Close() error {
 		if sh.daemon != nil {
 			sh.daemon.Stop()
 			keep(sh.daemon.Err())
-		}
-		if sh.manager != nil {
-			keep(sh.manager.SaveLastMoves(movesFile(sh.dir)))
 		}
 		if sh.heat != nil {
 			// Fold the shard's log into a tight snapshot, then release

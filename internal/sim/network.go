@@ -74,15 +74,12 @@ func (nw *Network) Transfer(from, to int, bytes float64, done func()) {
 	nw.eng.At(endDown, done)
 }
 
-// TransferPaced moves bytes from node `from` to node `to` as a paced
-// chunk stream: chunkBytes-sized chunks whose start times are spaced
-// chunkBytes/rate apart, sustaining `rate` bytes/second injection, so
-// a long bulk move (a tier transcode, a rebuild) occupies the NICs as
-// a trickle that foreground transfers interleave with, instead of a
-// burst that monopolizes the FIFO queues. done fires when the last
-// chunk arrives. rate <= 0 injects every chunk immediately (back to
-// back, the unpaced burst); chunkBytes <= 0 sends one chunk.
-func (nw *Network) TransferPaced(from, to int, bytes, chunkBytes, rate float64, done func()) {
+// TransferChunked moves bytes from node `from` to node `to` as a
+// stream of chunkBytes-sized transfers, all injected now and queued back
+// to back on the NICs, so a bulk move (a tier transcode, a rebuild)
+// occupies them chunk by chunk. done fires when the last chunk arrives;
+// chunkBytes <= 0 sends one chunk.
+func (nw *Network) TransferChunked(from, to int, bytes, chunkBytes float64, done func()) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("sim: negative transfer size %v", bytes))
 	}
@@ -94,17 +91,13 @@ func (nw *Network) TransferPaced(from, to int, bytes, chunkBytes, rate float64, 
 		chunkBytes = bytes
 	}
 	chunks := int(math.Ceil(bytes / chunkBytes))
-	var gap float64
-	if rate > 0 {
-		gap = chunkBytes / rate
-	}
 	remaining := chunks
 	for i := 0; i < chunks; i++ {
 		size := chunkBytes
 		if i == chunks-1 {
 			size = bytes - chunkBytes*float64(chunks-1)
 		}
-		nw.eng.After(float64(i)*gap, func() {
+		nw.eng.After(0, func() {
 			nw.Transfer(from, to, size, func() {
 				if remaining--; remaining == 0 {
 					done()

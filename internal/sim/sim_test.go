@@ -197,55 +197,33 @@ func TestNetworkInvalidBandwidthPanics(t *testing.T) {
 	NewNetwork(NewEngine(), 2, 0)
 }
 
-// TestTransferPaced: a paced bulk stream injects chunks at the pacing
-// rate, leaving NIC gaps a foreground transfer slips into; the same
-// stream unpaced (rate 0) makes the foreground transfer queue behind
-// the whole burst.
+// TestTransferPaced: a chunked bulk stream injects every chunk at
+// once, so it monopolizes the uplink and a foreground transfer queues
+// behind the whole burst.
 func TestTransferPaced(t *testing.T) {
 	eng := NewEngine()
 	nw := NewNetwork(eng, 2, 100) // 100 B/s per NIC direction
-	var bulkDone, fgDone float64
-	// 400 bytes in 100-byte chunks at 25 B/s: chunks start at t=0,4,8,12,
-	// each takes 1 s up + 1 s down, so the last byte lands at t=14.
-	nw.TransferPaced(0, 1, 400, 100, 25, func() { bulkDone = eng.Now() })
-	// A foreground transfer at t=2 finds both NICs idle between chunks.
+	var fgDone float64
+	nw.TransferChunked(0, 1, 400, 100, func() {})
 	eng.At(2, func() {
 		nw.Transfer(0, 1, 100, func() { fgDone = eng.Now() })
 	})
 	eng.Run()
-	if bulkDone != 14 {
-		t.Fatalf("paced bulk done at %v, want 14", bulkDone)
-	}
-	if fgDone != 4 {
-		t.Fatalf("foreground read done at %v, want 4 (slipped into the pacing gap)", fgDone)
-	}
-	if nw.TotalBytes() != 500 {
-		t.Fatalf("total bytes = %v, want 500", nw.TotalBytes())
-	}
-
-	// Unpaced, the same burst monopolizes the uplink and the foreground
-	// transfer waits for all four chunks.
-	eng2 := NewEngine()
-	nw2 := NewNetwork(eng2, 2, 100)
-	var fgDone2 float64
-	nw2.TransferPaced(0, 1, 400, 100, 0, func() {})
-	eng2.At(2, func() {
-		nw2.Transfer(0, 1, 100, func() { fgDone2 = eng2.Now() })
-	})
-	eng2.Run()
-	if fgDone2 <= fgDone {
-		t.Fatalf("unpaced foreground read done at %v, want later than paced %v", fgDone2, fgDone)
+	// Four 1 s chunks hold the uplink through t=4; the foreground
+	// transfer goes up over [4,5) and down over [5,6).
+	if fgDone != 6 {
+		t.Fatalf("foreground read done at %v, want 6 (queued behind the burst)", fgDone)
 	}
 }
 
-// TestTransferPacedEdges covers the degenerate paced-transfer inputs.
+// TestTransferPacedEdges covers the degenerate chunked-transfer inputs.
 func TestTransferPacedEdges(t *testing.T) {
 	eng := NewEngine()
 	nw := NewNetwork(eng, 2, 100)
 	done := 0
-	nw.TransferPaced(0, 1, 0, 100, 25, func() { done++ })   // zero bytes
-	nw.TransferPaced(0, 1, 50, 0, 25, func() { done++ })    // chunk defaults to bytes
-	nw.TransferPaced(0, 1, 250, 100, 25, func() { done++ }) // ragged tail chunk
+	nw.TransferChunked(0, 1, 0, 100, func() { done++ })   // zero bytes
+	nw.TransferChunked(0, 1, 50, 0, func() { done++ })    // chunk defaults to bytes
+	nw.TransferChunked(0, 1, 250, 100, func() { done++ }) // ragged tail chunk
 	eng.Run()
 	if done != 3 {
 		t.Fatalf("done callbacks = %d, want 3", done)

@@ -37,6 +37,7 @@ type placedExtent struct {
 	codeName      string
 	start, blocks int
 	file          *cluster.File
+	movedAt       float64 // time of the last move, 0 if never
 }
 
 // NewClusterTarget returns an empty target over a cluster of nodes
@@ -98,13 +99,13 @@ func (t *ClusterTarget) Extents(name string) int {
 	return len(pf.exts)
 }
 
-// ExtentCode returns one extent's code name.
-func (t *ClusterTarget) ExtentCode(name string, ext int) (string, bool) {
+// ExtentCode returns one extent's code name and last move time.
+func (t *ClusterTarget) ExtentCode(name string, ext int) (string, float64, bool) {
 	pf, ok := t.files[name]
 	if !ok || ext < 0 || ext >= len(pf.exts) {
-		return "", false
+		return "", 0, false
 	}
-	return pf.exts[ext].codeName, true
+	return pf.exts[ext].codeName, pf.exts[ext].movedAt, true
 }
 
 // ExtentOf maps a file-global data block to its extent.
@@ -121,9 +122,9 @@ func (t *ClusterTarget) ExtentOf(name string, block int) int {
 	return -1
 }
 
-// TranscodeExtent re-places one extent under the new code, paying only
-// that extent's read-plus-write block bill.
-func (t *ClusterTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
+// TranscodeExtent re-places one extent under the new code at time at,
+// paying only that extent's read-plus-write block bill.
+func (t *ClusterTarget) TranscodeExtent(name string, ext int, codeName string, at float64) (int, error) {
 	pf, ok := t.files[name]
 	if !ok || ext < 0 || ext >= len(pf.exts) {
 		return 0, fmt.Errorf("tier: no such extent %q/%d", name, ext)
@@ -136,6 +137,7 @@ func (t *ClusterTarget) TranscodeExtent(name string, ext int, codeName string) (
 	if err != nil {
 		return 0, err
 	}
+	moved.movedAt = at
 	pf.exts[ext] = moved
 	return pe.blocks + physicalBlocks(moved.file), nil
 }

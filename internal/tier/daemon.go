@@ -81,7 +81,8 @@ type Scrubber interface {
 
 // DaemonConfig parameterizes the background rebalance daemon.
 type DaemonConfig struct {
-	// Interval is the seconds between rebalance scans (> 0).
+	// Interval is the seconds between rebalance scans; Start and Replay
+	// need it > 0, a daemon driven only by Tick needs none.
 	Interval float64
 	// BytesPerSec caps the daemon's transcode traffic; 0 disables
 	// rate limiting.
@@ -95,24 +96,11 @@ type DaemonConfig struct {
 	// BlockBytes converts the target's block-unit move costs to bytes
 	// (required when BytesPerSec > 0).
 	BlockBytes int
-	// AdmitHorizon bounds how far ahead of a scan the transfer pacer
-	// may book admitted moves, in seconds: a scan stops admitting once
-	// the next move's paced window would end beyond now+AdmitHorizon,
-	// deferring it (and everything colder) to a later scan. In-flight
-	// paced windows thus feed back into admission — a scan only admits
-	// what the budget horizon can absorb, instead of booking an
-	// unbounded backlog the bucket's burst happens to cover. 0
-	// disables the horizon check. Only meaningful with BytesPerSec >
-	// 0 (pacing needs a rate).
-	AdmitHorizon float64
 	// ScrubPerScan caps the bytes the daemon's Scrubber may verify per
 	// scan; 0 disables scrubbing. With a rate limit, each scan grants
 	// the scrubber min(ScrubPerScan, tokens left after moves) — moves
 	// always have first claim on the budget.
 	ScrubPerScan float64
-	// Now supplies the clock for Start-driven ticks; defaults to wall
-	// time in seconds. Simulations bypass it by calling Tick directly.
-	Now func() float64
 }
 
 // DaemonStats counts what the daemon has done so far.
@@ -139,17 +127,13 @@ type DaemonStats struct {
 // it wants, hottest file first, under a token-bucket byte budget so
 // transcode traffic never starves foreground reads. Moves that do not
 // fit the remaining budget are deferred to a later scan rather than
-// dropped, and each admitted move is assigned a paced transfer window
-// (MoveResult.Start/Duration) smearing its bytes over time at the
-// budget rate. HotRAP and Anna both argue tier movement belongs in
+// dropped. HotRAP and Anna both argue tier movement belongs in
 // exactly this kind of continuously running, rate-limited background
 // process instead of on the caller's thread.
 type Daemon struct {
 	// OnMove, when non-nil, observes every executed move with the
-	// clock time it ran; mv.Start/mv.Duration carry the move's paced
-	// transfer window. The simulator hooks it to charge transcode
-	// traffic to the shared network model as a paced stream. Set it
-	// before Start.
+	// clock time it ran. The simulator hooks it to charge transcode
+	// traffic to the shared network model. Set it before Start.
 	OnMove func(mv MoveResult, now float64)
 
 	// OnTick, when non-nil, runs at the start of every scan, before
@@ -158,10 +142,10 @@ type Daemon struct {
 	OnTick func(now float64)
 
 	// Obs, when non-nil, receives the daemon's metrics: DaemonStats
-	// mirrored onto counters, per-scan latency, and budget gauges
-	// (bucket balance, pacer backlog). Point it at the store's registry
-	// to serve one combined snapshot, or at a private registry to keep
-	// namespaces apart. Set it before the first Tick.
+	// mirrored onto counters, per-scan latency, and the bucket balance.
+	// Point it at the store's registry to serve one combined snapshot,
+	// or at a private registry to keep namespaces apart. Set it before
+	// the first Tick.
 	Obs *obs.Registry
 
 	// Scrub, when non-nil alongside cfg.ScrubPerScan > 0, is run at the
@@ -175,14 +159,6 @@ type Daemon struct {
 	bucket *TokenBucket
 	dobs   *daemonObs // resolved from Obs at first instrumented tick
 
-	// paceUntil is the time the transfer pacer has booked through:
-	// each admitted move's bytes occupy the window [max(now,
-	// paceUntil), +bytes/BytesPerSec), published as MoveResult.Start /
-	// Duration so OnMove observers (the simulator's shared LAN, a real
-	// traffic shaper) smear the move's transfers over that window
-	// instead of charging them all at tick time. Guarded by mu.
-	paceUntil float64
-
 	mu      sync.Mutex
 	stats   DaemonStats
 	lastErr error
@@ -195,16 +171,13 @@ type Daemon struct {
 
 // NewDaemon validates the config and returns a stopped daemon for the
 // manager. Drive it with Start/Stop on the wall clock, or call Tick
-// directly from a simulation's virtual clock.
+// directly from a simulation's virtual clock or a one-shot rebalance.
 func NewDaemon(m *Manager, cfg DaemonConfig) (*Daemon, error) {
 	if m == nil {
 		return nil, fmt.Errorf("tier: daemon needs a manager")
 	}
-	if cfg.Interval <= 0 {
-		return nil, fmt.Errorf("tier: daemon interval must be positive, got %v", cfg.Interval)
-	}
-	if cfg.BytesPerSec < 0 || cfg.Burst < 0 {
-		return nil, fmt.Errorf("tier: negative daemon budget")
+	if cfg.Interval < 0 || cfg.BytesPerSec < 0 || cfg.Burst < 0 {
+		return nil, fmt.Errorf("tier: negative daemon interval or budget")
 	}
 	d := &Daemon{m: m, cfg: cfg}
 	if cfg.BytesPerSec > 0 {
@@ -217,16 +190,15 @@ func NewDaemon(m *Manager, cfg DaemonConfig) (*Daemon, error) {
 		}
 		d.bucket = NewTokenBucket(cfg.BytesPerSec, burst)
 	}
-	if d.cfg.Now == nil {
-		d.cfg.Now = func() float64 { return float64(time.Now().UnixNano()) / 1e9 }
-	}
 	return d, nil
 }
 
 // Tick runs one rebalance scan at time now: ask the policy for moves,
 // order them hottest first, and execute while the byte budget lasts.
-// It returns the moves executed this scan. Simulations call it from
-// the engine's virtual clock; Start calls it from the wall clock.
+// It returns the moves executed this scan, stopping at the first
+// failed move. Simulations call it from the engine's virtual clock;
+// Start calls it from the wall clock; one call of an unbudgeted daemon
+// is a one-shot rebalance.
 func (d *Daemon) Tick(now float64) ([]MoveResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -260,27 +232,6 @@ func (d *Daemon) Tick(now float64) ([]MoveResult, error) {
 				return done, fmt.Errorf("tier: pricing %q -> %s: %w", mv.Name, mv.To, err)
 			}
 			est = float64(blocks * d.cfg.BlockBytes)
-			// Horizon feedback: the pacer has booked transfer windows
-			// through paceUntil; if this move's window would end past
-			// the admission horizon, the scan stops here and leaves the
-			// move (and everything colder) for a later scan to admit —
-			// the budget's in-flight backlog caps what a scan takes on.
-			// A move whose window alone exceeds the horizon can never
-			// fit, so it is admitted from an idle pacer (no booked
-			// backlog) rather than starving forever — the same escape
-			// the bucket gives over-burst moves below.
-			if d.cfg.AdmitHorizon > 0 && d.cfg.BytesPerSec > 0 {
-				start := now
-				if start < d.paceUntil {
-					start = d.paceUntil
-				}
-				dur := est / d.cfg.BytesPerSec
-				oversized := dur > d.cfg.AdmitHorizon && start <= now
-				if start+dur > now+d.cfg.AdmitHorizon && !oversized {
-					d.stats.Deferred += len(moves) - i
-					break
-				}
-			}
 			admitted := d.bucket.Take(now, est)
 			if !admitted && est > d.bucket.Burst() && d.bucket.Available(now) >= d.bucket.Burst() {
 				// The move can never fit the bucket: admit it from a
@@ -312,18 +263,6 @@ func (d *Daemon) Tick(now float64) ([]MoveResult, error) {
 		if d.bucket != nil {
 			d.bucket.Settle(now, actual-est)
 		}
-		// Transfer-level pacing: book the move's bytes onto the wire
-		// back to back at the budget rate rather than as a burst at
-		// tick time. Without a rate limit the window degenerates to an
-		// instantaneous transfer at now.
-		res.Start = now
-		if res.Start < d.paceUntil {
-			res.Start = d.paceUntil
-		}
-		if d.cfg.BytesPerSec > 0 {
-			res.Duration = actual / d.cfg.BytesPerSec
-		}
-		d.paceUntil = res.Start + res.Duration
 		d.stats.Moves++
 		if mv.Promote {
 			d.stats.Promotions++
@@ -380,8 +319,11 @@ func (d *Daemon) scrubTick(now float64) {
 // Start launches the background rebalance goroutine, ticking every
 // Interval seconds of wall time until Stop. Tick errors are recorded
 // (see Stats, Err) and the loop keeps running. Starting a running
-// daemon is an error.
+// daemon, or one without a positive Interval, is an error.
 func (d *Daemon) Start() error {
+	if err := d.checkInterval(); err != nil {
+		return err
+	}
 	d.runMu.Lock()
 	defer d.runMu.Unlock()
 	if d.running {
@@ -403,9 +345,18 @@ func (d *Daemon) loop(stop <-chan struct{}, done chan<- struct{}) {
 		case <-stop:
 			return
 		case <-ticker.C:
-			d.Tick(d.cfg.Now()) // errors land in stats/lastErr; keep running
+			// Errors land in stats/lastErr; keep running.
+			d.Tick(float64(time.Now().UnixNano()) / 1e9)
 		}
 	}
+}
+
+// checkInterval refuses to schedule scans without a positive Interval.
+func (d *Daemon) checkInterval() error {
+	if d.cfg.Interval <= 0 {
+		return fmt.Errorf("tier: daemon interval must be positive, got %v", d.cfg.Interval)
+	}
+	return nil
 }
 
 // Stop halts the background goroutine and waits for any in-flight

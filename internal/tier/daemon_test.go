@@ -13,7 +13,8 @@ import (
 )
 
 // fakeTarget is an in-memory Target of single-extent files that records
-// the order moves execute in and charges a fixed block cost per move.
+// the order moves execute in and charges a fixed block cost per move. It
+// keeps no move times, so its extents never dwell.
 type fakeTarget struct {
 	mu    sync.Mutex
 	codes map[string]string
@@ -41,28 +42,28 @@ func (f *fakeTarget) Files() []string {
 }
 
 func (f *fakeTarget) Extents(name string) int {
-	if _, ok := f.ExtentCode(name, 0); !ok {
+	if _, _, ok := f.ExtentCode(name, 0); !ok {
 		return 0
 	}
 	return 1
 }
 
-func (f *fakeTarget) ExtentCode(name string, ext int) (string, bool) {
+func (f *fakeTarget) ExtentCode(name string, ext int) (string, float64, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	c, ok := f.codes[name]
-	return c, ok && ext == 0
+	return c, 0, ok && ext == 0
 }
 
 func (f *fakeTarget) ExtentOf(name string, block int) int {
-	if _, ok := f.ExtentCode(name, 0); !ok {
+	if _, _, ok := f.ExtentCode(name, 0); !ok {
 		return -1
 	}
 	return 0
 }
 
-func (f *fakeTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
-	if _, ok := f.ExtentCode(name, ext); !ok {
+func (f *fakeTarget) TranscodeExtent(name string, ext int, codeName string, at float64) (int, error) {
+	if _, _, ok := f.ExtentCode(name, ext); !ok {
 		return 0, fmt.Errorf("no such extent %q/%d", name, ext)
 	}
 	f.mu.Lock()
@@ -73,7 +74,7 @@ func (f *fakeTarget) TranscodeExtent(name string, ext int, codeName string) (int
 }
 
 func (f *fakeTarget) ExtentMoveCost(name string, ext int, codeName string) (int, error) {
-	if code, _ := f.ExtentCode(name, ext); code == codeName {
+	if code, _, _ := f.ExtentCode(name, ext); code == codeName {
 		return 0, nil
 	}
 	return f.cost, nil
@@ -118,7 +119,6 @@ func TestNewDaemonValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []DaemonConfig{
-		{Interval: 0},
 		{Interval: -1},
 		{Interval: 1, BytesPerSec: -1},
 		{Interval: 1, BytesPerSec: 100}, // rate limit without BlockBytes
@@ -133,6 +133,15 @@ func TestNewDaemonValidation(t *testing.T) {
 	}
 	if _, err := NewDaemon(m, DaemonConfig{Interval: 1, BytesPerSec: 100, BlockBytes: 1}); err != nil {
 		t.Fatal(err)
+	}
+	// A one-shot daemon needs no interval until something schedules it.
+	d, err := NewDaemon(m, DaemonConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err == nil {
+		d.Stop()
+		t.Fatal("started a daemon without an interval")
 	}
 }
 
@@ -228,152 +237,9 @@ func TestDaemonOverBurstMove(t *testing.T) {
 	}
 }
 
-// TestDaemonPacedWindows: admitted moves are booked back-to-back
-// transfer windows at the budget rate — transfer-level pacing — and a
-// later tick starts after the pacer's booked horizon, never inside it.
-func TestDaemonPacedWindows(t *testing.T) {
-	ft := newFakeTarget(10, map[string]string{
-		"a": "rs-14-10", "b": "rs-14-10", "c": "rs-14-10",
-	})
-	tr := NewTracker(0)
-	tr.TouchN("a", 30, 0)
-	tr.TouchN("b", 20, 0)
-	tr.TouchN("c", 10, 0)
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One move costs 10 bytes; at 2 B/s each takes 5 s of wire time.
-	// Burst 20 admits exactly two moves in the first tick.
-	d, err := NewDaemon(m, DaemonConfig{Interval: 10, BytesPerSec: 2, Burst: 20, BlockBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []MoveResult
-	d.OnMove = func(mv MoveResult, now float64) { got = append(got, mv) }
-	if _, err := d.Tick(10); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" {
-		t.Fatalf("tick 1 moves = %+v, want a then b", got)
-	}
-	// a occupies [10,15), b is paced behind it at [15,20).
-	if got[0].Start != 10 || got[0].Duration != 5 {
-		t.Fatalf("a window = [%v,+%v), want [10,+5)", got[0].Start, got[0].Duration)
-	}
-	if got[1].Start != 15 || got[1].Duration != 5 {
-		t.Fatalf("b window = [%v,+%v), want [15,+5)", got[1].Start, got[1].Duration)
-	}
-	// The next tick lands at t=30, past the booked horizon (20): c
-	// starts at the tick, not inside an already-drained window.
-	if _, err := d.Tick(30); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[2].Name != "c" || got[2].Start != 30 || got[2].Duration != 5 {
-		t.Fatalf("tick 2 moves = %+v, want c at [30,+5)", got)
-	}
-}
-
-// TestDaemonAdmitHorizon: with an admission horizon, a scan stops
-// admitting once the pacer's booked transfer windows would run past
-// now+horizon — even though the token bucket's burst could cover more
-// — so in-flight paced windows feed back into admission and later
-// scans pick up the deferred moves as the backlog drains.
-func TestDaemonAdmitHorizon(t *testing.T) {
-	ft := newFakeTarget(10, map[string]string{
-		"a": "rs-14-10", "b": "rs-14-10", "c": "rs-14-10",
-	})
-	tr := NewTracker(0)
-	tr.TouchN("a", 30, 0)
-	tr.TouchN("b", 20, 0)
-	tr.TouchN("c", 10, 0)
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each move costs 10 bytes = 10 s of wire time at 1 B/s. The burst
-	// (30) covers all three moves at once, but a 15 s horizon only
-	// absorbs one move's window per scan.
-	d, err := NewDaemon(m, DaemonConfig{
-		Interval: 10, BytesPerSec: 1, Burst: 30, BlockBytes: 1, AdmitHorizon: 15,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	moves, err := d.Tick(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moves) != 1 || moves[0].Name != "a" {
-		t.Fatalf("tick 1 = %+v, want only the hottest move inside the horizon", moves)
-	}
-	if moves[0].Start != 10 || moves[0].Duration != 10 {
-		t.Fatalf("a window = [%v,+%v), want [10,+10)", moves[0].Start, moves[0].Duration)
-	}
-	if st := d.Stats(); st.Deferred != 2 {
-		t.Fatalf("tick 1 stats = %+v, want 2 horizon deferrals", st)
-	}
-	// t=20: a's window just drained; b fits, c's window would end at
-	// 40 > 35 and defers again.
-	moves, err = d.Tick(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moves) != 1 || moves[0].Name != "b" {
-		t.Fatalf("tick 2 = %+v, want b", moves)
-	}
-	if moves, err = d.Tick(30); err != nil || len(moves) != 1 || moves[0].Name != "c" {
-		t.Fatalf("tick 3 = %+v, %v; want c", moves, err)
-	}
-	if st := d.Stats(); st.Moves != 3 || st.Deferred != 3 {
-		t.Fatalf("final stats = %+v", st)
-	}
-}
-
-// TestDaemonAdmitHorizonOversizedMove: a move whose transfer window
-// alone exceeds the horizon can never fit, so it must be admitted
-// from an idle pacer instead of starving the whole queue forever —
-// while the backlog it books still defers everything behind it.
-func TestDaemonAdmitHorizonOversizedMove(t *testing.T) {
-	ft := newFakeTarget(100, map[string]string{"big": "rs-14-10", "small": "rs-14-10"})
-	tr := NewTracker(0)
-	tr.TouchN("big", 20, 0)
-	tr.TouchN("small", 10, 0)
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// big costs 100 bytes = 100 s of wire at 1 B/s, far over the 15 s
-	// horizon; the burst covers both moves at once.
-	d, err := NewDaemon(m, DaemonConfig{
-		Interval: 10, BytesPerSec: 1, Burst: 200, BlockBytes: 1, AdmitHorizon: 15,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	moves, err := d.Tick(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moves) != 1 || moves[0].Name != "big" {
-		t.Fatalf("tick 1 = %+v, want the oversized move admitted, not starved", moves)
-	}
-	if st := d.Stats(); st.Deferred != 1 {
-		t.Fatalf("tick 1 stats = %+v, want small deferred behind big's window", st)
-	}
-	// big's window is booked through t=110; scans inside it defer
-	// small, the first scan past it admits.
-	if moves, err = d.Tick(20); err != nil || len(moves) != 0 {
-		t.Fatalf("tick inside booked window = %+v, %v; want a deferral", moves, err)
-	}
-	if moves, err = d.Tick(120); err != nil || len(moves) != 1 || moves[0].Name != "small" {
-		t.Fatalf("tick past window = %+v, %v; want small", moves, err)
-	}
-}
-
-// TestDaemonUnpacedWithoutBudget: with no rate limit there is no pace
-// rate, so moves keep the instantaneous window (Duration 0 at the
-// tick) the simulator interprets as the old burst behavior.
+// TestDaemonUnpacedWithoutBudget: with no rate limit a move is admitted
+// unpriced and OnMove sees it at the tick's clock, where the simulator
+// charges its transfer to the network at once.
 func TestDaemonUnpacedWithoutBudget(t *testing.T) {
 	ft := newFakeTarget(10, map[string]string{"a": "rs-14-10"})
 	tr := NewTracker(0)
@@ -387,12 +253,15 @@ func TestDaemonUnpacedWithoutBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []MoveResult
-	d.OnMove = func(mv MoveResult, now float64) { got = append(got, mv) }
+	var at []float64
+	d.OnMove = func(mv MoveResult, now float64) {
+		got, at = append(got, mv), append(at, now)
+	}
 	if _, err := d.Tick(3); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Start != 3 || got[0].Duration != 0 {
-		t.Fatalf("moves = %+v, want one instantaneous window at t=3", got)
+	if len(got) != 1 || got[0].Name != "a" || got[0].BlocksMoved != 10 || at[0] != 3 {
+		t.Fatalf("moves = %+v at %v, want a's 10 blocks at t=3", got, at)
 	}
 }
 
@@ -450,7 +319,7 @@ func TestDaemonStartStop(t *testing.T) {
 	if st.Ticks == 0 {
 		t.Fatal("daemon never ticked")
 	}
-	if code, _ := ft.ExtentCode("f", 0); code != "pentagon" {
+	if code, _, _ := ft.ExtentCode("f", 0); code != "pentagon" {
 		t.Fatalf("background daemon never promoted: %q", code)
 	}
 	// A stopped daemon can be restarted.
@@ -504,7 +373,7 @@ func TestDaemonBudgetInSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ReplayDaemon(sim.NewEngine(), trace, d, nil)
+	stats, err := Replay(sim.NewEngine(), trace, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

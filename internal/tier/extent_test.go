@@ -40,7 +40,8 @@ func TestManagerPromotesHotExtentOnDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	moves, err := m.Rebalance(0)
+	d := oneShot(t, m)
+	moves, err := d.Tick(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestManagerPromotesHotExtentOnDisk(t *testing.T) {
 	}
 
 	// Seven half-lives later the extent has cooled: it demotes alone.
-	moves, err = m.Rebalance(700)
+	moves, err = d.Tick(700)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +112,13 @@ func replayTiered(t *testing.T, extBlocks int) (ReplayStats, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, err := NewDaemon(m, DaemonConfig{Interval: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	down := func(v int) bool { return v == 0 || v == 1 }
 	transfers := 0
-	stats, err := Replay(sim.NewEngine(), trace, m, 5, func(a workload.Access, now float64) error {
+	stats, err := Replay(sim.NewEngine(), trace, d, func(a workload.Access, now float64) error {
 		cost, err := ct.ReadCostAt(a.Name, a.Block, down)
 		transfers += cost
 		return err
@@ -172,7 +177,7 @@ func TestClusterTargetExtents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, err := ct.TranscodeExtent("f", 0, "pentagon")
+	moved, err := ct.TranscodeExtent("f", 0, "pentagon", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +185,10 @@ func TestClusterTargetExtents(t *testing.T) {
 	if moved != 10+2*20 || cost != moved {
 		t.Fatalf("extent transcode = %d (cost %d), want 50", moved, cost)
 	}
-	if code, _ := ct.ExtentCode("f", 0); code != "pentagon" {
+	if code, _, _ := ct.ExtentCode("f", 0); code != "pentagon" {
 		t.Fatalf("moved extent code = %q", code)
 	}
-	if code, _ := ct.ExtentCode("f", 1); code != "rs-14-10" {
+	if code, _, _ := ct.ExtentCode("f", 1); code != "rs-14-10" {
 		t.Fatalf("untouched extent code = %q", code)
 	}
 	phys, data := ct.StorageBlocks()
@@ -192,10 +197,10 @@ func TestClusterTargetExtents(t *testing.T) {
 		t.Fatalf("storage = %d/%d", phys, data)
 	}
 	// Moving the remaining extent converges the file.
-	if _, err := ct.TranscodeExtent("f", 1, "pentagon"); err != nil {
+	if _, err := ct.TranscodeExtent("f", 1, "pentagon", 2); err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := ct.ExtentCode("f", 1); code != "pentagon" {
+	if code, _, _ := ct.ExtentCode("f", 1); code != "pentagon" {
 		t.Fatalf("converged code = %q", code)
 	}
 }

@@ -1,14 +1,9 @@
 package tier
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/durable"
 	"repro/internal/hdfsraid"
 )
 
@@ -25,14 +20,17 @@ type Target interface {
 	// Extents returns the number of extents a file has (0 for an
 	// unknown file).
 	Extents(name string) int
-	// ExtentCode returns the effective code name of one extent.
-	ExtentCode(name string, ext int) (string, bool)
+	// ExtentCode returns the effective code name of one extent and the
+	// time of its last tiering move (0 if never): the dwell lives with
+	// the extent, so it is exactly as durable as the move.
+	ExtentCode(name string, ext int) (code string, movedAt float64, ok bool)
 	// ExtentOf maps a file-global data block to the extent holding
 	// it (-1 when unknown).
 	ExtentOf(name string, block int) int
-	// TranscodeExtent moves one extent to the named code and returns
-	// the block-unit traffic the move cost.
-	TranscodeExtent(name string, ext int, codeName string) (moved int, err error)
+	// TranscodeExtent moves one extent to the named code, recording at
+	// as its move time, and returns the block-unit traffic the move
+	// cost.
+	TranscodeExtent(name string, ext int, codeName string, at float64) (moved int, err error)
 	// ExtentMoveCost prices one extent's move without performing it,
 	// in block units: the rate-limited daemon's admission estimate
 	// against its byte budget, before any data moves.
@@ -40,23 +38,13 @@ type Target interface {
 }
 
 // Manager glues tracker, policy and target together: hook OnRead into
-// the data path (or a trace replay), call Rebalance periodically, and
-// files migrate between the hot and cold codes as their heat crosses
-// the policy thresholds.
+// the data path (or a trace replay), let a Daemon scan it, and files
+// migrate between the hot and cold codes as their heat crosses the
+// policy thresholds.
 type Manager struct {
 	Tracker *Tracker
 	Policy  Policy
 	Target  Target
-
-	// MoveWorkers bounds the worker pool Rebalance fans moves out to.
-	// The policy emits at most one move per file and the store's
-	// transcode path locks per file, so moves in one pass are always of
-	// distinct files and safe to run concurrently. 0 or 1 executes
-	// serially. Set it before the first Rebalance.
-	MoveWorkers int
-
-	mu       sync.Mutex // guards lastMove under concurrent moves
-	lastMove map[string]float64
 }
 
 // NewManager validates the policy and returns a manager using the
@@ -68,8 +56,7 @@ func NewManager(target Target, policy Policy, tracker *Tracker) (*Manager, error
 	if tracker == nil {
 		return nil, fmt.Errorf("tier: nil tracker")
 	}
-	return &Manager{Tracker: tracker, Policy: policy, Target: target,
-		lastMove: map[string]float64{}}, nil
+	return &Manager{Tracker: tracker, Policy: policy, Target: target}, nil
 }
 
 // OnRead records one whole-file access at time now; bind it to the
@@ -92,62 +79,10 @@ func (m *Manager) OnReadBlock(name string, block int, now float64) {
 	m.Tracker.Touch(name, now)
 }
 
-// moveKey names the dwell-guard entry for one tiering unit.
-func moveKey(name string, ext int) string { return fmt.Sprintf("%s#%d", name, ext) }
-
-// RestoreLastMoves seeds the per-file last-transcode times, so a
-// reconstructed manager keeps honoring MinDwell.
-func (m *Manager) RestoreLastMoves(moves map[string]float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for name, t := range moves {
-		m.lastMove[name] = t
-	}
-}
-
-// SaveLastMoves writes the per-file last-transcode times as JSON to
-// path — the dwell-state counterpart of the heat snapshot for
-// short-lived processes. The save is atomic and durable (durable.WriteFile), so a
-// crash mid-save cannot corrupt the dwell history.
-func (m *Manager) SaveLastMoves(path string) error {
-	m.mu.Lock()
-	raw, err := json.MarshalIndent(m.lastMove, "", "  ")
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return durable.WriteFile(path, raw)
-}
-
-// LoadLastMoves restores per-file last-transcode times saved with
-// SaveLastMoves. A missing file is an empty history.
-func (m *Manager) LoadLastMoves(path string) error {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	moves := map[string]float64{}
-	if err := json.Unmarshal(raw, &moves); err != nil {
-		return err
-	}
-	m.RestoreLastMoves(moves)
-	return nil
-}
-
-// MoveResult is one executed tiering move. Start and Duration describe
-// the transfer window the move's bytes occupy: the manager executes
-// moves instantaneously (Start = decision time, Duration = 0), while
-// the rate-limited daemon paces admitted moves back to back at its
-// budget rate, so simulations can smear each move's traffic over
-// [Start, Start+Duration] instead of charging it all at tick time.
+// MoveResult is one executed tiering move.
 type MoveResult struct {
 	Move
 	BlocksMoved int
-	Start       float64
-	Duration    float64
 }
 
 // States returns the policy-engine view of every tiering unit — every
@@ -155,73 +90,31 @@ type MoveResult struct {
 func (m *Manager) States(now float64) []FileState {
 	names := m.Target.Files()
 	states := make([]FileState, 0, len(names))
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, name := range names {
 		n := m.Target.Extents(name)
 		for ext := 0; ext < n; ext++ {
-			code, ok := m.Target.ExtentCode(name, ext)
+			code, movedAt, ok := m.Target.ExtentCode(name, ext)
 			if !ok {
 				continue
 			}
 			states = append(states, FileState{
 				Name: name, Ext: ext, Code: code,
 				Heat:     m.Tracker.ExtentHeat(name, ext, now),
-				LastMove: m.lastMove[moveKey(name, ext)],
+				LastMove: movedAt,
 			})
 		}
 	}
 	return states
 }
 
-// execute performs one decided move — the single funnel both
-// Rebalance and the background Daemon run transcodes through — and
-// records the move time for the dwell guard.
+// execute performs one decided move at time now, which the target
+// records as the extent's move time for the dwell guard.
 func (m *Manager) execute(mv Move, now float64) (MoveResult, error) {
-	moved, err := m.Target.TranscodeExtent(mv.Name, mv.Ext, mv.To)
+	moved, err := m.Target.TranscodeExtent(mv.Name, mv.Ext, mv.To, now)
 	if err != nil {
 		return MoveResult{}, fmt.Errorf("tier: moving %q extent %d to %s: %w", mv.Name, mv.Ext, mv.To, err)
 	}
-	m.mu.Lock()
-	m.lastMove[moveKey(mv.Name, mv.Ext)] = now
-	m.mu.Unlock()
-	return MoveResult{Move: mv, BlocksMoved: moved, Start: now}, nil
-}
-
-// Rebalance asks the policy for moves at time now and executes them by
-// online transcoding, hottest file first, so the files foreground
-// traffic cares about most are repaired onto their target tier before
-// colder ones — and before any error cuts the pass short. It stops at
-// the first transcode error, returning the moves already made; a move
-// whose file a DELETE took since the scan decided is no error, just
-// skipped (see vanished). Against
-// the on-disk store, each move runs through the store's streaming
-// transcode pipeline (per-stripe degraded reads feeding the encoder
-// from pooled buffers), so steady-state rebalance traffic stays off
-// the allocator's back and peak memory per move is O(stripes in
-// flight). With MoveWorkers > 1, moves fan out to a bounded worker
-// pool — the store serializes only same-file moves, and a pass never
-// decides two moves of one file — hottest files are still dispatched
-// first. For a continuously running, rate-limited alternative, see
-// Daemon.
-func (m *Manager) Rebalance(now float64) ([]MoveResult, error) {
-	moves := m.Policy.Decide(now, m.States(now))
-	orderMoves(moves)
-	if m.MoveWorkers > 1 && len(moves) > 1 {
-		return m.rebalanceParallel(moves, now)
-	}
-	var done []MoveResult
-	for _, mv := range moves {
-		res, err := m.execute(mv, now)
-		if vanished(err) {
-			continue
-		}
-		if err != nil {
-			return done, err
-		}
-		done = append(done, res)
-	}
-	return done, nil
+	return MoveResult{Move: mv, BlocksMoved: moved}, nil
 }
 
 // vanished reports whether a move (or its pricing) failed only because
@@ -229,53 +122,6 @@ func (m *Manager) Rebalance(now float64) ([]MoveResult, error) {
 // on a served shard that is a DELETE doing its job, not a reason to
 // drop the colder moves behind it.
 func vanished(err error) bool { return errors.Is(err, hdfsraid.ErrNotFound) }
-
-// rebalanceParallel executes the ordered moves through a bounded
-// worker pool. Workers pull moves in hottest-first order; on error the
-// remaining queue is abandoned (in-flight moves drain) and the first
-// error is returned with every move that did complete.
-func (m *Manager) rebalanceParallel(moves []Move, now float64) ([]MoveResult, error) {
-	workers := m.MoveWorkers
-	if workers > len(moves) {
-		workers = len(moves)
-	}
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		mu       sync.Mutex
-		done     []MoveResult
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(moves) {
-					return
-				}
-				res, err := m.execute(moves[i], now)
-				if vanished(err) {
-					continue
-				}
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					failed.Store(true)
-				} else {
-					done = append(done, res)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return done, firstErr
-}
 
 // StoreTarget adapts the on-disk HDFS-RAID store to the Target
 // interface.
@@ -290,9 +136,17 @@ func (t StoreTarget) Extents(name string) int {
 	return len(exts)
 }
 
-// ExtentCode returns one extent's effective code name.
-func (t StoreTarget) ExtentCode(name string, ext int) (string, bool) {
-	return t.Store.ExtentCode(name, ext)
+// ExtentCode returns one extent's effective code name and Moved time.
+func (t StoreTarget) ExtentCode(name string, ext int) (string, float64, bool) {
+	fi, ok := t.Store.Info(name)
+	if !ok || ext < 0 || ext >= len(fi.Extents) {
+		return "", 0, false
+	}
+	e := fi.Extents[ext]
+	if e.Code == "" {
+		return t.Store.CodeName(), e.Moved, true
+	}
+	return e.Code, e.Moved, true
 }
 
 // ExtentOf maps a data block to its extent.
@@ -301,9 +155,10 @@ func (t StoreTarget) ExtentOf(name string, block int) int {
 }
 
 // TranscodeExtent re-encodes one extent on disk — only that extent's
-// stripes move — and reports the blocks read plus written.
-func (t StoreTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
-	rep, err := t.Store.TranscodeExtent(name, ext, codeName)
+// stripes move, and the move record carries at — and reports the blocks
+// read plus written.
+func (t StoreTarget) TranscodeExtent(name string, ext int, codeName string, at float64) (int, error) {
+	rep, err := t.Store.TranscodeExtentAt(name, ext, codeName, at)
 	if err != nil {
 		return 0, err
 	}

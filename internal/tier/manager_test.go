@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	_ "repro/internal/code/heptlocal"
@@ -23,6 +21,17 @@ func randomBytes(n int, seed int64) []byte {
 	data := make([]byte, n)
 	rand.New(rand.NewSource(seed)).Read(data)
 	return data
+}
+
+// oneShot returns the unbudgeted daemon `hdfscli tier rebalance` ticks
+// once: no interval, no byte budget.
+func oneShot(t *testing.T, m *Manager) *Daemon {
+	t.Helper()
+	d, err := NewDaemon(m, DaemonConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // TestManagerPromoteDemoteOnDisk is the acceptance scenario: a store
@@ -47,9 +56,10 @@ func TestManagerPromoteDemoteOnDisk(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.OnRead = func(name string) { m.OnRead(name, 0) }
+			d := oneShot(t, m)
 
 			// Cold and quiet: no moves.
-			moves, err := m.Rebalance(0)
+			moves, err := d.Tick(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +77,7 @@ func TestManagerPromoteDemoteOnDisk(t *testing.T) {
 					t.Fatal("pre-promotion read wrong")
 				}
 			}
-			moves, err = m.Rebalance(0)
+			moves, err = d.Tick(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +102,7 @@ func TestManagerPromoteDemoteOnDisk(t *testing.T) {
 			}
 
 			// Seven half-lives later the file has cooled: demote.
-			moves, err = m.Rebalance(700)
+			moves, err = d.Tick(700)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +141,7 @@ func TestRebalanceHotFilesFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moves, err := m.Rebalance(0)
+	moves, err := oneShot(t, m).Tick(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +181,7 @@ func TestClusterTargetTranscode(t *testing.T) {
 	if data != 20 || phys != 2*14 { // 2 stripes of (14,10)
 		t.Fatalf("rs storage = %d/%d", phys, data)
 	}
-	moved, err := ct.TranscodeExtent("f", 0, "pentagon")
+	moved, err := ct.TranscodeExtent("f", 0, "pentagon", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +189,14 @@ func TestClusterTargetTranscode(t *testing.T) {
 	if moved != 20+3*20 {
 		t.Fatalf("transcode traffic = %d", moved)
 	}
-	if code, _ := ct.ExtentCode("f", 0); code != "pentagon" {
-		t.Fatalf("code = %q", code)
+	if code, at, _ := ct.ExtentCode("f", 0); code != "pentagon" || at != 7 {
+		t.Fatalf("code = %q, moved at %v; want pentagon at 7", code, at)
 	}
-	if moved, err = ct.TranscodeExtent("f", 0, "pentagon"); err != nil || moved != 0 {
+	if moved, err = ct.TranscodeExtent("f", 0, "pentagon", 9); err != nil || moved != 0 {
 		t.Fatalf("no-op transcode = %d, %v", moved, err)
+	}
+	if _, at, _ := ct.ExtentCode("f", 0); at != 7 {
+		t.Fatalf("a no-op transcode moved the dwell to %v", at)
 	}
 }
 
@@ -214,8 +227,14 @@ func TestClusterTargetReadCostAllDown(t *testing.T) {
 	}
 }
 
-func TestManagerLastMovesRoundTrip(t *testing.T) {
-	s, err := hdfsraid.Create(t.TempDir(), "rs-14-10", blockSize)
+// TestDwellSurvivesReopen: the dwell guard reads each extent's last
+// move time from the store's own move record, so a process that is
+// killed — no save of any kind — and a fresh manager, tracker and daemon
+// over the reopened store still refuse to move the extent back before
+// MinDwell has passed.
+func TestDwellSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := hdfsraid.Create(dir, "rs-14-10", blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,164 +245,65 @@ func TestManagerLastMovesRoundTrip(t *testing.T) {
 		PromoteAt: 5, DemoteAt: 1, MinDwell: 100}
 	tr := NewTracker(1e9)
 	tr.TouchN("f", 10, 0)
-	m1, err := NewManager(StoreTarget{s}, pol, tr)
+	m, err := NewManager(StoreTarget{s}, pol, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moves, err := m1.Rebalance(10); err != nil || len(moves) != 1 {
+	if moves, err := oneShot(t, m).Tick(10); err != nil || len(moves) != 1 || !moves[0].Promote {
 		t.Fatalf("promote: %+v, %v", moves, err)
 	}
-	// A fresh manager seeded with the old one's move times keeps the
-	// dwell guard: the file cooled but may not demote yet.
-	m2, err := NewManager(StoreTarget{s}, pol, NewTracker(1e9))
+	s2, err := hdfsraid.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2.RestoreLastMoves(m1.lastMove)
-	if moves, err := m2.Rebalance(50); err != nil || len(moves) != 0 {
-		t.Fatalf("dwell not honored after restore: %+v, %v", moves, err)
-	}
-	// Without the restore the same rebalance would thrash.
-	m3, err := NewManager(StoreTarget{s}, pol, NewTracker(1e9))
+	// The fresh tracker has no heat: f is cold and wants to demote.
+	m2, err := NewManager(StoreTarget{s2}, pol, NewTracker(1e9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moves, err := m3.Rebalance(50); err != nil || len(moves) != 1 {
-		t.Fatalf("unrestored manager should demote: %+v, %v", moves, err)
+	d := oneShot(t, m2)
+	if moves, err := d.Tick(50); err != nil || len(moves) != 0 {
+		t.Fatalf("t=50, inside the dwell: moves %+v, %v; want none", moves, err)
 	}
-}
-
-func TestManagerLastMovesFilePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "moves.json")
-	ct := NewClusterTarget(30, 20, rand.New(rand.NewSource(6)))
-	if err := ct.AddFile("f", "rs-14-10"); err != nil {
-		t.Fatal(err)
-	}
-	pol := Policy{HotCode: "pentagon", ColdCode: "rs-14-10",
-		PromoteAt: 5, DemoteAt: 1, MinDwell: 100}
-	tr := NewTracker(1e9)
-	tr.TouchN("f", 10, 0)
-	m1, err := NewManager(ct, pol, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moves, err := m1.Rebalance(10); err != nil || len(moves) != 1 {
-		t.Fatalf("promote: %+v, %v", moves, err)
-	}
-	if err := m1.SaveLastMoves(path); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := NewManager(ct, pol, NewTracker(1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.LoadLastMoves(path); err != nil {
-		t.Fatal(err)
-	}
-	if moves, err := m2.Rebalance(50); err != nil || len(moves) != 0 {
-		t.Fatalf("dwell not honored after file round trip: %+v, %v", moves, err)
-	}
-	// Missing file is an empty history, not an error.
-	m3, err := NewManager(ct, pol, NewTracker(1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m3.LoadLastMoves(filepath.Join(t.TempDir(), "none.json")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// barrierTarget is a fakeTarget whose moves block until `width` of
-// them are in flight simultaneously — it deadlocks (and the test times
-// out) unless the manager genuinely runs that many moves concurrently.
-type barrierTarget struct {
-	*fakeTarget
-	entered atomic.Int64
-	width   int64
-	ready   chan struct{}
-}
-
-func (b *barrierTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
-	if b.entered.Add(1) == b.width {
-		close(b.ready)
-	}
-	<-b.ready
-	return b.fakeTarget.TranscodeExtent(name, ext, codeName)
-}
-
-// TestRebalanceParallelMoves: with MoveWorkers set, a rebalance pass
-// fans its moves (always of distinct files) out to a worker pool; the
-// barrier target proves all of them are in flight at once.
-func TestRebalanceParallelMoves(t *testing.T) {
-	const n = 3
-	bt := &barrierTarget{fakeTarget: newFakeTarget(7, nil), width: n, ready: make(chan struct{})}
-	tr := NewTracker(0)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("f%d", i)
-		bt.codes[name] = "rs-14-10"
-		tr.TouchN(name, float64(10+i), 0)
-	}
-	m, err := NewManager(bt, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.MoveWorkers = n
-	moves, err := m.Rebalance(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moves) != n {
-		t.Fatalf("moves = %+v, want %d", moves, n)
-	}
-	for _, name := range bt.Files() {
-		if code, _ := bt.ExtentCode(name, 0); code != "pentagon" {
-			t.Fatalf("%s on %q after parallel rebalance", name, code)
-		}
-	}
-	// The dwell guard saw every move.
-	if got := m.lastMove; len(got) != n {
-		t.Fatalf("lastMove = %v, want %d entries", got, n)
+	if moves, err := d.Tick(111); err != nil || len(moves) != 1 || moves[0].Promote {
+		t.Fatalf("t=111, past the dwell: moves %+v, %v; want the demotion", moves, err)
 	}
 }
 
 // errorTarget fails the named file's transcode.
 type errorTarget struct {
-	*barrierTarget
+	*fakeTarget
 	bad string
 }
 
-func (e *errorTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
+func (e *errorTarget) TranscodeExtent(name string, ext int, codeName string, at float64) (int, error) {
 	if name == e.bad {
 		return 0, fmt.Errorf("injected failure for %q", name)
 	}
-	return e.barrierTarget.TranscodeExtent(name, ext, codeName)
+	return e.fakeTarget.TranscodeExtent(name, ext, codeName, at)
 }
 
-// TestRebalanceParallelError: a failing move surfaces its error after
-// the pool drains, with the successful moves still reported. Two
-// workers run the two hottest moves through the barrier; the cold
-// failing move is only pulled after they complete, so the outcome is
-// deterministic.
-func TestRebalanceParallelError(t *testing.T) {
-	bt := &barrierTarget{fakeTarget: newFakeTarget(7, nil), width: 2, ready: make(chan struct{})}
-	et := &errorTarget{barrierTarget: bt, bad: "f2"}
+// TestTickStopsAtFirstError: a failing move ends the scan with its
+// error; the hotter moves already made are reported and the colder ones
+// are left for the next scan.
+func TestTickStopsAtFirstError(t *testing.T) {
+	ft := newFakeTarget(7, nil)
 	tr := NewTracker(0)
-	for i, heat := range []float64{10, 10, 5} {
+	for i, heat := range []float64{10, 8, 6} {
 		name := fmt.Sprintf("f%d", i)
-		bt.codes[name] = "rs-14-10"
+		ft.codes[name] = "rs-14-10"
 		tr.TouchN(name, heat, 0)
 	}
-	m, err := NewManager(et, testPolicy(), tr)
+	m, err := NewManager(&errorTarget{fakeTarget: ft, bad: "f1"}, testPolicy(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.MoveWorkers = 2
-	moves, err := m.Rebalance(1)
+	moves, err := oneShot(t, m).Tick(1)
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
 		t.Fatalf("err = %v, want the injected failure", err)
 	}
-	if len(moves) != 2 {
-		t.Fatalf("completed moves = %+v, want 2", moves)
+	if len(moves) != 1 || moves[0].Name != "f0" || fmt.Sprint(ft.calls) != "[f0]" {
+		t.Fatalf("completed moves = %+v, calls %v; want f0 only", moves, ft.calls)
 	}
 }
 
@@ -404,19 +324,20 @@ func (d *deletingTarget) ExtentMoveCost(name string, ext int, codeName string) (
 	return d.StoreTarget.ExtentMoveCost(name, ext, codeName)
 }
 
-func (d *deletingTarget) TranscodeExtent(name string, ext int, codeName string) (int, error) {
+func (d *deletingTarget) TranscodeExtent(name string, ext int, codeName string, at float64) (int, error) {
 	d.once.Do(func() { d.Store.Delete(d.victim) })
-	return d.StoreTarget.TranscodeExtent(name, ext, codeName)
+	return d.StoreTarget.TranscodeExtent(name, ext, codeName, at)
 }
 
 // TestDaemonSkipsVanishedFile: a DELETE that takes the hottest
 // candidate after the scan decided to move it costs that one move —
 // the colder ones still run and nothing is reported as an error — on
-// the daemon (priced and unpriced) and on both Rebalance paths. At the
-// parent commit the store reported the vanished file without wrapping
-// ErrNotFound and the first such move ended the whole tick.
+// the daemon, priced and unpriced, and on the one-shot rebalance's
+// daemon, which has no interval. When the store reported the vanished
+// file without wrapping ErrNotFound, the first such move ended the
+// whole tick.
 func TestDaemonSkipsVanishedFile(t *testing.T) {
-	for _, mode := range []string{"daemon", "daemon-priced", "rebalance", "rebalance-parallel"} {
+	for _, mode := range []string{"daemon", "daemon-priced", "rebalance"} {
 		t.Run(mode, func(t *testing.T) {
 			s, err := hdfsraid.Create(t.TempDir(), "rs-14-10", blockSize)
 			if err != nil {
@@ -434,26 +355,20 @@ func TestDaemonSkipsVanishedFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var moves []MoveResult
-			switch mode {
-			case "rebalance-parallel":
-				m.MoveWorkers = 2
-				fallthrough
-			case "rebalance":
-				moves, err = m.Rebalance(1)
-			default:
-				cfg := DaemonConfig{Interval: 1}
-				if target.atPrice {
-					cfg.BytesPerSec, cfg.Burst, cfg.BlockBytes = 1e9, 1e9, blockSize
-				}
-				d, derr := NewDaemon(m, cfg)
-				if derr != nil {
-					t.Fatal(derr)
-				}
-				moves, err = d.Tick(1)
-				if d.Err() != nil || d.Stats().Errors != 0 || d.Stats().Moves != 2 {
-					t.Fatalf("daemon after the tick: Err %v, stats %+v", d.Err(), d.Stats())
-				}
+			var cfg DaemonConfig
+			if mode != "rebalance" {
+				cfg.Interval = 1
+			}
+			if target.atPrice {
+				cfg.BytesPerSec, cfg.Burst, cfg.BlockBytes = 1e9, 1e9, blockSize
+			}
+			d, err := NewDaemon(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moves, err := d.Tick(1)
+			if d.Err() != nil || d.Stats().Errors != 0 || d.Stats().Moves != 2 {
+				t.Fatalf("daemon after the tick: Err %v, stats %+v", d.Err(), d.Stats())
 			}
 			if err != nil || len(moves) != 2 {
 				t.Fatalf("moves = %+v, %v; want the two colder files moved and no error", moves, err)

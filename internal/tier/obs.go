@@ -22,11 +22,7 @@ const (
 	// metricDaemonBucketTokens is the token-bucket byte balance after
 	// the latest scan — negative when an oversized move ran into debt.
 	metricDaemonBucketTokens = "daemon_bucket_tokens"
-	// metricDaemonPaceLag is how many seconds of admitted transfer
-	// windows the pacer has booked beyond the latest scan's clock: the
-	// in-flight backlog AdmitHorizon feeds back into admission.
-	metricDaemonPaceLag = "daemon_pace_lag_seconds"
-	metricDaemonTickNs  = "daemon_tick_ns"
+	metricDaemonTickNs       = "daemon_tick_ns"
 )
 
 // daemonObs holds the daemon's resolved metric handles, mirroring
@@ -38,7 +34,7 @@ type daemonObs struct {
 	deferred, errs        *obs.Counter
 	bytesMoved            *obs.Counter
 	scrubBytes            *obs.Counter
-	bucketTokens, paceLag *obs.Gauge
+	bucketTokens          *obs.Gauge
 	tickNs                *obs.Histogram
 }
 
@@ -53,14 +49,13 @@ func newDaemonObs(reg *obs.Registry) *daemonObs {
 		bytesMoved:   reg.Counter(metricDaemonBytesMoved),
 		scrubBytes:   reg.Counter(metricDaemonScrubBytes),
 		bucketTokens: reg.Gauge(metricDaemonBucketTokens),
-		paceLag:      reg.Gauge(metricDaemonPaceLag),
 		tickNs:       reg.Histogram(metricDaemonTickNs),
 	}
 }
 
 // observeTick publishes one scan's outcome: the DaemonStats delta since
 // the scan began (so every admit/defer/error branch is covered by a
-// single call site), the scan's wall duration, and the budget gauges at
+// single call site), the scan's wall duration, and the bucket balance at
 // the scan's clock. Caller holds d.mu.
 func (o *daemonObs) observeTick(d *Daemon, before DaemonStats, now float64, elapsed time.Duration) {
 	o.ticks.Add(int64(d.stats.Ticks - before.Ticks))
@@ -74,10 +69,5 @@ func (o *daemonObs) observeTick(d *Daemon, before DaemonStats, now float64, elap
 	o.tickNs.Observe(elapsed.Nanoseconds())
 	if d.bucket != nil {
 		o.bucketTokens.Set(d.bucket.Available(now))
-	}
-	if lag := d.paceUntil - now; lag > 0 {
-		o.paceLag.Set(lag)
-	} else {
-		o.paceLag.Set(0)
 	}
 }

@@ -30,7 +30,11 @@ func replayOnce(t *testing.T, seed int64) (ReplayStats, *ClusterTarget) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Replay(sim.NewEngine(), trace, m, 5, nil)
+	d, err := NewDaemon(m, DaemonConfig{Interval: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := Replay(sim.NewEngine(), trace, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +56,14 @@ func TestReplayPromotesHotFiles(t *testing.T) {
 		t.Fatal("moves reported no traffic")
 	}
 	// The Zipf head (file-000) must sit on the hot code at the end.
-	if code, _ := ct.ExtentCode(workload.TraceFileName(0), 0); code != "pentagon" {
+	if code, _, _ := ct.ExtentCode(workload.TraceFileName(0), 0); code != "pentagon" {
 		t.Fatalf("hottest file ended on %q", code)
 	}
 	// The cluster must still hold plenty of cold RS files: a sane
 	// policy does not promote the long tail.
 	cold := 0
 	for _, name := range ct.Files() {
-		if code, _ := ct.ExtentCode(name, 0); code == "rs-14-10" {
+		if code, _, _ := ct.ExtentCode(name, 0); code == "rs-14-10" {
 			cold++
 		}
 	}
@@ -94,8 +98,12 @@ func TestReplayOnAccessMetersReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, err := NewDaemon(m, DaemonConfig{Interval: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	metered := 0
-	stats, err := Replay(sim.NewEngine(), trace, m, 2, func(a workload.Access, now float64) error {
+	stats, err := Replay(sim.NewEngine(), trace, d, func(a workload.Access, now float64) error {
 		metered++
 		_, err := ct.ReadCostAt(a.Name, -1, func(int) bool { return false })
 		return err
@@ -114,11 +122,15 @@ func TestReplayValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, err := NewDaemon(m, DaemonConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	trace := []workload.Access{{Name: "f", Time: 1}}
-	if _, err := Replay(sim.NewEngine(), trace, m, 0, nil); err == nil {
+	if _, err := Replay(sim.NewEngine(), trace, d, nil); err == nil {
 		t.Fatal("accepted zero rebalance interval")
 	}
-	if stats, err := Replay(sim.NewEngine(), nil, m, 1, nil); err != nil || stats.Accesses != 0 {
+	if stats, err := Replay(sim.NewEngine(), nil, d, nil); err != nil || stats.Accesses != 0 {
 		t.Fatalf("empty trace: %+v, %v", stats, err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/durable"
 	"repro/internal/tier/accesslog"
 )
 
@@ -142,10 +141,10 @@ func TestDaemonScrubUnlimited(t *testing.T) {
 	}
 }
 
-// TestSidecarSavesAtomic: the heat snapshot and the dwell sidecar are
-// written through durable.WriteFile, so stray garbage at the temp path
-// (the residue of a crashed save) neither corrupts the file nor breaks
-// the next save, and loads see only complete states.
+// TestSidecarSavesAtomic: the heat snapshot is written through
+// durable.WriteFile, so stray garbage at the temp path (the residue of a
+// crashed save) neither corrupts the file nor breaks the next save, and
+// loads see only complete states.
 func TestSidecarSavesAtomic(t *testing.T) {
 	dir := t.TempDir()
 
@@ -206,37 +205,5 @@ func TestSidecarSavesAtomic(t *testing.T) {
 	}
 	if got := reopened(); got != 15 {
 		t.Fatalf("heat after the failed checkpoint = %v, want 15", got)
-	}
-
-	moves := filepath.Join(dir, "tier-moves.json")
-	m, err := NewManager(newFakeTarget(1, nil), testPolicy(), NewTracker(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.RestoreLastMoves(map[string]float64{"f": 42})
-	if err := m.SaveLastMoves(moves); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(moves+".tmp", []byte("{oops"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := NewManager(newFakeTarget(1, nil), testPolicy(), NewTracker(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.LoadLastMoves(moves); err != nil {
-		t.Fatalf("load with crash residue: %v", err)
-	}
-	// Both sidecars commit through durable.WriteFile: the file's fsync
-	// plus the directory's, and no temp file left behind.
-	before := durable.Syncs()
-	if err := m2.SaveLastMoves(moves); err != nil {
-		t.Fatalf("save over crash residue: %v", err)
-	}
-	if got := durable.Syncs() - before; got != 2 {
-		t.Fatalf("dwell sidecar save issued %d fsyncs, want 2 (file + directory)", got)
-	}
-	if _, err := os.Stat(moves + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file left after a committed save: %v", err)
 	}
 }

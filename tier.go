@@ -8,8 +8,8 @@ import "repro/internal/tier"
 // between the two as their access heat changes: a decayed-access
 // HeatTracker fed by store read hooks, a TierPolicy with promote/
 // demote hysteresis, a TierManager that executes moves by online
-// transcoding, and a TierDaemon that runs the manager in the
-// background.
+// transcoding, and a TierDaemon that scans the manager on an interval
+// or once.
 
 // HeatTracker tracks per-file and per-extent access heat with
 // exponential decay.
@@ -28,7 +28,7 @@ type TierManager = tier.Manager
 
 // NewTierManager returns a manager tiering extents inside an on-disk
 // store. Feed it heat from the store's read hook, as ExampleNewTierManager
-// does, and call Rebalance (or run a TierDaemon) to move extents.
+// does, and let a TierDaemon move extents.
 func NewTierManager(s *Store, policy TierPolicy, tracker *HeatTracker) (*TierManager, error) {
 	return tier.NewManager(tier.StoreTarget{Store: s}, policy, tracker)
 }
@@ -43,7 +43,8 @@ type TierDaemon = tier.Daemon
 type TierDaemonConfig = tier.DaemonConfig
 
 // NewTierDaemon returns a stopped rebalance daemon for the manager;
-// drive it with Start/Stop on the wall clock or Tick on a virtual one.
+// drive it with Start/Stop on the wall clock or Tick on a virtual one
+// (one Tick of a daemon with no budget is a one-shot rebalance).
 func NewTierDaemon(m *TierManager, cfg TierDaemonConfig) (*TierDaemon, error) {
 	return tier.NewDaemon(m, cfg)
 }
