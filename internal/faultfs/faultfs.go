@@ -4,8 +4,9 @@
 // read errors, silent bit-flip corruption of written frames, torn
 // writes that persist only a prefix, injected latency, and whole-node
 // outages. It exists to prove the detection and self-healing machinery
-// above the seam — the chaos harness (internal/chaos) and the heal and
-// scrub tests drive stores through it.
+// above the seam — the chaos harness (internal/chaos) puts one under
+// every shard of a served fleet, and the heal and scrub tests drive
+// single stores through it.
 //
 // Faults are drawn from a single seeded source, so a failing run
 // replays exactly from its seed. Injection can be toggled as a whole

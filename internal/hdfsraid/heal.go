@@ -103,7 +103,7 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 
 	if content != nil {
 		copy(payload, content)
-	} else if err := s.reconstructBlock(payload, cc, name, fi, ext, stripe, sym); err != nil {
+	} else if err := s.reconstructBlock(payload, cc, name, fi, ext, stripe, sym, v); err != nil {
 		// Unrepairable right now (too many failures in the stripe, or
 		// injected errors mid-reconstruct): put the captured frame back
 		// where it was and report.
@@ -123,18 +123,25 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 	return nil
 }
 
-// reconstructBlock recomputes one block payload of a stripe into dst
-// through readStripe with healing off (heal never recurses). The bad
-// replica itself is already quarantined away (or fails its CRC read),
-// so a data symbol comes down the ladder from a sibling replica — the
-// whole reconstruction source under a replication code — the read
-// plan, or a full-stripe decode; a parity symbol is re-encoded from
-// the stripe's data blocks, read the same way.
-func (s *Store) reconstructBlock(dst []byte, cc codec, name string, fi FileInfo, ext, stripe, sym int) error {
+// reconstructBlock recomputes the payload of sym's replica on node v
+// into dst through readStripe with healing off (heal never recurses).
+// The bad replica itself is already quarantined away (or fails its CRC
+// read), so a data symbol comes down the ladder from a sibling replica
+// — the whole reconstruction source under a replication code — the
+// read plan, or a full-stripe decode. A parity symbol is copied from a
+// sibling replica when it has one (one block, the paper's repair by
+// transfer), else re-encoded from the stripe's data blocks, read the
+// same way.
+func (s *Store) reconstructBlock(dst []byte, cc codec, name string, fi FileInfo, ext, stripe, sym, v int) error {
 	k := cc.code.DataSymbols()
 	if sym < k {
 		_, err := s.readStripe(cc, name, fi, ext, stripe, sym, 0, [][]byte{dst}, false)
 		return err
+	}
+	for _, u := range cc.code.Placement().SymbolNodes[sym] {
+		if u != v && s.readBlockInto(s.extentBlockPath(u, name, fi, ext, stripe, sym), dst, 0) == nil {
+			return nil
+		}
 	}
 	data := make([][]byte, k)
 	for i := range data {

@@ -62,6 +62,46 @@ func TestScrubTrickleBudget(t *testing.T) {
 func TestScrubFindsAndHeals(t *testing.T) {
 	t.Run("whole-file", func(t *testing.T) { testScrubFindsAndHeals(t, newStore(t, "rs-9-6")) })
 	t.Run("extents", func(t *testing.T) { testScrubFindsAndHeals(t, newExtStore(t, "rs-9-6", 6)) })
+	t.Run("pentagon-parity", testHealParityFromSibling)
+}
+
+// testHealParityFromSibling: a corrupt replica of pentagon's parity
+// heals by copying its sibling replica, so the heal reads two frames —
+// the re-verify of the bad one and the sibling — not the k data blocks
+// a re-encode would.
+func testHealParityFromSibling(t *testing.T) {
+	s := newStore(t, "pentagon")
+	k := s.Code().DataSymbols()
+	data := randomFile(t, blockSize*k, 63)
+	if err := s.Put("f", data); err != nil {
+		t.Fatal(err)
+	}
+	v := s.Code().Placement().SymbolNodes[k][0]
+	if err := s.CorruptBlock(v, "f", 0, k); err != nil {
+		t.Fatal(err)
+	}
+	fi := s.manifest.Files["f"]
+	cc, err := s.codecByName(fi.Extents[0].Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.obs.counters[cBlockReadBytes].Value()
+	if err := s.healBlock(cc, "f", fi, 0, 0, k, v, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.obs.counters[cBlockReadBytes].Value()-before, int64(2*block.FrameSize(blockSize)); got != want {
+		t.Fatalf("parity heal read %d bytes, want %d (two frames)", got, want)
+	}
+	rep, err := s.Scrub(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CorruptFound+rep.MissingFound != 0 {
+		t.Fatalf("scrub after the heal: %+v, want nothing found", rep)
+	}
+	if got, err := s.Get("f"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after the heal: err %v", err)
+	}
 }
 
 func testScrubFindsAndHeals(t *testing.T, s *Store) {

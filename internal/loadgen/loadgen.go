@@ -1,125 +1,11 @@
-// Package loadgen drives the serving front door (internal/serve) with
-// thousands of concurrent HTTP clients: Zipf-skewed whole-file and
-// ranged reads over a preloaded working set (key choice reuses
-// internal/workload's trace generator, so the served system sees the
-// same skew the tiering simulator models) plus a stream of private
-// put+delete write pairs. Every read is verified byte-for-byte against
-// the name's deterministic content, so the harness measures tail
-// latency and checks integrity in the same pass: an op may fail, but a
-// success that returned wrong bytes is counted separately as an
-// integrity error — the one number that must be zero.
+// Package loadgen holds Content, the deterministic payload of a named
+// file. The benchmark (bench/) builds every workload's dataset from it,
+// so any reader can verify any read from the name and length alone.
 package loadgen
 
-import (
-	"bytes"
-	"context"
-	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
-	"sync"
-	"sync/atomic"
-	"time"
+import "math/rand"
 
-	"repro/internal/obs"
-	"repro/internal/workload"
-)
-
-// Config shapes one load run.
-type Config struct {
-	// BaseURL is the front door, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// Clients is the number of concurrent client goroutines.
-	Clients int
-	// Duration is how long the measured phase runs.
-	Duration time.Duration
-	// Files is the preloaded working set size; names come from
-	// workload.TraceFileName.
-	Files int
-	// FileBytes is each working-set file's length.
-	FileBytes int
-	// WriteFraction of ops are a private put immediately followed by a
-	// delete of the same name (never touching the read set, so reads
-	// stay verifiable).
-	WriteFraction float64
-	// WriteBytes is the size of each written file; 0 uses FileBytes.
-	WriteBytes int
-	// RangeFraction of reads ask for a byte range instead of the whole
-	// file.
-	RangeFraction float64
-	// RangeBytes is the ranged-read length; 0 uses 4 KiB.
-	RangeBytes int
-	// ZipfS is the key-choice skew exponent (> 1; larger = hotter head).
-	ZipfS float64
-	// Seed makes the run reproducible.
-	Seed int64
-	// MaxConns caps pooled connections to the host; 0 uses 256. Client
-	// goroutines beyond the cap queue for a connection instead of
-	// stampeding the listener with thousands of dials.
-	MaxConns int
-}
-
-func (c *Config) withDefaults() error {
-	if c.BaseURL == "" {
-		return fmt.Errorf("loadgen: BaseURL required")
-	}
-	if c.Clients <= 0 {
-		c.Clients = 100
-	}
-	if c.Duration <= 0 {
-		c.Duration = 10 * time.Second
-	}
-	if c.Files <= 0 {
-		c.Files = 64
-	}
-	if c.FileBytes <= 0 {
-		c.FileBytes = 256 << 10
-	}
-	if c.WriteBytes <= 0 {
-		c.WriteBytes = c.FileBytes
-	}
-	if c.RangeBytes <= 0 {
-		c.RangeBytes = 4 << 10
-	}
-	if c.WriteFraction < 0 || c.WriteFraction > 1 {
-		return fmt.Errorf("loadgen: WriteFraction %v out of [0,1]", c.WriteFraction)
-	}
-	if c.RangeFraction < 0 || c.RangeFraction > 1 {
-		return fmt.Errorf("loadgen: RangeFraction %v out of [0,1]", c.RangeFraction)
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
-	if c.MaxConns <= 0 {
-		c.MaxConns = 256
-	}
-	return nil
-}
-
-// Result aggregates one run.
-type Result struct {
-	Ops, Gets, RangeGets, Puts, Deletes int64
-	// Errors counts ops that failed outright (transport error or
-	// unexpected status). IntegrityErrors counts ops that *succeeded
-	// but returned wrong bytes* — the never-lie invariant; must be 0.
-	Errors          int64
-	IntegrityErrors int64
-	// Retried503 counts requests answered 503 + Retry-After (a name
-	// mid-move in a reshard) that were retried. A 503 that still fails
-	// after the retry budget lands in Errors — an availability miss —
-	// and never in IntegrityErrors: the server said "not now", it
-	// never lied.
-	Retried503   int64
-	BytesRead    int64
-	BytesWritten int64
-	Elapsed      time.Duration
-	// Lat holds client-observed latency per op kind: "get", "range",
-	// "put", "delete".
-	Lat map[string]obs.HistogramSnapshot
-}
-
-// Content is the deterministic payload of a working-set name: any
-// client can verify any read without coordination.
+// Content returns n bytes that are a pure function of name and n.
 func Content(name string, n int) []byte {
 	seed := int64(0)
 	for _, b := range []byte(name) {
@@ -129,320 +15,4 @@ func Content(name string, n int) []byte {
 	data := make([]byte, n)
 	rng.Read(data)
 	return data
-}
-
-// newClient builds the shared HTTP client: one transport, bounded
-// connection pool, no per-request timeout beyond the run context.
-func newClient(maxConns int) *http.Client {
-	return &http.Client{
-		Transport: &http.Transport{
-			MaxIdleConns:        maxConns,
-			MaxIdleConnsPerHost: maxConns,
-			MaxConnsPerHost:     maxConns,
-			IdleConnTimeout:     90 * time.Second,
-		},
-	}
-}
-
-// Preload uploads the working set (Files files of FileBytes each) so a
-// run starts from a fully readable store. Already-present names (a
-// prior run against the same store) count as loaded.
-func Preload(cfg Config) error {
-	if err := cfg.withDefaults(); err != nil {
-		return err
-	}
-	client := newClient(cfg.MaxConns)
-	workers := cfg.Clients
-	if workers > 32 {
-		workers = 32
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Files)
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				name := workload.TraceFileName(i)
-				req, err := http.NewRequest(http.MethodPut, cfg.BaseURL+"/files/"+name,
-					bytes.NewReader(Content(name, cfg.FileBytes)))
-				if err != nil {
-					errCh <- err
-					continue
-				}
-				resp, err := client.Do(req)
-				if err != nil {
-					errCh <- fmt.Errorf("preload %s: %w", name, err)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
-					errCh <- fmt.Errorf("preload %s: status %d", name, resp.StatusCode)
-				}
-			}
-		}()
-	}
-	for i := 0; i < cfg.Files; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	close(errCh)
-	return <-errCh
-}
-
-// Run drives cfg.Clients concurrent clients for cfg.Duration against a
-// preloaded front door and aggregates latency and integrity results.
-func Run(cfg Config) (Result, error) {
-	if err := cfg.withDefaults(); err != nil {
-		return Result{}, err
-	}
-	reg := obs.NewRegistry()
-	hists := map[string]*obs.Histogram{
-		"get":    reg.Histogram("client_get_ns"),
-		"range":  reg.Histogram("client_range_ns"),
-		"put":    reg.Histogram("client_put_ns"),
-		"delete": reg.Histogram("client_delete_ns"),
-	}
-	var res Result
-	client := newClient(cfg.MaxConns)
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Duration)
-	defer cancel()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := worker{cfg: cfg, id: c, client: client, res: &res, hists: hists}
-			w.run(ctx)
-		}()
-	}
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-	res.Lat = map[string]obs.HistogramSnapshot{}
-	for kind, h := range hists {
-		res.Lat[kind] = h.Snapshot()
-	}
-	return res, nil
-}
-
-// worker is one client goroutine's state.
-type worker struct {
-	cfg    Config
-	id     int
-	client *http.Client
-	res    *Result
-	hists  map[string]*obs.Histogram
-}
-
-// run loops Zipf-chosen ops until the context expires. Key choice
-// reuses workload.ZipfTrace batch-wise: each batch is a deterministic
-// trace segment seeded by (run seed, client, batch), so the whole run
-// replays exactly for a given config.
-func (w *worker) run(ctx context.Context) {
-	rng := rand.New(rand.NewSource(w.cfg.Seed*1_000_003 + int64(w.id)))
-	const batch = 512
-	writes := 0
-	for batchNo := 0; ; batchNo++ {
-		trace, err := workload.ZipfTrace(workload.TraceConfig{
-			Files:    w.cfg.Files,
-			Accesses: batch,
-			ZipfS:    w.cfg.ZipfS,
-			Rate:     1,
-			Seed:     w.cfg.Seed + int64(w.id)*1_000_000 + int64(batchNo),
-		})
-		if err != nil {
-			atomic.AddInt64(&w.res.Errors, 1)
-			return
-		}
-		for _, acc := range trace {
-			if ctx.Err() != nil {
-				return
-			}
-			if rng.Float64() < w.cfg.WriteFraction {
-				w.writePair(ctx, writes)
-				writes++
-				continue
-			}
-			if rng.Float64() < w.cfg.RangeFraction {
-				w.rangedGet(ctx, acc.Name, rng)
-			} else {
-				w.wholeGet(ctx, acc.Name)
-			}
-		}
-	}
-}
-
-// observe records one finished op.
-func (w *worker) observe(kind string, start time.Time, ok bool) {
-	atomic.AddInt64(&w.res.Ops, 1)
-	if !ok {
-		atomic.AddInt64(&w.res.Errors, 1)
-		return
-	}
-	w.hists[kind].Observe(time.Since(start).Nanoseconds())
-}
-
-func (w *worker) wholeGet(ctx context.Context, name string) {
-	start := time.Now()
-	body, status, err := w.do(ctx, http.MethodGet, name, nil, "")
-	if err == errExpired {
-		return
-	}
-	atomic.AddInt64(&w.res.Gets, 1)
-	ok := err == nil && status == http.StatusOK
-	w.observe("get", start, ok)
-	if !ok {
-		return
-	}
-	atomic.AddInt64(&w.res.BytesRead, int64(len(body)))
-	if !bytes.Equal(body, Content(name, w.cfg.FileBytes)) {
-		atomic.AddInt64(&w.res.IntegrityErrors, 1)
-	}
-}
-
-func (w *worker) rangedGet(ctx context.Context, name string, rng *rand.Rand) {
-	n := w.cfg.RangeBytes
-	if n > w.cfg.FileBytes {
-		n = w.cfg.FileBytes
-	}
-	off := 0
-	if max := w.cfg.FileBytes - n; max > 0 {
-		off = rng.Intn(max + 1)
-	}
-	start := time.Now()
-	body, status, err := w.do(ctx, http.MethodGet, name, nil,
-		fmt.Sprintf("bytes=%d-%d", off, off+n-1))
-	if err == errExpired {
-		return
-	}
-	atomic.AddInt64(&w.res.RangeGets, 1)
-	ok := err == nil && status == http.StatusPartialContent
-	w.observe("range", start, ok)
-	if !ok {
-		return
-	}
-	atomic.AddInt64(&w.res.BytesRead, int64(len(body)))
-	if !bytes.Equal(body, Content(name, w.cfg.FileBytes)[off:off+n]) {
-		atomic.AddInt64(&w.res.IntegrityErrors, 1)
-	}
-}
-
-// writePair puts a private name, reads it back, and deletes it — the
-// full lifecycle of a written object, never touching the shared read
-// set.
-func (w *worker) writePair(ctx context.Context, seq int) {
-	name := fmt.Sprintf("w-%d-%d.tmp", w.id, seq)
-	data := Content(name, w.cfg.WriteBytes)
-	start := time.Now()
-	_, status, err := w.do(ctx, http.MethodPut, name, func() io.Reader { return bytes.NewReader(data) }, "")
-	if err == errExpired {
-		return
-	}
-	atomic.AddInt64(&w.res.Puts, 1)
-	ok := err == nil && status == http.StatusCreated
-	w.observe("put", start, ok)
-	if !ok {
-		return
-	}
-	atomic.AddInt64(&w.res.BytesWritten, int64(len(data)))
-
-	body, status, err := w.do(ctx, http.MethodGet, name, nil, "")
-	if err == nil && status == http.StatusOK && !bytes.Equal(body, data) {
-		atomic.AddInt64(&w.res.IntegrityErrors, 1)
-	}
-
-	// The write pair always deletes, even past the deadline: leaking
-	// the private name would fail the next run's preload-and-verify.
-	start = time.Now()
-	_, status, err = w.do(context.Background(), http.MethodDelete, name, nil, "")
-	atomic.AddInt64(&w.res.Deletes, 1)
-	w.observe("delete", start, err == nil && status == http.StatusOK)
-}
-
-// errExpired marks a request the run deadline cut off mid-flight: not
-// a server error, just the end of the run. Such ops are not observed
-// at all — counting them as errors would make every run end with a
-// burst of phantom failures.
-var errExpired = fmt.Errorf("loadgen: run deadline expired mid-request")
-
-// do issues one request with bounded retries on 503: during a reshard
-// the front door answers Retry-After for names mid-move, and a client
-// that treats that as a hard failure would turn a planned availability
-// gap into noise. Retries back off (doubling from 25ms) and give up
-// after retry503Budget attempts, returning the final 503 for the
-// caller to count as an ordinary error. mkBody rebuilds the request
-// body per attempt (nil for bodyless requests).
-func (w *worker) do(ctx context.Context, method, name string, mkBody func() io.Reader, rangeHdr string) ([]byte, int, error) {
-	backoff := 25 * time.Millisecond
-	for attempt := 0; ; attempt++ {
-		data, status, err := w.do1(ctx, method, name, mkBody, rangeHdr)
-		if err != nil || status != http.StatusServiceUnavailable || attempt >= retry503Budget {
-			return data, status, err
-		}
-		atomic.AddInt64(&w.res.Retried503, 1)
-		select {
-		case <-ctx.Done():
-			return nil, 0, errExpired
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > 500*time.Millisecond {
-			backoff = 500 * time.Millisecond
-		}
-	}
-}
-
-// retry503Budget is how many times a 503 is retried before it counts
-// as a (non-integrity) error.
-const retry503Budget = 6
-
-// do1 issues one request, draining and returning the body.
-func (w *worker) do1(ctx context.Context, method, name string, mkBody func() io.Reader, rangeHdr string) ([]byte, int, error) {
-	var body io.Reader
-	if mkBody != nil {
-		body = mkBody()
-	}
-	req, err := http.NewRequestWithContext(ctx, method, w.cfg.BaseURL+"/files/"+name, body)
-	if err != nil {
-		return nil, 0, err
-	}
-	if rangeHdr != "" {
-		req.Header.Set("Range", rangeHdr)
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, 0, errExpired
-		}
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, 0, errExpired
-		}
-		return nil, 0, err
-	}
-	return data, resp.StatusCode, nil
-}
-
-// Summary renders the result one line per op kind.
-func (r Result) Summary() string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "ops=%d errors=%d integrity_errors=%d retried_503=%d elapsed=%s\n",
-		r.Ops, r.Errors, r.IntegrityErrors, r.Retried503, r.Elapsed.Round(time.Millisecond))
-	for _, kind := range []string{"get", "range", "put", "delete"} {
-		h := r.Lat[kind]
-		if h.Count == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-7s n=%-8d p50=%-10s p99=%-10s p999=%s\n", kind, h.Count,
-			time.Duration(h.Quantile(0.50)), time.Duration(h.Quantile(0.99)), time.Duration(h.Quantile(0.999)))
-	}
-	return b.String()
 }

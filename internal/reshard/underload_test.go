@@ -1,117 +1,73 @@
 package reshard
 
 import (
-	"bytes"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"repro/internal/loadgen"
-	"repro/internal/workload"
+	"repro/internal/chaos"
 )
 
-// workloadName is the loadgen working-set naming scheme.
-func workloadName(i int) string { return workload.TraceFileName(i) }
-
-// readAll drains and closes a response body.
-func readAll(t *testing.T, resp *http.Response) []byte {
+// underLoad runs the chaos client's reshard load on c and, once it has
+// ramped, calls reshard under it; the load stops when reshard returns.
+// The load must not lie and must run every op kind of its mix.
+func underLoad(t *testing.T, c *chaos.Client, reshard func()) chaos.Result {
 	t.Helper()
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	type out struct {
+		res chaos.Result
+		err error
 	}
-	return data
+	stop, done := make(chan struct{}), make(chan out, 1)
+	go func() {
+		res, err := c.Load(stop)
+		done <- out{res, err}
+	}()
+	func() {
+		defer close(stop)
+		time.Sleep(200 * time.Millisecond)
+		reshard()
+	}()
+	o := <-done
+	if o.err != nil {
+		t.Fatalf("load under reshard: %v\nresult: %+v", o.err, o.res)
+	}
+	t.Logf("load under reshard: %+v", o.res)
+	return o.res
 }
 
-// TestReshardUnderLoad grows 4 -> 6 shards while loadgen hammers the
-// front door with concurrent reads, ranged reads, and write pairs. The
-// contract: the load sees zero integrity errors and zero hard errors
-// (a mid-move 503 is retried by the client, never surfaced), and the
-// post-reshard store is byte-exact and fsck-healthy.
+// TestReshardUnderLoad grows 4 -> 6 shards under the chaos client's
+// verified load: reads, ranged reads and private write pairs. The
+// contract: no response lies, no op fails (a mid-move 503 is retried
+// by the client, never surfaced), names really move, and the grown
+// fleet passes chaos.Settle.
 func TestReshardUnderLoad(t *testing.T) {
-	root, srv, ref := seedRoot(t, 4, 0) // loadgen preloads its own set
+	root, srv, _ := seedRoot(t, 4, 0)
+	// The throttle makes the move window overlap live traffic.
 	ctl, err := Attach(root, srv, Options{Throttle: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	cfg := loadgen.Config{
-		BaseURL:       ts.URL,
-		Clients:       12,
-		Duration:      2 * time.Second,
-		Files:         40,
-		FileBytes:     6 * testBlock,
-		WriteFraction: 0.1,
-		WriteBytes:    2 * testBlock,
-		RangeFraction: 0.25,
-		Seed:          7,
-	}
-	if err := loadgen.Preload(cfg); err != nil {
-		t.Fatal(err)
-	}
-	resCh := make(chan loadgen.Result, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		res, err := loadgen.Run(cfg)
-		resCh <- res
-		errCh <- err
-	}()
-
-	// Let the load ramp, then reshard underneath it. The throttle
-	// guarantees the move window overlaps live traffic.
-	time.Sleep(200 * time.Millisecond)
-	if err := ctl.Start(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctl.Wait(); err != nil {
-		t.Fatalf("reshard under load: %v", err)
-	}
-	res := <-resCh
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("load during reshard: %s", res.Summary())
-	if res.IntegrityErrors != 0 {
-		t.Fatalf("%d integrity errors under reshard — the never-lie invariant broke", res.IntegrityErrors)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d hard errors under reshard (mid-move 503s should have been retried)", res.Errors)
-	}
-	if res.Ops == 0 {
-		t.Fatal("vacuous run: loadgen did nothing")
-	}
-	st := ctl.Status()
-	if st.Done == 0 {
-		t.Fatal("vacuous reshard: no names moved under load")
-	}
-
-	// Post-reshard end state: the preloaded working set (ref tracks
-	// nothing here; loadgen's set is deterministic) reads byte-exact.
-	_ = ref
-	for i := 0; i < cfg.Files; i++ {
-		name := workloadName(i)
-		resp, err := http.Get(ts.URL + "/files/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := readAll(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("final read %s: status %d", name, resp.StatusCode)
-		}
-		if !bytes.Equal(data, loadgen.Content(name, cfg.FileBytes)) {
-			t.Fatalf("final read %s: wrong bytes", name)
-		}
-	}
-	fsck, err := srv.Fsck()
+	c, err := chaos.NewClient(ts.URL, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fsck.Healthy() {
-		t.Fatalf("unhealthy after reshard under load: %+v", fsck)
+	res := underLoad(t, c, func() {
+		if err := ctl.Start(6); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.Wait(); err != nil {
+			t.Fatalf("reshard under load: %v", err)
+		}
+	})
+	if res.Errs != 0 {
+		t.Fatalf("%d hard errors under reshard (mid-move 503s should have been retried)", res.Errs)
+	}
+	if st := ctl.Status(); st.Done == 0 {
+		t.Fatal("vacuous reshard: no names moved under load")
+	}
+	if err := chaos.Settle(srv, c); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,8 +5,9 @@
 // so shards share no locks and serve requests fully in parallel; the
 // router's only shared state is the immutable hash ring. The paper's
 // single-store prototype becomes a served system here: `hdfscli serve`
-// exposes the handler, internal/loadgen drives it with concurrent
-// verified clients, and the bench/ module measures it.
+// exposes the handler, internal/chaos drives it with concurrent
+// verified clients under fault injection, and the bench/ module
+// measures it.
 package serve
 
 import (
