@@ -9,13 +9,19 @@ package hadoopcodes
 // record.
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bipartite"
+	"repro/internal/block"
 	"repro/internal/code/heptlocal"
 	"repro/internal/code/polygon"
 	"repro/internal/code/raidm"
@@ -361,25 +367,6 @@ func BenchmarkAblationPeelingVsDelay(b *testing.B) {
 
 func BenchmarkEncodeRS1410(b *testing.B) { benchEncode(b, rs.New(14, 10)) }
 
-// BenchmarkEncodeFileConcurrent measures the striper's worker-pool
-// encoding against a multi-stripe pentagon file.
-func BenchmarkEncodeFileConcurrent(b *testing.B) {
-	st, err := core.NewStriper(polygon.New(5), 1<<18)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	data := make([]byte, 9*(1<<18)*8) // 8 stripes
-	rng.Read(data)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.EncodeFileConcurrent(data, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStorePutGet measures the on-disk HDFS-RAID store round
 // trip.
 func BenchmarkStorePutGet(b *testing.B) {
@@ -535,6 +522,59 @@ func BenchmarkGetMultiExtentCached(b *testing.B) {
 	benchGetMultiExtent(b, hdfsraid.NewReadCache(64<<20))
 }
 func BenchmarkGetMultiExtentUncached(b *testing.B) { benchGetMultiExtent(b, nil) }
+
+// BenchmarkPreadFloor is the page-cache floor under
+// BenchmarkGetMultiExtentUncached: the same bytes — 30 files of one
+// 1 MiB block frame each — read back into one 30 MiB buffer on
+// GOMAXPROCS goroutines, each file opened, pread in 128 KiB pieces and
+// closed, with no checksum, no read ladder and no store. Get ÷ floor
+// is what the store's read path adds over moving the bytes.
+func BenchmarkPreadFloor(b *testing.B) {
+	const files, size, piece = 30, 1 << 20, 128 << 10
+	frame := make([]byte, block.FrameSize(size))
+	rand.New(rand.NewSource(12)).Read(frame[:size])
+	block.PutCellChecksums(frame[size:], frame[:size])
+	dir, paths := b.TempDir(), make([]string, files)
+	for i := range paths {
+		paths[i] = filepath.Join(dir, fmt.Sprint(i))
+		if err := os.WriteFile(paths[i], frame, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dst := make([]byte, files*size)
+	pread := func(i int) error {
+		f, err := os.Open(paths[i])
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		for off := 0; off < size; off += piece {
+			if _, err := f.ReadAt(dst[i*size+off:i*size+off+piece], int64(off)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	b.SetBytes(int64(len(dst)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for f := int(next.Add(1)) - 1; f < files; f = int(next.Add(1)) - 1 {
+					if err := pread(f); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
 
 // BenchmarkReadAtUnaligned measures a 1 MiB ReadAt at unaligned offsets
 // from a fixed seed on benchGetMultiExtent's store (no cache) — the

@@ -164,9 +164,11 @@ func Run(dir string, cfg Config) (Result, error) {
 	}
 	srv, err := serve.Open(dir, serve.Config{
 		ReadCacheBytes: 1 << 20,
+		// The daemons scan every 20 ms: a 240-op run can finish in 70 ms,
+		// and every run must interleave scans with its ops.
 		Tier: &serve.TierConfig{
 			HotCode: "3-rep", ColdCode: "rs-9-6", PromoteAt: 5, DemoteAt: 2,
-			Interval: 0.1, HalfLife: 0.25, ScrubPerScan: float64(4 * block.FrameSize(blockSize)),
+			Interval: 0.02, HalfLife: 0.25, ScrubPerScan: float64(4 * block.FrameSize(blockSize)),
 		},
 	})
 	if err != nil {

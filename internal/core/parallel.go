@@ -7,49 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// EncodeFileConcurrent is EncodeFile with stripes encoded by a worker
-// pool — the encoding-duration lever for RaidNode-style bulk encoding
-// jobs, where stripes are independent by construction. workers <= 0
-// uses GOMAXPROCS. The result is identical to EncodeFile, including
-// its aliasing: data symbols of interior stripes point into data.
-func (st *Striper) EncodeFileConcurrent(data []byte, workers int) ([]EncodedStripe, error) {
-	count := st.StripeCount(len(data))
-	if count == 0 {
-		return nil, nil
-	}
-	workers = clampWorkers(workers, count)
-	stripes := make([]EncodedStripe, count)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < count; i += workers {
-				blocks, _ := st.stripeBlocks(data, i, nil)
-				symbols, err := st.Code.Encode(blocks)
-				if err != nil {
-					errs[w] = fmt.Errorf("core: encoding stripe %d: %w", i, err)
-					return
-				}
-				stripes[i] = EncodedStripe{Index: i, Symbols: symbols}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return stripes, nil
-}
-
 // EncodeStream encodes data stripe by stripe through a bounded worker
-// pool and hands each encoded stripe to emit exactly once — the
-// zero-allocation pipeline under bulk writes and transcodes, where one
-// worker encodes stripe N while another is still writing stripe N-1.
+// pool and hands each encoded stripe to emit exactly once — a
+// zero-allocation pipeline for a file held in memory, where one worker
+// encodes stripe N while another is still writing stripe N-1.
 //
 // Stripes reach emit out of order (EncodedStripe.Index identifies
 // them), and emit is called concurrently from the workers, so it must
@@ -89,82 +50,6 @@ func (st *Striper) EncodeStream(data []byte, workers int, pool *BlockPool, emit 
 				}
 				for _, b := range pooled {
 					pool.Put(b)
-				}
-				if err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EncodeStreamFrom is EncodeStream for sources that cannot (or should
-// not) materialize the whole file: instead of a data buffer it takes a
-// fill callback that produces one stripe's k data blocks on demand.
-// Each worker owns k pooled block buffers that it reuses across every
-// stripe it encodes, so peak memory is O(workers × stripe), independent
-// of the stream length — the property the streaming transcode path is
-// built on.
-//
-// fill is called concurrently from the workers, once per stripe in
-// [0, count), with blocks already sized to the pool's block size; it
-// must fully overwrite every block (zeroing any tail padding itself)
-// and must not retain the slices. emit has the same contract as in
-// EncodeStream. A non-nil error from fill, encode or emit cancels the
-// stream and is returned after the workers drain.
-func (st *Striper) EncodeStreamFrom(count, workers int, pool *BlockPool,
-	fill func(stripe int, blocks [][]byte) error, emit func(EncodedStripe) error) error {
-	if count == 0 {
-		return nil
-	}
-	if pool == nil {
-		pool = NewBlockPool(st.BlockSize)
-	} else if pool.Size() != st.BlockSize {
-		return fmt.Errorf("core: encode stream pool size %d != block size %d", pool.Size(), st.BlockSize)
-	}
-	workers = clampWorkers(workers, count)
-	k := st.Code.DataSymbols()
-
-	errs := make([]error, workers)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			blocks := make([][]byte, k)
-			for j := range blocks {
-				blocks[j] = pool.Get()
-			}
-			defer func() {
-				for _, b := range blocks {
-					pool.Put(b)
-				}
-			}()
-			for i := w; i < count && !failed.Load(); i += workers {
-				err := fill(i, blocks)
-				if err != nil {
-					err = fmt.Errorf("core: filling stripe %d: %w", i, err)
-				} else {
-					var symbols [][]byte
-					var release func()
-					symbols, release, err = EncodeWith(st.Code, pool, blocks)
-					if err != nil {
-						err = fmt.Errorf("core: encoding stripe %d: %w", i, err)
-					} else {
-						err = emit(EncodedStripe{Index: i, Symbols: symbols})
-						release()
-					}
 				}
 				if err != nil {
 					errs[w] = err

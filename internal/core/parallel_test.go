@@ -8,58 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
-
-func TestEncodeFileConcurrentMatchesSerial(t *testing.T) {
-	st, err := NewStriper(xorCode{}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		data := make([]byte, rng.Intn(2000))
-		rng.Read(data)
-		serial, err := st.EncodeFile(data)
-		if err != nil {
-			return false
-		}
-		for _, workers := range []int{0, 1, 3, 8} {
-			conc, err := st.EncodeFileConcurrent(data, workers)
-			if err != nil {
-				return false
-			}
-			if len(conc) != len(serial) {
-				return false
-			}
-			for i := range serial {
-				if conc[i].Index != serial[i].Index {
-					return false
-				}
-				for s := range serial[i].Symbols {
-					if !bytes.Equal(conc[i].Symbols[s], serial[i].Symbols[s]) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncodeFileConcurrentEmpty(t *testing.T) {
-	st, _ := NewStriper(xorCode{}, 16)
-	stripes, err := st.EncodeFileConcurrent(nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stripes != nil {
-		t.Fatal("empty file produced stripes")
-	}
-}
 
 // intoXorCode is xorCode with the zero-allocation EncodeInto entry
 // point, so EncodeStream's pooled path gets exercised in-package.
@@ -156,23 +105,5 @@ func TestEncodeStreamPoolSizeMismatch(t *testing.T) {
 	err := st.EncodeStream(make([]byte, 100), 2, NewBlockPool(16), func(EncodedStripe) error { return nil })
 	if err == nil {
 		t.Fatal("mismatched pool size accepted")
-	}
-}
-
-func TestEncodeFileConcurrentRoundTrip(t *testing.T) {
-	st, _ := NewStriper(xorCode{}, 8)
-	rng := rand.New(rand.NewSource(9))
-	data := make([]byte, 5000)
-	rng.Read(data)
-	stripes, err := st.EncodeFileConcurrent(data, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.DecodeFile(stripes, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("concurrent encode round trip failed")
 	}
 }

@@ -80,12 +80,13 @@ func (s *Store) Delete(name string) (blocksRemoved int, err error) {
 
 // reclaim removes every block replica the layout of one extent of fi
 // expects, best-effort, and returns how many went away: how Delete
-// gives back a file's blocks and a move the generation it superseded
-// (or, failing, the one it was writing). Callers have committed the
-// record that makes the layout unreachable and hold the extent's move
-// lock, not mu.
+// gives back a file's blocks, a move the generation it superseded (or
+// the one it wrote, if its commit check fails) and a failed stripe
+// writer what it wrote. Callers have committed the record that makes
+// the layout unreachable, or never will, and hold the name's ingest or
+// the extent's move lock, not mu.
 func (s *Store) reclaim(name string, fi FileInfo, ext int) (removed int) {
-	// Cannot fail: the extent's codec has resolved before and fn never errors.
+	// Cannot fail: the extent's code has resolved before and fn never errors.
 	_ = s.forEachReplica(name, fi, ext, func(r blockRef, v int) error {
 		if s.bio.Remove(s.extentBlockPath(v, name, fi, ext, r.stripe, r.sym)) == nil {
 			removed++

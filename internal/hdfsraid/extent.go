@@ -116,7 +116,7 @@ func (s *Store) validateExtents(name string, fi FileInfo) error {
 		if err != nil {
 			return fmt.Errorf("hdfsraid: file %q extent %d: %w", name, i, err)
 		}
-		if want := stripesFor(e.Blocks, cc.code.DataSymbols()); e.Stripes != want || e.Gen < 0 {
+		if want := stripesFor(e.Blocks, cc.DataSymbols()); e.Stripes != want || e.Gen < 0 {
 			return fmt.Errorf("hdfsraid: file %q extent %d has %d stripes at generation %d, want %d", name, i, e.Stripes, e.Gen, want)
 		}
 		next = e.Start + e.Blocks
@@ -230,7 +230,7 @@ func (s *Store) forEachReplica(name string, fi FileInfo, ext int, fn func(r bloc
 	if err != nil {
 		return err
 	}
-	k, symbolNodes := cc.code.DataSymbols(), cc.code.Placement().SymbolNodes
+	k, symbolNodes := cc.DataSymbols(), cc.Placement().SymbolNodes
 	for i := 0; i < e.Stripes; i++ {
 		for sym, nodes := range symbolNodes {
 			if e.zeroSymbol(k, i, sym) {

@@ -66,7 +66,7 @@ func (s *Store) Quarantined() ([]string, error) {
 // recoverable bits the bad frame still holds. Callers hold at least
 // mu's read side; idempotence under concurrent heals of the same path
 // comes from the re-verify plus rename-into-place write-back.
-func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, v int, content []byte) error {
+func (s *Store) healBlock(cc core.Code, name string, fi FileInfo, ext, stripe, sym, v int, content []byte) error {
 	path := s.extentBlockPath(v, name, fi, ext, stripe, sym)
 	payload := s.payloadPool.Get()
 	defer s.payloadPool.Put(payload)
@@ -132,13 +132,13 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 // sibling replica when it has one (one block, the paper's repair by
 // transfer), else re-encoded from the stripe's data blocks, read the
 // same way.
-func (s *Store) reconstructBlock(dst []byte, cc codec, name string, fi FileInfo, ext, stripe, sym, v int) error {
-	k := cc.code.DataSymbols()
+func (s *Store) reconstructBlock(dst []byte, cc core.Code, name string, fi FileInfo, ext, stripe, sym, v int) error {
+	k := cc.DataSymbols()
 	if sym < k {
 		_, err := s.readStripe(cc, name, fi, ext, stripe, sym, 0, [][]byte{dst}, false)
 		return err
 	}
-	for _, u := range cc.code.Placement().SymbolNodes[sym] {
+	for _, u := range cc.Placement().SymbolNodes[sym] {
 		if u != v && s.readBlockInto(s.extentBlockPath(u, name, fi, ext, stripe, sym), dst, 0) == nil {
 			return nil
 		}
@@ -155,7 +155,7 @@ func (s *Store) reconstructBlock(dst []byte, cc codec, name string, fi FileInfo,
 	if _, err := s.readStripe(cc, name, fi, ext, stripe, 0, 0, data, false); err != nil {
 		return err
 	}
-	enc, release, err := core.EncodeWith(cc.code, s.payloadPool, data)
+	enc, release, err := core.EncodeWith(cc, s.payloadPool, data)
 	if err != nil {
 		return err
 	}

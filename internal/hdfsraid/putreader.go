@@ -4,12 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"path/filepath"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/core"
 )
 
 // ingestKey names the per-file ingest lock Put and PutReader hold
@@ -25,18 +19,16 @@ func (s *Store) Put(name string, data []byte) error {
 }
 
 // PutReader stripes, encodes and stores a file streamed from r,
-// writing every stored symbol's replicas to their placement nodes
-// (writeStripe), without a caller-materialized byte slice. With
-// extents enabled (CreateExt) the file is split into extent-sized
-// runs, each striped independently so it can later change tier on its
-// own. The data plane streams: a sequential producer reads one
-// stripe's data blocks at a time into pooled buffers (closing each
-// stripe at the extent boundary), and up to GOMAXPROCS stripes
-// encode and write concurrently behind it. Peak memory
-// is O(workers × stripe), independent of the file's length — the
-// ingest-side counterpart of the streaming transcode pipeline. The
-// file's length and extent map are recorded when the reader is
-// exhausted.
+// without a caller-materialized byte slice. With extents enabled
+// (CreateExt) the file is split into extent-sized runs, each striped
+// independently so it can later change tier on its own. The data plane
+// is the store's one stripe writer (writeStripes): a sequential fill
+// reads one stripe's data blocks at a time into pooled buffers
+// (closing each stripe at the extent boundary), and up to GOMAXPROCS
+// stripes encode and write behind it, so peak memory is independent
+// of the file's length. The file's length and extent map are recorded
+// when r reports io.EOF; any other source error, like a failed encode
+// or write, fails the ingest and leaves none of its blocks behind.
 //
 // The store lock is NOT held while the reader drains or stripes encode
 // — a slow or stalling source must not block readers of other files.
@@ -55,114 +47,44 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 	if err != nil {
 		return err
 	}
-	k := s.code.DataSymbols()
-	extBlocks := s.extentBlocks
-	cc := codec{s.code, s.striper}
-	if err := s.ensureNodeDirs(cc.code.Nodes()); err != nil {
+	k, extBlocks := s.code.DataSymbols(), s.extentBlocks
+	if err := s.ensureNodeDirs(s.code.Nodes()); err != nil {
 		return err
 	}
-
-	// A job's first live blocks are pooled payload buffers holding the
-	// stripe's data; the rest alias the store's read-only zero block.
-	type job struct {
-		ext, stripe, live int
-		blocks            [][]byte
-	}
-	release := func(j job) {
-		for _, b := range j.blocks[:j.live] {
-			s.payloadPool.Put(b)
-		}
-	}
-	// inflight bounds the stripes (and their pooled buffers) being
-	// encoded and written behind the producer; the first error, from
-	// the source or any stripe, stops the stream.
-	inflight := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	var failed atomic.Pointer[error]
-	fail := func(err error) { failed.CompareAndSwap(nil, &err) }
-	encode := func(j job) {
-		defer func() {
-			release(j)
-			<-inflight
-			wg.Done()
-		}()
-		symbols, rel, err := core.EncodeWith(cc.code, s.payloadPool, j.blocks)
-		if err == nil {
-			e := Extent{Blocks: j.stripe*k + j.live} // the extent as ingested so far
-			err = s.writeStripe(cc, name, extBlocks > 0, j.ext, e, j.stripe, symbols)
-			rel()
-		}
-		if err != nil {
-			fail(fmt.Errorf("hdfsraid: put %q extent %d stripe %d: %w", name, j.ext, j.stripe, err))
-		}
-	}
-
-	// fillBlock reads one full data block (or the file's tail),
-	// zeroing the unread remainder. eof reports that the reader is
-	// exhausted at or inside this block.
-	fillBlock := func(buf []byte) (n int, eof bool, err error) {
-		n, err = io.ReadFull(r, buf)
-		if n < len(buf) {
-			clear(buf[n:])
-		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return n, true, nil
-		}
-		return n, false, err
-	}
-
-	total := 0
-	ext, extDone, stripe := 0, 0, 0
-	for failed.Load() == nil {
-		// A stripe holds k data blocks but never crosses an extent
-		// boundary: the capacity left in the current extent caps how
-		// many carry data, and the rest are known zeros — the shared
-		// zero block, which EncodeInto only reads.
+	// A stripe holds k data blocks but never crosses an extent
+	// boundary: the capacity left in the current extent caps how many
+	// carry data, and the rest stay known zeros.
+	total, ext, extDone, stripe := 0, 0, 0, 0
+	fill := func(p *pendingStripe) (more bool, err error) {
 		limit := k
-		if extBlocks > 0 && extBlocks-extDone < k {
-			limit = extBlocks - extDone
+		if extBlocks > 0 {
+			limit = min(k, extBlocks-extDone)
 		}
-		j := job{ext: ext, stripe: stripe, blocks: make([][]byte, k)}
-		eof := false
-		var rdErr error
-		for i := range j.blocks {
-			j.blocks[i] = s.zeroBlock
-			if i >= limit || eof || rdErr != nil {
-				continue
-			}
+		p.ext, p.stripe = ext, stripe
+		for p.live < limit {
 			buf := s.payloadPool.Get()
-			var n int
-			if n, eof, rdErr = fillBlock(buf); n == 0 {
+			n, eof, err := fillBlock(r, buf)
+			if total += n; n > 0 {
+				p.blocks[p.live], p.live = buf, p.live+1
+			} else {
 				s.payloadPool.Put(buf)
-				continue
 			}
-			total += n
-			j.blocks[i] = buf
-			j.live++
-		}
-		if rdErr != nil {
-			release(j)
-			fail(fmt.Errorf("hdfsraid: put %q: reading source: %w", name, rdErr))
-			break
-		}
-		if j.live == 0 {
-			break // reader exhausted at a stripe boundary
-		}
-		inflight <- struct{}{}
-		wg.Add(1)
-		go encode(j)
-		if eof || j.live < limit {
-			break // reader exhausted inside this stripe
+			if err != nil {
+				return false, fmt.Errorf("reading source: %w", err)
+			}
+			if eof {
+				return false, nil // reader exhausted at or inside this stripe
+			}
 		}
 		if extDone += limit; extBlocks > 0 && extDone == extBlocks {
 			ext, extDone, stripe = ext+1, 0, 0
 		} else {
 			stripe++
 		}
+		return true, nil
 	}
-	wg.Wait()
-	if err := failed.Load(); err != nil {
-		return *err
+	if err := s.writeStripes(s.codeName, name, extBlocks > 0, 0, fill); err != nil {
+		return fmt.Errorf("hdfsraid: put %q: %w", name, err)
 	}
 	fi := FileInfo{
 		Length:      total,
@@ -184,27 +106,20 @@ func (s *Store) PutReader(name string, r io.Reader) (err error) {
 	return nil
 }
 
-// writeStripe is the store's one layout-block write path, the mirror
-// of readStripe: PutReader's stripes and the transcode emit both hand
-// it one encoded stripe, and it writes every replica of every symbol
-// to its placement node under its final name. e is the extent the
-// stripe belongs to (Blocks and Gen are consulted): its known-zero
-// symbols — the tail stripe's data symbols past the last block — are
-// elided, so no replica of them ever exists for a reader, scrub or
-// repair to visit.
-func (s *Store) writeStripe(cc codec, name string, extPaths bool, ext int, e Extent, stripe int, symbols [][]byte) error {
-	k, symbolNodes := cc.code.DataSymbols(), cc.code.Placement().SymbolNodes
-	for sym, buf := range symbols {
-		if e.zeroSymbol(k, stripe, sym) {
-			s.obs.add(cZeroElided, 1)
-			continue
-		}
-		base := blockName(name, extPaths, ext, e.Gen, stripe, sym)
-		for _, v := range symbolNodes[sym] {
-			if err := s.writeBlock(filepath.Join(s.nodeDir(v), base), buf); err != nil {
-				return err
-			}
-		}
+// fillBlock reads one full data block (or the file's tail) from r into
+// buf, zeroing the unread remainder. eof reports that r is exhausted at
+// or inside this block. Only r's own io.EOF ends the stream: any other
+// error — an io.ErrUnexpectedEOF from a request body cut short of its
+// declared length among them — fails the ingest.
+func fillBlock(r io.Reader, buf []byte) (n int, eof bool, err error) {
+	for n < len(buf) && err == nil {
+		var m int
+		m, err = r.Read(buf[n:])
+		n += m
 	}
-	return nil
+	clear(buf[n:])
+	if err == io.EOF {
+		return n, true, nil
+	}
+	return n, false, err
 }

@@ -223,7 +223,20 @@ func TestPutReaderValidation(t *testing.T) {
 	if _, ok := s.Info("g"); ok {
 		t.Fatal("failed streamed put recorded the file")
 	}
+	// A source that ends in its own io.ErrUnexpectedEOF — a request
+	// body cut short of its Content-Length — failed, it did not end.
+	cut := io.MultiReader(bytes.NewReader(make([]byte, 7*blockSize)), errReader{io.ErrUnexpectedEOF})
+	if err := s.PutReader("h", cut); err == nil {
+		t.Fatal("truncated source stored as a complete file")
+	}
+	if _, ok := s.Info("h"); ok {
+		t.Fatal("truncated streamed put recorded the file")
+	}
 }
+
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 type failReader struct{}
 

@@ -71,7 +71,7 @@ func (s *Store) observeRead(kind readKind, d time.Duration, degraded bool, n int
 // about its replicas so far.
 type stripeRead struct {
 	s           *Store
-	cc          codec
+	cc          core.Code
 	name        string
 	fi          FileInfo
 	ext, stripe int
@@ -102,7 +102,7 @@ func (r *stripeRead) path(v, sym int) string {
 // zero reports whether sym is a known-zero symbol of the stripe: one
 // with no replicas, whose content is the store's shared zero block.
 func (r *stripeRead) zero(sym int) bool {
-	return r.fi.Extents[r.ext].zeroSymbol(r.cc.code.DataSymbols(), r.stripe, sym)
+	return r.fi.Extents[r.ext].zeroSymbol(r.cc.DataSymbols(), r.stripe, sym)
 }
 
 // replica reads bytes [off, off+len(dst)) of sym from its first healthy
@@ -114,7 +114,7 @@ func (r *stripeRead) replica(sym int, dst []byte, off int) bool {
 		clear(dst)
 		return true
 	}
-	for _, v := range r.cc.code.Placement().SymbolNodes[sym] {
+	for _, v := range r.cc.Placement().SymbolNodes[sym] {
 		err := r.s.readBlockInto(r.path(v, sym), dst, off)
 		if err == nil {
 			return true
@@ -146,7 +146,7 @@ func (r *stripeRead) replica(sym int, dst []byte, off int) bool {
 // tolerance is exhausted, or a source failed transiently) and the
 // caller falls through to the full-stripe decode.
 func (r *stripeRead) plan(sym int, dst []byte, off int) (int, bool) {
-	rp, ok := r.cc.code.(core.ReadPlanner)
+	rp, ok := r.cc.(core.ReadPlanner)
 	if !ok {
 		return 0, false
 	}
@@ -219,7 +219,7 @@ func (r *stripeRead) decode(symbols [][]byte, lo, hi int) ([][]byte, int, error)
 		symbols[sym] = buf[:hi-lo]
 		r.held = append(r.held, buf)
 	}
-	data, err := r.cc.code.Decode(symbols)
+	data, err := r.cc.Decode(symbols)
 	return data, len(r.held), err
 }
 
@@ -260,7 +260,7 @@ func (r *stripeRead) decode(symbols [][]byte, lo, hi int) ([][]byte, int, error)
 // side (foreground reads, scrub) or the extent's move lock (transcode).
 // readRange runs step 1 itself, a block at a time, and the rest of the
 // ladder through finish.
-func (s *Store) readStripe(cc codec, name string, fi FileInfo, ext, stripe, first, off int, dst [][]byte, heal bool) (cost int, err error) {
+func (s *Store) readStripe(cc core.Code, name string, fi FileInfo, ext, stripe, first, off int, dst [][]byte, heal bool) (cost int, err error) {
 	r := stripeRead{s: s, cc: cc, name: name, fi: fi, ext: ext, stripe: stripe, first: first, off: off, dst: dst}
 	// A replica's payload lands in its destination directly; what a
 	// failed read left there, the degraded steps overwrite.
@@ -303,7 +303,7 @@ func (r *stripeRead) finish(heal bool) (cost int, err error) {
 			l, h := r.window(sym)
 			lo, hi = min(lo, l), max(hi, h)
 		}
-		symbols := make([][]byte, r.cc.code.Symbols())
+		symbols := make([][]byte, r.cc.Symbols())
 		for j, d := range dst {
 			if l, h := r.window(first + j); l <= lo && h >= hi && !slices.Contains(lost, first+j) {
 				symbols[first+j] = d[lo-l : hi-l]
@@ -562,7 +562,7 @@ func (s *Store) readRange(name string, fi FileInfo, p []byte, off int64) (bool, 
 		if err != nil {
 			return err
 		}
-		k, l := cc.code.DataSymbols(), g-e.Start
+		k, l := cc.DataSymbols(), g-e.Start
 		dst, lo := p[max(start, off)-off:min(start+bs, end)-off], int(max(off-start, 0))
 		reads[i] = stripeRead{s: s, cc: cc, name: name, fi: fi, ext: ext, stripe: l / k, first: l % k, off: lo, dst: [][]byte{dst}}
 		reads[i].replica(l%k, dst, lo)
@@ -623,7 +623,7 @@ func (s *Store) ReadBlockInto(dst []byte, name string, stripe, symbol int) (int,
 	if err != nil {
 		return 0, err
 	}
-	if symbol < 0 || symbol >= cc.code.DataSymbols() {
+	if symbol < 0 || symbol >= cc.DataSymbols() {
 		return 0, fmt.Errorf("hdfsraid: symbol %d is not a data symbol", symbol)
 	}
 	s.admitRead(name, ext, ext)

@@ -116,9 +116,9 @@ func (s *Store) stale(v int, base string) bool {
 		if err != nil {
 			return false
 		}
-		return gen != e.Gen || stripe >= e.Stripes || sym >= cc.code.Symbols() ||
-			e.zeroSymbol(cc.code.DataSymbols(), stripe, sym) ||
-			!slices.Contains(cc.code.Placement().SymbolNodes[sym], v)
+		return gen != e.Gen || stripe >= e.Stripes || sym >= cc.Symbols() ||
+			e.zeroSymbol(cc.DataSymbols(), stripe, sym) ||
+			!slices.Contains(cc.Placement().SymbolNodes[sym], v)
 	}
 	return false
 }

@@ -115,7 +115,7 @@ func (s *Store) Scrub(maxBytes int64) (ScrubReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		v := cc.code.Placement().SymbolNodes[ref.sym][ref.rep]
+		v := cc.Placement().SymbolNodes[ref.sym][ref.rep]
 		err = s.readBlockInto(s.extentBlockPath(v, ref.name, fi, ref.ext, ref.stripe, ref.sym), buf, 0)
 		rep.BlocksScanned++
 		rep.BytesScanned += frameBytes

@@ -93,11 +93,10 @@ type FileInfo struct {
 
 // Store is an open on-disk cluster. Reads may run concurrently with
 // each other and with Transcode: mu guards the manifest's file table,
-// codecMu the per-code codec cache.
+// codecMu the per-code cache.
 type Store struct {
-	root    string
-	code    core.Code
-	striper *core.Striper
+	root string
+	code core.Code
 
 	// bio is the block-file I/O seam: every block read, write, rename
 	// and removal goes through it, so fault injection (internal/
@@ -135,7 +134,7 @@ type Store struct {
 	log *durable.SnapLog
 
 	codecMu sync.Mutex
-	codecs  map[string]codec // per-code cache for tiered files
+	codecs  map[string]core.Code // per-code cache for tiered files
 
 	// opMu gates the move path against the recovery pass: transcodes
 	// hold the read side (any number of moves of distinct extents run
@@ -163,13 +162,6 @@ type Store struct {
 	// write the same next generation).
 	moveMu    sync.Mutex
 	moveLocks map[string]*fileLock
-
-	// encodeWorkers counts the encode workers reserved by moves
-	// currently in their streaming phase. Each move reserves what is
-	// left of the GOMAXPROCS budget (always at least one worker), so
-	// N concurrent moves hold at most GOMAXPROCS+N-1 workers — and
-	// that many stripes' pooled buffers — instead of N full pools.
-	encodeWorkers atomic.Int64
 
 	// OnRead, when non-nil, is invoked with the file name on every
 	// Get, ReadAt, ReadTo and ReadBlockInto access. The tier subsystem
@@ -212,12 +204,6 @@ type Store struct {
 
 	// recovery is the report of the recovery pass Open ran.
 	recovery RecoverReport
-}
-
-// codec bundles a code with its striper for one block size.
-type codec struct {
-	code    core.Code
-	striper *core.Striper
 }
 
 // fileLock is one entry in the per-file transcode lock table.
@@ -351,16 +337,15 @@ func buildStore(root string, m Manifest) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := core.NewStriper(c, m.BlockSize)
-	if err != nil {
-		return nil, err
+	if m.BlockSize <= 0 {
+		return nil, fmt.Errorf("hdfsraid: invalid block size %d", m.BlockSize)
 	}
-	return &Store{root: root, code: c, striper: st, manifest: m, bio: osBlockIO{},
+	return &Store{root: root, code: c, manifest: m, bio: osBlockIO{},
 		codeName: m.CodeName, blockSize: m.BlockSize, extentBlocks: m.ExtentBlocks,
 		framePool:   core.NewBlockPool(block.FrameSize(m.BlockSize)),
 		payloadPool: core.NewBlockPool(m.BlockSize),
 		zeroBlock:   make([]byte, m.BlockSize),
-		codecs:      map[string]codec{m.CodeName: {c, st}},
+		codecs:      map[string]core.Code{m.CodeName: c},
 		moveLocks:   map[string]*fileLock{},
 		obs:         newStoreObs()}, nil
 }
@@ -438,9 +423,9 @@ func (s *Store) fileCodeLocked(fi FileInfo) string {
 }
 
 // codecByName resolves a code name ("" = store default) to its cached
-// codec. (CodeName and BlockSize are immutable after open, so only the
-// codec cache needs guarding.)
-func (s *Store) codecByName(name string) (codec, error) {
+// code. (CodeName is immutable after open, so only the cache needs
+// guarding.)
+func (s *Store) codecByName(name string) (core.Code, error) {
 	if name == "" {
 		name = s.codeName
 	}
@@ -451,20 +436,15 @@ func (s *Store) codecByName(name string) (codec, error) {
 	}
 	c, err := core.New(name)
 	if err != nil {
-		return codec{}, err
+		return nil, err
 	}
-	st, err := core.NewStriper(c, s.blockSize)
-	if err != nil {
-		return codec{}, err
-	}
-	cc := codec{c, st}
-	s.codecs[name] = cc
-	return cc, nil
+	s.codecs[name] = c
+	return c, nil
 }
 
-// extentCodecs resolves the codec of every extent of a file.
-func (s *Store) extentCodecs(fi FileInfo) ([]codec, error) {
-	ccs := make([]codec, len(fi.Extents))
+// extentCodecs resolves the code of every extent of a file.
+func (s *Store) extentCodecs(fi FileInfo) ([]core.Code, error) {
+	ccs := make([]core.Code, len(fi.Extents))
 	for i, e := range fi.Extents {
 		cc, err := s.codecByName(e.Code)
 		if err != nil {
@@ -487,8 +467,8 @@ func (s *Store) nodesLocked() int {
 	n := s.code.Nodes()
 	for _, fi := range s.manifest.Files {
 		for _, e := range fi.Extents {
-			if cc, err := s.codecByName(e.Code); err == nil && cc.code.Nodes() > n {
-				n = cc.code.Nodes()
+			if cc, err := s.codecByName(e.Code); err == nil && cc.Nodes() > n {
+				n = cc.Nodes()
 			}
 		}
 	}
@@ -768,15 +748,15 @@ func (s *Store) repairFile(name string, fi FileInfo, failed []int) (RepairReport
 		if err != nil {
 			return rep, err
 		}
-		planner, ok := cc.code.(core.RepairPlanner)
+		planner, ok := cc.(core.RepairPlanner)
 		if !ok {
-			return rep, fmt.Errorf("hdfsraid: code %s cannot plan repairs", cc.code.Name())
+			return rep, fmt.Errorf("hdfsraid: code %s cannot plan repairs", cc.Name())
 		}
 		// Nodes beyond this extent's code length hold none of its
 		// blocks.
 		var extFailed []int
 		for _, f := range failed {
-			if f < cc.code.Nodes() {
+			if f < cc.Nodes() {
 				extFailed = append(extFailed, f)
 			}
 		}
@@ -789,7 +769,7 @@ func (s *Store) repairFile(name string, fi FileInfo, failed []int) (RepairReport
 		if err != nil {
 			return rep, err
 		}
-		k := cc.code.DataSymbols()
+		k := cc.DataSymbols()
 		for i := 0; i < e.Stripes; i++ {
 			zero := func(sym int) bool { return e.zeroSymbol(k, i, sym) }
 			transfers := plan.Bandwidth()
@@ -817,15 +797,15 @@ func (s *Store) repairFile(name string, fi FileInfo, failed []int) (RepairReport
 // path(node, symbol): load the surviving nodes' contents into pooled
 // buffers, run the plan, and persist what it rebuilt on the failed
 // nodes, returning the number of block files restored.
-func (s *Store) repairStripe(cc codec, plan *core.RepairPlan, failed []int, zero func(sym int) bool, path func(v, sym int) string) (restored int, err error) {
-	p := cc.code.Placement()
+func (s *Store) repairStripe(cc core.Code, plan *core.RepairPlan, failed []int, zero func(sym int) bool, path func(v, sym int) string) (restored int, err error) {
+	p := cc.Placement()
 	var bufs [][]byte
 	defer func() {
 		for _, b := range bufs {
 			s.payloadPool.Put(b)
 		}
 	}()
-	nc := make(core.NodeContents, cc.code.Nodes())
+	nc := make(core.NodeContents, cc.Nodes())
 	for v := range nc {
 		nc[v] = map[int][]byte{}
 		if slices.Contains(failed, v) {

@@ -2,10 +2,7 @@ package hdfsraid
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -51,7 +48,7 @@ func (s *Store) Transcode(name, codeName string) (TranscodeReport, error) {
 	if !ok {
 		return TranscodeReport{}, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
 	}
-	rep := TranscodeReport{To: newCC.code.Name()}
+	rep := TranscodeReport{To: newCC.Name()}
 	for i := range exts {
 		extRep, err := s.TranscodeExtent(name, i, codeName)
 		if err != nil {
@@ -73,14 +70,16 @@ func (s *Store) Transcode(name, codeName string) (TranscodeReport, error) {
 // granularity: only the target extent's stripes move, so promoting the
 // hot head of a large cold file costs the head, not the file.
 //
-// The data plane streams: both codes stripe the extent at the store's
-// block size, so extent-local data block l under the new layout is
-// exactly data block l under the old one, and a worker pool reads each
-// new stripe's blocks through the old code's read ladder (readStripe)
-// straight into the encoder's pooled buffers. Peak memory is O(stripes
-// in flight) — a few block frames per worker — never O(extent), so a
-// rebalance scan can move arbitrarily large extents without ballooning
-// the process.
+// The data plane streams through the store's one stripe writer
+// (writeStripes), the pipeline PutReader runs: both codes stripe the
+// extent at the store's block size, so extent-local data block l under
+// the new layout is exactly data block l under the old one, and the
+// fill reads each new stripe's blocks in turn through the old code's
+// read ladder (readStripe) into pooled buffers, with up to GOMAXPROCS
+// stripes encoding and writing behind it. Peak memory is O(stripes in
+// flight), never O(extent), so a rebalance scan can move arbitrarily
+// large extents without ballooning the process; a failed read, encode
+// or write leaves none of the next generation behind.
 //
 // The move is copy-on-write: write new, commit one record, delete old.
 // The target layout is written under the extent's next generation
@@ -130,13 +129,13 @@ func (s *Store) TranscodeExtentAt(name string, ext int, codeName string, at floa
 	if err != nil {
 		return TranscodeReport{}, err
 	}
-	rep := TranscodeReport{From: oldCC.code.Name()}
+	rep := TranscodeReport{From: oldCC.Name()}
 	newCC, err := s.codecByName(codeName)
 	if err != nil {
 		return rep, err
 	}
-	rep.To = newCC.code.Name()
-	if newCC.code.Name() == oldCC.code.Name() {
+	rep.To = newCC.Name()
+	if newCC.Name() == oldCC.Name() {
 		return rep, nil // already on the target code
 	}
 
@@ -145,17 +144,39 @@ func (s *Store) TranscodeExtentAt(name string, ext int, codeName string, at floa
 	// every stripe goes to its final, next-generation names the moment
 	// it is encoded. Nothing reads those names before the record below
 	// says so.
-	if err := s.ensureNodeDirs(newCC.code.Nodes()); err != nil {
+	if err := s.ensureNodeDirs(newCC.Nodes()); err != nil {
 		return rep, err
 	}
 	target := fi
 	target.Extents = slices.Clone(fi.Extents)
 	t := &target.Extents[ext]
-	t.Code, t.Stripes, t.Gen = codeName, stripesFor(e.Blocks, newCC.code.DataSymbols()), e.Gen+1
-	if rep.DataBlocksRead, err = s.transcodeExtentStream(name, fi, ext, *t, oldCC, newCC); err != nil {
-		s.reclaim(name, target, ext)
+	t.Code, t.Stripes, t.Gen = codeName, stripesFor(e.Blocks, newCC.DataSymbols()), e.Gen+1
+	// New stripe/symbol (stripe, j) is extent-local data block l, which
+	// the old layout stores at (l/kOld, l%kOld): a stripe's live blocks
+	// are read in runs, one pass of the ladder per old stripe they span,
+	// never healing — a move holds no store lock here, which a heal's
+	// rewrite needs.
+	kOld, kNew, stripe := oldCC.DataSymbols(), newCC.DataSymbols(), 0
+	fill := func(p *pendingStripe) (more bool, err error) {
+		p.ext, p.stripe, p.live = ext, stripe, min(kNew, e.Blocks-stripe*kNew)
+		for j := range p.live {
+			p.blocks[j] = s.payloadPool.Get()
+		}
+		for j := 0; j < p.live; {
+			l := stripe*kNew + j
+			run := min(kOld-l%kOld, p.live-j)
+			if _, err := s.readStripe(oldCC, name, fi, ext, l/kOld, l%kOld, 0, p.blocks[j:j+run], false); err != nil {
+				return false, fmt.Errorf("reading data blocks %d-%d: %w", e.Start+l, e.Start+l+run-1, err)
+			}
+			j += run
+		}
+		stripe++
+		return stripe < t.Stripes, nil
+	}
+	if err := s.writeStripes(codeName, name, fi.ExtentPaths, t.Gen, fill); err != nil {
 		return rep, fmt.Errorf("hdfsraid: transcode %q extent %d: %w", name, ext, err)
 	}
+	rep.DataBlocksRead = e.Blocks
 	if err := s.kill("staged"); err != nil {
 		return rep, err // simulated crash: a whole next generation, no record
 	}
@@ -194,84 +215,10 @@ func (s *Store) TranscodeExtentAt(name string, ext int, codeName string, at floa
 	return rep, nil
 }
 
-// transcodeExtentStream writes the extent as the layout to describes
-// it — fi's blocks, re-encoded under newCC — through the striper's
-// source-driven pipeline: each worker reads one new stripe's data
-// blocks through the old code's read ladder (readStripe) into pooled
-// buffers it reuses across stripes, encodes, and writes every replica
-// (writeStripe) before touching the next stripe. It returns the number
-// of source data blocks actually read — the extent's blocks, never the
-// file's or any stripe padding.
-func (s *Store) transcodeExtentStream(name string, fi FileInfo, ext int, to Extent, oldCC, newCC codec) (int, error) {
-	e := fi.Extents[ext]
-	kOld := oldCC.code.DataSymbols()
-	kNew := newCC.code.DataSymbols()
-	count := to.Stripes
-	var read atomic.Int64
-	// Per-stage timings: fill and emit for one stripe run back to back
-	// in the same pipeline worker with only the encode between them, so
-	// fillEnd[stripe] → emit-entry measures the encode stage exactly.
-	// Each slot is written and read by the worker owning that stripe.
-	fillEnd := make([]time.Time, count)
-	fill := func(stripe int, blocks [][]byte) error {
-		t0 := s.obs.now()
-		for j := 0; j < len(blocks); {
-			// Both layouts stripe the extent's block sequence, so new
-			// stripe/symbol (stripe, j) is extent-local data block l,
-			// which the old layout stores at (l/kOld, l%kOld). Blocks
-			// past the extent's data are the new tail stripe's known
-			// zeros: the encoder needs them zeroed, nothing stores them.
-			l := stripe*kNew + j
-			if l >= e.Blocks {
-				clear(blocks[j])
-				j++
-				continue
-			}
-			// Read the run of wanted blocks one old stripe holds in a
-			// single pass of the ladder — never healing: a move holds no
-			// store lock here, which a heal's rewrite needs.
-			run := min(kOld-l%kOld, e.Blocks-l, len(blocks)-j)
-			if _, err := s.readStripe(oldCC, name, fi, ext, l/kOld, l%kOld, 0, blocks[j:j+run], false); err != nil {
-				return fmt.Errorf("reading data blocks %d-%d: %w", e.Start+l, e.Start+l+run-1, err)
-			}
-			read.Add(int64(run))
-			j += run
-		}
-		fillEnd[stripe] = s.obs.since(hTcRead, t0)
-		return nil
-	}
-	emit := func(stripe core.EncodedStripe) error {
-		t0 := s.obs.since(hTcEncode, fillEnd[stripe.Index])
-		err := s.writeStripe(newCC, name, fi.ExtentPaths, ext, to, stripe.Index, stripe.Symbols)
-		s.obs.since(hTcWrite, t0)
-		return err
-	}
-	// Share the machine's encode-worker budget across concurrent
-	// moves: the pipeline's peak memory is O(workers × stripe), so a
-	// move asks for the whole machine and reserves only what is left
-	// of the GOMAXPROCS budget (never less than one worker) rather
-	// than spawning a full pool per move. The reservation is corrected
-	// atomically, so total held workers stay ≤ GOMAXPROCS plus one per
-	// concurrent move.
-	budget := runtime.GOMAXPROCS(0)
-	workers := budget
-	if over := int(s.encodeWorkers.Add(int64(workers))) - budget; over > 0 {
-		granted := workers - over
-		if granted < 1 {
-			granted = 1
-		}
-		s.encodeWorkers.Add(int64(granted - workers))
-		workers = granted
-	}
-	defer s.encodeWorkers.Add(-int64(workers))
-	err := newCC.striper.EncodeStreamFrom(count, workers, s.payloadPool, fill, emit)
-	return int(read.Load()), err
-}
-
 // layoutBlocks returns the physical block replicas an extent of blocks
 // data blocks occupies under cc: full stripes plus a shortened tail.
-func layoutBlocks(cc codec, blocks int) int {
-	k, p := cc.code.DataSymbols(), cc.code.Placement()
+func layoutBlocks(cc core.Code, blocks int) int {
+	k, p := cc.DataSymbols(), cc.Placement()
 	n := blocks / k * p.TotalBlocks()
 	if tail := blocks % k; tail > 0 {
 		n += p.StripeBlocks(k, tail)
@@ -283,7 +230,7 @@ func layoutBlocks(cc codec, blocks int) int {
 // blocks onto a code: exactly those data blocks read from the source
 // layout, whatever its code, plus the target layout's physical
 // replicas written.
-func moveCost(to codec, blocks int) int { return blocks + layoutBlocks(to, blocks) }
+func moveCost(to core.Code, blocks int) int { return blocks + layoutBlocks(to, blocks) }
 
 // TranscodeExtentCost prices one extent's move to the named code in
 // block units — the extent-scoped admission estimate the rate-limited
@@ -304,7 +251,7 @@ func (s *Store) TranscodeExtentCost(name string, ext int, toName string) (int, e
 	if err != nil {
 		return 0, err
 	}
-	if from.code.Name() == to.code.Name() {
+	if from.Name() == to.Name() {
 		return 0, nil
 	}
 	return moveCost(to, fi.Extents[ext].Blocks), nil

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -186,6 +188,45 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 	if code, _, _ := get(""); code != http.StatusNotFound {
 		t.Fatalf("GET after delete: status %d, want 404", code)
+	}
+}
+
+// TestTruncatedPutRefused: a PUT whose body ends short of its declared
+// Content-Length — the client sends 102,400 of 163,840 bytes and
+// half-closes — may fail but never lies: no 201, and the name stays
+// unknown to a later GET.
+func TestTruncatedPutRefused(t *testing.T) {
+	srv := newServer(t, 2)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "PUT /files/cut.bin HTTP/1.1\r\nHost: test\r\nContent-Length: 163840\r\n\r\n")
+	if _, err := conn.Write(content("cut.bin", 102400)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusCreated {
+		t.Fatal("truncated PUT answered 201 Created")
+	}
+	get, err := http.Get(ts.URL + "/files/cut.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get.Body.Close()
+	if get.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET after a truncated PUT: status %d, want 404", get.StatusCode)
 	}
 }
 
