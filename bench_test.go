@@ -10,6 +10,7 @@ package hadoopcodes
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -576,6 +577,88 @@ func BenchmarkPreadFloor(b *testing.B) {
 	}
 }
 
+// BenchmarkReadAtWhole is the read ladder's rung between the floor and
+// Get: benchGetMultiExtent's 30 MiB file read by ReadAt into one buffer
+// reused across iterations, so the kernel maps no fresh result pages.
+// ReadAtWhole ÷ PreadFloor is the store's own read path; Get ÷
+// ReadAtWhole is the cost of a freshly allocated result.
+func BenchmarkReadAtWhole(b *testing.B) {
+	s, size := multiExtentStore(b, nil)
+	p := make([]byte, size)
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ReadAt(p, "f", 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// smallFrame is a 16 KiB block frame, the block size of the served
+// benchmark's small-object workloads.
+func smallFrame() []byte {
+	const size = 16 << 10
+	frame := make([]byte, block.FrameSize(size))
+	rand.New(rand.NewSource(14)).Read(frame[:size])
+	block.PutCellChecksums(frame[size:], frame[:size])
+	return frame
+}
+
+// BenchmarkBlockFileCreate prices what a small PUT pays per block: one
+// 16 KiB frame written as a new file, the way the store writes a block
+// (os.WriteFile, no sync). The files are removed, untimed, every 1024
+// creates. Run it with TMPDIR on the disk a store lives on, not tmpfs.
+func BenchmarkBlockFileCreate(b *testing.B) {
+	frame, dir := smallFrame(), b.TempDir()
+	path := func(i int) string { return filepath.Join(dir, fmt.Sprint(i)) }
+	b.SetBytes(int64(len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 && i > 0 {
+			b.StopTimer()
+			for j := i - 1024; j < i; j++ {
+				if err := os.Remove(path(j)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		if err := os.WriteFile(path(i), frame, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFrameAppend is BenchmarkBlockFileCreate's alternative: the
+// same frame appended to one open file, no sync — what a packed
+// per-node segment would pay per block. The file is truncated, untimed,
+// every 4096 appends. Run it with TMPDIR on a store's disk, not tmpfs.
+func BenchmarkFrameAppend(b *testing.B) {
+	frame := smallFrame()
+	f, err := os.Create(filepath.Join(b.TempDir(), "segment"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	b.SetBytes(int64(len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%4096 == 0 && i > 0 {
+			b.StopTimer()
+			if err := f.Truncate(0); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := f.Seek(0, io.SeekStart); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := f.Write(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkReadAtUnaligned measures a 1 MiB ReadAt at unaligned offsets
 // from a fixed seed on benchGetMultiExtent's store (no cache) — the
 // ranged read of the bulk_tier workload: two 1 MiB blocks, cut at the
@@ -913,7 +996,7 @@ func BenchmarkHeatTrackerTouch(b *testing.B) {
 		now := 0.0
 		for pb.Next() {
 			now += 0.001
-			tr.Touch(names[rng.Intn(len(names))], now)
+			tr.TouchExtent(names[rng.Intn(len(names))], 0, now)
 		}
 	})
 }
@@ -933,7 +1016,7 @@ func BenchmarkStoreGetWithHeatHook(b *testing.B) {
 	}
 	tr := tier.NewTracker(3600)
 	now := 0.0
-	s.OnRead = func(name string) { now += 0.001; tr.Touch(name, now) }
+	s.OnReadExtent = func(name string, ext int) { now += 0.001; tr.TouchExtent(name, ext, now) }
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -961,14 +1044,10 @@ func BenchmarkTieringReplay(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		m, err := tier.NewManager(ct, tier.Policy{
+		d, err := tier.NewDaemon(ct, tier.Policy{
 			HotCode: "pentagon", ColdCode: "rs-14-10",
 			PromoteAt: 8, DemoteAt: 2, MinDwell: 10,
-		}, tier.NewTracker(60))
-		if err != nil {
-			b.Fatal(err)
-		}
-		d, err := tier.NewDaemon(m, tier.DaemonConfig{Interval: 10})
+		}, tier.NewTracker(60), tier.DaemonConfig{Interval: 10})
 		if err != nil {
 			b.Fatal(err)
 		}

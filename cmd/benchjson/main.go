@@ -28,11 +28,11 @@ import (
 
 // defaultBench selects the coding hot-path benchmarks: the gf256
 // kernels, the block checksum, full-file encode, the read paths (the
-// 30 MiB multi-extent Get, with and without a read cache, and its
-// page-cache floor included), the
-// transcode cycle (the streaming and parallel tier-move pipelines
+// 30 MiB multi-extent Get, with and without a read cache, its
+// page-cache floor and the reused-buffer ReadAt between them included),
+// the transcode cycle (the streaming and parallel tier-move pipelines
 // included) and the pooled repair path.
-const defaultBench = "MulAddSlice|MulSlice|XorSlice|Checksum$|EncodePentagon$|EncodeHeptagonLocal$|EncodeRS1410$|PreadFloor$|ReadFile$|GetMultiExtentUncached$|GetMultiExtentCached$|ReadAtUnaligned$|ReadBlockInto$|ReadBlockDegraded$|TranscodeRSToPentagon$|TranscodeRSToHeptagonLocal$|TranscodeStreaming$|TranscodeParallel$|RepairPooled$|DecodePentagonTwoErasures$|DecodeHeptagonLocalThreeErasures$"
+const defaultBench = "MulAddSlice|MulSlice|XorSlice|Checksum$|EncodePentagon$|EncodeHeptagonLocal$|EncodeRS1410$|PreadFloor$|ReadFile$|GetMultiExtentUncached$|GetMultiExtentCached$|ReadAtWhole$|ReadAtUnaligned$|ReadBlockInto$|ReadBlockDegraded$|TranscodeRSToPentagon$|TranscodeRSToHeptagonLocal$|TranscodeStreaming$|TranscodeParallel$|RepairPooled$|DecodePentagonTwoErasures$|DecodeHeptagonLocalThreeErasures$"
 
 var defaultPkgs = []string{".", "./internal/gf256", "./internal/block"}
 

@@ -319,7 +319,7 @@ func doNodes(store string, args []string, op string) error {
 	defer hl.Close()
 	tr := hl.Tracker()
 	now := nowSeconds()
-	s.Heat = func(name string) float64 { return tr.Heat(name, now) }
+	s.Heat = func(name string, ext int) float64 { return tr.ExtentHeat(name, ext, now) }
 	rep, err := s.Repair(nodes)
 	if err != nil {
 		return err
@@ -439,11 +439,7 @@ func doTierRebalance(store string, args []string) error {
 		return err
 	}
 	defer hl.Close()
-	m, err := tier.NewManager(tier.StoreTarget{Store: s}, *policy, hl.Tracker())
-	if err != nil {
-		return err
-	}
-	d, err := tier.NewDaemon(m, tier.DaemonConfig{})
+	d, err := tier.NewDaemon(tier.StoreTarget{Store: s}, *policy, hl.Tracker(), tier.DaemonConfig{})
 	if err != nil {
 		return err
 	}
@@ -512,11 +508,7 @@ func doTierDaemon(store string, args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := tier.NewManager(tier.StoreTarget{Store: s}, *policy, hl.Tracker())
-	if err != nil {
-		return err
-	}
-	d, err := tier.NewDaemon(m, tier.DaemonConfig{
+	d, err := tier.NewDaemon(tier.StoreTarget{Store: s}, *policy, hl.Tracker(), tier.DaemonConfig{
 		Interval:     *every,
 		BytesPerSec:  *budget * 1e6,
 		BlockBytes:   s.BlockSize(),

@@ -406,12 +406,8 @@ func tierFrontier(w io.Writer) error {
 				return err
 			}
 		}
-		m, err := tier.NewManager(ct, r.policy, tier.NewTracker(halfLife))
-		if err != nil {
-			return err
-		}
 		dc.Interval, dc.BlockBytes = r.every, blockBytes
-		d, err := tier.NewDaemon(m, dc)
+		d, err := tier.NewDaemon(ct, r.policy, tier.NewTracker(halfLife), dc)
 		if err != nil {
 			return err
 		}

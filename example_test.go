@@ -78,7 +78,7 @@ func ExampleStriper() {
 // Hot/cold tiering by extent: reads of a file's head promote just that
 // extent to the pentagon code while the tail stays on RS(14,10); hours
 // later the daemon finds the head cold again and demotes it.
-func ExampleNewTierManager() {
+func ExampleNewTierDaemon() {
 	dir, _ := os.MkdirTemp("", "tiering")
 	defer os.RemoveAll(dir)
 
@@ -88,21 +88,20 @@ func ExampleNewTierManager() {
 	s.Put("f", data)
 
 	tr := hadoopcodes.NewHeatTracker(3600) // halve heat every hour
-	m, _ := hadoopcodes.NewTierManager(s, hadoopcodes.TierPolicy{
+	// The daemon scans on an interval under a byte budget: Start/Stop
+	// on the wall clock, or Tick on a virtual one as here.
+	d, _ := hadoopcodes.NewTierDaemon(s, hadoopcodes.TierPolicy{
 		HotCode: "pentagon", ColdCode: "rs-14-10",
 		PromoteAt: 5, DemoteAt: 1, // hysteresis band
-	}, tr)
+	}, tr, hadoopcodes.TierDaemonConfig{
+		Interval: 30, BytesPerSec: 200e6, BlockBytes: 4096,
+	})
 	now := 0.0 // seconds
 	s.OnReadExtent = func(name string, ext int) { tr.TouchExtent(name, ext, now) }
 	head := make([]byte, 4096)
 	for i := 0; i < 6; i++ {
 		s.ReadAt(head, "f", 0) // heats extent 0 only
 	}
-	// The daemon scans on an interval under a byte budget: Start/Stop
-	// on the wall clock, or Tick on a virtual one as here.
-	d, _ := hadoopcodes.NewTierDaemon(m, hadoopcodes.TierDaemonConfig{
-		Interval: 30, BytesPerSec: 200e6, BlockBytes: 4096,
-	})
 	for _, now = range []float64{0, 4 * 3600} {
 		moves, _ := d.Tick(now) // promote hot extents, demote cold ones
 		for _, mv := range moves {

@@ -7,7 +7,7 @@
 // The package exports the core coding API (the pentagon and RAID+m
 // codes by constructor, every registered code by name, with repair and
 // degraded-read planning built on partial parities) and the on-disk
-// store with its hot/cold tiering manager and daemon.
+// store with its hot/cold tiering daemon.
 //
 // Quick start:
 //

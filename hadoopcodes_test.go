@@ -128,22 +128,18 @@ func TestFacadeTiering(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewHeatTracker(100)
-	m, err := NewTierManager(s, TierPolicy{
+	d, err := NewTierDaemon(s, TierPolicy{
 		HotCode: "pentagon", ColdCode: "rs-14-10", PromoteAt: 3, DemoteAt: 1,
-	}, tr)
+	}, tr, TierDaemonConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := 0.0
-	s.OnRead = func(name string) { m.OnRead(name, clock) }
+	s.OnReadExtent = func(name string, ext int) { tr.TouchExtent(name, ext, clock) }
 	for i := 0; i < 4; i++ {
 		if _, err := s.Get("f"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	d, err := NewTierDaemon(m, TierDaemonConfig{})
-	if err != nil {
-		t.Fatal(err)
 	}
 	moves, err := d.Tick(clock)
 	if err != nil {

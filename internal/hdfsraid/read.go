@@ -40,12 +40,9 @@ const (
 // cache is consulted, so a hit is counted like any other read. The
 // caller holds mu's read side while it reads an extent's blocks, which
 // a move's commit waits out before the generation read from is
-// reclaimed. It feeds the heat hooks with exactly the extents [lo, hi]
+// reclaimed. It feeds the heat hook with exactly the extents [lo, hi]
 // touched, so a ranged read of a large file never warms the rest of it.
 func (s *Store) admitRead(name string, lo, hi int) {
-	if s.OnRead != nil {
-		s.OnRead(name)
-	}
 	if s.OnReadExtent != nil {
 		for e := lo; e <= hi; e++ {
 			s.OnReadExtent(name, e)
@@ -389,7 +386,7 @@ func (s *Store) readInto(name string, fi FileInfo, p []byte, off int64) (degrade
 		degraded = degraded || deg
 		for err == nil && from < to {
 			ext, hi := s.extentAt(fi, from, to)
-			s.offerExtent(fi, id, ext, from, hi, p[from-base:hi-base], false)
+			s.offerExtent(name, fi, id, ext, from, hi, p[from-base:hi-base], false)
 			from = hi
 		}
 		return err
@@ -427,8 +424,11 @@ func (s *Store) cachedExtent(fi FileInfo, id uint64, ext int, lo, hi int64) []by
 // offerExtent tells the read cache of a miss that read bytes [lo, hi)
 // of extent ext from the blocks into data: only a miss that read the
 // whole extent is offered, so no read is amplified to fill the cache,
-// which takes data itself when owned and a copy of it otherwise.
-func (s *Store) offerExtent(fi FileInfo, id uint64, ext int, lo, hi int64, data []byte, owned bool) {
+// and only an extent read before is admitted — its heat, this read's
+// own touch counted in, is above 1 — so one scan of cold data evicts
+// nothing. The cache takes data itself when owned and a copy of it
+// otherwise.
+func (s *Store) offerExtent(name string, fi FileInfo, id uint64, ext int, lo, hi int64, data []byte, owned bool) {
 	if s.cache == nil {
 		return
 	}
@@ -436,7 +436,7 @@ func (s *Store) offerExtent(fi FileInfo, id uint64, ext int, lo, hi int64, data 
 	e, bs := fi.Extents[ext], int64(s.blockSize)
 	start, end := int64(e.Start)*bs, min(int64(e.Start+e.Blocks)*bs, int64(fi.Length))
 	key := extentKey{id, ext}
-	if lo == start && hi == end && s.cache.admit(key, hi-lo) {
+	if lo == start && hi == end && (s.Heat == nil || s.Heat(name, ext) > 1) && s.cache.admit(key, hi-lo) {
 		if !owned {
 			data = bytes.Clone(data)
 		}
@@ -507,7 +507,7 @@ func (s *Store) ReadTo(w io.Writer, name string, off, n int64, begin func(length
 				return nil, fmt.Errorf("hdfsraid: reading %q bytes %d-%d: %w", name, off, hi-1, err)
 			}
 			degraded = degraded || deg
-			s.offerExtent(fi, id, ext, off, hi, chunk, true)
+			s.offerExtent(name, fi, id, ext, off, hi, chunk, true)
 		}
 		busy += s.obs.lap(t)
 		return chunk, nil

@@ -23,20 +23,16 @@ type extentKey struct {
 // ReadCache is a byte-capped LRU of verified, decoded extents, shared
 // by any number of stores (Store.SetReadCache). It decides nothing
 // about correctness: a store consults it only after its usual lookup
-// and admission under mu, with the identity it just looked up.
-// Admission is second-touch — a key is remembered on its first offer,
-// taken on the next — so one scan of cold data evicts nothing, and an
-// extent over an eighth of the budget is never taken. A nil *ReadCache
-// holds nothing.
+// and admission under mu, with the identity it just looked up, and
+// offers it only extents its heat says were read before (see
+// Store.Heat). An extent over an eighth of the budget is never taken. A
+// nil *ReadCache holds nothing.
 type ReadCache struct {
 	mu      sync.Mutex
 	max     int64
 	bytes   int64
 	lru     *list.List // of *cacheEntry, most recently used first
 	entries map[extentKey]*list.Element
-	// The ghost set, keys offered once: two generations bound it
-	// without an order of its own.
-	seen, seenOld map[extentKey]struct{}
 }
 
 type cacheEntry struct {
@@ -44,17 +40,13 @@ type cacheEntry struct {
 	data []byte
 }
 
-// ghostKeys bounds one generation of the ghost set.
-const ghostKeys = 4096
-
 // NewReadCache returns a cache of at most maxBytes of extent bytes, or
 // nil — no cache — when maxBytes is not positive.
 func NewReadCache(maxBytes int64) *ReadCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &ReadCache{max: maxBytes, lru: list.New(), entries: map[extentKey]*list.Element{},
-		seen: map[extentKey]struct{}{}}
+	return &ReadCache{max: maxBytes, lru: list.New(), entries: map[extentKey]*list.Element{}}
 }
 
 // Bytes returns the extent bytes held right now.
@@ -90,20 +82,8 @@ func (c *ReadCache) admit(k extentKey, size int64) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, held := c.entries[k]; held {
-		return false
-	}
-	_, again := c.seen[k]
-	if _, old := c.seenOld[k]; again || old {
-		delete(c.seen, k)
-		delete(c.seenOld, k)
-		return true
-	}
-	if len(c.seen) >= ghostKeys {
-		c.seen, c.seenOld = map[extentKey]struct{}{}, c.seen
-	}
-	c.seen[k] = struct{}{}
-	return false
+	_, held := c.entries[k]
+	return !held
 }
 
 // add takes ownership of data, an admitted extent's bytes, and returns

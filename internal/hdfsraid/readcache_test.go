@@ -128,29 +128,26 @@ func TestReadCacheNeverServesAReplacedName(t *testing.T) {
 
 // TestReadCacheSurvivesTranscode: a committed transcode keeps the
 // entry's identity, so its cached extents stay valid — there and back,
-// byte-exact, at no block read. A hit is still a read: it feeds both
-// heat hooks and lands in the histograms. No state of a move — killed
+// byte-exact, at no block read. A hit is still a read: it feeds the
+// heat hook and lands in the histograms. No state of a move — killed
 // or parked in front of — refuses one.
 func TestReadCacheSurvivesTranscode(t *testing.T) {
 	s := newExtStore(t, "rs-9-6", 6)
 	s.SetReadCache(NewReadCache(1 << 20))
 	bio := &countingIO{}
 	s.SetBlockIO(bio)
-	var fileTouches, extTouches int
-	s.OnRead = func(string) { fileTouches++ }
+	var extTouches int
 	s.OnReadExtent = func(string, int) { extTouches++ }
 	data := randomFile(t, 2*6*blockSize, 3) // two extents
 	if err := s.Put("f", data); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ { // seen, then filled
-		if _, err := s.Get("f"); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := s.Get("f"); err != nil { // no Heat hook: the first miss fills
+		t.Fatal(err)
 	}
 	hit := func(what string) {
 		t.Helper()
-		reads, hits, files, exts := bio.reads.Load(), cacheCount(s, cCacheHits), fileTouches, extTouches
+		reads, hits, exts := bio.reads.Load(), cacheCount(s, cCacheHits), extTouches
 		gets := s.obs.hists[hGetIntact].Count()
 		got, err := readTo(s, "f", 0, -1)
 		if err != nil || !bytes.Equal(got, data) {
@@ -159,9 +156,9 @@ func TestReadCacheSurvivesTranscode(t *testing.T) {
 		if bio.reads.Load() != reads || cacheCount(s, cCacheHits) != hits+2 {
 			t.Fatalf("%s: %d block reads, %d hits; want 0 and 2", what, bio.reads.Load()-reads, cacheCount(s, cCacheHits)-hits)
 		}
-		if fileTouches != files+1 || extTouches != exts+2 || s.obs.hists[hGetIntact].Count() != gets+1 {
-			t.Fatalf("%s: a hit fed OnRead %d, OnReadExtent %d, histogram %d times; want 1, 2, 1",
-				what, fileTouches-files, extTouches-exts, s.obs.hists[hGetIntact].Count()-gets)
+		if extTouches != exts+2 || s.obs.hists[hGetIntact].Count() != gets+1 {
+			t.Fatalf("%s: a hit fed OnReadExtent %d, histogram %d times; want 2, 1",
+				what, extTouches-exts, s.obs.hists[hGetIntact].Count()-gets)
 		}
 	}
 	hit("warm")
@@ -218,13 +215,35 @@ func TestReadCacheSurvivesTranscode(t *testing.T) {
 	}
 }
 
+// countReads gives s the heat hooks a tier tracker without decay
+// would: an extent's heat is the number of reads that touched it.
+func countReads(s *Store) {
+	type extent struct {
+		name string
+		ext  int
+	}
+	var mu sync.Mutex
+	reads := map[extent]float64{}
+	s.OnReadExtent = func(name string, ext int) {
+		mu.Lock()
+		defer mu.Unlock()
+		reads[extent{name, ext}]++
+	}
+	s.Heat = func(name string, ext int) float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return reads[extent{name, ext}]
+	}
+}
+
 // TestReadCacheBounds: the byte cap holds under a concurrent fill storm,
-// an extent over an eighth of the budget is never admitted, admission
-// takes a second whole-extent read, and a ranged read neither fills
-// the cache nor reads a block outside its range.
+// an extent over an eighth of the budget is never admitted, and a
+// ranged read neither fills the cache nor reads a block outside its
+// range.
 func TestReadCacheBounds(t *testing.T) {
 	const budget = 16 * blockSize
 	s := newStore(t, "rs-9-6")
+	countReads(s)
 	cache := NewReadCache(budget)
 	s.SetReadCache(cache)
 	const files = 24
@@ -296,9 +315,9 @@ func TestReadCacheBounds(t *testing.T) {
 	if got := cacheCount(s, cCacheFills); got != fills {
 		t.Fatalf("oversized and ranged reads filled the cache %d times", got-fills)
 	}
-	// Second touch: the first whole read is remembered, the second
-	// admitted, the third served from memory.
-	for i, wantReads := range []int64{2, 2, 0} {
+	// The ranged reads made the extent one read before: the first whole
+	// read fills, the next is served from memory.
+	for i, wantReads := range []int64{2, 0, 0} {
 		before := bio.reads.Load()
 		if got, err := readTo(s, "cold", 0, -1); err != nil || !bytes.Equal(got, cold) {
 			t.Fatalf("ReadTo(cold) %d: %v", i, err)
@@ -306,6 +325,60 @@ func TestReadCacheBounds(t *testing.T) {
 		if reads := bio.reads.Load() - before; reads != wantReads {
 			t.Fatalf("whole read %d of a cold extent took %d block reads, want %d", i+1, reads, wantReads)
 		}
+	}
+}
+
+// TestCacheAdmitsExtentsReadBefore: the cache admits a whole-extent
+// miss only when the extent's heat says it was read before. One cold
+// pass over more extents than the budget holds admits nothing; a second
+// whole read admits; a ranged read earlier makes the first whole miss
+// admit; and a store without a Heat hook admits every whole miss.
+func TestCacheAdmitsExtentsReadBefore(t *testing.T) {
+	const budget = 16 * blockSize
+	s := newExtStore(t, "rs-9-6", 2) // 2-block extents: an eighth of the budget
+	countReads(s)
+	cache := NewReadCache(budget)
+	s.SetReadCache(cache)
+	data := randomFile(t, 24*blockSize, 11) // 12 extents, 1.5 budgets
+	if err := s.Put("scan", data); err != nil {
+		t.Fatal(err)
+	}
+	wholeRead := func(s *Store, name string, want []byte) {
+		t.Helper()
+		if got, err := s.Get(name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%s): %v", name, err)
+		}
+	}
+	wholeRead(s, "scan", data)
+	if fills := cacheCount(s, cCacheFills); fills != 0 || cache.Bytes() != 0 {
+		t.Fatalf("a cold pass filled %d extents, %d bytes", fills, cache.Bytes())
+	}
+	wholeRead(s, "scan", data)
+	if fills := cacheCount(s, cCacheFills); fills != 12 || cache.Bytes() != budget {
+		t.Fatalf("a second pass filled %d extents, %d bytes; want 12 and the budget", fills, cache.Bytes())
+	}
+
+	ranged := randomFile(t, 2*blockSize, 12)
+	if err := s.Put("ranged", ranged); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReadAt(make([]byte, 100), "ranged", 5); err != nil {
+		t.Fatal(err)
+	}
+	fills := cacheCount(s, cCacheFills)
+	wholeRead(s, "ranged", ranged)
+	if got := cacheCount(s, cCacheFills) - fills; got != 1 {
+		t.Fatalf("the first whole read after a ranged one filled %d extents, want 1", got)
+	}
+
+	bare := newStore(t, "rs-9-6")
+	bare.SetReadCache(NewReadCache(budget))
+	if err := bare.Put("f", ranged); err != nil {
+		t.Fatal(err)
+	}
+	wholeRead(bare, "f", ranged)
+	if got := cacheCount(bare, cCacheFills); got != 1 {
+		t.Fatalf("a store without heat filled %d extents on the first whole read, want 1", got)
 	}
 }
 

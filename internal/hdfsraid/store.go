@@ -163,24 +163,21 @@ type Store struct {
 	moveMu    sync.Mutex
 	moveLocks map[string]*fileLock
 
-	// OnRead, when non-nil, is invoked with the file name on every
-	// Get, ReadAt, ReadTo and ReadBlockInto access. The tier subsystem
-	// hooks it to feed heat tracking; it must be cheap and non-blocking.
-	// Set it before serving concurrent reads.
-	OnRead func(name string)
-
-	// OnReadExtent, when non-nil, observes accesses at extent
-	// granularity: Get invokes it once per extent of the file (a whole
-	// -file read touches every extent), ReadBlockInto with the extent
-	// holding the block. The tier subsystem hooks it to feed per-
-	// extent heat. Same contract as OnRead.
+	// OnReadExtent, when non-nil, observes every foreground read at
+	// extent granularity: Get, ReadAt and ReadTo invoke it once per
+	// extent the read touches (a whole-file read touches every extent),
+	// ReadBlockInto with the extent holding the block. The tier
+	// subsystem hooks it to feed extent heat; it must be cheap and
+	// non-blocking. Set it before serving concurrent reads.
 	OnReadExtent func(name string, ext int)
 
-	// Heat, when non-nil, reports a file's current access heat. Repair
-	// consults it to rebuild hot files before cold ones, extending the
-	// tier layer's hottest-first move ordering into the repair path.
-	// It must be safe for concurrent use; set it before Repair.
-	Heat func(name string) float64
+	// Heat, when non-nil, reports one extent's current access heat,
+	// the reads OnReadExtent fed counted in. Repair rebuilds hot files
+	// (by the sum over their extents) before cold ones, and the read
+	// cache admits only an extent read before (heat above 1); without
+	// it the cache admits every whole-extent miss. It must be safe for
+	// concurrent use; set it before serving reads or repairing.
+	Heat func(name string, ext int) float64
 
 	// obs holds the store's always-on metrics: read/ingest latency
 	// histograms, degraded-read and byte counters, transcode stage
@@ -714,7 +711,9 @@ func (s *Store) Repair(failed []int) (RepairReport, error) {
 		// then sort hottest first, names breaking ties.
 		heat := make(map[string]float64, len(names))
 		for _, name := range names {
-			heat[name] = s.Heat(name)
+			for ext := range s.manifest.Files[name].Extents {
+				heat[name] += s.Heat(name, ext)
+			}
 		}
 		sort.SliceStable(names, func(i, j int) bool {
 			if heat[names[i]] != heat[names[j]] {

@@ -465,7 +465,7 @@ func TestRepairHotFilesFirst(t *testing.T) {
 	}
 
 	s := damaged()
-	s.Heat = func(name string) float64 {
+	s.Heat = func(name string, _ int) float64 {
 		if name == "b-hot" {
 			return 10
 		}

@@ -264,7 +264,7 @@ func TestOnReadHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reads []string
-	s.OnRead = func(name string) { reads = append(reads, name) }
+	s.OnReadExtent = func(name string, _ int) { reads = append(reads, name) }
 	if _, err := s.Get("f"); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestTranscodeConcurrentReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hits atomic.Int64
-	s.OnRead = func(string) { hits.Add(1) }
+	s.OnReadExtent = func(string, int) { hits.Add(1) }
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

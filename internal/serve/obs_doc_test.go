@@ -80,10 +80,10 @@ func TestObservabilityDocMatchesRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer alien.Close()
-	touch := func() error { return sh.heat.Touch("doc.bin", 1) }
+	touch := func() error { return sh.heat.TouchExtent("doc.bin", 0, 1) }
 	for _, step := range []func() error{
 		touch, sh.heat.Flush,
-		func() error { return other.Touch("doc.bin", 2) }, other.Flush,
+		func() error { return other.TouchExtent("doc.bin", 0, 2) }, other.Flush,
 		func() error { return alien.Replay(0, func([]byte) error { return nil }) },
 		func() error { return alien.Append([]byte(`{"v":2,"weight":40}`)) },
 		sh.heat.Refresh, other.Compact, sh.heat.Refresh, touch, sh.heat.Compact,

@@ -221,18 +221,14 @@ func (s *Server) wireTier(sh *shard, tc *TierConfig) error {
 	tr := hl.Tracker()
 	now := func() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 	sh.store.OnReadExtent = func(name string, ext int) { hl.TouchExtent(name, ext, now()) }
-	sh.store.Heat = func(name string) float64 { return tr.Heat(name, now()) }
+	sh.store.Heat = func(name string, ext int) float64 { return tr.ExtentHeat(name, ext, now()) }
 	if tc == nil {
 		return nil
 	}
-	m, err := tier.NewManager(tier.StoreTarget{Store: sh.store}, tier.Policy{
+	d, err := tier.NewDaemon(tier.StoreTarget{Store: sh.store}, tier.Policy{
 		HotCode: tc.HotCode, ColdCode: tc.ColdCode,
 		PromoteAt: tc.PromoteAt, DemoteAt: tc.DemoteAt, MinDwell: tc.MinDwell,
-	}, tr)
-	if err != nil {
-		return err
-	}
-	d, err := tier.NewDaemon(m, tier.DaemonConfig{
+	}, tr, tier.DaemonConfig{
 		Interval:     tc.Interval,
 		BytesPerSec:  tc.BytesPerSec,
 		BlockBytes:   sh.store.BlockSize(),

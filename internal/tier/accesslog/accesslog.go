@@ -13,13 +13,13 @@ import (
 	"time"
 )
 
-// Record is one access-log entry: an access of weight N against a
-// file (Ext < 0) or one of its extents, at Time seconds. Src
-// identifies the writer that appended it, so a process tailing the log
-// can skip records it already applied to its own in-memory tracker.
+// Record is one access-log entry: an access of weight N against one
+// extent of a file, at Time seconds. Src identifies the writer that
+// appended it, so a process tailing the log can skip records it already
+// applied to its own in-memory tracker.
 type Record struct {
 	Name string
-	Ext  int     // extent index; -1 means whole-file
+	Ext  int     // extent index, never negative
 	N    float64 // access weight
 	Time float64 // seconds (same clock as tier.Tracker)
 	Src  uint64  // writer identity, stamped by Writer.Append
@@ -47,8 +47,9 @@ func (r Record) Encode() []byte {
 }
 
 // Decode parses a log payload. ok is false when the bytes are not one
-// complete record with a finite weight and time — another format's, or
-// a newer writer's.
+// complete record with an extent index, a finite weight and a finite
+// time — another format's, a newer writer's, or an older one's
+// whole-file record (Ext < 0).
 func Decode(p []byte) (r Record, ok bool) {
 	if len(p) < fixedBytes {
 		return r, false
@@ -66,7 +67,7 @@ func Decode(p []byte) (r Record, ok bool) {
 	// One NaN would stick to its counter for good, and no snapshot
 	// holding it would marshal.
 	finite := !math.IsNaN(r.N+r.Time) && !math.IsInf(r.N, 0) && !math.IsInf(r.Time, 0)
-	return r, finite
+	return r, finite && r.Ext >= 0
 }
 
 // Options is empty: the batching thresholds are constants, since no

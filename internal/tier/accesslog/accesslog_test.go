@@ -18,11 +18,11 @@ func newTestWriter(t *testing.T) *Writer {
 
 // TestRoundtrip: what Append batches decodes to the records appended,
 // stamped with the writer's identity; anything that is not exactly one
-// record of finite weight and time does not decode.
+// record of an extent, finite weight and finite time does not decode.
 func TestRoundtrip(t *testing.T) {
 	w := newTestWriter(t)
 	want := []Record{
-		{Name: "a.bin", Ext: -1, N: 1, Time: 100},
+		{Name: "a.bin", Ext: 1, N: 1, Time: 100},
 		{Name: "b/with/slashes.dat", Ext: 7, N: 2.5, Time: 101.25},
 		{Name: "", Ext: 0, N: 1, Time: 102},
 		{Name: strings.Repeat("n", maxName), Ext: 1 << 20, N: 1e-9, Time: 1.7e9},
@@ -47,15 +47,17 @@ func TestRoundtrip(t *testing.T) {
 		}
 	}
 	// A weight or time that is NaN or infinite would poison its counter
-	// and every snapshot after it.
+	// and every snapshot after it; a whole-file record (Ext < 0) is an
+	// older writer's, which no counter takes any more.
 	for _, r := range []Record{
+		{Name: "f", Ext: -1, N: 1, Time: 1},
 		{Name: "f", N: math.NaN(), Time: 1},
 		{Name: "f", N: 1, Time: math.NaN()},
 		{Name: "f", N: math.Inf(1), Time: 1},
 		{Name: "f", N: 1, Time: math.Inf(-1)},
 	} {
 		if _, ok := Decode(r.Encode()); ok {
-			t.Errorf("Decode accepted weight %v at time %v", r.N, r.Time)
+			t.Errorf("Decode accepted extent %d, weight %v at time %v", r.Ext, r.N, r.Time)
 		}
 	}
 	long := Record{Name: strings.Repeat("x", maxName+5), Ext: 3, N: 1, Time: 1}
@@ -69,7 +71,7 @@ func TestRoundtrip(t *testing.T) {
 func TestAppendIsBuffered(t *testing.T) {
 	w := newTestWriter(t)
 	for i := 0; i < 100; i++ {
-		if w.Append(Record{Name: "x", Ext: -1, N: 1, Time: float64(i)}) {
+		if w.Append(Record{Name: "x", Ext: 0, N: 1, Time: float64(i)}) {
 			t.Fatalf("append %d (%d bytes pending) reported the batch due", i, w.bytes)
 		}
 	}
@@ -86,7 +88,7 @@ func TestAppendIsBuffered(t *testing.T) {
 // once its oldest record is flushEvery old — and stays due until Reset.
 func TestFlushThresholdTrips(t *testing.T) {
 	w := newTestWriter(t)
-	rec := Record{Name: "file.bin", Ext: -1, N: 1, Time: 1}
+	rec := Record{Name: "file.bin", Ext: 0, N: 1, Time: 1}
 	size := len(rec.Encode())
 	for n := 1; ; n++ {
 		due := w.Append(rec)

@@ -122,14 +122,16 @@ type DaemonStats struct {
 	Errors int
 }
 
-// Daemon is the autonomous tier rebalancer: a background goroutine
-// that scans the policy every Interval seconds and executes the moves
-// it wants, hottest file first, under a token-bucket byte budget so
-// transcode traffic never starves foreground reads. Moves that do not
-// fit the remaining budget are deferred to a later scan rather than
-// dropped. HotRAP and Anna both argue tier movement belongs in
-// exactly this kind of continuously running, rate-limited background
-// process instead of on the caller's thread.
+// Daemon is the tiering engine: it reads extent heat from a tracker,
+// asks the policy which extents belong on which code, and moves them in
+// a target — from a background goroutine that scans every Interval
+// seconds, or one Tick at a time. Moves run hottest file first, under
+// a token-bucket byte budget so transcode traffic never starves
+// foreground reads. Moves that do not fit the remaining budget are
+// deferred to a later scan rather than dropped. HotRAP and Anna both
+// argue tier movement belongs in exactly this kind of continuously
+// running, rate-limited background process instead of on the caller's
+// thread.
 type Daemon struct {
 	// OnMove, when non-nil, observes every executed move with the
 	// clock time it ran. The simulator hooks it to charge transcode
@@ -154,10 +156,12 @@ type Daemon struct {
 	// it before Start.
 	Scrub Scrubber
 
-	m      *Manager
-	cfg    DaemonConfig
-	bucket *TokenBucket
-	dobs   *daemonObs // resolved from Obs at first instrumented tick
+	tracker *Tracker
+	policy  Policy
+	target  Target
+	cfg     DaemonConfig
+	bucket  *TokenBucket
+	dobs    *daemonObs // resolved from Obs at first instrumented tick
 
 	mu      sync.Mutex
 	stats   DaemonStats
@@ -169,17 +173,22 @@ type Daemon struct {
 	running bool
 }
 
-// NewDaemon validates the config and returns a stopped daemon for the
-// manager. Drive it with Start/Stop on the wall clock, or call Tick
-// directly from a simulation's virtual clock or a one-shot rebalance.
-func NewDaemon(m *Manager, cfg DaemonConfig) (*Daemon, error) {
-	if m == nil {
-		return nil, fmt.Errorf("tier: daemon needs a manager")
+// NewDaemon validates the policy and config and returns a stopped
+// daemon tiering target's extents by the heat in tracker (heat state
+// often outlives one daemon). Drive it with Start/Stop on the wall
+// clock, or call Tick directly from a simulation's virtual clock or a
+// one-shot rebalance.
+func NewDaemon(target Target, policy Policy, tracker *Tracker, cfg DaemonConfig) (*Daemon, error) {
+	if err := policy.Validate(); err != nil {
+		return nil, err
+	}
+	if tracker == nil {
+		return nil, fmt.Errorf("tier: nil tracker")
 	}
 	if cfg.Interval < 0 || cfg.BytesPerSec < 0 || cfg.Burst < 0 {
 		return nil, fmt.Errorf("tier: negative daemon interval or budget")
 	}
-	d := &Daemon{m: m, cfg: cfg}
+	d := &Daemon{tracker: tracker, policy: policy, target: target, cfg: cfg}
 	if cfg.BytesPerSec > 0 {
 		if cfg.BlockBytes <= 0 {
 			return nil, fmt.Errorf("tier: rate-limited daemon needs BlockBytes to price moves")
@@ -216,13 +225,13 @@ func (d *Daemon) Tick(now float64) ([]MoveResult, error) {
 	if d.OnTick != nil {
 		d.OnTick(now)
 	}
-	moves := d.m.Policy.Decide(now, d.m.States(now))
+	moves := d.policy.Decide(now, d.States(now))
 	orderMoves(moves)
 	var done []MoveResult
 	for i, mv := range moves {
 		var est float64
 		if d.bucket != nil {
-			blocks, err := d.m.Target.ExtentMoveCost(mv.Name, mv.Ext, mv.To)
+			blocks, err := d.target.ExtentMoveCost(mv.Name, mv.Ext, mv.To)
 			if vanished(err) {
 				continue
 			}
@@ -247,7 +256,7 @@ func (d *Daemon) Tick(now float64) ([]MoveResult, error) {
 				break
 			}
 		}
-		res, err := d.m.execute(mv, now)
+		res, err := d.execute(mv, now)
 		if err != nil {
 			if d.bucket != nil {
 				d.bucket.Settle(now, -est) // refund the unexecuted move
@@ -277,6 +286,38 @@ func (d *Daemon) Tick(now float64) ([]MoveResult, error) {
 	}
 	d.scrubTick(now)
 	return done, nil
+}
+
+// States returns the policy-engine view of every tiering unit — every
+// extent of every file — in the target at time now.
+func (d *Daemon) States(now float64) []FileState {
+	names := d.target.Files()
+	states := make([]FileState, 0, len(names))
+	for _, name := range names {
+		n := d.target.Extents(name)
+		for ext := 0; ext < n; ext++ {
+			code, movedAt, ok := d.target.ExtentCode(name, ext)
+			if !ok {
+				continue
+			}
+			states = append(states, FileState{
+				Name: name, Ext: ext, Code: code,
+				Heat:     d.tracker.ExtentHeat(name, ext, now),
+				LastMove: movedAt,
+			})
+		}
+	}
+	return states
+}
+
+// execute performs one decided move at time now, which the target
+// records as the extent's move time for the dwell guard.
+func (d *Daemon) execute(mv Move, now float64) (MoveResult, error) {
+	moved, err := d.target.TranscodeExtent(mv.Name, mv.Ext, mv.To, now)
+	if err != nil {
+		return MoveResult{}, fmt.Errorf("tier: moving %q extent %d to %s: %w", mv.Name, mv.Ext, mv.To, err)
+	}
+	return MoveResult{Move: mv, BlocksMoved: moved}, nil
 }
 
 // scrubTick runs the trickle scrubber on whatever byte budget this

@@ -114,28 +114,22 @@ func TestTokenBucket(t *testing.T) {
 }
 
 func TestNewDaemonValidation(t *testing.T) {
-	m, err := NewManager(newFakeTarget(1, nil), testPolicy(), NewTracker(100))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft, tr := newFakeTarget(1, nil), NewTracker(100)
 	bad := []DaemonConfig{
 		{Interval: -1},
 		{Interval: 1, BytesPerSec: -1},
 		{Interval: 1, BytesPerSec: 100}, // rate limit without BlockBytes
 	}
 	for _, cfg := range bad {
-		if _, err := NewDaemon(m, cfg); err == nil {
+		if _, err := NewDaemon(ft, testPolicy(), tr, cfg); err == nil {
 			t.Fatalf("accepted config %+v", cfg)
 		}
 	}
-	if _, err := NewDaemon(nil, DaemonConfig{Interval: 1}); err == nil {
-		t.Fatal("accepted nil manager")
-	}
-	if _, err := NewDaemon(m, DaemonConfig{Interval: 1, BytesPerSec: 100, BlockBytes: 1}); err != nil {
+	if _, err := NewDaemon(ft, testPolicy(), tr, DaemonConfig{Interval: 1, BytesPerSec: 100, BlockBytes: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// A one-shot daemon needs no interval until something schedules it.
-	d, err := NewDaemon(m, DaemonConfig{})
+	d, err := NewDaemon(ft, testPolicy(), tr, DaemonConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,16 +147,12 @@ func TestDaemonHotFirstBudget(t *testing.T) {
 		"cool": "rs-14-10", "warm": "rs-14-10", "blazing": "rs-14-10",
 	})
 	tr := NewTracker(0) // no decay: heat is the access count
-	tr.TouchN("cool", 10, 0)
-	tr.TouchN("warm", 20, 0)
-	tr.TouchN("blazing", 30, 0)
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr.TouchExtentN("cool", 0, 10, 0)
+	tr.TouchExtentN("warm", 0, 20, 0)
+	tr.TouchExtentN("blazing", 0, 30, 0)
 	// One move costs 10 blocks * 1 byte = 10 bytes; 1 B/s over a 10 s
 	// interval refills exactly one move, and the burst holds just one.
-	d, err := NewDaemon(m, DaemonConfig{Interval: 10, BytesPerSec: 1, Burst: 10, BlockBytes: 1})
+	d, err := NewDaemon(ft, testPolicy(), tr, DaemonConfig{Interval: 10, BytesPerSec: 1, Burst: 10, BlockBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +196,10 @@ func TestDaemonHotFirstBudget(t *testing.T) {
 func TestDaemonOverBurstMove(t *testing.T) {
 	ft := newFakeTarget(100, map[string]string{"big": "rs-14-10", "big2": "rs-14-10"})
 	tr := NewTracker(0)
-	tr.TouchN("big", 20, 0)
-	tr.TouchN("big2", 10, 0)
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr.TouchExtentN("big", 0, 20, 0)
+	tr.TouchExtentN("big2", 0, 10, 0)
 	// One move costs 100 bytes; the bucket holds only 10.
-	d, err := NewDaemon(m, DaemonConfig{Interval: 10, BytesPerSec: 1, Burst: 10, BlockBytes: 1})
+	d, err := NewDaemon(ft, testPolicy(), tr, DaemonConfig{Interval: 10, BytesPerSec: 1, Burst: 10, BlockBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +229,8 @@ func TestDaemonOverBurstMove(t *testing.T) {
 func TestDaemonUnpacedWithoutBudget(t *testing.T) {
 	ft := newFakeTarget(10, map[string]string{"a": "rs-14-10"})
 	tr := NewTracker(0)
-	tr.TouchN("a", 10, 0)
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{Interval: 1})
+	tr.TouchExtentN("a", 0, 10, 0)
+	d, err := NewDaemon(ft, testPolicy(), tr, DaemonConfig{Interval: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,13 +252,9 @@ func TestDaemonUnpacedWithoutBudget(t *testing.T) {
 func TestDaemonUnlimited(t *testing.T) {
 	ft := newFakeTarget(10, map[string]string{"a": "rs-14-10", "b": "rs-14-10"})
 	tr := NewTracker(0)
-	tr.TouchN("a", 10, 0)
-	tr.TouchN("b", 10, 0)
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{Interval: 1})
+	tr.TouchExtentN("a", 0, 10, 0)
+	tr.TouchExtentN("b", 0, 10, 0)
+	d, err := NewDaemon(ft, testPolicy(), tr, DaemonConfig{Interval: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,12 +272,8 @@ func TestDaemonUnlimited(t *testing.T) {
 func TestDaemonStartStop(t *testing.T) {
 	ft := newFakeTarget(1, map[string]string{"f": "rs-14-10"})
 	tr := NewTracker(0)
-	tr.TouchN("f", 10, 0)
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{Interval: 0.005})
+	tr.TouchExtentN("f", 0, 10, 0)
+	d, err := NewDaemon(ft, testPolicy(), tr, DaemonConfig{Interval: 0.005})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,13 +322,9 @@ func TestDaemonBudgetInSim(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := NewManager(ct, Policy{
+	d, err := NewDaemon(ct, Policy{
 		HotCode: "pentagon", ColdCode: "rs-14-10", PromoteAt: 4, DemoteAt: 1,
-	}, NewTracker(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{
+	}, NewTracker(60), DaemonConfig{
 		Interval: interval, BytesPerSec: rate, Burst: burst, BlockBytes: blockBytes,
 	})
 	if err != nil {

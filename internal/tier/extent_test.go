@@ -25,12 +25,6 @@ func TestManagerPromotesHotExtentOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTracker(100)
-	m, err := NewManager(StoreTarget{s}, Policy{
-		HotCode: "pentagon", ColdCode: "rs-9-6", PromoteAt: 5, DemoteAt: 1,
-	}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s.OnReadExtent = func(name string, ext int) { tr.TouchExtent(name, ext, 0) }
 
 	// Six block reads inside extent 0 heat only extent 0.
@@ -40,7 +34,9 @@ func TestManagerPromotesHotExtentOnDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d := oneShot(t, m)
+	d := oneShot(t, StoreTarget{s}, Policy{
+		HotCode: "pentagon", ColdCode: "rs-9-6", PromoteAt: 5, DemoteAt: 1,
+	}, tr)
 	moves, err := d.Tick(0)
 	if err != nil {
 		t.Fatal(err)
@@ -105,14 +101,10 @@ func replayTiered(t *testing.T, extBlocks int) (ReplayStats, int) {
 			t.Fatal(err)
 		}
 	}
-	m, err := NewManager(ct, Policy{
+	d, err := NewDaemon(ct, Policy{
 		HotCode: "pentagon", ColdCode: "rs-14-10",
 		PromoteAt: 8, DemoteAt: 2, MinDwell: 10,
-	}, NewTracker(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{Interval: 5})
+	}, NewTracker(60), DaemonConfig{Interval: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,11 +84,7 @@ func (h *HeatLog) count(name string, n int) {
 
 // touchTracker folds one record into a tracker.
 func touchTracker(t *Tracker, rec accesslog.Record) {
-	if rec.Ext < 0 {
-		t.TouchN(rec.Name, rec.N, rec.Time)
-	} else {
-		t.TouchExtentN(rec.Name, rec.Ext, rec.N, rec.Time)
-	}
+	t.TouchExtentN(rec.Name, rec.Ext, rec.N, rec.Time)
 }
 
 // refreshLocked tails what other handles appended — a record is applied
@@ -132,18 +128,10 @@ func (h *HeatLog) refreshLocked() error {
 	return nil
 }
 
-// Touch records a whole-file access: tracker bump plus O(1) batching.
-func (h *HeatLog) Touch(name string, now float64) error {
-	return h.touch(accesslog.Record{Name: name, Ext: -1, N: 1, Time: now})
-}
-
 // TouchExtent records an extent access: tracker bump plus O(1)
 // batching.
 func (h *HeatLog) TouchExtent(name string, ext int, now float64) error {
-	return h.touch(accesslog.Record{Name: name, Ext: ext, N: 1, Time: now})
-}
-
-func (h *HeatLog) touch(rec accesslog.Record) error {
+	rec := accesslog.Record{Name: name, Ext: ext, N: 1, Time: now}
 	h.count("accesslog_appends_total", 1)
 	h.mu.Lock()
 	defer h.mu.Unlock()

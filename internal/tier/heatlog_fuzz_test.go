@@ -17,8 +17,9 @@ import (
 // line wrapped in a valid frame so the records themselves are reached.
 // It must never panic nor change either file, and a view it yields is
 // exactly the snapshot plus the decodable records of the log's
-// CRC-valid prefix when that prefix is headed for generation 1, the
-// snapshot alone when the log is older or empty.
+// CRC-valid prefix when that prefix is headed for generation 1 (a
+// record without an extent, Ext < 0, is not decodable), the snapshot
+// alone when the log is older or empty.
 func FuzzHeatLogReplay(f *testing.F) {
 	dir := f.TempDir()
 	snapPath, logPath := filepath.Join(dir, heatFileName), filepath.Join(dir, heatLogName)
@@ -40,7 +41,7 @@ func FuzzHeatLogReplay(f *testing.F) {
 	if err := h.Compact(); err != nil {
 		f.Fatal(err)
 	}
-	h.Touch("g", 2)
+	h.TouchExtent("g", 0, 2)
 	if err := h.Close(); err != nil {
 		f.Fatal(err)
 	}

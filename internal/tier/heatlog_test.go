@@ -2,6 +2,7 @@ package tier
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -58,7 +59,7 @@ func TestHeatLogDurableAcrossReopen(t *testing.T) {
 				return err
 			}
 		}
-		return h.Touch("g.bin", 11)
+		return h.TouchExtent("g.bin", 0, 11)
 	}); n != 0 {
 		t.Fatalf("six touches under both thresholds issued %d fsyncs, want 0", n)
 	}
@@ -133,13 +134,13 @@ func TestHeatLogRefreshTailsForeignWriters(t *testing.T) {
 
 	// The daemon has its own traffic too, flushed and not — Refresh
 	// must not apply it a second time.
-	if err := daemon.Touch("mine.bin", 1); err != nil {
+	if err := daemon.TouchExtent("mine.bin", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := daemon.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := daemon.Touch("mine.bin", 1); err != nil {
+	if err := daemon.TouchExtent("mine.bin", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -183,13 +184,13 @@ func TestHeatLogRefreshSurvivesForeignCompaction(t *testing.T) {
 	server := openTestHeatLog(t, dir)
 	daemon.Obs = obs.NewRegistry()
 
-	if err := daemon.Touch("mine.bin", 1); err != nil {
+	if err := daemon.TouchExtent("mine.bin", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := daemon.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := daemon.Touch("mine.bin", 2); err != nil {
+	if err := daemon.TouchExtent("mine.bin", 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
@@ -359,7 +360,7 @@ func TestHeatLogSkipsAlienRecord(t *testing.T) {
 	dir := t.TempDir()
 	a, b := openTestHeatLog(t, dir), openTestHeatLog(t, dir)
 	b.Obs = obs.NewRegistry()
-	if err := a.Touch("a.bin", 1); err != nil {
+	if err := a.TouchExtent("a.bin", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Flush(); err != nil {
@@ -376,7 +377,7 @@ func TestHeatLogSkipsAlienRecord(t *testing.T) {
 	if err := raw.Append([]byte(`{"v":2,"name":"a.bin","weight":40}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Touch("b.bin", 1); err != nil {
+	if err := b.TouchExtent("b.bin", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Flush(); err != nil {
@@ -390,7 +391,7 @@ func TestHeatLogSkipsAlienRecord(t *testing.T) {
 		t.Fatalf("b skipped %d records, want 1", got)
 	}
 	// a tails past the alien frame to b's batch, and appends behind it.
-	if err := a.Touch("a.bin", 1); err != nil {
+	if err := a.TouchExtent("a.bin", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Flush(); err != nil {
@@ -402,6 +403,67 @@ func TestHeatLogSkipsAlienRecord(t *testing.T) {
 		}
 		if ha, hb := h.Tracker().Heat("a.bin", 1), h.Tracker().Heat("b.bin", 1); ha != 2 || hb != 1 {
 			t.Fatalf("heat around the alien frame: a.bin %v, b.bin %v; want 2 and 1", ha, hb)
+		}
+	}
+}
+
+// TestHeatLogOpensWholeFileHeat: heat files written when a file also
+// had a whole-file counter open as they are. The snapshot's "whole"
+// counters are ignored, and a log record without an extent (Ext < 0)
+// is skipped and counted like a newer writer's; extent heat is kept.
+func TestHeatLogOpensWholeFileHeat(t *testing.T) {
+	dir := t.TempDir()
+	h := openTestHeatLog(t, dir)
+	if err := h.TouchExtent("f.bin", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := heatFiles(t, dir)
+	var st map[string]any
+	if err := json.Unmarshal(snap, &st); err != nil {
+		t.Fatal(err)
+	}
+	st["files"].(map[string]any)["f.bin"].(map[string]any)["whole"] = map[string]any{"heat": 7, "last": 0}
+	if snap, err := json.Marshal(st); err != nil || os.WriteFile(filepath.Join(dir, heatFileName), snap, 0o644) != nil {
+		t.Fatalf("rewriting the snapshot: %v", err)
+	}
+
+	b := openTestHeatLog(t, dir)
+	b.Obs = obs.NewRegistry()
+	if err := b.TouchExtent("f.bin", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := durable.OpenLog(filepath.Join(dir, heatLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := raw.Replay(0, func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	whole := accesslog.Record{Name: "f.bin", Ext: -1, N: 5, Time: 0, Src: 7}
+	ext := accesslog.Record{Name: "f.bin", Ext: 1, N: 2, Time: 0, Src: 7}
+	if err := raw.Append(whole.Encode(), ext.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Obs.Snapshot().Counters["accesslog_skipped_records_total"]; got != 1 {
+		t.Fatalf("skipped %d records, want the whole-file one", got)
+	}
+	for _, h := range []*HeatLog{b, openTestHeatLog(t, dir)} {
+		tr := h.Tracker()
+		if e0, e1, f := tr.ExtentHeat("f.bin", 0, 0), tr.ExtentHeat("f.bin", 1, 0), tr.Heat("f.bin", 0); e0 != 0 || e1 != 4 || f != 4 {
+			t.Fatalf("extent 0 heat %v, extent 1 heat %v, file heat %v; want 0, 4, 4", e0, e1, f)
 		}
 	}
 }

@@ -25,9 +25,9 @@ func randomBytes(n int, seed int64) []byte {
 
 // oneShot returns the unbudgeted daemon `hdfscli tier rebalance` ticks
 // once: no interval, no byte budget.
-func oneShot(t *testing.T, m *Manager) *Daemon {
+func oneShot(t *testing.T, target Target, p Policy, tr *Tracker) *Daemon {
 	t.Helper()
-	d, err := NewDaemon(m, DaemonConfig{})
+	d, err := NewDaemon(target, p, tr, DaemonConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +49,10 @@ func TestManagerPromoteDemoteOnDisk(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr := NewTracker(100)
-			m, err := NewManager(StoreTarget{s}, Policy{
+			s.OnReadExtent = func(name string, ext int) { tr.TouchExtent(name, ext, 0) }
+			d := oneShot(t, StoreTarget{s}, Policy{
 				HotCode: hot, ColdCode: "rs-14-10", PromoteAt: 5, DemoteAt: 1,
 			}, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.OnRead = func(name string) { m.OnRead(name, 0) }
-			d := oneShot(t, m)
 
 			// Cold and quiet: no moves.
 			moves, err := d.Tick(0)
@@ -133,15 +129,11 @@ func TestRebalanceHotFilesFirst(t *testing.T) {
 		"hot-already": "pentagon",
 	})
 	tr := NewTracker(0)
-	tr.TouchN("a-cool", 6, 0)
-	tr.TouchN("m-blazing", 30, 0)
-	tr.TouchN("z-warm", 12, 0)
+	tr.TouchExtentN("a-cool", 0, 6, 0)
+	tr.TouchExtentN("m-blazing", 0, 30, 0)
+	tr.TouchExtentN("z-warm", 0, 12, 0)
 	// hot-already is cold and on the hot code: it demotes, last.
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moves, err := oneShot(t, m).Tick(0)
+	moves, err := oneShot(t, ft, testPolicy(), tr).Tick(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +152,10 @@ func TestRebalanceHotFilesFirst(t *testing.T) {
 }
 
 func TestManagerRejectsBadPolicy(t *testing.T) {
-	if _, err := NewManager(nil, Policy{}, NewTracker(1)); err == nil {
+	if _, err := NewDaemon(nil, Policy{}, NewTracker(1), DaemonConfig{}); err == nil {
 		t.Fatal("accepted empty policy")
 	}
-	if _, err := NewManager(nil, testPolicy(), nil); err == nil {
+	if _, err := NewDaemon(nil, testPolicy(), nil, DaemonConfig{}); err == nil {
 		t.Fatal("accepted nil tracker")
 	}
 }
@@ -229,7 +221,7 @@ func TestClusterTargetReadCostAllDown(t *testing.T) {
 
 // TestDwellSurvivesReopen: the dwell guard reads each extent's last
 // move time from the store's own move record, so a process that is
-// killed — no save of any kind — and a fresh manager, tracker and daemon
+// killed — no save of any kind — and a fresh tracker and daemon
 // over the reopened store still refuse to move the extent back before
 // MinDwell has passed.
 func TestDwellSurvivesReopen(t *testing.T) {
@@ -244,12 +236,8 @@ func TestDwellSurvivesReopen(t *testing.T) {
 	pol := Policy{HotCode: "pentagon", ColdCode: "rs-14-10",
 		PromoteAt: 5, DemoteAt: 1, MinDwell: 100}
 	tr := NewTracker(1e9)
-	tr.TouchN("f", 10, 0)
-	m, err := NewManager(StoreTarget{s}, pol, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moves, err := oneShot(t, m).Tick(10); err != nil || len(moves) != 1 || !moves[0].Promote {
+	tr.TouchExtentN("f", 0, 10, 0)
+	if moves, err := oneShot(t, StoreTarget{s}, pol, tr).Tick(10); err != nil || len(moves) != 1 || !moves[0].Promote {
 		t.Fatalf("promote: %+v, %v", moves, err)
 	}
 	s2, err := hdfsraid.Open(dir)
@@ -257,11 +245,7 @@ func TestDwellSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The fresh tracker has no heat: f is cold and wants to demote.
-	m2, err := NewManager(StoreTarget{s2}, pol, NewTracker(1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := oneShot(t, m2)
+	d := oneShot(t, StoreTarget{s2}, pol, NewTracker(1e9))
 	if moves, err := d.Tick(50); err != nil || len(moves) != 0 {
 		t.Fatalf("t=50, inside the dwell: moves %+v, %v; want none", moves, err)
 	}
@@ -292,13 +276,9 @@ func TestTickStopsAtFirstError(t *testing.T) {
 	for i, heat := range []float64{10, 8, 6} {
 		name := fmt.Sprintf("f%d", i)
 		ft.codes[name] = "rs-14-10"
-		tr.TouchN(name, heat, 0)
+		tr.TouchExtentN(name, 0, heat, 0)
 	}
-	m, err := NewManager(&errorTarget{fakeTarget: ft, bad: "f1"}, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moves, err := oneShot(t, m).Tick(1)
+	moves, err := oneShot(t, &errorTarget{fakeTarget: ft, bad: "f1"}, testPolicy(), tr).Tick(1)
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
 		t.Fatalf("err = %v, want the injected failure", err)
 	}
@@ -348,13 +328,9 @@ func TestDaemonSkipsVanishedFile(t *testing.T) {
 				if err := s.Put(name, randomBytes(10*blockSize, int64(i))); err != nil {
 					t.Fatal(err)
 				}
-				tr.TouchN(name, float64(30-10*i), 0)
+				tr.TouchExtentN(name, 0, float64(30-10*i), 0)
 			}
 			target := &deletingTarget{StoreTarget: StoreTarget{s}, victim: "hottest", atPrice: mode == "daemon-priced"}
-			m, err := NewManager(target, testPolicy(), tr)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var cfg DaemonConfig
 			if mode != "rebalance" {
 				cfg.Interval = 1
@@ -362,7 +338,7 @@ func TestDaemonSkipsVanishedFile(t *testing.T) {
 			if target.atPrice {
 				cfg.BytesPerSec, cfg.Burst, cfg.BlockBytes = 1e9, 1e9, blockSize
 			}
-			d, err := NewDaemon(m, cfg)
+			d, err := NewDaemon(target, testPolicy(), tr, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

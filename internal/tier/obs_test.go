@@ -16,14 +16,10 @@ func TestDaemonObsMetrics(t *testing.T) {
 		"cool": "rs-14-10", "warm": "rs-14-10", "blazing": "rs-14-10",
 	})
 	tr := NewTracker(0)
-	tr.TouchN("cool", 10, 0)
-	tr.TouchN("warm", 20, 0)
-	tr.TouchN("blazing", 30, 0)
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{Interval: 10, BytesPerSec: 1, Burst: 10, BlockBytes: 1})
+	tr.TouchExtentN("cool", 0, 10, 0)
+	tr.TouchExtentN("warm", 0, 20, 0)
+	tr.TouchExtentN("blazing", 0, 30, 0)
+	d, err := NewDaemon(ft, testPolicy(), tr, DaemonConfig{Interval: 10, BytesPerSec: 1, Burst: 10, BlockBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,10 @@ func replayOnce(t *testing.T, seed int64) (ReplayStats, *ClusterTarget) {
 			t.Fatal(err)
 		}
 	}
-	m, err := NewManager(ct, Policy{
+	d, err := NewDaemon(ct, Policy{
 		HotCode: "pentagon", ColdCode: "rs-14-10",
 		PromoteAt: 8, DemoteAt: 1, MinDwell: 10,
-	}, NewTracker(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{Interval: 5})
+	}, NewTracker(30), DaemonConfig{Interval: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +89,8 @@ func TestReplayOnAccessMetersReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := NewManager(ct, Policy{HotCode: "2-rep", ColdCode: "rs-9-6",
-		PromoteAt: 4, DemoteAt: 1}, NewTracker(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{Interval: 2})
+	d, err := NewDaemon(ct, Policy{HotCode: "2-rep", ColdCode: "rs-9-6",
+		PromoteAt: 4, DemoteAt: 1}, NewTracker(60), DaemonConfig{Interval: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +109,8 @@ func TestReplayOnAccessMetersReads(t *testing.T) {
 }
 
 func TestReplayValidation(t *testing.T) {
-	m, err := NewManager(NewClusterTarget(20, 10, rand.New(rand.NewSource(1))),
-		testPolicy(), NewTracker(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{})
+	d, err := NewDaemon(NewClusterTarget(20, 10, rand.New(rand.NewSource(1))),
+		testPolicy(), NewTracker(1), DaemonConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,5 +120,34 @@ func TestReplayValidation(t *testing.T) {
 	}
 	if stats, err := Replay(sim.NewEngine(), nil, d, nil); err != nil || stats.Accesses != 0 {
 		t.Fatalf("empty trace: %+v, %v", stats, err)
+	}
+}
+
+// TestReplayAttributesAccesses: a trace access lands on the extent
+// holding its block; one without an offset (Block -1), or past the
+// file, touches every extent of its file, as a whole-file read does.
+func TestReplayAttributesAccesses(t *testing.T) {
+	ct := NewClusterTarget(30, 20, rand.New(rand.NewSource(13)))
+	ct.ExtentBlocks = 10
+	if err := ct.AddFile("f", "rs-14-10"); err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracker(0)
+	d, err := NewDaemon(ct, testPolicy(), tr, DaemonConfig{Interval: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := []workload.Access{
+		{Name: "f", Block: 3, Time: 1},
+		{Name: "f", Block: 15, Time: 2},
+		{Name: "f", Block: 15, Time: 3},
+		{Name: "f", Block: -1, Time: 4},
+		{Name: "f", Block: 99, Time: 5},
+	}
+	if _, err := Replay(sim.NewEngine(), trace, d, nil); err != nil {
+		t.Fatal(err)
+	}
+	if e0, e1 := tr.ExtentHeat("f", 0, 5), tr.ExtentHeat("f", 1, 5); e0 != 3 || e1 != 4 {
+		t.Fatalf("extent heat %v, %v; want 3, 4", e0, e1)
 	}
 }

@@ -32,11 +32,7 @@ func (f *fakeScrubber) Scrub(maxBytes int64) (int64, error) {
 // debited from the shared bucket, and a drained bucket pauses
 // scrubbing entirely.
 func TestDaemonScrubLeftoverBudget(t *testing.T) {
-	m, err := NewManager(newFakeTarget(1, nil), testPolicy(), NewTracker(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{
+	d, err := NewDaemon(newFakeTarget(1, nil), testPolicy(), NewTracker(100), DaemonConfig{
 		Interval: 1, BytesPerSec: 1, Burst: 100, BlockBytes: 1, ScrubPerScan: 40,
 	})
 	if err != nil {
@@ -75,14 +71,10 @@ func TestDaemonScrubNeverStarvesMoves(t *testing.T) {
 		"cool": "rs-14-10", "warm": "rs-14-10", "blazing": "rs-14-10",
 	})
 	tr := NewTracker(0)
-	tr.TouchN("cool", 10, 0)
-	tr.TouchN("warm", 20, 0)
-	tr.TouchN("blazing", 30, 0)
-	m, err := NewManager(ft, testPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{
+	tr.TouchExtentN("cool", 0, 10, 0)
+	tr.TouchExtentN("warm", 0, 20, 0)
+	tr.TouchExtentN("blazing", 0, 30, 0)
+	d, err := NewDaemon(ft, testPolicy(), tr, DaemonConfig{
 		Interval: 10, BytesPerSec: 1, Burst: 10, BlockBytes: 1, ScrubPerScan: 10,
 	})
 	if err != nil {
@@ -114,11 +106,7 @@ func TestDaemonScrubNeverStarvesMoves(t *testing.T) {
 // exactly ScrubPerScan every scan, and its errors land in the daemon's
 // error stats without stopping the loop.
 func TestDaemonScrubUnlimited(t *testing.T) {
-	m, err := NewManager(newFakeTarget(1, nil), testPolicy(), NewTracker(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(m, DaemonConfig{Interval: 1, ScrubPerScan: 25})
+	d, err := NewDaemon(newFakeTarget(1, nil), testPolicy(), NewTracker(100), DaemonConfig{Interval: 1, ScrubPerScan: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +153,7 @@ func TestSidecarSavesAtomic(t *testing.T) {
 	defer hl.Close()
 	compactAfterTouches := func() error {
 		for i := 0; i < 5; i++ {
-			if err := hl.Touch("f", 0); err != nil {
+			if err := hl.TouchExtent("f", 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

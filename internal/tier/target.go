@@ -7,7 +7,7 @@ import (
 	"repro/internal/hdfsraid"
 )
 
-// Target is a store the tiering manager can move data across codes
+// Target is a store the tiering daemon can move data across codes
 // in, with the extent as the unit of tiering: heat is tracked, policy
 // is decided, moves are priced and executed per extent, so a large file
 // with one hot region pays to move only that region's stripes. A store
@@ -37,84 +37,10 @@ type Target interface {
 	ExtentMoveCost(name string, ext int, codeName string) (blocks int, err error)
 }
 
-// Manager glues tracker, policy and target together: hook OnRead into
-// the data path (or a trace replay), let a Daemon scan it, and files
-// migrate between the hot and cold codes as their heat crosses the
-// policy thresholds.
-type Manager struct {
-	Tracker *Tracker
-	Policy  Policy
-	Target  Target
-}
-
-// NewManager validates the policy and returns a manager using the
-// given tracker (heat state often outlives one manager).
-func NewManager(target Target, policy Policy, tracker *Tracker) (*Manager, error) {
-	if err := policy.Validate(); err != nil {
-		return nil, err
-	}
-	if tracker == nil {
-		return nil, fmt.Errorf("tier: nil tracker")
-	}
-	return &Manager{Tracker: tracker, Policy: policy, Target: target}, nil
-}
-
-// OnRead records one whole-file access at time now; bind it to the
-// store's read hook with the clock of your choice.
-func (m *Manager) OnRead(name string, now float64) { m.Tracker.Touch(name, now) }
-
-// OnReadBlock records one access to a file's data block at time now,
-// attributing it to the extent holding the block. A negative block
-// means the access carries no offset information and is recorded as a
-// whole-file touch — which every extent inherits — rather than
-// silently pinning legacy traces' heat onto extent 0. Trace replays
-// feed heat through here.
-func (m *Manager) OnReadBlock(name string, block int, now float64) {
-	if block >= 0 {
-		if ext := m.Target.ExtentOf(name, block); ext >= 0 {
-			m.Tracker.TouchExtent(name, ext, now)
-			return
-		}
-	}
-	m.Tracker.Touch(name, now)
-}
-
 // MoveResult is one executed tiering move.
 type MoveResult struct {
 	Move
 	BlocksMoved int
-}
-
-// States returns the policy-engine view of every tiering unit — every
-// extent of every file — in the target at time now.
-func (m *Manager) States(now float64) []FileState {
-	names := m.Target.Files()
-	states := make([]FileState, 0, len(names))
-	for _, name := range names {
-		n := m.Target.Extents(name)
-		for ext := 0; ext < n; ext++ {
-			code, movedAt, ok := m.Target.ExtentCode(name, ext)
-			if !ok {
-				continue
-			}
-			states = append(states, FileState{
-				Name: name, Ext: ext, Code: code,
-				Heat:     m.Tracker.ExtentHeat(name, ext, now),
-				LastMove: movedAt,
-			})
-		}
-	}
-	return states
-}
-
-// execute performs one decided move at time now, which the target
-// records as the extent's move time for the dwell guard.
-func (m *Manager) execute(mv Move, now float64) (MoveResult, error) {
-	moved, err := m.Target.TranscodeExtent(mv.Name, mv.Ext, mv.To, now)
-	if err != nil {
-		return MoveResult{}, fmt.Errorf("tier: moving %q extent %d to %s: %w", mv.Name, mv.Ext, mv.To, err)
-	}
-	return MoveResult{Move: mv, BlocksMoved: moved}, nil
 }
 
 // vanished reports whether a move (or its pricing) failed only because

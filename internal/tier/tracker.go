@@ -1,6 +1,6 @@
 // Package tier implements adaptive hot/cold data tiering on top of the
 // repository's coding schemes: a decayed-access heat tracker, a
-// promote/demote policy engine with hysteresis, and a manager that
+// promote/demote policy engine with hysteresis, and a daemon that
 // moves data between a hot code with inherent double replication
 // (replication, polygon, heptagon-local) and the cold RS baseline by
 // online transcoding. Heat, policy and moves all operate at extent
@@ -17,15 +17,11 @@ import (
 	"sync"
 )
 
-// Tracker is a concurrency-safe heat tracker: per-file and per-extent
-// access counters with exponential decay, so heat is the number of
-// recent accesses discounted by age. Whole-file touches (Touch) land
-// in a file-level counter that every extent inherits in full (an
-// unattributed access could have hit any extent, and ExtentHeat
-// counts it toward each — see ExtentHeat); extent touches
-// (TouchExtent) land on the extent alone. It is fed by store read
-// hooks or by workload trace replay; time is caller-supplied (wall
-// clock or a sim engine's virtual clock) so runs stay deterministic.
+// Tracker is a concurrency-safe heat tracker: one access counter per
+// extent with exponential decay, so heat is the number of recent
+// accesses discounted by age. It is fed by the store's extent read hook
+// or by workload trace replay; time is caller-supplied (wall clock or a
+// sim engine's virtual clock) so runs stay deterministic.
 type Tracker struct {
 	mu       sync.Mutex
 	halfLife float64
@@ -37,12 +33,10 @@ type heatEntry struct {
 	Last float64 `json:"last"` // time of last update, seconds
 }
 
-// fileEntry holds one file's counters: Whole collects accesses not
-// attributed to an extent (whole-file hooks, traces without offsets),
-// Exts the extent-attributed ones.
+// fileEntry holds one file's extent counters. A snapshot written when
+// files also had a whole-file counter ("whole") loads with it ignored.
 type fileEntry struct {
-	Whole *heatEntry         `json:"whole,omitempty"`
-	Exts  map[int]*heatEntry `json:"exts,omitempty"`
+	Exts map[int]*heatEntry `json:"exts,omitempty"`
 }
 
 // NewTracker returns a tracker whose counters halve every halfLife
@@ -79,20 +73,6 @@ func (t *Tracker) entry(name string) *fileEntry {
 	return f
 }
 
-// Touch records one whole-file access to name at time now.
-func (t *Tracker) Touch(name string, now float64) { t.TouchN(name, 1, now) }
-
-// TouchN records n whole-file accesses to name at time now.
-func (t *Tracker) TouchN(name string, n, now float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	f := t.entry(name)
-	if f.Whole == nil {
-		f.Whole = &heatEntry{}
-	}
-	t.bump(f.Whole, n, now)
-}
-
 // TouchExtent records one access to extent ext of name at time now.
 func (t *Tracker) TouchExtent(name string, ext int, now float64) {
 	t.TouchExtentN(name, ext, 1, now)
@@ -114,39 +94,29 @@ func (t *Tracker) TouchExtentN(name string, ext int, n, now float64) {
 	t.bump(e, n, now)
 }
 
-// fileHeatLocked aggregates a file's decayed heat: whole-file counter
-// plus every extent counter.
-func (t *Tracker) fileHeatLocked(f *fileEntry, now float64) float64 {
-	h := t.decayed(f.Whole, now)
-	for _, e := range f.Exts {
-		h += t.decayed(e, now)
+// Heat returns name's decayed heat at time now (0 if never touched):
+// the sum over its extents.
+func (t *Tracker) Heat(name string, now float64) float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h := 0.0
+	if f, ok := t.files[name]; ok {
+		for _, e := range f.Exts {
+			h += t.decayed(e, now)
+		}
 	}
 	return h
 }
 
-// Heat returns name's decayed heat at time now (0 if never touched):
-// the whole-file counter plus the sum over extents.
-func (t *Tracker) Heat(name string, now float64) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if f, ok := t.files[name]; ok {
-		return t.fileHeatLocked(f, now)
-	}
-	return 0
-}
-
 // ExtentHeat returns the decayed heat of one extent of name at time
-// now: the extent's counter plus the file-level counter (an access not
-// attributed to an extent could have hit any of them, so every extent
-// inherits it).
+// now (0 if never touched).
 func (t *Tracker) ExtentHeat(name string, ext int, now float64) float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	f, ok := t.files[name]
-	if !ok {
-		return 0
+	if f, ok := t.files[name]; ok {
+		return t.decayed(f.Exts[ext], now)
 	}
-	return t.decayed(f.Whole, now) + t.decayed(f.Exts[ext], now)
+	return 0
 }
 
 // Len returns the number of tracked files.
@@ -191,7 +161,7 @@ func restoreTracker(raw []byte, halfLife float64) (*Tracker, int64, error) {
 }
 
 // adopt moves src's state into t, whose identity stays valid for the
-// managers and daemons holding it. src must not be used again.
+// daemons and hooks holding it. src must not be used again.
 func (t *Tracker) adopt(src *Tracker) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

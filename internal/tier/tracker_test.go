@@ -8,8 +8,8 @@ import (
 
 func TestTrackerTouchAndDecay(t *testing.T) {
 	tr := NewTracker(10) // halve every 10 s
-	tr.Touch("f", 0)
-	tr.Touch("f", 0)
+	tr.TouchExtent("f", 0, 0)
+	tr.TouchExtent("f", 0, 0)
 	if h := tr.Heat("f", 0); h != 2 {
 		t.Fatalf("heat = %v, want 2", h)
 	}
@@ -20,7 +20,7 @@ func TestTrackerTouchAndDecay(t *testing.T) {
 		t.Fatalf("heat after three half-lives = %v, want 0.25", h)
 	}
 	// A touch folds the decay in before incrementing.
-	tr.Touch("f", 10)
+	tr.TouchExtent("f", 0, 10)
 	if h := tr.Heat("f", 10); math.Abs(h-2) > 1e-12 {
 		t.Fatalf("heat after decayed touch = %v, want 2", h)
 	}
@@ -28,7 +28,7 @@ func TestTrackerTouchAndDecay(t *testing.T) {
 
 func TestTrackerNoDecay(t *testing.T) {
 	tr := NewTracker(0)
-	tr.Touch("f", 0)
+	tr.TouchExtent("f", 0, 0)
 	if h := tr.Heat("f", 1e9); h != 1 {
 		t.Fatalf("undecayed heat = %v, want 1", h)
 	}
@@ -49,7 +49,7 @@ func TestTrackerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				tr.Touch("shared", float64(i))
+				tr.TouchExtent("shared", 0, float64(i))
 				tr.Heat("shared", float64(i))
 			}
 		}()
@@ -61,8 +61,7 @@ func TestTrackerConcurrent(t *testing.T) {
 }
 
 // TestTrackerExtentHeat: extent touches accrue per extent, file heat
-// aggregates them, and whole-file touches bleed into every extent (an
-// unattributed access could have hit any of them).
+// aggregates them, and decay applies per counter.
 func TestTrackerExtentHeat(t *testing.T) {
 	tr := NewTracker(10)
 	tr.TouchExtentN("f", 0, 4, 0)
@@ -76,20 +75,12 @@ func TestTrackerExtentHeat(t *testing.T) {
 	if h := tr.Heat("f", 0); h != 5 {
 		t.Fatalf("file heat = %v, want extent sum 5", h)
 	}
-	// A whole-file touch raises every extent's heat equally.
-	tr.TouchN("f", 2, 0)
-	if h := tr.ExtentHeat("f", 1, 0); h != 2 {
-		t.Fatalf("extent heat after whole-file touch = %v, want 2", h)
+	tr.TouchExtentN("f", 2, 2, 10)
+	if h := tr.ExtentHeat("f", 0, 10); math.Abs(h-2) > 1e-12 {
+		t.Fatalf("decayed extent heat = %v, want 2", h)
 	}
-	if h := tr.ExtentHeat("f", 0, 0); h != 6 {
-		t.Fatalf("extent 0 heat after whole-file touch = %v, want 6", h)
-	}
-	if h := tr.Heat("f", 0); h != 7 {
-		t.Fatalf("file heat = %v, want 7", h)
-	}
-	// Decay applies per counter.
-	if h := tr.ExtentHeat("f", 0, 10); math.Abs(h-3) > 1e-12 {
-		t.Fatalf("decayed extent heat = %v, want 3", h)
+	if h := tr.ExtentHeat("f", 2, 10); math.Abs(h-2.5) > 1e-12 {
+		t.Fatalf("decayed-then-touched extent heat = %v, want 2.5", h)
 	}
 }
 
@@ -98,7 +89,7 @@ func TestTrackerExtentHeat(t *testing.T) {
 func TestTrackerExtentSaveLoad(t *testing.T) {
 	tr := NewTracker(10)
 	tr.TouchExtentN("f", 3, 4, 100)
-	tr.TouchN("f", 1, 100)
+	tr.TouchExtentN("f", 0, 1, 100)
 	raw, err := tr.snapshot(3)
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +98,8 @@ func TestTrackerExtentSaveLoad(t *testing.T) {
 	if err != nil || gen != 3 {
 		t.Fatalf("restored generation %d, %v; want 3", gen, err)
 	}
-	if h := tr2.ExtentHeat("f", 3, 100); h != 5 {
-		t.Fatalf("restored extent heat = %v, want 5", h)
+	if h := tr2.ExtentHeat("f", 3, 100); h != 4 {
+		t.Fatalf("restored extent heat = %v, want 4", h)
 	}
 	if h := tr2.Heat("f", 100); h != 5 {
 		t.Fatalf("restored file heat = %v, want 5", h)
@@ -117,7 +108,7 @@ func TestTrackerExtentSaveLoad(t *testing.T) {
 
 func TestTrackerSaveLoad(t *testing.T) {
 	tr := NewTracker(10)
-	tr.TouchN("f", 4, 100)
+	tr.TouchExtentN("f", 0, 4, 100)
 	raw, err := tr.snapshot(0)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +139,7 @@ func TestLoadTrackerMissingFile(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatal("fresh tracker not empty")
 	}
-	tr.TouchN("f", 2, 0)
+	tr.TouchExtentN("f", 0, 2, 0)
 	if h := tr.Heat("f", 7); math.Abs(h-1) > 1e-12 {
 		t.Fatalf("heat one half-life on = %v, want 1", h)
 	}

@@ -34,7 +34,7 @@ type TraceConfig struct {
 	// BlocksPerFile and BlockZipfS shape intra-file skew: each access
 	// draws a block in [0, BlocksPerFile) from a Zipf with exponent
 	// BlockZipfS (> 1), so block 0 is each file's hottest. Both zero
-	// leaves every access at block 0 (no offset information).
+	// leaves every access without offset information (Block -1).
 	BlocksPerFile int
 	BlockZipfS    float64
 }

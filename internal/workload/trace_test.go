@@ -58,7 +58,7 @@ func TestZipfTraceDeterministic(t *testing.T) {
 
 // TestZipfTraceBlockSkew: offset-bearing traces concentrate accesses
 // on each file's head blocks, and omitting the block config leaves
-// every access at block 0 (the legacy shape).
+// every access without an offset (Block -1).
 func TestZipfTraceBlockSkew(t *testing.T) {
 	trace, err := ZipfTrace(TraceConfig{
 		Files: 10, Accesses: 5000, ZipfS: 1.3, Rate: 10, Seed: 9,

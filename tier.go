@@ -6,13 +6,11 @@ import "repro/internal/tier"
 // data locality and cheap repair for hot data at ~2.2x storage, while
 // RS(14,10) stores cold data at 1.4x. The tier subsystem moves extents
 // between the two as their access heat changes: a decayed-access
-// HeatTracker fed by store read hooks, a TierPolicy with promote/
-// demote hysteresis, a TierManager that executes moves by online
-// transcoding, and a TierDaemon that scans the manager on an interval
-// or once.
+// HeatTracker fed by the store's extent read hook, a TierPolicy with
+// promote/demote hysteresis, and a TierDaemon that scans the policy on
+// an interval or once and executes its moves by online transcoding.
 
-// HeatTracker tracks per-file and per-extent access heat with
-// exponential decay.
+// HeatTracker tracks per-extent access heat with exponential decay.
 type HeatTracker = tier.Tracker
 
 // NewHeatTracker returns a tracker whose counters halve every
@@ -23,16 +21,6 @@ func NewHeatTracker(halfLife float64) *HeatTracker { return tier.NewTracker(half
 // hysteresis.
 type TierPolicy = tier.Policy
 
-// TierManager wires tracker, policy and a store together.
-type TierManager = tier.Manager
-
-// NewTierManager returns a manager tiering extents inside an on-disk
-// store. Feed it heat from the store's read hook, as ExampleNewTierManager
-// does, and let a TierDaemon move extents.
-func NewTierManager(s *Store, policy TierPolicy, tracker *HeatTracker) (*TierManager, error) {
-	return tier.NewManager(tier.StoreTarget{Store: s}, policy, tracker)
-}
-
 // TierDaemon is the autonomous background rebalancer: it scans the
 // tiering policy on an interval and executes moves hottest first
 // under a token-bucket transcode byte budget.
@@ -42,9 +30,11 @@ type TierDaemon = tier.Daemon
 // and byte budget.
 type TierDaemonConfig = tier.DaemonConfig
 
-// NewTierDaemon returns a stopped rebalance daemon for the manager;
-// drive it with Start/Stop on the wall clock or Tick on a virtual one
+// NewTierDaemon returns a stopped rebalance daemon tiering extents
+// inside an on-disk store by the heat in tracker. Feed the tracker from
+// the store's extent read hook, as ExampleNewTierDaemon does; drive the
+// daemon with Start/Stop on the wall clock or Tick on a virtual one
 // (one Tick of a daemon with no budget is a one-shot rebalance).
-func NewTierDaemon(m *TierManager, cfg TierDaemonConfig) (*TierDaemon, error) {
-	return tier.NewDaemon(m, cfg)
+func NewTierDaemon(s *Store, policy TierPolicy, tracker *HeatTracker, cfg TierDaemonConfig) (*TierDaemon, error) {
+	return tier.NewDaemon(tier.StoreTarget{Store: s}, policy, tracker, cfg)
 }
