@@ -381,9 +381,10 @@ func doTierStatus(store string) error {
 			if err != nil {
 				return err
 			}
-			// ExtentHeat (extent counter + inherited whole-file heat)
-			// is exactly what the rebalance policy sees, so status
-			// never shows a cold extent the daemon is busy promoting.
+			// ExtentHeat, the extent's own decayed counter, is exactly
+			// what the rebalance policy sees, so status never shows a
+			// cold extent the daemon is busy promoting; the file's row
+			// shows their sum.
 			fmt.Printf("  extent %-3d %17s %-16s %8.2fx %8.2f\n",
 				ext, "", extCode, core.StorageOverhead(c), tr.ExtentHeat(name, ext, now))
 		}

@@ -222,13 +222,9 @@ func repair(w io.Writer) error {
 }
 
 // repairCost plans and executes a repair of the failed nodes, returning
-// its bandwidth, or "-" when the code cannot plan repairs.
+// its bandwidth.
 func repairCost(c core.Code, failed []int) (string, error) {
-	planner, ok := c.(core.RepairPlanner)
-	if !ok {
-		return "-", nil
-	}
-	plan, err := planner.PlanRepair(failed)
+	plan, err := c.PlanRepair(failed)
 	if err != nil {
 		return "", err
 	}
@@ -255,11 +251,10 @@ func repairCost(c core.Code, failed []int) (string, error) {
 // the down nodes erased, returning its bandwidth, or "-" when no node
 // is left to read from.
 func readCost(c core.Code, down []int) (string, error) {
-	rp, ok := c.(core.ReadPlanner)
-	if !ok || len(down) >= c.Nodes() {
+	if len(down) >= c.Nodes() {
 		return "-", nil
 	}
-	plan, err := rp.PlanRead(0, down, core.OffCluster)
+	plan, err := c.PlanRead(0, down, core.OffCluster)
 	if err != nil {
 		return "", fmt.Errorf("%s: read plan: %w", c.Name(), err)
 	}

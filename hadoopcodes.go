@@ -5,9 +5,10 @@
 // 2014).
 //
 // The package exports the core coding API (the pentagon and RAID+m
-// codes by constructor, every registered code by name, with repair and
-// degraded-read planning built on partial parities) and the on-disk
-// store with its hot/cold tiering daemon.
+// codes by constructor, every registered code by name) and the on-disk
+// store with its hot/cold tiering daemon. Every code meets the one
+// Code contract: encode, decode, repair and degraded-read planning
+// built on partial parities, none of it optional.
 //
 // Quick start:
 //
@@ -30,11 +31,12 @@ import (
 	"repro/internal/core"
 )
 
-// Code is a coding scheme applied stripe by stripe; see core.Code for
-// the full contract.
+// Code is a coding scheme applied stripe by stripe; core.Code is the
+// whole contract: encode into caller buffers, decode, plan repairs,
+// plan reads.
 type Code = core.Code
 
-// ReadPlanner plans (possibly degraded) reads of data symbols.
+// ReadPlanner is Code's degraded-read half: every Code is one.
 type ReadPlanner = core.ReadPlanner
 
 // Striper splits files into code stripes.

@@ -120,11 +120,7 @@ func (f *File) ReadPlan(blockID int, down func(int) bool, at int) (fetches []Fet
 	if i, ok := localIdx[at]; ok && !down(at) {
 		localAt = i
 	}
-	rp, ok := f.Code.(core.ReadPlanner)
-	if !ok {
-		return nil, false, fmt.Errorf("cluster: code %s cannot plan reads", f.Code.Name())
-	}
-	plan, err := rp.PlanRead(b.Symbol, downLocal, localAt)
+	plan, err := f.Code.PlanRead(b.Symbol, downLocal, localAt)
 	if err != nil {
 		return nil, false, err
 	}
@@ -146,10 +142,6 @@ func (f *File) RepairTraffic(failed []int, blockBytes float64) (float64, error) 
 	for _, v := range failed {
 		isDown[v] = true
 	}
-	planner, ok := f.Code.(core.RepairPlanner)
-	if !ok {
-		return 0, fmt.Errorf("cluster: code %s cannot plan repairs", f.Code.Name())
-	}
 	total := 0.0
 	for _, chosen := range f.StripeNodes {
 		var local []int
@@ -161,7 +153,7 @@ func (f *File) RepairTraffic(failed []int, blockBytes float64) (float64, error) 
 		if len(local) == 0 {
 			continue
 		}
-		plan, err := planner.PlanRepair(local)
+		plan, err := f.Code.PlanRepair(local)
 		if err != nil {
 			return 0, err
 		}

@@ -145,10 +145,6 @@ func (f *File) TrafficSplit(topo Topology, failed []int, blockBytes float64) (in
 	for _, v := range failed {
 		isDown[v] = true
 	}
-	planner, ok := f.Code.(core.RepairPlanner)
-	if !ok {
-		return 0, 0, fmt.Errorf("cluster: code %s cannot plan repairs", f.Code.Name())
-	}
 	for _, chosen := range f.StripeNodes {
 		var local []int
 		for i, v := range chosen {
@@ -159,7 +155,7 @@ func (f *File) TrafficSplit(topo Topology, failed []int, blockBytes float64) (in
 		if len(local) == 0 {
 			continue
 		}
-		plan, err := planner.PlanRepair(local)
+		plan, err := f.Code.PlanRepair(local)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -23,7 +23,6 @@ package heptlocal
 import (
 	"fmt"
 
-	"repro/internal/block"
 	"repro/internal/code/polygon"
 	"repro/internal/core"
 	"repro/internal/gf256"
@@ -50,7 +49,7 @@ type Code struct {
 	hept      *polygon.Code // the K7 structure shared by both groups
 	placement core.Placement
 	parity    *gf256.Matrix    // 4 x S parity-check matrix
-	globalEnc *core.EncodePlan // compiled Q0/Q1 rows over the 40 data columns
+	enc       *core.EncodePlan // its rows over the 40 data columns, compiled
 
 	// solves caches, per missing-symbol pattern, the u x 4 matrix
 	// mapping syndromes to the missing symbols, so degraded stripes of
@@ -58,12 +57,7 @@ type Code struct {
 	solves core.MatrixCache
 }
 
-var (
-	_ core.Code          = (*Code)(nil)
-	_ core.IntoEncoder   = (*Code)(nil)
-	_ core.RepairPlanner = (*Code)(nil)
-	_ core.ReadPlanner   = (*Code)(nil)
-)
+var _ core.Code = (*Code)(nil)
 
 // New returns the heptagon-local code.
 func New() *Code {
@@ -95,12 +89,15 @@ func New() *Code {
 	c.parity.Set(2, globalQ0, 1)
 	c.parity.Set(3, globalQ1, 1)
 
-	q := gf256.NewMatrix(2, K)
-	for i := 0; i < K; i++ {
-		q.Set(0, i, c.parity.At(2, i))
-		q.Set(1, i, c.parity.At(3, i))
+	// Row r of the parity checks over the data columns yields parity
+	// symbol K+r.
+	enc := gf256.NewMatrix(S-K, K)
+	for r := 0; r < S-K; r++ {
+		for i := 0; i < K; i++ {
+			enc.Set(r, i, c.parity.At(r, i))
+		}
 	}
-	c.globalEnc = core.CompileEncode(q)
+	c.enc = core.CompileEncode(enc)
 	return c
 }
 
@@ -171,45 +168,15 @@ func (c *Code) FaultTolerance() int { return 3 }
 
 // Encode computes the two local XOR parities and the two GF(2^8) global
 // parities.
-func (c *Code) Encode(data [][]byte) ([][]byte, error) {
-	size, err := core.CheckEncodeInput(data, K)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, S)
-	for s := K; s < S; s++ {
-		out[s] = make([]byte, size)
-	}
-	if err := c.EncodeInto(data, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (c *Code) Encode(data [][]byte) ([][]byte, error) { return core.Encode(c, data) }
 
-// EncodeInto writes the two local XOR parities and, through the
-// compiled global-parity plan, the two GF(2^8) global parities into
-// out[40:], aliasing the data blocks into out[:40].
+// EncodeInto writes the two local XOR parities and the two GF(2^8)
+// global parities into out[40:] through the compiled parity plan,
+// aliasing the data blocks into out[:40].
 func (c *Code) EncodeInto(data, out [][]byte) error {
-	if _, err := core.CheckEncodeInput(data, K); err != nil {
-		return err
-	}
-	if len(out) != S {
-		return fmt.Errorf("heptagon-local: EncodeInto needs %d output slots, got %d", S, len(out))
-	}
 	copy(out, data)
-	xorInto(out[localParityA], data[:dataPerGroup])
-	xorInto(out[localParityB], data[dataPerGroup:])
-	c.globalEnc.ApplyRow(0, data, out[globalQ0])
-	c.globalEnc.ApplyRow(1, data, out[globalQ1])
+	c.enc.Apply(data, out[K:])
 	return nil
-}
-
-// xorInto overwrites dst with the XOR of the given blocks.
-func xorInto(dst []byte, blocks [][]byte) {
-	copy(dst, blocks[0])
-	for _, b := range blocks[1:] {
-		block.XorInto(dst, b)
-	}
 }
 
 // Decode reconstructs the 40 data blocks from any decodable erasure

@@ -24,7 +24,6 @@ package polygon
 import (
 	"fmt"
 
-	"repro/internal/block"
 	"repro/internal/core"
 )
 
@@ -38,12 +37,7 @@ type Code struct {
 	placement core.Placement
 }
 
-var (
-	_ core.Code          = (*Code)(nil)
-	_ core.IntoEncoder   = (*Code)(nil)
-	_ core.RepairPlanner = (*Code)(nil)
-	_ core.ReadPlanner   = (*Code)(nil)
-)
+var _ core.Code = (*Code)(nil)
 
 // New returns the K_n code. n must be at least 3. Names: n=5 is
 // "pentagon", n=7 is "heptagon", otherwise "polygon-<n>".
@@ -124,70 +118,19 @@ func (c *Code) EdgeSymbol(i, j int) int { return c.edgeID[i][j] }
 
 // Encode copies the data blocks onto edges 0..E-2 and computes the XOR
 // parity for the final edge.
-func (c *Code) Encode(data [][]byte) ([][]byte, error) {
-	size, err := core.CheckEncodeInput(data, c.DataSymbols())
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, c.e)
-	out[c.e-1] = make([]byte, size)
-	if err := c.EncodeInto(data, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (c *Code) Encode(data [][]byte) ([][]byte, error) { return core.Encode(c, data) }
 
 // EncodeInto computes the XOR parity into out[E-1], aliasing the data
 // blocks into out[:E-1].
 func (c *Code) EncodeInto(data, out [][]byte) error {
-	if _, err := core.CheckEncodeInput(data, c.DataSymbols()); err != nil {
-		return err
-	}
-	if len(out) != c.e {
-		return fmt.Errorf("%s: EncodeInto needs %d output slots, got %d", c.name, c.e, len(out))
-	}
-	copy(out, data)
-	parity := out[c.e-1]
-	copy(parity, data[0])
-	for _, d := range data[1:] {
-		block.XorInto(parity, d)
-	}
+	core.EncodeXOR(data, out)
 	return nil
 }
 
 // Decode reconstructs the data blocks. At most one missing symbol is
 // recoverable (via the XOR equation); two or more missing symbols is
 // exactly the pattern left by three or more node failures and fails.
-func (c *Code) Decode(avail [][]byte) ([][]byte, error) {
-	if len(avail) != c.e {
-		return nil, fmt.Errorf("%s: want %d symbols, got %d", c.name, c.e, len(avail))
-	}
-	missing := -1
-	for s, b := range avail {
-		if b != nil {
-			continue
-		}
-		if missing >= 0 {
-			return nil, &core.ErasureError{
-				Code: c.name, Missing: []int{missing, s},
-				Reason: "more than one symbol lost",
-			}
-		}
-		missing = s
-	}
-	data := make([][]byte, c.DataSymbols())
-	copy(data, avail[:c.DataSymbols()])
-	if missing >= 0 && missing < c.DataSymbols() {
-		present := make([][]byte, 0, c.e-1)
-		for s, b := range avail {
-			if s != missing {
-				present = append(present, b)
-			}
-		}
-		data[missing] = block.Xor(present...)
-	}
-	return data, nil
-}
+func (c *Code) Decode(avail [][]byte) ([][]byte, error) { return core.DecodeXOR(c, avail) }
 
 // PlanRepair rebuilds one or two failed nodes.
 //

@@ -14,7 +14,6 @@ package raidm
 import (
 	"fmt"
 
-	"repro/internal/block"
 	"repro/internal/core"
 )
 
@@ -24,12 +23,7 @@ type Code struct {
 	placement core.Placement
 }
 
-var (
-	_ core.Code          = (*Code)(nil)
-	_ core.IntoEncoder   = (*Code)(nil)
-	_ core.RepairPlanner = (*Code)(nil)
-	_ core.ReadPlanner   = (*Code)(nil)
-)
+var _ core.Code = (*Code)(nil)
 
 // New returns the (m+1, m) RAID+m code. m must be at least 2.
 func New(m int) *Code {
@@ -72,69 +66,18 @@ func (c *Code) Placement() core.Placement { return c.placement }
 func (c *Code) FaultTolerance() int { return 3 }
 
 // Encode appends the XOR parity to the data blocks.
-func (c *Code) Encode(data [][]byte) ([][]byte, error) {
-	size, err := core.CheckEncodeInput(data, c.m)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, c.m+1)
-	out[c.m] = make([]byte, size)
-	if err := c.EncodeInto(data, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (c *Code) Encode(data [][]byte) ([][]byte, error) { return core.Encode(c, data) }
 
 // EncodeInto computes the XOR parity into out[m], aliasing the data
 // blocks into out[:m].
 func (c *Code) EncodeInto(data, out [][]byte) error {
-	if _, err := core.CheckEncodeInput(data, c.m); err != nil {
-		return err
-	}
-	if len(out) != c.m+1 {
-		return fmt.Errorf("raidm: EncodeInto needs %d output slots, got %d", c.m+1, len(out))
-	}
-	copy(out, data)
-	parity := out[c.m]
-	copy(parity, data[0])
-	for _, d := range data[1:] {
-		block.XorInto(parity, d)
-	}
+	core.EncodeXOR(data, out)
 	return nil
 }
 
 // Decode reconstructs the data from the surviving symbols: at most one
 // missing symbol can be rebuilt from the XOR equation.
-func (c *Code) Decode(avail [][]byte) ([][]byte, error) {
-	if len(avail) != c.m+1 {
-		return nil, fmt.Errorf("raidm: want %d symbols, got %d", c.m+1, len(avail))
-	}
-	missing := -1
-	for s, b := range avail {
-		if b != nil {
-			continue
-		}
-		if missing >= 0 {
-			return nil, &core.ErasureError{
-				Code: c.Name(), Missing: []int{missing, s},
-				Reason: "more than one symbol lost",
-			}
-		}
-		missing = s
-	}
-	data := make([][]byte, c.m)
-	copy(data, avail[:c.m])
-	if missing >= 0 && missing < c.m {
-		present := make([][]byte, 0, c.m)
-		for s, b := range avail {
-			if s != missing {
-				present = append(present, b)
-			}
-		}
-		data[missing] = block.Xor(present...)
-	}
-	return data, nil
-}
+func (c *Code) Decode(avail [][]byte) ([][]byte, error) { return core.DecodeXOR(c, avail) }
 
 // mirror returns the node holding the other replica of the symbol on
 // node v.

@@ -19,12 +19,7 @@ type Code struct {
 	placement core.Placement
 }
 
-var (
-	_ core.Code          = (*Code)(nil)
-	_ core.IntoEncoder   = (*Code)(nil)
-	_ core.RepairPlanner = (*Code)(nil)
-	_ core.ReadPlanner   = (*Code)(nil)
-)
+var _ core.Code = (*Code)(nil)
 
 // New returns an r-way replication code. r must be at least 1.
 func New(r int) *Code {
@@ -65,22 +60,11 @@ func (c *Code) Placement() core.Placement { return c.placement }
 func (c *Code) FaultTolerance() int { return c.r - 1 }
 
 // Encode returns the single data block unchanged.
-func (c *Code) Encode(data [][]byte) ([][]byte, error) {
-	if _, err := core.CheckEncodeInput(data, 1); err != nil {
-		return nil, err
-	}
-	return [][]byte{data[0]}, nil
-}
+func (c *Code) Encode(data [][]byte) ([][]byte, error) { return core.Encode(c, data) }
 
 // EncodeInto aliases the single data block into out[0]; replication has
 // no parity to compute.
 func (c *Code) EncodeInto(data, out [][]byte) error {
-	if _, err := core.CheckEncodeInput(data, 1); err != nil {
-		return err
-	}
-	if len(out) != 1 {
-		return fmt.Errorf("replication: EncodeInto needs 1 output slot, got %d", len(out))
-	}
 	out[0] = data[0]
 	return nil
 }

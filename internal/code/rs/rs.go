@@ -31,12 +31,7 @@ type Code struct {
 	inverses core.MatrixCache
 }
 
-var (
-	_ core.Code          = (*Code)(nil)
-	_ core.IntoEncoder   = (*Code)(nil)
-	_ core.RepairPlanner = (*Code)(nil)
-	_ core.ReadPlanner   = (*Code)(nil)
-)
+var _ core.Code = (*Code)(nil)
 
 // New returns the systematic (n, k) RS code. It panics if the
 // parameters are out of the GF(2^8) range or k >= n.
@@ -94,30 +89,11 @@ func (c *Code) FaultTolerance() int { return c.n - c.k }
 
 // Encode produces the n coded symbols (systematic: the first k are the
 // data).
-func (c *Code) Encode(data [][]byte) ([][]byte, error) {
-	size, err := core.CheckEncodeInput(data, c.k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, c.n)
-	for r := c.k; r < c.n; r++ {
-		out[r] = make([]byte, size)
-	}
-	if err := c.EncodeInto(data, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (c *Code) Encode(data [][]byte) ([][]byte, error) { return core.Encode(c, data) }
 
 // EncodeInto writes the n-k parity symbols into out[k:] through the
 // compiled encode plan, aliasing the data blocks into out[:k].
 func (c *Code) EncodeInto(data, out [][]byte) error {
-	if _, err := core.CheckEncodeInput(data, c.k); err != nil {
-		return err
-	}
-	if len(out) != c.n {
-		return fmt.Errorf("rs: EncodeInto needs %d output slots, got %d", c.n, len(out))
-	}
 	copy(out, data)
 	c.parity.Apply(data, out[c.k:])
 	return nil

@@ -13,15 +13,20 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+
+	"repro/internal/gf256"
 )
 
 // Code is a coding scheme applied independently to each stripe of a
-// file. A stripe holds DataSymbols() application blocks; Encode expands
-// them to Symbols() stored symbols (the data symbols first, parities
-// after), and Placement() lays the symbol replicas out over Nodes()
-// distinct nodes.
+// file, and the whole contract every code meets: encode a stripe into
+// caller-provided buffers, decode it, plan a repair by transfer and plan
+// a (degraded) read. A stripe holds DataSymbols() application blocks;
+// encoding expands them to Symbols() stored symbols (the data symbols
+// first, parities after), and Placement() lays the symbol replicas out
+// over Nodes() distinct nodes.
 type Code interface {
 	// Name identifies the scheme, e.g. "pentagon" or "3-rep".
 	Name() string
@@ -40,56 +45,121 @@ type Code interface {
 	// recoverable after ANY f node erasures.
 	FaultTolerance() int
 	// Encode expands k equal-size data blocks into the full symbol
-	// vector. The first k outputs alias or equal the inputs (the codes
-	// are systematic).
+	// vector, allocating the parities; every code's is Encode(c, data).
 	Encode(data [][]byte) ([][]byte, error)
+	// EncodeInto sets the first DataSymbols() entries of out, which has
+	// Symbols() entries, to the data blocks themselves (the codes are
+	// systematic: they alias, never copy) and fully overwrites the
+	// remaining entries: buffers of the data block size that do not
+	// alias the data. Callers go through Encode or EncodeWith, which
+	// check data and build out.
+	EncodeInto(data, out [][]byte) error
 	// Decode reconstructs the k data blocks from the surviving symbols.
 	// avail has length Symbols(); nil entries are erased. Decode fails
 	// with an *ErasureError if the pattern is unrecoverable.
 	Decode(avail [][]byte) ([][]byte, error)
+	RepairPlanner
+	ReadPlanner
 }
 
-// IntoEncoder is implemented by codes whose Encode can write parity
-// symbols into caller-provided buffers — the zero-allocation entry
-// point of the pooled stripe pipeline. out must have Symbols() entries:
-// EncodeInto sets the first DataSymbols() entries to the data blocks
-// themselves (systematic codes alias, never copy) and fully overwrites
-// the remaining entries, which must be non-nil buffers of the data
-// block size that do not alias the data.
-type IntoEncoder interface {
-	EncodeInto(data, out [][]byte) error
+// Encode is every code's Encode: it checks data once, allocates the
+// parity symbols and fills them through c.EncodeInto.
+func Encode(c Code, data [][]byte) ([][]byte, error) {
+	size, err := checkEncodeInput(data, c.DataSymbols())
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, c.Symbols())
+	for i := c.DataSymbols(); i < len(out); i++ {
+		out[i] = make([]byte, size)
+	}
+	if err := c.EncodeInto(data, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// EncodeWith encodes a stripe through EncodeInto when the code supports
-// it, drawing parity buffers from pool; otherwise it falls back to
-// Encode. The returned release function recycles the pooled parity
-// buffers (it is a no-op after the fallback) — call it once the symbol
-// buffers are no longer referenced.
+// EncodeWith is Encode drawing the parity buffers from pool, whose size
+// must be the data block size — the zero-allocation entry point of the
+// pooled stripe pipeline. The returned release function recycles them:
+// call it once the symbol buffers are no longer referenced.
 func EncodeWith(c Code, pool *BlockPool, data [][]byte) (symbols [][]byte, release func(), err error) {
-	ie, ok := c.(IntoEncoder)
-	if !ok || pool == nil {
-		out, err := c.Encode(data)
-		return out, func() {}, err
+	size, err := checkEncodeInput(data, c.DataSymbols())
+	if err != nil {
+		return nil, nil, err
+	}
+	if size != pool.Size() {
+		return nil, nil, fmt.Errorf("core: encode pool size %d != block size %d", pool.Size(), size)
 	}
 	k, n := c.DataSymbols(), c.Symbols()
 	out := make([][]byte, n)
 	for i := k; i < n; i++ {
 		out[i] = pool.Get()
 	}
-	if err := ie.EncodeInto(data, out); err != nil {
+	release = func() {
 		for i := k; i < n; i++ {
 			pool.Put(out[i])
 		}
-		return nil, func() {}, err
 	}
-	return out, func() {
-		for i := k; i < n; i++ {
-			pool.Put(out[i])
-		}
-	}, nil
+	if err := c.EncodeInto(data, out); err != nil {
+		release()
+		return nil, nil, err
+	}
+	return out, release, nil
 }
 
-// RepairPlanner is implemented by codes that can plan the exact network
+// EncodeXOR is EncodeInto for the single-parity codes (polygon,
+// RAID+m): out[:k] aliases the k data blocks and out[k] becomes their
+// XOR.
+func EncodeXOR(data, out [][]byte) {
+	copy(out, data)
+	parity := out[len(data)]
+	copy(parity, data[0])
+	for _, d := range data[1:] {
+		gf256.XorSlice(d, parity)
+	}
+}
+
+// DecodeXOR is Decode for the single-parity codes: avail holds the k
+// data symbols and then their XOR parity, and at most one of them may
+// be erased, which the XOR of the others rebuilds.
+func DecodeXOR(c Code, avail [][]byte) ([][]byte, error) {
+	if len(avail) != c.Symbols() {
+		return nil, fmt.Errorf("%s: want %d symbols, got %d", c.Name(), c.Symbols(), len(avail))
+	}
+	missing := -1
+	for s, b := range avail {
+		if b != nil {
+			continue
+		}
+		if missing >= 0 {
+			return nil, &ErasureError{
+				Code: c.Name(), Missing: []int{missing, s},
+				Reason: "more than one symbol lost",
+			}
+		}
+		missing = s
+	}
+	k := c.DataSymbols()
+	data := make([][]byte, k)
+	copy(data, avail[:k])
+	if missing >= 0 && missing < k {
+		var rebuilt []byte
+		for s, b := range avail {
+			switch {
+			case s == missing:
+			case rebuilt == nil:
+				rebuilt = bytes.Clone(b)
+			default:
+				gf256.XorSlice(b, rebuilt)
+			}
+		}
+		data[missing] = rebuilt
+	}
+	return data, nil
+}
+
+// RepairPlanner is the repair half of Code: planning the exact network
 // transfers needed to rebuild failed nodes, including repair-by-transfer
 // copies and partial-parity aggregation.
 type RepairPlanner interface {
@@ -99,8 +169,8 @@ type RepairPlanner interface {
 	PlanRepair(failed []int) (*RepairPlan, error)
 }
 
-// ReadPlanner is implemented by codes that can plan degraded reads: how
-// a map task obtains a data symbol when some nodes are down.
+// ReadPlanner is the read half of Code: planning how a map task obtains
+// a data symbol when some nodes are down.
 type ReadPlanner interface {
 	// PlanRead plans delivery of the given data symbol to node at
 	// (at == OffCluster for an external reader) while the listed nodes
@@ -173,9 +243,9 @@ func (e *ErasureError) Error() string {
 // ErrBlockSize is returned when Encode/Decode inputs disagree on size.
 var ErrBlockSize = errors.New("core: blocks have differing sizes")
 
-// CheckEncodeInput validates that data has exactly k equal-size non-nil
+// checkEncodeInput validates that data has exactly k equal-size non-nil
 // blocks, returning the block size.
-func CheckEncodeInput(data [][]byte, k int) (int, error) {
+func checkEncodeInput(data [][]byte, k int) (int, error) {
 	if len(data) != k {
 		return 0, fmt.Errorf("core: encode needs %d data blocks, got %d", k, len(data))
 	}

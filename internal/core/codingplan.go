@@ -72,29 +72,24 @@ func (p *EncodePlan) Apply(in, out [][]byte) {
 	if len(out) != len(p.rows) {
 		panic(fmt.Sprintf("core: encode plan produces %d outputs, got %d buffers", len(p.rows), len(out)))
 	}
-	for i := range p.rows {
-		p.ApplyRow(i, in, out[i])
-	}
-}
-
-// ApplyRow computes one output row into dst, overwriting it.
-func (p *EncodePlan) ApplyRow(i int, in [][]byte, dst []byte) {
-	terms := p.rows[i]
-	if len(terms) == 0 {
-		clear(dst)
-		return
-	}
-	first := terms[0]
-	if first.coeff == 1 {
-		copy(dst, in[first.col])
-	} else {
-		gf256.MulSliceTab(first.lo, first.hi, in[first.col], dst)
-	}
-	for _, t := range terms[1:] {
-		if t.coeff == 1 {
-			gf256.XorSlice(in[t.col], dst)
+	for i, terms := range p.rows {
+		dst := out[i]
+		if len(terms) == 0 {
+			clear(dst)
+			continue
+		}
+		first := terms[0]
+		if first.coeff == 1 {
+			copy(dst, in[first.col])
 		} else {
-			gf256.MulAddSliceTab(t.lo, t.hi, in[t.col], dst)
+			gf256.MulSliceTab(first.lo, first.hi, in[first.col], dst)
+		}
+		for _, t := range terms[1:] {
+			if t.coeff == 1 {
+				gf256.XorSlice(in[t.col], dst)
+			} else {
+				gf256.MulAddSliceTab(t.lo, t.hi, in[t.col], dst)
+			}
 		}
 	}
 }

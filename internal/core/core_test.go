@@ -22,53 +22,37 @@ func (xorCode) Placement() Placement {
 	return PlacementFromSymbolNodes([][]int{{0}, {1}, {2}}, 3)
 }
 
-func (xorCode) Encode(data [][]byte) ([][]byte, error) {
-	if _, err := CheckEncodeInput(data, 2); err != nil {
-		return nil, err
-	}
-	p := make([]byte, len(data[0]))
-	for i := range p {
-		p[i] = data[0][i] ^ data[1][i]
-	}
-	return [][]byte{data[0], data[1], p}, nil
+func (c xorCode) Encode(data [][]byte) ([][]byte, error) { return Encode(c, data) }
+
+func (xorCode) EncodeInto(data, out [][]byte) error {
+	EncodeXOR(data, out)
+	return nil
 }
 
-func (c xorCode) Decode(avail [][]byte) ([][]byte, error) {
-	missing := -1
-	for s, b := range avail {
-		if b == nil {
-			if missing >= 0 {
-				return nil, &ErasureError{Code: c.Name(), Missing: []int{missing, s}, Reason: "two lost"}
-			}
-			missing = s
-		}
-	}
-	out := [][]byte{avail[0], avail[1]}
-	if missing >= 0 && missing < 2 {
-		other := 1 - missing
-		rec := make([]byte, len(avail[2]))
-		for i := range rec {
-			rec[i] = avail[other][i] ^ avail[2][i]
-		}
-		out[missing] = rec
-	}
-	return out, nil
+func (c xorCode) Decode(avail [][]byte) ([][]byte, error) { return DecodeXOR(c, avail) }
+
+func (xorCode) PlanRepair([]int) (*RepairPlan, error) {
+	return nil, errors.New("xor-test: plans no repairs")
+}
+
+func (xorCode) PlanRead(int, []int, int) (*ReadPlan, error) {
+	return nil, errors.New("xor-test: plans no reads")
 }
 
 func TestCheckEncodeInput(t *testing.T) {
-	if _, err := CheckEncodeInput([][]byte{{1}, {2}}, 2); err != nil {
+	if _, err := checkEncodeInput([][]byte{{1}, {2}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CheckEncodeInput([][]byte{{1}}, 2); err == nil {
+	if _, err := checkEncodeInput([][]byte{{1}}, 2); err == nil {
 		t.Fatal("accepted wrong count")
 	}
-	if _, err := CheckEncodeInput([][]byte{{1}, nil}, 2); err == nil {
+	if _, err := checkEncodeInput([][]byte{{1}, nil}, 2); err == nil {
 		t.Fatal("accepted nil block")
 	}
-	if _, err := CheckEncodeInput([][]byte{{1}, {2, 3}}, 2); !errors.Is(err, ErrBlockSize) {
+	if _, err := checkEncodeInput([][]byte{{1}, {2, 3}}, 2); !errors.Is(err, ErrBlockSize) {
 		t.Fatalf("want ErrBlockSize, got %v", err)
 	}
-	if _, err := CheckEncodeInput([][]byte{nil, {1}}, 2); err == nil {
+	if _, err := checkEncodeInput([][]byte{nil, {1}}, 2); err == nil {
 		t.Fatal("accepted leading nil block")
 	}
 }

@@ -20,10 +20,10 @@ import (
 // own path (durable.WriteFile), and the seam exists to exercise the
 // block-level detection and healing machinery above it.
 type BlockIO interface {
-	// Open opens a block file for reading. The store uses the result as
-	// an io.ReaderAt when it is one (an *os.File is), reading only the
-	// checksum table and the cells a read needs; from anything else it
-	// reads the whole frame.
+	// Open opens a block file for reading. The result must also be an
+	// io.ReaderAt, as an *os.File is: the store reads only the checksum
+	// table and the cells a read needs, and fails the read of anything
+	// else with a plain error.
 	Open(path string) (io.ReadCloser, error)
 	// WriteFile writes a complete block frame.
 	WriteFile(path string, data []byte, perm os.FileMode) error

@@ -139,21 +139,17 @@ func (r *stripeRead) replica(sym int, dst []byte, off int) bool {
 // planning fails past the code's tolerance. A term over a known-zero
 // symbol contributes nothing and costs no read, so it reports the
 // transfers that read a block — the whole plan on a full stripe — or
-// false when no plan delivers (the code cannot plan reads, the node
-// tolerance is exhausted, or a source failed transiently) and the
-// caller falls through to the full-stripe decode.
+// false when no plan delivers (the node tolerance is exhausted, or a
+// source failed transiently) and the caller falls through to the
+// full-stripe decode.
 func (r *stripeRead) plan(sym int, dst []byte, off int) (int, bool) {
-	rp, ok := r.cc.(core.ReadPlanner)
-	if !ok {
-		return 0, false
-	}
 	payload, data := r.s.payloadPool.Get(), r.s.payloadPool.Get()
 	defer r.s.payloadPool.Put(payload)
 	defer r.s.payloadPool.Put(data)
 	payload, data = payload[:len(dst)], data[:len(dst)]
 replan:
 	for {
-		plan, err := rp.PlanRead(sym, r.down, core.OffCluster)
+		plan, err := r.cc.PlanRead(sym, r.down, core.OffCluster)
 		if err != nil {
 			return 0, false
 		}

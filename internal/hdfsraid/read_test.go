@@ -270,16 +270,11 @@ type countingIO struct {
 
 var errFrozen = errors.New("countingIO: frozen")
 
-// countedFile is an open block file whose reads countingIO tallies.
+// countedFile is an open block file whose ReadAt calls countingIO
+// tallies: the store reads a block file through nothing else.
 type countedFile struct {
 	*os.File
 	n *atomic.Int64
-}
-
-func (f countedFile) Read(p []byte) (int, error) {
-	n, err := f.File.Read(p)
-	f.n.Add(int64(n))
-	return n, err
 }
 
 func (f countedFile) ReadAt(p []byte, off int64) (int, error) {
@@ -380,7 +375,7 @@ func oneReaderEquivalence(t *testing.T, blockSize int, codes []string) {
 			if len(holders) > s.code.FaultTolerance() {
 				return false
 			}
-			plan, err := s.code.(core.ReadPlanner).PlanRead(0, holders, core.OffCluster)
+			plan, err := s.code.PlanRead(0, holders, core.OffCluster)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -514,7 +509,7 @@ func oneReaderEquivalence(t *testing.T, blockSize int, codes []string) {
 							// a shortened one.
 							wantReads, wantDegraded := int64(1), false
 							if holders := p.SymbolNodes[g%k]; len(holders) == 1 && holders[0] == dead {
-								plan, err := c.(core.ReadPlanner).PlanRead(g%k, []int{dead}, core.OffCluster)
+								plan, err := c.PlanRead(g%k, []int{dead}, core.OffCluster)
 								if err != nil {
 									t.Fatal(err)
 								}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -386,7 +387,8 @@ func TestCacheAdmitsExtentsReadBefore(t *testing.T) {
 // verdicts about a frame, of one cell and of several: exact length and
 // the CRC of every cell the window touches, or ErrCorrupt, whichever
 // way it is wrong; damage to a cell outside the window is no verdict
-// of that read; a missing file is not a verdict about bytes.
+// of that read; neither a missing file nor a file opened as no
+// io.ReaderAt is a verdict about bytes.
 func TestReadBlockFileVerdicts(t *testing.T) {
 	for _, bs := range []int{blockSize, cellsBlock} {
 		s, err := Create(t.TempDir(), "pentagon", bs)
@@ -454,5 +456,25 @@ func TestReadBlockFileVerdicts(t *testing.T) {
 		if err := s.readBlockInto(filepath.Join(t.TempDir(), "absent"), make([]byte, bs), 0); !os.IsNotExist(err) {
 			t.Errorf("missing block file: err = %v", err)
 		}
+		p := filepath.Join(t.TempDir(), "block")
+		if err := os.WriteFile(p, frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s.SetBlockIO(streamIO{})
+		if err := s.readBlockInto(p, make([]byte, bs), 0); err == nil || errors.Is(err, ErrCorrupt) {
+			t.Errorf("a frame opened as no io.ReaderAt: err = %v, want a plain error", err)
+		}
 	}
+}
+
+// streamIO opens block files as plain streams, which are no
+// io.ReaderAt.
+type streamIO struct{ osBlockIO }
+
+func (streamIO) Open(path string) (io.ReadCloser, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ io.ReadCloser }{f}, nil
 }

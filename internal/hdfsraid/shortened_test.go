@@ -206,9 +206,6 @@ func TestShortStripeRepairRoundTrip(t *testing.T) {
 	for _, codeName := range core.Names() {
 		t.Run(codeName, func(t *testing.T) {
 			s := newStore(t, codeName)
-			if _, ok := s.code.(core.RepairPlanner); !ok {
-				t.Skip("code cannot plan repairs")
-			}
 			k, n := s.code.DataSymbols(), s.code.Nodes()
 			for i, size := range []int{1, 2 * blockSize, (k + 1) * blockSize} {
 				if err := s.Put(fmt.Sprintf("f%d", i), randomFile(t, size, int64(500+i))); err != nil {

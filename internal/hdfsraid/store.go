@@ -14,7 +14,6 @@
 package hdfsraid
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -543,9 +542,9 @@ var ErrExists = errors.New("already stored")
 // cell, and larger ones written before frames had cells). Then the run
 // of whole cells inside the window lands in dst in one read, and a cell
 // the window cuts is read into a scratch buffer, verified whole, and
-// only its wanted part copied. What Open returns is used as an
-// io.ReaderAt; when it is not one, the whole frame is read once. read
-// is the bytes taken from the file. On any error dst holds garbage.
+// only its wanted part copied. What Open returns must be an
+// io.ReaderAt (see BlockIO.Open). read is the bytes taken from the
+// file. On any error dst holds garbage.
 // Most callers want (*Store).readBlockInto, which retries transient
 // errors on top.
 func readBlockFile(bio BlockIO, scratch *core.BlockPool, path string, dst []byte, off int) (read int, err error) {
@@ -560,12 +559,7 @@ func readBlockFile(bio BlockIO, scratch *core.BlockPool, path string, dst []byte
 	defer f.Close()
 	ra, ok := f.(io.ReaderAt)
 	if !ok {
-		raw, err := io.ReadAll(io.LimitReader(f, int64(block.FrameSize(bs))+1))
-		if err != nil {
-			return len(raw), err
-		}
-		ra = bytes.NewReader(raw)
-		defer func() { read = len(raw) }()
+		return 0, fmt.Errorf("hdfsraid: %s opened as %T, not an io.ReaderAt", path, f)
 	}
 	cells, cell := block.Cells(bs), block.CellSize
 	table := make([]byte, 4*cells+1)
@@ -747,10 +741,6 @@ func (s *Store) repairFile(name string, fi FileInfo, failed []int) (RepairReport
 		if err != nil {
 			return rep, err
 		}
-		planner, ok := cc.(core.RepairPlanner)
-		if !ok {
-			return rep, fmt.Errorf("hdfsraid: code %s cannot plan repairs", cc.Name())
-		}
 		// Nodes beyond this extent's code length hold none of its
 		// blocks.
 		var extFailed []int
@@ -764,7 +754,7 @@ func (s *Store) repairFile(name string, fi FileInfo, failed []int) (RepairReport
 		}
 		// The failure pattern is fixed across stripes, so plan once and
 		// execute per stripe with pooled payloads.
-		plan, err := planner.PlanRepair(extFailed)
+		plan, err := cc.PlanRepair(extFailed)
 		if err != nil {
 			return rep, err
 		}
@@ -793,9 +783,11 @@ func (s *Store) repairFile(name string, fi FileInfo, failed []int) (RepairReport
 }
 
 // repairStripe executes plan over one stripe whose blocks live at
-// path(node, symbol): load the surviving nodes' contents into pooled
-// buffers, run the plan, and persist what it rebuilt on the failed
-// nodes, returning the number of block files restored.
+// path(node, symbol): load into pooled buffers the blocks the plan's
+// transfers read at surviving nodes, and no others, run the plan —
+// which orders the steps that read recovered symbols after their
+// recovery — and persist what it rebuilt on the failed nodes, returning
+// the number of block files restored.
 func (s *Store) repairStripe(cc core.Code, plan *core.RepairPlan, failed []int, zero func(sym int) bool, path func(v, sym int) string) (restored int, err error) {
 	p := cc.Placement()
 	var bufs [][]byte
@@ -807,20 +799,27 @@ func (s *Store) repairStripe(cc core.Code, plan *core.RepairPlan, failed []int, 
 	nc := make(core.NodeContents, cc.Nodes())
 	for v := range nc {
 		nc[v] = map[int][]byte{}
-		if slices.Contains(failed, v) {
+	}
+	for _, tr := range plan.Transfers {
+		if slices.Contains(failed, tr.From) {
 			continue
 		}
-		for _, sym := range p.NodeSymbols[v] {
+		for _, term := range tr.Terms {
+			v, sym := tr.From, term.Symbol
+			if nc[v][sym] != nil {
+				continue
+			}
 			if zero(sym) {
 				nc[v][sym] = s.zeroBlock
 				continue
 			}
 			buf := s.payloadPool.Get()
 			bufs = append(bufs, buf)
-			// Tolerate extra damage; the plan will fail loudly if fatal.
-			if s.readBlockInto(path(v, sym), buf, 0) == nil {
-				nc[v][sym] = buf
+			// The plan runs every transfer: one source lost fails it.
+			if err := s.readBlockInto(path(v, sym), buf, 0); err != nil {
+				return 0, err
 			}
+			nc[v][sym] = buf
 		}
 	}
 	if err := core.ExecuteRepairPooled(nc, plan, s.blockSize, s.payloadPool); err != nil {

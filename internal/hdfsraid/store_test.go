@@ -2,6 +2,7 @@ package hdfsraid
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -235,6 +236,47 @@ func TestRepairBandwidthMatchesPlan(t *testing.T) {
 	}
 	if rep.Stripes != 2 {
 		t.Fatalf("repair touched %d stripes, want 2", rep.Stripes)
+	}
+}
+
+// TestRepairReadsOnlyPlannedBlocks counts the block files a repair
+// opens: one per (source node, symbol) the plan's transfers read at a
+// surviving node — a pentagon neighbour copies back the one block it
+// shares with the lost node — not every surviving replica of the stripe.
+func TestRepairReadsOnlyPlannedBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		code   string
+		failed []int
+		reads  int64 // per stripe
+	}{
+		{"pentagon", []int{1}, 4},
+		{"pentagon", []int{1, 3}, 9},
+		{"heptagon-local", []int{0}, 6},
+		{"heptagon-local", []int{0, 1}, 20},
+	} {
+		t.Run(fmt.Sprintf("%s/%v", tc.code, tc.failed), func(t *testing.T) {
+			s := newStore(t, tc.code)
+			if err := s.Put("f", randomFile(t, 2*blockSize*s.Code().DataSymbols(), 11)); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range tc.failed {
+				if err := s.KillNode(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bio := &countingIO{}
+			s.SetBlockIO(bio)
+			rep, err := s.Repair(tc.failed)
+			if err != nil || rep.Stripes != 2 {
+				t.Fatalf("repair: %+v, %v", rep, err)
+			}
+			if got := bio.reads.Load() + bio.misses.Load(); got != 2*tc.reads {
+				t.Fatalf("repair opened %d block files, want %d per stripe", got, tc.reads)
+			}
+			if fsck := mustFsck(t, s); !fsck.Healthy() {
+				t.Fatalf("unhealthy after repair: %+v", fsck)
+			}
+		})
 	}
 }
 

@@ -330,18 +330,13 @@ func TestLegacyFrameCompat(t *testing.T) {
 	check("after a transcode")
 }
 
-// memBlockIO serves one in-memory block file, as an io.ReaderAt or as a
-// plain stream.
+// memBlockIO serves one in-memory block file.
 type memBlockIO struct {
 	BlockIO
-	raw    []byte
-	stream bool
+	raw []byte
 }
 
 func (m memBlockIO) Open(string) (io.ReadCloser, error) {
-	if m.stream {
-		return io.NopCloser(bytes.NewReader(m.raw)), nil
-	}
 	return struct {
 		*bytes.Reader
 		io.Closer
@@ -353,8 +348,7 @@ func (m memBlockIO) Open(string) (io.ReadCloser, error) {
 // verifies exactly when the file has a frame's length and every cell
 // the window touches matches its checksum, worked out here from the
 // format alone; what it then returns is the file's bytes at the window,
-// which is what a whole-block read returns when that verifies too; and
-// a BlockIO whose files are no io.ReaderAt gets the same verdicts.
+// which is what a whole-block read returns when that verifies too.
 func FuzzBlockFrame(f *testing.F) {
 	const bs = 2*block.CellSize + 100
 	pool := core.NewBlockPool(bs)
@@ -388,20 +382,18 @@ func FuzzBlockFrame(f *testing.F) {
 			sum := binary.LittleEndian.Uint32(raw[bs+4*c:])
 			want = sum == block.Checksum(raw[c*cell:min((c+1)*cell, bs)])
 		}
-		for _, stream := range []bool{false, true} {
-			bio := memBlockIO{raw: raw, stream: stream}
-			dst := make([]byte, hi-lo)
-			_, err := readBlockFile(bio, pool, "fuzz", dst, lo)
-			if (err == nil) != want || (err != nil && !errors.Is(err, ErrCorrupt)) {
-				t.Fatalf("window [%d,%d) of a %d-byte file (stream=%v): err %v, want verified=%v", lo, hi, len(raw), stream, err, want)
-			}
-			if err == nil && !bytes.Equal(dst, raw[lo:hi]) {
-				t.Fatalf("window [%d,%d) (stream=%v) verified but returned other bytes", lo, hi, stream)
-			}
-			whole := make([]byte, bs)
-			if _, werr := readBlockFile(bio, pool, "fuzz", whole, 0); werr == nil && (err != nil || !bytes.Equal(dst, whole[lo:hi])) {
-				t.Fatalf("the whole block verifies, its window [%d,%d) (stream=%v) does not agree: %v", lo, hi, stream, err)
-			}
+		bio := memBlockIO{raw: raw}
+		dst := make([]byte, hi-lo)
+		_, err := readBlockFile(bio, pool, "fuzz", dst, lo)
+		if (err == nil) != want || (err != nil && !errors.Is(err, ErrCorrupt)) {
+			t.Fatalf("window [%d,%d) of a %d-byte file: err %v, want verified=%v", lo, hi, len(raw), err, want)
+		}
+		if err == nil && !bytes.Equal(dst, raw[lo:hi]) {
+			t.Fatalf("window [%d,%d) verified but returned other bytes", lo, hi)
+		}
+		whole := make([]byte, bs)
+		if _, werr := readBlockFile(bio, pool, "fuzz", whole, 0); werr == nil && (err != nil || !bytes.Equal(dst, whole[lo:hi])) {
+			t.Fatalf("the whole block verifies, its window [%d,%d) does not agree: %v", lo, hi, err)
 		}
 	})
 }

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -236,10 +235,6 @@ func (s *jobState) done() bool { return s.mapsRemaining == 0 && s.reducesRemaini
 // destinations are the failed nodes' replacements, which reuse the
 // same NIC slots.
 func (s *jobState) scheduleOnlineRepair(down []int) error {
-	planner, ok := s.file.Code.(core.RepairPlanner)
-	if !ok {
-		return fmt.Errorf("mapred: code %s cannot plan repairs", s.file.Code.Name())
-	}
 	isDown := make(map[int]bool, len(down))
 	for _, v := range down {
 		isDown[v] = true
@@ -254,7 +249,7 @@ func (s *jobState) scheduleOnlineRepair(down []int) error {
 		if len(local) == 0 {
 			continue
 		}
-		plan, err := planner.PlanRepair(local)
+		plan, err := s.file.Code.PlanRepair(local)
 		if err != nil {
 			return fmt.Errorf("mapred: online repair: %w", err)
 		}

@@ -114,16 +114,12 @@ func patternDecodable(c core.Code, symbols [][]byte, p core.Placement, down []bo
 // i.e. a stripe sees n node-failures' worth of exposure, each costing
 // repairBW/n per node, spread over its k data blocks.
 func AnnualRepairTraffic(c core.Code, p Params, blockBytes float64) (float64, error) {
-	planner, ok := c.(core.RepairPlanner)
-	if !ok {
-		return 0, fmt.Errorf("reliability: code %s cannot plan repairs", c.Name())
-	}
 	// Average single-node repair bandwidth over all nodes (codes like
 	// heptagon-local are not node-symmetric: the global node repairs
 	// differently).
 	total := 0
 	for v := 0; v < c.Nodes(); v++ {
-		plan, err := planner.PlanRepair([]int{v})
+		plan, err := c.PlanRepair([]int{v})
 		if err != nil {
 			return 0, err
 		}
