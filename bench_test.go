@@ -411,28 +411,6 @@ func BenchmarkAvailability(b *testing.B) {
 	b.ReportMetric(u*1e9, "unavail-ppb")
 }
 
-// BenchmarkSystemMTTDL runs the whole-cluster overlapping-stripe
-// Monte-Carlo at accelerated rates.
-func BenchmarkSystemMTTDL(b *testing.B) {
-	c, err := core.New("pentagon")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := reliability.SystemConfig{
-		Nodes: 25, Code: c, Stripes: 10,
-		Params: reliability.Params{NodeMTTFHours: 60, NodeRepairHours: 10},
-	}
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		res, err := reliability.SimulateSystemMTTDL(cfg, 200, rand.New(rand.NewSource(int64(i+1))))
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean = res.MeanHours
-	}
-	b.ReportMetric(mean, "mean-hours")
-}
-
 // BenchmarkOnlineRepairMR runs Terasort with the RaidNode rebuild
 // sharing the LAN (extension E14).
 func BenchmarkOnlineRepairMR(b *testing.B) {

@@ -57,24 +57,6 @@ func ExampleStorageOverhead() {
 	// heptagon-local: 2.15x
 }
 
-// Striping a file and reading it back through two node losses.
-func ExampleStriper() {
-	code := hadoopcodes.NewPentagon()
-	st, _ := hadoopcodes.NewStriper(code, 4)
-	file := []byte("inherent double replication")
-	stripes, _ := st.EncodeFile(file)
-
-	// Data symbol 0 of every stripe vanishes entirely — within the
-	// code's one-lost-symbol decoding tolerance.
-	for i := range stripes {
-		stripes[i].Symbols[0] = nil
-	}
-	back, _ := st.DecodeFile(stripes, len(file))
-	fmt.Println(string(back))
-	// Output:
-	// inherent double replication
-}
-
 // Hot/cold tiering by extent: reads of a file's head promote just that
 // extent to the pentagon code while the tail stays on RS(14,10); hours
 // later the daemon finds the head cold again and demotes it.

@@ -39,9 +39,6 @@ type Code = core.Code
 // ReadPlanner is Code's degraded-read half: every Code is one.
 type ReadPlanner = core.ReadPlanner
 
-// Striper splits files into code stripes.
-type Striper = core.Striper
-
 // OffCluster is the reader location for clients outside a stripe's
 // nodes.
 const OffCluster = core.OffCluster
@@ -61,11 +58,6 @@ func New(name string) (Code, error) { return core.New(name) }
 
 // StorageOverhead returns physical blocks stored per data block.
 func StorageOverhead(c Code) float64 { return core.StorageOverhead(c) }
-
-// NewStriper returns a file striper for the code and block size.
-func NewStriper(c Code, blockSize int) (*Striper, error) {
-	return core.NewStriper(c, blockSize)
-}
 
 // MaterializeNodes lays encoded symbols onto simulated nodes.
 func MaterializeNodes(c Code, symbols [][]byte) core.NodeContents {

@@ -68,25 +68,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeStriper(t *testing.T) {
-	st, err := NewStriper(NewPentagon(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte("hadoop"), 100)
-	stripes, err := st.EncodeFile(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := st.DecodeFile(stripes, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, data) {
-		t.Fatal("striper round trip failed")
-	}
-}
-
 func TestFacadeRSAndStore(t *testing.T) {
 	s, err := CreateStoreExt(t.TempDir(), "rs-14-10", 4096, 0)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package block provides the block primitives shared by every coding
-// scheme: fixed-size data buffers, fast XOR kernels and integrity
-// checksums.
+// scheme: the integrity checksum and the cell-checksummed frame a
+// stored block is written as.
 //
 // HDFS stores files as a sequence of large blocks (64-256 MB in the
 // paper's clusters). All codes in this repository operate stripe by
@@ -9,11 +9,8 @@
 package block
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-
-	"repro/internal/gf256"
 )
 
 // Checksum returns the CRC-32C (Castagnoli) checksum of a block, the
@@ -52,30 +49,4 @@ func PutCellChecksums(table, payload []byte) {
 		binary.LittleEndian.PutUint32(table[4*c:], Checksum(cell))
 		payload = payload[len(cell):]
 	}
-}
-
-// XorInto sets dst[i] ^= src[i] for all i. The slices must have equal
-// length (gf256.XorSlice, the kernel it delegates to, panics otherwise).
-func XorInto(dst, src []byte) { gf256.XorSlice(src, dst) }
-
-// Xor returns the XOR of all given blocks, which must be non-empty and
-// of equal length. The inputs are not modified.
-func Xor(blocks ...[]byte) []byte {
-	if len(blocks) == 0 {
-		panic("block: Xor of no blocks")
-	}
-	out := bytes.Clone(blocks[0])
-	for _, b := range blocks[1:] {
-		XorInto(out, b)
-	}
-	return out
-}
-
-// CloneAll deep-copies a slice of blocks. Nil entries stay nil.
-func CloneAll(blocks [][]byte) [][]byte {
-	out := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		out[i] = bytes.Clone(b)
-	}
-	return out
 }

@@ -132,32 +132,3 @@ func (f *File) ReadPlan(blockID int, down func(int) bool, at int) (fetches []Fet
 	}
 	return fetches, false, nil
 }
-
-// RepairTraffic sums the repair bandwidth, in bytes, needed to rebuild
-// the given failed cluster nodes across all stripes of the file,
-// using each code's repair plans (partial parities included). It is the
-// RaidNode's network bill for a failure event.
-func (f *File) RepairTraffic(failed []int, blockBytes float64) (float64, error) {
-	isDown := make(map[int]bool, len(failed))
-	for _, v := range failed {
-		isDown[v] = true
-	}
-	total := 0.0
-	for _, chosen := range f.StripeNodes {
-		var local []int
-		for i, v := range chosen {
-			if isDown[v] {
-				local = append(local, i)
-			}
-		}
-		if len(local) == 0 {
-			continue
-		}
-		plan, err := f.Code.PlanRepair(local)
-		if err != nil {
-			return 0, err
-		}
-		total += float64(plan.Bandwidth()) * blockBytes
-	}
-	return total, nil
-}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/code/polygon"
@@ -143,18 +144,12 @@ func TestRepairTrafficPentagonSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bytes, err := f.RepairTraffic([]int{0}, 128*MB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bytes := repairBill(t, f, []int{0}, 128*MB)
 	// Repair-by-transfer: 4 block copies.
 	if want := 4.0 * 128 * MB; bytes != want {
 		t.Fatalf("repair traffic = %v, want %v", bytes, want)
 	}
-	bytes, err = f.RepairTraffic([]int{0, 1}, 128*MB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bytes = repairBill(t, f, []int{0, 1}, 128*MB)
 	if want := 10.0 * 128 * MB; bytes != want {
 		t.Fatalf("two-node repair traffic = %v, want %v (paper: 10 blocks)", bytes, want)
 	}
@@ -166,10 +161,7 @@ func TestRepairTrafficSkipsUntouchedStripes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bytes, err := f.RepairTraffic([]int{0}, MB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bytes := repairBill(t, f, []int{0}, MB)
 	// Only stripes with a replica on node 0 pay; each pays one block.
 	count := 0.0
 	for _, b := range f.Blocks {
@@ -193,4 +185,30 @@ func TestSetupConfigs(t *testing.T) {
 	if s2.Nodes != 9 || s2.MapSlots != 4 || s2.ReduceSlots != 2 || s2.BlockBytes != 512*MB {
 		t.Fatalf("Setup2 wrong: %+v", s2)
 	}
+}
+
+// repairBill sums the repair bandwidth, in bytes, of rebuilding the
+// failed cluster nodes in every stripe of f through its code's repair
+// plans (partial parities included): the RaidNode's network bill for a
+// failure event.
+func repairBill(t *testing.T, f *File, failed []int, blockBytes float64) float64 {
+	t.Helper()
+	total := 0.0
+	for _, chosen := range f.StripeNodes {
+		var local []int
+		for i, v := range chosen {
+			if slices.Contains(failed, v) {
+				local = append(local, i)
+			}
+		}
+		if len(local) == 0 {
+			continue
+		}
+		plan, err := f.Code.PlanRepair(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += float64(plan.Bandwidth()) * blockBytes
+	}
+	return total
 }

@@ -170,11 +170,7 @@ func TestTrafficSplitMatchesRepairTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := f.RepairTraffic([]int{0, 1}, MB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if intra+cross != total {
+	if total := repairBill(t, f, []int{0, 1}, MB); intra+cross != total {
 		t.Fatalf("split %v + %v != total %v", intra, cross, total)
 	}
 }

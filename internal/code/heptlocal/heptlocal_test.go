@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/gf256"
 )
@@ -87,10 +86,10 @@ func TestPlacementInvariants(t *testing.T) {
 
 func TestEncodeParities(t *testing.T) {
 	data, symbols := encoded(t, 1)
-	if !bytes.Equal(symbols[localParityA], block.Xor(data[:20]...)) {
+	if !bytes.Equal(symbols[localParityA], xorOf(data[:20]...)) {
 		t.Error("local parity A wrong")
 	}
-	if !bytes.Equal(symbols[localParityB], block.Xor(data[20:]...)) {
+	if !bytes.Equal(symbols[localParityB], xorOf(data[20:]...)) {
 		t.Error("local parity B wrong")
 	}
 	q0 := make([]byte, testBlockSize)
@@ -172,7 +171,7 @@ func TestDecodeRecoverableFourSymbolPattern(t *testing.T) {
 	// plus both globals — which the parity equations can still solve.
 	c := New()
 	data, symbols := encoded(t, 5)
-	avail := block.CloneAll(symbols)
+	avail := cloneAll(symbols)
 	avail[3] = nil
 	avail[25] = nil
 	avail[globalQ0] = nil
@@ -193,7 +192,7 @@ func TestDecodeUnsolvableFourSymbolPattern(t *testing.T) {
 	// only the local XOR equation remains, rank 1 < 2.
 	c := New()
 	_, symbols := encoded(t, 6)
-	avail := block.CloneAll(symbols)
+	avail := cloneAll(symbols)
 	avail[3] = nil
 	avail[5] = nil
 	avail[globalQ0] = nil
@@ -523,4 +522,24 @@ func TestConcurrentDecodeDistinctPatterns(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// xorOf is the XOR of blocks, the single parity a code's encode is
+// checked against.
+func xorOf(blocks ...[]byte) []byte {
+	out := bytes.Clone(blocks[0])
+	for _, b := range blocks[1:] {
+		gf256.XorSlice(b, out)
+	}
+	return out
+}
+
+// cloneAll deep-copies symbols, so a decode under test works on copies
+// and cannot change the encoded symbols it is checked against.
+func cloneAll(symbols [][]byte) [][]byte {
+	out := make([][]byte, len(symbols))
+	for i, s := range symbols {
+		out[i] = bytes.Clone(s)
+	}
+	return out
 }

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/block"
 	"repro/internal/core"
 )
 
@@ -92,7 +91,7 @@ func TestTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(symbols[2], block.Xor(data...)) {
+	if !bytes.Equal(symbols[2], xorOf(data...)) {
 		t.Fatal("K3 parity wrong")
 	}
 	// One node failure: repair by transfer, 2 copies.

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/block"
 	"repro/internal/core"
+	"repro/internal/gf256"
 )
 
 const testBlockSize = 64
@@ -112,7 +112,7 @@ func TestEdgeSymbolRoundTrip(t *testing.T) {
 func TestEncodeParity(t *testing.T) {
 	c := New(5)
 	data, symbols := encoded(t, c, 1)
-	if !bytes.Equal(symbols[c.ParitySymbol()], block.Xor(data...)) {
+	if !bytes.Equal(symbols[c.ParitySymbol()], xorOf(data...)) {
 		t.Fatal("parity symbol is not XOR of data")
 	}
 	for i, d := range data {
@@ -186,7 +186,7 @@ func TestDecodeNoErasure(t *testing.T) {
 func TestDecodeParityErased(t *testing.T) {
 	c := New(5)
 	data, symbols := encoded(t, c, 4)
-	avail := block.CloneAll(symbols)
+	avail := cloneAll(symbols)
 	avail[c.ParitySymbol()] = nil
 	decoded, err := c.Decode(avail)
 	if err != nil {
@@ -214,7 +214,7 @@ func TestSingleNodeRepairByTransfer(t *testing.T) {
 				t.Errorf("K%d single repair bandwidth = %d, want %d", n, got, want)
 			}
 			for _, tr := range plan.Transfers {
-				if !tr.IsCopy() {
+				if len(tr.Terms) != 1 || tr.Terms[0].Coeff != 1 {
 					t.Errorf("K%d single repair uses a non-copy transfer %v", n, tr)
 				}
 			}
@@ -473,4 +473,24 @@ func assertFullyRestored(t *testing.T, c core.Code, nc core.NodeContents, symbol
 			}
 		}
 	}
+}
+
+// xorOf is the XOR of blocks, the single parity a code's encode is
+// checked against.
+func xorOf(blocks ...[]byte) []byte {
+	out := bytes.Clone(blocks[0])
+	for _, b := range blocks[1:] {
+		gf256.XorSlice(b, out)
+	}
+	return out
+}
+
+// cloneAll deep-copies symbols, so a decode under test works on copies
+// and cannot change the encoded symbols it is checked against.
+func cloneAll(symbols [][]byte) [][]byte {
+	out := make([][]byte, len(symbols))
+	for i, s := range symbols {
+		out[i] = bytes.Clone(s)
+	}
+	return out
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/block"
 	"repro/internal/core"
 )
 
@@ -79,7 +78,7 @@ func TestDecodeAllErasurePatterns(t *testing.T) {
 	for f1 := 0; f1 < 9; f1++ {
 		for f2 := f1 + 1; f2 < 9; f2++ {
 			for f3 := f2 + 1; f3 < 9; f3++ {
-				avail := block.CloneAll(symbols)
+				avail := cloneAll(symbols)
 				avail[f1], avail[f2], avail[f3] = nil, nil, nil
 				decoded, err := c.Decode(avail)
 				if err != nil {
@@ -98,7 +97,7 @@ func TestDecodeAllErasurePatterns(t *testing.T) {
 func TestDecodeBeyondToleranceFails(t *testing.T) {
 	c := New(9, 6)
 	_, symbols := encoded(t, c, 3)
-	avail := block.CloneAll(symbols)
+	avail := cloneAll(symbols)
 	for s := 0; s < 4; s++ {
 		avail[s] = nil
 	}
@@ -120,7 +119,7 @@ func TestDecodeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		avail := block.CloneAll(symbols)
+		avail := cloneAll(symbols)
 		for _, s := range rng.Perm(14)[:4] {
 			avail[s] = nil
 		}
@@ -317,4 +316,14 @@ func TestConcurrentDecodeDistinctPatterns(t *testing.T) {
 	if c.inverses.Len() == 0 {
 		t.Fatal("decode-plan cache never populated")
 	}
+}
+
+// cloneAll deep-copies symbols, so a decode under test works on copies
+// and cannot change the encoded symbols it is checked against.
+func cloneAll(symbols [][]byte) [][]byte {
+	out := make([][]byte, len(symbols))
+	for i, s := range symbols {
+		out[i] = bytes.Clone(s)
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -113,6 +114,27 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	Register("core-test-dup", func() Code { return xorCode{} })
+}
+
+// TestRegisterRejectsBrokenLayout: a code whose SymbolNodes and
+// NodeSymbols disagree cannot register, and the registry is unchanged.
+func TestRegisterRejectsBrokenLayout(t *testing.T) {
+	broken := badPlacement{p: Placement{SymbolNodes: [][]int{{0}, {1}, {2}}, NodeSymbols: [][]int{{0}, {2}, {1}}}}
+	before := Names()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Register accepted a code whose SymbolNodes and NodeSymbols disagree")
+			}
+		}()
+		Register("core-test-broken", func() Code { return broken })
+	}()
+	if got := Names(); !slices.Equal(got, before) {
+		t.Fatalf("registry changed: %v -> %v", before, got)
+	}
+	if _, err := New("core-test-broken"); err == nil {
+		t.Fatal("New built a code that failed to register")
+	}
 }
 
 func TestExecuteRepairDetectsDeadlock(t *testing.T) {
@@ -237,15 +259,8 @@ func TestStriperRoundTrip(t *testing.T) {
 		n := rng.Intn(100)
 		data := make([]byte, n)
 		rng.Read(data)
-		stripes, err := st.EncodeFile(data)
-		if err != nil {
-			return false
-		}
-		got, err := st.DecodeFile(stripes, n)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, data)
+		got, err := joinStripes(st, streamStripes(t, st, data, 0), n)
+		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -256,15 +271,12 @@ func TestStriperDegradedRoundTrip(t *testing.T) {
 	c := xorCode{}
 	st, _ := NewStriper(c, 4)
 	data := []byte("the quick brown fox jumps over the lazy dog")
-	stripes, err := st.EncodeFile(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stripes := streamStripes(t, st, data, 0)
 	// Erase one symbol per stripe, alternating.
 	for i := range stripes {
-		stripes[i].Symbols[i%3] = nil
+		stripes[i][i%3] = nil
 	}
-	got, err := st.DecodeFile(stripes, len(data))
+	got, err := joinStripes(st, stripes, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,15 +301,6 @@ func TestStriperCounts(t *testing.T) {
 func TestStriperErrors(t *testing.T) {
 	if _, err := NewStriper(xorCode{}, 0); err == nil {
 		t.Fatal("NewStriper accepted zero block size")
-	}
-	st, _ := NewStriper(xorCode{}, 4)
-	if _, err := st.DecodeFile(nil, 100); err == nil {
-		t.Fatal("DecodeFile accepted missing stripes")
-	}
-	stripes, _ := st.EncodeFile(make([]byte, 20))
-	stripes[0].Index = 5
-	if _, err := st.DecodeFile(stripes, 20); err == nil {
-		t.Fatal("DecodeFile accepted out-of-order stripes")
 	}
 }
 

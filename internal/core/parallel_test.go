@@ -11,8 +11,8 @@ import (
 )
 
 // TestEncodeStreamMatchesSerial checks that the pooled streaming
-// pipeline delivers exactly the stripes EncodeFile produces, across
-// worker counts and ragged file sizes.
+// pipeline delivers exactly the stripes a serial split-and-Encode
+// produces, across worker counts and ragged file sizes.
 func TestEncodeStreamMatchesSerial(t *testing.T) {
 	st, err := NewStriper(xorCode{}, 16)
 	if err != nil {
@@ -22,46 +22,93 @@ func TestEncodeStreamMatchesSerial(t *testing.T) {
 	for _, size := range []int{0, 1, 15, 16, 17, 32, 33, 500, 2000} {
 		data := make([]byte, size)
 		rng.Read(data)
-		serial, err := st.EncodeFile(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial := serialStripes(t, st, data)
 		for _, workers := range []int{0, 1, 3, 8} {
-			seen := make(map[int][][]byte)
-			var mu sync.Mutex
-			err := st.EncodeStream(data, workers, nil, func(s EncodedStripe) error {
-				// Copy: buffers are recycled after emit returns.
-				cp := make([][]byte, len(s.Symbols))
-				for i, b := range s.Symbols {
-					cp[i] = append([]byte(nil), b...)
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if _, dup := seen[s.Index]; dup {
-					return fmt.Errorf("stripe %d emitted twice", s.Index)
-				}
-				seen[s.Index] = cp
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+			stream := streamStripes(t, st, data, workers)
+			if len(stream) != len(serial) {
+				t.Fatalf("size %d workers %d: got %d stripes, want %d", size, workers, len(stream), len(serial))
 			}
-			if len(seen) != len(serial) {
-				t.Fatalf("size %d workers %d: got %d stripes, want %d", size, workers, len(seen), len(serial))
-			}
-			for _, want := range serial {
-				got, ok := seen[want.Index]
-				if !ok {
-					t.Fatalf("stripe %d never emitted", want.Index)
-				}
-				for s := range want.Symbols {
-					if !bytes.Equal(got[s], want.Symbols[s]) {
-						t.Fatalf("size %d workers %d stripe %d symbol %d differs", size, workers, want.Index, s)
+			for i, want := range serial {
+				for s := range want {
+					if !bytes.Equal(stream[i][s], want[s]) {
+						t.Fatalf("size %d workers %d stripe %d symbol %d differs", size, workers, i, s)
 					}
 				}
 			}
 		}
 	}
+}
+
+// streamStripes encodes data through EncodeStream and returns a copy of
+// every stripe's symbols in stripe order, failing t unless each stripe
+// is emitted exactly once.
+func streamStripes(t testing.TB, st *Striper, data []byte, workers int) [][][]byte {
+	t.Helper()
+	stripes := make([][][]byte, st.StripeCount(len(data)))
+	var mu sync.Mutex
+	err := st.EncodeStream(data, workers, nil, func(s EncodedStripe) error {
+		// Copy: buffers are recycled after emit returns.
+		cp := make([][]byte, len(s.Symbols))
+		for i, b := range s.Symbols {
+			cp[i] = bytes.Clone(b)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if stripes[s.Index] != nil {
+			return fmt.Errorf("stripe %d emitted twice", s.Index)
+		}
+		stripes[s.Index] = cp
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range stripes {
+		if s == nil {
+			t.Fatalf("stripe %d never emitted", i)
+		}
+	}
+	return stripes
+}
+
+// serialStripes is the reference EncodeStream is checked against: each
+// stripe's k blocks cut from data by hand, the last ones zero-padded,
+// then Encode.
+func serialStripes(t testing.TB, st *Striper, data []byte) [][][]byte {
+	t.Helper()
+	var stripes [][][]byte
+	for lo, k := 0, st.Code.DataSymbols(); lo < len(data); lo += k * st.BlockSize {
+		blocks := make([][]byte, k)
+		for j := range blocks {
+			blocks[j] = make([]byte, st.BlockSize)
+			copy(blocks[j], data[min(lo+j*st.BlockSize, len(data)):])
+		}
+		symbols, err := Encode(st.Code, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripes = append(stripes, symbols)
+	}
+	return stripes
+}
+
+// joinStripes decodes every stripe with Code.Decode and returns the
+// first n bytes of their data blocks in order: the file they hold.
+func joinStripes(st *Striper, stripes [][][]byte, n int) ([]byte, error) {
+	var out []byte
+	for i, symbols := range stripes {
+		data, err := st.Code.Decode(symbols)
+		if err != nil {
+			return nil, fmt.Errorf("decoding stripe %d: %w", i, err)
+		}
+		for _, b := range data {
+			out = append(out, b...)
+		}
+	}
+	if len(out) < n {
+		return nil, fmt.Errorf("%d stripes hold %d bytes, want %d", len(stripes), len(out), n)
+	}
+	return out[:n], nil
 }
 
 // TestEncodeStreamEmitError checks that an emit failure cancels the

@@ -24,12 +24,6 @@ type Transfer struct {
 	Terms    []Term
 }
 
-// IsCopy reports whether the transfer is a plain replica copy of one
-// symbol.
-func (t Transfer) IsCopy() bool {
-	return len(t.Terms) == 1 && t.Terms[0].Coeff == 1
-}
-
 // String renders the transfer as "Nfrom->Nto [terms]" for plan dumps.
 func (t Transfer) String() string {
 	return fmt.Sprintf("N%d->N%d %v", t.From, t.To, t.Terms)

@@ -17,9 +17,14 @@ var (
 )
 
 // Register makes a code constructor available under the given name.
-// Register panics on duplicate names, which indicates a programming
-// error during package initialization.
+// It builds the code once and panics when its layout fails
+// VerifyPlacement or the name is taken: either is a programming error
+// during package initialization, and a code with a broken layout must
+// never reach a store.
 func Register(name string, f Factory) {
+	if err := VerifyPlacement(f()); err != nil {
+		panic(fmt.Sprintf("core: registering %q: %v", name, err))
+	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[name]; dup {

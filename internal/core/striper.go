@@ -4,10 +4,11 @@ import (
 	"fmt"
 )
 
-// Striper splits files into fixed-size blocks, groups blocks into
-// stripes of k = code.DataSymbols() blocks (zero-padding the tail, as
-// HDFS-RAID does when raiding a file), and encodes or reconstructs each
-// stripe independently.
+// Striper splits a file held in memory into fixed-size blocks, groups
+// blocks into stripes of k = code.DataSymbols() blocks (zero-padding
+// the tail, as HDFS-RAID does when raiding a file), and encodes each
+// stripe independently (EncodeStream). The store encodes through its
+// own stripe writer; the benchmark's encode rung times this one.
 type Striper struct {
 	Code      Code
 	BlockSize int
@@ -41,9 +42,9 @@ type EncodedStripe struct {
 
 // stripeBlocks assembles stripe i's k data blocks. Blocks fully inside
 // data alias it directly (no copy, no allocation); only blocks that
-// overhang the file end are materialized — from pool when non-nil —
-// and zero-padded. It returns the blocks plus the pooled buffers to
-// recycle when the stripe is done.
+// overhang the file end are drawn from pool and zero-padded. It returns
+// the blocks plus the pooled buffers to recycle when the stripe is
+// done.
 func (st *Striper) stripeBlocks(data []byte, i int, pool *BlockPool) (blocks, pooled [][]byte) {
 	k := st.Code.DataSymbols()
 	blocks = make([][]byte, k)
@@ -53,12 +54,7 @@ func (st *Striper) stripeBlocks(data []byte, i int, pool *BlockPool) (blocks, po
 			blocks[j] = data[off : off+st.BlockSize]
 			continue
 		}
-		var b []byte
-		if pool != nil {
-			b = pool.GetZero()
-		} else {
-			b = make([]byte, st.BlockSize)
-		}
+		b := pool.GetZero()
 		if off < len(data) {
 			copy(b, data[off:])
 		}
@@ -66,65 +62,4 @@ func (st *Striper) stripeBlocks(data []byte, i int, pool *BlockPool) (blocks, po
 		pooled = append(pooled, b)
 	}
 	return blocks, pooled
-}
-
-// EncodeFile splits data into stripes and encodes each, returning the
-// stripes in order. The file length must be recorded by the caller to
-// strip padding on reconstruction. Data symbols of interior stripes
-// alias data — callers that mutate data before consuming the stripes
-// must copy first.
-func (st *Striper) EncodeFile(data []byte) ([]EncodedStripe, error) {
-	count := st.StripeCount(len(data))
-	stripes := make([]EncodedStripe, 0, count)
-	for i := 0; i < count; i++ {
-		blocks, _ := st.stripeBlocks(data, i, nil)
-		symbols, err := st.Code.Encode(blocks)
-		if err != nil {
-			return nil, fmt.Errorf("core: encoding stripe %d: %w", i, err)
-		}
-		stripes = append(stripes, EncodedStripe{Index: i, Symbols: symbols})
-	}
-	return stripes, nil
-}
-
-// DecodeStripeAppend decodes one stripe's symbol vector and appends its
-// data bytes to out, stopping at fileLen total bytes (out may already
-// hold earlier stripes). It is the per-stripe core of DecodeFile, split
-// out so pooled pipelines can decode a stripe, drain it, and recycle
-// the symbol buffers before loading the next.
-func (st *Striper) DecodeStripeAppend(out []byte, symbols [][]byte, fileLen int) ([]byte, error) {
-	data, err := st.Code.Decode(symbols)
-	if err != nil {
-		return out, err
-	}
-	k := st.Code.DataSymbols()
-	for j := 0; j < k && len(out) < fileLen; j++ {
-		need := fileLen - len(out)
-		if need > st.BlockSize {
-			need = st.BlockSize
-		}
-		out = append(out, data[j][:need]...)
-	}
-	return out, nil
-}
-
-// DecodeFile reconstructs the original file of length fileLen from
-// (possibly degraded) stripes. Each stripe's symbol vector may have nil
-// entries for erased symbols, as long as the pattern is decodable.
-func (st *Striper) DecodeFile(stripes []EncodedStripe, fileLen int) ([]byte, error) {
-	if want := st.StripeCount(fileLen); len(stripes) != want {
-		return nil, fmt.Errorf("core: have %d stripes, want %d for %d bytes", len(stripes), want, fileLen)
-	}
-	out := make([]byte, 0, fileLen)
-	for i, s := range stripes {
-		if s.Index != i {
-			return nil, fmt.Errorf("core: stripe %d out of order (index %d)", i, s.Index)
-		}
-		var err error
-		out, err = st.DecodeStripeAppend(out, s.Symbols, fileLen)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding stripe %d: %w", i, err)
-		}
-	}
-	return out, nil
 }

@@ -10,8 +10,8 @@ import "fmt"
 //   - every symbol has at least one replica;
 //   - all node indices are within [0, Nodes()).
 //
-// It is used by the code packages' tests and by the cluster simulator
-// when installing a stripe.
+// Register calls it on every code it registers, so no code with a
+// broken layout can be constructed by name.
 func VerifyPlacement(c Code) error {
 	p := c.Placement()
 	n := c.Nodes()

@@ -60,10 +60,17 @@ func (s *Store) SetBlockIO(bio BlockIO) {
 // doubling backoff before the caller falls over to another replica or
 // a degraded reconstruct. ErrCorrupt and fs.ErrNotExist never retry:
 // they are verdicts about the bytes on disk, not the act of reading.
+// Nor does errNoReaderAt, which no retry can change.
 const (
 	blockReadRetries = 2
 	blockReadBackoff = 200 * time.Microsecond
 )
+
+// errNoReaderAt is readBlockFile's refusal of an Open result that is no
+// io.ReaderAt: a fault of the BlockIO, not a verdict about the bytes on
+// disk, so it is transient to the callers that judge replicas and is
+// never retried.
+var errNoReaderAt = errors.New("not an io.ReaderAt")
 
 // transientReadErr reports whether a block-read failure is worth
 // retrying: anything that is neither a checksum verdict nor a missing
@@ -78,7 +85,7 @@ func transientReadErr(err error) bool {
 // error dst holds garbage.
 func (s *Store) readBlockInto(path string, dst []byte, off int) error {
 	read, err := readBlockFile(s.bio, s.payloadPool, path, dst, off)
-	for attempt := 0; err != nil && transientReadErr(err) && attempt < blockReadRetries; attempt++ {
+	for attempt := 0; err != nil && transientReadErr(err) && !errors.Is(err, errNoReaderAt) && attempt < blockReadRetries; attempt++ {
 		time.Sleep(blockReadBackoff << attempt)
 		var n int
 		n, err = readBlockFile(s.bio, s.payloadPool, path, dst, off)

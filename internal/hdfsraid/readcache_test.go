@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/block"
@@ -388,7 +389,8 @@ func TestCacheAdmitsExtentsReadBefore(t *testing.T) {
 // the CRC of every cell the window touches, or ErrCorrupt, whichever
 // way it is wrong; damage to a cell outside the window is no verdict
 // of that read; neither a missing file nor a file opened as no
-// io.ReaderAt is a verdict about bytes.
+// io.ReaderAt is a verdict about bytes, and the latter is opened once,
+// not retried, and quarantines nothing.
 func TestReadBlockFileVerdicts(t *testing.T) {
 	for _, bs := range []int{blockSize, cellsBlock} {
 		s, err := Create(t.TempDir(), "pentagon", bs)
@@ -460,18 +462,32 @@ func TestReadBlockFileVerdicts(t *testing.T) {
 		if err := os.WriteFile(p, frame, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s.SetBlockIO(streamIO{})
+		opens := new(atomic.Int64)
+		s.SetBlockIO(streamIO{opens: opens})
 		if err := s.readBlockInto(p, make([]byte, bs), 0); err == nil || errors.Is(err, ErrCorrupt) {
 			t.Errorf("a frame opened as no io.ReaderAt: err = %v, want a plain error", err)
+		}
+		if n := opens.Load(); n != 1 {
+			t.Errorf("a frame opened as no io.ReaderAt was opened %d times, want 1: no retry can help", n)
+		}
+		if _, err := s.Get("f"); err == nil {
+			t.Error("Get through a BlockIO that opens no io.ReaderAt succeeded")
+		}
+		if q, err := s.Quarantined(); err != nil || len(q) != 0 {
+			t.Errorf("Get through a BlockIO that opens no io.ReaderAt quarantined %v (err %v), want nothing", q, err)
 		}
 	}
 }
 
 // streamIO opens block files as plain streams, which are no
-// io.ReaderAt.
-type streamIO struct{ osBlockIO }
+// io.ReaderAt, and counts the opens.
+type streamIO struct {
+	osBlockIO
+	opens *atomic.Int64
+}
 
-func (streamIO) Open(path string) (io.ReadCloser, error) {
+func (sio streamIO) Open(path string) (io.ReadCloser, error) {
+	sio.opens.Add(1)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

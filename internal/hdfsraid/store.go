@@ -559,7 +559,7 @@ func readBlockFile(bio BlockIO, scratch *core.BlockPool, path string, dst []byte
 	defer f.Close()
 	ra, ok := f.(io.ReaderAt)
 	if !ok {
-		return 0, fmt.Errorf("hdfsraid: %s opened as %T, not an io.ReaderAt", path, f)
+		return 0, fmt.Errorf("hdfsraid: %s opened as %T: %w", path, f, errNoReaderAt)
 	}
 	cells, cell := block.Cells(bs), block.CellSize
 	table := make([]byte, 4*cells+1)

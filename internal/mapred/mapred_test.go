@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -326,9 +327,24 @@ func TestOnlineRepair(t *testing.T) {
 	if withRepair.RepairBytes <= 0 {
 		t.Fatal("online repair moved no bytes")
 	}
-	want, err := f.RepairTraffic(down, cfg.BlockBytes)
-	if err != nil {
-		t.Fatal(err)
+	// The plans' bill: each stripe that lost a node pays its code's
+	// repair plan.
+	want := 0.0
+	for _, chosen := range f.StripeNodes {
+		var local []int
+		for i, v := range chosen {
+			if slices.Contains(down, v) {
+				local = append(local, i)
+			}
+		}
+		if len(local) == 0 {
+			continue
+		}
+		plan, err := c.PlanRepair(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += float64(plan.Bandwidth()) * cfg.BlockBytes
 	}
 	if withRepair.RepairBytes != want {
 		t.Fatalf("repair bytes %v, want plan bill %v", withRepair.RepairBytes, want)

@@ -1,4 +1,4 @@
-package stats
+package reliability
 
 import (
 	"math"
@@ -7,14 +7,56 @@ import (
 	"testing/quick"
 )
 
-func TestZeroValue(t *testing.T) {
+// Accumulator computes running mean and variance with Welford's
+// algorithm; the zero value is ready to use.
+type Accumulator struct {
+	n    int
+	mean float64
+	m2   float64
+}
+
+// Add records one observation.
+func (a *Accumulator) Add(x float64) {
+	a.n++
+	d := x - a.mean
+	a.mean += d / float64(a.n)
+	a.m2 += d * (x - a.mean)
+}
+
+// N returns the number of observations.
+func (a *Accumulator) N() int { return a.n }
+
+// Mean returns the sample mean (0 with no observations).
+func (a *Accumulator) Mean() float64 { return a.mean }
+
+// Variance returns the unbiased sample variance (0 with fewer than two
+// observations).
+func (a *Accumulator) Variance() float64 {
+	if a.n < 2 {
+		return 0
+	}
+	return a.m2 / float64(a.n-1)
+}
+
+// StdDev returns the sample standard deviation.
+func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
+
+// StdErr returns the standard error of the mean.
+func (a *Accumulator) StdErr() float64 {
+	if a.n == 0 {
+		return 0
+	}
+	return a.StdDev() / math.Sqrt(float64(a.n))
+}
+
+func TestAccumulatorZeroValue(t *testing.T) {
 	var a Accumulator
 	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 || a.StdErr() != 0 {
 		t.Fatal("zero accumulator not zero")
 	}
 }
 
-func TestKnownSample(t *testing.T) {
+func TestAccumulatorKnownSample(t *testing.T) {
 	var a Accumulator
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		a.Add(x)
@@ -31,7 +73,7 @@ func TestKnownSample(t *testing.T) {
 	}
 }
 
-func TestSinglePointVarianceZero(t *testing.T) {
+func TestAccumulatorSinglePointVarianceZero(t *testing.T) {
 	var a Accumulator
 	a.Add(42)
 	if a.Variance() != 0 || a.Mean() != 42 {
@@ -39,7 +81,7 @@ func TestSinglePointVarianceZero(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesNaive(t *testing.T) {
+func TestAccumulatorWelfordMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(100)
@@ -66,7 +108,7 @@ func TestWelfordMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestStdErr(t *testing.T) {
+func TestAccumulatorStdErr(t *testing.T) {
 	var a Accumulator
 	for x := 1.0; x <= 10; x++ {
 		a.Add(x)
@@ -74,23 +116,5 @@ func TestStdErr(t *testing.T) {
 	want := a.StdDev() / math.Sqrt(10)
 	if math.Abs(a.StdErr()-want) > 1e-12 {
 		t.Fatal("stderr wrong")
-	}
-}
-
-func TestMeanHelper(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("Mean wrong")
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("Mean of empty should be 0")
-	}
-}
-
-func TestString(t *testing.T) {
-	var a Accumulator
-	a.Add(1)
-	a.Add(3)
-	if a.String() == "" {
-		t.Fatal("empty String")
 	}
 }

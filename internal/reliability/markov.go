@@ -68,21 +68,6 @@ func (c *Chain) AddRate(from, to int, rate float64) {
 // Len returns the number of states.
 func (c *Chain) Len() int { return len(c.names) }
 
-// Name returns the name of state s.
-func (c *Chain) Name(s int) string { return c.names[s] }
-
-// Absorbing reports whether state s is absorbing.
-func (c *Chain) Absorbing(s int) bool { return c.absorbing[s] }
-
-// Transitions returns the outgoing transitions of state s. The returned
-// map must not be modified.
-func (c *Chain) Transitions(s int) map[int]float64 {
-	if c.absorbing[s] {
-		return nil
-	}
-	return c.transitions[s]
-}
-
 // MTTDL returns the expected time to reach any absorbing state from
 // state start, by solving the first-step linear system
 //

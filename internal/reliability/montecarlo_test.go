@@ -5,8 +5,6 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
-
-	"repro/internal/stats"
 )
 
 // SimulateMTTDL estimates the chain's expected absorption time from
@@ -19,18 +17,18 @@ func SimulateMTTDL(c *Chain, trials int, rng *rand.Rand) (mean, stderr float64, 
 	if trials <= 0 {
 		return 0, 0, fmt.Errorf("reliability: trials must be positive")
 	}
-	var acc stats.Accumulator
+	var acc Accumulator
 	for t := 0; t < trials; t++ {
 		elapsed := 0.0
 		s := 0
-		for !c.Absorbing(s) {
-			trans := c.Transitions(s)
+		for !c.absorbing[s] {
+			trans := c.transitions[s]
 			total := 0.0
 			for _, r := range trans {
 				total += r
 			}
 			if total == 0 {
-				return 0, 0, fmt.Errorf("reliability: state %q has no way out", c.Name(s))
+				return 0, 0, fmt.Errorf("reliability: state %q has no way out", c.names[s])
 			}
 			elapsed += rng.ExpFloat64() / total
 			// Pick the jump destination proportionally to rate, in a

@@ -137,3 +137,25 @@ func TestSystemSimCensoring(t *testing.T) {
 		t.Fatalf("censoring broken: %+v", res)
 	}
 }
+
+// BenchmarkSystemMTTDL runs the whole-cluster overlapping-stripe
+// Monte-Carlo at accelerated rates.
+func BenchmarkSystemMTTDL(b *testing.B) {
+	c, err := core.New("pentagon")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := SystemConfig{
+		Nodes: 25, Code: c, Stripes: 10,
+		Params: Params{NodeMTTFHours: 60, NodeRepairHours: 10},
+	}
+	var mean float64
+	for i := 0; i < b.N; i++ {
+		res, err := SimulateSystemMTTDL(cfg, 200, rand.New(rand.NewSource(int64(i+1))))
+		if err != nil {
+			b.Fatal(err)
+		}
+		mean = res.MeanHours
+	}
+	b.ReportMetric(mean, "mean-hours")
+}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // SystemConfig describes a whole-cluster reliability simulation: G
@@ -61,7 +60,7 @@ func SimulateSystemMTTDL(cfg SystemConfig, trials int, rng *rand.Rand) (SystemRe
 	placement := cfg.Code.Placement()
 
 	var res SystemResult
-	var acc stats.Accumulator
+	var acc Accumulator
 	for trial := 0; trial < trials; trial++ {
 		// Scatter stripes over random node subsets.
 		stripeNodes := make([][]int, cfg.Stripes)

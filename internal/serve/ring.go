@@ -67,17 +67,13 @@ func newRing(n, vnodes int) *ring {
 // value, or the "moved names" set is garbage.
 type Ring struct {
 	r *ring
-	n int
 }
 
 // NewRing builds the assignment ring for n shards with vnodes points
 // each (vnodes <= 0 uses the same default the server uses).
 func NewRing(n, vnodes int) Ring {
-	return Ring{r: newRing(n, vnodes), n: n}
+	return Ring{r: newRing(n, vnodes)}
 }
-
-// Shards returns the shard count the ring was built for.
-func (g Ring) Shards() int { return g.n }
 
 // Shard returns the shard index owning a file name under this ring —
 // bit-identical to the serving router's assignment at the same shard
